@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import bifurcation, edge_metrics, loss_models, trajectory, verify
-from .numerics import triangular_rule, uniform_rule
+from .numerics import uniform_rule
 from .stability_kv import strain_run, write_strain_csv
 
 EXIT_OK = 0
@@ -205,13 +203,6 @@ def _out_dir(resolved: dict, args) -> Path:
     return out
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EDGE_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -259,15 +250,14 @@ def cmd_run(resolved: dict, out: Path) -> int:
                             seed=resolved["seed"])
     trajectory.write_trajectory_csv(log, out / "trajectory.csv",
                                     include_w=resolved["include_w"])
-    report = edge_metrics.edge_balance_report(
-        model, log, route=resolved["route"], deltas=resolved["deltas"],
-        adaptive=isinstance(model, loss_models.MlpModel))
-    edge_metrics.write_metrics_csv(model, log, out / "metrics.csv",
-                                   route=resolved["route"],
+    table = edge_metrics.curvature_table(model, log, resolved["route"])
+    report = edge_metrics.edge_balance_report(model, log, table,
+                                              deltas=resolved["deltas"])
+    edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
                                    with_localization=resolved["localize"])
     _write_json(out / "balance_report.json", report.to_dict())
     summary = trajectory.run_summary(log)
-    summary["onset_step"] = edge_metrics.eos_onset(report.rtildes, log.eta)
+    summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
     _write_json(out / "summary.json", summary)
     return EXIT_DIVERGENCE if log.diverged else EXIT_OK
 
@@ -304,16 +294,16 @@ def _resolve_balance(cfg: dict) -> dict:
 def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
     log = trajectory.run_gd(model, w0, eta, resolved["steps"],
                             seed=resolved["seed"])
-    report = edge_metrics.edge_balance_report(
-        model, log, route=resolved["route"], deltas=resolved["deltas"],
-        adaptive=isinstance(model, loss_models.MlpModel))
-    w, r = report.weights, report.rtildes
+    table = edge_metrics.curvature_table(model, log, resolved["route"])
+    report = edge_metrics.edge_balance_report(model, log, table,
+                                              deltas=resolved["deltas"])
+    w, r = table.step_norm_sq, table.rtilde
     cum_w = np.cumsum(w)
     running = np.cumsum(w * r) / cum_w
     forcing = 2.0 / eta - 2.0 * float(log.losses[0]) / cum_w
     rows = ["k,running_weighted_mean,forcing_bound"]
-    for i in range(running.size):
-        rows.append(f"{i},{running[i]:.17g},{forcing[i]:.17g}")
+    for i, k in enumerate(table.k):
+        rows.append(f"{k},{running[i]:.17g},{forcing[i]:.17g}")
     with open(out / f"balance_eta{idx}.csv", "w", newline="") as fh:
         fh.write("\r\n".join(rows) + "\r\n")
 
@@ -335,15 +325,8 @@ def cmd_balance(resolved: dict, out: Path) -> int:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
-    jobs = list(enumerate(resolved["etas"]))
-    if _threads() > 1:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            entries = list(pool.map(
-                lambda job: _balance_one(model, w0, job[1], resolved, out, job[0]),
-                jobs))
-    else:
-        entries = [_balance_one(model, w0, eta, resolved, out, i)
-                   for i, eta in jobs]
+    entries = [_balance_one(model, w0, eta, resolved, out, i)
+               for i, eta in enumerate(resolved["etas"])]
     _write_json(out / "balance_summary.json", {"runs": entries})
     return EXIT_DIVERGENCE if any(e["diverged"] for e in entries) else EXIT_OK
 
@@ -532,9 +515,9 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     """Re-check a finished run directory against its own model.
 
     Replays the loss and gradient at every logged iterate, re-derives
-    the update consistency, and recomputes the telescoping balance with
-    quadrature curvature. Any edit to the logs breaks at least one of
-    these named identities.
+    the update consistency, and recomputes the telescoping balance from
+    the quadrature-route curvature table of the logged iterates. Any
+    edit to the logs breaks at least one of these named identities.
     """
     import time as _time
     t0 = _time.perf_counter()
@@ -573,19 +556,11 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
         {"max_relative_error": worst_u, "tolerance": 1e-12}))
 
     t3 = _time.perf_counter()
-    thr = 2.0 / eta
-    tri = triangular_rule(8)
-    total = 0.0
-    for k in range(len(ws) - 1):
-        d = ws[k + 1] - ws[k]
-        nd = float(np.linalg.norm(d))
-        if nd < edge_metrics.DEGENERATE_STEP:
-            continue
-        u = d / nd
-        q = sum(wq * model.directional_curvature(ws[k] + t * d, u)
-                for wq, t in zip(tri.weights, tri.nodes))
-        total += nd ** 2 * (thr - q)
-    resid = float(abs(total - 2.0 * (losses[0] - losses[-1])))
+    log = trajectory.TrajectoryLog(
+        eta=eta, model_id=model.name, losses=losses, grads=np.array(grads),
+        steps=np.diff(ws, axis=0), w_stored=ws)
+    table = edge_metrics.curvature_table(model, log)
+    resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
     is_mlp = resolved["model"]["kind"] == "mlp"
     tol = 1e-5 * max(1.0, abs(2.0 * (losses[0] - losses[-1]))) if is_mlp \
         else 1e-8 * max(1.0, abs(losses[0]))

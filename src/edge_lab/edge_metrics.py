@@ -1,12 +1,18 @@
 """Single-trajectory curvature diagnostics along each step segment.
 
 Two segment-averaged curvatures are tracked per step: the uniform
-average (which governs the step-increment propagator) and the
-triangularly weighted "effective" curvature (which governs the one-step
-loss change). Each is computable by two independent routes: exactly
-from logged gradients/losses, or by weighted quadrature of the
-directional curvature profile. The quadrature route makes the
-telescoping balance identity a genuine test instead of a tautology.
+average rbar (which governs the step-increment propagator) and the
+triangularly weighted "effective" curvature rtilde (which governs the
+one-step loss change). Each is computable by two independent routes:
+exactly from logged gradients/losses, or by quadrature of the
+directional curvature profile q(tau) = u^T H(w_k + tau d_k) u. The
+quadrature route makes the telescoping balance identity a genuine test
+instead of a tautology.
+
+``curvature_table`` is the one place either route is evaluated: it
+walks a run once and every consumer (balance report, metrics CSV,
+localization targets, the noisy balance, run-directory replay) reads
+its per-step rows.
 
 Curvature values carry inverse-step-size units (they are compared
 against the threshold 2/eta).
@@ -20,20 +26,18 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel
-from .numerics import (QuadratureRule, brent_root, dense_eigh, lambda_max_iter,
-                       triangular_rule, uniform_rule)
+from .numerics import brent_root, dense_eigh, lambda_max_iter, uniform_rule
 from .trajectory import StochasticTrajectoryLog, TrajectoryLog
 
 __all__ = [
     "DEGENERATE_STEP",
-    "CurvatureSample",
+    "CurvatureTable",
     "LocalizationRecord",
     "EdgeBalanceReport",
     "SgdBalanceReport",
     "step_mean_curvature_exact",
     "effective_curvature_from_loss",
-    "step_mean_curvature_quadrature",
-    "effective_curvature_quadrature",
+    "curvature_table",
     "q_profile",
     "localize",
     "localized_sharpness",
@@ -58,15 +62,25 @@ class DegenerateStepError(ValueError):
     """Step increment too short to define a direction."""
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """One step's segment curvatures with the route that produced them."""
+# Gauss-Legendre orders tried in turn until both segment averages settle.
+QUADRATURE_ORDERS = (4, 8, 16, 32, 64)
+QUADRATURE_RTOL = 1e-9
 
-    k: int
-    rbar: float
-    rtilde: float
-    route: str            # "exact-algebraic" or "quadrature"
-    step_norm_sq: float
+
+@dataclass(frozen=True)
+class CurvatureTable:
+    """Both segment curvatures of every non-degenerate step of one run.
+
+    Row i describes trajectory step ``k[i]``; degenerate steps have no
+    row and are listed in ``skipped``.
+    """
+
+    route: str                    # "quadrature" or "loss"
+    k: NDArray[np.int64]
+    step_norm_sq: Array
+    rbar: Array
+    rtilde: Array
+    skipped: list[int]
 
 
 @dataclass(frozen=True)
@@ -74,8 +88,7 @@ class LocalizationRecord:
     """Interior point where a segment-averaged curvature is attained."""
 
     k: int
-    which: str            # "tilde" or "bar"
-    point: float          # xi (tilde) or zeta (bar), in (0, 1)
+    point: float          # xi (for rtilde) or zeta (for rbar), in (0, 1)
     target: float
     q_at_point: float
     constant_profile: bool
@@ -121,109 +134,96 @@ def q_profile(model: LossModel, w: Array, d: Array, tau: float) -> float:
     return model.directional_curvature(w + tau * d, u)
 
 
-def _weighted_q(model, w, d, kind: str, rule: QuadratureRule | None) -> float:
-    nd = float(np.linalg.norm(d))
-    u = d / nd
-    f = lambda tau: model.directional_curvature(w + tau * d, u)
-    if kind == "uniform":
-        rule = rule if rule is not None else uniform_rule()
-        return float(np.dot(rule.weights, [f(t) for t in rule.nodes]))
-    rule = rule if rule is not None else triangular_rule()
-    return float(np.dot(rule.weights, [f(t) for t in rule.nodes]))
+def _segment_averages(model: LossModel, w: Array, d: Array,
+                      nd: float) -> tuple[float, float]:
+    """(rbar, rtilde) of one step from a single set of profile values.
 
-
-def _adaptive_weighted_q(model, w, d, kind: str, rtol: float) -> float:
-    make = uniform_rule if kind == "uniform" else triangular_rule
-    prev = _weighted_q(model, w, d, kind, make(4))
-    for order in (8, 16, 32, 64):
-        cur = _weighted_q(model, w, d, kind, make(order))
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    return prev
-
-
-def step_mean_curvature_quadrature(model: LossModel, log: TrajectoryLog, k: int,
-                                   rule: QuadratureRule | None = None,
-                                   adaptive: bool = False,
-                                   rtol: float = 1e-9) -> float:
-    """Uniform-weight quadrature of the curvature profile along step k."""
-    d, _ = _step(log, k)
-    w = log.w(k)
-    if adaptive:
-        return _adaptive_weighted_q(model, w, d, "uniform", rtol)
-    return _weighted_q(model, w, d, "uniform", rule)
-
-
-def effective_curvature_quadrature(model: LossModel, log: TrajectoryLog, k: int,
-                                   rule: QuadratureRule | None = None,
-                                   adaptive: bool = False,
-                                   rtol: float = 1e-9) -> float:
-    """Triangular-weight quadrature of the curvature profile along step k."""
-    d, _ = _step(log, k)
-    w = log.w(k)
-    if adaptive:
-        return _adaptive_weighted_q(model, w, d, "triangular", rtol)
-    return _weighted_q(model, w, d, "triangular", rule)
-
-
-def curvature_sample(model: LossModel, log: TrajectoryLog, k: int,
-                     route: str = "quadrature",
-                     rule_bar: QuadratureRule | None = None,
-                     rule_tilde: QuadratureRule | None = None,
-                     adaptive: bool = False) -> CurvatureSample:
-    d, nd = _step(log, k)
-    if route == "exact-algebraic":
-        rbar = step_mean_curvature_exact(log, k)
-        rtilde = effective_curvature_from_loss(log, k)
-    elif route == "quadrature":
-        rbar = step_mean_curvature_quadrature(model, log, k, rule_bar, adaptive)
-        rtilde = effective_curvature_quadrature(model, log, k, rule_tilde, adaptive)
-    else:
-        raise ValueError("route must be 'exact-algebraic' or 'quadrature'")
-    return CurvatureSample(k, rbar, rtilde, route, nd ** 2)
-
-
-def localize(model: LossModel, log: TrajectoryLog, k: int, which: str = "tilde",
-             tol: float = 1e-10, grid: int = 64) -> LocalizationRecord:
-    """Interior point where the segment-averaged curvature is attained.
-
-    Scans a uniform grid for a sign change of q(tau) - target and
-    refines with Brent's method; a profile that is constant within
-    ``tol`` across the grid returns the conventional midpoint 0.5. The
-    grid is refined up to 1024 cells before failing.
+    At each Gauss-Legendre order the profile is evaluated once per node
+    and both averages are formed from those values: rbar = sum w_i q_i,
+    rtilde = sum 2 (1 - tau_i) w_i q_i. The order doubles until both
+    agree with the previous order within QUADRATURE_RTOL.
     """
-    if which not in ("tilde", "bar"):
-        raise ValueError("which must be 'tilde' or 'bar'")
+    u = d / nd
+    prev = None
+    for order in QUADRATURE_ORDERS:
+        rule = uniform_rule(order)
+        wq = rule.weights * np.array([model.directional_curvature(w + t * d, u)
+                                      for t in rule.nodes])
+        cur = (float(np.sum(wq)), 2.0 * float(np.dot(1.0 - rule.nodes, wq)))
+        if prev is not None and all(abs(c - p) <= QUADRATURE_RTOL * max(1.0, abs(c))
+                                    for c, p in zip(cur, prev)):
+            break
+        prev = cur
+    return cur
+
+
+def curvature_table(model: LossModel, log: TrajectoryLog,
+                    route: str = "quadrature") -> CurvatureTable:
+    """Segment curvatures of every step of a run, in one pass.
+
+    ``route="quadrature"`` integrates the directional curvature profile
+    adaptively; ``route="loss"`` takes the exact routes (gradient
+    difference for rbar, loss change for rtilde). Degenerate steps are
+    skipped; their contribution to every weighted sum is below the
+    rounding floor by construction.
+    """
+    if route not in ("quadrature", "loss"):
+        raise ValueError("route must be 'quadrature' or 'loss'")
+    ks, norms_sq, rbars, rtildes, skipped = [], [], [], [], []
+    for k in range(log.num_steps):
+        d = log.steps[k]
+        nd = float(np.linalg.norm(d))
+        if nd < DEGENERATE_STEP:
+            skipped.append(k)
+            continue
+        if route == "quadrature":
+            rbar, rtilde = _segment_averages(model, log.w(k), d, nd)
+        else:
+            rbar = step_mean_curvature_exact(log, k)
+            rtilde = effective_curvature_from_loss(log, k)
+        ks.append(k)
+        norms_sq.append(nd ** 2)
+        rbars.append(rbar)
+        rtildes.append(rtilde)
+    return CurvatureTable(route, np.array(ks, dtype=np.int64), np.array(norms_sq),
+                          np.array(rbars), np.array(rtildes), skipped)
+
+
+def localize(model: LossModel, log: TrajectoryLog, k: int, target: float,
+             tol: float = 1e-10, grid: int = 64) -> LocalizationRecord:
+    """Interior point of step k where the profile attains ``target``.
+
+    ``target`` is one of the step's segment averages (rtilde or rbar
+    from ``curvature_table``). Scans a uniform grid for a sign change of
+    q(tau) - target and refines with Brent's method; a profile that is
+    constant within ``tol`` across the grid returns the conventional
+    midpoint 0.5. The grid is refined up to 1024 cells before failing.
+    """
     d, _ = _step(log, k)
     w = log.w(k)
-    if which == "tilde":
-        target = effective_curvature_quadrature(model, log, k)
-    else:
-        target = step_mean_curvature_quadrature(model, log, k)
 
     cells = int(grid)
     while cells <= 1024:
         taus = np.linspace(0.0, 1.0, cells + 1)
         qs = np.array([q_profile(model, w, d, t) for t in taus])
         if float(qs.max() - qs.min()) <= tol:
-            return LocalizationRecord(k, which, 0.5, target, q_profile(model, w, d, 0.5), True)
+            return LocalizationRecord(k, 0.5, target, q_profile(model, w, d, 0.5), True)
         g = qs - target
         hit = np.nonzero(g == 0.0)[0]
         if hit.size and 0.0 < taus[hit[0]] < 1.0:
             t0 = float(taus[hit[0]])
-            return LocalizationRecord(k, which, t0, target, q_profile(model, w, d, t0), False)
+            return LocalizationRecord(k, t0, target, q_profile(model, w, d, t0), False)
         sign_change = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
         if sign_change.size:
             i = int(sign_change[0])
             root = brent_root(lambda t: q_profile(model, w, d, t) - target,
                               float(taus[i]), float(taus[i + 1]), tol=1e-14)
             root = min(max(root, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
-            return LocalizationRecord(k, which, root, target,
+            return LocalizationRecord(k, root, target,
                                       q_profile(model, w, d, root), False)
         cells *= 2
     raise RuntimeError(
-        f"no interior point found for step {k} ({which}) at grid 1024; "
+        f"no interior point found for step {k} (target {target:g}) at grid 1024; "
         "profile is neither constant nor crossing the target")
 
 
@@ -264,7 +264,6 @@ class EdgeBalanceReport:
 
     eta: float
     K: int
-    route: str
     E_K: float
     loss_drop: float              # L(w_0) - L(w_K)
     identity_residual: float      # |sum w_k (2/eta - rtilde_k) - 2 loss_drop|
@@ -274,13 +273,11 @@ class EdgeBalanceReport:
     B_minus: float
     B_plus: float
     windows: dict[float, WindowMass]
-    rtildes: Array = field(repr=False)
-    weights: Array = field(repr=False)
-    skipped_steps: list[int] = field(default_factory=list)
+    table: CurvatureTable = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
-            "eta": self.eta, "K": self.K, "route": self.route,
+            "eta": self.eta, "K": self.K, "route": self.table.route,
             "E_K": self.E_K, "loss_drop": self.loss_drop,
             "identity_residual": self.identity_residual,
             "weighted_mean": self.weighted_mean,
@@ -293,41 +290,23 @@ class EdgeBalanceReport:
                     "in_window_fraction": wm.in_window_fraction,
                     "sub_bound": wm.sub_bound, "super_bound": wm.super_bound,
                 } for d, wm in self.windows.items()},
-            "skipped_steps": self.skipped_steps,
+            "skipped_steps": self.table.skipped,
         }
 
 
 def edge_balance_report(model: LossModel, log: TrajectoryLog,
-                        route: str = "quadrature",
-                        deltas=None,
-                        rule: QuadratureRule | None = None,
-                        adaptive: bool = False) -> EdgeBalanceReport:
+                        table: CurvatureTable,
+                        deltas=None) -> EdgeBalanceReport:
     """Telescoping balance, signed decomposition and window masses.
 
-    Steps with degenerate increments are skipped; their contribution to
-    every weighted sum is below the rounding floor by construction.
+    Reads rtilde and the step weights ||d_k||^2 from ``table`` (the run's
+    ``curvature_table``), which already leaves out degenerate steps.
     """
     eta = log.eta
     thr = 2.0 / eta
     if deltas is None:
         deltas = [0.05 * thr, 0.1 * thr, 0.5 * thr]
-
-    rtildes, weights, skipped = [], [], []
-    for k in range(log.num_steps):
-        nd = float(np.linalg.norm(log.steps[k]))
-        if nd < DEGENERATE_STEP:
-            skipped.append(k)
-            continue
-        if route == "quadrature":
-            rt = effective_curvature_quadrature(model, log, k, rule, adaptive)
-        elif route == "loss":
-            rt = effective_curvature_from_loss(log, k)
-        else:
-            raise ValueError("route must be 'quadrature' or 'loss'")
-        rtildes.append(rt)
-        weights.append(nd ** 2)
-    rtildes = np.array(rtildes)
-    weights = np.array(weights)
+    rtildes, weights = table.rtilde, table.step_norm_sq
 
     E_K = float(weights.sum())
     loss_drop = float(log.losses[0] - log.losses[-1])
@@ -357,11 +336,10 @@ def edge_balance_report(model: LossModel, log: TrajectoryLog,
             sub_bound=(gap + B_plus) / delta, super_bound=B_plus / delta)
 
     return EdgeBalanceReport(
-        eta=eta, K=log.num_steps, route=route, E_K=E_K, loss_drop=loss_drop,
+        eta=eta, K=log.num_steps, E_K=E_K, loss_drop=loss_drop,
         identity_residual=identity_residual, weighted_mean=weighted_mean,
         forcing_bound=forcing, max_rtilde=float(rtildes.max()) if rtildes.size else float("nan"),
-        B_minus=B_minus, B_plus=B_plus, windows=windows,
-        rtildes=rtildes, weights=weights, skipped_steps=skipped)
+        B_minus=B_minus, B_plus=B_plus, windows=windows, table=table)
 
 
 def near_periodicity_bound(log: TrajectoryLog, k: int) -> tuple[float, float]:
@@ -412,11 +390,11 @@ def descent_classifier(rtilde: float, eta: float, step_norm_sq: float,
     return "descent" if implied < 0 else "ascent"
 
 
-def eos_onset(rtildes: Array, eta: float) -> int | None:
-    """First step index whose effective curvature reaches 95% of 2/eta."""
+def eos_onset(table: CurvatureTable, eta: float) -> int | None:
+    """First trajectory step whose effective curvature reaches 95% of 2/eta."""
     thr = 0.95 * 2.0 / eta
-    hits = np.nonzero(np.asarray(rtildes) >= thr)[0]
-    return int(hits[0]) if hits.size else None
+    hits = np.nonzero(table.rtilde >= thr)[0]
+    return int(table.k[hits[0]]) if hits.size else None
 
 
 @dataclass
@@ -439,22 +417,26 @@ class SgdBalanceReport:
 
 
 def sgd_balance_report(model: LossModel, log: StochasticTrajectoryLog,
-                       route: str = "quadrature",
-                       rule: QuadratureRule | None = None,
-                       adaptive: bool = False) -> SgdBalanceReport:
+                       route: str = "quadrature") -> SgdBalanceReport:
     """Noisy balance identity and per-step forced-propagator residual.
 
-    The propagator residual applies the uniform segment Hessian to the
-    stochastic step by vector quadrature, so it is an independent check
-    rather than a restatement of the update rule.
+    On the quadrature route rtilde comes from ``curvature_table``; any
+    other route recovers it from the logged loss change with the noise
+    terms removed. The propagator residual applies the uniform segment
+    Hessian to the stochastic step by order-4 vector quadrature, so it
+    is an independent check rather than a restatement of the update rule.
     """
     if log.noise.shape[0] != log.num_steps:
         raise ValueError("stochastic log is missing noise records")
     eta = log.eta
     thr = 2.0 / eta
-    u_rule = rule if (rule is not None and rule.kind == "uniform") else uniform_rule()
+    u_rule = uniform_rule()
 
-    lhs = 0.0
+    if route == "quadrature":
+        table = curvature_table(model, log)
+        lhs = float(np.sum(table.step_norm_sq * (thr - table.rtilde)))
+    else:
+        lhs = 0.0
     cross = 0.0
     noise_sq = 0.0
     max_prop = 0.0
@@ -467,13 +449,11 @@ def sgd_balance_report(model: LossModel, log: StochasticTrajectoryLog,
         noise_sq += float(eps @ eps)
         if ns < DEGENERATE_STEP:
             continue
-        if route == "quadrature":
-            rt = effective_curvature_quadrature(model, log, k, None, adaptive)
-        else:
+        if route != "quadrature":
             dloss = float(log.losses[k + 1] - log.losses[k])
             rt = 2.0 * (dloss + ns ** 2 / eta
                         - eta * float(g @ eps) - eta * float(eps @ eps)) / ns ** 2
-        lhs += ns ** 2 * (thr - rt)
+            lhs += ns ** 2 * (thr - rt)
 
         if k + 1 < log.num_steps:
             w = log.w(k)
@@ -494,31 +474,34 @@ def sgd_balance_report(model: LossModel, log: StochasticTrajectoryLog,
                             max_propagator_residual=max_prop)
 
 
-def write_metrics_csv(model: LossModel, log: TrajectoryLog, path,
-                      route: str = "quadrature", with_localization: bool = True,
-                      adaptive: bool = False) -> None:
+def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTable,
+                      path, with_localization: bool = True) -> None:
     """Per-step metrics table.
 
     Columns: k, step_norm_sq, rbar, rtilde, xi, zeta, lambda_max_xi,
-    delta_L, proxy, return_ratio. Fields that need records beyond the
-    end of the run (or a localized point when localization is off) are
-    left empty.
+    delta_L, proxy, return_ratio. The curvatures are the rows of
+    ``table``, the run's ``curvature_table``. Fields that need records
+    beyond the end of the run (or a localized point when localization
+    is off) are left empty, as is every curvature field of a degenerate
+    step.
     """
     def fmt(x):
         return "" if x is None else f"{x:.17g}"
 
+    row_of = {int(k): i for i, k in enumerate(table.k)}
     rows = ["k,step_norm_sq,rbar,rtilde,xi,zeta,lambda_max_xi,delta_L,proxy,return_ratio"]
     for k in range(log.num_steps):
-        nd = float(np.linalg.norm(log.steps[k]))
-        if nd < DEGENERATE_STEP:
+        i = row_of.get(k)
+        if i is None:
+            nd = float(np.linalg.norm(log.steps[k]))
             rows.append(f"{k},{nd * nd:.17g},,,,,,,,")
             continue
-        sample = curvature_sample(model, log, k, route=route, adaptive=adaptive)
+        rbar, rtilde = float(table.rbar[i]), float(table.rtilde[i])
         xi = zeta = lam_xi = None
         if with_localization:
-            rec_t = localize(model, log, k, "tilde")
-            rec_b = localize(model, log, k, "bar")
-            xi, zeta = rec_t.point, rec_b.point
+            rec_t = localize(model, log, k, rtilde)
+            xi = rec_t.point
+            zeta = localize(model, log, k, rbar).point
             lam_xi = localized_sharpness(model, log, rec_t)
         delta_l = float(log.losses[k + 1] - log.losses[k])
         proxy = ratio = None
@@ -526,8 +509,8 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, path,
             proxy, _ = loss_change_proxy(log, k)
             ratio = return_ratio(log, k)
         rows.append(",".join([
-            str(k), f"{sample.step_norm_sq:.17g}", f"{sample.rbar:.17g}",
-            f"{sample.rtilde:.17g}", fmt(xi), fmt(zeta), fmt(lam_xi),
+            str(k), f"{table.step_norm_sq[i]:.17g}", f"{rbar:.17g}",
+            f"{rtilde:.17g}", fmt(xi), fmt(zeta), fmt(lam_xi),
             f"{delta_l:.17g}", fmt(proxy), fmt(ratio)]))
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(rows) + "\r\n")

@@ -1,14 +1,14 @@
 """Shared numerical kernels.
 
-Quadrature rules on [0, 1] (uniform and triangular weight), bracketed
-root finding, damped Newton solves, dense symmetric eigendecomposition,
-iterative largest-eigenvalue estimation from Hessian-vector products,
-and central finite-difference stencils for directional derivatives up
-to fourth order.
+Gauss-Legendre rules on [0, 1], bracketed root finding, damped Newton
+solves, dense symmetric eigendecomposition, iterative largest-eigenvalue
+estimation from Hessian-vector products, and central finite-difference
+stencils for directional derivatives up to fourth order.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -17,16 +17,13 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import optimize
 from scipy.sparse.linalg import LinearOperator, eigsh
-from scipy.special import roots_jacobi
 
 __all__ = [
     "DENSE_DIM_LIMIT",
     "MACHINE_EPS",
     "QuadratureRule",
     "uniform_rule",
-    "triangular_rule",
     "integrate_uniform",
-    "integrate_triangular",
     "brent_root",
     "newton_solve",
     "dense_eigh",
@@ -73,54 +70,33 @@ class CancellationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on [0, 1] for one of the two step-segment weights.
+    """Gauss-Legendre nodes and weights on [0, 1]; the weights sum to 1.
 
-    ``kind`` is "uniform" (plain average, weights sum to 1) or
-    "triangular" (weight 2(1-tau), whose total mass on [0, 1] is also 1).
     A rule of order n integrates polynomials up to degree 2n-1 exactly.
     """
 
-    kind: str
     order: int
     nodes: NDArray[np.float64]
     weights: NDArray[np.float64]
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "triangular"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.order < 1:
             raise ValueError("quadrature order must be positive")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
 
 
+@functools.lru_cache(maxsize=None)
 def uniform_rule(order: int = 4) -> QuadratureRule:
-    """Gauss-Legendre rule mapped to [0, 1] with unit weight."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule("uniform", order, (x + 1.0) / 2.0, w / 2.0)
+    """Gauss-Legendre rule mapped to [0, 1] with unit weight.
 
-
-def triangular_rule(order: int = 4) -> QuadratureRule:
-    """Gauss-Jacobi rule for the weight 2(1-tau) on [0, 1].
-
-    Weights are folded so that sum(w_i * f(tau_i)) approximates
-    2 * integral_0^1 (1-tau) f(tau) dtau.
+    Built once per order; every caller shares the same read-only arrays.
     """
-    x, w = roots_jacobi(order, 1, 0)
-    return QuadratureRule("triangular", order, (x + 1.0) / 2.0, w / 2.0)
-
-
-def _quad_eval(f: Callable, rule: QuadratureRule):
-    vals = []
-    for tau in rule.nodes:
-        v = np.asarray(f(float(tau)), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError(f"non-finite integrand value at node tau={tau!r}")
-        vals.append(v)
-    acc = rule.weights[0] * vals[0]
-    for w, v in zip(rule.weights[1:], vals[1:]):
-        acc = acc + w * v
-    return acc
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(order, nodes, weights)
 
 
 def integrate_uniform(f: Callable, rule: QuadratureRule | None = None):
@@ -130,20 +106,16 @@ def integrate_uniform(f: Callable, rule: QuadratureRule | None = None):
     """
     if rule is None:
         rule = uniform_rule()
-    if rule.kind != "uniform":
-        raise ValueError("integrate_uniform requires a uniform rule")
-    out = _quad_eval(f, rule)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def integrate_triangular(f: Callable, rule: QuadratureRule | None = None):
-    """Approximate 2 * integral_0^1 (1-tau) f(tau) dtau."""
-    if rule is None:
-        rule = triangular_rule()
-    if rule.kind != "triangular":
-        raise ValueError("integrate_triangular requires a triangular rule")
-    out = _quad_eval(f, rule)
-    return float(out) if np.ndim(out) == 0 else out
+    vals = []
+    for tau in rule.nodes:
+        v = np.asarray(f(float(tau)), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise EvaluationError(f"non-finite integrand value at node tau={tau!r}")
+        vals.append(v)
+    acc = rule.weights[0] * vals[0]
+    for w, v in zip(rule.weights[1:], vals[1:]):
+        acc = acc + w * v
+    return float(acc) if np.ndim(acc) == 0 else acc
 
 
 def brent_root(f: Callable[[float], float], lo: float, hi: float,

@@ -131,8 +131,6 @@ def strain_run(pair: PairedLog, model_s: LossModel,
     """
     if rule is None:
         rule = uniform_rule()
-    if rule.kind != "uniform":
-        raise ValueError("segment Hessians use the uniform rule")
     K = pair.num_steps
     eta = pair.log_s.eta
     dim = pair.log_s.dim

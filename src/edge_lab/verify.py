@@ -109,8 +109,8 @@ def _mlp_eos_long():
     def build():
         mlp = _mlp_model()
         log = trajectory.run_gd(mlp, mlp.init_params(seed=1), 0.5, 4000)
-        report = edge_metrics.edge_balance_report(mlp, log, route="quadrature")
-        return mlp, log, report
+        table = edge_metrics.curvature_table(mlp, log)
+        return mlp, log, edge_metrics.edge_balance_report(mlp, log, table)
     return _cached("mlp_eos_long", build)
 
 
@@ -137,25 +137,23 @@ def _check_quadratic_exactness():
         model = _quad_nd(dim, seed) if dim > 1 else loss_models.make_quadratic([[3.0]], 0.0)
         rng = np.random.default_rng(seed + 10)
         log = trajectory.run_gd(model, rng.standard_normal(dim), 0.5, 100)
+        table = edge_metrics.curvature_table(model, log)
         H = model.H
-        for k in range(log.num_steps):
+        for i, k in enumerate(table.k):
             d = log.steps[k]
-            nd = float(np.linalg.norm(d))
-            if nd < edge_metrics.DEGENERATE_STEP:
-                continue
-            u = d / nd
+            u = d / float(np.linalg.norm(d))
             uhu = float(u @ (H @ u))
             vals = [
                 edge_metrics.step_mean_curvature_exact(log, k),
                 edge_metrics.effective_curvature_from_loss(log, k),
-                edge_metrics.step_mean_curvature_quadrature(model, log, k),
-                edge_metrics.effective_curvature_quadrature(model, log, k),
+                table.rbar[i],
+                table.rtilde[i],
             ]
             worst_route = max(worst_route, max(abs(v - uhu) for v in vals))
             if k + 1 < log.num_steps:
                 pred = d - log.eta * (H @ d)
                 worst_prop = max(worst_prop, float(np.linalg.norm(log.steps[k + 1] - pred)))
-        rep = edge_metrics.edge_balance_report(model, log, route="quadrature")
+        rep = edge_metrics.edge_balance_report(model, log, table)
         worst_tel = max(worst_tel, rep.identity_residual)
     passed = max(worst_route, worst_prop, worst_tel) <= tol
     return passed, {"route_agreement": worst_route, "propagator": worst_prop,
@@ -170,7 +168,8 @@ def _check_edge_balance_independent():
 
     quartic = loss_models.make_scalar_poly(1.0, 0.0, -1.0)
     log_q = trajectory.run_gd(quartic, np.array([0.3]), 2.5, 2000)
-    rep_q = edge_metrics.edge_balance_report(quartic, log_q, route="quadrature")
+    rep_q = edge_metrics.edge_balance_report(
+        quartic, log_q, edge_metrics.curvature_table(quartic, log_q))
     tol_q = 1e-8 * max(1.0, abs(float(log_q.losses[0])))
     details["quartic_residual"] = rep_q.identity_residual
     details["quartic_tolerance"] = tol_q
@@ -179,7 +178,8 @@ def _check_edge_balance_independent():
     w_bar, geom = loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2)
     net = geom.model
     log_n = trajectory.run_gd(net, w_bar + 1e-2 * geom.sharp_direction(), 0.55, 2000)
-    rep_n = edge_metrics.edge_balance_report(net, log_n, route="quadrature")
+    rep_n = edge_metrics.edge_balance_report(
+        net, log_n, edge_metrics.curvature_table(net, log_n))
     tol_n = 1e-8 * max(1.0, abs(float(log_n.losses[0])))
     details["linear_net_residual"] = rep_n.identity_residual
     details["linear_net_tolerance"] = tol_n
@@ -200,7 +200,7 @@ def _check_mlp_saturation():
     eta = log.eta
     thr = 2.0 / eta
     lam0 = lambda_max_iter(lambda v: mlp.hvp(log.w(0), v), mlp.dim, seed=0)
-    w, r = rep.weights, rep.rtildes
+    w, r = rep.table.step_norm_sq, rep.table.rtilde
     cum_w = np.cumsum(w)
     running = np.cumsum(w * r) / cum_w
     tail = running[int(0.75 * running.size):]
@@ -212,7 +212,7 @@ def _check_mlp_saturation():
     return passed, {"initial_sharpness": lam0, "threshold": thr,
                     "tail_relative_deviation": tail_dev, "tolerance": 0.05,
                     "forcing_bound_everywhere": forcing_ok,
-                    "onset_step": edge_metrics.eos_onset(r, eta)}
+                    "onset_step": edge_metrics.eos_onset(rep.table, eta)}
 
 
 @_timed
@@ -223,13 +223,11 @@ def _check_localization():
     for name, (model, log) in _bundle().items():
         is_mlp = isinstance(model, loss_models.MlpModel)
         q_tol = 1e-6 if is_mlp else 1e-8
-        total = located = lam_ok = 0
-        for k in range(log.num_steps):
-            if float(np.linalg.norm(log.steps[k])) < edge_metrics.DEGENERATE_STEP:
-                continue
-            total += 1
+        table = edge_metrics.curvature_table(model, log)
+        total, located, lam_ok = len(table.k), 0, 0
+        for k, target in zip(table.k, table.rtilde):
             try:
-                rec = edge_metrics.localize(model, log, k, "tilde", tol=1e-10)
+                rec = edge_metrics.localize(model, log, int(k), target, tol=1e-10)
             except RuntimeError:
                 continue
             if abs(rec.q_at_point - rec.target) <= q_tol:
@@ -328,7 +326,7 @@ def _check_near_periodicity():
         ok &= worst <= 1e-10
 
     _, log_m, rep = _mlp_eos_long()
-    onset = edge_metrics.eos_onset(rep.rtildes, log_m.eta)
+    onset = edge_metrics.eos_onset(rep.table, log_m.eta)
     ratios = np.array([edge_metrics.return_ratio(log_m, k)
                        for k in range(onset, log_m.num_steps - 1)])
     med = float(np.median(ratios))

@@ -1,18 +1,25 @@
 """Config validation, output determinism, and the verify integrity checks."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
+from edge_lab import edge_metrics as em
 from edge_lab.cli import main
+from edge_lab.loss_models import make_mlp, make_quadratic, make_synthetic_dataset
+from edge_lab.trajectory import run_gd
 
 
 def _write_config(path, cfg):
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     return str(path)
+
+
+def _csv_rows(path):
+    lines = path.read_bytes().decode().strip().split("\r\n")
+    return [row.split(",") for row in lines[1:]]
 
 
 def _quad_run_config(out_dir, eta=0.5, steps=40):
@@ -84,6 +91,64 @@ class TestRunCommand:
         rtildes = [float(row.split(",")[3]) for row in lines[1:]]
         np.testing.assert_allclose(rtildes, 3.0, atol=1e-11)
 
+    def test_loss_route(self, tmp_path):
+        """route "loss" finishes, and metrics.csv carries the loss-route rtilde."""
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "quadratic", "diag": [3.0, 1.0]},
+            "init": {"mode": "vector", "values": [1.0, 1.0]},
+            "eta": 0.5, "steps": 40, "route": "loss", "localize": True,
+            "out_dir": str(out),
+        }
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        model = make_quadratic(np.diag([3.0, 1.0]), 0.0)
+        log = run_gd(model, np.array([1.0, 1.0]), 0.5, 40)
+        table = em.curvature_table(model, log, "loss")
+        rows = _csv_rows(out / "metrics.csv")
+        assert [int(r[0]) for r in rows] == list(table.k)
+        assert [float(r[3]) for r in rows] == list(table.rtilde)
+        report = json.loads((out / "balance_report.json").read_text())
+        assert report["route"] == "loss"
+
+    def test_one_value_per_quantity(self, tmp_path):
+        """metrics.csv and balance_report.json hold the same rtilde, and
+        rbar matches the exact gradient-difference route."""
+        out = tmp_path / "out"
+        dataset = {"seed": 0, "n": 60, "d_in": 5, "d_out": 3,
+                   "teacher_rank": 2, "noise": 0.1}
+        cfg = {
+            "model": {"kind": "mlp", "widths": [5, 8, 3], "activation": "tanh",
+                      "dataset": dataset},
+            "init": {"mode": "gaussian", "seed": 1},
+            "eta": 0.5, "steps": 120, "out_dir": str(out),
+        }
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        rows = _csv_rows(out / "metrics.csv")
+        weights = np.array([float(r[1]) for r in rows])
+        rtildes = np.array([float(r[3]) for r in rows])
+        report = json.loads((out / "balance_report.json").read_text())
+        mean = float(np.sum(weights * rtildes) / np.sum(weights))
+        assert abs(mean - report["weighted_mean"]) <= 1e-14 * abs(report["weighted_mean"])
+
+        ds = make_synthetic_dataset(0, 60, 5, 3, teacher_rank=2, noise=0.1)
+        model = make_mlp([5, 8, 3], "tanh", ds)
+        log = run_gd(model, model.init_params(seed=1), 0.5, 120)
+        for r in rows:
+            exact = em.step_mean_curvature_exact(log, int(r[0]))
+            assert abs(float(r[2]) - exact) <= 1e-9 * abs(exact)
+
+    def test_onset_after_degenerate_steps(self, tmp_path):
+        """Steps 0-5 are too short to have a direction; the onset is step 6."""
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "quadratic", "diag": [3.0]},
+            "init": {"mode": "vector", "values": [1e-16]},
+            "eta": 1.0, "steps": 40, "out_dir": str(out),
+        }
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["onset_step"] == 6
+
     def test_divergence_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = {
@@ -120,19 +185,14 @@ class TestBalanceCommand:
         assert (out / "balance_eta0.csv").exists()
         assert (out / "scatter_eta1.csv").exists()
 
-    def test_thread_fanout_matches_serial(self, tmp_path):
-        cfg = self._config(tmp_path / "serial")
-        main(["balance", "--config", _write_config(tmp_path / "c1.json", cfg)])
-        cfg2 = dict(cfg, out_dir=str(tmp_path / "threaded"))
-        os.environ["EDGE_LAB_THREADS"] = "2"
-        try:
-            main(["balance", "--config", _write_config(tmp_path / "c2.json", cfg2)])
-        finally:
-            del os.environ["EDGE_LAB_THREADS"]
-        for name in ("balance_eta0.csv", "balance_eta1.csv",
-                     "scatter_eta0.csv", "balance_summary.json"):
-            assert (tmp_path / "serial" / name).read_bytes() == \
-                (tmp_path / "threaded" / name).read_bytes()
+    def test_k_column_is_trajectory_step(self, tmp_path):
+        """Degenerate steps 0-5 have no row; the first row is step 6."""
+        out = tmp_path / "out"
+        cfg = dict(self._config(out), etas=[1.0], steps=40,
+                   init={"mode": "vector", "values": [1e-16]})
+        assert main(["balance", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        ks = [int(r[0]) for r in _csv_rows(out / "balance_eta0.csv")]
+        assert ks == list(range(6, 40))
 
 
 class TestBifurcateCommand:

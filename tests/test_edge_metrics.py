@@ -9,7 +9,6 @@ from edge_lab import edge_metrics as em
 from edge_lab.loss_models import (make_mlp, make_quadratic, make_scalar_poly,
                                   make_synthetic_dataset,
                                   make_two_layer_linear, balanced_minimizer)
-from edge_lab.numerics import triangular_rule, uniform_rule
 from edge_lab.trajectory import NoiseSource, run_gd, run_sgd
 
 
@@ -29,16 +28,16 @@ class TestCurvatureRoutes:
         H = (A + A.T) / 2 + 2.5 * np.eye(5)
         model = make_quadratic(H)
         log = run_gd(model, rng.standard_normal(5), 0.3, 40)
+        table = em.curvature_table(model, log)
+        assert table.skipped == [] and list(table.k) == list(range(40))
         for k in range(0, 40, 5):
             d = log.steps[k]
             u = d / np.linalg.norm(d)
             uhu = float(u @ H @ u)
             assert em.step_mean_curvature_exact(log, k) == pytest.approx(uhu, abs=1e-12)
             assert em.effective_curvature_from_loss(log, k) == pytest.approx(uhu, abs=1e-12)
-            assert em.step_mean_curvature_quadrature(model, log, k) == \
-                pytest.approx(uhu, abs=1e-12)
-            assert em.effective_curvature_quadrature(model, log, k) == \
-                pytest.approx(uhu, abs=1e-12)
+            assert table.rbar[k] == pytest.approx(uhu, abs=1e-12)
+            assert table.rtilde[k] == pytest.approx(uhu, abs=1e-12)
 
     def test_linear_profile_closed_forms(self):
         """With curvature linear along the step, the uniform average sits at
@@ -52,35 +51,35 @@ class TestCurvatureRoutes:
             pytest.approx(q0 + slope / 2.0, abs=1e-13)
         assert em.effective_curvature_from_loss(log, 0) == \
             pytest.approx(q0 + slope / 3.0, abs=1e-12)
-        assert em.effective_curvature_quadrature(model, log, 0) == \
-            pytest.approx(q0 + slope / 3.0, abs=1e-13)
+        table = em.curvature_table(model, log)
+        assert table.rbar[0] == pytest.approx(q0 + slope / 2.0, abs=1e-13)
+        assert table.rtilde[0] == pytest.approx(q0 + slope / 3.0, abs=1e-13)
 
     def test_loss_route_telescopes_tautologically(self, mlp_run):
         """The loss-route balance is an algebraic identity on any run."""
         model, log = mlp_run
-        rep = em.edge_balance_report(model, log, route="loss")
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log, "loss"))
         assert rep.identity_residual <= 1e-12 * max(1.0, abs(2 * rep.loss_drop))
 
     def test_route_agreement_two_layer(self):
         w_bar, geom = balanced_minimizer(np.diag([2.0, 1.0]), 2)
         model = geom.model
         log = run_gd(model, w_bar + 0.01 * geom.sharp_direction(), 0.55, 200)
+        table = em.curvature_table(model, log)
+        assert table.skipped == []
         for k in range(0, 200, 13):
             a = em.effective_curvature_from_loss(log, k)
-            b = em.effective_curvature_quadrature(model, log, k)
-            assert abs(a - b) <= 1e-10
+            assert abs(a - table.rtilde[k]) <= 1e-10
 
     def test_route_agreement_mlp(self, mlp_run):
         model, log = mlp_run
+        table = em.curvature_table(model, log)
+        assert table.skipped == []
         for k in range(0, log.num_steps, 11):
             a = em.effective_curvature_from_loss(log, k)
-            b = em.effective_curvature_quadrature(model, log, k, adaptive=True,
-                                                  rtol=1e-10)
-            assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
+            assert abs(a - table.rtilde[k]) <= 1e-6 * max(1.0, abs(a))
             c = em.step_mean_curvature_exact(log, k)
-            d = em.step_mean_curvature_quadrature(model, log, k, adaptive=True,
-                                                  rtol=1e-10)
-            assert abs(c - d) <= 1e-6 * max(1.0, abs(c))
+            assert abs(c - table.rbar[k]) <= 1e-6 * max(1.0, abs(c))
 
     def test_degenerate_step_rejected(self):
         model = make_scalar_poly(3.0)
@@ -88,6 +87,23 @@ class TestCurvatureRoutes:
         log.steps[1] = 0.0
         with pytest.raises(em.DegenerateStepError):
             em.step_mean_curvature_exact(log, 1)
+
+    def test_one_node_set_per_order(self):
+        """Both averages come from the same profile values: the order-4
+        attempt and the order-8 attempt that confirms it, and no more."""
+        model = make_scalar_poly(1.0, 0.0, -1.0)
+        log = run_gd(model, np.array([0.3]), 2.5, 5)
+        calls = []
+        orig = model.directional_curvature
+        model.directional_curvature = lambda w, u: calls.append(1) or orig(w, u)
+        em.curvature_table(model, log)
+        assert len(calls) == 5 * (4 + 8)
+
+    def test_unknown_route_rejected(self):
+        model = make_scalar_poly(3.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 3)
+        with pytest.raises(ValueError):
+            em.curvature_table(model, log, "exact-algebraic")
 
 
 class TestProfileAndLocalization:
@@ -117,22 +133,24 @@ class TestProfileAndLocalization:
     def test_localize_constant_profile_midpoint(self):
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, 1.0]), 0.5, 5)
-        rec = em.localize(model, log, 0, "tilde")
+        rec = em.localize(model, log, 0, em.curvature_table(model, log).rtilde[0])
         assert rec.constant_profile and rec.point == 0.5
 
     def test_localize_linear_profile_closed_form(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 3)
-        xi = em.localize(model, log, 0, "tilde", tol=1e-12)
-        zeta = em.localize(model, log, 0, "bar", tol=1e-12)
+        table = em.curvature_table(model, log)
+        xi = em.localize(model, log, 0, table.rtilde[0], tol=1e-12)
+        zeta = em.localize(model, log, 0, table.rbar[0], tol=1e-12)
         assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert zeta.point == pytest.approx(0.5, abs=1e-8)
         assert abs(xi.q_at_point - xi.target) <= 1e-10
 
     def test_localized_sharpness_dominates(self, mlp_run):
         model, log = mlp_run
+        table = em.curvature_table(model, log)
         for k in range(0, log.num_steps, 17):
-            rec = em.localize(model, log, k, "tilde")
+            rec = em.localize(model, log, k, table.rtilde[k])
             lam = em.localized_sharpness(model, log, rec)
             assert lam >= rec.target - 1e-8
 
@@ -141,7 +159,7 @@ class TestBalanceReport:
     def test_quadratic_report_values(self):
         model = make_quadratic(np.array([[3.0]]))
         log = run_gd(model, np.array([1.0]), 0.5, 50)
-        rep = em.edge_balance_report(model, log, route="quadrature")
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
         assert rep.weighted_mean == pytest.approx(3.0, abs=1e-12)
         assert rep.identity_residual <= 1e-12
         assert rep.max_rtilde == pytest.approx(3.0, abs=1e-12)
@@ -152,21 +170,21 @@ class TestBalanceReport:
         below the constant curvature it predicts."""
         model = make_quadratic(np.array([[3.0]]))
         log = run_gd(model, np.array([1.0]), 0.5, 10)
-        rep = em.edge_balance_report(model, log, route="quadrature")
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
         assert rep.forcing_bound < 3.0
         assert rep.max_rtilde >= rep.forcing_bound
 
     def test_signed_decomposition(self):
         model = make_scalar_poly(1.0, 0.0, -1.0)
         log = run_gd(model, np.array([0.3]), 2.5, 500)
-        rep = em.edge_balance_report(model, log, route="quadrature")
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
         assert rep.B_minus - rep.B_plus == pytest.approx(2 * rep.loss_drop, abs=1e-9)
         assert rep.B_minus >= 0 and rep.B_plus >= 0
 
     def test_window_masses_bounded(self):
         model = make_scalar_poly(1.0, 0.0, -1.0)
         log = run_gd(model, np.array([0.3]), 2.5, 500)
-        rep = em.edge_balance_report(model, log, route="quadrature")
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
         E = rep.E_K
         for delta, wm in rep.windows.items():
             assert wm.sub_mass <= wm.sub_bound + 1e-9
@@ -179,22 +197,23 @@ class TestBalanceReport:
     def test_degenerate_tail_skipped(self):
         model = make_quadratic(np.array([[3.0]]))
         log = run_gd(model, np.array([1.0]), 0.5, 120)  # d_k underflows late
-        rep = em.edge_balance_report(model, log, route="quadrature")
-        assert len(rep.skipped_steps) > 0
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
+        assert len(rep.table.skipped) > 0
+        assert rep.to_dict()["skipped_steps"] == rep.table.skipped
         assert rep.identity_residual <= 1e-12
 
     def test_forcing_with_unknown_infimum(self):
         model = make_scalar_poly(-1.0)     # concave: no declared lower bound
         assert model.inf_value is None
         log = run_gd(model, np.array([0.1]), 0.1, 5)
-        rep = em.edge_balance_report(model, log, route="quadrature")
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
         assert math.isnan(rep.forcing_bound)
 
     def test_report_json_ready(self):
         import json
         model = make_quadratic(np.array([[3.0]]))
         log = run_gd(model, np.array([1.0]), 0.5, 20)
-        rep = em.edge_balance_report(model, log)
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
         json.dumps(rep.to_dict())
 
 
@@ -274,8 +293,19 @@ class TestDescentClassifier:
 class TestEosOnset:
     def test_first_crossing(self):
         r = np.array([1.0, 2.0, 3.79, 3.81, 3.5])
-        assert em.eos_onset(r, 0.5) == 3
-        assert em.eos_onset(np.array([1.0, 2.0]), 0.5) is None
+        table = em.CurvatureTable("loss", np.arange(5), np.ones(5), r, r, [])
+        assert em.eos_onset(table, 0.5) == 3
+        short = em.CurvatureTable("loss", np.arange(2), np.ones(2), r[:2], r[:2], [])
+        assert em.eos_onset(short, 0.5) is None
+
+    def test_reports_trajectory_step_after_skipped_steps(self):
+        """Steps 0-5 are degenerate; the onset is step 6, not row 0."""
+        model = make_quadratic([[3.0]])
+        log = run_gd(model, np.array([1e-16]), 1.0, 40)
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
+        assert rep.table.skipped == [0, 1, 2, 3, 4, 5]
+        assert list(rep.table.k) == list(range(6, 40))
+        assert em.eos_onset(rep.table, 1.0) == 6
 
 
 class TestSgdBalance:
@@ -310,7 +340,8 @@ class TestMetricsCsv:
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 8)
         path = tmp_path / "metrics.csv"
-        em.write_metrics_csv(model, log, path, with_localization=True)
+        em.write_metrics_csv(model, log, em.curvature_table(model, log), path,
+                             with_localization=True)
         lines = path.read_bytes().decode().strip().split("\r\n")
         assert lines[0] == ("k,step_norm_sq,rbar,rtilde,xi,zeta,lambda_max_xi,"
                             "delta_L,proxy,return_ratio")

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from edge_lab.edge_metrics import QUADRATURE_ORDERS
 from edge_lab.numerics import (BracketError, CancellationWarning,
                                EvaluationError, NonConvergenceError,
                                SingularJacobianError, brent_root, dense_eigh,
-                               fd_directional, integrate_triangular,
-                               integrate_uniform, lambda_max_iter,
-                               newton_solve, triangular_rule, uniform_rule)
+                               fd_directional, integrate_uniform,
+                               lambda_max_iter, newton_solve, uniform_rule)
 
 
 class TestQuadrature:
@@ -24,29 +24,37 @@ class TestQuadrature:
         assert integrate_uniform(lambda t: t ** 3, uniform_rule(2)) == \
             pytest.approx(0.25, abs=1e-14)
 
-    def test_triangular_low_moments(self):
-        r = triangular_rule(2)
-        assert integrate_triangular(lambda t: 1.0, r) == pytest.approx(1.0, abs=1e-14)
-        # 2 int t(1-t) = 1/3, 2 int t^2 (1-t) = 1/6
-        assert integrate_triangular(lambda t: t, r) == pytest.approx(1 / 3, abs=1e-14)
-        assert integrate_triangular(lambda t: t * t, r) == pytest.approx(1 / 6, abs=1e-14)
+    def test_triangular_weights_on_ladder(self):
+        """On every order of the segment-curvature ladder, the weights
+        2 (1 - tau_i) w_i integrate tau^j to 2 / ((j+1)(j+2)) for j <= 2n-2."""
+        for order in QUADRATURE_ORDERS:
+            r = uniform_rule(order)
+            tri = 2.0 * (1.0 - r.nodes) * r.weights
+            for j in range(2 * order - 1):
+                exact = 2.0 / ((j + 1) * (j + 2))
+                assert abs(float(np.dot(tri, r.nodes ** j)) - exact) <= 1e-13, (order, j)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     def test_monomial_exactness_to_degree(self, order):
         """Rules of order n integrate monomials up to degree 2n-1."""
-        ru, rt = uniform_rule(order), triangular_rule(order)
+        ru = uniform_rule(order)
         for k in range(2 * order):
             exact_u = 1.0 / (k + 1)
-            exact_t = 2.0 / ((k + 1) * (k + 2))
             got_u = integrate_uniform(lambda t: t ** k, ru)
-            got_t = integrate_triangular(lambda t: t ** k, rt)
             assert abs(got_u - exact_u) <= 1e-13 * max(1, exact_u)
-            assert abs(got_t - exact_t) <= 1e-13 * max(1, exact_t)
 
     def test_weights_sum_to_one(self):
         for order in (1, 3, 5, 8):
             assert np.sum(uniform_rule(order).weights) == pytest.approx(1.0, abs=1e-13)
-            assert np.sum(triangular_rule(order).weights) == pytest.approx(1.0, abs=1e-13)
+
+    def test_cached_rule_is_read_only(self):
+        """The cache hands the same arrays to every caller, so none may write."""
+        r = uniform_rule(8)
+        assert uniform_rule(8) is r
+        for arr in (r.nodes, r.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_vector_valued_integrand(self):
         out = integrate_uniform(lambda t: np.array([1.0, t]), uniform_rule(3))
@@ -55,10 +63,6 @@ class TestQuadrature:
     def test_nonfinite_integrand_names_node(self):
         with pytest.raises(EvaluationError, match="node"):
             integrate_uniform(lambda t: float("nan"), uniform_rule(2))
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            integrate_uniform(lambda t: t, triangular_rule(2))
 
 
 class TestBrent:
