@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bifurcation, edge_metrics, loss_models, trajectory, verify
-from .numerics import uniform_rule
+from .numerics import DENSE_DIM_LIMIT, uniform_rule
 from .stability_kv import strain_run, write_strain_csv
 
 EXIT_OK = 0
@@ -208,7 +208,7 @@ def _out_dir(resolved: dict, args) -> Path:
 # ---------------------------------------------------------------------------
 
 _RUN_KEYS = {"model", "init", "eta", "steps", "route", "localize", "include_w",
-             "thin_stride", "deltas", "seed", "out_dir"}
+             "thin_stride", "deltas", "out_dir"}
 
 
 def _resolve_run(cfg: dict) -> dict:
@@ -228,7 +228,6 @@ def _resolve_run(cfg: dict) -> dict:
         "include_w": cfg.get("include_w"),
         "thin_stride": int(cfg.get("thin_stride", 1)),
         "deltas": cfg.get("deltas"),
-        "seed": int(cfg.get("seed", 0)),
         "out_dir": cfg.get("out_dir", "."),
     }
     if resolved["route"] not in ("quadrature", "loss"):
@@ -246,8 +245,7 @@ def cmd_run(resolved: dict, out: Path) -> int:
     _write_json(out / "resolved_config.json", resolved)
 
     log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"],
-                            thin_stride=resolved["thin_stride"],
-                            seed=resolved["seed"])
+                            thin_stride=resolved["thin_stride"])
     trajectory.write_trajectory_csv(log, out / "trajectory.csv",
                                     include_w=resolved["include_w"])
     table = edge_metrics.curvature_table(model, log, resolved["route"])
@@ -266,8 +264,7 @@ def cmd_run(resolved: dict, out: Path) -> int:
 # balance
 # ---------------------------------------------------------------------------
 
-_BALANCE_KEYS = {"model", "init", "etas", "steps", "route", "deltas", "seed",
-                 "out_dir"}
+_BALANCE_KEYS = {"model", "init", "etas", "steps", "route", "deltas", "out_dir"}
 
 
 def _resolve_balance(cfg: dict) -> dict:
@@ -286,14 +283,12 @@ def _resolve_balance(cfg: dict) -> dict:
         "steps": int(cfg["steps"]),
         "route": cfg.get("route", "quadrature"),
         "deltas": cfg.get("deltas"),
-        "seed": int(cfg.get("seed", 0)),
         "out_dir": cfg.get("out_dir", "."),
     }
 
 
 def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
-    log = trajectory.run_gd(model, w0, eta, resolved["steps"],
-                            seed=resolved["seed"])
+    log = trajectory.run_gd(model, w0, eta, resolved["steps"])
     table = edge_metrics.curvature_table(model, log, resolved["route"])
     report = edge_metrics.edge_balance_report(model, log, table,
                                               deltas=resolved["deltas"])
@@ -336,7 +331,7 @@ def cmd_balance(resolved: dict, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 _BIF_KEYS = {"model", "etas", "modes", "run_steps", "run_offset",
-             "discard_frac", "seed", "out_dir"}
+             "discard_frac", "out_dir"}
 
 
 def _resolve_bifurcate(cfg: dict) -> dict:
@@ -359,7 +354,6 @@ def _resolve_bifurcate(cfg: dict) -> dict:
         "run_steps": int(cfg.get("run_steps", 2000)),
         "run_offset": float(cfg.get("run_offset", 1e-3)),
         "discard_frac": float(cfg.get("discard_frac", 0.8)),
-        "seed": int(cfg.get("seed", 0)),
         "out_dir": cfg.get("out_dir", "."),
     }
 
@@ -412,7 +406,7 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
 
 _STRAIN_KEYS = {"model", "init", "eta", "steps", "leave_one_out",
                 "second_dataset_seed", "second_model", "quadrature_order",
-                "adaptive", "seed", "out_dir"}
+                "adaptive", "out_dir"}
 
 
 def _resolve_strain(cfg: dict) -> dict:
@@ -437,7 +431,6 @@ def _resolve_strain(cfg: dict) -> dict:
                          if "second_model" in cfg else None),
         "quadrature_order": int(cfg.get("quadrature_order", 4)),
         "adaptive": bool(cfg.get("adaptive", False)),
-        "seed": int(cfg.get("seed", 0)),
         "out_dir": cfg.get("out_dir", "."),
     }
 
@@ -468,6 +461,10 @@ def _second_model(resolved: dict, model_s) -> loss_models.LossModel:
 
 def cmd_strain(resolved: dict, out: Path) -> int:
     model_s = _build_model(resolved["model"])
+    if model_s.dim > DENSE_DIM_LIMIT:
+        raise ConfigError(
+            f"config error at model: strain needs dense Hessians, available for "
+            f"dim <= {DENSE_DIM_LIMIT} (model has dim {model_s.dim})")
     model_sp = _second_model(resolved, model_s)
     w0 = _build_init(resolved["init"], model_s, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
@@ -531,14 +528,14 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
         raise ConfigError("config error: trajectory.csv has no iterate columns "
                           "(rerun with include_w)")
 
-    worst_loss = float(max(abs(model.value(w) - l) / max(1.0, abs(l))
-                           for w, l in zip(ws, losses)))
+    values, grads = zip(*(model.value_and_grad(w) for w in ws))
+    worst_loss = float(max(abs(v - l) / max(1.0, abs(l))
+                           for v, l in zip(values, losses)))
     results.append(verify.CheckResult(
         "loss_replay", bool(worst_loss <= 1e-12), _time.perf_counter() - t0,
         {"max_relative_error": worst_loss, "tolerance": 1e-12}))
 
     t1 = _time.perf_counter()
-    grads = [model.gradient(w) for w in ws]
     worst_g = float(max(abs(float(np.linalg.norm(g)) - gn) / max(1.0, gn)
                         for g, gn in zip(grads, gnorms)))
     results.append(verify.CheckResult(
@@ -609,7 +606,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
     pv = sub.add_parser("verify")
     pv.add_argument("--suite", default="full", choices=sorted(verify.SUITES))
     pv.add_argument("--run-dir", default=None,
@@ -621,8 +617,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         resolved = _RESOLVERS[args.command](_load_config(args.config))
-        if args.seed is not None:
-            resolved["seed"] = int(args.seed)
         out = _out_dir(resolved, args)
         return _COMMANDS[args.command](resolved, out)
     except ConfigError as exc:

@@ -21,6 +21,7 @@ against the threshold 2/eta).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -189,42 +190,53 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
                           np.array(rbars), np.array(rtildes), skipped)
 
 
-def localize(model: LossModel, log: TrajectoryLog, k: int, target: float,
-             tol: float = 1e-10, grid: int = 64) -> LocalizationRecord:
-    """Interior point of step k where the profile attains ``target``.
+def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
+             tol: float = 1e-10, grid: int = 64) -> list[LocalizationRecord]:
+    """Interior points of step k where the profile attains each target.
 
-    ``target`` is one of the step's segment averages (rtilde or rbar
-    from ``curvature_table``). Scans a uniform grid for a sign change of
-    q(tau) - target and refines with Brent's method; a profile that is
-    constant within ``tol`` across the grid returns the conventional
-    midpoint 0.5. The grid is refined up to 1024 cells before failing.
+    ``targets`` are segment averages of the step (rtilde and/or rbar
+    from ``curvature_table``); one record is returned per target. Each
+    grid of q(tau) is evaluated once for all targets. A sign change of
+    q(tau) - target is refined with Brent's method; targets without one
+    go on to a grid twice as fine, up to 1024 cells, before failing. A
+    profile constant within ``tol`` across the grid returns the
+    conventional midpoint 0.5.
     """
     d, _ = _step(log, k)
-    w = log.w(k)
+    q = partial(q_profile, model, log.w(k), d)
 
-    cells = int(grid)
-    while cells <= 1024:
-        taus = np.linspace(0.0, 1.0, cells + 1)
-        qs = np.array([q_profile(model, w, d, t) for t in taus])
+    def crossing(target, taus, qs):
+        """Record of ``target`` if this grid brackets it, else None."""
         if float(qs.max() - qs.min()) <= tol:
-            return LocalizationRecord(k, 0.5, target, q_profile(model, w, d, 0.5), True)
+            return LocalizationRecord(k, 0.5, target, q(0.5), True)
         g = qs - target
         hit = np.nonzero(g == 0.0)[0]
         if hit.size and 0.0 < taus[hit[0]] < 1.0:
             t0 = float(taus[hit[0]])
-            return LocalizationRecord(k, t0, target, q_profile(model, w, d, t0), False)
+            return LocalizationRecord(k, t0, target, q(t0), False)
         sign_change = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
-        if sign_change.size:
-            i = int(sign_change[0])
-            root = brent_root(lambda t: q_profile(model, w, d, t) - target,
-                              float(taus[i]), float(taus[i + 1]), tol=1e-14)
-            root = min(max(root, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
-            return LocalizationRecord(k, root, target,
-                                      q_profile(model, w, d, root), False)
+        if not sign_change.size:
+            return None
+        i = int(sign_change[0])
+        root = brent_root(lambda t: q(t) - target,
+                          float(taus[i]), float(taus[i + 1]), tol=1e-14)
+        root = min(max(root, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
+        return LocalizationRecord(k, root, target, q(root), False)
+
+    records = [None] * len(targets)
+    cells = int(grid)
+    while cells <= 1024 and None in records:
+        taus = np.linspace(0.0, 1.0, cells + 1)
+        qs = np.array([q(t) for t in taus])
+        records = [rec or crossing(target, taus, qs)
+                   for rec, target in zip(records, targets)]
         cells *= 2
-    raise RuntimeError(
-        f"no interior point found for step {k} (target {target:g}) at grid 1024; "
-        "profile is neither constant nor crossing the target")
+    if None in records:
+        raise RuntimeError(
+            f"no interior point found for step {k} "
+            f"(target {targets[records.index(None)]:g}) at grid 1024; "
+            "profile is neither constant nor crossing the target")
+    return records
 
 
 def localized_sharpness(model: LossModel, log: TrajectoryLog,
@@ -403,7 +415,6 @@ class SgdBalanceReport:
 
     eta: float
     K: int
-    route: str
     lhs: float                    # sum ||s_k||^2 (2/eta - rtilde_k)
     loss_term: float              # 2 (L_0 - L_K)
     cross_term: float             # 2 eta sum <grad_k, eps_k>
@@ -416,15 +427,14 @@ class SgdBalanceReport:
         return self.loss_term + self.cross_term + self.noise_term
 
 
-def sgd_balance_report(model: LossModel, log: StochasticTrajectoryLog,
-                       route: str = "quadrature") -> SgdBalanceReport:
+def sgd_balance_report(model: LossModel,
+                       log: StochasticTrajectoryLog) -> SgdBalanceReport:
     """Noisy balance identity and per-step forced-propagator residual.
 
-    On the quadrature route rtilde comes from ``curvature_table``; any
-    other route recovers it from the logged loss change with the noise
-    terms removed. The propagator residual applies the uniform segment
-    Hessian to the stochastic step by order-4 vector quadrature, so it
-    is an independent check rather than a restatement of the update rule.
+    rtilde comes from the quadrature-route ``curvature_table``. The
+    propagator residual applies the uniform segment Hessian to the
+    stochastic step by order-4 vector quadrature, so it is an
+    independent check rather than a restatement of the update rule.
     """
     if log.noise.shape[0] != log.num_steps:
         raise ValueError("stochastic log is missing noise records")
@@ -432,11 +442,8 @@ def sgd_balance_report(model: LossModel, log: StochasticTrajectoryLog,
     thr = 2.0 / eta
     u_rule = uniform_rule()
 
-    if route == "quadrature":
-        table = curvature_table(model, log)
-        lhs = float(np.sum(table.step_norm_sq * (thr - table.rtilde)))
-    else:
-        lhs = 0.0
+    table = curvature_table(model, log)
+    lhs = float(np.sum(table.step_norm_sq * (thr - table.rtilde)))
     cross = 0.0
     noise_sq = 0.0
     max_prop = 0.0
@@ -447,15 +454,7 @@ def sgd_balance_report(model: LossModel, log: StochasticTrajectoryLog,
         g = log.grads[k]
         cross += float(g @ eps)
         noise_sq += float(eps @ eps)
-        if ns < DEGENERATE_STEP:
-            continue
-        if route != "quadrature":
-            dloss = float(log.losses[k + 1] - log.losses[k])
-            rt = 2.0 * (dloss + ns ** 2 / eta
-                        - eta * float(g @ eps) - eta * float(eps @ eps)) / ns ** 2
-            lhs += ns ** 2 * (thr - rt)
-
-        if k + 1 < log.num_steps:
+        if ns >= DEGENERATE_STEP and k + 1 < log.num_steps:
             w = log.w(k)
             hbar_s = np.zeros_like(s)
             for wq, tau in zip(u_rule.weights, u_rule.nodes):
@@ -468,7 +467,7 @@ def sgd_balance_report(model: LossModel, log: StochasticTrajectoryLog,
     cross_term = 2.0 * eta * cross
     noise_term = 2.0 * eta * noise_sq
     residual = abs(lhs - (loss_term + cross_term + noise_term))
-    return SgdBalanceReport(eta=eta, K=log.num_steps, route=route, lhs=lhs,
+    return SgdBalanceReport(eta=eta, K=log.num_steps, lhs=lhs,
                             loss_term=loss_term, cross_term=cross_term,
                             noise_term=noise_term, residual=residual,
                             max_propagator_residual=max_prop)
@@ -499,9 +498,8 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
         rbar, rtilde = float(table.rbar[i]), float(table.rtilde[i])
         xi = zeta = lam_xi = None
         if with_localization:
-            rec_t = localize(model, log, k, rtilde)
-            xi = rec_t.point
-            zeta = localize(model, log, k, rbar).point
+            rec_t, rec_b = localize(model, log, k, (rtilde, rbar))
+            xi, zeta = rec_t.point, rec_b.point
             lam_xi = localized_sharpness(model, log, rec_t)
         delta_l = float(log.losses[k + 1] - log.losses[k])
         proxy = ratio = None

@@ -57,6 +57,10 @@ class LossModel:
     def gradient(self, w: Array) -> Array:
         raise NotImplementedError
 
+    def value_and_grad(self, w: Array) -> tuple[float, Array]:
+        """(value, gradient); models that compute both in one pass override it."""
+        return self.value(w), self.gradient(w)
+
     def hvp(self, w: Array, v: Array) -> Array:
         raise NotImplementedError
 
@@ -550,6 +554,9 @@ class MlpModel(LossModel):
 
     def gradient(self, w):
         return self._value_grad(w, self.dataset.X, self.dataset.Y)[1]
+
+    def value_and_grad(self, w):
+        return self._value_grad(w, self.dataset.X, self.dataset.Y)
 
     def gradient_batch(self, w, indices) -> Array:
         """Gradient of the same half-MSE averaged over the given sample rows."""

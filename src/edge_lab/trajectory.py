@@ -63,7 +63,6 @@ class TrajectoryLog:
     steps: Array
     w_stored: Array
     stride: int = 1
-    seed: int | None = None
     diverged: bool = False
     divergence_step: int | None = None
 
@@ -154,7 +153,7 @@ class NoiseSource:
 
 
 def run_gd(model: LossModel, w0: Array, eta: float, K: int,
-           thin_stride: int = 1, seed: int | None = None) -> TrajectoryLog:
+           thin_stride: int = 1) -> TrajectoryLog:
     """Full-batch gradient descent for K steps.
 
     On divergence (non-finite or exploding loss/iterate) the log is
@@ -164,8 +163,7 @@ def run_gd(model: LossModel, w0: Array, eta: float, K: int,
         raise ValueError("eta must be positive")
     if K < 1:
         raise ValueError("K must be at least 1")
-    log = _run(model, w0, eta, K, thin_stride, noise=None, seed=seed)
-    return log
+    return _run(model, w0, eta, K, thin_stride, noise=None)
 
 
 def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
@@ -178,17 +176,17 @@ def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
         raise ValueError("eta must be positive")
     if K < 1:
         raise ValueError("K must be at least 1")
-    return _run(model, w0, eta, K, thin_stride, noise=noise, seed=noise.seed)
+    return _run(model, w0, eta, K, thin_stride, noise=noise)
 
 
-def _run(model, w0, eta, K, thin_stride, noise, seed):
+def _run(model, w0, eta, K, thin_stride, noise):
     w = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
     if w.shape != (model.dim,):
         raise ValueError(f"w0 must have dimension {model.dim}")
     stride = max(int(thin_stride), 1)
 
-    losses = [model.value(w)]
-    grads = [model.gradient(w)]
+    loss, g = model.value_and_grad(w)
+    losses, grads = [loss], [g]
     steps: list[Array] = []
     noises: list[Array] = []
     anchors = [w.copy()]
@@ -209,7 +207,7 @@ def _run(model, w0, eta, K, thin_stride, noise, seed):
             d = -eta * g
         w = w + d
         steps.append(d)
-        loss = model.value(w)
+        loss, g = model.value_and_grad(w)
         if _diverged(loss, w):
             diverged, div_step = True, k + 1
             steps.pop()
@@ -217,7 +215,7 @@ def _run(model, w0, eta, K, thin_stride, noise, seed):
                 noises.pop()
             break
         losses.append(loss)
-        grads.append(model.gradient(w))
+        grads.append(g)
         if (k + 1) % stride == 0:
             anchors.append(w.copy())
 
@@ -225,7 +223,7 @@ def _run(model, w0, eta, K, thin_stride, noise, seed):
         eta=float(eta), model_id=model.name,
         losses=np.array(losses), grads=np.array(grads),
         steps=np.array(steps) if steps else np.zeros((0, model.dim)),
-        w_stored=np.array(anchors), stride=stride, seed=seed,
+        w_stored=np.array(anchors), stride=stride,
         diverged=diverged, divergence_step=div_step)
     if noise is not None:
         return StochasticTrajectoryLog(
@@ -268,7 +266,6 @@ def run_summary(log: TrajectoryLog) -> dict:
         "eta": log.eta,
         "model": log.model_id,
         "num_steps": log.num_steps,
-        "seed": log.seed,
         "final_loss": float(log.losses[-1]),
         "diverged": log.diverged,
         "divergence_step": log.divergence_step,

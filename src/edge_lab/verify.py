@@ -227,7 +227,8 @@ def _check_localization():
         total, located, lam_ok = len(table.k), 0, 0
         for k, target in zip(table.k, table.rtilde):
             try:
-                rec = edge_metrics.localize(model, log, int(k), target, tol=1e-10)
+                [rec] = edge_metrics.localize(model, log, int(k), (target,),
+                                              tol=1e-10)
             except RuntimeError:
                 continue
             if abs(rec.q_at_point - rec.target) <= q_tol:
@@ -465,7 +466,7 @@ def _check_stochastic_balance():
     for seed, sigma in ((5, 0.05), (6, 0.3), (7, 0.0)):
         noise = trajectory.NoiseSource("gaussian", seed=seed, sigma=sigma)
         slog = trajectory.run_sgd(q, np.array([1.0, -1.0]), 0.5, 200, noise)
-        rep = edge_metrics.sgd_balance_report(q, slog, route="quadrature")
+        rep = edge_metrics.sgd_balance_report(q, slog)
         worst = max(worst, rep.residual)
         worst_prop = max(worst_prop, rep.max_propagator_residual)
     details["quadratic_identity_residual"] = worst

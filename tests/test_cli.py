@@ -36,11 +36,13 @@ def _quad_run_config(out_dir, eta=0.5, steps=40):
 
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = _quad_run_config(tmp_path / "out")
-        cfg["unknown_option"] = 1
-        rc = main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
-        assert rc == 2
-        assert "unknown key" in capsys.readouterr().err
+        """Includes the removed top-level seed, which drove nothing."""
+        for key in ("unknown_option", "seed"):
+            cfg = _quad_run_config(tmp_path / "out")
+            cfg[key] = 1
+            rc = main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
+            assert rc == 2
+            assert "unknown key" in capsys.readouterr().err
 
     def test_nested_unknown_key_path(self, tmp_path, capsys):
         cfg = _quad_run_config(tmp_path / "out")
@@ -66,7 +68,7 @@ class TestConfigValidation:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["route"] == "quadrature"
         assert resolved["thin_stride"] == 1
-        assert resolved["seed"] == 0
+        assert "seed" not in resolved
 
 
 class TestRunCommand:
@@ -263,6 +265,23 @@ class TestStrainCommand:
         summary = json.loads((out / "strain_summary.json").read_text())
         assert summary["max_recurrence_residual"] <= 1e-6
         assert summary["final_strain_norm"] > 0
+
+    def test_model_above_dense_limit_rejected(self, tmp_path, capsys):
+        """The README MLP (dim 533) is a config error, not a traceback."""
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "mlp", "widths": [10, 16, 16, 5], "activation": "tanh",
+                      "dataset": {"seed": 0, "n": 200, "d_in": 10, "d_out": 5,
+                                  "teacher_rank": 3, "noise": 0.1}},
+            "init": {"mode": "gaussian", "seed": 1},
+            "eta": 0.5, "steps": 5, "leave_one_out": 0,
+            "out_dir": str(out),
+        }
+        rc = main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "512" in err and "533" in err
+        assert not (out / "resolved_config.json").exists()
 
     def test_variant_must_be_unique(self, tmp_path, capsys):
         cfg = {

@@ -6,10 +6,34 @@ import numpy as np
 import pytest
 
 from edge_lab import edge_metrics as em
-from edge_lab.loss_models import (make_mlp, make_quadratic, make_scalar_poly,
-                                  make_synthetic_dataset,
+from edge_lab.loss_models import (LossModel, make_mlp, make_quadratic,
+                                  make_scalar_poly, make_synthetic_dataset,
                                   make_two_layer_linear, balanced_minimizer)
-from edge_lab.trajectory import NoiseSource, run_gd, run_sgd
+from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
+
+
+class _CountingModel:
+    """Counts directional-curvature evaluations of a wrapped model."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def directional_curvature(self, w, u):
+        self.calls += 1
+        return self.model.directional_curvature(w, u)
+
+
+class _BumpModel(LossModel):
+    """1-D model with curvature x + exp(-((x - c) / s)^2): the bump is
+    centred midway between two nodes of the 64-cell grid on [0, 1] and
+    reads below 2e-7 at every one of them."""
+
+    dim = 1
+    CENTER, WIDTH = 65 / 128, 1 / 512
+
+    def hvp(self, w, v):
+        x = float(w[0])
+        return (x + math.exp(-((x - self.CENTER) / self.WIDTH) ** 2)) * np.asarray(v)
 
 
 @pytest.fixture(scope="module")
@@ -133,15 +157,15 @@ class TestProfileAndLocalization:
     def test_localize_constant_profile_midpoint(self):
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, 1.0]), 0.5, 5)
-        rec = em.localize(model, log, 0, em.curvature_table(model, log).rtilde[0])
+        [rec] = em.localize(model, log, 0, (em.curvature_table(model, log).rtilde[0],))
         assert rec.constant_profile and rec.point == 0.5
 
     def test_localize_linear_profile_closed_form(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 3)
         table = em.curvature_table(model, log)
-        xi = em.localize(model, log, 0, table.rtilde[0], tol=1e-12)
-        zeta = em.localize(model, log, 0, table.rbar[0], tol=1e-12)
+        xi, zeta = em.localize(model, log, 0, (table.rtilde[0], table.rbar[0]),
+                               tol=1e-12)
         assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert zeta.point == pytest.approx(0.5, abs=1e-8)
         assert abs(xi.q_at_point - xi.target) <= 1e-10
@@ -150,9 +174,47 @@ class TestProfileAndLocalization:
         model, log = mlp_run
         table = em.curvature_table(model, log)
         for k in range(0, log.num_steps, 17):
-            rec = em.localize(model, log, k, table.rtilde[k])
+            [rec] = em.localize(model, log, k, (table.rtilde[k],))
             lam = em.localized_sharpness(model, log, rec)
             assert lam >= rec.target - 1e-8
+
+    def test_two_targets_match_single_target_calls(self, mlp_run):
+        model, log = mlp_run
+        table = em.curvature_table(model, log)
+        for k in range(0, log.num_steps, 23):
+            targets = (table.rtilde[k], table.rbar[k])
+            single = [rec for t in targets for rec in em.localize(model, log, k, (t,))]
+            assert em.localize(model, log, k, targets) == single
+
+    def test_two_targets_share_the_grid(self, mlp_run):
+        """Both targets bracket on the 64-cell grid, so its 65 profile
+        values are computed once instead of twice."""
+        model, log = mlp_run
+        counted = _CountingModel(model)
+        table = em.curvature_table(model, log)
+        targets = (table.rtilde[0], table.rbar[0])
+        for t in targets:
+            em.localize(counted, log, 0, (t,))
+        separate, counted.calls = counted.calls, 0
+        em.localize(counted, log, 0, targets)
+        assert separate - counted.calls == 65
+
+    def test_refinement_only_for_unbracketed_targets(self):
+        """q(tau) = tau + a bump no node of the 64-cell grid sees. The
+        target 1.2 is reached only inside the bump, so it is found on
+        the 128-cell grid; 0.7 is bracketed at tau = 0.7 on the coarse
+        grid and keeps that root, although the finer grid would first
+        bracket it on the bump's rising flank near tau = 0.5."""
+        model = _BumpModel()
+        log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
+                            grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                            w_stored=np.array([[0.0], [1.0]]))
+        bump, line = em.localize(model, log, 0, (1.2, 0.7))
+        assert 0.5 < bump.point < _BumpModel.CENTER
+        assert abs(bump.q_at_point - 1.2) <= 1e-9 and not bump.constant_profile
+        assert line.point == pytest.approx(0.7, abs=1e-12)
+        assert [bump, line] == (em.localize(model, log, 0, (1.2,))
+                                + em.localize(model, log, 0, (0.7,)))
 
 
 class TestBalanceReport:
@@ -313,7 +375,7 @@ class TestSgdBalance:
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_sgd(model, np.array([1.0, -1.0]), 0.5, 60,
                       NoiseSource("gaussian", seed=0, sigma=0.0))
-        rep = em.sgd_balance_report(model, log, route="quadrature")
+        rep = em.sgd_balance_report(model, log)
         assert rep.cross_term == 0.0 and rep.noise_term == 0.0
         assert rep.residual <= 1e-11
 
@@ -322,7 +384,7 @@ class TestSgdBalance:
         for sigma in (0.01, 0.2):
             log = run_sgd(model, np.array([1.0, -1.0]), 0.5, 150,
                           NoiseSource("gaussian", seed=13, sigma=sigma))
-            rep = em.sgd_balance_report(model, log, route="quadrature")
+            rep = em.sgd_balance_report(model, log)
             assert rep.residual <= 1e-11
             assert rep.max_propagator_residual <= 1e-11
 

@@ -58,6 +58,13 @@ class TestDerivativeConsistency:
                                        atol=1e-9 * scale, rtol=1e-9)
 
     @pytest.mark.parametrize("model", _all_models(), ids=lambda m: m.name)
+    def test_value_and_grad_bit_identical(self, model):
+        w = 0.5 * np.random.default_rng(10).standard_normal(model.dim)
+        value, grad = model.value_and_grad(w)
+        assert value == model.value(w)
+        assert np.array_equal(grad, model.gradient(w))
+
+    @pytest.mark.parametrize("model", _all_models(), ids=lambda m: m.name)
     def test_dense_hessian_matches_hvp(self, model):
         rng = np.random.default_rng(9)
         w = 0.5 * rng.standard_normal(model.dim)
