@@ -466,6 +466,11 @@ def cmd_strain(resolved: dict, out: Path) -> int:
             f"config error at model: strain needs dense Hessians, available for "
             f"dim <= {DENSE_DIM_LIMIT} (model has dim {model_s.dim})")
     model_sp = _second_model(resolved, model_s)
+    if model_sp.dim != model_s.dim:
+        raise ConfigError(
+            f"config error at second_model: paired models must share the "
+            f"parameter dimension (model has dim {model_s.dim}, second_model "
+            f"has dim {model_sp.dim})")
     w0 = _build_init(resolved["init"], model_s, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
     pair = trajectory.run_pair_gd(model_s, model_sp, w0, resolved["eta"],

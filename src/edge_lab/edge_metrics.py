@@ -21,7 +21,7 @@ against the threshold 2/eta).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -203,7 +203,9 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
     conventional midpoint 0.5.
     """
     d, _ = _step(log, k)
-    q = partial(q_profile, model, log.w(k), d)
+    # Finer grids repeat the coarser nodes, and Brent re-evaluates its
+    # bracket ends and its root: evaluate each tau once per call.
+    q = cache(partial(q_profile, model, log.w(k), d))
 
     def crossing(target, taus, qs):
         """Record of ``target`` if this grid brackets it, else None."""

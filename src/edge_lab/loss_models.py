@@ -40,7 +40,8 @@ Array = NDArray[np.float64]
 class LossModel:
     """Base interface for a differentiable objective.
 
-    Subclasses provide ``dim``, ``value``, ``gradient`` and ``hvp``.
+    Subclasses provide ``dim`` and two kernels: ``value_and_grad`` and
+    ``hvp``. ``value`` and ``gradient`` are read off ``value_and_grad``;
     ``hessian_dense`` is assembled from HVPs by default and is only
     available for dim <= 512. ``inf_value`` is a declared lower bound on
     the loss over the region the bundled experiments visit (used by the
@@ -51,15 +52,14 @@ class LossModel:
     name: str = "loss"
     inf_value: float | None = None
 
-    def value(self, w: Array) -> float:
+    def value_and_grad(self, w: Array) -> tuple[float, Array]:
         raise NotImplementedError
+
+    def value(self, w: Array) -> float:
+        return self.value_and_grad(w)[0]
 
     def gradient(self, w: Array) -> Array:
-        raise NotImplementedError
-
-    def value_and_grad(self, w: Array) -> tuple[float, Array]:
-        """(value, gradient); models that compute both in one pass override it."""
-        return self.value(w), self.gradient(w)
+        return self.value_and_grad(w)[1]
 
     def hvp(self, w: Array, v: Array) -> Array:
         raise NotImplementedError
@@ -99,12 +99,10 @@ class QuadraticModel(LossModel):
         evals = np.linalg.eigvalsh(self.H)
         self.inf_value = 0.0 if evals[0] >= -1e-12 * max(scale, 1.0) else None
 
-    def value(self, w):
+    def value_and_grad(self, w):
         r = np.asarray(w, float) - self.center
-        return float(0.5 * r @ (self.H @ r))
-
-    def gradient(self, w):
-        return self.H @ (np.asarray(w, float) - self.center)
+        g = self.H @ r
+        return float((0.5 * r) @ g), g
 
     def hvp(self, w, v):
         return self.H @ np.asarray(v, float)
@@ -132,13 +130,10 @@ class ScalarPolyModel(LossModel):
         self.name = f"scalar_poly(lam={lam:g},gamma={gamma:g},beta={beta:g})"
         self.inf_value = 0.0 if self.lam > 0 else None
 
-    def value(self, w):
+    def value_and_grad(self, w):
         x = float(np.asarray(w).reshape(()))
-        return 0.5 * self.lam * x * x + self.gamma / 3.0 * x ** 3 + 0.25 * self.beta * x ** 4
-
-    def gradient(self, w):
-        x = float(np.asarray(w).reshape(()))
-        return np.array([self.lam * x + self.gamma * x * x + self.beta * x ** 3])
+        return (0.5 * self.lam * x * x + self.gamma / 3.0 * x ** 3 + 0.25 * self.beta * x ** 4,
+                np.array([self.lam * x + self.gamma * x * x + self.beta * x ** 3]))
 
     def hvp(self, w, v):
         x = float(np.asarray(w).reshape(()))
@@ -189,15 +184,10 @@ class TwoLayerLinearModel(LossModel):
             raise ValueError("factor shapes do not match the model")
         return np.concatenate([np.ravel(W1), np.ravel(W2)])
 
-    def value(self, w):
+    def value_and_grad(self, w):
         W1, W2 = self.unpack(w)
         R = W2 @ W1 - self.M
-        return float(0.5 * np.sum(R * R))
-
-    def gradient(self, w):
-        W1, W2 = self.unpack(w)
-        R = W2 @ W1 - self.M
-        return self.pack(W2.T @ R, R @ W1.T)
+        return float(0.5 * np.sum(R * R)), self.pack(W2.T @ R, R @ W1.T)
 
     def hvp(self, w, v):
         W1, W2 = self.unpack(w)
@@ -249,11 +239,6 @@ class LinearNetGeometry:
         W1c[:r, :r] = np.diag(rootS)
         W2c[:r, :r] = np.diag(rootS)
         self.w_bar = self.model.pack(W1c @ self.V.T, self.U @ W2c)
-
-    @property
-    def normal_dim(self) -> int:
-        p, d, r = self.model.p, self.model.d, self.r
-        return r * r + r * (d - r) + r * (p - r)
 
     def embed(self, Y: Array, B: Array, G: Array) -> Array:
         """Packed tangent vector for normal-space coordinates (Y, B, G)."""
@@ -518,11 +503,9 @@ class MlpModel(LossModel):
     def _forward(self, params, X):
         A = X
         acts = [A]        # post-activation per layer, acts[0] = inputs
-        pre = []          # pre-activation per layer
         dphis, ddphis = [], []
         for l, (W, b) in enumerate(params):
             Z = A @ W.T + b
-            pre.append(Z)
             if l < self.n_layers - 1:
                 A, dp, ddp = self._act(Z)
                 dphis.append(dp)
@@ -532,11 +515,11 @@ class MlpModel(LossModel):
                 dphis.append(np.ones_like(Z))
                 ddphis.append(np.zeros_like(Z))
             acts.append(A)
-        return acts, pre, dphis, ddphis
+        return acts, dphis, ddphis
 
     def _value_grad(self, w, X, Y):
         params = self.unpack(w)
-        acts, _, dphis, _ = self._forward(params, X)
+        acts, dphis, _ = self._forward(params, X)
         n = X.shape[0]
         resid = acts[-1] - Y
         val = float(0.5 * np.sum(resid * resid) / n)
@@ -548,12 +531,6 @@ class MlpModel(LossModel):
             if l > 0:
                 D = (D @ W) * dphis[l - 1]
         return val, self.pack(grads)
-
-    def value(self, w):
-        return self._value_grad(w, self.dataset.X, self.dataset.Y)[0]
-
-    def gradient(self, w):
-        return self._value_grad(w, self.dataset.X, self.dataset.Y)[1]
 
     def value_and_grad(self, w):
         return self._value_grad(w, self.dataset.X, self.dataset.Y)
@@ -568,7 +545,7 @@ class MlpModel(LossModel):
         tang = self.unpack(v)
         X, Y = self.dataset.X, self.dataset.Y
         n = X.shape[0]
-        acts, _, dphis, ddphis = self._forward(params, X)
+        acts, dphis, ddphis = self._forward(params, X)
 
         # Tangent-linear forward pass.
         RA = np.zeros_like(X)

@@ -36,6 +36,10 @@ __all__ = [
 
 Array = NDArray[np.float64]
 
+# Adaptive strain quadrature: the order doubles until successive segment
+# Hessians agree to this relative tolerance.
+ADAPT_TOL = 1e-10
+
 
 def recoil_check(log: TrajectoryLog, k: int) -> tuple[float, float, float]:
     """(inner, predicted, growth) for consecutive steps k, k+1.
@@ -122,7 +126,7 @@ def _segment_hessian(model: LossModel, base: Array, delta: Array,
 
 def strain_run(pair: PairedLog, model_s: LossModel,
                rule: QuadratureRule | None = None,
-               adaptive: bool = False, adapt_tol: float = 1e-10) -> StrainLog:
+               adaptive: bool = False) -> StrainLog:
     """Assemble the strain/stress/step-matrix log of a paired run.
 
     A_k is the uniform quadrature of the first objective's Hessian along
@@ -149,7 +153,7 @@ def strain_run(pair: PairedLog, model_s: LossModel,
             while order < 64:
                 order *= 2
                 A2 = _segment_hessian(model_s, wp, delta[k], uniform_rule(order))
-                if float(np.max(np.abs(A2 - A))) <= adapt_tol * max(1.0, float(np.max(np.abs(A2)))):
+                if float(np.max(np.abs(A2 - A))) <= ADAPT_TOL * max(1.0, float(np.max(np.abs(A2)))):
                     A = A2
                     break
                 A = A2

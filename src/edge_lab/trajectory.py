@@ -159,10 +159,6 @@ def run_gd(model: LossModel, w0: Array, eta: float, K: int,
     On divergence (non-finite or exploding loss/iterate) the log is
     truncated at the offending step and flagged.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if K < 1:
-        raise ValueError("K must be at least 1")
     return _run(model, w0, eta, K, thin_stride, noise=None)
 
 
@@ -172,63 +168,53 @@ def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
 
     The noise actually applied at each step is recorded verbatim.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if K < 1:
-        raise ValueError("K must be at least 1")
     return _run(model, w0, eta, K, thin_stride, noise=noise)
 
 
 def _run(model, w0, eta, K, thin_stride, noise):
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if K < 1:
+        raise ValueError("K must be at least 1")
     w = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
     if w.shape != (model.dim,):
         raise ValueError(f"w0 must have dimension {model.dim}")
     stride = max(int(thin_stride), 1)
 
-    loss, g = model.value_and_grad(w)
-    losses, grads = [loss], [g]
-    steps: list[Array] = []
-    noises: list[Array] = []
-    anchors = [w.copy()]
-    diverged = False
-    div_step = None
-
-    if _diverged(losses[0], w):
-        diverged, div_step = True, 0
-        K = 0
-
-    for k in range(K):
-        g = grads[k]
+    # One buffer per logged quantity, filled in place; on divergence the
+    # log keeps the prefix of the n steps taken.
+    losses = np.empty(K + 1)
+    grads = np.empty((K + 1, model.dim))
+    steps = np.empty((K, model.dim))
+    noises = np.empty((K, model.dim)) if noise is not None else None
+    anchors = np.empty((K // stride + 1, model.dim))
+    anchors[0] = w
+    losses[0], grads[0] = model.value_and_grad(w)
+    n = 0
+    div_step = 0 if _diverged(losses[0], w) else None
+    while div_step is None and n < K:
         if noise is not None:
-            eps = noise.sample(model, w, g)
-            noises.append(eps)
-            d = -eta * (g + eps)
+            noises[n] = noise.sample(model, w, grads[n])
+            steps[n] = -eta * (grads[n] + noises[n])
         else:
-            d = -eta * g
-        w = w + d
-        steps.append(d)
+            steps[n] = -eta * grads[n]
+        w = w + steps[n]
         loss, g = model.value_and_grad(w)
         if _diverged(loss, w):
-            diverged, div_step = True, k + 1
-            steps.pop()
-            if noise is not None:
-                noises.pop()
+            div_step = n + 1
             break
-        losses.append(loss)
-        grads.append(g)
-        if (k + 1) % stride == 0:
-            anchors.append(w.copy())
+        n += 1
+        losses[n], grads[n] = loss, g
+        if n % stride == 0:
+            anchors[n // stride] = w
 
     kwargs = dict(
         eta=float(eta), model_id=model.name,
-        losses=np.array(losses), grads=np.array(grads),
-        steps=np.array(steps) if steps else np.zeros((0, model.dim)),
-        w_stored=np.array(anchors), stride=stride,
-        diverged=diverged, divergence_step=div_step)
+        losses=losses[:n + 1], grads=grads[:n + 1], steps=steps[:n],
+        w_stored=anchors[:n // stride + 1], stride=stride,
+        diverged=div_step is not None, divergence_step=div_step)
     if noise is not None:
-        return StochasticTrajectoryLog(
-            noise=np.array(noises) if noises else np.zeros((0, model.dim)),
-            **kwargs)
+        return StochasticTrajectoryLog(noise=noises[:n], **kwargs)
     return TrajectoryLog(**kwargs)
 
 

@@ -283,6 +283,23 @@ class TestStrainCommand:
         assert err.count("\n") == 1 and "512" in err and "533" in err
         assert not (out / "resolved_config.json").exists()
 
+    def test_second_model_dimension_mismatch_rejected(self, tmp_path, capsys):
+        """A 1-D and a 2-D quadratic cannot be paired: a one-line config
+        error naming both dimensions, before anything is written."""
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "quadratic", "diag": [3.0]},
+            "second_model": {"kind": "quadratic", "diag": [3.0, 1.0]},
+            "init": {"mode": "vector", "values": [1.0]},
+            "eta": 0.5, "steps": 5,
+            "out_dir": str(out),
+        }
+        rc = main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dim 1" in err and "dim 2" in err
+        assert not (out / "resolved_config.json").exists()
+
     def test_variant_must_be_unique(self, tmp_path, capsys):
         cfg = {
             "model": {"kind": "quadratic", "diag": [3.0]},

@@ -13,13 +13,15 @@ from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
 
 
 class _CountingModel:
-    """Counts directional-curvature evaluations of a wrapped model."""
+    """Counts directional-curvature evaluations of a wrapped model and
+    records the points they are made at."""
 
     def __init__(self, model):
-        self.model, self.calls = model, 0
+        self.model, self.calls, self.points = model, 0, []
 
     def directional_curvature(self, w, u):
         self.calls += 1
+        self.points.append(w.tobytes())
         return self.model.directional_curvature(w, u)
 
 
@@ -198,6 +200,22 @@ class TestProfileAndLocalization:
         separate, counted.calls = counted.calls, 0
         em.localize(counted, log, 0, targets)
         assert separate - counted.calls == 65
+
+    def test_each_tau_evaluated_once(self, mlp_run):
+        """Brent's bracket ends are grid nodes, brentq evaluates them
+        again, the root is read back, and a finer grid repeats the
+        coarser nodes: none of these is a second evaluation."""
+        model, log = mlp_run
+        table = em.curvature_table(model, log)
+        bump_log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
+                                 grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                                 w_stored=np.array([[0.0], [1.0]]))
+        for counted, lg, k, targets in [
+                (_CountingModel(model), log, 5, (table.rtilde[5], table.rbar[5])),
+                (_CountingModel(_BumpModel()), bump_log, 0, (1.2, 0.7))]:
+            em.localize(counted, lg, k, targets)
+            assert counted.calls > 65
+            assert len(set(counted.points)) == counted.calls
 
     def test_refinement_only_for_unbracketed_targets(self):
         """q(tau) = tau + a bump no node of the 64-cell grid sees. The

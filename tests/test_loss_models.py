@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from edge_lab.loss_models import (Dataset, balanced_minimizer, make_mlp,
+from edge_lab.loss_models import (Dataset, LossModel, MlpModel, QuadraticModel,
+                                  ScalarPolyModel, TwoLayerLinearModel,
+                                  balanced_minimizer, make_mlp,
                                   make_quadratic, make_scalar_poly,
                                   make_synthetic_dataset,
                                   make_two_layer_linear, normal_embed,
@@ -74,6 +76,37 @@ class TestDerivativeConsistency:
             hv = model.hvp(w, v)
             scale = max(1.0, float(np.max(np.abs(hv))))
             assert np.max(np.abs(H @ v - hv)) <= 1e-10 * scale
+
+
+class _QuarticBowl(LossModel):
+    """L(w) = sum(w^4)/4 + w^T w / 2, defining only the two kernels."""
+
+    dim = 3
+
+    def value_and_grad(self, w):
+        return float(np.sum(w ** 4) / 4 + w @ w / 2), w ** 3 + w
+
+    def hvp(self, w, v):
+        return (3 * w ** 2 + 1) * v
+
+
+class TestModelContract:
+    def test_two_kernels_give_every_derived_method(self):
+        model = _QuarticBowl()
+        w = np.array([0.5, -1.0, 2.0])
+        assert model.value(w) == model.value_and_grad(w)[0] == 17.0625 / 4 + 2.625
+        np.testing.assert_array_equal(model.gradient(w), w ** 3 + w)
+        np.testing.assert_array_equal(model.hessian_dense(w), np.diag(3 * w ** 2 + 1))
+        u = np.array([0.6, 0.0, 0.8])
+        assert model.directional_curvature(w, u) == pytest.approx(
+            0.36 * 1.75 + 0.64 * 13.0, abs=1e-14)
+
+    @pytest.mark.parametrize("cls", [QuadraticModel, ScalarPolyModel,
+                                     TwoLayerLinearModel, MlpModel])
+    def test_models_implement_only_the_kernels(self, cls):
+        """value and gradient are read off value_and_grad in the base class."""
+        assert {"value_and_grad", "hvp"} <= set(vars(cls))
+        assert not {"value", "gradient"} & set(vars(cls))
 
 
 class TestScalarPoly:

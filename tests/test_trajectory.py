@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,22 @@ from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset)
 from edge_lab.trajectory import (NoiseSource, run_gd, run_pair_gd, run_sgd,
                                  run_summary, write_trajectory_csv)
+
+
+def _replay(model, w0, eta, n, noise=None):
+    """Iterate n updates of the logged rule from w0, outside the runner."""
+    x = np.array(w0, dtype=float)
+    for k in range(n):
+        g = model.gradient(x) if noise is None else model.gradient(x) + noise[k]
+        x = x + -eta * g
+    return x
+
+
+def _assert_rows(log, dim):
+    n = log.num_steps
+    assert log.losses.shape == (n + 1,) and log.grads.shape == (n + 1, dim)
+    assert log.steps.shape == (n, dim)
+    assert np.all(np.isfinite(log.losses)) and np.all(np.isfinite(log.grads))
 
 
 class TestGd:
@@ -95,6 +112,60 @@ class TestGd:
         assert len(recs) == 6
         assert recs[-1].d is None
         assert recs[0].k == 0 and recs[0].loss == pytest.approx(1.5)
+
+
+class TestTruncation:
+    """A diverged run keeps exactly the steps taken before the blow-up."""
+
+    def test_divergence_at_step_zero(self):
+        model = make_scalar_poly(5.0)
+        log = run_gd(model, np.array([1e9]), 1.0, 50)
+        assert log.diverged and log.divergence_step == 0
+        assert log.num_steps == 0
+        _assert_rows(log, 1)
+        np.testing.assert_array_equal(log.w(0), [1e9])
+        assert log.losses[0] == model.value([1e9])
+
+    def test_divergence_mid_stride(self):
+        # multiplier 1 - eta lam = -4: the loss passes 1e12 at step 5
+        model = make_scalar_poly(5.0)
+        log = run_gd(model, np.array([1e3]), 1.0, 50, thin_stride=3)
+        assert log.diverged and log.divergence_step == 5
+        assert log.num_steps == 4 and log.num_steps % log.stride != 0
+        _assert_rows(log, 1)
+        assert log.w_stored.shape == (2, 1)
+        x = _replay(model, [1e3], 1.0, 4)
+        np.testing.assert_array_equal(log.w(4), x)
+        assert log.losses[4] == model.value(x)
+        np.testing.assert_array_equal(log.grads[4], model.gradient(x))
+
+    def test_divergence_under_sgd(self):
+        model = make_quadratic(np.diag([5.0, 1.0]))
+        w0 = np.array([1e3, 1.0])
+        log = run_sgd(model, w0, 1.0, 50, NoiseSource("gaussian", seed=4, sigma=0.5))
+        assert log.diverged and log.divergence_step == log.num_steps + 1
+        assert 0 < log.num_steps < 50
+        _assert_rows(log, 2)
+        assert log.noise.shape == (log.num_steps, 2)
+        x = _replay(model, w0, 1.0, log.num_steps, log.noise)
+        np.testing.assert_array_equal(log.w(log.num_steps), x)
+        assert log.losses[-1] == model.value(x)
+
+    def test_log_is_held_once(self):
+        """The runner fills one buffer per logged quantity: its traced
+        peak stays close to the bytes of the finished log."""
+        model = make_quadratic(np.diag(np.linspace(0.1, 1.0, 200)))
+        w0 = np.ones(200)
+        tracemalloc.start()
+        try:
+            log = run_gd(model, w0, 0.5, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not log.diverged
+        log_bytes = sum(a.nbytes for a in (log.losses, log.grads, log.steps,
+                                           log.w_stored))
+        assert peak <= 1.25 * log_bytes, peak / log_bytes
 
 
 class TestSgd:
