@@ -41,8 +41,10 @@ class LossModel:
     """Base interface for a differentiable objective.
 
     Subclasses provide ``dim`` and two kernels: ``value_and_grad`` and
-    ``hvp``. ``value`` and ``gradient`` are read off ``value_and_grad``;
-    ``hessian_dense`` is assembled from HVPs by default and is only
+    ``hvp``. ``hvp(w, v)`` takes one direction of shape ``(dim,)`` or an
+    ``(m, dim)`` stack of row directions and returns the products in the
+    same shape. ``value`` and ``gradient`` are read off ``value_and_grad``;
+    ``hessian_dense`` is one ``hvp`` call on the identity stack and is only
     available for dim <= 512. ``inf_value`` is a declared lower bound on
     the loss over the region the bundled experiments visit (used by the
     curvature-forcing bound); None means unknown.
@@ -69,9 +71,7 @@ class LossModel:
             raise ValueError(
                 f"dense Hessian only available for dim <= {DENSE_DIM_LIMIT} "
                 f"(model has dim {self.dim})")
-        w = np.asarray(w, dtype=float)
-        cols = [self.hvp(w, e) for e in np.eye(self.dim)]
-        H = np.column_stack(cols)
+        H = self.hvp(np.asarray(w, dtype=float), np.eye(self.dim))
         return (H + H.T) / 2.0
 
     def directional_curvature(self, w: Array, u: Array) -> float:
@@ -89,7 +89,7 @@ class QuadraticModel(LossModel):
         scale = float(np.max(np.abs(H))) or 1.0
         if float(np.max(np.abs(H - H.T))) > 1e-12 * scale:
             raise ValueError("H must be symmetric")
-        self.H = H
+        self.H = (H + H.T) / 2.0  # exactly symmetric; unchanged if H already is
         self.dim = H.shape[0]
         c = np.asarray(center, dtype=float)
         self.center = np.full(self.dim, float(c)) if c.ndim == 0 else c.copy()
@@ -105,7 +105,9 @@ class QuadraticModel(LossModel):
         return float((0.5 * r) @ g), g
 
     def hvp(self, w, v):
-        return self.H @ np.asarray(v, float)
+        # One matrix-vector product per direction, so a row of a stack is
+        # bit-equal to the same direction passed alone.
+        return (self.H @ np.asarray(v, float)[..., None])[..., 0]
 
     def hessian_dense(self, w):
         return self.H.copy()
@@ -173,16 +175,18 @@ class TwoLayerLinearModel(LossModel):
         self.inf_value = 0.0
 
     def unpack(self, w: Array) -> tuple[Array, Array]:
+        """Factors (W1, W2); a stack of packed vectors gives stacks of factors."""
         w = np.asarray(w, dtype=float)
-        n1 = self.h * self.d
-        W1 = w[:n1].reshape(self.h, self.d)
-        W2 = w[n1:].reshape(self.p, self.h)
+        n1, lead = self.h * self.d, w.shape[:-1]
+        W1 = w[..., :n1].reshape(lead + (self.h, self.d))
+        W2 = w[..., n1:].reshape(lead + (self.p, self.h))
         return W1, W2
 
     def pack(self, W1: Array, W2: Array) -> Array:
-        if W1.shape != (self.h, self.d) or W2.shape != (self.p, self.h):
+        if W1.shape[-2:] != (self.h, self.d) or W2.shape[-2:] != (self.p, self.h):
             raise ValueError("factor shapes do not match the model")
-        return np.concatenate([np.ravel(W1), np.ravel(W2)])
+        return np.concatenate([W1.reshape(*W1.shape[:-2], -1),
+                               W2.reshape(*W2.shape[:-2], -1)], axis=-1)
 
     def value_and_grad(self, w):
         W1, W2 = self.unpack(w)
@@ -194,7 +198,8 @@ class TwoLayerLinearModel(LossModel):
         V1, V2 = self.unpack(v)
         R = W2 @ W1 - self.M
         dR = W2 @ V1 + V2 @ W1
-        return self.pack(V2.T @ R + W2.T @ dR, dR @ W1.T + R @ V1.T)
+        return self.pack(V2.swapaxes(-1, -2) @ R + W2.T @ dR,
+                         dR @ W1.T + R @ V1.swapaxes(-1, -2))
 
 
 def _rank_from_singular_values(s: Array, rank: int | None) -> int:
@@ -485,20 +490,21 @@ class MlpModel(LossModel):
         return np.concatenate(parts)
 
     def unpack(self, w: Array):
+        """Per-layer (W, b); a stack of packed vectors gives stacked layers."""
         w = np.asarray(w, dtype=float)
-        params, pos = [], 0
+        params, pos, lead = [], 0, w.shape[:-1]
         for l in range(self.n_layers):
             fan_in, fan_out = self.widths[l], self.widths[l + 1]
-            W = w[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in)
+            W = w[..., pos:pos + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
             pos += fan_out * fan_in
-            b = w[pos:pos + fan_out]
+            b = w[..., pos:pos + fan_out]
             pos += fan_out
             params.append((W, b))
         return params
 
     def pack(self, params) -> Array:
-        return np.concatenate([np.concatenate([np.ravel(W), np.ravel(b)])
-                               for W, b in params])
+        return np.concatenate([np.concatenate([W.reshape(*W.shape[:-2], -1), b], axis=-1)
+                               for W, b in params], axis=-1)
 
     def _forward(self, params, X):
         A = X
@@ -547,12 +553,13 @@ class MlpModel(LossModel):
         n = X.shape[0]
         acts, dphis, ddphis = self._forward(params, X)
 
-        # Tangent-linear forward pass.
+        # Tangent-linear forward pass; tangents carry the directions' axes
+        # in front of the (sample, unit) axes.
         RA = np.zeros_like(X)
         RAs = [RA]
         RZs = []
         for l, ((W, _), (Vw, vb)) in enumerate(zip(params, tang)):
-            RZ = RAs[l] @ W.T + acts[l] @ Vw.T + vb
+            RZ = RAs[l] @ W.T + acts[l] @ Vw.swapaxes(-1, -2) + vb[..., None, :]
             RZs.append(RZ)
             RA = dphis[l] * RZ
             RAs.append(RA)
@@ -564,7 +571,8 @@ class MlpModel(LossModel):
         for l in range(self.n_layers - 1, -1, -1):
             W, _ = params[l]
             Vw, _ = tang[l]
-            hv[l] = (RD.T @ acts[l] + D.T @ RAs[l], RD.sum(axis=0))
+            hv[l] = (RD.swapaxes(-1, -2) @ acts[l] + D.T @ RAs[l],
+                     RD.sum(axis=-2))
             if l > 0:
                 back = D @ W
                 RD = ((RD @ W + D @ Vw) * dphis[l - 1]

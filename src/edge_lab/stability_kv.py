@@ -121,7 +121,7 @@ def _segment_hessian(model: LossModel, base: Array, delta: Array,
     A = np.zeros((dim, dim))
     for w, tau in zip(rule.weights, rule.nodes):
         A += w * model.hessian_dense(base + tau * delta)
-    return (A + A.T) / 2.0
+    return A
 
 
 def strain_run(pair: PairedLog, model_s: LossModel,
@@ -197,13 +197,16 @@ def strain_via_propagator(strain: StrainLog, k: int) -> Array:
     return -strain.eta * acc
 
 
-def strain_bound_rhs(strain: StrainLog, k: int) -> float:
-    """Exponential-excursion bound eta sum_s exp(sum_{r>s} kappa_r) ||f_s||."""
-    total = 0.0
-    for s in range(k):
-        tail = float(np.sum(strain.kappa[s + 1:k]))
-        total += math.exp(tail) * float(np.linalg.norm(strain.stress[s]))
-    return strain.eta * total
+def strain_bound_rhs(strain: StrainLog) -> Array:
+    """Exponential-excursion bounds eta sum_{s<k} exp(sum_{s<r<k} kappa_r) ||f_s||.
+
+    Returns the K+1 values k = 0..K from the recurrence
+    B(k+1) = exp(kappa_k) B(k) + ||f_k||, B(0) = 0, in one pass.
+    """
+    B = np.zeros(strain.num_steps + 1)
+    for k in range(strain.num_steps):
+        B[k + 1] = math.exp(strain.kappa[k]) * B[k] + float(np.linalg.norm(strain.stress[k]))
+    return strain.eta * B
 
 
 def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
@@ -245,6 +248,7 @@ def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
 def write_strain_csv(strain: StrainLog, path) -> None:
     """Columns k, strain_norm, stress_norm, kappa, recurrence_residual, bound_rhs."""
     rows = ["k,strain_norm,stress_norm,kappa,recurrence_residual,bound_rhs"]
+    bound = strain_bound_rhs(strain)
     for k in range(strain.num_steps):
         rows.append(",".join([
             str(k),
@@ -252,7 +256,7 @@ def write_strain_csv(strain: StrainLog, path) -> None:
             f"{np.linalg.norm(strain.stress[k]):.17g}",
             f"{strain.kappa[k]:.17g}",
             f"{strain.residual[k]:.17g}",
-            f"{strain_bound_rhs(strain, k):.17g}",
+            f"{bound[k]:.17g}",
         ]))
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(rows) + "\r\n")

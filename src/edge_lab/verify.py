@@ -447,9 +447,10 @@ def _check_kelvin_voigt():
 
     worst_bound = 0.0
     for s in (strain, strain_n, strain_m):
+        bound = stability_kv.strain_bound_rhs(s)
         for k in range(1, s.num_steps + 1):
             lhs = float(np.linalg.norm(s.delta[k]))
-            worst_bound = max(worst_bound, lhs - stability_kv.strain_bound_rhs(s, k))
+            worst_bound = max(worst_bound, lhs - bound[k])
     details["strain_bound_max_excess"] = worst_bound
     ok &= worst_bound <= 1e-10
     return ok, details

@@ -109,6 +109,51 @@ class TestModelContract:
         assert not {"value", "gradient"} & set(vars(cls))
 
 
+def _column_oracle(model, w):
+    """The Hessian assembled one single-direction hvp column at a time."""
+    H = np.column_stack([model.hvp(w, e) for e in np.eye(model.dim)])
+    return (H + H.T) / 2.0
+
+
+class TestStackedHvp:
+    """hvp maps an (m, dim) stack of row directions in one kernel call."""
+
+    @pytest.mark.parametrize("model", _all_models() + [_QuarticBowl()],
+                             ids=lambda m: m.name)
+    def test_rows_bit_equal_single_calls(self, model):
+        rng = np.random.default_rng(11)
+        w = 0.5 * rng.standard_normal(model.dim)
+        V = rng.standard_normal((3, model.dim))
+        HV = model.hvp(w, V)
+        assert HV.shape == (3, model.dim)
+        for i in range(3):
+            hv = model.hvp(w, V[i])
+            assert hv.shape == (model.dim,)
+            assert np.array_equal(HV[i], hv)
+
+    @pytest.mark.parametrize("model", _all_models() + [_QuarticBowl()],
+                             ids=lambda m: m.name)
+    def test_dense_hessian_bit_equal_column_oracle(self, model):
+        w = 0.5 * np.random.default_rng(12).standard_normal(model.dim)
+        H = model.hessian_dense(w)
+        assert np.array_equal(H, _column_oracle(model, w))
+        assert np.array_equal(H, H.T)
+
+    def test_mlp_dense_hessian_runs_one_forward_pass(self, monkeypatch):
+        ds = make_synthetic_dataset(0, 40, 5, 3, teacher_rank=2, noise=0.05)
+        model = make_mlp([5, 6, 3], "tanh", ds)
+        calls = []
+        forward = MlpModel._forward
+
+        def counting_forward(self, params, X):
+            calls.append(1)
+            return forward(self, params, X)
+
+        monkeypatch.setattr(MlpModel, "_forward", counting_forward)
+        model.hessian_dense(model.init_params(seed=1))
+        assert len(calls) == 1
+
+
 class TestScalarPoly:
     def test_value_example(self):
         model = make_scalar_poly(1.0, 0.0, -1.0)
@@ -129,6 +174,11 @@ class TestQuadratic:
     def test_gradient_example(self):
         model = make_quadratic(np.diag([3.0, 1.0]), 0.0)
         np.testing.assert_allclose(model.gradient([1.0, 1.0]), [3.0, 1.0])
+
+    def test_hessian_exactly_symmetric(self):
+        H = np.array([[2.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]])
+        dense = make_quadratic(H).hessian_dense(np.zeros(2))
+        assert np.array_equal(dense, dense.T)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):

@@ -189,9 +189,37 @@ class TestStrainRun:
     def test_strain_bound_holds(self):
         qa, _, pair, _, _ = _quadratic_pair()
         strain = kv.strain_run(pair, qa)
+        bound = kv.strain_bound_rhs(strain)
         for k in range(1, strain.num_steps + 1):
-            assert np.linalg.norm(strain.delta[k]) <= \
-                kv.strain_bound_rhs(strain, k) + 1e-10
+            assert np.linalg.norm(strain.delta[k]) <= bound[k] + 1e-10
+
+    def test_bound_recurrence_matches_double_sum(self):
+        rng = np.random.default_rng(4)
+        K, dim, eta = 60, 5, 0.3
+        kappa = np.where(rng.random(K) < 0.5, 0.0, 0.2 * rng.random(K))
+        strain = kv.StrainLog(eta=eta, delta=np.zeros((K + 1, dim)),
+                              stress=rng.standard_normal((K, dim)),
+                              A=[np.zeros((dim, dim))] * K, kappa=kappa,
+                              residual=np.zeros(K))
+        bound = kv.strain_bound_rhs(strain)
+        assert bound.shape == (K + 1,)
+        assert bound[0] == 0.0
+        for k in range(K + 1):
+            explicit = eta * sum(math.exp(float(np.sum(kappa[s + 1:k])))
+                                 * float(np.linalg.norm(strain.stress[s]))
+                                 for s in range(k))
+            assert abs(bound[k] - explicit) <= 1e-13 * explicit
+
+    def test_segment_hessians_exactly_symmetric(self):
+        ds = make_synthetic_dataset(3, 40, 5, 3, teacher_rank=2, noise=0.05)
+        keep = np.arange(1, 40)
+        ds2 = Dataset(X=ds.X[keep], Y=ds.Y[keep], seed=ds.seed,
+                      teacher_rank=ds.teacher_rank)
+        m1 = make_mlp([5, 6, 3], "tanh", ds)
+        pair = run_pair_gd(m1, make_mlp([5, 6, 3], "tanh", ds2),
+                           m1.init_params(seed=7), 0.3, 5)
+        for A in kv.strain_run(pair, m1).A:
+            assert np.array_equal(A, A.T)
 
     def test_classical_window_linear_bound(self):
         """All step matrices inside [0, 2/eta]: strain is bounded by the
