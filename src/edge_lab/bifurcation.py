@@ -25,6 +25,7 @@ from .numerics import (NonConvergenceError, SingularJacobianError, fd_step,
 from .trajectory import run_gd
 
 __all__ = [
+    "NoBranchError",
     "EdgeCoupling",
     "CenterSolve",
     "BranchPoint",
@@ -46,6 +47,11 @@ Array = NDArray[np.float64]
 TRIVIAL_AMPLITUDE = 1e-7
 RAW_ORBIT_TOL = 1e-8
 KERNEL_THRESHOLD = 1e-8
+
+
+class NoBranchError(ValueError):
+    """The model admits no period-two branch to follow: it has no positive
+    curvature (so no threshold), or a zero quartic coefficient."""
 
 
 @dataclass(frozen=True)
@@ -98,10 +104,8 @@ class _Slice:
         z = np.atleast_1d(np.asarray(z, float))
         return z if self.S is None else self.S @ z
 
-    def to_reduced(self, v_full: Array, is_direction: bool = True) -> Array:
+    def to_reduced(self, v_full: Array) -> Array:
         v = np.asarray(v_full, float)
-        if not is_direction:
-            v = v - self.w_bar
         return v if self.S is None else self.S.T @ v
 
     def value(self, z: Array) -> float:
@@ -116,24 +120,23 @@ class _Slice:
         return H if self.S is None else self.S.T @ H @ self.S
 
 
-def _pinv_solve(H: Array, g: Array, threshold: float = KERNEL_THRESHOLD) -> Array:
+def _pinv_solve(H: Array, g: Array) -> Array:
     """Solve H x = g on the complement of the near-kernel of symmetric H."""
     evals, vecs = np.linalg.eigh((H + H.T) / 2.0)
-    cut = threshold * float(np.max(np.abs(evals))) if evals.size else 0.0
+    cut = KERNEL_THRESHOLD * float(np.max(np.abs(evals))) if evals.size else 0.0
     inv = np.where(np.abs(evals) > cut, 1.0 / np.where(evals == 0, 1.0, evals), 0.0)
     return vecs @ (inv * (vecs.T @ g))
 
 
-def find_critical_point(model: LossModel, w0: Array, tol: float = 1e-12,
-                        max_iter: int = 100) -> Array:
+def find_critical_point(model: LossModel, w0: Array, tol: float = 1e-12) -> Array:
     """Newton refinement of a nearby critical point of the loss.
 
-    Rank-deficient Hessians (minimum manifolds) are handled by
-    restricting each Newton step to the complement of the near-kernel.
+    Rank-deficient Hessians (minimum manifolds) are handled by restricting
+    each of at most 100 Newton steps to the complement of the near-kernel.
     """
     x = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
     history = []
-    for _ in range(max_iter):
+    for _ in range(100):
         g = model.gradient(x)
         res = float(np.linalg.norm(g))
         history.append(res)
@@ -166,9 +169,7 @@ class CenterSolve:
     halvings: int = 0
 
 
-def _center_newton(sl: _Slice, a_full: Array, tol: float, max_iter: int = 60) -> tuple[Array, float]:
-    a_red = sl.to_reduced(a_full)
-
+def _center_newton(sl: _Slice, a_full: Array, tol: float) -> tuple[Array, float]:
     def F(z):
         m = sl.to_full(z)
         g = 0.5 * (sl.model.gradient(m + a_full) + sl.model.gradient(m - a_full))
@@ -180,7 +181,7 @@ def _center_newton(sl: _Slice, a_full: Array, tol: float, max_iter: int = 60) ->
                    + sl.model.hessian_dense(m - a_full))
         return H if sl.S is None else sl.S.T @ H @ sl.S
 
-    z = newton_solve(F, J, np.zeros(sl.n), tol=tol, max_iter=max_iter)
+    z = newton_solve(F, J, np.zeros(sl.n), tol=tol, max_iter=60)
     return z, float(np.linalg.norm(F(z)))
 
 
@@ -336,9 +337,7 @@ def _value_fourth_diff(sl: _Slice, u_red: Array, h: float) -> float:
 
 
 def quartic_coefficient(model: LossModel, w_bar: Array, u: Array,
-                        subspace: Array | None = None,
-                        h3: float | None = None,
-                        h4: float | None = None) -> float:
+                        subspace: Array | None = None) -> float:
     """Quartic branching coefficient of the orbit profile along ``u``.
 
     Combines the fourth directional derivative of the loss with the
@@ -356,10 +355,7 @@ def quartic_coefficient(model: LossModel, w_bar: Array, u: Array,
                 1.0 + float(np.linalg.norm(u))):
             raise ValueError("direction u must lie in the given subspace")
     wnorm = float(np.linalg.norm(sl.w_bar))
-    if h3 is None:
-        h3 = fd_step(3, wnorm)
-    if h4 is None:
-        h4 = fd_step(4, wnorm)
+    h3, h4 = fd_step(3, wnorm), fd_step(4, wnorm)
 
     d3 = _grad_second_diff(sl, u_red, h3)
     d3_half = _grad_second_diff(sl, u_red, h3 / 2.0)
@@ -396,8 +392,8 @@ def critical_eta(model: LossModel, w_bar: Array,
     evals, vecs = np.linalg.eigh(H)
     lam_max = float(evals[-1])
     if lam_max <= 0.0:
-        raise ValueError("no positive curvature: the period-two threshold "
-                         "does not exist")
+        raise NoBranchError("no positive curvature: the period-two threshold "
+                            "does not exist")
     sel = evals >= lam_max - 1e-8 * lam_max
     basis = vecs[:, sel]
     if sl.S is not None:
@@ -413,15 +409,15 @@ def branch_predict(eta: float, eta_c: float, Q_u: float) -> tuple[bool, float]:
     coefficients admit no prediction.
     """
     if Q_u == 0.0:
-        raise ValueError("degenerate branch: quartic coefficient is zero")
+        raise NoBranchError("degenerate branch: quartic coefficient is zero")
     alpha_sq = (2.0 / eta - 2.0 / eta_c) / Q_u
     return alpha_sq > 0.0, alpha_sq
 
 
 def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
                  u: Array | None = None, subspace: Array | None = None,
-                 tol: float = 1e-12, run_steps: int = 2000,
-                 run_offset: float = 1e-3, discard_frac: float = 0.8):
+                 run_steps: int = 2000, run_offset: float = 1e-3,
+                 discard_frac: float = 0.8):
     """Sweep the period-two branch over a step-size grid.
 
     Continuation mode solves each grid point seeded from the previous
@@ -469,7 +465,7 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
         else:
             seed = prev_a
         try:
-            bp = period_two_solve(model, w_bar, eta, seed, tol, subspace)
+            bp = period_two_solve(model, w_bar, eta, seed, subspace=subspace)
         except (NonConvergenceError, SingularJacobianError):
             bp = None
         if bp is None or bp.trivial:
@@ -477,11 +473,11 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
             if points:
                 mid = 0.5 * (points[-1].eta + eta)
                 try:
-                    bp_mid = period_two_solve(model, w_bar, mid,
-                                              points[-1].a, tol, subspace)
+                    bp_mid = period_two_solve(model, w_bar, mid, points[-1].a,
+                                              subspace=subspace)
                     if not bp_mid.trivial:
                         bp = period_two_solve(model, w_bar, eta, bp_mid.a,
-                                              tol, subspace)
+                                              subspace=subspace)
                 except (NonConvergenceError, SingularJacobianError):
                     bp = None
             if bp is None or bp.trivial:

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 assertion failure, 2 config error, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 from . import bifurcation, edge_metrics, loss_models, trajectory, verify
 from .numerics import DENSE_DIM_LIMIT, uniform_rule
 from .stability_kv import strain_run, write_strain_csv
+from .trajectory import write_csv
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -35,6 +37,18 @@ class ConfigError(ValueError):
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config error at {path or '<root>'}: {message}")
+
+
+@contextlib.contextmanager
+def _config_values(path: str):
+    """Report a ValueError or TypeError raised while turning config values
+    into a resolved config, model or initial point as a config error."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        _fail(path, str(exc))
 
 
 def _check_keys(obj: dict, allowed, path: str):
@@ -119,6 +133,7 @@ def _linear_target(res: dict) -> np.ndarray:
     return M
 
 
+@_config_values("model")
 def _build_model(res: dict) -> loss_models.LossModel:
     kind = res["kind"]
     if kind == "quadratic":
@@ -137,25 +152,26 @@ def _build_model(res: dict) -> loss_models.LossModel:
     raise AssertionError(kind)
 
 
-def _resolve_init(cfg: dict, path: str = "init") -> dict:
+def _resolve_init(cfg: dict) -> dict:
     if not isinstance(cfg, dict) or "mode" not in cfg:
-        _fail(path, "init requires a 'mode'")
+        _fail("init", "init requires a 'mode'")
     mode = cfg["mode"]
     if mode == "vector":
-        _check_keys(cfg, {"mode", "values"}, path)
+        _check_keys(cfg, {"mode", "values"}, "init")
         if "values" not in cfg:
-            _fail(f"{path}.values", "required")
+            _fail("init.values", "required")
         return {"mode": mode, "values": [float(v) for v in cfg["values"]]}
     if mode == "gaussian":
-        _check_keys(cfg, {"mode", "seed", "scale"}, path)
+        _check_keys(cfg, {"mode", "seed", "scale"}, "init")
         return {"mode": mode, "seed": int(cfg.get("seed", 0)),
                 "scale": float(cfg.get("scale", 1.0))}
     if mode == "minimizer_offset":
-        _check_keys(cfg, {"mode", "scale"}, path)
+        _check_keys(cfg, {"mode", "scale"}, "init")
         return {"mode": mode, "scale": float(cfg.get("scale", 1e-3))}
-    _fail(f"{path}.mode", f"unknown init mode {mode!r}")
+    _fail("init.mode", f"unknown init mode {mode!r}")
 
 
+@_config_values("init")
 def _build_init(res_init: dict, model: loss_models.LossModel,
                 model_res: dict) -> np.ndarray:
     mode = res_init["mode"]
@@ -299,8 +315,7 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
     rows = ["k,running_weighted_mean,forcing_bound"]
     for i, k in enumerate(table.k):
         rows.append(f"{k},{running[i]:.17g},{forcing[i]:.17g}")
-    with open(out / f"balance_eta{idx}.csv", "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+    write_csv(out / f"balance_eta{idx}.csv", rows)
 
     rows = ["k,actual_delta_L,proxy"]
     for k in range(log.num_steps - 1):
@@ -308,8 +323,7 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
             continue
         proxy, actual = edge_metrics.loss_change_proxy(log, k)
         rows.append(f"{k},{actual:.17g},{proxy:.17g}")
-    with open(out / f"scatter_eta{idx}.csv", "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+    write_csv(out / f"scatter_eta{idx}.csv", rows)
     return {"eta": eta, "weighted_mean": report.weighted_mean,
             "threshold": 2.0 / eta,
             "identity_residual": report.identity_residual,
@@ -394,8 +408,7 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
             expo = None
         summary["exponents"][mode] = expo
         summary[f"{mode}_branch_lost"] = bool(lost)
-    with open(out / "branch.csv", "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+    write_csv(out / "branch.csv", rows)
     _write_json(out / "sweep_summary.json", summary)
     return EXIT_OK
 
@@ -501,10 +514,9 @@ def _parse_trajectory_csv(path: Path):
     if header[:4] != ["k", "loss", "grad_norm", "step_norm"]:
         raise ConfigError("config error: unrecognized trajectory CSV header")
     has_w = len(header) > 4
-    ks, losses, gnorms, ws = [], [], [], []
+    losses, gnorms, ws = [], [], []
     for ln in lines[1:]:
         parts = ln.split(",")
-        ks.append(int(parts[0]))
         losses.append(float(parts[1]))
         gnorms.append(float(parts[2]))
         if has_w:
@@ -621,11 +633,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        resolved = _RESOLVERS[args.command](_load_config(args.config))
+        with _config_values(""):
+            resolved = _RESOLVERS[args.command](_load_config(args.config))
         out = _out_dir(resolved, args)
         return _COMMANDS[args.command](resolved, out)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
+    except bifurcation.NoBranchError as exc:
+        print(f"config error at model: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

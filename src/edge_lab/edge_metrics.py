@@ -28,12 +28,14 @@ from numpy.typing import NDArray
 
 from .loss_models import LossModel
 from .numerics import brent_root, dense_eigh, lambda_max_iter, uniform_rule
-from .trajectory import StochasticTrajectoryLog, TrajectoryLog
+from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
 
 __all__ = [
     "DEGENERATE_STEP",
+    "DegenerateStepError",
     "CurvatureTable",
     "LocalizationRecord",
+    "WindowMass",
     "EdgeBalanceReport",
     "SgdBalanceReport",
     "step_mean_curvature_exact",
@@ -191,16 +193,16 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
 
 
 def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
-             tol: float = 1e-10, grid: int = 64) -> list[LocalizationRecord]:
+             tol: float = 1e-10) -> list[LocalizationRecord]:
     """Interior points of step k where the profile attains each target.
 
     ``targets`` are segment averages of the step (rtilde and/or rbar
     from ``curvature_table``); one record is returned per target. Each
     grid of q(tau) is evaluated once for all targets. A sign change of
-    q(tau) - target is refined with Brent's method; targets without one
-    go on to a grid twice as fine, up to 1024 cells, before failing. A
-    profile constant within ``tol`` across the grid returns the
-    conventional midpoint 0.5.
+    q(tau) - target on a 64-cell grid is refined with Brent's method;
+    targets without one go on to a grid twice as fine, up to 1024 cells,
+    before failing. A profile constant within ``tol`` across the grid
+    returns the conventional midpoint 0.5.
     """
     d, _ = _step(log, k)
     # Finer grids repeat the coarser nodes, and Brent re-evaluates its
@@ -226,7 +228,7 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
         return LocalizationRecord(k, root, target, q(root), False)
 
     records = [None] * len(targets)
-    cells = int(grid)
+    cells = 64
     while cells <= 1024 and None in records:
         taus = np.linspace(0.0, 1.0, cells + 1)
         qs = np.array([q(t) for t in taus])
@@ -242,8 +244,7 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
 
 
 def localized_sharpness(model: LossModel, log: TrajectoryLog,
-                        rec: LocalizationRecord, tol: float = 1e-9,
-                        seed: int = 0) -> float:
+                        rec: LocalizationRecord) -> float:
     """Largest Hessian eigenvalue at the localized interior point.
 
     Dense eigendecomposition for small models, otherwise Lanczos seeded
@@ -256,8 +257,7 @@ def localized_sharpness(model: LossModel, log: TrajectoryLog,
         evals, _ = dense_eigh(model.hessian_dense(w_pt))
         return float(evals[-1])
     u = d / float(np.linalg.norm(d))
-    return lambda_max_iter(lambda v: model.hvp(w_pt, v), model.dim,
-                           tol=tol, seed=seed, v0=u)
+    return lambda_max_iter(lambda v: model.hvp(w_pt, v), model.dim, v0=u)
 
 
 @dataclass(frozen=True)
@@ -512,5 +512,4 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
             str(k), f"{table.step_norm_sq[i]:.17g}", f"{rbar:.17g}",
             f"{rtilde:.17g}", fmt(xi), fmt(zeta), fmt(lam_xi),
             f"{delta_l:.17g}", fmt(proxy), fmt(ratio)]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+    write_csv(path, rows)

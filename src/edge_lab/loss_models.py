@@ -30,7 +30,6 @@ __all__ = [
     "make_mlp",
     "make_synthetic_dataset",
     "balanced_minimizer",
-    "normal_embed",
     "width_pad",
 ]
 
@@ -343,21 +342,16 @@ def balanced_minimizer(M: Array, hidden: int,
     return geom.w_bar, geom
 
 
-def normal_embed(geometry: LinearNetGeometry, Y, B, G) -> Array:
-    """Tangent perturbation in the normal space for block coordinates."""
-    return geometry.embed(Y, B, G)
-
-
-def width_pad(geometry_r: LinearNetGeometry, xi: Array, hidden: int,
-              tol: float = 1e-10) -> Array:
+def width_pad(geometry_r: LinearNetGeometry, xi: Array, hidden: int) -> Array:
     """Zero-padding of a minimal-width normal-slice vector to width ``hidden``.
 
     The padded vector evaluates to the identical restricted loss. Raises
-    when ``xi`` has a component outside the normal slice.
+    when ``xi`` has a component outside the normal slice (projection
+    residual above 1e-10 of its norm).
     """
     Y, B, G, residual = geometry_r.decode(xi)
     scale = float(np.linalg.norm(xi)) or 1.0
-    if residual > tol * scale:
+    if residual > 1e-10 * scale:
         raise ValueError(
             f"input is not in the normal slice (projection residual {residual:.3e})")
     return geometry_r.with_width(hidden).embed(Y, B, G)
@@ -379,15 +373,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    def to_csv(self, path) -> None:
-        d_in, d_out = self.X.shape[1], self.Y.shape[1]
-        header = ",".join([f"x{i}" for i in range(d_in)] + [f"y{j}" for j in range(d_out)])
-        rows = [header]
-        for xi, yi in zip(self.X, self.Y):
-            rows.append(",".join(f"{v:.17g}" for v in list(xi) + list(yi)))
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(rows) + "\r\n")
 
 
 def make_synthetic_dataset(seed: int, n: int, d_in: int, d_out: int,

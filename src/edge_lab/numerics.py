@@ -2,14 +2,13 @@
 
 Gauss-Legendre rules on [0, 1], bracketed root finding, damped Newton
 solves, dense symmetric eigendecomposition, iterative largest-eigenvalue
-estimation from Hessian-vector products, and central finite-difference
-stencils for directional derivatives up to fourth order.
+estimation from Hessian-vector products, and the default central
+finite-difference step.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,18 +22,15 @@ __all__ = [
     "MACHINE_EPS",
     "QuadratureRule",
     "uniform_rule",
-    "integrate_uniform",
     "brent_root",
     "newton_solve",
     "dense_eigh",
     "lambda_max_iter",
-    "fd_directional",
     "fd_step",
     "BracketError",
     "EvaluationError",
     "NonConvergenceError",
     "SingularJacobianError",
-    "CancellationWarning",
 ]
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -62,10 +58,6 @@ class NonConvergenceError(RuntimeError):
 
 class SingularJacobianError(RuntimeError):
     """Newton Jacobian is singular beyond the working subspace."""
-
-
-class CancellationWarning(UserWarning):
-    """Finite-difference stencil spread is near the rounding floor."""
 
 
 @dataclass(frozen=True)
@@ -97,25 +89,6 @@ def uniform_rule(order: int = 4) -> QuadratureRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(order, nodes, weights)
-
-
-def integrate_uniform(f: Callable, rule: QuadratureRule | None = None):
-    """Approximate integral_0^1 f(tau) dtau; exact for degree <= 2*order-1.
-
-    ``f`` may return scalars or arrays (integrated componentwise).
-    """
-    if rule is None:
-        rule = uniform_rule()
-    vals = []
-    for tau in rule.nodes:
-        v = np.asarray(f(float(tau)), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError(f"non-finite integrand value at node tau={tau!r}")
-        vals.append(v)
-    acc = rule.weights[0] * vals[0]
-    for w, v in zip(rule.weights[1:], vals[1:]):
-        acc = acc + w * v
-    return float(acc) if np.ndim(acc) == 0 else acc
 
 
 def brent_root(f: Callable[[float], float], lo: float, hi: float,
@@ -193,8 +166,7 @@ def dense_eigh(A: NDArray[np.float64]):
 
 
 def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-                    dim: int, tol: float = 1e-9, max_iter: int = 1000,
-                    seed: int = 0, v0: NDArray[np.float64] | None = None) -> float:
+                    dim: int, tol: float = 1e-9, seed: int = 0, v0: NDArray[np.float64] | None = None) -> float:
     """Largest (algebraically) eigenvalue of a symmetric operator.
 
     Lanczos iteration on the matrix-free operator; deterministic for a
@@ -219,7 +191,7 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     op = LinearOperator((dim, dim), matvec=lambda x: np.asarray(hvp(x), float))
     try:
         vals = eigsh(op, k=1, which="LA", v0=start, tol=tol,
-                     maxiter=max_iter, return_eigenvectors=False)
+                     maxiter=1000, return_eigenvectors=False)
     except Exception as exc:  # ARPACK non-convergence
         raise NonConvergenceError(f"lambda_max_iter failed to converge: {exc}") from exc
     return float(vals[0])
@@ -232,43 +204,3 @@ def fd_step(order: int, w_norm: float = 0.0) -> float:
     if order in (3, 4):
         return MACHINE_EPS ** (1.0 / 5.0) * (1.0 + w_norm)
     raise ValueError("derivative order must be in {1, 2, 3, 4}")
-
-
-# Central stencils: {order: (offsets, coefficients, h exponent)}
-_STENCILS = {
-    1: ((-1, 1), (-0.5, 0.5), 1),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0), 2),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5), 3),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0), 4),
-}
-
-
-def fd_directional(f: Callable, w, u, order: int, h: float | None = None) -> float:
-    """Central-difference estimate of d^k/dt^k f(w + t*u) at t = 0.
-
-    ``u`` must be unit norm; truncation error is O(h^2) for every
-    supported order. Emits CancellationWarning when the sampled values
-    are too close together for the stencil to resolve.
-    """
-    if order not in _STENCILS:
-        raise ValueError("derivative order must be in {1, 2, 3, 4}")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    nu = float(np.linalg.norm(u))
-    if abs(nu - 1.0) > 1e-10:
-        raise ValueError("direction u must have unit norm")
-    if h is None:
-        h = fd_step(order, float(np.linalg.norm(w)))
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    offsets, coeffs, power = _STENCILS[order]
-    vals = np.array([float(f(w + (o * h) * u)) for o in offsets])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("non-finite function value in fd_directional")
-    f0 = float(f(w))
-    spread = float(vals.max() - vals.min())
-    if spread < 1e3 * MACHINE_EPS * abs(f0):
-        warnings.warn(
-            f"stencil spread {spread:.3e} is below 1e3*eps*|f| for order {order}; "
-            "the estimate may be dominated by rounding", CancellationWarning)
-    return float(np.dot(coeffs, vals) / h ** power)

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from .edge_metrics import DEGENERATE_STEP, step_mean_curvature_exact
 from .loss_models import LossModel
 from .numerics import QuadratureRule, dense_eigh, uniform_rule
-from .trajectory import PairedLog, TrajectoryLog
+from .trajectory import PairedLog, TrajectoryLog, write_csv
 
 __all__ = [
     "StrainLog",
@@ -258,5 +258,4 @@ def write_strain_csv(strain: StrainLog, path) -> None:
             f"{strain.residual[k]:.17g}",
             f"{bound[k]:.17g}",
         ]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+    write_csv(path, rows)

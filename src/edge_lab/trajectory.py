@@ -9,7 +9,6 @@ bit-exactly from the stored anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -17,7 +16,6 @@ from numpy.typing import NDArray
 from .loss_models import LossModel, MlpModel
 
 __all__ = [
-    "StepRecord",
     "TrajectoryLog",
     "StochasticTrajectoryLog",
     "PairedLog",
@@ -25,6 +23,7 @@ __all__ = [
     "run_gd",
     "run_sgd",
     "run_pair_gd",
+    "write_csv",
     "write_trajectory_csv",
     "run_summary",
 ]
@@ -34,17 +33,6 @@ Array = NDArray[np.float64]
 # Runs abort (partial log, diverged flag) past these magnitudes.
 LOSS_DIVERGENCE = 1e12
 ITERATE_DIVERGENCE = 1e8
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One step of a logged run; ``d`` is None on the final record."""
-
-    k: int
-    w: Array
-    loss: float
-    grad: Array
-    d: Array | None
 
 
 @dataclass
@@ -82,14 +70,6 @@ class TrajectoryLog:
         for j in range(anchor, k):
             x += self.steps[j]
         return x
-
-    def record(self, k: int) -> StepRecord:
-        d = self.steps[k] if k < self.num_steps else None
-        return StepRecord(k, self.w(k), float(self.losses[k]), self.grads[k], d)
-
-    def records(self) -> Iterator[StepRecord]:
-        for k in range(self.num_steps + 1):
-            yield self.record(k)
 
 
 @dataclass
@@ -163,12 +143,12 @@ def run_gd(model: LossModel, w0: Array, eta: float, K: int,
 
 
 def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
-            noise: NoiseSource, thin_stride: int = 1) -> StochasticTrajectoryLog:
+            noise: NoiseSource) -> StochasticTrajectoryLog:
     """Noisy gradient descent w_{k+1} = w_k - eta (grad + eps_k).
 
     The noise actually applied at each step is recorded verbatim.
     """
-    return _run(model, w0, eta, K, thin_stride, noise=noise)
+    return _run(model, w0, eta, K, thin_stride=1, noise=noise)
 
 
 def _run(model, w0, eta, K, thin_stride, noise):
@@ -228,6 +208,13 @@ def run_pair_gd(model_s: LossModel, model_sp: LossModel, w0: Array,
     return PairedLog(log_s, log_sp)
 
 
+def write_csv(path, rows) -> None:
+    """Write CSV lines, each ended by CRLF (RFC 4180). Every CSV output is
+    written here, so its byte format is decided in one place."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(rows) + "\r\n")
+
+
 def write_trajectory_csv(log: TrajectoryLog, path, include_w: bool = False) -> None:
     """Columns k, loss, grad_norm, step_norm (+ optional flattened iterate)."""
     header = ["k", "loss", "grad_norm", "step_norm"]
@@ -242,8 +229,7 @@ def write_trajectory_csv(log: TrajectoryLog, path, include_w: bool = False) -> N
         if include_w:
             vals += [f"{v:.17g}" for v in log.w(k)]
         rows.append(",".join(vals))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+    write_csv(path, rows)
 
 
 def run_summary(log: TrajectoryLog) -> dict:

@@ -9,6 +9,7 @@ subcommand and the acceptance test suite both run these.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -47,18 +48,9 @@ def _timed(fn):
 # Bundled models and runs (built lazily, cached for the process lifetime)
 # ---------------------------------------------------------------------------
 
-_CACHE: dict = {}
-
-
-def _cached(key, builder):
-    if key not in _CACHE:
-        _CACHE[key] = builder()
-    return _CACHE[key]
-
-
-def _quad_nd(dim: int, seed: int, eta: float = 0.5):
+def _quad_nd(dim: int, seed: int):
     rng = np.random.default_rng(seed)
-    # Spectrum kept away from 2/eta so no mode decays to the rounding floor.
+    # No eigenvalue near 1/eta = 2 (eta = 0.5), where a mode hits the rounding floor.
     lo = rng.uniform(0.2, 1.7, size=dim // 2)
     hi = rng.uniform(2.3, 3.8, size=dim - dim // 2)
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -67,61 +59,54 @@ def _quad_nd(dim: int, seed: int, eta: float = 0.5):
     return loss_models.make_quadratic(H, 0.0)
 
 
+@functools.cache
 def _bundle():
     """Bundled runs exercised by the localization / mechanism checks."""
-    def build():
-        runs = {}
-        q1 = loss_models.make_quadratic([[3.0]], 0.0)
-        runs["quad1d"] = (q1, trajectory.run_gd(q1, np.array([1.0]), 0.5, 40))
-        qn = _quad_nd(8, seed=2)
-        rng = np.random.default_rng(3)
-        runs["quad_nd"] = (qn, trajectory.run_gd(qn, rng.standard_normal(8), 0.5, 80))
-        cubic = loss_models.make_scalar_poly(1.0, 1.0, 0.0)
-        runs["cubic1d"] = (cubic, trajectory.run_gd(cubic, np.array([0.4]), 0.5, 40))
-        quartic = loss_models.make_scalar_poly(1.0, 0.0, -1.0)
-        runs["quartic_eos"] = (quartic, trajectory.run_gd(quartic, np.array([0.3]), 2.5, 200))
-        w_bar, geom = loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2)
-        net = geom.model
-        w0 = w_bar + 1e-2 * geom.sharp_direction()
-        runs["linear_net_eos"] = (net, trajectory.run_gd(net, w0, 0.55, 400))
-        mlp, log = _mlp_eos_short()
-        runs["mlp_eos"] = (mlp, log)
-        return runs
-    return _cached("bundle", build)
+    runs = {}
+    q1 = loss_models.make_quadratic([[3.0]], 0.0)
+    runs["quad1d"] = (q1, trajectory.run_gd(q1, np.array([1.0]), 0.5, 40))
+    qn = _quad_nd(8, seed=2)
+    rng = np.random.default_rng(3)
+    runs["quad_nd"] = (qn, trajectory.run_gd(qn, rng.standard_normal(8), 0.5, 80))
+    cubic = loss_models.make_scalar_poly(1.0, 1.0, 0.0)
+    runs["cubic1d"] = (cubic, trajectory.run_gd(cubic, np.array([0.4]), 0.5, 40))
+    quartic = loss_models.make_scalar_poly(1.0, 0.0, -1.0)
+    runs["quartic_eos"] = (quartic, trajectory.run_gd(quartic, np.array([0.3]), 2.5, 200))
+    w_bar, geom = loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2)
+    net = geom.model
+    w0 = w_bar + 1e-2 * geom.sharp_direction()
+    runs["linear_net_eos"] = (net, trajectory.run_gd(net, w0, 0.55, 400))
+    runs["mlp_eos"] = _mlp_eos_short()
+    return runs
 
 
+@functools.cache
 def _mlp_model():
-    def build():
-        ds = loss_models.make_synthetic_dataset(0, 200, 10, 5, teacher_rank=3,
-                                                noise=0.1)
-        return loss_models.make_mlp([10, 16, 16, 5], "tanh", ds)
-    return _cached("mlp_model", build)
+    ds = loss_models.make_synthetic_dataset(0, 200, 10, 5, teacher_rank=3,
+                                            noise=0.1)
+    return loss_models.make_mlp([10, 16, 16, 5], "tanh", ds)
 
 
+@functools.cache
 def _mlp_eos_short():
-    def build():
-        mlp = _mlp_model()
-        return mlp, trajectory.run_gd(mlp, mlp.init_params(seed=1), 0.5, 300)
-    return _cached("mlp_eos_short", build)
+    mlp = _mlp_model()
+    return mlp, trajectory.run_gd(mlp, mlp.init_params(seed=1), 0.5, 300)
 
 
+@functools.cache
 def _mlp_eos_long():
-    def build():
-        mlp = _mlp_model()
-        log = trajectory.run_gd(mlp, mlp.init_params(seed=1), 0.5, 4000)
-        table = edge_metrics.curvature_table(mlp, log)
-        return mlp, log, edge_metrics.edge_balance_report(mlp, log, table)
-    return _cached("mlp_eos_long", build)
+    mlp = _mlp_model()
+    log = trajectory.run_gd(mlp, mlp.init_params(seed=1), 0.5, 4000)
+    table = edge_metrics.curvature_table(mlp, log)
+    return mlp, log, edge_metrics.edge_balance_report(mlp, log, table)
 
 
+@functools.cache
 def _sweep_net():
-    def build():
-        ds = loss_models.make_synthetic_dataset(11, 200, 10, 5, noise=0.0,
-                                                teacher_spectrum=[2.0, 1.0, 0.5])
-        M = np.linalg.lstsq(ds.X, ds.Y, rcond=None)[0].T
-        w_bar, geom = loss_models.balanced_minimizer(M, 3, rank=3)
-        return w_bar, geom
-    return _cached("sweep_net", build)
+    ds = loss_models.make_synthetic_dataset(11, 200, 10, 5, noise=0.0,
+                                            teacher_spectrum=[2.0, 1.0, 0.5])
+    M = np.linalg.lstsq(ds.X, ds.Y, rcond=None)[0].T
+    return loss_models.balanced_minimizer(M, 3, rank=3)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ class TestCriticalEta:
 
     def test_no_positive_curvature(self):
         model = make_quadratic(np.array([[-1.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(bf.NoBranchError, match="no positive curvature"):
             bf.critical_eta(model, np.array([0.0]))
 
     def test_transverse_spectrum_matches_dense(self):
@@ -248,7 +248,7 @@ class TestBranchPrediction:
         assert bp.amplitude ** 2 == pytest.approx(alpha_sq, rel=1e-10)
 
     def test_degenerate_quartic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(bf.NoBranchError, match="degenerate branch"):
             bf.branch_predict(2.5, 2.0, 0.0)
 
 

@@ -1,10 +1,15 @@
 """Config validation, output determinism, and the verify integrity checks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edge_lab
 from edge_lab import edge_metrics as em
 from edge_lab.cli import main
 from edge_lab.loss_models import make_mlp, make_quadratic, make_synthetic_dataset
@@ -395,3 +400,39 @@ class TestInitModes:
         cfg["init"]["values"] = [1.0, 2.0]
         rc = main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
+
+
+_MLP_DATASET = {"seed": 0, "n": 10, "d_in": 4, "d_out": 2}
+
+
+class TestFailureContract:
+    """Bad configs end in one config-error line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("bifurcate", {"model": {"kind": "scalar_poly", "lam": -1},
+                       "etas": [2.1]}),
+        ("bifurcate", {"model": {"kind": "scalar_poly", "lam": 1, "gamma": 0,
+                                 "beta": 0}, "etas": [2.1, 2.2]}),
+        ("run", {"model": {"kind": "mlp", "widths": [3, 4, 2],
+                           "dataset": _MLP_DATASET},
+                 "init": {"mode": "gaussian"}, "eta": 0.1, "steps": 3}),
+        ("run", {"model": {"kind": "mlp", "widths": [4, 4, 2],
+                           "activation": "relu", "dataset": _MLP_DATASET},
+                 "init": {"mode": "gaussian"}, "eta": 0.1, "steps": 3}),
+        ("run", {"model": {"kind": "quadratic", "diag": [1.0]},
+                 "init": {"mode": "vector", "values": [1.0]},
+                 "eta": "abc", "steps": 3}),
+    ], ids=["no_positive_curvature", "degenerate_branch", "widths_mismatch",
+            "unknown_activation", "non_numeric_eta"])
+    def test_config_error_exit(self, tmp_path, command, cfg):
+        path = _write_config(tmp_path / "c.json", cfg)
+        src = str(Path(edge_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "edge_lab.cli", command, "--config", path,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error"), lines

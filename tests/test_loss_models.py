@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from edge_lab.loss_models import (Dataset, LossModel, MlpModel, QuadraticModel,
+from edge_lab.loss_models import (LossModel, MlpModel, QuadraticModel,
                                   ScalarPolyModel, TwoLayerLinearModel,
                                   balanced_minimizer, make_mlp,
                                   make_quadratic, make_scalar_poly,
                                   make_synthetic_dataset,
-                                  make_two_layer_linear, normal_embed,
-                                  width_pad)
+                                  make_two_layer_linear, width_pad)
 from edge_lab.numerics import dense_eigh
 
 
@@ -240,9 +239,9 @@ class TestLinearNetGeometry:
             kernel = vecs[:, evals < 1e-8 * evals[-1]]
             assert np.max(np.abs(S.T @ kernel)) <= 1e-8
 
-    def test_normal_embed_zero(self):
+    def test_embed_zero(self):
         _, geom = balanced_minimizer(np.diag([2.0, 1.0]), 2)
-        np.testing.assert_allclose(normal_embed(geom, np.zeros((2, 2)), None, None),
+        np.testing.assert_allclose(geom.embed(np.zeros((2, 2)), None, None),
                                    0.0, atol=1e-16)
 
     def test_sharp_direction_is_top_eigenvector(self):
@@ -262,7 +261,7 @@ class TestLinearNetGeometry:
             Y = rng.standard_normal((r, r))
             B = rng.standard_normal((r, d - r))
             G = rng.standard_normal((p - r, r))
-            v = normal_embed(geom, Y, B, G)
+            v = geom.embed(Y, B, G)
             expected = (np.sum((rootS[:, None] * Y) ** 2)
                         + np.sum((Y * rootS[None, :]) ** 2)
                         + np.sum(B ** 2) + np.sum(G ** 2))
@@ -325,18 +324,6 @@ class TestSyntheticDataset:
         M = np.linalg.lstsq(ds.X, ds.Y, rcond=None)[0].T
         s = np.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(s[:2], [2.0, 1.0], atol=1e-10)
-
-    def test_csv_round_trip(self, tmp_path):
-        ds = make_synthetic_dataset(4, 5, 3, 2)
-        path = tmp_path / "data.csv"
-        ds.to_csv(path)
-        raw = path.read_bytes().decode()
-        assert raw.count("\r\n") == 6  # header + 5 samples, RFC 4180 line ends
-        lines = raw.strip().split("\r\n")
-        assert lines[0] == "x0,x1,x2,y0,y1"
-        row = [float(v) for v in lines[1].split(",")]
-        np.testing.assert_array_equal(row[:3], ds.X[0])
-        np.testing.assert_array_equal(row[3:], ds.Y[0])
 
 
 class TestMlp:

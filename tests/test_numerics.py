@@ -1,4 +1,4 @@
-"""Quadrature, root finding, eigensolvers, and finite-difference stencils."""
+"""Quadrature, root finding, Newton solves and eigensolvers."""
 
 import math
 
@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 
 from edge_lab.edge_metrics import QUADRATURE_ORDERS
-from edge_lab.numerics import (BracketError, CancellationWarning,
-                               EvaluationError, NonConvergenceError,
+from edge_lab.numerics import (BracketError, NonConvergenceError,
                                SingularJacobianError, brent_root, dense_eigh,
-                               fd_directional, integrate_uniform,
                                lambda_max_iter, newton_solve, uniform_rule)
+
+
+def _integrate(f, rule):
+    return float(np.sum(rule.weights * f(rule.nodes)))
 
 
 class TestQuadrature:
     def test_uniform_trivial(self):
         r = uniform_rule(2)
-        assert integrate_uniform(lambda t: 1.0, r) == pytest.approx(1.0, abs=1e-15)
-        assert integrate_uniform(lambda t: t, r) == pytest.approx(0.5, abs=1e-15)
+        assert _integrate(np.ones_like, r) == pytest.approx(1.0, abs=1e-15)
+        assert _integrate(lambda t: t, r) == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_cubic_two_point(self):
         # integral of t^3 over [0,1] is 1/4; a 2-point rule is exact to degree 3
-        assert integrate_uniform(lambda t: t ** 3, uniform_rule(2)) == \
+        assert _integrate(lambda t: t ** 3, uniform_rule(2)) == \
             pytest.approx(0.25, abs=1e-14)
 
     def test_triangular_weights_on_ladder(self):
@@ -40,7 +42,7 @@ class TestQuadrature:
         ru = uniform_rule(order)
         for k in range(2 * order):
             exact_u = 1.0 / (k + 1)
-            got_u = integrate_uniform(lambda t: t ** k, ru)
+            got_u = _integrate(lambda t: t ** k, ru)
             assert abs(got_u - exact_u) <= 1e-13 * max(1, exact_u)
 
     def test_weights_sum_to_one(self):
@@ -55,14 +57,6 @@ class TestQuadrature:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-
-    def test_vector_valued_integrand(self):
-        out = integrate_uniform(lambda t: np.array([1.0, t]), uniform_rule(3))
-        np.testing.assert_allclose(out, [1.0, 0.5], atol=1e-14)
-
-    def test_nonfinite_integrand_names_node(self):
-        with pytest.raises(EvaluationError, match="node"):
-            integrate_uniform(lambda t: float("nan"), uniform_rule(2))
 
 
 class TestBrent:
@@ -185,49 +179,3 @@ class TestLambdaMax:
         B = np.array([[0.0, 1.0, 0], [0.0, 0.0, 0], [0, 0, 1.0]])
         with pytest.raises(ValueError, match="symmetry"):
             lambda_max_iter(lambda v: B @ v, 3, seed=0)
-
-
-class TestFiniteDifferences:
-    def test_quadratic_second(self):
-        f = lambda w: 1.5 * w[0] ** 2
-        assert fd_directional(f, [0.0], [1.0], 2) == pytest.approx(3.0, abs=1e-9)
-
-    def test_quartic_fourth(self):
-        f = lambda w: 0.25 * w[0] ** 4
-        assert fd_directional(f, [0.0], [1.0], 4) == pytest.approx(6.0, rel=1e-8)
-
-    def test_cubic_third(self):
-        f = lambda w: 0.5 * w[0] ** 2 + w[0] ** 3
-        assert fd_directional(f, [0.0], [1.0], 3) == pytest.approx(6.0, rel=1e-8)
-
-    def test_first_order(self):
-        f = lambda w: math.sin(w[0])
-        assert fd_directional(f, [0.0], [1.0], 1) == pytest.approx(1.0, abs=1e-9)
-
-    def test_polynomial_battery(self):
-        """Degree <= 4 polynomials match symbolic derivatives to 1e-6 relative."""
-        c1, c2, c3, c4 = 0.7, -1.3, 0.4, 2.0
-
-        def f(w):
-            x = w[0]
-            return c1 * x + c2 * x ** 2 + c3 * x ** 3 + c4 * x ** 4
-
-        symbolic = {1: c1, 2: 2 * c2, 3: 6 * c3, 4: 24 * c4}
-        for order, expected in symbolic.items():
-            got = fd_directional(f, [0.0], [1.0], order)
-            assert got == pytest.approx(expected, rel=1e-6, abs=1e-6)
-
-    def test_directional_in_2d(self):
-        f = lambda w: w[0] ** 2 + 3 * w[0] * w[1] + w[1] ** 2
-        u = np.array([1.0, 1.0]) / math.sqrt(2)
-        # second derivative along u: u^T H u with H = [[2,3],[3,2]]
-        assert fd_directional(f, [0.0, 0.0], u, 2) == pytest.approx(5.0, abs=1e-7)
-
-    def test_unit_norm_required(self):
-        with pytest.raises(ValueError):
-            fd_directional(lambda w: w[0], [0.0], [2.0], 1)
-
-    def test_cancellation_warning(self):
-        f = lambda w: 1000.0 + 0.25 * w[0] ** 4
-        with pytest.warns(CancellationWarning):
-            fd_directional(f, [0.0], [1.0], 4)

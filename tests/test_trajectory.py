@@ -1,5 +1,6 @@
 """Runners, logs, replay and divergence handling."""
 
+import csv
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset)
 from edge_lab.trajectory import (NoiseSource, run_gd, run_pair_gd, run_sgd,
-                                 run_summary, write_trajectory_csv)
+                                 run_summary, write_csv, write_trajectory_csv)
 
 
 def _replay(model, w0, eta, n, noise=None):
@@ -105,13 +106,6 @@ class TestGd:
             run_gd(model, np.array([1.0]), 0.1, 0)
         with pytest.raises(ValueError):
             run_gd(model, np.array([1.0, 2.0]), 0.1, 5)
-
-    def test_records_iteration(self):
-        log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 5)
-        recs = list(log.records())
-        assert len(recs) == 6
-        assert recs[-1].d is None
-        assert recs[0].k == 0 and recs[0].loss == pytest.approx(1.5)
 
 
 class TestTruncation:
@@ -253,6 +247,22 @@ class TestPairs:
 
 
 class TestSerialization:
+    def test_csv_round_trip(self, tmp_path):
+        """Every CSV output ends each line, the last too, with CRLF (RFC 4180)."""
+        ds = make_synthetic_dataset(4, 5, 3, 2)
+        rows = ["x0,x1,x2,y0,y1"] + [",".join(f"{v:.17g}" for v in (*x, *y))
+                                     for x, y in zip(ds.X, ds.Y)]
+        path = tmp_path / "data.csv"
+        write_csv(path, rows)
+        raw = path.read_bytes()
+        assert raw == ("\r\n".join(rows) + "\r\n").encode()
+        assert raw.count(b"\r\n") == 6 and raw.count(b"\n") == 6
+        with open(path, newline="") as fh:
+            header, *data = list(csv.reader(fh))
+        assert header == ["x0", "x1", "x2", "y0", "y1"]
+        np.testing.assert_array_equal(np.array(data, dtype=float),
+                                      np.hstack([ds.X, ds.Y]))
+
     def test_trajectory_csv_and_summary(self, tmp_path):
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, -1.0]), 0.5, 10)
