@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,26 @@ def _check_keys(obj: dict, allowed, path: str):
     for key in obj:
         if key not in allowed:
             _fail(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _flag(cfg: dict, key: str, default: bool | None) -> bool | None:
+    """A JSON boolean; null too where the default (None) is derived later."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool) and not (value is None and default is None):
+        _fail(key, "must be true or false" if default is not None
+              else "must be true, false or null")
+    return value
+
+
+def _deltas(cfg: dict) -> list | None:
+    """Window half-widths: null (the defaults) or positive finite numbers."""
+    deltas = cfg.get("deltas")
+    if deltas is not None and not (
+            isinstance(deltas, list) and deltas
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) and x > 0 for x in deltas)):
+        _fail("deltas", "must be null or a non-empty list of positive finite numbers")
+    return deltas
 
 
 def _resolve_dataset(cfg: dict, path: str) -> dict:
@@ -240,10 +261,10 @@ def _resolve_run(cfg: dict) -> dict:
         "eta": float(cfg["eta"]),
         "steps": int(cfg["steps"]),
         "route": cfg.get("route", "quadrature"),
-        "localize": bool(cfg.get("localize", False)),
-        "include_w": cfg.get("include_w"),
+        "localize": _flag(cfg, "localize", False),
+        "include_w": _flag(cfg, "include_w", None),
         "thin_stride": int(cfg.get("thin_stride", 1)),
-        "deltas": cfg.get("deltas"),
+        "deltas": _deltas(cfg),
         "out_dir": cfg.get("out_dir", "."),
     }
     if resolved["route"] not in ("quadrature", "loss"):
@@ -298,7 +319,7 @@ def _resolve_balance(cfg: dict) -> dict:
         "etas": etas,
         "steps": int(cfg["steps"]),
         "route": cfg.get("route", "quadrature"),
-        "deltas": cfg.get("deltas"),
+        "deltas": _deltas(cfg),
         "out_dir": cfg.get("out_dir", "."),
     }
 
@@ -432,6 +453,9 @@ def _resolve_strain(cfg: dict) -> dict:
     if len(variants) != 1:
         _fail("", "give exactly one of leave_one_out / second_dataset_seed / "
                   "second_model")
+    order = cfg.get("quadrature_order", 4)
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        _fail("quadrature_order", "must be a positive integer")
     return {
         "command": "strain",
         "model": _resolve_model(cfg["model"]),
@@ -442,8 +466,8 @@ def _resolve_strain(cfg: dict) -> dict:
         "second_dataset_seed": cfg.get("second_dataset_seed"),
         "second_model": (_resolve_model(cfg["second_model"], "second_model")
                          if "second_model" in cfg else None),
-        "quadrature_order": int(cfg.get("quadrature_order", 4)),
-        "adaptive": bool(cfg.get("adaptive", False)),
+        "quadrature_order": order,
+        "adaptive": _flag(cfg, "adaptive", False),
         "out_dir": cfg.get("out_dir", "."),
     }
 

@@ -21,7 +21,6 @@ against the threshold 2/eta).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -130,28 +129,24 @@ def effective_curvature_from_loss(log: TrajectoryLog, k: int) -> float:
 
 def q_profile(model: LossModel, w: Array, d: Array, tau: float) -> float:
     """Directional curvature u^T H(w + tau d) u along the step direction."""
-    nd = float(np.linalg.norm(d))
-    if nd < DEGENERATE_STEP:
+    if float(np.linalg.norm(d)) < DEGENERATE_STEP:
         raise DegenerateStepError("degenerate step in q_profile")
-    u = d / nd
-    return model.directional_curvature(w + tau * d, u)
+    return float(model.segment_curvature(w, d, (tau,))[0])
 
 
-def _segment_averages(model: LossModel, w: Array, d: Array,
-                      nd: float) -> tuple[float, float]:
+def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple[float, float]:
     """(rbar, rtilde) of one step from a single set of profile values.
 
-    At each Gauss-Legendre order the profile is evaluated once per node
-    and both averages are formed from those values: rbar = sum w_i q_i,
-    rtilde = sum 2 (1 - tau_i) w_i q_i. The order doubles until both
-    agree with the previous order within QUADRATURE_RTOL.
+    At each Gauss-Legendre order the profile is evaluated once per node,
+    in one ``segment_curvature`` call, and both averages are formed from
+    those values: rbar = sum w_i q_i, rtilde = sum 2 (1 - tau_i) w_i q_i.
+    The order doubles until both agree with the previous order within
+    QUADRATURE_RTOL.
     """
-    u = d / nd
     prev = None
     for order in QUADRATURE_ORDERS:
         rule = uniform_rule(order)
-        wq = rule.weights * np.array([model.directional_curvature(w + t * d, u)
-                                      for t in rule.nodes])
+        wq = rule.weights * model.segment_curvature(w, d, rule.nodes)
         cur = (float(np.sum(wq)), 2.0 * float(np.dot(1.0 - rule.nodes, wq)))
         if prev is not None and all(abs(c - p) <= QUADRATURE_RTOL * max(1.0, abs(c))
                                     for c, p in zip(cur, prev)):
@@ -180,7 +175,7 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
             skipped.append(k)
             continue
         if route == "quadrature":
-            rbar, rtilde = _segment_averages(model, log.w(k), d, nd)
+            rbar, rtilde = _segment_averages(model, log.w(k), d)
         else:
             rbar = step_mean_curvature_exact(log, k)
             rtilde = effective_curvature_from_loss(log, k)
@@ -198,16 +193,23 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
 
     ``targets`` are segment averages of the step (rtilde and/or rbar
     from ``curvature_table``); one record is returned per target. Each
-    grid of q(tau) is evaluated once for all targets. A sign change of
-    q(tau) - target on a 64-cell grid is refined with Brent's method;
-    targets without one go on to a grid twice as fine, up to 1024 cells,
-    before failing. A profile constant within ``tol`` across the grid
-    returns the conventional midpoint 0.5.
+    grid of q(tau) is evaluated once for all targets, its new nodes in
+    one ``segment_curvature`` call. A sign change of q(tau) - target on
+    a 64-cell grid is refined with Brent's method; targets without one
+    go on to a grid twice as fine, up to 1024 cells, before failing. A
+    profile constant within ``tol`` across the grid returns the
+    conventional midpoint 0.5.
     """
     d, _ = _step(log, k)
+    w = log.w(k)
     # Finer grids repeat the coarser nodes, and Brent re-evaluates its
     # bracket ends and its root: evaluate each tau once per call.
-    q = cache(partial(q_profile, model, log.w(k), d))
+    memo: dict[float, float] = {}
+
+    def q(t: float) -> float:
+        if t not in memo:
+            memo[t] = float(model.segment_curvature(w, d, (t,))[0])
+        return memo[t]
 
     def crossing(target, taus, qs):
         """Record of ``target`` if this grid brackets it, else None."""
@@ -231,7 +233,10 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
     cells = 64
     while cells <= 1024 and None in records:
         taus = np.linspace(0.0, 1.0, cells + 1)
-        qs = np.array([q(t) for t in taus])
+        grid = taus.tolist()
+        fresh = [t for t in grid if t not in memo]
+        memo.update(zip(fresh, model.segment_curvature(w, d, fresh).tolist()))
+        qs = np.array([memo[t] for t in grid])
         records = [rec or crossing(target, taus, qs)
                    for rec, target in zip(records, targets)]
         cells *= 2

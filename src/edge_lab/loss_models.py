@@ -44,7 +44,8 @@ class LossModel:
     ``(m, dim)`` stack of row directions and returns the products in the
     same shape. ``value`` and ``gradient`` are read off ``value_and_grad``;
     ``hessian_dense`` is one ``hvp`` call on the identity stack and is only
-    available for dim <= 512. ``inf_value`` is a declared lower bound on
+    available for dim <= 512; ``segment_curvature`` is the step profile
+    from one ``hvp`` per node. ``inf_value`` is a declared lower bound on
     the loss over the region the bundled experiments visit (used by the
     curvature-forcing bound); None means unknown.
     """
@@ -73,9 +74,13 @@ class LossModel:
         H = self.hvp(np.asarray(w, dtype=float), np.eye(self.dim))
         return (H + H.T) / 2.0
 
-    def directional_curvature(self, w: Array, u: Array) -> float:
-        """u^T H(w) u for a unit direction u."""
-        return float(np.dot(u, self.hvp(w, u)))
+    def segment_curvature(self, w: Array, d: Array, taus) -> Array:
+        """Profile q(tau_i) = d^T H(w + tau_i d) d / ||d||^2 at each node.
+
+        The generic route is one ``hvp`` per node along the unit direction.
+        """
+        u = d / float(np.linalg.norm(d))
+        return np.array([float(np.dot(u, self.hvp(w + t * d, u))) for t in taus])
 
 
 class QuadraticModel(LossModel):
@@ -564,6 +569,42 @@ class MlpModel(LossModel):
                       + back * ddphis[l - 1] * RZs[l - 1])
                 D = back * dphis[l - 1]
         return self.pack(hv)
+
+    def segment_curvature(self, w, d, taus):
+        """Profile along the step by second-order forward (Taylor) mode.
+
+        Along w + tau d each layer carries its pre-activation Z and the
+        first two tau-derivatives (Zd, Zdd); the loss's second derivative
+        is sum(Zd^2 + (Z - Y) Zdd) / n at the output, with no backward
+        pass. The first pre-activation is affine in tau, so its value at
+        tau = 0 and its tangent are computed once for all nodes. Arrays
+        are (unit, sample), which measured faster than (sample, unit) for
+        the bundled widths.
+        """
+        params, tang = self.unpack(w), self.unpack(d)
+        X, Y = self.dataset.X.T, self.dataset.Y.T
+        (W, b), (D, db) = params[0], tang[0]
+        Z_base = W @ X + b[:, None]
+        Zd_first = D @ X + db[:, None]
+        scale = self.dataset.n * float(np.linalg.norm(d)) ** 2
+        q = np.empty(len(taus))
+        for i, t in enumerate(taus):
+            Z, Zd, Zdd = Z_base + t * Zd_first, Zd_first, None  # Zdd = 0 here
+            for (W, b), (D, db) in zip(params[1:], tang[1:]):
+                A, dp, ddp = self._act(Z)
+                Ad = dp * Zd
+                Add = ddp * Zd * Zd
+                if Zdd is not None:
+                    Add += dp * Zdd
+                Wt = W + t * D
+                Z = Wt @ A + (b + t * db)[:, None]
+                Zd = Wt @ Ad + D @ A + db[:, None]
+                Zdd = Wt @ Add + 2.0 * (D @ Ad)
+            curv = np.vdot(Zd, Zd)
+            if Zdd is not None:   # a single affine layer has no Zdd term
+                curv += np.vdot(Z - Y, Zdd)
+            q[i] = curv / scale
+        return q
 
 
 def make_quadratic(H, center=0.0) -> QuadraticModel:

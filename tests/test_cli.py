@@ -436,3 +436,62 @@ class TestFailureContract:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error"), lines
+
+    _BASES = {
+        "run": {"model": {"kind": "quadratic", "diag": [3.0]},
+                "init": {"mode": "vector", "values": [1.0]},
+                "eta": 0.5, "steps": 5},
+        "balance": {"model": {"kind": "quadratic", "diag": [3.0]},
+                    "init": {"mode": "vector", "values": [1.0]},
+                    "etas": [0.5], "steps": 5},
+        "strain": {"model": {"kind": "quadratic", "diag": [3.0, 1.0]},
+                   "second_model": {"kind": "quadratic", "diag": [3.0, 1.0],
+                                    "center": [0.1, 0.0]},
+                   "init": {"mode": "vector", "values": [1.0, 1.0]},
+                   "eta": 0.5, "steps": 5},
+    }
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("strain", "quadrature_order", 0),
+        ("strain", "quadrature_order", -3),
+        ("strain", "quadrature_order", 2.5),
+        ("strain", "quadrature_order", "4"),
+        ("strain", "adaptive", "no"),
+        ("strain", "adaptive", None),
+        ("run", "deltas", "abc"),
+        ("run", "deltas", []),
+        ("run", "deltas", [0.1, -1.0]),
+        ("run", "deltas", [0.1, "x"]),
+        ("run", "deltas", [True]),
+        ("balance", "deltas", [float("inf")]),
+        ("run", "include_w", "no"),
+        ("run", "include_w", 1),
+        ("run", "localize", "yes"),
+        ("run", "localize", None),
+    ])
+    def test_bad_value_rejected_before_running(self, tmp_path, capsys,
+                                               command, key, value):
+        """Each bad value is one config-error line naming its key, exit 2,
+        and nothing is written."""
+        out = tmp_path / "out"
+        cfg = dict(self._BASES[command], out_dir=str(out))
+        cfg[key] = value
+        rc = main([command, "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines
+        assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("strain", "quadrature_order", 1),
+        ("run", "deltas", [1, 0.5]),
+        ("run", "deltas", None),
+        ("run", "include_w", None),
+        ("run", "include_w", False),
+        ("run", "localize", False),
+        ("balance", "deltas", [2.0]),
+    ])
+    def test_good_value_accepted(self, tmp_path, command, key, value):
+        cfg = dict(self._BASES[command], out_dir=str(tmp_path / "out"))
+        cfg[key] = value
+        assert main([command, "--config", _write_config(tmp_path / "c.json", cfg)]) == 0

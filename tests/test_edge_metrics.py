@@ -13,16 +13,16 @@ from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
 
 
 class _CountingModel:
-    """Counts directional-curvature evaluations of a wrapped model and
-    records the points they are made at."""
+    """Counts the profile nodes a wrapped model evaluates through
+    ``segment_curvature`` and records the points they are made at."""
 
     def __init__(self, model):
         self.model, self.calls, self.points = model, 0, []
 
-    def directional_curvature(self, w, u):
-        self.calls += 1
-        self.points.append(w.tobytes())
-        return self.model.directional_curvature(w, u)
+    def segment_curvature(self, w, d, taus):
+        self.calls += len(taus)
+        self.points.extend((w + t * d).tobytes() for t in taus)
+        return self.model.segment_curvature(w, d, taus)
 
 
 class _BumpModel(LossModel):
@@ -119,11 +119,9 @@ class TestCurvatureRoutes:
         attempt and the order-8 attempt that confirms it, and no more."""
         model = make_scalar_poly(1.0, 0.0, -1.0)
         log = run_gd(model, np.array([0.3]), 2.5, 5)
-        calls = []
-        orig = model.directional_curvature
-        model.directional_curvature = lambda w, u: calls.append(1) or orig(w, u)
-        em.curvature_table(model, log)
-        assert len(calls) == 5 * (4 + 8)
+        counted = _CountingModel(model)
+        em.curvature_table(counted, log)
+        assert counted.calls == 5 * (4 + 8)
 
     def test_unknown_route_rejected(self):
         model = make_scalar_poly(3.0)

@@ -96,9 +96,9 @@ class TestModelContract:
         assert model.value(w) == model.value_and_grad(w)[0] == 17.0625 / 4 + 2.625
         np.testing.assert_array_equal(model.gradient(w), w ** 3 + w)
         np.testing.assert_array_equal(model.hessian_dense(w), np.diag(3 * w ** 2 + 1))
-        u = np.array([0.6, 0.0, 0.8])
-        assert model.directional_curvature(w, u) == pytest.approx(
-            0.36 * 1.75 + 0.64 * 13.0, abs=1e-14)
+        d = np.array([1.2, 0.0, 1.6])   # 2 u for the unit u = (0.6, 0, 0.8)
+        [q0] = model.segment_curvature(w, d, (0.0,))
+        assert q0 == pytest.approx(0.36 * 1.75 + 0.64 * 13.0, abs=1e-14)
 
     @pytest.mark.parametrize("cls", [QuadraticModel, ScalarPolyModel,
                                      TwoLayerLinearModel, MlpModel])
@@ -106,6 +106,49 @@ class TestModelContract:
         """value and gradient are read off value_and_grad in the base class."""
         assert {"value_and_grad", "hvp"} <= set(vars(cls))
         assert not {"value", "gradient"} & set(vars(cls))
+
+
+def _hvp_profile(model, w, d, taus):
+    """The generic profile route: u . hvp(w + tau d, u) with u = d / ||d||."""
+    u = d / float(np.linalg.norm(d))
+    return np.array([float(np.dot(u, model.hvp(w + t * d, u))) for t in taus])
+
+
+_TAUS = np.array([0.0, 0.07, 0.2, 0.35, 0.5, 0.61, 0.8, 0.93, 1.0])
+
+
+class TestSegmentCurvature:
+    """segment_curvature(w, d, taus) is the step profile at every node."""
+
+    @pytest.mark.parametrize("widths, activation", [
+        ([5, 6, 4, 3], "tanh"), ([5, 6, 4, 3], "gelu"), ([5, 3], "tanh")])
+    def test_mlp_forward_mode_matches_hvp_route(self, widths, activation):
+        ds = make_synthetic_dataset(2, 40, 5, 3, teacher_rank=2, noise=0.05)
+        model = make_mlp(widths, activation, ds)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            w = model.init_params(seed=int(rng.integers(100)), scale=1.5)
+            d = 0.3 * rng.standard_normal(model.dim)
+            ref = _hvp_profile(model, w, d, _TAUS)
+            q = model.segment_curvature(w, d, _TAUS)
+            assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("model", _all_models()[:4], ids=lambda m: m.name)
+    def test_generic_route_unchanged(self, model):
+        """Models without an override keep the per-node hvp arithmetic bit for bit."""
+        rng = np.random.default_rng(13)
+        w, d = 0.5 * rng.standard_normal(model.dim), rng.standard_normal(model.dim)
+        np.testing.assert_array_equal(model.segment_curvature(w, d, _TAUS),
+                                      _hvp_profile(model, w, d, _TAUS))
+
+    @pytest.mark.parametrize("model", _all_models(), ids=lambda m: m.name)
+    def test_one_node_equals_its_place_in_many(self, model):
+        rng = np.random.default_rng(14)
+        w, d = 0.5 * rng.standard_normal(model.dim), rng.standard_normal(model.dim)
+        many = model.segment_curvature(w, d, _TAUS)
+        assert many.shape == _TAUS.shape
+        for i, t in enumerate(_TAUS):
+            assert model.segment_curvature(w, d, (t,))[0] == many[i]
 
 
 def _column_oracle(model, w):
