@@ -69,6 +69,20 @@ def _flag(cfg: dict, key: str, default: bool | None) -> bool | None:
     return value
 
 
+def _integer(cfg: dict, key: str, minimum: int | None,
+             default: int | None = None) -> int | None:
+    """A JSON integer (not a boolean) of at least ``minimum``, or the default
+    when the key is absent."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(key, "must be an integer")
+    if minimum is not None and value < minimum:
+        _fail(key, f"must be an integer >= {minimum}")
+    return value
+
+
 def _deltas(cfg: dict) -> list | None:
     """Window half-widths: null (the defaults) or positive finite numbers."""
     deltas = cfg.get("deltas")
@@ -453,20 +467,21 @@ def _resolve_strain(cfg: dict) -> dict:
     if len(variants) != 1:
         _fail("", "give exactly one of leave_one_out / second_dataset_seed / "
                   "second_model")
-    order = cfg.get("quadrature_order", 4)
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        _fail("quadrature_order", "must be a positive integer")
+    eta = cfg["eta"]
+    if (isinstance(eta, bool) or not isinstance(eta, (int, float))
+            or not (math.isfinite(eta) and eta > 0)):
+        _fail("eta", "must be a positive finite number")
     return {
         "command": "strain",
         "model": _resolve_model(cfg["model"]),
         "init": _resolve_init(cfg["init"]),
-        "eta": float(cfg["eta"]),
-        "steps": int(cfg["steps"]),
-        "leave_one_out": cfg.get("leave_one_out"),
-        "second_dataset_seed": cfg.get("second_dataset_seed"),
+        "eta": float(eta),
+        "steps": _integer(cfg, "steps", 1),
+        "leave_one_out": _integer(cfg, "leave_one_out", 0),
+        "second_dataset_seed": _integer(cfg, "second_dataset_seed", None),
         "second_model": (_resolve_model(cfg["second_model"], "second_model")
                          if "second_model" in cfg else None),
-        "quadrature_order": order,
+        "quadrature_order": _integer(cfg, "quadrature_order", 1, default=4),
         "adaptive": _flag(cfg, "adaptive", False),
         "out_dir": cfg.get("out_dir", "."),
     }
@@ -481,9 +496,9 @@ def _second_model(resolved: dict, model_s) -> loss_models.LossModel:
                           "need a dataset-backed model")
     if resolved["second_dataset_seed"] is not None:
         res2 = dict(res)
-        res2["dataset"] = dict(res["dataset"], seed=int(resolved["second_dataset_seed"]))
+        res2["dataset"] = dict(res["dataset"], seed=resolved["second_dataset_seed"])
         return _build_model(res2)
-    idx = int(resolved["leave_one_out"])
+    idx = resolved["leave_one_out"]
     ds = _build_dataset(res["dataset"])
     if not 0 <= idx < ds.n:
         raise ConfigError("config error at leave_one_out: index out of range")

@@ -254,7 +254,7 @@ def localized_sharpness(model: LossModel, log: TrajectoryLog,
 
     Dense eigendecomposition for small models, otherwise Lanczos seeded
     with the step direction (so the estimate is at least the directional
-    curvature there).
+    curvature there) on one ``hvp_at`` operator for the point.
     """
     d = log.steps[rec.k]
     w_pt = log.w(rec.k) + rec.point * d
@@ -262,7 +262,7 @@ def localized_sharpness(model: LossModel, log: TrajectoryLog,
         evals, _ = dense_eigh(model.hessian_dense(w_pt))
         return float(evals[-1])
     u = d / float(np.linalg.norm(d))
-    return lambda_max_iter(lambda v: model.hvp(w_pt, v), model.dim, v0=u)
+    return lambda_max_iter(model.hvp_at(w_pt), model.dim, v0=u)
 
 
 @dataclass(frozen=True)

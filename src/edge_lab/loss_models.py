@@ -35,6 +35,9 @@ __all__ = [
 
 Array = NDArray[np.float64]
 
+# Rows of a direction stack that one MLP R-operator block applies at once.
+_HVP_BLOCK = 32
+
 
 class LossModel:
     """Base interface for a differentiable objective.
@@ -43,7 +46,11 @@ class LossModel:
     ``hvp``. ``hvp(w, v)`` takes one direction of shape ``(dim,)`` or an
     ``(m, dim)`` stack of row directions and returns the products in the
     same shape. ``value`` and ``gradient`` are read off ``value_and_grad``;
-    ``hessian_dense`` is one ``hvp`` call on the identity stack and is only
+    ``hvp_at(w)`` is the operator ``v -> hvp(w, v)`` at one point, which a
+    model may override to linearize once for many products (the MLP does,
+    so a Lanczos estimate reuses one linearization);
+    ``hessian_dense`` is one ``hvp`` call on the identity stack (for the
+    MLP, one forward pass plus blocks of 32 directions) and is only
     available for dim <= 512; ``segment_curvature`` is the step profile
     from one ``hvp`` per node. ``inf_value`` is a declared lower bound on
     the loss over the region the bundled experiments visit (used by the
@@ -65,6 +72,10 @@ class LossModel:
 
     def hvp(self, w: Array, v: Array) -> Array:
         raise NotImplementedError
+
+    def hvp_at(self, w: Array):
+        """Operator ``v -> hvp(w, v)`` at a fixed point, for repeated products."""
+        return lambda v: self.hvp(w, v)
 
     def hessian_dense(self, w: Array) -> Array:
         if self.dim > DENSE_DIM_LIMIT:
@@ -537,38 +548,81 @@ class MlpModel(LossModel):
         return self._value_grad(w, self.dataset.X[idx], self.dataset.Y[idx])[1]
 
     def hvp(self, w, v):
+        return self.hvp_at(w)(v)
+
+    def hvp_at(self, w):
+        """R-operator at ``w``: one linearization, applied to any directions.
+
+        The forward pass, the activations and phi' transposed to (unit,
+        sample), and the direction-free part of the backward chain (the
+        output sensitivities D_l and W_l^T D_l * phi'') are computed once.
+        The returned operator maps one direction or an (m, dim) stack;
+        tangents are direction-major (m, unit, sample) and a stack is
+        applied in blocks of ``_HVP_BLOCK`` rows. Products over a layer
+        width are one GEMM per block. Sums over samples stay one GEMM per
+        direction: on some OpenBLAS kernels a collapsed GEMM rounds
+        differently as its row count changes, and a row must be bit-equal
+        to the same direction passed alone.
+        """
         params = self.unpack(w)
-        tang = self.unpack(v)
         X, Y = self.dataset.X, self.dataset.Y
         n = X.shape[0]
         acts, dphis, ddphis = self._forward(params, X)
-
-        # Tangent-linear forward pass; tangents carry the directions' axes
-        # in front of the (sample, unit) axes.
-        RA = np.zeros_like(X)
-        RAs = [RA]
-        RZs = []
-        for l, ((W, _), (Vw, vb)) in enumerate(zip(params, tang)):
-            RZ = RAs[l] @ W.T + acts[l] @ Vw.swapaxes(-1, -2) + vb[..., None, :]
-            RZs.append(RZ)
-            RA = dphis[l] * RZ
-            RAs.append(RA)
-
-        resid = acts[-1] - Y
-        D = resid / n
-        RD = RAs[-1] / n
-        hv = [None] * self.n_layers
+        acts_t = [np.ascontiguousarray(A.T) for A in acts]
+        dphis_t = [np.ascontiguousarray(dp.T) for dp in dphis[:-1]]
+        D = np.ascontiguousarray((acts[-1] - Y).T) / n
+        Ds, curvs = [None] * self.n_layers, [None] * self.n_layers
         for l in range(self.n_layers - 1, -1, -1):
-            W, _ = params[l]
-            Vw, _ = tang[l]
-            hv[l] = (RD.swapaxes(-1, -2) @ acts[l] + D.T @ RAs[l],
-                     RD.sum(axis=-2))
+            Ds[l] = D
             if l > 0:
-                back = D @ W
-                RD = ((RD @ W + D @ Vw) * dphis[l - 1]
-                      + back * ddphis[l - 1] * RZs[l - 1])
-                D = back * dphis[l - 1]
-        return self.pack(hv)
+                back = params[l][0].T @ D
+                curvs[l - 1] = back * ddphis[l - 1].T
+                D = back * dphis_t[l - 1]
+
+        def block(V):
+            m = V.shape[0]
+            tang = self.unpack(V)
+            RAs, RZs = [None], []
+            for l, ((W, _), (Vw, vb)) in enumerate(zip(params, tang)):
+                out, fan_in = W.shape
+                RZ = (Vw.reshape(m * out, fan_in) @ acts_t[l]).reshape(m, out, n)
+                if l > 0:
+                    RZ += W @ RAs[l]
+                RZ += vb[..., None]
+                RZs.append(RZ)
+                RAs.append(dphis_t[l] * RZ if l < self.n_layers - 1 else RZ)
+
+            RD = RAs[-1] / n
+            hv = [None] * self.n_layers
+            for l in range(self.n_layers - 1, -1, -1):
+                (W, _), (Vw, _) = params[l], tang[l]
+                gW = np.matmul(RD, acts[l])
+                if l > 0:
+                    gW += np.matmul(Ds[l], RAs[l].swapaxes(-1, -2))
+                hv[l] = (gW, RD.sum(axis=-1))
+                if l > 0:
+                    # (W^T RD + Vw^T D) phi' + (W^T D phi'') RZ, in place:
+                    # RZs[l - 1] is not read again.
+                    out, fan_in = W.shape
+                    RD = W.T @ RD
+                    RD += (Vw.swapaxes(-1, -2).reshape(m * fan_in, out)
+                           @ Ds[l]).reshape(m, fan_in, n)
+                    RD *= dphis_t[l - 1]
+                    RZ = RZs[l - 1]
+                    RZ *= curvs[l - 1]
+                    RD += RZ
+            return self.pack(hv)
+
+        def apply(v):
+            V = np.asarray(v, dtype=float)
+            if V.ndim == 1:
+                return block(V[None])[0]
+            if V.shape[0] <= _HVP_BLOCK:
+                return block(V)
+            return np.concatenate([block(V[i:i + _HVP_BLOCK])
+                                   for i in range(0, V.shape[0], _HVP_BLOCK)])
+
+        return apply
 
     def segment_curvature(self, w, d, taus):
         """Profile along the step by second-order forward (Taylor) mode.

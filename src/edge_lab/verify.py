@@ -184,7 +184,7 @@ def _check_mlp_saturation():
     mlp, log, rep = _mlp_eos_long()
     eta = log.eta
     thr = 2.0 / eta
-    lam0 = lambda_max_iter(lambda v: mlp.hvp(log.w(0), v), mlp.dim, seed=0)
+    lam0 = lambda_max_iter(mlp.hvp_at(log.w(0)), mlp.dim, seed=0)
     w, r = rep.table.step_norm_sq, rep.table.rtilde
     cum_w = np.cumsum(w)
     running = np.cumsum(w * r) / cum_w

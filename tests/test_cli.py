@@ -495,3 +495,53 @@ class TestFailureContract:
         cfg = dict(self._BASES[command], out_dir=str(tmp_path / "out"))
         cfg[key] = value
         assert main([command, "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+
+    _STRAIN_PAIR = {"model": {"kind": "mlp", "widths": [4, 3, 2],
+                              "dataset": _MLP_DATASET},
+                    "init": {"mode": "gaussian", "seed": 1},
+                    "eta": 0.1, "steps": 3}
+
+    def _strain_pair(self, tmp_path, key, value):
+        """The dataset-backed strain base with one value set; the pairing
+        key defaults to leave_one_out 0."""
+        cfg = dict(self._STRAIN_PAIR, out_dir=str(tmp_path / "out"))
+        if key != "second_dataset_seed":
+            cfg["leave_one_out"] = 0
+        cfg[key] = value
+        return _write_config(tmp_path / "c.json", cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("leave_one_out", "abc"),
+        ("leave_one_out", None),
+        ("leave_one_out", 1.5),
+        ("leave_one_out", True),
+        ("leave_one_out", -1),
+        ("leave_one_out", 10),
+        ("second_dataset_seed", "abc"),
+        ("second_dataset_seed", None),
+        ("second_dataset_seed", 1.5),
+        ("second_dataset_seed", True),
+        ("eta", 0),
+        ("eta", -0.1),
+        ("eta", "abc"),
+        ("eta", float("nan")),
+        ("steps", 0),
+        ("steps", 2.5),
+        ("steps", True),
+    ])
+    def test_bad_strain_value_rejected_before_running(self, tmp_path, capsys,
+                                                      key, value):
+        rc = main(["strain", "--config", self._strain_pair(tmp_path, key, value)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines
+        assert not any((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("leave_one_out", 9),
+        ("second_dataset_seed", 5),
+        ("eta", 1),
+        ("steps", 1),
+    ])
+    def test_good_strain_value_accepted(self, tmp_path, key, value):
+        assert main(["strain", "--config", self._strain_pair(tmp_path, key, value)]) == 0

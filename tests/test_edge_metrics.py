@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from edge_lab import edge_metrics as em
-from edge_lab.loss_models import (LossModel, make_mlp, make_quadratic,
-                                  make_scalar_poly, make_synthetic_dataset,
+from edge_lab.loss_models import (LossModel, MlpModel, make_mlp,
+                                  make_quadratic, make_scalar_poly,
+                                  make_synthetic_dataset,
                                   make_two_layer_linear, balanced_minimizer)
+from edge_lab.numerics import lambda_max_iter
 from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
 
 
@@ -177,6 +179,27 @@ class TestProfileAndLocalization:
             [rec] = em.localize(model, log, k, (table.rtilde[k],))
             lam = em.localized_sharpness(model, log, rec)
             assert lam >= rec.target - 1e-8
+
+    def test_localized_sharpness_reuses_one_linearization(self, mlp_run, monkeypatch):
+        """The Lanczos path (dim > 64) runs one forward pass for all its
+        products, and its estimate is the one from per-product hvp calls."""
+        model, log = mlp_run
+        assert model.dim > 64
+        rec = em.LocalizationRecord(k=5, point=0.4, target=0.0, q_at_point=0.0,
+                                    constant_profile=False)
+        w_pt = log.w(5) + 0.4 * log.steps[5]
+        per_call = lambda_max_iter(lambda v: model.hvp(w_pt, v), model.dim,
+                                   v0=log.steps[5] / np.linalg.norm(log.steps[5]))
+        calls = []
+        forward = MlpModel._forward
+
+        def counting_forward(self, params, X):
+            calls.append(1)
+            return forward(self, params, X)
+
+        monkeypatch.setattr(MlpModel, "_forward", counting_forward)
+        assert em.localized_sharpness(model, log, rec) == per_call
+        assert len(calls) == 1
 
     def test_two_targets_match_single_target_calls(self, mlp_run):
         model, log = mlp_run

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from edge_lab import loss_models
 from edge_lab.loss_models import (LossModel, MlpModel, QuadraticModel,
                                   ScalarPolyModel, TwoLayerLinearModel,
                                   balanced_minimizer, make_mlp,
@@ -157,8 +158,20 @@ def _column_oracle(model, w):
     return (H + H.T) / 2.0
 
 
+def _block_mlps():
+    """Two- and three-layer MLPs; the three-layer ones have dim 73, so a
+    dense Hessian spans three blocks of the stacked kernel."""
+    ds = make_synthetic_dataset(4, 40, 4, 3, noise=0.05)
+    return [make_mlp(widths, activation, ds)
+            for widths in ([4, 5, 3], [4, 5, 5, 3]) for activation in ("tanh", "gelu")]
+
+
 class TestStackedHvp:
     """hvp maps an (m, dim) stack of row directions in one kernel call."""
+
+    @pytest.fixture(params=_block_mlps(), ids=lambda m: m.name)
+    def mlp(self, request):
+        return request.param
 
     @pytest.mark.parametrize("model", _all_models() + [_QuarticBowl()],
                              ids=lambda m: m.name)
@@ -194,6 +207,45 @@ class TestStackedHvp:
         monkeypatch.setattr(MlpModel, "_forward", counting_forward)
         model.hessian_dense(model.init_params(seed=1))
         assert len(calls) == 1
+
+    def test_rows_bit_equal_single_calls_across_blocks(self, mlp):
+        """A stack of two full blocks and a partial one: every row equals
+        the same direction passed alone, bit for bit."""
+        rng = np.random.default_rng(15)
+        w = mlp.init_params(seed=2, scale=1.5)
+        V = rng.standard_normal((2 * loss_models._HVP_BLOCK + 5, mlp.dim))
+        HV = mlp.hvp(w, V)
+        assert HV.shape == V.shape
+        for i in range(V.shape[0]):
+            assert np.array_equal(HV[i], mlp.hvp(w, V[i]))
+
+    @pytest.mark.parametrize("model", _all_models() + _block_mlps() + [_QuarticBowl()],
+                             ids=lambda m: m.name)
+    def test_operator_bit_equal_hvp(self, model):
+        rng = np.random.default_rng(16)
+        w = 0.5 * rng.standard_normal(model.dim)
+        V = rng.standard_normal((loss_models._HVP_BLOCK + 3, model.dim))
+        op = model.hvp_at(w)
+        assert np.array_equal(op(V), model.hvp(w, V))
+        assert np.array_equal(op(V[0]), model.hvp(w, V[0]))
+
+    @pytest.mark.parametrize("model", _block_mlps()[2:], ids=lambda m: m.name)
+    def test_three_layer_dense_hessian_bit_equal_column_oracle(self, model):
+        assert model.dim == 73 > 2 * loss_models._HVP_BLOCK
+        w = model.init_params(seed=3, scale=1.5)
+        H = model.hessian_dense(w)
+        assert np.array_equal(H, _column_oracle(model, w))
+
+    @pytest.mark.parametrize("model", _block_mlps()[2:], ids=lambda m: m.name)
+    def test_three_layer_hvp_matches_gradient_differences(self, model):
+        rng = np.random.default_rng(17)
+        w = model.init_params(seed=4, scale=1.5)
+        h = 1e-5
+        for _ in range(3):
+            v = rng.standard_normal(model.dim)
+            fd = (model.gradient(w + h * v) - model.gradient(w - h * v)) / (2 * h)
+            hv = model.hvp(w, v)
+            assert np.linalg.norm(hv - fd) <= 1e-7 * np.linalg.norm(hv)
 
 
 class TestScalarPoly:
