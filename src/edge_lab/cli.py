@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -42,8 +42,8 @@ def _fail(path: str, message: str):
 
 @contextlib.contextmanager
 def _config_values(path: str):
-    """Report a ValueError or TypeError raised while turning config values
-    into a resolved config, model or initial point as a config error."""
+    """Report a ValueError or TypeError raised while building a model or an
+    initial point from a resolved config as a config error."""
     try:
         yield
     except ConfigError:
@@ -52,108 +52,153 @@ def _config_values(path: str):
         _fail(path, str(exc))
 
 
-def _check_keys(obj: dict, allowed, path: str):
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    for key in obj:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown key")
+# Config readers. Each reads one key, named by its full path
+# ("model.dataset.n"), from the object ``cfg`` that holds it, and returns
+# the value or raises ConfigError naming that path. A key whose reader has
+# no default is required; null is accepted only where the default is null.
+# Numbers are finite JSON numbers, counts JSON integers, flags JSON
+# booleans; nothing is coerced from strings or booleans. A key that no
+# reader takes is unknown.
+
+_REQUIRED = object()
 
 
-def _flag(cfg: dict, key: str, default: bool | None) -> bool | None:
-    """A JSON boolean; null too where the default (None) is derived later."""
-    value = cfg.get(key, default)
-    if not isinstance(value, bool) and not (value is None and default is None):
-        _fail(key, "must be true or false" if default is not None
-              else "must be true, false or null")
-    return value
-
-
-def _integer(cfg: dict, key: str, minimum: int | None,
-             default: int | None = None) -> int | None:
-    """A JSON integer (not a boolean) of at least ``minimum``, or the default
-    when the key is absent."""
+def _read(cfg, path: str, ok, what: str, default=_REQUIRED):
+    parent, _, key = path.rpartition(".")
+    if not isinstance(cfg, dict):
+        _fail(parent, "expected an object")
     if key not in cfg:
+        if default is _REQUIRED:
+            _fail(path, "required")
         return default
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(key, "must be an integer")
-    if minimum is not None and value < minimum:
-        _fail(key, f"must be an integer >= {minimum}")
+    if not (ok(value) or (value is None and default is None)):
+        _fail(path, f"must be {what}" + (" or null" if default is None else ""))
     return value
 
 
-def _deltas(cfg: dict) -> list | None:
-    """Window half-widths: null (the defaults) or positive finite numbers."""
-    deltas = cfg.get("deltas")
-    if deltas is not None and not (
-            isinstance(deltas, list) and deltas
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(x) and x > 0 for x in deltas)):
-        _fail("deltas", "must be null or a non-empty list of positive finite numbers")
-    return deltas
+def _object(cfg: dict, path: str, resolved: dict) -> dict:
+    """``resolved``, once ``cfg`` (the object at ``path`` it was read from)
+    holds no key beyond it."""
+    for key in cfg:
+        if key not in resolved:
+            _fail(f"{path}.{key}" if path else key, "unknown key")
+    return resolved
+
+
+def _finite(x, positive: bool = False) -> bool:
+    # The bound rejects NaN, infinities and integers beyond the float range.
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max and (x > 0 or not positive))
+
+
+def _whole(x, minimum: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
+
+
+def _number(cfg, path: str, positive: bool = False, default=_REQUIRED) -> float:
+    return float(_read(cfg, path, lambda x: _finite(x, positive),
+                       f"a {'positive ' if positive else ''}finite number", default))
+
+
+def _numbers(cfg, path: str, positive: bool = False,
+             default=_REQUIRED) -> list | None:
+    values = _read(cfg, path, lambda v: isinstance(v, list) and v != [] and all(
+        _finite(x, positive) for x in v),
+        f"a non-empty list of {'positive ' if positive else ''}finite numbers",
+        default)
+    return None if values is None else [float(x) for x in values]
+
+
+def _matrix(cfg, path: str) -> list:
+    rows = _read(cfg, path, lambda v: isinstance(v, list) and v != [] and all(
+        isinstance(r, list) and r != [] and all(map(_finite, r)) for r in v),
+        "a non-empty list of non-empty rows of finite numbers")
+    return [[float(x) for x in row] for row in rows]
+
+
+def _integer(cfg, path: str, minimum: int, default=_REQUIRED) -> int | None:
+    return _read(cfg, path, lambda x: _whole(x, minimum),
+                 f"an integer >= {minimum}", default)
+
+
+def _flag(cfg, path: str, default=_REQUIRED) -> bool | None:
+    return _read(cfg, path, lambda x: isinstance(x, bool), "true or false", default)
+
+
+def _choice(cfg, path: str, choices, default=_REQUIRED) -> str:
+    return _read(cfg, path, lambda x: isinstance(x, str) and x in choices,
+                 "one of " + ", ".join(map(repr, choices)), default)
+
+
+def _string(cfg, path: str, default=_REQUIRED) -> str:
+    return _read(cfg, path, lambda x: isinstance(x, str) and x != "",
+                 "a non-empty string", default)
 
 
 def _resolve_dataset(cfg: dict, path: str) -> dict:
-    _check_keys(cfg, {"seed", "n", "d_in", "d_out", "teacher_rank", "noise",
-                      "teacher_spectrum"}, path)
-    for key in ("seed", "n", "d_in", "d_out"):
-        if key not in cfg:
-            _fail(f"{path}.{key}", "required")
-    return {
-        "seed": int(cfg["seed"]), "n": int(cfg["n"]),
-        "d_in": int(cfg["d_in"]), "d_out": int(cfg["d_out"]),
-        "teacher_rank": cfg.get("teacher_rank"),
-        "noise": float(cfg.get("noise", 0.0)),
-        "teacher_spectrum": cfg.get("teacher_spectrum"),
-    }
+    ds = _read(cfg, path, lambda v: isinstance(v, dict), "an object")
+    noise = _number(ds, f"{path}.noise", default=0.0)
+    if noise < 0:
+        _fail(f"{path}.noise", "must be a finite number >= 0")
+    return _object(ds, path, {
+        "seed": _integer(ds, f"{path}.seed", 0), "n": _integer(ds, f"{path}.n", 1),
+        "d_in": _integer(ds, f"{path}.d_in", 1),
+        "d_out": _integer(ds, f"{path}.d_out", 1),
+        "teacher_rank": _integer(ds, f"{path}.teacher_rank", 1, default=None),
+        "noise": noise,
+        "teacher_spectrum": _numbers(ds, f"{path}.teacher_spectrum",
+                                     positive=True, default=None),
+    })
 
 
 def _build_dataset(res: dict) -> loss_models.Dataset:
-    return loss_models.make_synthetic_dataset(
+    """The dataset of a resolved entry; an entry given a ``leave_one_out``
+    index (the strain pairing) lacks that row."""
+    ds = loss_models.make_synthetic_dataset(
         res["seed"], res["n"], res["d_in"], res["d_out"],
         teacher_rank=res["teacher_rank"], noise=res["noise"],
         teacher_spectrum=res["teacher_spectrum"])
+    if res.get("leave_one_out") is None:
+        return ds
+    return dataclasses.replace(ds, X=np.delete(ds.X, res["leave_one_out"], axis=0),
+                               Y=np.delete(ds.Y, res["leave_one_out"], axis=0))
 
 
-def _resolve_model(cfg: dict, path: str = "model") -> dict:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        _fail(path, "model requires a 'kind'")
-    kind = cfg["kind"]
+def _resolve_model(cfg: dict, path: str) -> dict:
+    model = _read(cfg, path, lambda v: isinstance(v, dict), "an object")
+    kind = _choice(model, f"{path}.kind",
+                   ("quadratic", "scalar_poly", "two_layer_linear", "mlp"))
     if kind == "quadratic":
-        _check_keys(cfg, {"kind", "matrix", "diag", "center"}, path)
-        if ("matrix" in cfg) == ("diag" in cfg):
+        if ("matrix" in model) == ("diag" in model):
             _fail(path, "give exactly one of 'matrix' or 'diag'")
-        return {"kind": kind,
-                "matrix": cfg.get("matrix"), "diag": cfg.get("diag"),
-                "center": cfg.get("center", 0.0)}
+        center = (_numbers if isinstance(model.get("center"), list) else _number)(
+            model, f"{path}.center", default=0.0)
+        return _object(model, path, {
+            "kind": kind, "center": center,
+            "matrix": _matrix(model, f"{path}.matrix") if "matrix" in model else None,
+            "diag": _numbers(model, f"{path}.diag") if "diag" in model else None})
     if kind == "scalar_poly":
-        _check_keys(cfg, {"kind", "lam", "gamma", "beta"}, path)
-        if "lam" not in cfg:
-            _fail(f"{path}.lam", "required")
-        return {"kind": kind, "lam": float(cfg["lam"]),
-                "gamma": float(cfg.get("gamma", 0.0)),
-                "beta": float(cfg.get("beta", 0.0))}
+        return _object(model, path, {
+            "kind": kind, "lam": _number(model, f"{path}.lam"),
+            "gamma": _number(model, f"{path}.gamma", default=0.0),
+            "beta": _number(model, f"{path}.beta", default=0.0)})
     if kind == "two_layer_linear":
-        _check_keys(cfg, {"kind", "hidden", "target", "dataset", "rank"}, path)
-        if "hidden" not in cfg:
-            _fail(f"{path}.hidden", "required")
-        if ("target" in cfg) == ("dataset" in cfg):
+        if ("target" in model) == ("dataset" in model):
             _fail(path, "give exactly one of 'target' or 'dataset'")
-        out = {"kind": kind, "hidden": int(cfg["hidden"]),
-               "target": cfg.get("target"), "rank": cfg.get("rank")}
-        out["dataset"] = (_resolve_dataset(cfg["dataset"], f"{path}.dataset")
-                          if "dataset" in cfg else None)
-        return out
-    if kind == "mlp":
-        _check_keys(cfg, {"kind", "widths", "activation", "dataset"}, path)
-        for key in ("widths", "dataset"):
-            if key not in cfg:
-                _fail(f"{path}.{key}", "required")
-        return {"kind": kind, "widths": [int(v) for v in cfg["widths"]],
-                "activation": cfg.get("activation", "tanh"),
-                "dataset": _resolve_dataset(cfg["dataset"], f"{path}.dataset")}
-    _fail(f"{path}.kind", f"unknown model kind {kind!r}")
+        return _object(model, path, {
+            "kind": kind, "hidden": _integer(model, f"{path}.hidden", 1),
+            "target": _matrix(model, f"{path}.target") if "target" in model else None,
+            "rank": _integer(model, f"{path}.rank", 1, default=None),
+            "dataset": (_resolve_dataset(model, f"{path}.dataset")
+                        if "dataset" in model else None)})
+    return _object(model, path, {
+        "kind": kind,
+        "widths": _read(model, f"{path}.widths", lambda v: isinstance(v, list)
+                        and len(v) >= 2 and all(_whole(x, 1) for x in v),
+                        "a list of at least two integers >= 1"),
+        "activation": _choice(model, f"{path}.activation", ("tanh", "gelu"), "tanh"),
+        "dataset": _resolve_dataset(model, f"{path}.dataset")})
 
 
 def _linear_target(res: dict) -> np.ndarray:
@@ -163,7 +208,7 @@ def _linear_target(res: dict) -> np.ndarray:
     M = np.linalg.lstsq(ds.X, ds.Y, rcond=None)[0].T
     if res["rank"] is not None:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        r = int(res["rank"])
+        r = res["rank"]
         M = (U[:, :r] * s[:r]) @ Vt[:r]
     return M
 
@@ -172,11 +217,8 @@ def _linear_target(res: dict) -> np.ndarray:
 def _build_model(res: dict) -> loss_models.LossModel:
     kind = res["kind"]
     if kind == "quadratic":
-        H = np.diag(np.asarray(res["diag"], float)) if res["diag"] is not None \
-            else np.asarray(res["matrix"], float)
-        center = res["center"]
-        return loss_models.make_quadratic(H, np.asarray(center, float)
-                                          if isinstance(center, list) else center)
+        H = np.diag(res["diag"]) if res["diag"] is not None else res["matrix"]
+        return loss_models.make_quadratic(H, res["center"])
     if kind == "scalar_poly":
         return loss_models.make_scalar_poly(res["lam"], res["gamma"], res["beta"])
     if kind == "two_layer_linear":
@@ -188,22 +230,17 @@ def _build_model(res: dict) -> loss_models.LossModel:
 
 
 def _resolve_init(cfg: dict) -> dict:
-    if not isinstance(cfg, dict) or "mode" not in cfg:
-        _fail("init", "init requires a 'mode'")
-    mode = cfg["mode"]
+    init = _read(cfg, "init", lambda v: isinstance(v, dict), "an object")
+    mode = _choice(init, "init.mode", ("vector", "gaussian", "minimizer_offset"))
     if mode == "vector":
-        _check_keys(cfg, {"mode", "values"}, "init")
-        if "values" not in cfg:
-            _fail("init.values", "required")
-        return {"mode": mode, "values": [float(v) for v in cfg["values"]]}
+        return _object(init, "init", {"mode": mode,
+                                      "values": _numbers(init, "init.values")})
     if mode == "gaussian":
-        _check_keys(cfg, {"mode", "seed", "scale"}, "init")
-        return {"mode": mode, "seed": int(cfg.get("seed", 0)),
-                "scale": float(cfg.get("scale", 1.0))}
-    if mode == "minimizer_offset":
-        _check_keys(cfg, {"mode", "scale"}, "init")
-        return {"mode": mode, "scale": float(cfg.get("scale", 1e-3))}
-    _fail("init.mode", f"unknown init mode {mode!r}")
+        return _object(init, "init", {
+            "mode": mode, "seed": _integer(init, "init.seed", 0, default=0),
+            "scale": _number(init, "init.scale", default=1.0)})
+    return _object(init, "init", {
+        "mode": mode, "scale": _number(init, "init.scale", default=1e-3)})
 
 
 @_config_values("init")
@@ -238,7 +275,9 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config error: file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config error: cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # malformed JSON or UTF-8, an over-long integer
         raise ConfigError(f"config error: invalid JSON: {exc}")
 
 
@@ -249,8 +288,11 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _out_dir(resolved: dict, args) -> Path:
-    out = Path(args.out) if args.out else Path(resolved["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out or resolved["out_dir"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        _fail("--out" if args.out else "out_dir", f"cannot create {out}: {exc}")
     return out
 
 
@@ -258,34 +300,21 @@ def _out_dir(resolved: dict, args) -> Path:
 # run
 # ---------------------------------------------------------------------------
 
-_RUN_KEYS = {"model", "init", "eta", "steps", "route", "localize", "include_w",
-             "thin_stride", "deltas", "out_dir"}
+_ROUTES = ("quadrature", "loss")
 
 
 def _resolve_run(cfg: dict) -> dict:
-    _check_keys(cfg, _RUN_KEYS, "")
-    for key in ("model", "init", "eta", "steps"):
-        if key not in cfg:
-            _fail(key, "required")
-    model_res = _resolve_model(cfg["model"])
-    resolved = {
-        "command": "run",
-        "model": model_res,
-        "init": _resolve_init(cfg["init"]),
-        "eta": float(cfg["eta"]),
-        "steps": int(cfg["steps"]),
-        "route": cfg.get("route", "quadrature"),
+    return _object(cfg, "", {
+        "model": _resolve_model(cfg, "model"),
+        "init": _resolve_init(cfg),
+        "eta": _number(cfg, "eta", positive=True),
+        "steps": _integer(cfg, "steps", 1),
+        "route": _choice(cfg, "route", _ROUTES, "quadrature"),
         "localize": _flag(cfg, "localize", False),
         "include_w": _flag(cfg, "include_w", None),
-        "thin_stride": int(cfg.get("thin_stride", 1)),
-        "deltas": _deltas(cfg),
-        "out_dir": cfg.get("out_dir", "."),
-    }
-    if resolved["route"] not in ("quadrature", "loss"):
-        _fail("route", "must be 'quadrature' or 'loss'")
-    if resolved["eta"] <= 0 or resolved["steps"] < 1:
-        _fail("eta", "eta must be positive and steps >= 1")
-    return resolved
+        "deltas": _numbers(cfg, "deltas", positive=True, default=None),
+        "out_dir": _string(cfg, "out_dir", "."),
+    })
 
 
 def cmd_run(resolved: dict, out: Path) -> int:
@@ -295,8 +324,7 @@ def cmd_run(resolved: dict, out: Path) -> int:
         resolved["include_w"] = model.dim <= 32
     _write_json(out / "resolved_config.json", resolved)
 
-    log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"],
-                            thin_stride=resolved["thin_stride"])
+    log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
     trajectory.write_trajectory_csv(log, out / "trajectory.csv",
                                     include_w=resolved["include_w"])
     table = edge_metrics.curvature_table(model, log, resolved["route"])
@@ -315,27 +343,16 @@ def cmd_run(resolved: dict, out: Path) -> int:
 # balance
 # ---------------------------------------------------------------------------
 
-_BALANCE_KEYS = {"model", "init", "etas", "steps", "route", "deltas", "out_dir"}
-
-
 def _resolve_balance(cfg: dict) -> dict:
-    _check_keys(cfg, _BALANCE_KEYS, "")
-    for key in ("model", "init", "etas", "steps"):
-        if key not in cfg:
-            _fail(key, "required")
-    etas = [float(e) for e in cfg["etas"]]
-    if not etas or any(e <= 0 for e in etas):
-        _fail("etas", "must be a non-empty list of positive step sizes")
-    return {
-        "command": "balance",
-        "model": _resolve_model(cfg["model"]),
-        "init": _resolve_init(cfg["init"]),
-        "etas": etas,
-        "steps": int(cfg["steps"]),
-        "route": cfg.get("route", "quadrature"),
-        "deltas": _deltas(cfg),
-        "out_dir": cfg.get("out_dir", "."),
-    }
+    return _object(cfg, "", {
+        "model": _resolve_model(cfg, "model"),
+        "init": _resolve_init(cfg),
+        "etas": _numbers(cfg, "etas", positive=True),
+        "steps": _integer(cfg, "steps", 1),
+        "route": _choice(cfg, "route", _ROUTES, "quadrature"),
+        "deltas": _numbers(cfg, "deltas", positive=True, default=None),
+        "out_dir": _string(cfg, "out_dir", "."),
+    })
 
 
 def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
@@ -379,32 +396,28 @@ def cmd_balance(resolved: dict, out: Path) -> int:
 # bifurcate
 # ---------------------------------------------------------------------------
 
-_BIF_KEYS = {"model", "etas", "modes", "run_steps", "run_offset",
-             "discard_frac", "out_dir"}
+_MODES = ("continuation", "empirical")
 
 
 def _resolve_bifurcate(cfg: dict) -> dict:
-    _check_keys(cfg, _BIF_KEYS, "")
-    for key in ("model", "etas"):
-        if key not in cfg:
-            _fail(key, "required")
-    model_res = _resolve_model(cfg["model"])
+    model_res = _resolve_model(cfg, "model")
     if model_res["kind"] not in ("scalar_poly", "two_layer_linear"):
         _fail("model.kind", "bifurcate supports scalar_poly and two_layer_linear")
-    modes = cfg.get("modes", ["continuation", "empirical"])
-    for m in modes:
-        if m not in ("continuation", "empirical"):
-            _fail("modes", f"unknown mode {m!r}")
-    return {
-        "command": "bifurcate",
+    discard_frac = _number(cfg, "discard_frac", default=0.8)
+    if not 0 <= discard_frac < 1:
+        _fail("discard_frac", "must be a number in [0, 1)")
+    return _object(cfg, "", {
         "model": model_res,
-        "etas": [float(e) for e in cfg["etas"]],
-        "modes": list(modes),
-        "run_steps": int(cfg.get("run_steps", 2000)),
-        "run_offset": float(cfg.get("run_offset", 1e-3)),
-        "discard_frac": float(cfg.get("discard_frac", 0.8)),
-        "out_dir": cfg.get("out_dir", "."),
-    }
+        "etas": _numbers(cfg, "etas", positive=True),
+        "modes": _read(cfg, "modes", lambda v: isinstance(v, list) and v != []
+                       and all(isinstance(m, str) and m in _MODES for m in v),
+                       "a non-empty list of 'continuation' and 'empirical'",
+                       list(_MODES)),
+        "run_steps": _integer(cfg, "run_steps", 1, 2000),
+        "run_offset": _number(cfg, "run_offset", default=1e-3),
+        "discard_frac": discard_frac,
+        "out_dir": _string(cfg, "out_dir", "."),
+    })
 
 
 def cmd_bifurcate(resolved: dict, out: Path) -> int:
@@ -452,63 +465,46 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
 # strain
 # ---------------------------------------------------------------------------
 
-_STRAIN_KEYS = {"model", "init", "eta", "steps", "leave_one_out",
-                "second_dataset_seed", "second_model", "quadrature_order",
-                "adaptive", "out_dir"}
-
-
 def _resolve_strain(cfg: dict) -> dict:
-    _check_keys(cfg, _STRAIN_KEYS, "")
-    for key in ("model", "init", "eta", "steps"):
-        if key not in cfg:
-            _fail(key, "required")
+    model_res = _resolve_model(cfg, "model")
     variants = [k for k in ("leave_one_out", "second_dataset_seed", "second_model")
                 if k in cfg]
     if len(variants) != 1:
         _fail("", "give exactly one of leave_one_out / second_dataset_seed / "
                   "second_model")
-    eta = cfg["eta"]
-    if (isinstance(eta, bool) or not isinstance(eta, (int, float))
-            or not (math.isfinite(eta) and eta > 0)):
-        _fail("eta", "must be a positive finite number")
-    return {
-        "command": "strain",
-        "model": _resolve_model(cfg["model"]),
-        "init": _resolve_init(cfg["init"]),
-        "eta": float(eta),
+    resolved = _object(cfg, "", {
+        "model": model_res,
+        "init": _resolve_init(cfg),
+        "eta": _number(cfg, "eta", positive=True),
         "steps": _integer(cfg, "steps", 1),
-        "leave_one_out": _integer(cfg, "leave_one_out", 0),
-        "second_dataset_seed": _integer(cfg, "second_dataset_seed", None),
-        "second_model": (_resolve_model(cfg["second_model"], "second_model")
+        "leave_one_out": (_integer(cfg, "leave_one_out", 0)
+                          if "leave_one_out" in cfg else None),
+        "second_dataset_seed": (_integer(cfg, "second_dataset_seed", 0)
+                                if "second_dataset_seed" in cfg else None),
+        "second_model": (_resolve_model(cfg, "second_model")
                          if "second_model" in cfg else None),
         "quadrature_order": _integer(cfg, "quadrature_order", 1, default=4),
         "adaptive": _flag(cfg, "adaptive", False),
-        "out_dir": cfg.get("out_dir", "."),
-    }
+        "out_dir": _string(cfg, "out_dir", "."),
+    })
+    dataset = model_res.get("dataset")
+    if variants != ["second_model"] and dataset is None:
+        _fail(variants[0], "needs a model with a dataset")
+    if "leave_one_out" in cfg and resolved["leave_one_out"] >= dataset["n"]:
+        _fail("leave_one_out", f"must be below model.dataset.n = {dataset['n']}")
+    return resolved
 
 
-def _second_model(resolved: dict, model_s) -> loss_models.LossModel:
-    res = resolved["model"]
+def _second_model(resolved: dict) -> loss_models.LossModel:
+    """The second objective: ``second_model``, or the model on its dataset
+    with another seed or with one row left out."""
     if resolved["second_model"] is not None:
         return _build_model(resolved["second_model"])
-    if res["kind"] not in ("mlp", "two_layer_linear") or res.get("dataset") is None:
-        raise ConfigError("config error: leave_one_out / second_dataset_seed "
-                          "need a dataset-backed model")
-    if resolved["second_dataset_seed"] is not None:
-        res2 = dict(res)
-        res2["dataset"] = dict(res["dataset"], seed=resolved["second_dataset_seed"])
-        return _build_model(res2)
-    idx = resolved["leave_one_out"]
-    ds = _build_dataset(res["dataset"])
-    if not 0 <= idx < ds.n:
-        raise ConfigError("config error at leave_one_out: index out of range")
-    keep = np.array([i for i in range(ds.n) if i != idx])
-    ds2 = loss_models.Dataset(X=ds.X[keep], Y=ds.Y[keep], seed=ds.seed,
-                              teacher_rank=ds.teacher_rank)
-    if res["kind"] == "mlp":
-        return loss_models.make_mlp(res["widths"], res["activation"], ds2)
-    M = np.linalg.lstsq(ds2.X, ds2.Y, rcond=None)[0].T
-    return loss_models.make_two_layer_linear(M, res["hidden"])
+    res = resolved["model"]
+    edit = ({"seed": resolved["second_dataset_seed"]}
+            if resolved["leave_one_out"] is None
+            else {"leave_one_out": resolved["leave_one_out"]})
+    return _build_model(dict(res, dataset=dict(res["dataset"], **edit)))
 
 
 def cmd_strain(resolved: dict, out: Path) -> int:
@@ -517,7 +513,7 @@ def cmd_strain(resolved: dict, out: Path) -> int:
         raise ConfigError(
             f"config error at model: strain needs dense Hessians, available for "
             f"dim <= {DENSE_DIM_LIMIT} (model has dim {model_s.dim})")
-    model_sp = _second_model(resolved, model_s)
+    model_sp = _second_model(resolved)
     if model_sp.dim != model_s.dim:
         raise ConfigError(
             f"config error at second_model: paired models must share the "
@@ -672,8 +668,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        with _config_values(""):
-            resolved = _RESOLVERS[args.command](_load_config(args.config))
+        resolved = {"command": args.command,
+                    **_RESOLVERS[args.command](_load_config(args.config))}
         out = _out_dir(resolved, args)
         return _COMMANDS[args.command](resolved, out)
     except ConfigError as exc:

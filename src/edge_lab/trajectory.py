@@ -1,9 +1,8 @@
 """Gradient-descent runners and per-step trajectory logs.
 
 Deterministic full-batch GD, noisy SGD (Gaussian or mini-batch residual
-noise), and synchronized two-objective pairs. Logs keep every step
-increment and loss densely; iterates may be thinned and are rebuilt
-bit-exactly from the stored anchors.
+noise), and synchronized two-objective pairs. Logs keep every iterate,
+step increment, loss and gradient densely.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ ITERATE_DIVERGENCE = 1e8
 class TrajectoryLog:
     """Complete per-step record of a gradient-descent run.
 
-    ``steps[k]`` is w_{k+1} - w_k; losses and gradients are stored for
-    every iterate 0..K. Iterates are stored every ``stride`` steps and
-    reconstructed exactly by replaying the stored increments.
+    ``steps[k]`` is w_{k+1} - w_k; iterates (``w_stored``), losses and
+    gradients are stored for every step 0..K.
     """
 
     eta: float
@@ -50,7 +48,6 @@ class TrajectoryLog:
     grads: Array
     steps: Array
     w_stored: Array
-    stride: int = 1
     diverged: bool = False
     divergence_step: int | None = None
 
@@ -65,11 +62,7 @@ class TrajectoryLog:
     def w(self, k: int) -> Array:
         if not 0 <= k <= self.num_steps:
             raise IndexError(f"step {k} outside 0..{self.num_steps}")
-        anchor = k - (k % self.stride)
-        x = self.w_stored[anchor // self.stride].copy()
-        for j in range(anchor, k):
-            x += self.steps[j]
-        return x
+        return self.w_stored[k].copy()
 
 
 @dataclass
@@ -132,14 +125,13 @@ class NoiseSource:
         return model.gradient_batch(w, idx) - grad
 
 
-def run_gd(model: LossModel, w0: Array, eta: float, K: int,
-           thin_stride: int = 1) -> TrajectoryLog:
+def run_gd(model: LossModel, w0: Array, eta: float, K: int) -> TrajectoryLog:
     """Full-batch gradient descent for K steps.
 
     On divergence (non-finite or exploding loss/iterate) the log is
     truncated at the offending step and flagged.
     """
-    return _run(model, w0, eta, K, thin_stride, noise=None)
+    return _run(model, w0, eta, K, noise=None)
 
 
 def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
@@ -148,10 +140,10 @@ def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
 
     The noise actually applied at each step is recorded verbatim.
     """
-    return _run(model, w0, eta, K, thin_stride=1, noise=noise)
+    return _run(model, w0, eta, K, noise=noise)
 
 
-def _run(model, w0, eta, K, thin_stride, noise):
+def _run(model, w0, eta, K, noise):
     if eta <= 0:
         raise ValueError("eta must be positive")
     if K < 1:
@@ -159,7 +151,6 @@ def _run(model, w0, eta, K, thin_stride, noise):
     w = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
     if w.shape != (model.dim,):
         raise ValueError(f"w0 must have dimension {model.dim}")
-    stride = max(int(thin_stride), 1)
 
     # One buffer per logged quantity, filled in place; on divergence the
     # log keeps the prefix of the n steps taken.
@@ -167,8 +158,8 @@ def _run(model, w0, eta, K, thin_stride, noise):
     grads = np.empty((K + 1, model.dim))
     steps = np.empty((K, model.dim))
     noises = np.empty((K, model.dim)) if noise is not None else None
-    anchors = np.empty((K // stride + 1, model.dim))
-    anchors[0] = w
+    iterates = np.empty((K + 1, model.dim))
+    iterates[0] = w
     losses[0], grads[0] = model.value_and_grad(w)
     n = 0
     div_step = 0 if _diverged(losses[0], w) else None
@@ -184,14 +175,12 @@ def _run(model, w0, eta, K, thin_stride, noise):
             div_step = n + 1
             break
         n += 1
-        losses[n], grads[n] = loss, g
-        if n % stride == 0:
-            anchors[n // stride] = w
+        losses[n], grads[n], iterates[n] = loss, g, w
 
     kwargs = dict(
         eta=float(eta), model_id=model.name,
         losses=losses[:n + 1], grads=grads[:n + 1], steps=steps[:n],
-        w_stored=anchors[:n // stride + 1], stride=stride,
+        w_stored=iterates[:n + 1],
         diverged=div_step is not None, divergence_step=div_step)
     if noise is not None:
         return StochasticTrajectoryLog(noise=noises[:n], **kwargs)

@@ -1,5 +1,6 @@
 """Config validation, output determinism, and the verify integrity checks."""
 
+import copy
 import json
 import os
 import subprocess
@@ -8,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import edge_lab
 from edge_lab import edge_metrics as em
-from edge_lab.cli import main
+from edge_lab.cli import _RESOLVERS, ConfigError, main
 from edge_lab.loss_models import make_mlp, make_quadratic, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
 
@@ -20,6 +22,17 @@ def _write_config(path, cfg):
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     return str(path)
+
+
+def _with(cfg, key, value):
+    """A deep copy of ``cfg`` with the value at the dotted path ``key`` set."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = key.split(".")
+    obj = cfg
+    for name in parents:
+        obj = obj[name]
+    obj[last] = value
+    return cfg
 
 
 def _csv_rows(path):
@@ -72,7 +85,7 @@ class TestConfigValidation:
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["route"] == "quadrature"
-        assert resolved["thin_stride"] == 1
+        assert "thin_stride" not in resolved
         assert "seed" not in resolved
 
 
@@ -271,6 +284,24 @@ class TestStrainCommand:
         assert summary["max_recurrence_residual"] <= 1e-6
         assert summary["final_strain_norm"] > 0
 
+    def test_leave_one_out_rank_limited_linear(self, tmp_path):
+        """The left-out objective keeps the model's rank limit: a width-6
+        linear net on a noisy dataset, whose rank-8 least-squares target
+        is truncated to rank 3."""
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "two_layer_linear", "hidden": 6, "rank": 3,
+                      "dataset": {"seed": 2, "n": 40, "d_in": 10, "d_out": 8,
+                                  "teacher_rank": 3, "noise": 0.1}},
+            "init": {"mode": "minimizer_offset", "scale": 0.01},
+            "eta": 0.1, "steps": 10, "leave_one_out": 0,
+            "out_dir": str(out),
+        }
+        assert main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = json.loads((out / "strain_summary.json").read_text())
+        assert summary["max_recurrence_residual"] <= 1e-10
+        assert summary["final_strain_norm"] > 0
+
     def test_model_above_dense_limit_rejected(self, tmp_path, capsys):
         """The README MLP (dim 533) is a config error, not a traceback."""
         out = tmp_path / "out"
@@ -437,6 +468,7 @@ class TestFailureContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error"), lines
 
+    # A base's first word is its command.
     _BASES = {
         "run": {"model": {"kind": "quadratic", "diag": [3.0]},
                 "init": {"mode": "vector", "values": [1.0]},
@@ -449,9 +481,16 @@ class TestFailureContract:
                                     "center": [0.1, 0.0]},
                    "init": {"mode": "vector", "values": [1.0, 1.0]},
                    "eta": 0.5, "steps": 5},
+        "bifurcate": {"model": {"kind": "scalar_poly", "lam": 1.0, "beta": -1.0},
+                      "etas": [2.1], "modes": ["empirical"], "run_steps": 50},
+        "bifurcate linear": {
+            "model": {"kind": "two_layer_linear", "hidden": 2, "rank": 1,
+                      "dataset": {"seed": 0, "n": 10, "d_in": 2, "d_out": 2,
+                                  "teacher_rank": 1}},
+            "etas": [0.6], "modes": ["empirical"], "run_steps": 50},
     }
 
-    @pytest.mark.parametrize("command, key, value", [
+    @pytest.mark.parametrize("base, key, value", [
         ("strain", "quadrature_order", 0),
         ("strain", "quadrature_order", -3),
         ("strain", "quadrature_order", 2.5),
@@ -468,21 +507,48 @@ class TestFailureContract:
         ("run", "include_w", 1),
         ("run", "localize", "yes"),
         ("run", "localize", None),
-    ])
+        ("run", "steps", 2.5),
+        ("run", "steps", True),
+        ("run", "thin_stride", 0),
+        ("run", "thin_stride", 2.7),
+        ("run", "eta", "0.5"),
+        ("run", "eta", float("nan")),
+        ("run", "eta", 10 ** 400),
+        ("run", "out_dir", 5),
+        ("run", "out_dir", None),
+        ("run", "model.diag", [3.0, float("inf")]),
+        ("run", "init.values", ["1"]),
+        ("balance", "route", "foo"),
+        ("balance", "steps", 0),
+        ("bifurcate", "model.lam", "3"),
+        ("bifurcate", "etas", [float("nan")]),
+        ("bifurcate", "etas", [0]),
+        ("bifurcate", "etas", [-2.1]),
+        ("bifurcate", "etas", 0.5),
+        ("bifurcate", "discard_frac", 1.5),
+        ("bifurcate", "run_steps", 0),
+        ("bifurcate", "run_offset", "x"),
+        ("bifurcate", "modes", ["empirical", "other"]),
+        ("bifurcate linear", "model.hidden", 2.5),
+        ("bifurcate linear", "model.rank", 0),
+        ("bifurcate linear", "model.dataset.teacher_rank", 1.5),
+        ("bifurcate linear", "model.dataset.teacher_spectrum", [1.0, -1.0]),
+        ("bifurcate linear", "model.dataset.noise", -0.1),
+    ], ids=lambda v: "10**400" if v == 10 ** 400 else None)
     def test_bad_value_rejected_before_running(self, tmp_path, capsys,
-                                               command, key, value):
-        """Each bad value is one config-error line naming its key, exit 2,
-        and nothing is written."""
+                                               base, key, value):
+        """Each bad value is one config-error line naming its key path,
+        exit 2, and nothing is written."""
         out = tmp_path / "out"
-        cfg = dict(self._BASES[command], out_dir=str(out))
-        cfg[key] = value
+        cfg = _with(dict(self._BASES[base], out_dir=str(out)), key, value)
+        command = base.split()[0]
         rc = main([command, "--config", _write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines
         assert not any(out.glob("*"))
 
-    @pytest.mark.parametrize("command, key, value", [
+    @pytest.mark.parametrize("base, key, value", [
         ("strain", "quadrature_order", 1),
         ("run", "deltas", [1, 0.5]),
         ("run", "deltas", None),
@@ -490,10 +556,15 @@ class TestFailureContract:
         ("run", "include_w", False),
         ("run", "localize", False),
         ("balance", "deltas", [2.0]),
+        ("bifurcate", "discard_frac", 0),
+        ("bifurcate", "etas", [2, 2.2]),
+        ("bifurcate linear", "model.rank", None),
+        ("bifurcate linear", "model.dataset.teacher_spectrum", [1.0]),
     ])
-    def test_good_value_accepted(self, tmp_path, command, key, value):
-        cfg = dict(self._BASES[command], out_dir=str(tmp_path / "out"))
-        cfg[key] = value
+    def test_good_value_accepted(self, tmp_path, base, key, value):
+        cfg = _with(dict(self._BASES[base], out_dir=str(tmp_path / "out")),
+                    key, value)
+        command = base.split()[0]
         assert main([command, "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
 
     _STRAIN_PAIR = {"model": {"kind": "mlp", "widths": [4, 3, 2],
@@ -507,8 +578,7 @@ class TestFailureContract:
         cfg = dict(self._STRAIN_PAIR, out_dir=str(tmp_path / "out"))
         if key != "second_dataset_seed":
             cfg["leave_one_out"] = 0
-        cfg[key] = value
-        return _write_config(tmp_path / "c.json", cfg)
+        return _write_config(tmp_path / "c.json", _with(cfg, key, value))
 
     @pytest.mark.parametrize("key, value", [
         ("leave_one_out", "abc"),
@@ -528,6 +598,12 @@ class TestFailureContract:
         ("steps", 0),
         ("steps", 2.5),
         ("steps", True),
+        ("model.widths", [4.9, 3, 2]),
+        ("model.dataset.n", 10.5),
+        ("model.dataset.seed", -1),
+        ("model.activation", None),
+        ("init.seed", True),
+        ("init.scale", float("nan")),
     ])
     def test_bad_strain_value_rejected_before_running(self, tmp_path, capsys,
                                                       key, value):
@@ -545,3 +621,100 @@ class TestFailureContract:
     ])
     def test_good_strain_value_accepted(self, tmp_path, key, value):
         assert main(["strain", "--config", self._strain_pair(tmp_path, key, value)]) == 0
+
+
+# Values that a lax reader lets through: booleans for numbers, numbers
+# beyond the float range, non-finite floats, wrong shapes.
+_HOSTILE = [None, True, False, 0, -1, 2.5, 10 ** 400, -10 ** 400, float("nan"),
+            float("inf"), "", "1", [], [float("nan")], [[float("inf")]],
+            [10 ** 400], [True], {}, {"kind": "mlp"}]
+_JSON_VALUES = st.one_of(st.sampled_from(_HOSTILE), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "mode", "seed", "n", "x"]), inner,
+                      max_size=3),
+    max_leaves=6))
+
+# Bases reaching every reader: each command, each model kind and init mode.
+_PROPERTY_BASES = [
+    ("run", {"model": {"kind": "mlp", "widths": [4, 3, 2], "activation": "gelu",
+                       "dataset": {"seed": 0, "n": 10, "d_in": 4, "d_out": 2,
+                                   "teacher_rank": 1, "noise": 0.1}},
+             "init": {"mode": "gaussian", "seed": 1, "scale": 0.5},
+             "eta": 0.5, "steps": 5, "route": "loss", "localize": True,
+             "include_w": None, "deltas": [0.1], "out_dir": "out"}),
+    ("balance", {"model": {"kind": "quadratic", "matrix": [[3.0, 0.0], [0.0, 1.0]],
+                           "center": [0.1, 0.0]},
+                 "init": {"mode": "vector", "values": [1.0, 1.0]},
+                 "etas": [0.5], "steps": 5, "route": "quadrature",
+                 "deltas": None, "out_dir": "out"}),
+    ("bifurcate", {"model": {"kind": "two_layer_linear", "hidden": 3, "rank": 2,
+                             "dataset": {"seed": 0, "n": 10, "d_in": 3, "d_out": 2,
+                                         "teacher_spectrum": [2.0, 1.0]}},
+                   "etas": [0.6], "modes": ["empirical"], "run_steps": 50,
+                   "run_offset": 1e-3, "discard_frac": 0.5, "out_dir": "out"}),
+    ("bifurcate", {"model": {"kind": "scalar_poly", "lam": 1.0, "gamma": 0.5,
+                             "beta": -1.0}, "etas": [2.1]}),
+    ("strain", {"model": {"kind": "two_layer_linear", "hidden": 2,
+                          "target": [[2.0, 0.0], [0.0, 1.0]]},
+                "init": {"mode": "minimizer_offset", "scale": 0.01},
+                "second_model": {"kind": "quadratic", "diag": [1.0] * 8,
+                                 "center": 0.5},
+                "eta": 0.5, "steps": 5, "quadrature_order": 4, "adaptive": True,
+                "out_dir": "out"}),
+    ("strain", {"model": {"kind": "mlp", "widths": [4, 3, 2],
+                          "dataset": _MLP_DATASET},
+                "init": {"mode": "gaussian"}, "eta": 0.1, "steps": 3,
+                "leave_one_out": 9}),
+    ("strain", {"model": {"kind": "mlp", "widths": [4, 3, 2],
+                          "dataset": _MLP_DATASET},
+                "init": {"mode": "gaussian"}, "eta": 0.1, "steps": 3,
+                "second_dataset_seed": 1}),
+]
+
+
+def _key_paths(obj, prefix=""):
+    """Dotted paths of every key at any depth of nested objects."""
+    for key, value in obj.items():
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{path}.")
+
+
+@pytest.mark.parametrize("command, base", _PROPERTY_BASES)
+def test_property_bases_resolve(command, base):
+    json.dumps(_RESOLVERS[command](copy.deepcopy(base)), allow_nan=False)
+
+
+def _resolves_or_is_config_error(command, cfg):
+    try:
+        resolved = _RESOLVERS[command](cfg)
+    except ConfigError:
+        return
+    json.dumps(resolved, allow_nan=False)
+
+
+@pytest.mark.parametrize("command, base", _PROPERTY_BASES)
+def test_every_key_takes_every_hostile_value(command, base):
+    for key in _key_paths(base):
+        for value in _HOSTILE:
+            _resolves_or_is_config_error(command, _with(base, key, value))
+
+
+@pytest.mark.parametrize("command", sorted(_RESOLVERS))
+def test_root_not_an_object(command):
+    for value in _HOSTILE:
+        if not isinstance(value, dict):
+            with pytest.raises(ConfigError, match="config error at <root>:"):
+                _RESOLVERS[command](value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_any_value_resolves_or_is_config_error(data):
+    """Any JSON value at any key of a valid config either resolves to a
+    config that is strict JSON again, or raises ConfigError; nothing else."""
+    command, base = data.draw(st.sampled_from(_PROPERTY_BASES))
+    key = data.draw(st.sampled_from(sorted(_key_paths(base))))
+    _resolves_or_is_config_error(command, _with(base, key, data.draw(_JSON_VALUES)))
