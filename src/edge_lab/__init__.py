@@ -2,9 +2,9 @@
 
 Step-segment curvature averages and their telescoping balance,
 mean-value localization of curvature to interior points, period-two
-bifurcation through the center reduction, stability mechanisms at the
-threshold, and the discrete two-trajectory strain framework, all at
-desk scale with exact or tolerance-controlled checks.
+bifurcation from the gradient of the edge coupling, stability
+mechanisms at the threshold, and the discrete two-trajectory strain
+framework, all at desk scale with exact or tolerance-controlled checks.
 """
 
 __version__ = "0.1.0"

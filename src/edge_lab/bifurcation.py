@@ -2,12 +2,14 @@
 
 The machinery runs on a model restricted to an affine slice through a
 critical point (the normal space of the minimum manifold for
-overparametrized models, the full space otherwise): critical-point
-refinement, the symmetric center solve, the learning-rate-independent
-orbit profile and its nonlinear eigenproblem, the quartic branching
-coefficient, the critical step size, branch prediction, and continuation
-or empirical sweeps across a step-size grid. Every accepted orbit is
-re-verified against the raw two-step dynamics in the full space.
+overparametrized models, the full space otherwise). One kernel, the edge
+coupling, writes the period-two equations: its two partial gradients
+vanish exactly on fixed points and on period-two orbits, and its Hessian
+is their Newton Jacobian. Around it sit critical-point refinement, the
+quartic branching coefficient, the critical step size, branch
+prediction, and continuation or empirical sweeps across a step-size
+grid. Every accepted orbit is re-verified against the raw two-step
+dynamics in the full space.
 """
 
 from __future__ import annotations
@@ -27,18 +29,14 @@ from .trajectory import run_gd
 __all__ = [
     "NoBranchError",
     "EdgeCoupling",
-    "CenterSolve",
     "BranchPoint",
     "EmpiricalPoint",
     "find_critical_point",
-    "center_solve",
-    "edge_profile",
     "period_two_solve",
     "quartic_coefficient",
     "critical_eta",
     "branch_predict",
     "branch_sweep",
-    "edge_coupling_hessian",
     "fit_scaling_exponent",
 ]
 
@@ -52,29 +50,6 @@ KERNEL_THRESHOLD = 1e-8
 class NoBranchError(ValueError):
     """The model admits no period-two branch to follow: it has no positive
     curvature (so no threshold), or a zero quartic coefficient."""
-
-
-@dataclass(frozen=True)
-class EdgeCoupling:
-    """Coupling functional on consecutive iterate pairs.
-
-    value(x, y) = L(x) + L(y) - ||x - y||^2 / (2 eta); its partial
-    criticality in x encodes one gradient step. In centered coordinates
-    (m - a, m + a) it equals twice ``reduced(m, a)``.
-    """
-
-    eta: float
-    model: LossModel
-
-    def value(self, x: Array, y: Array) -> float:
-        diff = np.asarray(x, float) - np.asarray(y, float)
-        return (self.model.value(x) + self.model.value(y)
-                - float(diff @ diff) / (2.0 * self.eta))
-
-    def reduced(self, m: Array, a: Array) -> float:
-        a = np.asarray(a, float)
-        return (0.5 * (self.model.value(m + a) + self.model.value(m - a))
-                - float(a @ a) / self.eta)
 
 
 class _Slice:
@@ -120,6 +95,41 @@ class _Slice:
         return H if self.S is None else self.S.T @ H @ self.S
 
 
+class EdgeCoupling:
+    """Coupling functional on consecutive iterate pairs at step size eta.
+
+    C(x, y) = L(x) + L(y) - ||x - y||^2 / (2 eta) on the slice
+    w_bar + span(subspace), with x and y in reduced coordinates. Its two
+    partial gradients, scaled by eta, are the one-step residuals of GD
+    in each direction; both vanish exactly when y = x - eta grad L(x)
+    and x = y - eta grad L(y), that is on fixed points (x = y) and on
+    period-two orbits.
+    """
+
+    def __init__(self, eta: float, model: LossModel, w_bar: Array,
+                 subspace: Array | None = None):
+        self.eta = eta
+        self.slice = _Slice(model, w_bar, subspace)
+
+    def value(self, x: Array, y: Array) -> float:
+        diff = np.asarray(x, float) - np.asarray(y, float)
+        return (self.slice.value(x) + self.slice.value(y)
+                - float(diff @ diff) / (2.0 * self.eta))
+
+    def step_residuals(self, x: Array, y: Array) -> tuple[Array, Array]:
+        """eta times both partial gradients of C at (x, y)."""
+        return (y - x + self.eta * self.slice.gradient(x),
+                x - y + self.eta * self.slice.gradient(y))
+
+    def step_jacobian(self, x: Array, y: Array) -> Array:
+        """eta times the Hessian of C at (x, y): the Jacobian of
+        ``step_residuals`` stacked as (x, y)."""
+        I = np.eye(self.slice.n)
+        top = np.hstack([-I + self.eta * self.slice.hessian(x), I])
+        bot = np.hstack([I, -I + self.eta * self.slice.hessian(y)])
+        return np.vstack([top, bot])
+
+
 def _pinv_solve(H: Array, g: Array) -> Array:
     """Solve H x = g on the complement of the near-kernel of symmetric H."""
     evals, vecs = np.linalg.eigh((H + H.T) / 2.0)
@@ -150,80 +160,6 @@ def find_critical_point(model: LossModel, w0: Array, tol: float = 1e-12) -> Arra
         return x
     raise NonConvergenceError(
         f"critical-point search stalled at residual {res:g}", history + [res])
-
-
-@dataclass
-class CenterSolve:
-    """Solution of the symmetric center balance for a half-amplitude a.
-
-    The center m satisfies (the slice projection of)
-    grad L(m + a) + grad L(m - a) = 0. When the requested amplitude was
-    outside the solvable neighborhood, ``halvings`` records how many
-    times it was halved; ``a`` is the amplitude actually reached.
-    """
-
-    w_bar: Array
-    a: Array
-    m: Array
-    residual: float
-    halvings: int = 0
-
-
-def _center_newton(sl: _Slice, a_full: Array, tol: float) -> tuple[Array, float]:
-    def F(z):
-        m = sl.to_full(z)
-        g = 0.5 * (sl.model.gradient(m + a_full) + sl.model.gradient(m - a_full))
-        return g if sl.S is None else sl.S.T @ g
-
-    def J(z):
-        m = sl.to_full(z)
-        H = 0.5 * (sl.model.hessian_dense(m + a_full)
-                   + sl.model.hessian_dense(m - a_full))
-        return H if sl.S is None else sl.S.T @ H @ sl.S
-
-    z = newton_solve(F, J, np.zeros(sl.n), tol=tol, max_iter=60)
-    return z, float(np.linalg.norm(F(z)))
-
-
-def center_solve(model: LossModel, w_bar: Array, a: Array, tol: float = 1e-12,
-                 subspace: Array | None = None) -> CenterSolve:
-    """Solve the center-balance equation at half-amplitude ``a``.
-
-    Halves the amplitude and retries (up to 5 times) when Newton fails,
-    reporting the amplitude actually reached.
-    """
-    sl = _Slice(model, w_bar, subspace)
-    a_full = np.atleast_1d(np.asarray(a, dtype=float)).copy()
-    halvings = 0
-    while True:
-        try:
-            z, res = _center_newton(sl, a_full, tol)
-            m = sl.to_full(z)
-            return CenterSolve(w_bar=sl.w_bar, a=a_full, m=m,
-                               residual=res, halvings=halvings)
-        except (NonConvergenceError, SingularJacobianError):
-            if halvings >= 5:
-                raise
-            a_full = a_full / 2.0
-            halvings += 1
-
-
-def edge_profile(model: LossModel, solve: CenterSolve,
-                 subspace: Array | None = None) -> tuple[float, Array]:
-    """Orbit profile value and gradient at the solved center.
-
-    Profile: the symmetrized loss 0.5 (L(m + a) + L(m - a)); gradient:
-    0.5 (grad L(m + a) - grad L(m - a)), projected onto the slice. The
-    nonzero critical amplitudes of profile - ||a||^2/eta solve the
-    nonlinear eigenproblem grad profile = (2/eta) a.
-    """
-    m, a = solve.m, solve.a
-    value = 0.5 * (model.value(m + a) + model.value(m - a))
-    grad = 0.5 * (model.gradient(m + a) - model.gradient(m - a))
-    if subspace is not None:
-        S = np.asarray(subspace, float)
-        grad = S @ (S.T @ grad)
-    return float(value), grad
 
 
 @dataclass
@@ -263,27 +199,21 @@ def period_two_solve(model: LossModel, w_bar: Array, eta: float, a0: Array,
                      subspace: Array | None = None) -> BranchPoint:
     """Newton solve for a period-two orbit near w_bar at step size eta.
 
-    Solves the two-step closure for the orbit pair on the slice and
-    reports the nonlinear-eigenproblem residual of the half-amplitude.
+    Newton drives both step residuals of the edge coupling to zero for
+    the orbit pair on the slice, with the coupling Hessian as Jacobian,
+    and reports the nonlinear-eigenproblem residual of the half-amplitude.
     Convergence to the fixed point is flagged trivial, not an error.
     """
-    sl = _Slice(model, w_bar, subspace)
+    coupling = EdgeCoupling(eta, model, w_bar, subspace)
+    sl = coupling.slice
     a_red = sl.to_reduced(np.atleast_1d(np.asarray(a0, dtype=float)))
     n = sl.n
 
     def F(zz):
-        zx, zy = zz[:n], zz[n:]
-        return np.concatenate([
-            zy - zx + eta * sl.gradient(zx),
-            zx - zy + eta * sl.gradient(zy),
-        ])
+        return np.concatenate(coupling.step_residuals(zz[:n], zz[n:]))
 
     def J(zz):
-        zx, zy = zz[:n], zz[n:]
-        I = np.eye(n)
-        top = np.hstack([-I + eta * sl.hessian(zx), I])
-        bot = np.hstack([I, -I + eta * sl.hessian(zy)])
-        return np.vstack([top, bot])
+        return coupling.step_jacobian(zz[:n], zz[n:])
 
     z0 = np.concatenate([-a_red, a_red])
     zz = newton_solve(F, J, z0, tol=tol, max_iter=120)
@@ -485,33 +415,6 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
         points.append(bp)
         prev_a = bp.a
     return points, False
-
-
-def edge_coupling_hessian(model: LossModel, w_bar: Array, eta: float,
-                          u: Array) -> tuple[float, float]:
-    """Quadratic forms of the coupling Hessian along (u, u) and (u, -u).
-
-    Moving both iterates together sees 2 u^T H u; splitting them apart
-    sees 2 u^T (H - (2/eta) I) u, which changes sign exactly when the
-    directional curvature crosses 2/eta. Both values are cross-checked
-    against the assembled 2d x 2d block matrix.
-    """
-    u = np.asarray(u, dtype=float)
-    H = model.hessian_dense(np.asarray(w_bar, float))
-    diag_form = 2.0 * float(u @ (H @ u))
-    anti_form = diag_form - 4.0 / eta * float(u @ u)
-
-    d = H.shape[0]
-    inv_eta = 1.0 / eta
-    block = np.block([[H - inv_eta * np.eye(d), inv_eta * np.eye(d)],
-                      [inv_eta * np.eye(d), H - inv_eta * np.eye(d)]])
-    vd = np.concatenate([u, u])
-    va = np.concatenate([u, -u])
-    scale = max(1.0, abs(diag_form), abs(anti_form))
-    if abs(float(vd @ (block @ vd)) - diag_form) > 1e-10 * scale \
-            or abs(float(va @ (block @ va)) - anti_form) > 1e-10 * scale:
-        raise AssertionError("block-Hessian cross-check failed")
-    return diag_form, anti_form
 
 
 def fit_scaling_exponent(etas, amplitudes, eta_c: float) -> float:

@@ -213,19 +213,21 @@ def _linear_target(res: dict) -> np.ndarray:
     return M
 
 
-@_config_values("model")
-def _build_model(res: dict) -> loss_models.LossModel:
+def _build_model(res: dict, path: str = "model") -> loss_models.LossModel:
+    """The model of the resolved entry at ``path``; a value the model
+    rejects is a config error at that path."""
     kind = res["kind"]
-    if kind == "quadratic":
-        H = np.diag(res["diag"]) if res["diag"] is not None else res["matrix"]
-        return loss_models.make_quadratic(H, res["center"])
-    if kind == "scalar_poly":
-        return loss_models.make_scalar_poly(res["lam"], res["gamma"], res["beta"])
-    if kind == "two_layer_linear":
-        return loss_models.make_two_layer_linear(_linear_target(res), res["hidden"])
-    if kind == "mlp":
-        return loss_models.make_mlp(res["widths"], res["activation"],
-                                    _build_dataset(res["dataset"]))
+    with _config_values(path):
+        if kind == "quadratic":
+            H = np.diag(res["diag"]) if res["diag"] is not None else res["matrix"]
+            return loss_models.make_quadratic(H, res["center"])
+        if kind == "scalar_poly":
+            return loss_models.make_scalar_poly(res["lam"], res["gamma"], res["beta"])
+        if kind == "two_layer_linear":
+            return loss_models.make_two_layer_linear(_linear_target(res), res["hidden"])
+        if kind == "mlp":
+            return loss_models.make_mlp(res["widths"], res["activation"],
+                                        _build_dataset(res["dataset"]))
     raise AssertionError(kind)
 
 
@@ -499,7 +501,7 @@ def _second_model(resolved: dict) -> loss_models.LossModel:
     """The second objective: ``second_model``, or the model on its dataset
     with another seed or with one row left out."""
     if resolved["second_model"] is not None:
-        return _build_model(resolved["second_model"])
+        return _build_model(resolved["second_model"], "second_model")
     res = resolved["model"]
     edit = ({"seed": resolved["second_dataset_seed"]}
             if resolved["leave_one_out"] is None

@@ -40,14 +40,12 @@ __all__ = [
     "step_mean_curvature_exact",
     "effective_curvature_from_loss",
     "curvature_table",
-    "q_profile",
     "localize",
     "localized_sharpness",
     "edge_balance_report",
     "near_periodicity_bound",
     "return_ratio",
     "loss_change_proxy",
-    "descent_classifier",
     "sgd_balance_report",
     "eos_onset",
     "write_metrics_csv",
@@ -125,13 +123,6 @@ def effective_curvature_from_loss(log: TrajectoryLog, k: int) -> float:
     d, nd = _step(log, k)
     dloss = float(log.losses[k + 1] - log.losses[k])
     return 2.0 * (dloss + nd ** 2 / log.eta) / nd ** 2
-
-
-def q_profile(model: LossModel, w: Array, d: Array, tau: float) -> float:
-    """Directional curvature u^T H(w + tau d) u along the step direction."""
-    if float(np.linalg.norm(d)) < DEGENERATE_STEP:
-        raise DegenerateStepError("degenerate step in q_profile")
-    return float(model.segment_curvature(w, d, (tau,))[0])
 
 
 def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple[float, float]:
@@ -394,19 +385,6 @@ def loss_change_proxy(log: TrajectoryLog, k: int) -> tuple[float, float]:
     proxy = -float(d @ two_step) / (2.0 * log.eta)
     actual = float(log.losses[k + 1] - log.losses[k])
     return proxy, actual
-
-
-def descent_classifier(rtilde: float, eta: float, step_norm_sq: float,
-                       tol: float = 1e-14) -> str:
-    """Classify a step as descent / ascent / stationary from its curvature.
-
-    The implied loss change is -||d||^2 (2 - eta*rtilde) / (2 eta);
-    magnitudes at or below ``tol`` count as stationary.
-    """
-    implied = -step_norm_sq * (2.0 - eta * rtilde) / (2.0 * eta)
-    if abs(implied) <= tol:
-        return "stationary"
-    return "descent" if implied < 0 else "ascent"
 
 
 def eos_onset(table: CurvatureTable, eta: float) -> int | None:

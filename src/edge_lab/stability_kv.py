@@ -2,8 +2,8 @@
 
 Covers the step-recoil identity above the threshold, the oscillatory
 cancellation bound inside the stability window, the excursion measure
-of a step matrix beyond [0, 2/eta], ordered propagator products with
-their exponential norm bound, and the strain/stress recurrence for a
+of a step matrix beyond [0, 2/eta], the norm of a propagator product
+with its exponential bound, and the strain/stress recurrence for a
 pair of runs on two objectives.
 """
 
@@ -25,7 +25,6 @@ __all__ = [
     "recoil_check",
     "oscillatory_bound",
     "excursion_kappa",
-    "propagator_product",
     "propagator_norm",
     "strain_run",
     "strain_via_propagator",
@@ -163,17 +162,6 @@ def strain_run(pair: PairedLog, model_s: LossModel,
         residual[k] = float(np.linalg.norm(delta[k + 1] - predicted))
     return StrainLog(eta=eta, delta=delta, stress=stress, A=A_list,
                      kappa=kappa, residual=residual)
-
-
-def propagator_product(strain: StrainLog, k: int, s: int) -> Array:
-    """Ordered product (I - eta A_{k-1}) ... (I - eta A_s); identity at k = s."""
-    if not 0 <= s <= k <= strain.num_steps:
-        raise IndexError(f"need 0 <= s <= k <= {strain.num_steps}")
-    dim = strain.delta.shape[1]
-    T = np.eye(dim)
-    for r in range(s, k):
-        T = (np.eye(dim) - strain.eta * strain.A[r]) @ T
-    return T
 
 
 def propagator_norm(T: Array) -> float:

@@ -7,6 +7,7 @@ step increment, loss and gradient densely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +92,10 @@ class PairedLog:
 
 
 def _diverged(loss: float, w: Array) -> bool:
-    return (not np.isfinite(loss)) or loss > LOSS_DIVERGENCE \
-        or (not np.all(np.isfinite(w))) or float(np.linalg.norm(w)) > ITERATE_DIVERGENCE
+    # NaN fails every comparison, and a non-finite entry of w makes the
+    # norm inf or NaN, so the chain also catches every non-finite value.
+    return not (-math.inf < loss <= LOSS_DIVERGENCE
+                and float(np.linalg.norm(w)) <= ITERATE_DIVERGENCE)
 
 
 class NoiseSource:

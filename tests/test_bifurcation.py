@@ -1,4 +1,4 @@
-"""Critical points, center solves, period-two branches, and the linear net."""
+"""The edge coupling, critical points, period-two branches, and the linear net."""
 
 import math
 
@@ -8,7 +8,9 @@ import pytest
 from edge_lab import bifurcation as bf
 from edge_lab.loss_models import (balanced_minimizer, make_quadratic,
                                   make_scalar_poly, make_two_layer_linear)
-from edge_lab.numerics import SingularJacobianError, dense_eigh, fd_step
+from edge_lab.numerics import (MACHINE_EPS, SingularJacobianError, dense_eigh,
+                               fd_step)
+from edge_lab.trajectory import run_gd
 
 
 QUARTIC = make_scalar_poly(1.0, 0.0, -1.0)    # soft quartic: branch above 2
@@ -23,17 +25,74 @@ def _linear_net():
 
 
 class TestEdgeCoupling:
-    def test_centered_identity(self):
-        rng = np.random.default_rng(0)
-        model = make_quadratic(np.diag([3.0, 1.0]))
-        coupling = bf.EdgeCoupling(0.5, model)
-        for _ in range(10):
-            m = rng.standard_normal(2)
-            a = rng.standard_normal(2)
-            lhs = coupling.value(m - a, m + a)
-            rhs = 2.0 * coupling.reduced(m, a)
-            assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+    """eta times the coupling gradient is the pair of one-step residuals;
+    its zeros are the fixed points and the period-two orbits."""
 
+    def test_residuals_are_scaled_coupling_gradient(self):
+        model = make_quadratic(np.diag([3.0, 1.0]), np.array([0.3, -0.7]))
+        coupling = bf.EdgeCoupling(0.5, model, np.zeros(2))
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(2), rng.standard_normal(2)
+        h = fd_step(1)
+        fd = np.zeros(4)
+        for i in range(4):
+            e = h * np.eye(4)[i]
+            fd[i] = (coupling.value(x + e[:2], y + e[2:])
+                     - coupling.value(x - e[:2], y - e[2:])) / (2 * h)
+        np.testing.assert_allclose(np.concatenate(coupling.step_residuals(x, y)),
+                                   0.5 * fd, atol=1e-8)
+
+    def test_jacobian_differentiates_residuals_on_slice(self):
+        w_bar, geom, S = _linear_net()
+        coupling = bf.EdgeCoupling(0.55, geom.model, w_bar, S)
+        rng = np.random.default_rng(2)
+        z = 0.1 * rng.standard_normal(2 * S.shape[1])
+        n, h = S.shape[1], fd_step(1)
+
+        def residuals(zz):
+            return np.concatenate(coupling.step_residuals(zz[:n], zz[n:]))
+
+        fd = np.column_stack([(residuals(z + h * e) - residuals(z - h * e)) / (2 * h)
+                              for e in np.eye(2 * n)])
+        np.testing.assert_allclose(coupling.step_jacobian(z[:n], z[n:]), fd,
+                                   atol=1e-7)
+
+    @pytest.mark.parametrize("model, eta, w0", [
+        (make_quadratic(np.diag([3.0, 1.0]), np.array([0.3, -0.7])), 0.5,
+         np.array([1.0, 2.0])),
+        (QUARTIC, 2.5, np.array([0.3])),
+    ], ids=["quadratic", "quartic"])
+    def test_gd_step_fixes_the_coefficient(self, model, eta, w0):
+        """Along a GD run at eta, the x-half of the residuals vanishes to
+        rounding; at any other eta' it is (eta' - eta) grad L(w_k)."""
+        log = run_gd(model, w0, eta, 200)
+        assert not log.diverged
+        origin = np.zeros(model.dim)
+        exact = bf.EdgeCoupling(eta, model, origin)
+        others = [bf.EdgeCoupling(c * eta, model, origin) for c in (0.9, 1.1)]
+        for k in range(log.num_steps):
+            x, y = log.w(k), log.w(k + 1)
+            tol = 4 * MACHINE_EPS * max(1.0, float(np.linalg.norm(x)))
+            assert float(np.linalg.norm(exact.step_residuals(x, y)[0])) <= tol
+            g = model.gradient(x)
+            for other in others:
+                np.testing.assert_allclose(other.step_residuals(x, y)[0],
+                                           (other.eta - eta) * g, atol=tol)
+        rx = others[1].step_residuals(log.w(0), log.w(1))[0]
+        g0 = model.gradient(log.w(0))
+        assert float(np.linalg.norm(rx)) >= 0.05 * eta * float(np.linalg.norm(g0))
+
+    def test_classifies_fixed_point_and_orbit(self):
+        """Both halves vanish at the quartic's fixed point 0 and at its
+        orbit x = -y = sqrt(1 - 2/eta), and nowhere nearby."""
+        eta = 2.5
+        coupling = bf.EdgeCoupling(eta, QUARTIC, np.array([0.0]))
+        x = np.array([math.sqrt(1.0 - 2.0 / eta)])
+        for p, q in ((np.zeros(1), np.zeros(1)), (x, -x), (-x, x)):
+            for r in coupling.step_residuals(p, q):
+                assert abs(r[0]) <= 4 * MACHINE_EPS
+        for p, q in ((x, x), (1.1 * x, -1.1 * x), (x, -0.9 * x)):
+            assert max(abs(r[0]) for r in coupling.step_residuals(p, q)) > 1e-3
 
 class TestCriticalPoint:
     def test_quadratic_one_step(self):
@@ -54,79 +113,6 @@ class TestCriticalPoint:
         assert geom.model.value(w) <= 1e-20
 
 
-class TestCenterSolve:
-    def test_zero_amplitude(self):
-        sol = bf.center_solve(CUBIC, np.array([0.0]), np.array([0.0]))
-        np.testing.assert_allclose(sol.m, [0.0], atol=1e-14)
-
-    def test_even_loss_center_stays_put(self):
-        for a in (0.1, 0.3, 0.5):
-            sol = bf.center_solve(QUARTIC, np.array([0.0]), np.array([a]))
-            assert abs(sol.m[0]) <= 1e-12
-
-    def test_evenness_in_amplitude(self):
-        for a in (0.05, 0.12):
-            plus = bf.center_solve(CUBIC, np.array([0.0]), np.array([a]))
-            minus = bf.center_solve(CUBIC, np.array([0.0]), np.array([-a]))
-            assert plus.m[0] == pytest.approx(minus.m[0], abs=1e-12)
-
-    def test_cubic_taylor_prediction_quartic_decay(self):
-        """Leading center shift is -(1/2) H^{-1} d3[a,a,.], error O(a^4)."""
-        errs = []
-        for a in (1e-2, 1e-3):
-            sol = bf.center_solve(CUBIC, np.array([0.0]), np.array([a]), tol=1e-15)
-            predicted = -0.5 * (1.0 / 1.0) * CUBIC.third_derivative(0.0) * a * a
-            errs.append(abs(sol.m[0] - predicted))
-        ratio = errs[0] / errs[1]
-        assert 3e3 <= ratio <= 3e4   # quartic error decay across one decade
-
-    def test_amplitude_halving_reported(self):
-        # Requested amplitude far outside the basin forces retries.
-        sol = bf.center_solve(CUBIC, np.array([0.0]), np.array([3.0]), tol=1e-12)
-        assert sol.halvings > 0
-        assert abs(sol.a[0]) < 3.0
-
-
-class TestEdgeProfile:
-    def test_quartic_closed_form(self):
-        for a in (0.1, 0.4, 0.6):
-            sol = bf.center_solve(QUARTIC, np.array([0.0]), np.array([a]))
-            value, grad = bf.edge_profile(QUARTIC, sol)
-            assert value == pytest.approx(0.5 * a * a - 0.25 * a ** 4, abs=1e-13)
-            assert grad[0] == pytest.approx(a - a ** 3, abs=1e-12)
-
-    def test_profile_value_at_zero(self):
-        sol = bf.center_solve(CUBIC, np.array([0.0]), np.array([0.0]))
-        value, grad = bf.edge_profile(CUBIC, sol)
-        assert value == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(grad, 0.0, atol=1e-13)
-
-    def test_profile_even_in_amplitude(self):
-        """The reduced coupling value is even in the half-amplitude."""
-        for model in (CUBIC, QUARTIC):
-            for a in (0.08, 0.2):
-                coupling = bf.EdgeCoupling(0.5, model)
-                plus = bf.center_solve(model, np.array([0.0]), np.array([a]),
-                                       tol=1e-14)
-                minus = bf.center_solve(model, np.array([0.0]), np.array([-a]),
-                                        tol=1e-14)
-                lhs = coupling.reduced(plus.m, plus.a)
-                rhs = coupling.reduced(minus.m, minus.a)
-                assert abs(lhs - rhs) <= 1e-12
-
-    def test_profile_hessian_at_zero_is_curvature(self):
-        """Second difference of the profile gradient recovers L'' at the
-        critical point, for a model whose center genuinely moves."""
-        h = fd_step(2)
-        vals = []
-        for a in (-h, 0.0, h):
-            sol = bf.center_solve(CUBIC, np.array([0.0]), np.array([a]), tol=1e-15)
-            _, grad = bf.edge_profile(CUBIC, sol)
-            vals.append(grad[0])
-        second = (vals[2] - vals[0]) / (2 * h)
-        assert second == pytest.approx(CUBIC.second_derivative(0.0), abs=1e-5)
-
-
 class TestPeriodTwoSolve:
     def test_quartic_amplitude(self):
         bp = bf.period_two_solve(QUARTIC, np.array([0.0]), 2.5, np.array([0.3]))
@@ -134,6 +120,22 @@ class TestPeriodTwoSolve:
         assert bp.amplitude == pytest.approx(math.sqrt(0.2), rel=1e-10)
         assert bp.raw_ok
         assert bp.residual <= 1e-10
+        a = bp.amplitude
+        assert bp.profile_value == pytest.approx(0.5 * a * a - 0.25 * a ** 4,
+                                                 abs=1e-13)
+
+    def test_cubic_center_shift_quartic_decay(self):
+        """The orbit center solves the symmetric half of the residuals; its
+        leading shift is -(1/2) H^{-1} d3[a, a, .], with error O(a^4)."""
+        errs = []
+        for alpha in (3e-2, 3e-3):
+            eta = 2.0 / (1.0 - 2.0 * alpha * alpha)   # Q_u = -2 on the cubic
+            bp = bf.period_two_solve(CUBIC, np.array([0.0]), eta,
+                                     np.array([alpha]), tol=1e-15)
+            assert not bp.trivial and bp.raw_ok
+            predicted = -0.5 * CUBIC.third_derivative(0.0) * bp.amplitude ** 2
+            errs.append(abs(bp.m[0] - predicted))
+        assert 3e3 <= errs[0] / errs[1] <= 3e4
 
     def test_at_threshold_trivial(self):
         bp = bf.period_two_solve(QUARTIC, np.array([0.0]), 2.0, np.array([0.05]))
@@ -317,21 +319,29 @@ class TestBranchSweep:
 
 
 class TestCouplingHessianForms:
+    """Forms of the coupling Hessian, step_jacobian / eta, at a fixed point:
+    moving both iterates together, (u, u), sees 2 u^T H u; splitting them,
+    (u, -u), sees 2 u^T (H - (2/eta) I) u, which changes sign exactly where
+    the directional curvature crosses 2/eta."""
+
+    @staticmethod
+    def _forms(diag, eta, u):
+        coupling = bf.EdgeCoupling(eta, make_quadratic(np.diag(diag)),
+                                   np.zeros(len(diag)))
+        w = np.zeros(len(diag))
+        hess = coupling.step_jacobian(w, w) / eta
+        both, split = np.concatenate([u, u]), np.concatenate([u, -u])
+        return float(both @ hess @ both), float(split @ hess @ split)
+
     def test_subcritical_sign(self):
-        model = make_quadratic(np.diag([3.0, 1.0]))
-        diag, anti = bf.edge_coupling_hessian(model, np.zeros(2), 0.5,
-                                              np.array([1.0, 0.0]))
+        diag, anti = self._forms([3.0, 1.0], 0.5, np.array([1.0, 0.0]))
         assert diag == pytest.approx(6.0, abs=1e-12)
         assert anti == pytest.approx(-2.0, abs=1e-12)
 
     def test_supercritical_sign_flip(self):
-        model = make_quadratic(np.diag([5.0, 1.0]))
-        _, anti = bf.edge_coupling_hessian(model, np.zeros(2), 0.5,
-                                           np.array([1.0, 0.0]))
+        _, anti = self._forms([5.0, 1.0], 0.5, np.array([1.0, 0.0]))
         assert anti == pytest.approx(2.0, abs=1e-12)
 
     def test_kernel_exactly_at_threshold(self):
-        model = make_quadratic(np.diag([4.0, 1.0]))
-        _, anti = bf.edge_coupling_hessian(model, np.zeros(2), 0.5,
-                                           np.array([1.0, 0.0]))
+        _, anti = self._forms([4.0, 1.0], 0.5, np.array([1.0, 0.0]))
         assert anti == pytest.approx(0.0, abs=1e-12)

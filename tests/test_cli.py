@@ -548,6 +548,20 @@ class TestFailureContract:
         assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines
         assert not any(out.glob("*"))
 
+    def test_bad_second_model_reported_at_second_model(self, tmp_path, capsys):
+        """A second model its constructor rejects is a config error at
+        ``second_model``, not at ``model``."""
+        out = tmp_path / "out"
+        cfg = dict(self._BASES["strain"], out_dir=str(out),
+                   second_model={"kind": "quadratic",
+                                 "matrix": [[3.0, 1.0], [0.0, 1.0]]})
+        rc = main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "config error at second_model:"), lines
+        assert not any(out.glob("*"))
+
     @pytest.mark.parametrize("base, key, value", [
         ("strain", "quadrature_order", 1),
         ("run", "deltas", [1, 0.5]),
@@ -718,3 +732,4 @@ def test_any_value_resolves_or_is_config_error(data):
     command, base = data.draw(st.sampled_from(_PROPERTY_BASES))
     key = data.draw(st.sampled_from(sorted(_key_paths(base))))
     _resolves_or_is_config_error(command, _with(base, key, data.draw(_JSON_VALUES)))
+

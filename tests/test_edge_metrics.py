@@ -109,6 +109,16 @@ class TestCurvatureRoutes:
             c = em.step_mean_curvature_exact(log, k)
             assert abs(c - table.rbar[k]) <= 1e-6 * max(1.0, abs(c))
 
+    def test_ascent_step_constructed(self):
+        """A supercritical quartic step raises the loss."""
+        model = make_scalar_poly(1.0, 0.0, -1.0)
+        log = run_gd(model, np.array([0.05]), 2.5, 40)
+        rts = [em.effective_curvature_from_loss(log, k) for k in range(40)]
+        ascents = [k for k, rt in enumerate(rts) if rt > 2 / 2.5]
+        assert ascents
+        for k in ascents:
+            assert log.losses[k + 1] > log.losses[k]
+
     def test_degenerate_step_rejected(self):
         model = make_scalar_poly(3.0)
         log = run_gd(model, np.array([1.0]), 0.5, 3)
@@ -136,25 +146,24 @@ class TestProfileAndLocalization:
     def test_profile_constant_on_quadratic(self):
         model = make_quadratic(np.diag([3.0, 1.0]))
         w, d = np.array([1.0, 0.0]), np.array([-0.5, 0.0])
-        vals = [em.q_profile(model, w, d, t) for t in (0.0, 0.3, 1.0)]
+        vals = model.segment_curvature(w, d, (0.0, 0.3, 1.0))
         np.testing.assert_allclose(vals, 3.0, atol=1e-14)
 
     def test_profile_linear_example(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
-        for tau in (0.0, 0.25, 0.8):
-            assert em.q_profile(model, np.array([0.0]), np.array([1.0]), tau) == \
-                pytest.approx(1.0 + 2.0 * tau, abs=1e-14)
+        taus = np.array([0.0, 0.25, 0.8])
+        vals = model.segment_curvature(np.array([0.0]), np.array([1.0]), taus)
+        np.testing.assert_allclose(vals, 1.0 + 2.0 * taus, atol=1e-14)
 
     def test_profile_quadratic_interpolates(self):
         """Quartic loss: the profile is a parabola in the interior parameter."""
         model = make_scalar_poly(1.0, 0.0, -1.0)
         w, d = np.array([0.1]), np.array([0.5])
         taus = np.array([0.0, 0.5, 1.0])
-        qs = [em.q_profile(model, w, d, t) for t in taus]
-        poly = np.polyfit(taus, qs, 2)
-        for t in (0.2, 0.7, 0.9):
-            assert em.q_profile(model, w, d, t) == \
-                pytest.approx(float(np.polyval(poly, t)), abs=1e-12)
+        poly = np.polyfit(taus, model.segment_curvature(w, d, taus), 2)
+        others = np.array([0.2, 0.7, 0.9])
+        np.testing.assert_allclose(model.segment_curvature(w, d, others),
+                                   np.polyval(poly, others), atol=1e-12)
 
     def test_localize_constant_profile_midpoint(self):
         model = make_quadratic(np.diag([3.0, 1.0]))
@@ -357,38 +366,6 @@ class TestNearPeriodicityAndProxy:
         log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 10)
         # two-step displacement (2 - eta*lam) d_k, so ratio |2 - 1.5| = 0.5
         assert em.return_ratio(log, 0) == pytest.approx(0.5, abs=1e-12)
-
-
-class TestDescentClassifier:
-    def test_three_signs(self):
-        assert em.descent_classifier(3.0, 0.5, 1.0) == "descent"
-        assert em.descent_classifier(4.0, 0.5, 1.0) == "stationary"
-        assert em.descent_classifier(5.0, 0.5, 1.0) == "ascent"
-
-    def test_consistent_with_logged_loss(self):
-        model = make_scalar_poly(1.0, 0.0, -1.0)
-        log = run_gd(model, np.array([0.3]), 2.5, 200)
-        for k in range(log.num_steps):
-            nd2 = float(log.steps[k] @ log.steps[k])
-            rt = em.effective_curvature_from_loss(log, k)
-            cls = em.descent_classifier(rt, log.eta, nd2)
-            dl = float(log.losses[k + 1] - log.losses[k])
-            if cls == "descent":
-                assert dl < 1e-14
-            elif cls == "ascent":
-                assert dl > -1e-14
-            else:
-                assert abs(dl) <= 1e-13
-
-    def test_ascent_step_constructed(self):
-        """A supercritical quartic step raises the loss."""
-        model = make_scalar_poly(1.0, 0.0, -1.0)
-        log = run_gd(model, np.array([0.05]), 2.5, 40)
-        rts = [em.effective_curvature_from_loss(log, k) for k in range(40)]
-        ascents = [k for k, rt in enumerate(rts) if rt > 2 / 2.5]
-        assert ascents
-        for k in ascents:
-            assert log.losses[k + 1] > log.losses[k]
 
 
 class TestEosOnset:

