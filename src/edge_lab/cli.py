@@ -52,6 +52,16 @@ def _config_values(path: str):
         _fail(path, str(exc))
 
 
+@contextlib.contextmanager
+def _allocation(path: str):
+    """Report logs too large to allocate, which only a run can find out,
+    as a config error at ``path``, the count that sizes them."""
+    try:
+        yield
+    except MemoryError as exc:
+        _fail(path, f"too large: {exc}")
+
+
 # Config readers. Each reads one key, named by its full path
 # ("model.dataset.n"), from the object ``cfg`` that holds it, and returns
 # the value or raises ConfigError naming that path. A key whose reader has
@@ -326,7 +336,8 @@ def cmd_run(resolved: dict, out: Path) -> int:
         resolved["include_w"] = model.dim <= 32
     _write_json(out / "resolved_config.json", resolved)
 
-    log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
+    with _allocation("steps"):
+        log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
     trajectory.write_trajectory_csv(log, out / "trajectory.csv",
                                     include_w=resolved["include_w"])
     table = edge_metrics.curvature_table(model, log, resolved["route"])
@@ -358,17 +369,15 @@ def _resolve_balance(cfg: dict) -> dict:
 
 
 def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
-    log = trajectory.run_gd(model, w0, eta, resolved["steps"])
+    with _allocation("steps"):
+        log = trajectory.run_gd(model, w0, eta, resolved["steps"])
     table = edge_metrics.curvature_table(model, log, resolved["route"])
     report = edge_metrics.edge_balance_report(model, log, table,
                                               deltas=resolved["deltas"])
-    w, r = table.step_norm_sq, table.rtilde
-    cum_w = np.cumsum(w)
-    running = np.cumsum(w * r) / cum_w
-    forcing = 2.0 / eta - 2.0 * float(log.losses[0]) / cum_w
+    running, forcing = edge_metrics.running_balance(model, log, table)
     rows = ["k,running_weighted_mean,forcing_bound"]
-    for i, k in enumerate(table.k):
-        rows.append(f"{k},{running[i]:.17g},{forcing[i]:.17g}")
+    for k, mean, bound in zip(table.k, running, forcing):
+        rows.append(f"{k},{mean:.17g}," + ("" if np.isnan(bound) else f"{bound:.17g}"))
     write_csv(out / f"balance_eta{idx}.csv", rows)
 
     rows = ["k,actual_delta_L,proxy"]
@@ -443,10 +452,11 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
     summary = {"eta_c": eta_c, "quartic_u": Q_u, "exponents": {}}
     etas = resolved["etas"]
     for mode in resolved["modes"]:
-        points, lost = bifurcation.branch_sweep(
-            model, w_bar, etas, mode, u=u, subspace=subspace,
-            run_steps=resolved["run_steps"], run_offset=resolved["run_offset"],
-            discard_frac=resolved["discard_frac"])
+        with _allocation("run_steps"):
+            points, lost = bifurcation.branch_sweep(
+                model, w_bar, etas, mode, u=u, subspace=subspace,
+                run_steps=resolved["run_steps"], run_offset=resolved["run_offset"],
+                discard_frac=resolved["discard_frac"])
         for p in points:
             resid = p.residual if isinstance(p, bifurcation.BranchPoint) else float("nan")
             rows.append(f"{p.eta:.17g},{p.amplitude:.17g},{resid:.17g},{mode}")
@@ -523,8 +533,8 @@ def cmd_strain(resolved: dict, out: Path) -> int:
             f"has dim {model_sp.dim})")
     w0 = _build_init(resolved["init"], model_s, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
-    pair = trajectory.run_pair_gd(model_s, model_sp, w0, resolved["eta"],
-                                  resolved["steps"])
+    with _allocation("steps"):
+        pair = trajectory.run_pair_gd(model_s, model_sp, w0, resolved["eta"], resolved["steps"])
     strain = strain_run(pair, model_s,
                         rule=uniform_rule(resolved["quadrature_order"]),
                         adaptive=resolved["adaptive"])
@@ -612,12 +622,10 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
         steps=np.diff(ws, axis=0), w_stored=ws)
     table = edge_metrics.curvature_table(model, log)
     resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
-    is_mlp = resolved["model"]["kind"] == "mlp"
-    tol = 1e-5 * max(1.0, abs(2.0 * (losses[0] - losses[-1]))) if is_mlp \
-        else 1e-8 * max(1.0, abs(losses[0]))
+    tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
     results.append(verify.CheckResult(
         "telescoping_balance", bool(resid <= tol), _time.perf_counter() - t3,
-        {"residual": resid, "tolerance": float(tol)}))
+        {"residual": resid, "tolerance": tol}))
     return results
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel
-from .numerics import brent_root, dense_eigh, lambda_max_iter, uniform_rule
+from .numerics import brent_root, dense_eigvalsh, lambda_max_iter, uniform_rule
 from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "localize",
     "localized_sharpness",
     "edge_balance_report",
+    "running_balance",
     "near_periodicity_bound",
     "return_ratio",
     "loss_change_proxy",
@@ -243,15 +244,14 @@ def localized_sharpness(model: LossModel, log: TrajectoryLog,
                         rec: LocalizationRecord) -> float:
     """Largest Hessian eigenvalue at the localized interior point.
 
-    Dense eigendecomposition for small models, otherwise Lanczos seeded
+    Dense eigenvalues for small models, otherwise Lanczos seeded
     with the step direction (so the estimate is at least the directional
     curvature there) on one ``hvp_at`` operator for the point.
     """
     d = log.steps[rec.k]
     w_pt = log.w(rec.k) + rec.point * d
     if model.dim <= 64:
-        evals, _ = dense_eigh(model.hessian_dense(w_pt))
-        return float(evals[-1])
+        return float(dense_eigvalsh(model.hessian_dense(w_pt))[-1])
     u = d / float(np.linalg.norm(d))
     return lambda_max_iter(model.hvp_at(w_pt), model.dim, v0=u)
 
@@ -304,6 +304,13 @@ class EdgeBalanceReport:
         }
 
 
+def _forcing_bound(model: LossModel, log: TrajectoryLog, E):
+    """2/eta - 2 (L_0 - L_inf) / E at step weights E > 0; NaN if L_inf is unknown."""
+    if model.inf_value is None:
+        return E * float("nan")
+    return 2.0 / log.eta - 2.0 * (float(log.losses[0]) - model.inf_value) / E
+
+
 def edge_balance_report(model: LossModel, log: TrajectoryLog,
                         table: CurvatureTable,
                         deltas=None) -> EdgeBalanceReport:
@@ -324,10 +331,7 @@ def edge_balance_report(model: LossModel, log: TrajectoryLog,
     identity_residual = abs(lhs - 2.0 * loss_drop)
     weighted_mean = float(np.sum(weights * rtildes) / E_K) if E_K > 0 else float("nan")
 
-    if model.inf_value is not None and E_K > 0:
-        forcing = thr - 2.0 * (float(log.losses[0]) - model.inf_value) / E_K
-    else:
-        forcing = float("nan")
+    forcing = _forcing_bound(model, log, E_K) if E_K > 0 else float("nan")
 
     dev = thr - rtildes
     B_minus = float(np.sum(weights * np.clip(dev, 0.0, None)))
@@ -350,6 +354,17 @@ def edge_balance_report(model: LossModel, log: TrajectoryLog,
         identity_residual=identity_residual, weighted_mean=weighted_mean,
         forcing_bound=forcing, max_rtilde=float(rtildes.max()) if rtildes.size else float("nan"),
         B_minus=B_minus, B_plus=B_plus, windows=windows, table=table)
+
+
+def running_balance(model: LossModel, log: TrajectoryLog,
+                    table: CurvatureTable) -> tuple[Array, Array]:
+    """Running weighted mean curvature sum w_j rtilde_j / E_i and forcing
+    bound 2/eta - 2 (L_0 - L_inf) / E_i at each table row i, E_i summing
+    the step weights of rows 0..i; the largest rtilde of those rows is at
+    least the bound, which is NaN when ``model.inf_value`` is unknown."""
+    cum_w = np.cumsum(table.step_norm_sq)
+    running = np.cumsum(table.step_norm_sq * table.rtilde) / cum_w
+    return running, _forcing_bound(model, log, cum_w)
 
 
 def near_periodicity_bound(log: TrajectoryLog, k: int) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 Gauss-Legendre rules on [0, 1], bracketed root finding, damped Newton
-solves, dense symmetric eigendecomposition, iterative largest-eigenvalue
+solves, dense symmetric eigenvalues, iterative largest-eigenvalue
 estimation from Hessian-vector products, and the default central
 finite-difference step.
 """
@@ -24,7 +24,7 @@ __all__ = [
     "uniform_rule",
     "brent_root",
     "newton_solve",
-    "dense_eigh",
+    "dense_eigvalsh",
     "lambda_max_iter",
     "fd_step",
     "BracketError",
@@ -156,13 +156,9 @@ def _check_symmetric(A: NDArray[np.float64]) -> NDArray[np.float64]:
     return A
 
 
-def dense_eigh(A: NDArray[np.float64]):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    """
-    A = _check_symmetric(A)
-    return np.linalg.eigh(A)
+def dense_eigvalsh(A: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Eigenvalues of a symmetric matrix, ascending."""
+    return np.linalg.eigvalsh(_check_symmetric(A))
 
 
 def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],

@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .edge_metrics import DEGENERATE_STEP, step_mean_curvature_exact
 from .loss_models import LossModel
-from .numerics import QuadratureRule, dense_eigh, uniform_rule
+from .numerics import QuadratureRule, dense_eigvalsh, uniform_rule
 from .trajectory import PairedLog, TrajectoryLog, write_csv
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "excursion_kappa",
     "propagator_norm",
     "strain_run",
-    "strain_via_propagator",
     "strain_bound_rhs",
     "supercritical_run_lengths",
     "write_strain_csv",
@@ -88,7 +87,7 @@ def excursion_kappa(A: Array, eta: float) -> float:
     kappa = max{0, eta*lambda_max - 2, -eta*lambda_min}; zero exactly
     when the one-step map I - eta*A is a contraction.
     """
-    evals, _ = dense_eigh(np.asarray(A, dtype=float))
+    evals = dense_eigvalsh(A)
     return max(0.0, eta * float(evals[-1]) - 2.0, -eta * float(evals[0]))
 
 
@@ -97,15 +96,17 @@ class StrainLog:
     """Per-step records of the two-trajectory strain recurrence.
 
     delta[k] = w_k - w'_k is the logged strain, stress[k] the gradient
-    mismatch at the reference trajectory, A[k] the segment-averaged
-    Hessian of the first objective, and residual[k] the recurrence
-    mismatch ||delta_{k+1} - (I - eta A_k) delta_k + eta f_k||.
+    mismatch at the reference trajectory, kappa[k] the excursion of the
+    segment-averaged Hessian A_k of the first objective, residual[k] the
+    recurrence mismatch ||delta_{k+1} - (I - eta A_k) delta_k + eta f_k||,
+    and propagated[k] the variation-of-constants strain
+    -eta sum_{s<k} (I - eta A_{k-1}) ... (I - eta A_{s+1}) f_s.
     """
 
     eta: float
     delta: Array                  # (K+1, dim)
     stress: Array                 # (K, dim)
-    A: list[Array]                # K dense matrices
+    propagated: Array             # (K+1, dim)
     kappa: Array                  # (K,)
     residual: Array               # (K,)
 
@@ -126,11 +127,13 @@ def _segment_hessian(model: LossModel, base: Array, delta: Array,
 def strain_run(pair: PairedLog, model_s: LossModel,
                rule: QuadratureRule | None = None,
                adaptive: bool = False) -> StrainLog:
-    """Assemble the strain/stress/step-matrix log of a paired run.
+    """Assemble the strain/stress/excursion log of a paired run.
 
     A_k is the uniform quadrature of the first objective's Hessian along
     the segment from w'_k to w_k. With ``adaptive`` the order doubles
-    until A_k stabilizes (for non-polynomial objectives).
+    until A_k stabilizes (for non-polynomial objectives). Each A_k is
+    held only while its step is processed: the propagated strain follows
+    z_0 = 0, z_{k+1} = (I - eta A_k) z_k - eta f_k in the same pass.
     """
     if rule is None:
         rule = uniform_rule()
@@ -138,51 +141,32 @@ def strain_run(pair: PairedLog, model_s: LossModel,
     eta = pair.log_s.eta
     dim = pair.log_s.dim
 
-    delta = np.array([pair.log_s.w(k) - pair.log_sp.w(k) for k in range(K + 1)])
+    delta = pair.log_s.w_stored[:K + 1] - pair.log_sp.w_stored[:K + 1]
     stress = np.zeros((K, dim))
-    A_list: list[Array] = []
+    z = np.zeros((K + 1, dim))
     kappa = np.zeros(K)
     residual = np.zeros(K)
     for k in range(K):
-        wp = pair.log_sp.w(k)
+        wp = pair.log_sp.w_stored[k]
         stress[k] = model_s.gradient(wp) - pair.log_sp.grads[k]
-        A = _segment_hessian(model_s, wp, delta[k], rule)
-        if adaptive:
-            order = rule.order
-            while order < 64:
-                order *= 2
-                A2 = _segment_hessian(model_s, wp, delta[k], uniform_rule(order))
-                if float(np.max(np.abs(A2 - A))) <= ADAPT_TOL * max(1.0, float(np.max(np.abs(A2)))):
-                    A = A2
-                    break
-                A = A2
-        A_list.append(A)
+        order, A = rule.order, _segment_hessian(model_s, wp, delta[k], rule)
+        while adaptive and order < 64:
+            order *= 2
+            A, prev = _segment_hessian(model_s, wp, delta[k], uniform_rule(order)), A
+            if float(np.max(np.abs(A - prev))) <= ADAPT_TOL * max(1.0, float(np.max(np.abs(A)))):
+                break
         kappa[k] = excursion_kappa(A, eta)
         predicted = delta[k] - eta * (A @ delta[k]) - eta * stress[k]
         residual[k] = float(np.linalg.norm(delta[k + 1] - predicted))
-    return StrainLog(eta=eta, delta=delta, stress=stress, A=A_list,
+        z[k + 1] = z[k] - eta * (A @ z[k]) - eta * stress[k]
+    return StrainLog(eta=eta, delta=delta, stress=stress, propagated=z,
                      kappa=kappa, residual=residual)
 
 
 def propagator_norm(T: Array) -> float:
     """Operator norm via the dense spectrum of T^T T."""
-    evals, _ = dense_eigh(T.T @ T)
+    evals = dense_eigvalsh(T.T @ T)
     return math.sqrt(max(float(evals[-1]), 0.0))
-
-
-def strain_via_propagator(strain: StrainLog, k: int) -> Array:
-    """Variation-of-constants value -eta sum_{s<k} T[k, s+1] f_s."""
-    if not 0 <= k <= strain.num_steps:
-        raise IndexError(f"step {k} outside the strain log")
-    dim = strain.delta.shape[1]
-    acc = np.zeros(dim)
-    # Build right-to-left so each partial product is reused.
-    T = np.eye(dim)
-    for s in range(k - 1, -1, -1):
-        # T currently equals T[k, s+1].
-        acc = acc + T @ strain.stress[s]
-        T = T @ (np.eye(dim) - strain.eta * strain.A[s])
-    return -strain.eta * acc
 
 
 def strain_bound_rhs(strain: StrainLog) -> Array:

@@ -16,6 +16,7 @@ from edge_lab import edge_metrics as em
 from edge_lab.cli import _RESOLVERS, ConfigError, main
 from edge_lab.loss_models import make_mlp, make_quadratic, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
+from edge_lab.verify import telescoping_tolerance
 
 
 def _write_config(path, cfg):
@@ -213,6 +214,18 @@ class TestBalanceCommand:
         assert main(["balance", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         ks = [int(r[0]) for r in _csv_rows(out / "balance_eta0.csv")]
         assert ks == list(range(6, 40))
+
+    def test_forcing_bound_empty_without_infimum(self, tmp_path):
+        """A loss unbounded below has no forcing bound: the column is
+        empty on every row instead of a bound the run violates."""
+        out = tmp_path / "out"
+        cfg = dict(self._config(out), etas=[0.5], steps=20,
+                   model={"kind": "quadratic", "diag": [1.0, -0.5]},
+                   init={"mode": "vector", "values": [1.0, 1.0]})
+        assert main(["balance", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        rows = _csv_rows(out / "balance_eta0.csv")
+        assert len(rows) == 20
+        assert all(len(r) == 3 and r[2] == "" for r in rows)
 
 
 class TestBifurcateCommand:
@@ -412,6 +425,16 @@ class TestVerifyCommand:
         assert failed & {"loss_replay", "gradient_replay", "update_consistency"}
 
 
+def test_telescoping_tolerance():
+    """One tolerance for the telescoping residual, in the suite and in
+    run-directory replay: relative to the loss drop on an MLP, to the
+    initial loss otherwise."""
+    assert telescoping_tolerance(np.array([3.0, 1.0]), is_mlp=True) == 4e-5
+    assert telescoping_tolerance(np.array([0.3, 0.2]), is_mlp=True) == 1e-5
+    assert telescoping_tolerance(np.array([-5.0, 1.0]), is_mlp=False) == 5e-8
+    assert telescoping_tolerance(np.array([0.5, 0.1]), is_mlp=False) == 1e-8
+
+
 class TestInitModes:
     def test_minimizer_offset(self, tmp_path):
         out = tmp_path / "out"
@@ -547,6 +570,21 @@ class TestFailureContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines
         assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("base, key", [
+        ("run", "steps"), ("balance", "steps"), ("strain", "steps"),
+        ("bifurcate", "run_steps")])
+    def test_count_too_large_to_allocate(self, tmp_path, capsys, base, key):
+        """A step count whose logs cannot be allocated is one config-error
+        line at its key and exit 2. numpy refuses the allocation before
+        touching memory; the run has written only its resolved config."""
+        out = tmp_path / "out"
+        cfg = _with(dict(self._BASES[base], out_dir=str(out)), key, 10 ** 15)
+        rc = main([base, "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
     def test_bad_second_model_reported_at_second_model(self, tmp_path, capsys):
         """A second model its constructor rejects is a config error at

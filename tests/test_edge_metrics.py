@@ -318,6 +318,20 @@ class TestBalanceReport:
         log = run_gd(model, np.array([0.1]), 0.1, 5)
         rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
         assert math.isnan(rep.forcing_bound)
+        _, forcing = em.running_balance(model, log, rep.table)
+        assert np.all(np.isnan(forcing))
+
+    def test_running_balance_ends_at_report(self):
+        """The running mean and forcing bound end at the report's values,
+        and the largest rtilde so far never falls below the bound."""
+        model = make_scalar_poly(1.0, 0.0, -1.0)
+        log = run_gd(model, np.array([0.3]), 2.5, 500)
+        rep = em.edge_balance_report(model, log, em.curvature_table(model, log))
+        running, forcing = em.running_balance(model, log, rep.table)
+        assert running.shape == forcing.shape == rep.table.k.shape
+        assert running[-1] == pytest.approx(rep.weighted_mean, rel=1e-12)
+        assert forcing[-1] == pytest.approx(rep.forcing_bound, rel=1e-12)
+        assert np.all(np.maximum.accumulate(rep.table.rtilde) >= forcing - 1e-12)
 
     def test_report_json_ready(self):
         import json

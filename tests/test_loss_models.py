@@ -12,7 +12,6 @@ from edge_lab.loss_models import (LossModel, MlpModel, QuadraticModel,
                                   make_quadratic, make_scalar_poly,
                                   make_synthetic_dataset,
                                   make_two_layer_linear, width_pad)
-from edge_lab.numerics import dense_eigh
 
 
 def _all_models():
@@ -325,7 +324,7 @@ class TestLinearNetGeometry:
             M = (U[:, :r] * s) @ V[:, :r].T
             w_bar, geom = balanced_minimizer(M, h)
             H = geom.model.hessian_dense(w_bar)
-            evals, vecs = dense_eigh(H)
+            evals, vecs = np.linalg.eigh(H)
             null_count = int(np.sum(evals < 1e-8 * evals[-1]))
             expected = h * (d + p) - r * (d + p - r)
             assert null_count == expected

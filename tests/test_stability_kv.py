@@ -107,6 +107,14 @@ def _quadratic_pair(K=12, eta=0.5):
     return qa, qb, pair, H, eta
 
 
+def _mlp_leave_one_out_models():
+    ds = make_synthetic_dataset(3, 40, 5, 3, teacher_rank=2, noise=0.05)
+    keep = np.arange(1, 40)
+    ds2 = Dataset(X=ds.X[keep], Y=ds.Y[keep], seed=ds.seed,
+                  teacher_rank=ds.teacher_rank)
+    return make_mlp([5, 6, 3], "tanh", ds), make_mlp([5, 6, 3], "tanh", ds2)
+
+
 class TestPropagatorProduct:
     def test_constant_matrix_power(self):
         _, _, _, H, eta = _quadratic_pair()
@@ -161,12 +169,7 @@ class TestStrainRun:
         assert strain.residual.max() <= 1e-10
 
     def test_mlp_leave_one_out(self):
-        ds = make_synthetic_dataset(3, 40, 5, 3, teacher_rank=2, noise=0.05)
-        keep = np.arange(1, 40)
-        ds2 = Dataset(X=ds.X[keep], Y=ds.Y[keep], seed=ds.seed,
-                      teacher_rank=ds.teacher_rank)
-        m1 = make_mlp([5, 6, 3], "tanh", ds)
-        m2 = make_mlp([5, 6, 3], "tanh", ds2)
+        m1, m2 = _mlp_leave_one_out_models()
         pair = run_pair_gd(m1, m2, m1.init_params(seed=7), 0.3, 25)
         strain = kv.strain_run(pair, m1, rule=uniform_rule(8), adaptive=True)
         assert strain.residual.max() <= 1e-6
@@ -185,7 +188,7 @@ class TestStrainRun:
         kappa = np.where(rng.random(K) < 0.5, 0.0, 0.2 * rng.random(K))
         strain = kv.StrainLog(eta=eta, delta=np.zeros((K + 1, dim)),
                               stress=rng.standard_normal((K, dim)),
-                              A=[np.zeros((dim, dim))] * K, kappa=kappa,
+                              propagated=np.zeros((K + 1, dim)), kappa=kappa,
                               residual=np.zeros(K))
         bound = kv.strain_bound_rhs(strain)
         assert bound.shape == (K + 1,)
@@ -197,14 +200,9 @@ class TestStrainRun:
             assert abs(bound[k] - explicit) <= 1e-13 * explicit
 
     def test_segment_hessians_exactly_symmetric(self):
-        ds = make_synthetic_dataset(3, 40, 5, 3, teacher_rank=2, noise=0.05)
-        keep = np.arange(1, 40)
-        ds2 = Dataset(X=ds.X[keep], Y=ds.Y[keep], seed=ds.seed,
-                      teacher_rank=ds.teacher_rank)
-        m1 = make_mlp([5, 6, 3], "tanh", ds)
-        pair = run_pair_gd(m1, make_mlp([5, 6, 3], "tanh", ds2),
-                           m1.init_params(seed=7), 0.3, 5)
-        for A in kv.strain_run(pair, m1).A:
+        m1, m2 = _mlp_leave_one_out_models()
+        pair = run_pair_gd(m1, m2, m1.init_params(seed=7), 0.3, 5)
+        for A in _segment_hessians(pair, m1, uniform_rule()):
             assert np.array_equal(A, A.T)
 
     def test_classical_window_linear_bound(self):
@@ -218,37 +216,63 @@ class TestStrainRun:
             assert np.linalg.norm(strain.delta[k]) <= plain + 1e-12
 
 
+def _segment_hessians(pair, model, rule):
+    """The step matrices A_s of ``strain_run`` at a fixed rule."""
+    return [kv._segment_hessian(model, pair.log_sp.w(s),
+                                pair.log_s.w(s) - pair.log_sp.w(s), rule)
+            for s in range(pair.num_steps)]
+
+
+def _strain_via_propagator(A, stress, eta, k):
+    """Variation-of-constants value -eta sum_{s<k} T[k, s+1] f_s, with the
+    propagator products built right to left so each partial product is
+    reused."""
+    dim = stress.shape[1]
+    acc = np.zeros(dim)
+    T = np.eye(dim)
+    for s in range(k - 1, -1, -1):
+        # T currently equals T[k, s+1].
+        acc = acc + T @ stress[s]
+        T = T @ (np.eye(dim) - eta * A[s])
+    return -eta * acc
+
+
 class TestStrainViaPropagator:
     def test_empty_sum(self):
         qa, _, pair, _, _ = _quadratic_pair()
         strain = kv.strain_run(pair, qa)
-        np.testing.assert_array_equal(kv.strain_via_propagator(strain, 0),
-                                      np.zeros(2))
+        np.testing.assert_array_equal(strain.propagated[0], np.zeros(2))
 
     def test_single_step(self):
         qa, _, pair, _, eta = _quadratic_pair()
         strain = kv.strain_run(pair, qa)
-        np.testing.assert_allclose(kv.strain_via_propagator(strain, 1),
+        np.testing.assert_allclose(strain.propagated[1],
                                    -eta * strain.stress[0], atol=1e-15)
 
     def test_matches_logged_strain(self):
         qa, _, pair, _, _ = _quadratic_pair()
         strain = kv.strain_run(pair, qa)
-        for k in (5, 10, 12):
-            via = kv.strain_via_propagator(strain, k)
-            err = np.linalg.norm(via - strain.delta[k])
+        for k in range(strain.num_steps + 1):
+            err = np.linalg.norm(strain.propagated[k] - strain.delta[k])
             assert err <= 1e-10 * (1 + np.linalg.norm(strain.delta[k]))
 
-    def test_recurrence_identity_machine_precision(self):
-        """Rebuilding the strain from the stored step matrices reproduces the
-        variation-of-constants formula exactly."""
-        qa, _, pair, _, eta = _quadratic_pair()
-        strain = kv.strain_run(pair, qa)
-        delta = np.zeros(2)
-        for k in range(strain.num_steps):
-            delta = (np.eye(2) - eta * strain.A[k]) @ delta - eta * strain.stress[k]
-            via = kv.strain_via_propagator(strain, k + 1)
-            np.testing.assert_allclose(via, delta, atol=5e-16 * (1 + np.linalg.norm(delta)))
+    @pytest.mark.parametrize("case", ["quadratic", "mlp_leave_one_out"])
+    def test_matches_propagator_product(self, case):
+        """The forward recursion equals the right-to-left T-product at
+        every step, from the same step matrices."""
+        if case == "quadratic":
+            model, _, pair, _, eta = _quadratic_pair()
+        else:
+            model, m2 = _mlp_leave_one_out_models()
+            eta = 0.3
+            pair = run_pair_gd(model, m2, model.init_params(seed=7), eta, 25)
+        rule = uniform_rule(8)
+        strain = kv.strain_run(pair, model, rule=rule)
+        A = _segment_hessians(pair, model, rule)
+        for k in range(strain.num_steps + 1):
+            via = _strain_via_propagator(A, strain.stress, eta, k)
+            err = np.linalg.norm(strain.propagated[k] - via)
+            assert err <= 1e-10 * (1 + np.linalg.norm(via))
 
 
 class TestSupercriticalRuns:
