@@ -162,13 +162,15 @@ def _resolve_dataset(cfg: dict, path: str) -> dict:
     })
 
 
-def _build_dataset(res: dict) -> loss_models.Dataset:
-    """The dataset of a resolved entry; an entry given a ``leave_one_out``
-    index (the strain pairing) lacks that row."""
-    ds = loss_models.make_synthetic_dataset(
-        res["seed"], res["n"], res["d_in"], res["d_out"],
-        teacher_rank=res["teacher_rank"], noise=res["noise"],
-        teacher_spectrum=res["teacher_spectrum"])
+def _build_dataset(res: dict, path: str) -> loss_models.Dataset:
+    """The dataset of the resolved entry at ``path``; an entry given a
+    ``leave_one_out`` index (the strain pairing) lacks that row. A dataset
+    too large to allocate is a config error at its ``n``."""
+    with _allocation(f"{path}.n"):
+        ds = loss_models.make_synthetic_dataset(
+            res["seed"], res["n"], res["d_in"], res["d_out"],
+            teacher_rank=res["teacher_rank"], noise=res["noise"],
+            teacher_spectrum=res["teacher_spectrum"])
     if res.get("leave_one_out") is None:
         return ds
     return dataclasses.replace(ds, X=np.delete(ds.X, res["leave_one_out"], axis=0),
@@ -211,10 +213,10 @@ def _resolve_model(cfg: dict, path: str) -> dict:
         "dataset": _resolve_dataset(model, f"{path}.dataset")})
 
 
-def _linear_target(res: dict) -> np.ndarray:
+def _linear_target(res: dict, path: str = "model") -> np.ndarray:
     if res["target"] is not None:
         return np.asarray(res["target"], dtype=float)
-    ds = _build_dataset(res["dataset"])
+    ds = _build_dataset(res["dataset"], f"{path}.dataset")
     M = np.linalg.lstsq(ds.X, ds.Y, rcond=None)[0].T
     if res["rank"] is not None:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -234,10 +236,11 @@ def _build_model(res: dict, path: str = "model") -> loss_models.LossModel:
         if kind == "scalar_poly":
             return loss_models.make_scalar_poly(res["lam"], res["gamma"], res["beta"])
         if kind == "two_layer_linear":
-            return loss_models.make_two_layer_linear(_linear_target(res), res["hidden"])
+            return loss_models.make_two_layer_linear(_linear_target(res, path),
+                                                     res["hidden"])
         if kind == "mlp":
             return loss_models.make_mlp(res["widths"], res["activation"],
-                                        _build_dataset(res["dataset"]))
+                                        _build_dataset(res["dataset"], f"{path}.dataset"))
     raise AssertionError(kind)
 
 
@@ -348,8 +351,26 @@ def cmd_run(resolved: dict, out: Path) -> int:
     _write_json(out / "balance_report.json", report.to_dict())
     summary = trajectory.run_summary(log)
     summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
+    summary["num_unsettled_steps"] = len(table.unsettled)
     _write_json(out / "summary.json", summary)
-    return EXIT_DIVERGENCE if log.diverged else EXIT_OK
+    unsettled = _unsettled_exit(_steps(table.unsettled))
+    return EXIT_DIVERGENCE if log.diverged else unsettled
+
+
+def _steps(ks) -> str:
+    return ", ".join(map(str, ks))
+
+
+def _unsettled_exit(named: str) -> int:
+    """Exit 1 with one stderr line naming the steps whose curvature
+    quadrature did not settle (``named``, empty if none), else 0. Called
+    once every output is written; divergence (exit 3) takes precedence."""
+    if not named:
+        return EXIT_OK
+    print(f"unsettled curvature quadrature at steps {named}: not within "
+          f"{edge_metrics.QUADRATURE_RTOL:g} after "
+          f"{edge_metrics.QUADRATURE_MAX_INTERVALS} intervals", file=sys.stderr)
+    return EXIT_ASSERTION
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +411,7 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
     return {"eta": eta, "weighted_mean": report.weighted_mean,
             "threshold": 2.0 / eta,
             "identity_residual": report.identity_residual,
+            "unsettled_steps": table.unsettled,
             "diverged": log.diverged}
 
 
@@ -400,7 +422,10 @@ def cmd_balance(resolved: dict, out: Path) -> int:
     entries = [_balance_one(model, w0, eta, resolved, out, i)
                for i, eta in enumerate(resolved["etas"])]
     _write_json(out / "balance_summary.json", {"runs": entries})
-    return EXIT_DIVERGENCE if any(e["diverged"] for e in entries) else EXIT_OK
+    unsettled = _unsettled_exit("; ".join(
+        f"{_steps(e['unsettled_steps'])} of etas[{i}]"
+        for i, e in enumerate(entries) if e["unsettled_steps"]))
+    return EXIT_DIVERGENCE if any(e["diverged"] for e in entries) else unsettled
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +650,7 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
     results.append(verify.CheckResult(
         "telescoping_balance", bool(resid <= tol), _time.perf_counter() - t3,
-        {"residual": resid, "tolerance": tol}))
+        {"residual": resid, "tolerance": tol, "unsettled_steps": table.unsettled}))
     return results
 
 

@@ -12,7 +12,10 @@ instead of a tautology.
 ``curvature_table`` is the one place either route is evaluated: it
 walks a run once and every consumer (balance report, metrics CSV,
 localization targets, the noisy balance, run-directory replay) reads
-its per-step rows.
+its per-step rows. The quadrature route integrates each step's profile
+with the embedded G4/K9 Gauss-Kronrod pair, bisecting intervals until
+both averages settle; each row records the nodes it took, and steps
+that exhaust the interval budget are listed as unsettled.
 
 Curvature values carry inverse-step-size units (they are compared
 against the threshold 2/eta).
@@ -26,7 +29,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel
-from .numerics import brent_root, dense_eigvalsh, lambda_max_iter, uniform_rule
+from .numerics import (brent_root, dense_eigvalsh, gauss_kronrod_rule,
+                       lambda_max_iter, uniform_rule)
 from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
 
 __all__ = [
@@ -63,9 +67,13 @@ class DegenerateStepError(ValueError):
     """Step increment too short to define a direction."""
 
 
-# Gauss-Legendre orders tried in turn until both segment averages settle.
-QUADRATURE_ORDERS = (4, 8, 16, 32, 64)
+# The G4/K9 Gauss-Kronrod pair: 9 profile nodes per interval. Both segment
+# averages settle when their summed |K9 - G4| error is at most
+# QUADRATURE_RTOL max(1, |value|); a step that has not settled by
+# QUADRATURE_MAX_INTERVALS intervals is reported unsettled.
+QUADRATURE_GAUSS_NODES = 4
 QUADRATURE_RTOL = 1e-9
+QUADRATURE_MAX_INTERVALS = 128
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,10 @@ class CurvatureTable:
     """Both segment curvatures of every non-degenerate step of one run.
 
     Row i describes trajectory step ``k[i]``; degenerate steps have no
-    row and are listed in ``skipped``.
+    row and are listed in ``skipped``. ``nodes[i]`` counts the profile
+    values the row's quadrature took (0 on the loss route), and
+    ``unsettled`` lists the steps whose quadrature hit the interval budget
+    before it settled.
     """
 
     route: str                    # "quadrature" or "loss"
@@ -81,7 +92,9 @@ class CurvatureTable:
     step_norm_sq: Array
     rbar: Array
     rtilde: Array
+    nodes: NDArray[np.int64]
     skipped: list[int]
+    unsettled: list[int]
 
 
 @dataclass(frozen=True)
@@ -126,25 +139,49 @@ def effective_curvature_from_loss(log: TrajectoryLog, k: int) -> float:
     return 2.0 * (dloss + nd ** 2 / log.eta) / nd ** 2
 
 
-def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple[float, float]:
-    """(rbar, rtilde) of one step from a single set of profile values.
+def _intervals(model: LossModel, w: Array, d: Array, spans) -> list[tuple]:
+    """K9 sums over each (a, h) span [a, a + h] of the step, from one
+    ``segment_curvature`` call: per span (a, h, rbar part, rtilde part,
+    and the |K9 - G4| error of each part)."""
+    rule = gauss_kronrod_rule(QUADRATURE_GAUSS_NODES)
+    nodes, weights, gauss = rule.nodes, rule.weights, rule.gauss_weights
+    ts = [a + h * nodes for a, h in spans]
+    qs = model.segment_curvature(w, d, np.concatenate(ts)).reshape(len(spans), -1)
+    out = []
+    for (a, h), t, q in zip(spans, ts, qs):
+        tri = 2.0 * (1.0 - t)
+        kq, gq = h * weights * q, h * gauss * q[1::2]
+        rbar, rtilde = float(np.sum(kq)), float(np.dot(tri, kq))
+        out.append((a, h, rbar, rtilde, abs(rbar - float(np.sum(gq))),
+                    abs(rtilde - float(np.dot(tri[1::2], gq)))))
+    return out
 
-    At each Gauss-Legendre order the profile is evaluated once per node,
-    in one ``segment_curvature`` call, and both averages are formed from
-    those values: rbar = sum w_i q_i, rtilde = sum 2 (1 - tau_i) w_i q_i.
-    The order doubles until both agree with the previous order within
-    QUADRATURE_RTOL.
+
+def _segment_averages(model: LossModel, w: Array,
+                      d: Array) -> tuple[float, float, int, bool]:
+    """(rbar, rtilde, profile nodes, settled) of one step.
+
+    The profile is integrated by the embedded G4/K9 pair: rbar = sum w_i q_i
+    and rtilde = sum 2 (1 - tau_i) w_i q_i from the K9 values, and
+    |K9 - G4| on each interval as the error estimate. The step settles
+    when, for both averages, the summed error is at most
+    QUADRATURE_RTOL max(1, |total|). Otherwise the interval whose errors
+    are the largest share of their tolerances (the leftmost on a tie) is
+    bisected and both halves are evaluated, until the step holds
+    QUADRATURE_MAX_INTERVALS intervals; then it is unsettled.
     """
-    prev = None
-    for order in QUADRATURE_ORDERS:
-        rule = uniform_rule(order)
-        wq = rule.weights * model.segment_curvature(w, d, rule.nodes)
-        cur = (float(np.sum(wq)), 2.0 * float(np.dot(1.0 - rule.nodes, wq)))
-        if prev is not None and all(abs(c - p) <= QUADRATURE_RTOL * max(1.0, abs(c))
-                                    for c, p in zip(cur, prev)):
-            break
-        prev = cur
-    return cur
+    parts = _intervals(model, w, d, [(0.0, 1.0)])
+    while True:
+        rbar, rtilde, e_bar, e_tilde = (sum(col) for col in list(zip(*parts))[2:])
+        tol_bar = QUADRATURE_RTOL * max(1.0, abs(rbar))
+        tol_tilde = QUADRATURE_RTOL * max(1.0, abs(rtilde))
+        settled = e_bar <= tol_bar and e_tilde <= tol_tilde
+        if settled or len(parts) >= QUADRATURE_MAX_INTERVALS:
+            nodes = (2 * QUADRATURE_GAUSS_NODES + 1) * (2 * len(parts) - 1)
+            return rbar, rtilde, nodes, settled
+        i = int(np.argmax([max(e_b / tol_bar, e_t / tol_tilde) for *_, e_b, e_t in parts]))
+        a, h = parts[i][:2]
+        parts[i:i + 1] = _intervals(model, w, d, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
 
 
 def curvature_table(model: LossModel, log: TrajectoryLog,
@@ -152,14 +189,14 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
     """Segment curvatures of every step of a run, in one pass.
 
     ``route="quadrature"`` integrates the directional curvature profile
-    adaptively; ``route="loss"`` takes the exact routes (gradient
-    difference for rbar, loss change for rtilde). Degenerate steps are
-    skipped; their contribution to every weighted sum is below the
-    rounding floor by construction.
+    adaptively (``_segment_averages``); ``route="loss"`` takes the exact
+    routes (gradient difference for rbar, loss change for rtilde).
+    Degenerate steps are skipped; their contribution to every weighted
+    sum is below the rounding floor by construction.
     """
     if route not in ("quadrature", "loss"):
         raise ValueError("route must be 'quadrature' or 'loss'")
-    ks, norms_sq, rbars, rtildes, skipped = [], [], [], [], []
+    ks, norms_sq, rbars, rtildes, nodes, skipped, unsettled = [], [], [], [], [], [], []
     for k in range(log.num_steps):
         d = log.steps[k]
         nd = float(np.linalg.norm(d))
@@ -167,16 +204,21 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
             skipped.append(k)
             continue
         if route == "quadrature":
-            rbar, rtilde = _segment_averages(model, log.w(k), d)
+            rbar, rtilde, count, settled = _segment_averages(model, log.w(k), d)
+            if not settled:
+                unsettled.append(k)
         else:
             rbar = step_mean_curvature_exact(log, k)
             rtilde = effective_curvature_from_loss(log, k)
+            count = 0
         ks.append(k)
         norms_sq.append(nd ** 2)
         rbars.append(rbar)
         rtildes.append(rtilde)
+        nodes.append(count)
     return CurvatureTable(route, np.array(ks, dtype=np.int64), np.array(norms_sq),
-                          np.array(rbars), np.array(rtildes), skipped)
+                          np.array(rbars), np.array(rtildes),
+                          np.array(nodes, dtype=np.int64), skipped, unsettled)
 
 
 def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
@@ -301,6 +343,7 @@ class EdgeBalanceReport:
                     "sub_bound": wm.sub_bound, "super_bound": wm.super_bound,
                 } for d, wm in self.windows.items()},
             "skipped_steps": self.table.skipped,
+            "unsettled_steps": self.table.unsettled,
         }
 
 

@@ -425,6 +425,91 @@ class TestVerifyCommand:
         assert failed & {"loss_replay", "gradient_replay", "update_consistency"}
 
 
+# A GELU MLP whose first steps (|d| up to 69) have profiles no fixed Gauss
+# order up to 64 integrates to 1e-9; 34 of its 300 steps need bisection.
+_REPRO = {
+    "model": {"kind": "mlp", "widths": [3, 2, 7, 3], "activation": "gelu",
+              "dataset": {"seed": 628, "n": 36, "d_in": 3, "d_out": 3,
+                          "noise": 0.1}},
+    "init": {"mode": "gaussian", "seed": 268},
+    "eta": 1.6168833663738404, "steps": 300, "include_w": True,
+}
+
+
+@pytest.fixture(scope="module")
+def repro_run(tmp_path_factory):
+    """The repro run directory and the node count of each curvature-table
+    row, at the default interval budget."""
+    tmp = tmp_path_factory.mktemp("repro")
+    out = tmp / "run"
+    assert main(["run", "--config", _write_config(
+        tmp / "c.json", dict(_REPRO, out_dir=str(out)))]) == 0
+    ds = make_synthetic_dataset(628, 36, 3, 3, noise=0.1)
+    model = make_mlp([3, 2, 7, 3], "gelu", ds)
+    log = run_gd(model, model.init_params(268), _REPRO["eta"], _REPRO["steps"])
+    return out, em.curvature_table(model, log)
+
+
+class TestUnsettledQuadrature:
+    def test_repro_settles_and_balances(self, repro_run, tmp_path):
+        """Every step settles within the interval budget, the telescoping
+        balance holds at 1e-5 of the loss drop, and run-directory replay
+        passes."""
+        out, table = repro_run
+        rep = json.loads((out / "balance_report.json").read_text())
+        assert rep["unsettled_steps"] == [] and table.unsettled == []
+        assert json.loads((out / "summary.json").read_text())["num_unsettled_steps"] == 0
+        assert rep["identity_residual"] <= 1e-5 * max(1.0, abs(2.0 * rep["loss_drop"]))
+        assert np.any(table.nodes > 9)
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        [tele] = [c for c in report["checks"] if c["name"] == "telescoping_balance"]
+        assert tele["details"]["unsettled_steps"] == []
+
+    def test_budget_exhausted_steps_named(self, repro_run, tmp_path, capsys,
+                                          monkeypatch):
+        """With a budget of one interval, exactly the steps that bisect at
+        the default budget are unsettled: ``run`` writes every file, names
+        them in one stderr line and exits 1, and replay names them too."""
+        bisected = [int(k) for k, n in zip(repro_run[1].k, repro_run[1].nodes) if n > 9]
+        monkeypatch.setattr(em, "QUADRATURE_MAX_INTERVALS", 1)
+        out = tmp_path / "run"
+        rc = main(["run", "--config", _write_config(
+            tmp_path / "c.json", dict(_REPRO, out_dir=str(out)))])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"unsettled curvature quadrature at steps "
+                         f"{', '.join(map(str, bisected))}: not within 1e-09 "
+                         f"after 1 intervals"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "balance_report.json", "metrics.csv", "resolved_config.json",
+            "summary.json", "trajectory.csv"]
+        assert json.loads((out / "balance_report.json").read_text())[
+            "unsettled_steps"] == bisected
+        assert json.loads((out / "summary.json").read_text())[
+            "num_unsettled_steps"] == len(bisected)
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        [tele] = [c for c in report["checks"] if c["name"] == "telescoping_balance"]
+        assert tele["details"]["unsettled_steps"] == bisected
+
+    def test_balance_names_unsettled_steps(self, tmp_path, capsys, monkeypatch):
+        """``balance`` lists the unsettled steps of each step size in
+        balance_summary.json and names them, per step size, in one line."""
+        monkeypatch.setattr(em, "QUADRATURE_MAX_INTERVALS", 1)
+        out = tmp_path / "out"
+        cfg = {key: _REPRO[key] for key in ("model", "init")}
+        cfg.update(etas=[_REPRO["eta"], 0.1], steps=10, out_dir=str(out))
+        rc = main(["balance", "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 1
+        runs = json.loads((out / "balance_summary.json").read_text())["runs"]
+        assert runs[0]["unsettled_steps"] == list(range(9))
+        assert runs[1]["unsettled_steps"] == [0]
+        assert capsys.readouterr().err.splitlines() == [
+            "unsettled curvature quadrature at steps 0, 1, 2, 3, 4, 5, 6, 7, 8 "
+            "of etas[0]; 0 of etas[1]: not within 1e-09 after 1 intervals"]
+
+
 def test_telescoping_tolerance():
     """One tolerance for the telescoping residual, in the suite and in
     run-directory replay: relative to the loss drop on an MLP, to the
@@ -585,6 +670,24 @@ class TestFailureContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines
         assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
+    @pytest.mark.parametrize("base", ["run mlp", "bifurcate linear"])
+    def test_dataset_too_large_to_allocate(self, tmp_path, capsys, base):
+        """A dataset whose arrays cannot be allocated is one config-error
+        line at its ``n`` and exit 2; numpy refuses before touching memory,
+        and nothing is written."""
+        bases = dict(self._BASES, **{"run mlp": dict(
+            self._BASES["run"], model={"kind": "mlp", "widths": [4, 3, 2],
+                                       "dataset": _MLP_DATASET},
+            init={"mode": "gaussian"})})
+        out = tmp_path / "out"
+        cfg = _with(dict(bases[base], out_dir=str(out)), "model.dataset.n", 10 ** 15)
+        rc = main([base.split()[0], "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "config error at model.dataset.n: too large"), lines
+        assert not any(out.glob("*"))
 
     def test_bad_second_model_reported_at_second_model(self, tmp_path, capsys):
         """A second model its constructor rejects is a config error at

@@ -16,13 +16,15 @@ from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
 
 class _CountingModel:
     """Counts the profile nodes a wrapped model evaluates through
-    ``segment_curvature`` and records the points they are made at."""
+    ``segment_curvature``, the nodes of each call, and records the points
+    they are made at."""
 
     def __init__(self, model):
-        self.model, self.calls, self.points = model, 0, []
+        self.model, self.calls, self.sizes, self.points = model, 0, [], []
 
     def segment_curvature(self, w, d, taus):
         self.calls += len(taus)
+        self.sizes.append(len(taus))
         self.points.extend((w + t * d).tobytes() for t in taus)
         return self.model.segment_curvature(w, d, taus)
 
@@ -38,6 +40,20 @@ class _BumpModel(LossModel):
     def hvp(self, w, v):
         x = float(w[0])
         return (x + math.exp(-((x - self.CENTER) / self.WIDTH) ** 2)) * np.asarray(v)
+
+
+class _OddBumpModel(LossModel):
+    """1-D model with curvature g(x - 0.3) - g(x - 0.7), g a Gaussian of
+    width 0.05: odd about 1/2, so every symmetric rule integrates it to 0
+    on [0, 1] and only the triangular average can tell rules apart."""
+
+    dim = 1
+    WIDTH = 0.05
+
+    def hvp(self, w, v):
+        x = float(w[0])
+        g = [math.exp(-((x - c) / self.WIDTH) ** 2) for c in (0.3, 0.7)]
+        return (g[0] - g[1]) * np.asarray(v)
 
 
 @pytest.fixture(scope="module")
@@ -127,13 +143,61 @@ class TestCurvatureRoutes:
             em.step_mean_curvature_exact(log, 1)
 
     def test_one_node_set_per_order(self):
-        """Both averages come from the same profile values: the order-4
-        attempt and the order-8 attempt that confirms it, and no more."""
+        """Both averages and their error estimate come from the same profile
+        values: the quartic's profile is a parabola, so each step settles
+        on its first K9 interval, 9 nodes, and no more."""
         model = make_scalar_poly(1.0, 0.0, -1.0)
         log = run_gd(model, np.array([0.3]), 2.5, 5)
         counted = _CountingModel(model)
-        em.curvature_table(counted, log)
-        assert counted.calls == 5 * (4 + 8)
+        table = em.curvature_table(counted, log)
+        assert counted.calls == 5 * 9
+        assert list(table.nodes) == [9] * 5 and table.unsettled == []
+
+    def test_nodes_per_step_mlp(self, mlp_run):
+        """A step that settles on its first interval costs exactly 9 nodes
+        in one ``segment_curvature`` call; each bisection adds one call
+        with 9 nodes for each half. ``nodes`` records what was spent."""
+        model, log = mlp_run
+        counted = _CountingModel(model)
+        table = em.curvature_table(counted, log)
+        assert table.unsettled == [] and np.sum(table.nodes == 9) > 0
+        expected = []
+        for n in table.nodes:
+            assert (n - 9) % 18 == 0
+            expected += [9] + [18] * ((n - 9) // 18)
+        assert counted.sizes == expected
+        assert counted.calls == int(table.nodes.sum())
+
+    def test_bisection_resolves_narrow_bump(self, monkeypatch):
+        """q(tau) = tau + a Gaussian bump of width 1/512 that the first K9
+        interval barely sees: bisection settles both averages on their
+        closed forms; with a budget of 4 intervals the step is unsettled."""
+        model = _BumpModel()
+        log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
+                            grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                            w_stored=np.array([[0.0], [1.0]]))
+        mass = model.WIDTH * math.sqrt(math.pi)
+        table = em.curvature_table(model, log)
+        assert table.unsettled == [] and table.nodes[0] > 9
+        assert abs(table.rbar[0] - (0.5 + mass)) <= 1e-9
+        assert abs(table.rtilde[0] - (1.0 / 3.0 + 2.0 * (1.0 - model.CENTER) * mass)) <= 1e-9
+        monkeypatch.setattr(em, "QUADRATURE_MAX_INTERVALS", 4)
+        table = em.curvature_table(model, log)
+        assert table.unsettled == [0] and list(table.nodes) == [9 + 3 * 18]
+
+    def test_rtilde_error_alone_bisects(self):
+        """A profile odd about 1/2 has rbar = 0 on every rule, so only the
+        rtilde error estimate asks for bisection; rtilde then settles on
+        its closed form 2 (1 - 2 * 0.3) sqrt(pi) width."""
+        model = _OddBumpModel()
+        log = TrajectoryLog(eta=1.0, model_id="odd", losses=np.zeros(2),
+                            grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                            w_stored=np.array([[0.0], [1.0]]))
+        table = em.curvature_table(model, log)
+        assert table.unsettled == [] and table.nodes[0] > 9
+        assert abs(table.rbar[0]) <= 1e-15
+        exact = 2.0 * 0.4 * model.WIDTH * math.sqrt(math.pi)
+        assert abs(table.rtilde[0] - exact) <= 1e-9
 
     def test_unknown_route_rejected(self):
         model = make_scalar_poly(3.0)
@@ -385,9 +449,11 @@ class TestNearPeriodicityAndProxy:
 class TestEosOnset:
     def test_first_crossing(self):
         r = np.array([1.0, 2.0, 3.79, 3.81, 3.5])
-        table = em.CurvatureTable("loss", np.arange(5), np.ones(5), r, r, [])
+        table = em.CurvatureTable("loss", np.arange(5), np.ones(5), r, r,
+                                  np.zeros(5, dtype=np.int64), [], [])
         assert em.eos_onset(table, 0.5) == 3
-        short = em.CurvatureTable("loss", np.arange(2), np.ones(2), r[:2], r[:2], [])
+        short = em.CurvatureTable("loss", np.arange(2), np.ones(2), r[:2], r[:2],
+                                  np.zeros(2, dtype=np.int64), [], [])
         assert em.eos_onset(short, 0.5) is None
 
     def test_reports_trajectory_step_after_skipped_steps(self):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from edge_lab.edge_metrics import QUADRATURE_ORDERS
 from edge_lab.numerics import (BracketError, NonConvergenceError,
                                SingularJacobianError, brent_root, dense_eigvalsh,
-                               lambda_max_iter, newton_solve, uniform_rule)
+                               gauss_kronrod_rule, lambda_max_iter, newton_solve,
+                               uniform_rule)
 
 
 def _integrate(f, rule):
@@ -26,15 +26,55 @@ class TestQuadrature:
         assert _integrate(lambda t: t ** 3, uniform_rule(2)) == \
             pytest.approx(0.25, abs=1e-14)
 
-    def test_triangular_weights_on_ladder(self):
-        """On every order of the segment-curvature ladder, the weights
-        2 (1 - tau_i) w_i integrate tau^j to 2 / ((j+1)(j+2)) for j <= 2n-2."""
-        for order in QUADRATURE_ORDERS:
-            r = uniform_rule(order)
-            tri = 2.0 * (1.0 - r.nodes) * r.weights
-            for j in range(2 * order - 1):
-                exact = 2.0 / ((j + 1) * (j + 2))
-                assert abs(float(np.dot(tri, r.nodes ** j)) - exact) <= 1e-13, (order, j)
+    def test_kronrod_9_rule(self):
+        """K9: real interior nodes, positive weights, G4's nodes and weights
+        embedded, exact mirror symmetry, weights summing to 1, and monomials exact to degree 13
+        (3n + 1 for n = 4) but not 14. The cache hands the same read-only
+        arrays to every caller."""
+        r = gauss_kronrod_rule(4)
+        assert gauss_kronrod_rule(4) is r
+        for arr in (r.nodes, r.weights, r.gauss_weights):
+            assert not arr.flags.writeable
+        assert r.nodes.dtype == np.float64 and len(r.nodes) == 9
+        assert np.all((0.0 < r.nodes) & (r.nodes < 1.0)) and np.all(np.diff(r.nodes) > 0)
+        assert np.all(r.weights > 0.0) and np.all(r.gauss_weights > 0.0)
+        g4 = uniform_rule(4)
+        np.testing.assert_allclose(r.nodes[1::2], g4.nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(r.gauss_weights, g4.weights, rtol=0, atol=1e-15)
+        for i in range(9):
+            assert r.nodes[8 - i] == 1.0 - r.nodes[i]
+            assert r.weights[8 - i] == r.weights[i]
+        for i in range(4):
+            assert r.gauss_weights[3 - i] == r.gauss_weights[i]
+        assert math.fsum(r.weights) == 1.0
+        for j in range(14):
+            assert abs(float(np.dot(r.weights, r.nodes ** j)) - 1.0 / (j + 1)) <= 1e-15, j
+        for j in range(8):
+            got = float(np.dot(r.gauss_weights, r.nodes[1::2] ** j))
+            assert abs(got - 1.0 / (j + 1)) <= 1e-15, j
+        assert abs(float(np.dot(r.weights, r.nodes ** 14)) - 1.0 / 15) > 1e-12
+
+    def test_kronrod_triangular_weights(self):
+        """The weights 2 (1 - tau_i) w_i that give rtilde integrate tau^j
+        to 2 / ((j+1)(j+2)) for j <= 12."""
+        r = gauss_kronrod_rule(4)
+        tri = 2.0 * (1.0 - r.nodes) * r.weights
+        for j in range(13):
+            exact = 2.0 / ((j + 1) * (j + 2))
+            assert abs(float(np.dot(tri, r.nodes ** j)) - exact) <= 1e-15, j
+
+    def test_kronrod_construction_matches_scipy_gk15(self):
+        """At n = 7 the same construction is scipy's G7/K15 rule: the nodes
+        scipy evaluates on [0, 1], and its integrals of exp and cos."""
+        from scipy.integrate import _quad_vec
+
+        r = gauss_kronrod_rule(7)
+        seen = []
+        _quad_vec._quadrature_gk15(0.0, 1.0, lambda t: seen.append(t) or 0.0, abs)
+        np.testing.assert_allclose(r.nodes, sorted(seen), rtol=0, atol=1e-15)
+        for f in (np.exp, np.cos):
+            ref, _, _ = _quad_vec._quadrature_gk15(0.0, 1.0, f, abs)
+            assert abs(float(np.dot(r.weights, f(r.nodes))) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     def test_monomial_exactness_to_degree(self, order):
