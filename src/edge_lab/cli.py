@@ -288,12 +288,10 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config error: file not found: {path}")
     except OSError as exc:
-        raise ConfigError(f"config error: cannot read {path}: {exc.strerror}")
+        _fail(path, f"cannot read: {exc.strerror}")
     except ValueError as exc:  # malformed JSON or UTF-8, an over-long integer
-        raise ConfigError(f"config error: invalid JSON: {exc}")
+        _fail(path, f"invalid JSON: {exc}")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -580,21 +578,35 @@ def cmd_strain(resolved: dict, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_trajectory_csv(path: Path):
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh.read().split("\r\n") if ln]
-    header = lines[0].split(",")
+    try:
+        with open(path, newline="") as fh:
+            lines = [ln for ln in fh.read().split("\r\n") if ln]
+    except OSError as exc:
+        _fail(str(path), f"cannot read: {exc.strerror}")
+    header = lines[0].split(",") if lines else []
     if header[:4] != ["k", "loss", "grad_norm", "step_norm"]:
-        raise ConfigError("config error: unrecognized trajectory CSV header")
+        _fail(str(path), "unrecognized trajectory CSV header")
     has_w = len(header) > 4
     losses, gnorms, ws = [], [], []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
-        losses.append(float(parts[1]))
-        gnorms.append(float(parts[2]))
-        if has_w:
-            ws.append([float(v) for v in parts[4:]])
+        try:
+            if len(parts) != len(header):
+                raise ValueError(f"{len(parts)} fields, header has {len(header)}")
+            losses.append(float(parts[1]))
+            gnorms.append(float(parts[2]))
+            if has_w:
+                ws.append([float(v) for v in parts[4:]])
+        except ValueError as exc:
+            _fail(f"{path} line {row}", str(exc))
     return (np.array(losses), np.array(gnorms),
             np.array(ws) if has_w else None)
+
+
+def _without_nulls(cfg):
+    if isinstance(cfg, dict):
+        return {k: _without_nulls(v) for k, v in cfg.items() if v is not None}
+    return cfg
 
 
 def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
@@ -607,15 +619,20 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     """
     import time as _time
     t0 = _time.perf_counter()
-    resolved = json.loads((run_dir / "resolved_config.json").read_text())
-    if resolved.get("command") != "run":
-        raise ConfigError("config error: directory does not hold a 'run' output")
+    path = str(run_dir / "resolved_config.json")
+    stored = _load_config(path)
+    if not isinstance(stored, dict) or stored.pop("command", None) != "run":
+        _fail(path, "not the resolved config of a 'run'")
+    # The readers take an absent key for null wherever they accept null, so
+    # a stored config resolves to itself, and a damaged one is an error at
+    # its key.
+    resolved = _resolve_run(_without_nulls(stored))
     model = _build_model(resolved["model"])
     losses, gnorms, ws = _parse_trajectory_csv(run_dir / "trajectory.csv")
     results = []
     if ws is None:
-        raise ConfigError("config error: trajectory.csv has no iterate columns "
-                          "(rerun with include_w)")
+        _fail("include_w", "trajectory.csv has no iterate columns (rerun with "
+              "include_w)")
 
     values, grads = zip(*(model.value_and_grad(w) for w in ws))
     worst_loss = float(max(abs(v - l) / max(1.0, abs(l))

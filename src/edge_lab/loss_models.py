@@ -478,6 +478,7 @@ class MlpModel(LossModel):
         self.name = (f"mlp({'-'.join(str(v) for v in widths)},{activation},"
                      f"n={dataset.n},seed={dataset.seed})")
         self.inf_value = 0.0  # MSE is nonnegative
+        self._hvp_buffers = None
 
     def init_params(self, seed: int, scale: float = 1.0) -> Array:
         """Gaussian init, std scale/sqrt(fan_in) per layer, zero biases."""
@@ -563,6 +564,13 @@ class MlpModel(LossModel):
         direction: on some OpenBLAS kernels a collapsed GEMM rounds
         differently as its row count changes, and a row must be bit-equal
         to the same direction passed alone.
+
+        A block's (m, unit, sample) tangents are written into the first m
+        rows of the model's block buffers (``_block_buffers``), which every
+        operator of the model shares; the returned products are fresh
+        arrays. Reusing the buffers keeps the allocator from returning and
+        faulting in their pages around every block. The operators of one
+        model must therefore not run in several threads at once.
         """
         params = self.unpack(w)
         X, Y = self.dataset.X, self.dataset.Y
@@ -582,17 +590,21 @@ class MlpModel(LossModel):
         def block(V):
             m = V.shape[0]
             tang = self.unpack(V)
+            bufs = [buf[:, :m] for buf in self._block_buffers()]
             RAs, RZs = [None], []
             for l, ((W, _), (Vw, vb)) in enumerate(zip(params, tang)):
                 out, fan_in = W.shape
-                RZ = (Vw.reshape(m * out, fan_in) @ acts_t[l]).reshape(m, out, n)
+                RZ, RA, _, prod = bufs[l]
+                np.matmul(Vw.reshape(m * out, fan_in), acts_t[l],
+                          out=RZ.reshape(m * out, n))
                 if l > 0:
-                    RZ += W @ RAs[l]
+                    RZ += np.matmul(W, RAs[l], out=prod)
                 RZ += vb[..., None]
                 RZs.append(RZ)
-                RAs.append(dphis_t[l] * RZ if l < self.n_layers - 1 else RZ)
+                RAs.append(np.multiply(dphis_t[l], RZ, out=RA)
+                           if l < self.n_layers - 1 else RZ)
 
-            RD = RAs[-1] / n
+            RD = np.divide(RAs[-1], n, out=bufs[-1][2])
             hv = [None] * self.n_layers
             for l in range(self.n_layers - 1, -1, -1):
                 (W, _), (Vw, _) = params[l], tang[l]
@@ -604,9 +616,11 @@ class MlpModel(LossModel):
                     # (W^T RD + Vw^T D) phi' + (W^T D phi'') RZ, in place:
                     # RZs[l - 1] is not read again.
                     out, fan_in = W.shape
-                    RD = W.T @ RD
-                    RD += (Vw.swapaxes(-1, -2).reshape(m * fan_in, out)
-                           @ Ds[l]).reshape(m, fan_in, n)
+                    _, _, RD_next, prod = bufs[l - 1]
+                    RD = np.matmul(W.T, RD, out=RD_next)
+                    np.matmul(Vw.swapaxes(-1, -2).reshape(m * fan_in, out), Ds[l],
+                              out=prod.reshape(m * fan_in, n))
+                    RD += prod
                     RD *= dphis_t[l - 1]
                     RZ = RZs[l - 1]
                     RZ *= curvs[l - 1]
@@ -623,6 +637,16 @@ class MlpModel(LossModel):
                                    for i in range(0, V.shape[0], _HVP_BLOCK)])
 
         return apply
+
+    def _block_buffers(self):
+        """Per layer, one (4, _HVP_BLOCK, unit, sample) array holding the
+        R-operator's RZ, RA and RD tangents and a product scratch; allocated
+        on first use."""
+        if self._hvp_buffers is None:
+            n = self.dataset.n
+            self._hvp_buffers = [np.empty((4, _HVP_BLOCK, out, n))
+                                 for out in self.widths[1:]]
+        return self._hvp_buffers
 
     def segment_curvature(self, w, d, taus):
         """Profile along the step by second-order forward (Taylor) mode.

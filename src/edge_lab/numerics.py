@@ -4,6 +4,11 @@ Gauss-Legendre rules and the embedded Gauss-Kronrod pair on [0, 1],
 bracketed root finding, damped Newton solves, dense symmetric
 eigenvalues, iterative largest-eigenvalue estimation from
 Hessian-vector products, and the default central finite-difference step.
+
+scipy is imported by the two functions that use it, ``brent_root``
+(``brentq``) and ``lambda_max_iter`` (``eigsh``), on their first call:
+importing it takes most of a CLI process's start-up, and only localization
+and ``verify``'s saturation check need it.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
     "DENSE_DIM_LIMIT",
@@ -199,7 +202,8 @@ def brent_root(f: Callable[[float], float], lo: float, hi: float,
     if flo * fhi > 0.0:
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:g}, f(hi)={fhi:g}")
-    return float(optimize.brentq(f, lo, hi, xtol=tol, rtol=4 * MACHINE_EPS))
+    from scipy.optimize import brentq
+    return float(brentq(f, lo, hi, xtol=tol, rtol=4 * MACHINE_EPS))
 
 
 def newton_solve(F: Callable, J: Callable, x0, tol: float = 1e-12,
@@ -272,6 +276,7 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
         H = np.column_stack([np.asarray(hvp(e), float) for e in np.eye(dim)])
         return float(np.linalg.eigvalsh((H + H.T) / 2.0)[-1])
 
+    from scipy.sparse.linalg import LinearOperator, eigsh
     start = rng.standard_normal(dim) if v0 is None else np.asarray(v0, float)
     op = LinearOperator((dim, dim), matvec=lambda x: np.asarray(hvp(x), float))
     try:

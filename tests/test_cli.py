@@ -424,6 +424,39 @@ class TestVerifyCommand:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed & {"loss_replay", "gradient_replay", "update_consistency"}
 
+    @staticmethod
+    def _run_dir_config_error(run_dir, out, capsys) -> str:
+        """The one stderr line of ``verify --run-dir``, which must exit 2
+        (config error), not 1 (a failed check) through a traceback."""
+        rc = main(["verify", "--run-dir", str(run_dir), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(lines) == 1, lines
+        return lines[0]
+
+    def test_run_dir_missing(self, tmp_path, capsys):
+        run_dir = tmp_path / "absent"
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line.startswith(f"config error at {run_dir / 'resolved_config.json'}:")
+
+    def test_run_dir_config_without_model(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "resolved_config.json").write_text('{"command": "run"}')
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line.startswith("config error at model:")
+
+    def test_run_dir_malformed_trajectory_row(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json",
+                                               _quad_run_config(run_dir))])
+        traj = run_dir / "trajectory.csv"
+        lines = traj.read_bytes().decode().split("\r\n")
+        lines[2] = lines[2].replace(lines[2].split(",")[1], "abc", 1)
+        traj.write_bytes("\r\n".join(lines).encode())
+        capsys.readouterr()
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line.startswith(f"config error at {traj} line 3:")
+
 
 # A GELU MLP whose first steps (|d| up to 69) have profiles no fixed Gauss
 # order up to 64 integrates to 1e-9; 34 of its 300 steps need bisection.
@@ -874,3 +907,47 @@ def test_any_value_resolves_or_is_config_error(data):
     key = data.draw(st.sampled_from(sorted(_key_paths(base))))
     _resolves_or_is_config_error(command, _with(base, key, data.draw(_JSON_VALUES)))
 
+
+
+class TestImportPath:
+    """scipy is imported only by the code that calls it (Brent roots and
+    Lanczos in localization and verify, GELU's erf), not by the CLI."""
+
+    _SCRIPT = """
+import json, sys
+def scipy_modules():
+    return [m for m in sys.modules if m.split('.')[0] == 'scipy']
+import edge_lab.cli
+from edge_lab.cli import main
+seen = {"import": scipy_modules()}
+for name in ("run", "strain", "run_localized"):
+    rc = main([name.split("_")[0], "--config", sys.argv[1] + "/" + name + ".json"])
+    seen[name] = scipy_modules() if rc == 0 else f"exit {rc}"
+print(json.dumps(seen))
+"""
+
+    def test_scipy_loaded_only_by_localization(self, tmp_path):
+        mlp = {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
+               "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}}
+        run = {"model": mlp, "init": {"mode": "gaussian", "seed": 1},
+               "eta": 0.5, "steps": 20, "localize": False}
+        configs = {
+            "run": dict(run, out_dir=str(tmp_path / "run")),
+            "strain": {"model": mlp, "init": {"mode": "gaussian", "seed": 1},
+                       "eta": 0.5, "steps": 5, "leave_one_out": 0,
+                       "out_dir": str(tmp_path / "strain")},
+            "run_localized": dict(run, localize=True,
+                                  out_dir=str(tmp_path / "localized")),
+        }
+        for name, cfg in configs.items():
+            _write_config(tmp_path / f"{name}.json", cfg)
+        src = str(Path(edge_lab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["import"] == [] and seen["run"] == [] and seen["strain"] == [], seen
+        assert "scipy.optimize" in seen["run_localized"], seen
+        assert "scipy.sparse.linalg" in seen["run_localized"], seen

@@ -1,6 +1,7 @@
 """Model derivatives, linear-net geometry, and synthetic datasets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,15 +209,19 @@ class TestStackedHvp:
         assert len(calls) == 1
 
     def test_rows_bit_equal_single_calls_across_blocks(self, mlp):
-        """A stack of two full blocks and a partial one: every row equals
-        the same direction passed alone, bit for bit."""
+        """Stacks of two full blocks and a partial one, then of one row, a
+        partial block and a full one (each after a longer stack has filled
+        the model's block buffers): every row equals the same direction
+        passed alone, bit for bit."""
         rng = np.random.default_rng(15)
         w = mlp.init_params(seed=2, scale=1.5)
-        V = rng.standard_normal((2 * loss_models._HVP_BLOCK + 5, mlp.dim))
-        HV = mlp.hvp(w, V)
-        assert HV.shape == V.shape
-        for i in range(V.shape[0]):
-            assert np.array_equal(HV[i], mlp.hvp(w, V[i]))
+        block = loss_models._HVP_BLOCK
+        for m in (2 * block + 5, 1, block - 4, block):
+            V = rng.standard_normal((m, mlp.dim))
+            HV = mlp.hvp(w, V)
+            assert HV.shape == V.shape
+            for i in range(m):
+                assert np.array_equal(HV[i], mlp.hvp(w, V[i]))
 
     @pytest.mark.parametrize("model", _all_models() + _block_mlps() + [_QuarticBowl()],
                              ids=lambda m: m.name)
@@ -245,6 +250,62 @@ class TestStackedHvp:
             fd = (model.gradient(w + h * v) - model.gradient(w - h * v)) / (2 * h)
             hv = model.hvp(w, v)
             assert np.linalg.norm(hv - fd) <= 1e-7 * np.linalg.norm(hv)
+
+
+def _fresh(mlp):
+    """An equal model that has never applied its R-operator."""
+    return make_mlp(mlp.widths, mlp.activation, mlp.dataset)
+
+
+class TestBlockBuffers:
+    """The MLP R-operator writes each block's tangents into buffers its model
+    owns and reuses; no result may depend on what they held or alias them."""
+
+    @pytest.fixture(params=_block_mlps(), ids=lambda m: m.name)
+    def mlp(self, request):
+        return _fresh(request.param)
+
+    def test_interleaved_operators_bit_equal_fresh_model(self, mlp):
+        rng = np.random.default_rng(21)
+        w1, w2 = mlp.init_params(seed=1, scale=1.5), mlp.init_params(seed=2, scale=1.5)
+        V = rng.standard_normal((loss_models._HVP_BLOCK + 7, mlp.dim))
+        op1, op2 = mlp.hvp_at(w1), mlp.hvp_at(w2)
+        calls = [(op1, w1, V), (op2, w2, V[3]), (op1, w1, V[:5]), (op2, w2, V),
+                 (op1, w1, V[0])]
+        for op, w, X in calls:
+            assert np.array_equal(op(X), _fresh(mlp).hvp(w, X))
+
+    def test_results_are_fresh_arrays(self, mlp):
+        rng = np.random.default_rng(22)
+        w = mlp.init_params(seed=1, scale=1.5)
+        op = mlp.hvp_at(w)
+        results = [op(rng.standard_normal(mlp.dim)),
+                   op(rng.standard_normal((5, mlp.dim))),
+                   op(rng.standard_normal((loss_models._HVP_BLOCK + 3, mlp.dim)))]
+        kept = [r.copy() for r in results]
+        op(rng.standard_normal((loss_models._HVP_BLOCK, mlp.dim)))
+        mlp.hvp(mlp.init_params(seed=2), rng.standard_normal((7, mlp.dim)))
+        for r, k in zip(results, kept):
+            assert np.array_equal(r, k)
+            assert not any(np.shares_memory(r, buf) for buf in mlp._block_buffers())
+
+    def test_repeated_dense_hessian_traces_no_block_temporaries(self):
+        """At dim 92 (widths [6, 8, 4], n = 60) one block's tangents alone
+        come to about 0.68 MB; with the buffers reused, repeated dense
+        Hessians trace under 0.4 MB at their peak."""
+        ds = make_synthetic_dataset(3, 60, 6, 4, teacher_rank=2, noise=0.05)
+        model = make_mlp([6, 8, 4], "tanh", ds)
+        assert model.dim == 92
+        w = model.init_params(seed=7)
+        model.hessian_dense(w)   # allocates the buffers
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                model.hessian_dense(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000, peak
 
 
 class TestScalarPoly:
