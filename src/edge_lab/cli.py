@@ -394,18 +394,18 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
     report = edge_metrics.edge_balance_report(model, log, table,
                                               deltas=resolved["deltas"])
     running, forcing = edge_metrics.running_balance(model, log, table)
-    rows = ["k,running_weighted_mean,forcing_bound"]
-    for k, mean, bound in zip(table.k, running, forcing):
-        rows.append(f"{k},{mean:.17g}," + ("" if np.isnan(bound) else f"{bound:.17g}"))
-    write_csv(out / f"balance_eta{idx}.csv", rows)
+    rows = [[k, mean, None if np.isnan(bound) else bound]
+            for k, mean, bound in zip(table.k, running, forcing)]
+    write_csv(out / f"balance_eta{idx}.csv",
+              ["k", "running_weighted_mean", "forcing_bound"], rows)
 
-    rows = ["k,actual_delta_L,proxy"]
+    rows = []
     for k in range(log.num_steps - 1):
         if float(np.linalg.norm(log.steps[k])) < edge_metrics.DEGENERATE_STEP:
             continue
         proxy, actual = edge_metrics.loss_change_proxy(log, k)
-        rows.append(f"{k},{actual:.17g},{proxy:.17g}")
-    write_csv(out / f"scatter_eta{idx}.csv", rows)
+        rows.append([k, actual, proxy])
+    write_csv(out / f"scatter_eta{idx}.csv", ["k", "actual_delta_L", "proxy"], rows)
     return {"eta": eta, "weighted_mean": report.weighted_mean,
             "threshold": 2.0 / eta,
             "identity_residual": report.identity_residual,
@@ -471,7 +471,7 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
     eta_c, _ = bifurcation.critical_eta(model, w_bar, subspace)
     Q_u = bifurcation.quartic_coefficient(model, w_bar, u, subspace)
 
-    rows = ["eta,amp,residual,mode"]
+    rows = []
     summary = {"eta_c": eta_c, "quartic_u": Q_u, "exponents": {}}
     etas = resolved["etas"]
     for mode in resolved["modes"]:
@@ -482,7 +482,7 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
                 discard_frac=resolved["discard_frac"])
         for p in points:
             resid = p.residual if isinstance(p, bifurcation.BranchPoint) else float("nan")
-            rows.append(f"{p.eta:.17g},{p.amplitude:.17g},{resid:.17g},{mode}")
+            rows.append([p.eta, p.amplitude, resid, mode])
         amps = [p.amplitude for p in points]
         try:
             expo = bifurcation.fit_scaling_exponent(
@@ -491,7 +491,7 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
             expo = None
         summary["exponents"][mode] = expo
         summary[f"{mode}_branch_lost"] = bool(lost)
-    write_csv(out / "branch.csv", rows)
+    write_csv(out / "branch.csv", ["eta", "amp", "residual", "mode"], rows)
     _write_json(out / "sweep_summary.json", summary)
     return EXIT_OK
 
@@ -614,8 +614,11 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
 
     Replays the loss and gradient at every logged iterate, re-derives
     the update consistency, and recomputes the telescoping balance from
-    the quadrature-route curvature table of the logged iterates. Any
-    edit to the logs breaks at least one of these named identities.
+    the quadrature-route curvature table of the logged iterates. Only
+    ``resolved_config.json`` and the loss, gradient-norm and iterate
+    columns of ``trajectory.csv`` are read; an edit to them breaks at
+    least one of these named identities, while the other outputs and the
+    ``step_norm`` column go unchecked.
     """
     import time as _time
     t0 = _time.perf_counter()

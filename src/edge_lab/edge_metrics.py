@@ -13,8 +13,9 @@ instead of a tautology.
 walks a run once and every consumer (balance report, metrics CSV,
 localization targets, the noisy balance, run-directory replay) reads
 its per-step rows. The quadrature route integrates each step's profile
-with the embedded G4/K9 Gauss-Kronrod pair, bisecting intervals until
-both averages settle; each row records the nodes it took, and steps
+with the embedded G4/K9 Gauss-Kronrod pair, a fixed table of nodes and
+weights (``K9_NODES``, ``K9_WEIGHTS``, ``G4_WEIGHTS``), bisecting
+intervals until both averages settle; each row records the nodes it took, and steps
 that exhaust the interval budget are listed as unsettled.
 
 Curvature values carry inverse-step-size units (they are compared
@@ -29,8 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel
-from .numerics import (brent_root, dense_eigvalsh, gauss_kronrod_rule,
-                       lambda_max_iter, uniform_rule)
+from .numerics import brent_root, dense_eigvalsh, lambda_max_iter, uniform_rule
 from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
 
 __all__ = [
@@ -67,11 +67,31 @@ class DegenerateStepError(ValueError):
     """Step increment too short to define a direction."""
 
 
-# The G4/K9 Gauss-Kronrod pair: 9 profile nodes per interval. Both segment
-# averages settle when their summed |K9 - G4| error is at most
-# QUADRATURE_RTOL max(1, |value|); a step that has not settled by
+def _read_only(values) -> Array:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
+
+
+# The embedded G4/K9 Gauss-Kronrod pair on [0, 1]: 9 profile nodes per
+# interval, of which K9_NODES[1::2] are the 4 Gauss-Legendre nodes with
+# weights G4_WEIGHTS. K9 is exact to degree 13 and G4 to degree 7. The
+# nodes mirror bitwise (K9_NODES[8 - i] == 1 - K9_NODES[i]) and each weight
+# set is the correctly rounded interpolatory weights of its nodes, summing
+# to 1. Both segment averages settle when their summed |K9 - G4| error is
+# at most QUADRATURE_RTOL max(1, |value|); a step that has not settled by
 # QUADRATURE_MAX_INTERVALS intervals is reported unsettled.
-QUADRATURE_GAUSS_NODES = 4
+K9_NODES = _read_only([
+    0.01171987463121349, 0.06943184420297377, 0.179856891251845,
+    0.33000947820757187, 0.5, 0.6699905217924281,
+    0.820143108748155, 0.9305681557970262, 0.9882801253687865])
+K9_WEIGHTS = _read_only([
+    0.03148868683273658, 0.0850268026678613, 0.1333991702261422,
+    0.16347459480072582, 0.17322149094506817, 0.16347459480072582,
+    0.1333991702261422, 0.0850268026678613, 0.03148868683273658])
+G4_WEIGHTS = _read_only([
+    0.17392742256872698, 0.326072577431273, 0.326072577431273,
+    0.17392742256872698])
 QUADRATURE_RTOL = 1e-9
 QUADRATURE_MAX_INTERVALS = 128
 
@@ -143,14 +163,12 @@ def _intervals(model: LossModel, w: Array, d: Array, spans) -> list[tuple]:
     """K9 sums over each (a, h) span [a, a + h] of the step, from one
     ``segment_curvature`` call: per span (a, h, rbar part, rtilde part,
     and the |K9 - G4| error of each part)."""
-    rule = gauss_kronrod_rule(QUADRATURE_GAUSS_NODES)
-    nodes, weights, gauss = rule.nodes, rule.weights, rule.gauss_weights
-    ts = [a + h * nodes for a, h in spans]
+    ts = [a + h * K9_NODES for a, h in spans]
     qs = model.segment_curvature(w, d, np.concatenate(ts)).reshape(len(spans), -1)
     out = []
     for (a, h), t, q in zip(spans, ts, qs):
         tri = 2.0 * (1.0 - t)
-        kq, gq = h * weights * q, h * gauss * q[1::2]
+        kq, gq = h * K9_WEIGHTS * q, h * G4_WEIGHTS * q[1::2]
         rbar, rtilde = float(np.sum(kq)), float(np.dot(tri, kq))
         out.append((a, h, rbar, rtilde, abs(rbar - float(np.sum(gq))),
                     abs(rtilde - float(np.dot(tri[1::2], gq)))))
@@ -177,7 +195,7 @@ def _segment_averages(model: LossModel, w: Array,
         tol_tilde = QUADRATURE_RTOL * max(1.0, abs(rtilde))
         settled = e_bar <= tol_bar and e_tilde <= tol_tilde
         if settled or len(parts) >= QUADRATURE_MAX_INTERVALS:
-            nodes = (2 * QUADRATURE_GAUSS_NODES + 1) * (2 * len(parts) - 1)
+            nodes = len(K9_NODES) * (2 * len(parts) - 1)
             return rbar, rtilde, nodes, settled
         i = int(np.argmax([max(e_b / tol_bar, e_t / tol_tilde) for *_, e_b, e_t in parts]))
         a, h = parts[i][:2]
@@ -527,16 +545,15 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
     is off) are left empty, as is every curvature field of a degenerate
     step.
     """
-    def fmt(x):
-        return "" if x is None else f"{x:.17g}"
-
+    header = ["k", "step_norm_sq", "rbar", "rtilde", "xi", "zeta", "lambda_max_xi",
+              "delta_L", "proxy", "return_ratio"]
     row_of = {int(k): i for i, k in enumerate(table.k)}
-    rows = ["k,step_norm_sq,rbar,rtilde,xi,zeta,lambda_max_xi,delta_L,proxy,return_ratio"]
+    rows = []
     for k in range(log.num_steps):
         i = row_of.get(k)
         if i is None:
             nd = float(np.linalg.norm(log.steps[k]))
-            rows.append(f"{k},{nd * nd:.17g},,,,,,,,")
+            rows.append([k, nd * nd] + [None] * (len(header) - 2))
             continue
         rbar, rtilde = float(table.rbar[i]), float(table.rtilde[i])
         xi = zeta = lam_xi = None
@@ -549,8 +566,6 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
         if k + 1 < log.num_steps:
             proxy, _ = loss_change_proxy(log, k)
             ratio = return_ratio(log, k)
-        rows.append(",".join([
-            str(k), f"{table.step_norm_sq[i]:.17g}", f"{rbar:.17g}",
-            f"{rtilde:.17g}", fmt(xi), fmt(zeta), fmt(lam_xi),
-            f"{delta_l:.17g}", fmt(proxy), fmt(ratio)]))
-    write_csv(path, rows)
+        rows.append([k, table.step_norm_sq[i], rbar, rtilde, xi, zeta, lam_xi,
+                     delta_l, proxy, ratio])
+    write_csv(path, header, rows)

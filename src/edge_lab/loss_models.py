@@ -511,17 +511,13 @@ class MlpModel(LossModel):
     def _forward(self, params, X):
         A = X
         acts = [A]        # post-activation per layer, acts[0] = inputs
-        dphis, ddphis = [], []
+        dphis, ddphis = [], []   # phi', phi'' of the hidden layers; the output is affine
         for l, (W, b) in enumerate(params):
-            Z = A @ W.T + b
+            A = A @ W.T + b
             if l < self.n_layers - 1:
-                A, dp, ddp = self._act(Z)
+                A, dp, ddp = self._act(A)
                 dphis.append(dp)
                 ddphis.append(ddp)
-            else:
-                A = Z
-                dphis.append(np.ones_like(Z))
-                ddphis.append(np.zeros_like(Z))
             acts.append(A)
         return acts, dphis, ddphis
 
@@ -577,7 +573,7 @@ class MlpModel(LossModel):
         n = X.shape[0]
         acts, dphis, ddphis = self._forward(params, X)
         acts_t = [np.ascontiguousarray(A.T) for A in acts]
-        dphis_t = [np.ascontiguousarray(dp.T) for dp in dphis[:-1]]
+        dphis_t = [np.ascontiguousarray(dp.T) for dp in dphis]
         D = np.ascontiguousarray((acts[-1] - Y).T) / n
         Ds, curvs = [None] * self.n_layers, [None] * self.n_layers
         for l in range(self.n_layers - 1, -1, -1):

@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Gauss-Legendre rules and the embedded Gauss-Kronrod pair on [0, 1],
-bracketed root finding, damped Newton solves, dense symmetric
-eigenvalues, iterative largest-eigenvalue estimation from
-Hessian-vector products, and the default central finite-difference step.
+Gauss-Legendre rules on [0, 1], bracketed root finding, damped Newton
+solves, dense symmetric eigenvalues, iterative largest-eigenvalue
+estimation from Hessian-vector products, and the default central
+finite-difference step. (The embedded G4/K9 Gauss-Kronrod pair that
+integrates curvature profiles is a fixed table in ``edge_metrics``.)
 
 scipy is imported by the two functions that use it, ``brent_root``
 (``brentq``) and ``lambda_max_iter`` (``eigsh``), on their first call:
@@ -25,8 +26,6 @@ __all__ = [
     "MACHINE_EPS",
     "QuadratureRule",
     "uniform_rule",
-    "KronrodRule",
-    "gauss_kronrod_rule",
     "brent_root",
     "newton_solve",
     "dense_eigvalsh",
@@ -81,93 +80,6 @@ class QuadratureRule:
             raise ValueError("quadrature order must be positive")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class KronrodRule:
-    """Embedded Gauss-Kronrod pair on [0, 1]; both weight sets sum to 1.
-
-    The 2n+1 Kronrod nodes contain the n Gauss-Legendre nodes as
-    ``nodes[1::2]``, and ``gauss_weights`` are the Gauss weights there.
-    The Kronrod rule is exact to degree 3n+1 (n even) or 3n+2 (n odd).
-    """
-
-    nodes: NDArray[np.float64]
-    weights: NDArray[np.float64]
-    gauss_weights: NDArray[np.float64]
-
-
-def _legendre(m: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """P_0(x)..P_m(x) as rows, m >= 1, by the three-term recurrence."""
-    P = np.empty((m + 1, len(x)))
-    P[0], P[1] = 1.0, x
-    for k in range(1, m):
-        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
-    return P
-
-
-def _legendre_roots(coef: NDArray[np.float64],
-                    x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Roots of sum_j coef[j] P_j in (-1, 1), by Newton's method from ``x``."""
-    j = np.arange(1, len(coef))[:, None]
-    for _ in range(16):
-        P = _legendre(len(coef) - 1, x)
-        dP = j * (x * P[1:] - P[:-1]) / (x * x - 1.0)     # P_j' for j >= 1
-        x = x - np.sum(coef[:, None] * P, axis=0) / np.sum(coef[1:, None] * dP, axis=0)
-    return x
-
-
-def _unit_weights(nodes: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Interpolatory weights on [0, 1] for ``nodes``, correctly rounded:
-    each Lagrange basis polynomial is expanded and integrated in exact
-    rational arithmetic, so mirrored nodes get bitwise symmetric weights."""
-    from fractions import Fraction   # only commands that build a rule pay for it
-
-    exact = [Fraction(t) for t in nodes]
-    weights = []
-    for i, t in enumerate(exact):
-        coef, scale = [Fraction(1)], Fraction(1)   # coef[k] multiplies y^k
-        for s in exact[:i] + exact[i + 1:]:
-            coef = [lo - s * hi for lo, hi in zip([Fraction(0)] + coef, coef + [Fraction(0)])]
-            scale *= t - s
-        weights.append(float(sum(c / (k + 1) for k, c in enumerate(coef)) / scale))
-    return np.array(weights)
-
-
-@functools.lru_cache(maxsize=None)
-def gauss_kronrod_rule(n: int) -> KronrodRule:
-    """Kronrod extension of the n-point Gauss-Legendre rule, mapped to [0, 1].
-
-    The n+1 new nodes are the roots of the Stieltjes polynomial
-    E = P_(n+1) + sum_(j<=n) a_j P_j, orthogonal on [-1, 1] to P_0..P_n
-    under the weight P_n. Since the integral of P_n P_k P_j vanishes for
-    j < n - k, the moment equations are triangular and solve by
-    substitution; Newton's method finds the roots, one between each pair
-    of neighbouring Gauss nodes and the ends. Nodes are mirrored so that
-    ``nodes[2n - i] == 1 - nodes[i]`` holds bitwise; the weights are then
-    those of the stored nodes, correctly rounded. Built once per n, on
-    first use, so a command that never integrates a profile never builds
-    it; every caller shares the same read-only arrays.
-    """
-    x_g, _ = np.polynomial.legendre.leggauss(n)
-    x_q, w_q = np.polynomial.legendre.leggauss(2 * n + 1)   # exact to degree 4n+1
-    P = _legendre(n + 1, x_q)
-    moments = (w_q * P[n] * P[:n + 1]) @ P.T      # [k, j] = int P_n P_k P_j
-    a = np.eye(n + 2)[n + 1]
-    for k in range(n + 1):
-        a[n - k] = -np.dot(moments[k, n - k + 1:], a[n - k + 1:]) / moments[k, n - k]
-    ends = np.concatenate([[-1.0], x_g, [1.0]])
-    x = np.sort(np.concatenate([x_g, _legendre_roots(a, (ends[:-1] + ends[1:]) / 2.0)]))
-    x = (x - x[::-1]) / 2.0
-    left = (1.0 + x[:n]) / 2.0
-    left = 1.0 - (1.0 - left)            # so that 1 - (1 - left) == left
-    nodes = np.concatenate([left, [0.5], (1.0 - left)[::-1]])
-    if not np.allclose(nodes[1::2], (1.0 + x_g) / 2.0, rtol=0, atol=1e-14):
-        raise ArithmeticError("Kronrod nodes do not interlace the Gauss nodes")
-    rule = KronrodRule(nodes, _unit_weights(nodes), _unit_weights(nodes[1::2]))
-    for arr in (rule.nodes, rule.weights, rule.gauss_weights):
-        arr.flags.writeable = False
-    return rule
 
 
 @functools.lru_cache(maxsize=None)

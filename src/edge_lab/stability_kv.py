@@ -45,15 +45,14 @@ def recoil_check(log: TrajectoryLog, k: int) -> tuple[float, float, float]:
     inner = <d_{k+1}, d_k>, predicted = (1 - eta*rbar_k) ||d_k||^2 with
     the exact gradient-difference curvature, growth = ||d_{k+1}||/||d_k||.
     The two first entries agree identically; above the threshold the
-    growth factor is at least 1 + eta*(rbar - 2/eta).
+    growth factor is at least 1 + eta*(rbar - 2/eta). A degenerate step k
+    raises ``DegenerateStepError``.
     """
     if k + 1 >= log.num_steps:
         raise IndexError("recoil_check needs steps k and k+1")
     d0, d1 = log.steps[k], log.steps[k + 1]
-    nd0 = float(np.linalg.norm(d0))
-    if nd0 < DEGENERATE_STEP:
-        raise ValueError(f"degenerate step {k}")
     rbar = step_mean_curvature_exact(log, k)
+    nd0 = float(np.linalg.norm(d0))
     inner = float(d1 @ d0)
     predicted = (1.0 - log.eta * rbar) * nd0 ** 2
     growth = float(np.linalg.norm(d1)) / nd0
@@ -219,15 +218,9 @@ def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
 
 def write_strain_csv(strain: StrainLog, path) -> None:
     """Columns k, strain_norm, stress_norm, kappa, recurrence_residual, bound_rhs."""
-    rows = ["k,strain_norm,stress_norm,kappa,recurrence_residual,bound_rhs"]
     bound = strain_bound_rhs(strain)
-    for k in range(strain.num_steps):
-        rows.append(",".join([
-            str(k),
-            f"{np.linalg.norm(strain.delta[k]):.17g}",
-            f"{np.linalg.norm(strain.stress[k]):.17g}",
-            f"{strain.kappa[k]:.17g}",
-            f"{strain.residual[k]:.17g}",
-            f"{bound[k]:.17g}",
-        ]))
-    write_csv(path, rows)
+    rows = [[k, np.linalg.norm(strain.delta[k]), np.linalg.norm(strain.stress[k]),
+             strain.kappa[k], strain.residual[k], bound[k]]
+            for k in range(strain.num_steps)]
+    write_csv(path, ["k", "strain_norm", "stress_norm", "kappa",
+                     "recurrence_residual", "bound_rhs"], rows)

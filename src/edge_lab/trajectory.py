@@ -200,11 +200,24 @@ def run_pair_gd(model_s: LossModel, model_sp: LossModel, w0: Array,
     return PairedLog(log_s, log_sp)
 
 
-def write_csv(path, rows) -> None:
-    """Write CSV lines, each ended by CRLF (RFC 4180). Every CSV output is
-    written here, so its byte format is decided in one place."""
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return f"{value:.17g}"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header and rows as CSV lines, each ended by CRLF (RFC 4180).
+
+    Every CSV output is written here, so its byte format is decided in one
+    place: None is an empty field, a str is written as is, and a number
+    is written with 17 significant digits (``.17g``), which round-trips
+    every float64.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+        fh.write("".join(",".join(map(_cell, row)) + "\r\n" for row in [header, *rows]))
 
 
 def write_trajectory_csv(log: TrajectoryLog, path, include_w: bool = False) -> None:
@@ -212,16 +225,12 @@ def write_trajectory_csv(log: TrajectoryLog, path, include_w: bool = False) -> N
     header = ["k", "loss", "grad_norm", "step_norm"]
     if include_w:
         header += [f"w{i}" for i in range(log.dim)]
-    rows = [",".join(header)]
+    rows = []
     for k in range(log.num_steps + 1):
-        step_norm = ("" if k >= log.num_steps
-                     else f"{np.linalg.norm(log.steps[k]):.17g}")
-        vals = [str(k), f"{log.losses[k]:.17g}",
-                f"{np.linalg.norm(log.grads[k]):.17g}", step_norm]
-        if include_w:
-            vals += [f"{v:.17g}" for v in log.w(k)]
-        rows.append(",".join(vals))
-    write_csv(path, rows)
+        step_norm = np.linalg.norm(log.steps[k]) if k < log.num_steps else None
+        row = [k, log.losses[k], np.linalg.norm(log.grads[k]), step_norm]
+        rows.append([*row, *log.w_stored[k]] if include_w else row)
+    write_csv(path, header, rows)
 
 
 def run_summary(log: TrajectoryLog) -> dict:

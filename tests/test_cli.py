@@ -911,18 +911,19 @@ def test_any_value_resolves_or_is_config_error(data):
 
 class TestImportPath:
     """scipy is imported only by the code that calls it (Brent roots and
-    Lanczos in localization and verify, GELU's erf), not by the CLI."""
+    Lanczos in localization and verify, GELU's erf), not by the CLI, and
+    a ``run`` or ``strain`` imports neither ``fractions`` nor ``decimal``."""
 
     _SCRIPT = """
 import json, sys
-def scipy_modules():
-    return [m for m in sys.modules if m.split('.')[0] == 'scipy']
+def watched_modules():
+    return [m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')]
 import edge_lab.cli
 from edge_lab.cli import main
-seen = {"import": scipy_modules()}
+seen = {"import": watched_modules()}
 for name in ("run", "strain", "run_localized"):
     rc = main([name.split("_")[0], "--config", sys.argv[1] + "/" + name + ".json"])
-    seen[name] = scipy_modules() if rc == 0 else f"exit {rc}"
+    seen[name] = watched_modules() if rc == 0 else f"exit {rc}"
 print(json.dumps(seen))
 """
 

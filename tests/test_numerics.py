@@ -1,14 +1,15 @@
 """Quadrature, root finding, Newton solves and eigensolvers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from edge_lab.edge_metrics import G4_WEIGHTS, K9_NODES, K9_WEIGHTS
 from edge_lab.numerics import (BracketError, NonConvergenceError,
                                SingularJacobianError, brent_root, dense_eigvalsh,
-                               gauss_kronrod_rule, lambda_max_iter, newton_solve,
-                               uniform_rule)
+                               lambda_max_iter, newton_solve, uniform_rule)
 
 
 def _integrate(f, rule):
@@ -28,53 +29,57 @@ class TestQuadrature:
 
     def test_kronrod_9_rule(self):
         """K9: real interior nodes, positive weights, G4's nodes and weights
-        embedded, exact mirror symmetry, weights summing to 1, and monomials exact to degree 13
-        (3n + 1 for n = 4) but not 14. The cache hands the same read-only
-        arrays to every caller."""
-        r = gauss_kronrod_rule(4)
-        assert gauss_kronrod_rule(4) is r
-        for arr in (r.nodes, r.weights, r.gauss_weights):
-            assert not arr.flags.writeable
-        assert r.nodes.dtype == np.float64 and len(r.nodes) == 9
-        assert np.all((0.0 < r.nodes) & (r.nodes < 1.0)) and np.all(np.diff(r.nodes) > 0)
-        assert np.all(r.weights > 0.0) and np.all(r.gauss_weights > 0.0)
+        embedded, exact mirror symmetry, weights summing to 1, and monomials
+        exact to degree 13 (3n + 1 for n = 4) but not 14. The table is
+        read-only, since every caller shares it."""
+        for arr in (K9_NODES, K9_WEIGHTS, G4_WEIGHTS):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert len(K9_NODES) == len(K9_WEIGHTS) == 9 and len(G4_WEIGHTS) == 4
+        assert np.all((0.0 < K9_NODES) & (K9_NODES < 1.0)) and np.all(np.diff(K9_NODES) > 0)
+        assert np.all(K9_WEIGHTS > 0.0) and np.all(G4_WEIGHTS > 0.0)
         g4 = uniform_rule(4)
-        np.testing.assert_allclose(r.nodes[1::2], g4.nodes, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(r.gauss_weights, g4.weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(K9_NODES[1::2], g4.nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(G4_WEIGHTS, g4.weights, rtol=0, atol=1e-15)
         for i in range(9):
-            assert r.nodes[8 - i] == 1.0 - r.nodes[i]
-            assert r.weights[8 - i] == r.weights[i]
+            assert K9_NODES[8 - i] == 1.0 - K9_NODES[i]
+            assert K9_WEIGHTS[8 - i] == K9_WEIGHTS[i]
         for i in range(4):
-            assert r.gauss_weights[3 - i] == r.gauss_weights[i]
-        assert math.fsum(r.weights) == 1.0
+            assert G4_WEIGHTS[3 - i] == G4_WEIGHTS[i]
+        assert math.fsum(K9_WEIGHTS) == 1.0 and math.fsum(G4_WEIGHTS) == 1.0
         for j in range(14):
-            assert abs(float(np.dot(r.weights, r.nodes ** j)) - 1.0 / (j + 1)) <= 1e-15, j
-        for j in range(8):
-            got = float(np.dot(r.gauss_weights, r.nodes[1::2] ** j))
+            got = float(np.dot(K9_WEIGHTS, K9_NODES ** j))
             assert abs(got - 1.0 / (j + 1)) <= 1e-15, j
-        assert abs(float(np.dot(r.weights, r.nodes ** 14)) - 1.0 / 15) > 1e-12
+        for j in range(8):
+            got = float(np.dot(G4_WEIGHTS, K9_NODES[1::2] ** j))
+            assert abs(got - 1.0 / (j + 1)) <= 1e-15, j
+        assert abs(float(np.dot(K9_WEIGHTS, K9_NODES ** 14)) - 1.0 / 15) > 1e-12
+
+    def test_kronrod_weights_correctly_rounded(self):
+        """Each weight is the interpolatory weight of the stored nodes on
+        [0, 1], computed in exact rational arithmetic and rounded once:
+        each Lagrange basis polynomial is expanded and integrated."""
+        def exact_weights(nodes):
+            exact = [Fraction(float(t)) for t in nodes]
+            weights = []
+            for i, t in enumerate(exact):
+                coef, scale = [Fraction(1)], Fraction(1)   # coef[k] multiplies y^k
+                for s in exact[:i] + exact[i + 1:]:
+                    coef = [lo - s * hi
+                            for lo, hi in zip([Fraction(0)] + coef, coef + [Fraction(0)])]
+                    scale *= t - s
+                weights.append(float(sum(c / (k + 1) for k, c in enumerate(coef)) / scale))
+            return np.array(weights)
+
+        assert exact_weights(K9_NODES).tobytes() == K9_WEIGHTS.tobytes()
+        assert exact_weights(K9_NODES[1::2]).tobytes() == G4_WEIGHTS.tobytes()
 
     def test_kronrod_triangular_weights(self):
         """The weights 2 (1 - tau_i) w_i that give rtilde integrate tau^j
         to 2 / ((j+1)(j+2)) for j <= 12."""
-        r = gauss_kronrod_rule(4)
-        tri = 2.0 * (1.0 - r.nodes) * r.weights
+        tri = 2.0 * (1.0 - K9_NODES) * K9_WEIGHTS
         for j in range(13):
             exact = 2.0 / ((j + 1) * (j + 2))
-            assert abs(float(np.dot(tri, r.nodes ** j)) - exact) <= 1e-15, j
-
-    def test_kronrod_construction_matches_scipy_gk15(self):
-        """At n = 7 the same construction is scipy's G7/K15 rule: the nodes
-        scipy evaluates on [0, 1], and its integrals of exp and cos."""
-        from scipy.integrate import _quad_vec
-
-        r = gauss_kronrod_rule(7)
-        seen = []
-        _quad_vec._quadrature_gk15(0.0, 1.0, lambda t: seen.append(t) or 0.0, abs)
-        np.testing.assert_allclose(r.nodes, sorted(seen), rtol=0, atol=1e-15)
-        for f in (np.exp, np.cos):
-            ref, _, _ = _quad_vec._quadrature_gk15(0.0, 1.0, f, abs)
-            assert abs(float(np.dot(r.weights, f(r.nodes))) - ref) <= 1e-15 * abs(ref)
+            assert abs(float(np.dot(tri, K9_NODES ** j)) - exact) <= 1e-15, j
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     def test_monomial_exactness_to_degree(self, order):

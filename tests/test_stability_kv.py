@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edge_lab import stability_kv as kv
+from edge_lab.edge_metrics import DegenerateStepError
 from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset,
                                   make_two_layer_linear)
@@ -43,6 +44,12 @@ class TestRecoil:
             inner, predicted, _ = kv.recoil_check(log, k)
             nd2 = float(log.steps[k] @ log.steps[k])
             assert abs(inner - predicted) <= 1e-10 * max(nd2, abs(predicted))
+
+    def test_zero_step_is_degenerate(self):
+        # a start at the minimum never moves: every step is exactly zero
+        log = run_gd(make_quadratic(np.diag([3.0])), np.array([0.0]), 0.5, 3)
+        with pytest.raises(DegenerateStepError):
+            kv.recoil_check(log, 0)
 
 
 class TestOscillatoryBound:

@@ -262,18 +262,30 @@ class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         """Every CSV output ends each line, the last too, with CRLF (RFC 4180)."""
         ds = make_synthetic_dataset(4, 5, 3, 2)
-        rows = ["x0,x1,x2,y0,y1"] + [",".join(f"{v:.17g}" for v in (*x, *y))
-                                     for x, y in zip(ds.X, ds.Y)]
+        header = ["x0", "x1", "x2", "y0", "y1"]
         path = tmp_path / "data.csv"
-        write_csv(path, rows)
+        write_csv(path, header, [[*x, *y] for x, y in zip(ds.X, ds.Y)])
         raw = path.read_bytes()
-        assert raw == ("\r\n".join(rows) + "\r\n").encode()
+        assert raw.startswith(b"x0,x1,x2,y0,y1\r\n") and raw.endswith(b"\r\n")
         assert raw.count(b"\r\n") == 6 and raw.count(b"\n") == 6
         with open(path, newline="") as fh:
-            header, *data = list(csv.reader(fh))
-        assert header == ["x0", "x1", "x2", "y0", "y1"]
+            head, *data = list(csv.reader(fh))
+        assert head == header
         np.testing.assert_array_equal(np.array(data, dtype=float),
                                       np.hstack([ds.X, ds.Y]))
+
+    def test_csv_cells(self, tmp_path):
+        """None is an empty field, a str is written as is, and every number
+        (int, numpy integer, float, NaN) with 17 significant digits."""
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["a", "b", "c", "d", "e", "f"],
+                  [[None, "mode", 7, np.int64(12), 0.1, float("nan")],
+                   [np.float64(1.0) / 3.0, None, -2, np.int64(0), 1e-300, None]])
+        assert path.read_bytes().decode().split("\r\n") == [
+            "a,b,c,d,e,f",
+            ",mode,7,12,0.10000000000000001,nan",
+            "0.33333333333333331,,-2,0,1e-300,",
+            ""]
 
     def test_trajectory_csv_and_summary(self, tmp_path):
         model = make_quadratic(np.diag([3.0, 1.0]))
