@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from .loss_models import LossModel
 from .numerics import (NonConvergenceError, SingularJacobianError, fd_step,
                        newton_solve)
-from .trajectory import run_gd
+from .trajectory import _diverged
 
 __all__ = [
     "NoBranchError",
@@ -344,6 +344,51 @@ def branch_predict(eta: float, eta_c: float, Q_u: float) -> tuple[bool, float]:
     return alpha_sq > 0.0, alpha_sq
 
 
+def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
+                          run_offset: float, etas: list[float],
+                          K: int) -> tuple[Array, list[int]]:
+    """Full-batch GD from w_bar + run_offset u at every step size at once.
+
+    One (m, dim) stack of iterates advances by one stacked
+    ``value_and_grad`` per step, each row by its own step size, exactly as
+    ``run_gd`` advances one. Only the projections (w_k - w_bar) . u are
+    kept, each by the 1-D dot of a single point: returns the (K + 1, m)
+    projections and, per step size, the number of steps its run keeps.
+    A row past the divergence limits at iterate n keeps iterates
+    0..n - 1, as ``run_gd`` truncates its log, and leaves the stack; a
+    start point past them keeps iterate 0.
+    """
+    if not model.stacked_value_and_grad:
+        raise ValueError(f"the empirical sweep needs a model whose "
+                         f"value_and_grad takes an (m, dim) stack of points; "
+                         f"{model.name} does not")
+    if any(eta <= 0 for eta in etas):
+        raise ValueError("eta must be positive")
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    m = len(etas)
+    proj = np.empty((K + 1, m))
+    kept = [K] * m
+    neg_etas = -np.array(etas)
+    rows = np.arange(m)      # the step size of each row of W
+    W = np.tile(w_bar + run_offset * u, (m, 1))
+    for k in range(K + 1):
+        if not rows.size:
+            break
+        if k > 0:
+            W = W + neg_etas[rows, None] * G
+        D = W - w_bar
+        for i, r in enumerate(rows.tolist()):
+            proj[k, r] = D[i] @ u
+        losses, G = model.value_and_grad(W)
+        out = _diverged(losses, W)
+        if out.any():
+            for r in rows[out].tolist():
+                kept[r] = max(k - 1, 0)
+            rows, W, G = rows[~out], W[~out], G[~out]
+    return proj, kept
+
+
 def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
                  u: Array | None = None, subspace: Array | None = None,
                  run_steps: int = 2000, run_offset: float = 1e-3,
@@ -354,9 +399,11 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
     (the first from the quadratic branch prediction), bisecting the eta
     step once on failure before declaring the branch lost; returns
     (list of BranchPoint, lost flag). Empirical mode runs the raw
-    dynamics from a small offset along ``u``, discards the leading
-    ``discard_frac`` of steps and reports half the peak-to-peak
-    projection onto ``u``; returns (list of EmpiricalPoint, False).
+    dynamics from a small offset along ``u`` at every step size in
+    lockstep (so the model's ``value_and_grad`` must take point stacks),
+    discards the leading ``discard_frac`` of each run's steps and reports
+    half the peak-to-peak projection onto ``u``; returns (list of
+    EmpiricalPoint, False).
     """
     etas = [float(e) for e in etas]
     if u is None:
@@ -369,13 +416,12 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
     u = u / float(np.linalg.norm(u))
 
     if mode == "empirical":
+        proj, kept = _lockstep_projections(model, w_bar, u, run_offset, etas,
+                                           run_steps)
         points = []
-        for eta in etas:
-            log = run_gd(model, w_bar + run_offset * u, eta, run_steps)
-            start = int(discard_frac * log.num_steps)
-            proj = np.array([float((log.w(k) - w_bar) @ u)
-                             for k in range(start, log.num_steps + 1)])
-            amp = 0.5 * float(proj.max() - proj.min())
+        for r, (eta, n) in enumerate(zip(etas, kept)):
+            window = proj[int(discard_frac * n):n + 1, r]
+            amp = 0.5 * float(window.max() - window.min())
             points.append(EmpiricalPoint(eta=eta, amplitude=amp))
         return points, False
 

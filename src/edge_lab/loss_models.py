@@ -43,8 +43,13 @@ class LossModel:
     """Base interface for a differentiable objective.
 
     Subclasses provide ``dim`` and two kernels: ``value_and_grad`` and
-    ``hvp``. ``hvp(w, v)`` takes one direction of shape ``(dim,)`` or an
-    ``(m, dim)`` stack of row directions and returns the products in the
+    ``hvp``. ``value_and_grad(w)`` takes one point of shape ``(dim,)`` and
+    returns the loss and the gradient; a model that sets
+    ``stacked_value_and_grad`` (the scalar polynomial and the linear net)
+    also takes an ``(m, dim)`` stack of row points and returns ``(m,)``
+    losses and ``(m, dim)`` gradients, each row bit-equal to the same point
+    passed alone. ``hvp(w, v)`` takes one direction of shape ``(dim,)`` or
+    an ``(m, dim)`` stack of row directions and returns the products in the
     same shape. ``value`` and ``gradient`` are read off ``value_and_grad``;
     ``hvp_at(w)`` is the operator ``v -> hvp(w, v)`` at one point, which a
     model may override to linearize once for many products (the MLP does,
@@ -60,6 +65,7 @@ class LossModel:
     dim: int
     name: str = "loss"
     inf_value: float | None = None
+    stacked_value_and_grad: bool = False
 
     def value_and_grad(self, w: Array) -> tuple[float, Array]:
         raise NotImplementedError
@@ -139,6 +145,7 @@ class ScalarPolyModel(LossModel):
     """
 
     dim = 1
+    stacked_value_and_grad = True
 
     def __init__(self, lam: float, gamma: float = 0.0, beta: float = 0.0):
         self.lam = float(lam)
@@ -148,9 +155,18 @@ class ScalarPolyModel(LossModel):
         self.inf_value = 0.0 if self.lam > 0 else None
 
     def value_and_grad(self, w):
-        x = float(np.asarray(w).reshape(()))
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 2:
+            # Python-float arithmetic per row, as for a single point.
+            pairs = [self._value_and_slope(x) for x in w[:, 0].tolist()]
+            return (np.array([v for v, _ in pairs]),
+                    np.array([g for _, g in pairs])[:, None])
+        value, slope = self._value_and_slope(float(w.reshape(())))
+        return value, np.array([slope])
+
+    def _value_and_slope(self, x: float) -> tuple[float, float]:
         return (0.5 * self.lam * x * x + self.gamma / 3.0 * x ** 3 + 0.25 * self.beta * x ** 4,
-                np.array([self.lam * x + self.gamma * x * x + self.beta * x ** 3]))
+                self.lam * x + self.gamma * x * x + self.beta * x ** 3)
 
     def hvp(self, w, v):
         x = float(np.asarray(w).reshape(()))
@@ -178,6 +194,8 @@ class TwoLayerLinearModel(LossModel):
     helpers in this module respect it.
     """
 
+    stacked_value_and_grad = True
+
     def __init__(self, M: Array, hidden: int):
         M = np.atleast_2d(np.asarray(M, dtype=float))
         self.M = M
@@ -204,9 +222,13 @@ class TwoLayerLinearModel(LossModel):
                                W2.reshape(*W2.shape[:-2], -1)], axis=-1)
 
     def value_and_grad(self, w):
+        # One GEMM per point and one sum over each point's residual, so a
+        # row of a stack is bit-equal to the same point passed alone.
         W1, W2 = self.unpack(w)
         R = W2 @ W1 - self.M
-        return float(0.5 * np.sum(R * R)), self.pack(W2.T @ R, R @ W1.T)
+        value = 0.5 * np.sum(R * R, axis=(-2, -1))
+        grad = self.pack(W2.swapaxes(-1, -2) @ R, R @ W1.swapaxes(-1, -2))
+        return (float(value) if value.ndim == 0 else value), grad
 
     def hvp(self, w, v):
         W1, W2 = self.unpack(w)
@@ -563,10 +585,12 @@ class MlpModel(LossModel):
 
         A block's (m, unit, sample) tangents are written into the first m
         rows of the model's block buffers (``_block_buffers``), which every
-        operator of the model shares; the returned products are fresh
-        arrays. Reusing the buffers keeps the allocator from returning and
-        faulting in their pages around every block. The operators of one
-        model must therefore not run in several threads at once.
+        operator of the model shares, and its products straight into its
+        rows of one result array that each call allocates, so the returned
+        products are fresh arrays. Reusing the buffers, and packing no
+        block's products apart from the result, keeps the allocator from
+        returning and faulting in pages around every block. The operators
+        of one model must therefore not run in several threads at once.
         """
         params = self.unpack(w)
         X, Y = self.dataset.X, self.dataset.Y
@@ -583,9 +607,9 @@ class MlpModel(LossModel):
                 curvs[l - 1] = back * ddphis[l - 1].T
                 D = back * dphis_t[l - 1]
 
-        def block(V):
+        def block(V, HV):
             m = V.shape[0]
-            tang = self.unpack(V)
+            tang, hv = self.unpack(V), self.unpack(HV)
             bufs = [buf[:, :m] for buf in self._block_buffers()]
             RAs, RZs = [None], []
             for l, ((W, _), (Vw, vb)) in enumerate(zip(params, tang)):
@@ -601,13 +625,12 @@ class MlpModel(LossModel):
                            if l < self.n_layers - 1 else RZ)
 
             RD = np.divide(RAs[-1], n, out=bufs[-1][2])
-            hv = [None] * self.n_layers
             for l in range(self.n_layers - 1, -1, -1):
-                (W, _), (Vw, _) = params[l], tang[l]
+                (W, _), (Vw, _), (HW, Hb) = params[l], tang[l], hv[l]
                 gW = np.matmul(RD, acts[l])
                 if l > 0:
                     gW += np.matmul(Ds[l], RAs[l].swapaxes(-1, -2))
-                hv[l] = (gW, RD.sum(axis=-1))
+                HW[...], Hb[...] = gW, RD.sum(axis=-1)
                 if l > 0:
                     # (W^T RD + Vw^T D) phi' + (W^T D phi'') RZ, in place:
                     # RZs[l - 1] is not read again.
@@ -621,16 +644,14 @@ class MlpModel(LossModel):
                     RZ = RZs[l - 1]
                     RZ *= curvs[l - 1]
                     RD += RZ
-            return self.pack(hv)
 
         def apply(v):
             V = np.asarray(v, dtype=float)
-            if V.ndim == 1:
-                return block(V[None])[0]
-            if V.shape[0] <= _HVP_BLOCK:
-                return block(V)
-            return np.concatenate([block(V[i:i + _HVP_BLOCK])
-                                   for i in range(0, V.shape[0], _HVP_BLOCK)])
+            HV = np.empty(V.shape)
+            V2, HV2 = np.atleast_2d(V), np.atleast_2d(HV)
+            for i in range(0, V2.shape[0], _HVP_BLOCK):
+                block(V2[i:i + _HVP_BLOCK], HV2[i:i + _HVP_BLOCK])
+            return HV
 
         return apply
 

@@ -91,11 +91,18 @@ class PairedLog:
         return min(self.log_s.num_steps, self.log_sp.num_steps)
 
 
-def _diverged(loss: float, w: Array) -> bool:
-    # NaN fails every comparison, and a non-finite entry of w makes the
-    # norm inf or NaN, so the chain also catches every non-finite value.
-    return not (-math.inf < loss <= LOSS_DIVERGENCE
-                and float(np.linalg.norm(w)) <= ITERATE_DIVERGENCE)
+def _diverged(losses: Array, W: Array) -> Array:
+    """Which rows of the iterate stack ``W``, at their ``losses``, are past
+    the divergence limits.
+
+    Each row's norm is the 1-D ``dot`` that ``np.linalg.norm`` takes for a
+    single point, so a row's verdict does not depend on its stack.
+    """
+    norms = np.sqrt([w.dot(w) for w in W])
+    # NaN fails every comparison, and a non-finite entry of a row makes its
+    # norm inf or NaN, so the test also catches every non-finite value.
+    return ~((losses > -math.inf) & (losses <= LOSS_DIVERGENCE)
+             & (norms <= ITERATE_DIVERGENCE))
 
 
 class NoiseSource:
@@ -165,7 +172,7 @@ def _run(model, w0, eta, K, noise):
     iterates[0] = w
     losses[0], grads[0] = model.value_and_grad(w)
     n = 0
-    div_step = 0 if _diverged(losses[0], w) else None
+    div_step = 0 if _diverged(losses[:1], iterates[:1])[0] else None
     while div_step is None and n < K:
         if noise is not None:
             noises[n] = noise.sample(model, w, grads[n])
@@ -174,7 +181,7 @@ def _run(model, w0, eta, K, noise):
             steps[n] = -eta * grads[n]
         w = w + steps[n]
         loss, g = model.value_and_grad(w)
-        if _diverged(loss, w):
+        if _diverged(np.array([loss]), w[None])[0]:
             div_step = n + 1
             break
         n += 1

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from edge_lab import bifurcation as bf
-from edge_lab.loss_models import (balanced_minimizer, make_quadratic,
-                                  make_scalar_poly, make_two_layer_linear)
+from edge_lab.loss_models import (balanced_minimizer, make_mlp, make_quadratic,
+                                  make_scalar_poly, make_synthetic_dataset,
+                                  make_two_layer_linear)
 from edge_lab.numerics import (MACHINE_EPS, SingularJacobianError, dense_eigvalsh,
                                fd_step)
 from edge_lab.trajectory import run_gd
@@ -316,6 +317,99 @@ class TestBranchSweep:
             results[h] = bp
         assert abs(results[2].amplitude - results[4].amplitude) <= 1e-10
         assert abs(results[2].profile_value - results[4].profile_value) <= 1e-10
+
+
+def _run_gd_oracle(model, w_bar, etas, u, run_steps, run_offset=1e-3,
+                   discard_frac=0.8):
+    """The empirical sweep as one ``run_gd`` per step size: for each eta the
+    logged run and half the peak-to-peak projection onto ``u`` over the last
+    ``1 - discard_frac`` of its (possibly truncated) steps."""
+    logs, amps = [], []
+    for eta in etas:
+        log = run_gd(model, w_bar + run_offset * u, eta, run_steps)
+        start = int(discard_frac * log.num_steps)
+        proj = np.array([float((log.w(k) - w_bar) @ u)
+                         for k in range(start, log.num_steps + 1)])
+        logs.append(log)
+        amps.append(0.5 * float(proj.max() - proj.min()))
+    return logs, amps
+
+
+def _odd_linear_net():
+    """A linear net of odd dimension 15, so every other row of an iterate
+    stack starts off a 16-byte boundary."""
+    w_bar, geom = balanced_minimizer(
+        np.array([[2.0, 0.0, 1.0], [0.0, 1.0, -0.5]]), 3)
+    return geom.model, w_bar, geom.sharp_direction()
+
+
+class TestLockstepSweep:
+    """The empirical sweep advances every step size in one iterate stack;
+    each row must reproduce its own ``run_gd`` bit for bit, truncation on
+    divergence included."""
+
+    def _check(self, model, w_bar, u, etas, run_steps, run_offset=1e-3):
+        u = u / float(np.linalg.norm(u))   # as branch_sweep normalizes it
+        logs, amps = _run_gd_oracle(model, w_bar, etas, u, run_steps, run_offset)
+        points, lost = bf.branch_sweep(model, w_bar, etas, "empirical", u=u,
+                                       run_steps=run_steps, run_offset=run_offset)
+        assert not lost
+        assert [p.eta for p in points] == list(etas)
+        assert [p.amplitude for p in points] == amps
+        proj, kept = bf._lockstep_projections(model, w_bar, u, run_offset,
+                                              list(etas), run_steps)
+        assert proj.shape == (run_steps + 1, len(etas))
+        for r, log in enumerate(logs):
+            assert kept[r] == log.num_steps
+            want = [(log.w(k) - w_bar) @ u for k in range(log.num_steps + 1)]
+            assert np.array_equal(proj[:kept[r] + 1, r], want)
+        return logs, points
+
+    @pytest.mark.parametrize("model", [QUARTIC, HARDENING], ids=lambda m: m.name)
+    def test_scalar_quartic_both_sides(self, model):
+        """eta_c = 2: the soft quartic orbits above it; the hardening one
+        settles below it and diverges above it after 34 to 433 steps."""
+        etas = [1.9, 1.99, 2.01, 2.05, 2.2]
+        logs, _ = self._check(model, np.array([0.0]), np.array([1.0]), etas, 4000)
+        diverged = [log.diverged for log in logs]
+        assert diverged == ([False] * 5 if model is QUARTIC
+                            else [False, False, True, True, True])
+
+    def test_linear_net(self):
+        w_bar, geom, _ = _linear_net()
+        self._check(geom.model, w_bar, geom.sharp_direction(),
+                    [0.45, 0.51, 0.525, 0.55, 0.6], 4000)
+
+    def test_one_eta_diverges_mid_run(self):
+        """On the odd-dimension net eta = 0.8 passes the limits at iterate
+        108 and leaves the stack; the rows around it run on unchanged."""
+        model, w_bar, u = _odd_linear_net()
+        logs, points = self._check(model, w_bar, u, [0.45, 0.55, 0.8, 0.6], 1000)
+        assert [log.diverged for log in logs] == [False, False, True, False]
+        assert logs[2].num_steps == 107
+
+    def test_start_point_diverges(self):
+        """A start point past the iterate limit keeps iterate 0 only, so
+        every amplitude is 0."""
+        model, w_bar, u = _odd_linear_net()
+        logs, points = self._check(model, w_bar, u, [0.45, 0.55], 50,
+                                   run_offset=1e9)
+        assert all(log.num_steps == 0 and log.diverged for log in logs)
+        assert [p.amplitude for p in points] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("model, etas", [
+        (make_quadratic(np.diag([3.0])), [0.7]),
+        (make_quadratic(np.diag([3.0, 2.0, 1.0])), [0.7, 0.8, 0.9]),
+        (make_mlp([3, 4, 2], "tanh",
+                  make_synthetic_dataset(0, 20, 3, 2, teacher_rank=1)), [0.1, 0.2]),
+    ], ids=["quadratic-m=dim=1", "quadratic-m=dim=3", "mlp"])
+    def test_model_without_stacks_rejected(self, model, etas):
+        """A quadratic or an MLP takes one point per value_and_grad call;
+        the sweep refuses it, also when the number of step sizes equals
+        the dimension."""
+        with pytest.raises(ValueError, match="stack of points"):
+            bf.branch_sweep(model, np.zeros(model.dim), etas, "empirical",
+                            u=np.eye(model.dim)[0], run_steps=10)
 
 
 class TestCouplingHessianForms:

@@ -691,14 +691,19 @@ class TestFailureContract:
 
     @pytest.mark.parametrize("base, key", [
         ("run", "steps"), ("balance", "steps"), ("strain", "steps"),
-        ("bifurcate", "run_steps")])
+        ("bifurcate", "run_steps"), ("bifurcate linear", "run_steps")])
     def test_count_too_large_to_allocate(self, tmp_path, capsys, base, key):
         """A step count whose logs cannot be allocated is one config-error
         line at its key and exit 2. numpy refuses the allocation before
-        touching memory; the run has written only its resolved config."""
+        touching memory; the run has written only its resolved config. The
+        empirical sweep's (run_steps + 1, len(etas)) projections are such a
+        log."""
         out = tmp_path / "out"
         cfg = _with(dict(self._BASES[base], out_dir=str(out)), key, 10 ** 15)
-        rc = main([base, "--config", _write_config(tmp_path / "c.json", cfg)])
+        if base == "bifurcate linear":
+            cfg["etas"] = [0.55, 0.6, 0.65]
+        rc = main([base.split()[0], "--config",
+                   _write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error at {key}:"), lines

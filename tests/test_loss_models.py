@@ -252,6 +252,28 @@ class TestStackedHvp:
             assert np.linalg.norm(hv - fd) <= 1e-7 * np.linalg.norm(hv)
 
 
+class TestStackedValueAndGrad:
+    """The scalar polynomial and the linear net take an (m, dim) stack of
+    points in value_and_grad; every row equals the point passed alone."""
+
+    @pytest.mark.parametrize("model", _all_models()[1:4], ids=lambda m: m.name)
+    def test_rows_bit_equal_single_calls(self, model):
+        rng = np.random.default_rng(13)
+        for m in sorted({1, 3, model.dim}):
+            W = rng.standard_normal((m, model.dim))
+            losses, G = model.value_and_grad(W)
+            assert losses.shape == (m,) and G.shape == (m, model.dim)
+            for i in range(m):
+                loss, g = model.value_and_grad(W[i])
+                assert isinstance(loss, float) and g.shape == (model.dim,)
+                assert losses[i] == loss
+                assert np.array_equal(G[i], g)
+
+    def test_only_the_stacking_models_declare_it(self):
+        assert [type(m) for m in _all_models() if m.stacked_value_and_grad] == [
+            ScalarPolyModel, TwoLayerLinearModel, TwoLayerLinearModel]
+
+
 def _fresh(mlp):
     """An equal model that has never applied its R-operator."""
     return make_mlp(mlp.widths, mlp.activation, mlp.dataset)

@@ -155,7 +155,19 @@ class TestTruncation:
     ])
     def test_divergence_verdict(self, loss, w, diverged):
         with np.errstate(over="ignore"):     # the overflowing norm warns
-            assert _diverged(loss, np.array(w)) is diverged
+            assert _diverged(np.array([loss]), np.array([w])).tolist() == [diverged]
+
+    def test_stack_verdict_is_each_row_alone(self):
+        """Each row of a stack gets the verdict it gets alone."""
+        losses = np.array([0.5, 0.5, math.nan, 0.5, 0.5,
+                           math.nextafter(LOSS_DIVERGENCE, math.inf)])
+        W = np.array([[1.0, 2.0], [math.inf, 1.0], [1.0, 1.0], [1e300, 1e300],
+                      [ITERATE_DIVERGENCE, 0.0], [1.0, 0.0]])
+        with np.errstate(over="ignore"):
+            verdicts = _diverged(losses, W)
+            assert verdicts.tolist() == [False, True, True, True, False, True]
+            for i in range(len(W)):
+                assert _diverged(losses[i:i + 1], W[i:i + 1])[0] == verdicts[i]
 
     def test_log_is_held_once(self):
         """The runner fills one buffer per logged quantity: its traced
