@@ -182,10 +182,16 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class EmpiricalPoint:
-    """Amplitude observed by running the raw dynamics at one step size."""
+    """Amplitude observed by running the raw dynamics at one step size.
+
+    A run that passed the divergence limits is ``diverged``; its
+    ``amplitude`` then measures the truncated window before the blow-up,
+    not an orbit, and belongs in no scaling fit.
+    """
 
     eta: float
     amplitude: float
+    diverged: bool = False
 
 
 def _raw_two_step_residual(model: LossModel, eta: float, x: Array) -> float:
@@ -402,8 +408,8 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
     dynamics from a small offset along ``u`` at every step size in
     lockstep (so the model's ``value_and_grad`` must take point stacks),
     discards the leading ``discard_frac`` of each run's steps and reports
-    half the peak-to-peak projection onto ``u``; returns (list of
-    EmpiricalPoint, False).
+    half the peak-to-peak projection onto ``u``, flagging the runs that
+    diverged; returns (list of EmpiricalPoint, False).
     """
     etas = [float(e) for e in etas]
     if u is None:
@@ -422,7 +428,9 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
         for r, (eta, n) in enumerate(zip(etas, kept)):
             window = proj[int(discard_frac * n):n + 1, r]
             amp = 0.5 * float(window.max() - window.min())
-            points.append(EmpiricalPoint(eta=eta, amplitude=amp))
+            # Only a row that left the stack keeps fewer than run_steps steps.
+            points.append(EmpiricalPoint(eta=eta, amplitude=amp,
+                                         diverged=n < run_steps))
         return points, False
 
     if mode != "continuation":

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bifurcation, edge_metrics, loss_models, trajectory, verify
-from .numerics import DENSE_DIM_LIMIT, uniform_rule
+from .numerics import DENSE_DIM_LIMIT, NonConvergenceError, uniform_rule
 from .stability_kv import strain_run, write_strain_csv
 from .trajectory import write_csv
 
@@ -480,17 +480,24 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
                 model, w_bar, etas, mode, u=u, subspace=subspace,
                 run_steps=resolved["run_steps"], run_offset=resolved["run_offset"],
                 discard_frac=resolved["discard_frac"])
+        fitted = []
         for p in points:
             resid = p.residual if isinstance(p, bifurcation.BranchPoint) else float("nan")
-            rows.append([p.eta, p.amplitude, resid, mode])
-        amps = [p.amplitude for p in points]
+            # A diverged empirical run has no orbit: an empty amp cell, and
+            # it stays out of the fit.
+            diverged = isinstance(p, bifurcation.EmpiricalPoint) and p.diverged
+            rows.append([p.eta, None if diverged else p.amplitude, resid, mode])
+            if not diverged:
+                fitted.append(p)
         try:
             expo = bifurcation.fit_scaling_exponent(
-                [p.eta for p in points], amps, eta_c)
+                [p.eta for p in fitted], [p.amplitude for p in fitted], eta_c)
         except ValueError:
             expo = None
         summary["exponents"][mode] = expo
         summary[f"{mode}_branch_lost"] = bool(lost)
+        if mode == "empirical":
+            summary["empirical_diverged_etas"] = [p.eta for p in points if p.diverged]
     write_csv(out / "branch.csv", ["eta", "amp", "residual", "mode"], rows)
     _write_json(out / "sweep_summary.json", summary)
     return EXIT_OK
@@ -733,6 +740,9 @@ def main(argv=None) -> int:
     except bifurcation.NoBranchError as exc:
         print(f"config error at model: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (edge_metrics.LocalizationError, NonConvergenceError) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_ASSERTION
 
 
 if __name__ == "__main__":

@@ -30,12 +30,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel
-from .numerics import brent_root, dense_eigvalsh, lambda_max_iter, uniform_rule
+from .numerics import (NonConvergenceError, brent_root, dense_eigvalsh,
+                       lambda_max_iter, uniform_rule)
 from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
 
 __all__ = [
     "DEGENERATE_STEP",
     "DegenerateStepError",
+    "LocalizationError",
     "CurvatureTable",
     "LocalizationRecord",
     "WindowMass",
@@ -67,6 +69,10 @@ class DegenerateStepError(ValueError):
     """Step increment too short to define a direction."""
 
 
+class LocalizationError(RuntimeError):
+    """The profile of a step neither crosses a target nor stays constant."""
+
+
 def _read_only(values) -> Array:
     arr = np.array(values)
     arr.flags.writeable = False
@@ -94,6 +100,10 @@ G4_WEIGHTS = _read_only([
     0.17392742256872698])
 QUADRATURE_RTOL = 1e-9
 QUADRATURE_MAX_INTERVALS = 128
+
+# Cells of a localization grid whose nodes one segment_curvature call
+# evaluates before the scan looks for events again.
+LOCALIZE_CHUNK_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -244,13 +254,19 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
     """Interior points of step k where the profile attains each target.
 
     ``targets`` are segment averages of the step (rtilde and/or rbar
-    from ``curvature_table``); one record is returned per target. Each
-    grid of q(tau) is evaluated once for all targets, its new nodes in
-    one ``segment_curvature`` call. A sign change of q(tau) - target on
-    a 64-cell grid is refined with Brent's method; targets without one
-    go on to a grid twice as fine, up to 1024 cells, before failing. A
-    profile constant within ``tol`` across the grid returns the
-    conventional midpoint 0.5.
+    from ``curvature_table``); one record is returned per target. The
+    profile q(tau) is scanned left to right on a 64-cell grid, in chunks
+    of ``LOCALIZE_CHUNK_CELLS`` cells whose new nodes take one
+    ``segment_curvature`` call, shared by all targets. Once the values
+    seen so far span more than ``tol``, a target is decided at its
+    leftmost event among them: an interior node where q equals the
+    target exactly, or a sign change of q - target refined by Brent's
+    method, whichever lies further left. The scan stops as soon as
+    every target is decided. Targets still undecided at the end of the
+    grid go on to a grid twice as fine, up to 1024 cells, scanned the
+    same way; a profile whose values on a whole grid span at most
+    ``tol`` returns the conventional midpoint 0.5 as constant. A target
+    with no event on the 1024-cell grid raises LocalizationError.
     """
     d, _ = _step(log, k)
     w = log.w(k)
@@ -264,18 +280,17 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
         return memo[t]
 
     def crossing(target, taus, qs):
-        """Record of ``target`` if this grid brackets it, else None."""
-        if float(qs.max() - qs.min()) <= tol:
-            return LocalizationRecord(k, 0.5, target, q(0.5), True)
+        """Record of ``target`` at its leftmost event on these nodes, else None."""
         g = qs - target
-        hit = np.nonzero(g == 0.0)[0]
-        if hit.size and 0.0 < taus[hit[0]] < 1.0:
-            t0 = float(taus[hit[0]])
+        hits = np.nonzero(g == 0.0)[0]
+        hits = hits[(0.0 < taus[hits]) & (taus[hits] < 1.0)]
+        changes = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
+        if hits.size and not (changes.size and changes[0] < hits[0]):
+            t0 = float(taus[hits[0]])
             return LocalizationRecord(k, t0, target, q(t0), False)
-        sign_change = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
-        if not sign_change.size:
+        if not changes.size:
             return None
-        i = int(sign_change[0])
+        i = int(changes[0])
         root = brent_root(lambda t: q(t) - target,
                           float(taus[i]), float(taus[i + 1]), tol=1e-14)
         root = min(max(root, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
@@ -286,14 +301,24 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
     while cells <= 1024 and None in records:
         taus = np.linspace(0.0, 1.0, cells + 1)
         grid = taus.tolist()
-        fresh = [t for t in grid if t not in memo]
-        memo.update(zip(fresh, model.segment_curvature(w, d, fresh).tolist()))
-        qs = np.array([memo[t] for t in grid])
-        records = [rec or crossing(target, taus, qs)
-                   for rec, target in zip(records, targets)]
+        seen = 0
+        while seen < len(grid) and None in records:
+            chunk = grid[seen:seen + LOCALIZE_CHUNK_CELLS + (seen == 0)]
+            fresh = [t for t in chunk if t not in memo]
+            if fresh:
+                memo.update(zip(fresh, model.segment_curvature(w, d, fresh).tolist()))
+            seen += len(chunk)
+            qs = np.array([memo[t] for t in grid[:seen]])
+            flat = float(qs.max() - qs.min()) <= tol
+            if not flat:
+                records = [rec or crossing(target, taus[:seen], qs)
+                           for rec, target in zip(records, targets)]
+        if flat:    # the whole grid is within tol of constant
+            records = [rec or LocalizationRecord(k, 0.5, target, q(0.5), True)
+                       for rec, target in zip(records, targets)]
         cells *= 2
     if None in records:
-        raise RuntimeError(
+        raise LocalizationError(
             f"no interior point found for step {k} "
             f"(target {targets[records.index(None)]:g}) at grid 1024; "
             "profile is neither constant nor crossing the target")
@@ -543,7 +568,8 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
     ``table``, the run's ``curvature_table``. Fields that need records
     beyond the end of the run (or a localized point when localization
     is off) are left empty, as is every curvature field of a degenerate
-    step.
+    step. A Brent or Lanczos iteration of the localization that does not
+    converge raises NonConvergenceError naming the step.
     """
     header = ["k", "step_norm_sq", "rbar", "rtilde", "xi", "zeta", "lambda_max_xi",
               "delta_L", "proxy", "return_ratio"]
@@ -558,9 +584,13 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
         rbar, rtilde = float(table.rbar[i]), float(table.rtilde[i])
         xi = zeta = lam_xi = None
         if with_localization:
-            rec_t, rec_b = localize(model, log, k, (rtilde, rbar))
+            try:
+                rec_t, rec_b = localize(model, log, k, (rtilde, rbar))
+                lam_xi = localized_sharpness(model, log, rec_t)
+            except NonConvergenceError as exc:
+                raise NonConvergenceError(f"localization of step {k}: {exc}",
+                                          exc.history) from exc
             xi, zeta = rec_t.point, rec_b.point
-            lam_xi = localized_sharpness(model, log, rec_t)
         delta_l = float(log.losses[k + 1] - log.losses[k])
         proxy = ratio = None
         if k + 1 < log.num_steps:

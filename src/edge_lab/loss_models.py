@@ -218,8 +218,8 @@ class TwoLayerLinearModel(LossModel):
     def pack(self, W1: Array, W2: Array) -> Array:
         if W1.shape[-2:] != (self.h, self.d) or W2.shape[-2:] != (self.p, self.h):
             raise ValueError("factor shapes do not match the model")
-        return np.concatenate([W1.reshape(*W1.shape[:-2], -1),
-                               W2.reshape(*W2.shape[:-2], -1)], axis=-1)
+        return np.concatenate([W1.reshape(*W1.shape[:-2], self.h * self.d),
+                               W2.reshape(*W2.shape[:-2], self.p * self.h)], axis=-1)
 
     def value_and_grad(self, w):
         # One GEMM per point and one sum over each point's residual, so a

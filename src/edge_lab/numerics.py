@@ -6,15 +6,16 @@ estimation from Hessian-vector products, and the default central
 finite-difference step. (The embedded G4/K9 Gauss-Kronrod pair that
 integrates curvature profiles is a fixed table in ``edge_metrics``.)
 
-scipy is imported by the two functions that use it, ``brent_root``
-(``brentq``) and ``lambda_max_iter`` (``eigsh``), on their first call:
-importing it takes most of a CLI process's start-up, and only localization
-and ``verify``'s saturation check need it.
+Every kernel here is numpy-only: ``brent_root`` is a port of scipy's
+``brentq`` and ``lambda_max_iter`` runs its own Lanczos iteration, so
+localization and ``verify``'s saturation check load no scipy module.
+The one scipy user in the package is GELU's ``erf`` in ``loss_models``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,6 +43,13 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 # Dense linear-algebra paths are allowed up to this dimension; above it
 # only matrix-free (HVP) routes may be used.
 DENSE_DIM_LIMIT = 512
+
+# Iteration budget of brent_root (scipy's brentq default) and the largest
+# Krylov basis lambda_max_iter builds before it gives up.
+BRENT_MAX_ITER = 100
+LANCZOS_MAX_VECTORS = 300
+# ARPACK's floor on |theta| in its convergence test.
+_EPS23 = MACHINE_EPS ** (2.0 / 3.0)
 
 
 class EvaluationError(ValueError):
@@ -95,27 +103,75 @@ def uniform_rule(order: int = 4) -> QuadratureRule:
     return QuadratureRule(order, nodes, weights)
 
 
+def _finite_value(fx) -> float:
+    fx = float(fx)
+    if not math.isfinite(fx):
+        raise EvaluationError(f"non-finite function value {fx} in brent_root")
+    return fx
+
+
 def brent_root(f: Callable[[float], float], lo: float, hi: float,
                tol: float = 1e-12) -> float:
     """Root of ``f`` in [lo, hi] by Brent's method.
 
-    Requires a sign change on the bracket; the returned point satisfies
-    |f(x)| <= tol or lies in a bracket of width <= tol.
+    Requires a sign change on the bracket. The step rules, the stopping
+    test and the order of every floating-point operation are those of
+    scipy's ``brentq`` with ``xtol=tol`` and ``rtol=4 eps``, so the root
+    is the one it returns, bit for bit: a point where f vanishes, or the
+    best end of a sign-change bracket narrower than tol + 4 eps |x|.
+    Raises NonConvergenceError after ``BRENT_MAX_ITER`` iterations and
+    EvaluationError on a non-finite value of f.
     """
     if not lo < hi:
         raise BracketError(f"empty bracket [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)):
-        raise EvaluationError("non-finite endpoint value in brent_root")
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if flo * fhi > 0.0:
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = _finite_value(f(xpre)), _finite_value(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:g}, f(hi)={fhi:g}")
-    from scipy.optimize import brentq
-    return float(brentq(f, lo, hi, xtol=tol, rtol=4 * MACHINE_EPS))
+            f"no sign change on [{lo}, {hi}]: f(lo)={fpre:g}, f(hi)={fcur:g}")
+    rtol = 4.0 * MACHINE_EPS
+    # xcur is the best point so far, xblk the contrapoint (f changes sign
+    # between them) and xpre the previous point; scur and spre are the
+    # last two steps.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = _finite_value(f(xcur))
+    raise NonConvergenceError(
+        f"brent_root: bracket of [{lo}, {hi}] still wider than tol {tol:g} "
+        f"after {BRENT_MAX_ITER} iterations")
 
 
 def newton_solve(F: Callable, J: Callable, x0, tol: float = 1e-12,
@@ -170,10 +226,27 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                     dim: int, tol: float = 1e-9, seed: int = 0, v0: NDArray[np.float64] | None = None) -> float:
     """Largest (algebraically) eigenvalue of a symmetric operator.
 
-    Lanczos iteration on the matrix-free operator; deterministic for a
-    given seed. ``v0`` optionally seeds the Krylov space, in which case
-    the estimate is at least the Rayleigh quotient of ``v0``. Symmetry
-    of ``hvp`` is spot-checked on random vectors.
+    Lanczos iteration on the matrix-free operator, one product per basis
+    vector; deterministic for a given seed. ``v0`` optionally seeds the
+    Krylov space, in which case the estimate is at least the Rayleigh
+    quotient of ``v0``. Symmetry of ``hvp`` is spot-checked on random
+    vectors.
+
+    Each new vector is orthogonalized against the whole basis by two
+    classical Gram-Schmidt passes. The iteration stops on ARPACK's test:
+    the largest Ritz value theta of the tridiagonal matrix is accepted
+    once |beta s_last| <= tol max(eps^(2/3), |theta|), with beta the norm
+    of the new residual and s_last the last entry of theta's Ritz vector.
+    A residual norm at most tol times the largest |theta| (a breakdown:
+    the Krylov space is invariant to within tol) closes the block. A
+    block grown from a random vector then holds the largest eigenvalue
+    of the space it was drawn from, and the iteration returns. A block
+    grown from ``v0`` may sit inside an invariant subspace that misses
+    the largest eigenvalue, so the iteration goes on once from a seeded
+    random vector orthogonal to the basis, as ARPACK's restart does. The
+    estimate is the largest Ritz value over all blocks, tested on the
+    block still growing. Raises NonConvergenceError once the basis would
+    exceed ``LANCZOS_MAX_VECTORS`` vectors.
     """
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
@@ -188,15 +261,45 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
         H = np.column_stack([np.asarray(hvp(e), float) for e in np.eye(dim)])
         return float(np.linalg.eigvalsh((H + H.T) / 2.0)[-1])
 
-    from scipy.sparse.linalg import LinearOperator, eigsh
-    start = rng.standard_normal(dim) if v0 is None else np.asarray(v0, float)
-    op = LinearOperator((dim, dim), matvec=lambda x: np.asarray(hvp(x), float))
-    try:
-        vals = eigsh(op, k=1, which="LA", v0=start, tol=tol,
-                     maxiter=1000, return_eigenvectors=False)
-    except Exception as exc:  # ARPACK non-convergence
-        raise NonConvergenceError(f"lambda_max_iter failed to converge: {exc}") from exc
-    return float(vals[0])
+    # Rows are touched only as the basis grows, so the pages of an unused
+    # tail are never mapped.
+    V = np.empty((min(dim, LANCZOS_MAX_VECTORS), dim))
+    alpha, beta = [], []        # the tridiagonal matrix of the current block
+    done = -math.inf            # largest Ritz value of the closed block
+    random_block = v0 is None
+    q = rng.standard_normal(dim) if random_block else np.asarray(v0, float)
+    q = q / np.linalg.norm(q)
+    for j in range(len(V)):
+        V[j] = q
+        r = np.asarray(hvp(q), float)
+        basis = V[:j + 1]
+        c = basis @ r
+        r = r - c @ basis
+        c2 = basis @ r
+        r = r - c2 @ basis
+        alpha.append(float(c[j] + c2[j]))
+        b = float(np.linalg.norm(r))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        top = max(done, float(theta[-1]))
+        if j + 1 == dim:
+            return top
+        if b <= tol * max(_EPS23, float(np.max(np.abs(theta)))):    # breakdown
+            if random_block:
+                return top
+            done, alpha, beta, random_block = top, [], [], True
+            q = rng.standard_normal(dim)
+            for _ in range(2):
+                q = q - (basis @ q) @ basis
+            q = q / np.linalg.norm(q)
+            continue
+        if abs(b * S[-1, -1]) <= tol * max(_EPS23, abs(float(theta[-1]))):
+            return top
+        beta.append(b)
+        q = r / b
+    raise NonConvergenceError(
+        f"lambda_max_iter: not converged to tol {tol:g} within "
+        f"{LANCZOS_MAX_VECTORS} Lanczos vectors")
 
 
 def fd_step(order: int, w_norm: float = 0.0) -> float:

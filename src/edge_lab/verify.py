@@ -285,9 +285,12 @@ def _check_linear_net_normal_form():
                                 math.log10(0.2 * eta_c2), 9)
     emp, _ = bifurcation.branch_sweep(geom2.model, w_bar2, etas, "empirical",
                                       u=geom2.sharp_direction(), run_steps=4000)
-    slope = bifurcation.fit_scaling_exponent(etas, [p.amplitude for p in emp], eta_c2)
+    orbits = [p for p in emp if not p.diverged]
+    slope = bifurcation.fit_scaling_exponent(
+        [p.eta for p in orbits], [p.amplitude for p in orbits], eta_c2)
     details["empirical_exponent"] = slope
-    ok &= abs(slope - 0.5) <= 0.05
+    details["empirical_diverged_etas"] = [p.eta for p in emp if p.diverged]
+    ok &= abs(slope - 0.5) <= 0.05 and len(orbits) == len(emp)
     return ok, details
 
 

@@ -346,7 +346,7 @@ def _odd_linear_net():
 class TestLockstepSweep:
     """The empirical sweep advances every step size in one iterate stack;
     each row must reproduce its own ``run_gd`` bit for bit, truncation on
-    divergence included."""
+    divergence and its verdict included."""
 
     def _check(self, model, w_bar, u, etas, run_steps, run_offset=1e-3):
         u = u / float(np.linalg.norm(u))   # as branch_sweep normalizes it
@@ -356,6 +356,7 @@ class TestLockstepSweep:
         assert not lost
         assert [p.eta for p in points] == list(etas)
         assert [p.amplitude for p in points] == amps
+        assert [p.diverged for p in points] == [log.diverged for log in logs]
         proj, kept = bf._lockstep_projections(model, w_bar, u, run_offset,
                                               list(etas), run_steps)
         assert proj.shape == (run_steps + 1, len(etas))

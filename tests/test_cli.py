@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edge_lab
-from edge_lab import edge_metrics as em
+from edge_lab import bifurcation, edge_metrics as em, loss_models, numerics
 from edge_lab.cli import _RESOLVERS, ConfigError, main
 from edge_lab.loss_models import make_mlp, make_quadratic, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
@@ -261,6 +261,38 @@ class TestBifurcateCommand:
         assert summary["continuation_branch_lost"] is True
         lines = (out / "branch.csv").read_bytes().decode().strip().split("\r\n")
         assert len(lines) == 1  # header only
+
+
+    def test_diverged_runs_leave_amp_empty(self, tmp_path):
+        """The hardening scalar model diverges above eta_c = 2 after 790,
+        108 and 34 steps: no run has an orbit, so every amp cell is empty,
+        no exponent is fitted and the step sizes are listed as diverged."""
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "scalar_poly", "lam": 1, "beta": 1},
+               "etas": [2.005, 2.05, 2.2], "modes": ["empirical"],
+               "out_dir": str(out)}
+        assert main(["bifurcate", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        assert [row[1] for row in _csv_rows(out / "branch.csv")] == ["", "", ""]
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["exponents"]["empirical"] is None
+        assert summary["empirical_diverged_etas"] == [2.005, 2.05, 2.2]
+
+    def test_fit_skips_diverged_runs(self, tmp_path):
+        """The soft quartic orbits at 2.05 to 2.2 and diverges at 4.5; the
+        exponent is the fit over the three orbits alone."""
+        out = tmp_path / "out"
+        etas = [2.05, 2.1, 2.2, 4.5]
+        cfg = {"model": {"kind": "scalar_poly", "lam": 1.0, "beta": -1.0},
+               "etas": etas, "modes": ["empirical"], "run_steps": 3000,
+               "out_dir": str(out)}
+        assert main(["bifurcate", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        amps = [row[1] for row in _csv_rows(out / "branch.csv")]
+        assert amps[3] == "" and all(amps[:3])
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["empirical_diverged_etas"] == [4.5]
+        want = bifurcation.fit_scaling_exponent(etas[:3], [float(a) for a in amps[:3]], 2.0)
+        assert summary["exponents"]["empirical"] == want
+        assert want == pytest.approx(0.5, abs=0.05)
 
 
 class TestStrainCommand:
@@ -727,6 +759,39 @@ class TestFailureContract:
             "config error at model.dataset.n: too large"), lines
         assert not any(out.glob("*"))
 
+    _LOCALIZED_MLP = {
+        "model": {"kind": "mlp", "widths": [3, 16, 2], "activation": "tanh",
+                  "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
+        "init": {"mode": "gaussian", "seed": 1}, "eta": 0.5, "steps": 3,
+        "route": "loss", "localize": True}
+
+    def _localized_run_fails(self, tmp_path, capsys) -> str:
+        """Run the localized MLP in-process: exit 1 and one stderr line."""
+        cfg = dict(self._LOCALIZED_MLP, out_dir=str(tmp_path / "out"))
+        rc = main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        return lines[0]
+
+    def test_localization_without_crossing(self, tmp_path, capsys, monkeypatch):
+        """A profile above every target (the curvatures come from the loss
+        route, so only localization reads the patched profile)."""
+        monkeypatch.setattr(loss_models.MlpModel, "segment_curvature",
+                            lambda self, w, d, taus: 1e6 + np.asarray(taus, float))
+        line = self._localized_run_fails(tmp_path, capsys)
+        assert line.startswith("no interior point found for step 0"), line
+
+    @pytest.mark.parametrize("budget, value, message", [
+        ("LANCZOS_MAX_VECTORS", 3, "within 3 Lanczos vectors"),
+        ("BRENT_MAX_ITER", 1, "after 1 iterations")])
+    def test_localization_nonconvergence(self, tmp_path, capsys, monkeypatch,
+                                         budget, value, message):
+        monkeypatch.setattr(numerics, budget, value)
+        line = self._localized_run_fails(tmp_path, capsys)
+        assert line.startswith("localization of step 0: ") and message in line, line
+
     def test_bad_second_model_reported_at_second_model(self, tmp_path, capsys):
         """A second model its constructor rejects is a config error at
         ``second_model``, not at ``model``."""
@@ -915,9 +980,10 @@ def test_any_value_resolves_or_is_config_error(data):
 
 
 class TestImportPath:
-    """scipy is imported only by the code that calls it (Brent roots and
-    Lanczos in localization and verify, GELU's erf), not by the CLI, and
-    a ``run`` or ``strain`` imports neither ``fractions`` nor ``decimal``."""
+    """scipy is imported only by GELU's erf: not by the CLI, and not by
+    a localized ``run``, whose Brent roots and Lanczos sharpness are
+    numpy-only; a ``run`` or ``strain`` imports neither ``fractions`` nor
+    ``decimal``."""
 
     _SCRIPT = """
 import json, sys
@@ -932,7 +998,9 @@ for name in ("run", "strain", "run_localized"):
 print(json.dumps(seen))
 """
 
-    def test_scipy_loaded_only_by_localization(self, tmp_path):
+    def test_no_scipy_on_tanh_paths(self, tmp_path):
+        """The localized run's MLP has 98 parameters, above the dense
+        limit of ``localized_sharpness``, so it takes the Lanczos route."""
         mlp = {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
                "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}}
         run = {"model": mlp, "init": {"mode": "gaussian", "seed": 1},
@@ -943,6 +1011,7 @@ print(json.dumps(seen))
                        "eta": 0.5, "steps": 5, "leave_one_out": 0,
                        "out_dir": str(tmp_path / "strain")},
             "run_localized": dict(run, localize=True,
+                                  model=dict(mlp, widths=[3, 16, 2]),
                                   out_dir=str(tmp_path / "localized")),
         }
         for name, cfg in configs.items():
@@ -955,5 +1024,4 @@ print(json.dumps(seen))
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen["import"] == [] and seen["run"] == [] and seen["strain"] == [], seen
-        assert "scipy.optimize" in seen["run_localized"], seen
-        assert "scipy.sparse.linalg" in seen["run_localized"], seen
+        assert seen["run_localized"] == [], seen

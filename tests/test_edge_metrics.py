@@ -56,6 +56,31 @@ class _OddBumpModel(LossModel):
         return (g[0] - g[1]) * np.asarray(v)
 
 
+class _CurvatureModel(LossModel):
+    """1-D model whose curvature at x is ``curv(x)``."""
+
+    dim = 1
+
+    def __init__(self, curv):
+        self.curv = curv
+
+    def hvp(self, w, v):
+        return self.curv(float(w[0])) * np.asarray(v)
+
+
+def _unit_segment_log():
+    """One step from 0 to 1, so tau is the point itself."""
+    return TrajectoryLog(eta=1.0, model_id="unit", losses=np.zeros(2),
+                         grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                         w_stored=np.array([[0.0], [1.0]]))
+
+
+def _grid_nodes(sizes) -> int:
+    """Nodes of the grid chunks among ``segment_curvature`` call sizes;
+    Brent's method evaluates one node per call."""
+    return sum(n for n in sizes if n > 1)
+
+
 @pytest.fixture(scope="module")
 def mlp_run():
     ds = make_synthetic_dataset(0, 60, 5, 3, teacher_rank=2, noise=0.1)
@@ -283,20 +308,26 @@ class TestProfileAndLocalization:
             assert em.localize(model, log, k, targets) == single
 
     def test_two_targets_share_the_grid(self, mlp_run):
-        """Both targets bracket on the 64-cell grid, so its 65 profile
-        values are computed once instead of twice."""
+        """Both targets bracket on the 64-cell grid. The two-target scan
+        evaluates the longer of the two single-target grid prefixes, once:
+        the shorter prefix is what two separate calls compute twice."""
         model, log = mlp_run
         counted = _CountingModel(model)
         table = em.curvature_table(model, log)
         targets = (table.rtilde[0], table.rbar[0])
+        singles = []
         for t in targets:
+            counted.sizes = []
             em.localize(counted, log, 0, (t,))
-        separate, counted.calls = counted.calls, 0
+            singles.append(_grid_nodes(counted.sizes))
+        separate, counted.calls, counted.sizes = counted.calls, 0, []
         em.localize(counted, log, 0, targets)
-        assert separate - counted.calls == 65
+        assert all(17 <= n <= 65 for n in singles)
+        assert _grid_nodes(counted.sizes) == max(singles)
+        assert separate - counted.calls == min(singles)
 
     def test_each_tau_evaluated_once(self, mlp_run):
-        """Brent's bracket ends are grid nodes, brentq evaluates them
+        """Brent's bracket ends are grid nodes, Brent evaluates them
         again, the root is read back, and a finer grid repeats the
         coarser nodes: none of these is a second evaluation."""
         model, log = mlp_run
@@ -304,12 +335,82 @@ class TestProfileAndLocalization:
         bump_log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
                                  grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
                                  w_stored=np.array([[0.0], [1.0]]))
-        for counted, lg, k, targets in [
-                (_CountingModel(model), log, 5, (table.rtilde[5], table.rbar[5])),
-                (_CountingModel(_BumpModel()), bump_log, 0, (1.2, 0.7))]:
+        for counted, lg, k, targets, grid in [
+                (_CountingModel(model), log, 5, (table.rtilde[5], table.rbar[5]), 17),
+                (_CountingModel(_BumpModel()), bump_log, 0, (1.2, 0.7), 65 + 8)]:
             em.localize(counted, lg, k, targets)
-            assert counted.calls > 65
+            assert _grid_nodes(counted.sizes) >= grid
+            assert counted.calls > _grid_nodes(counted.sizes)   # Brent ran
             assert len(set(counted.points)) == counted.calls
+
+    def test_scan_stops_at_the_first_bracket(self, mlp_run):
+        """The grid is scanned left to right in 16-cell chunks and the
+        scan ends with the chunk where the last target is decided: the
+        nodes evaluated are a prefix of the 64-cell grid ending on a
+        chunk boundary, and on this run some steps decide both targets
+        before the grid ends."""
+        model, log = mlp_run
+        table = em.curvature_table(model, log)
+        prefixes = []
+        for k in range(0, log.num_steps, 7):
+            counted = _CountingModel(model)
+            em.localize(counted, log, k, (table.rtilde[k], table.rbar[k]))
+            grid_sizes = [n for n in counted.sizes if n > 1]
+            assert grid_sizes == [17, 16, 16, 16][:len(grid_sizes)]
+            prefixes.append(sum(grid_sizes))
+        assert max(prefixes) <= 65 and min(prefixes) < 65
+
+    def test_leftmost_event_wins(self):
+        """q(tau) = (tau - 0.125)(tau - 0.1) equals the target 0 exactly at
+        the node 0.125 and crosses it between the nodes 6/64 and 7/64, both
+        in the first chunk: the crossing lies further left, so it is the
+        point, and the scan ends after that chunk."""
+        model = _CurvatureModel(lambda x: (x - 0.125) * (x - 0.1))
+        counted = _CountingModel(model)
+        [rec] = em.localize(counted, _unit_segment_log(), 0, (0.0,))
+        assert rec.point == pytest.approx(0.1, abs=1e-12) and not rec.constant_profile
+        assert _grid_nodes(counted.sizes) == 17
+
+    def test_exact_interior_hit(self):
+        """q(tau) = tau - 0.5 equals the target at the node 0.5 exactly and
+        changes sign nowhere else: the node is the point, and q there is
+        the target."""
+        model = _CurvatureModel(lambda x: x - 0.5)
+        [rec] = em.localize(model, _unit_segment_log(), 0, (0.0,))
+        assert rec.point == 0.5 and rec.q_at_point == 0.0
+
+    def test_flat_prefix_waits_for_the_span(self):
+        """q varies by under tol on [0, 1/2] and rises after it. Its sign
+        change at tau = 0.1 is taken only once the values seen span more
+        than tol, in the third chunk; a scan deciding on the flat prefix
+        alone would call this a constant profile or decide earlier."""
+        model = _CurvatureModel(
+            lambda x: 1.0 + 1e-11 * (x - 0.1) + (max(x - 0.5, 0.0)))
+        counted = _CountingModel(model)
+        [rec] = em.localize(counted, _unit_segment_log(), 0, (1.0,), tol=1e-10)
+        assert rec.point == pytest.approx(0.1, abs=1e-4) and not rec.constant_profile
+        assert _grid_nodes(counted.sizes) == 49
+
+    def test_constant_profile_scans_the_whole_grid(self):
+        """A profile within tol of constant crosses the target at 0.1, but
+        only the whole grid shows it constant: the midpoint rule applies,
+        after all 65 nodes."""
+        model = _CurvatureModel(lambda x: 1.0 + 1e-11 * (x - 0.1))
+        counted = _CountingModel(model)
+        [rec] = em.localize(counted, _unit_segment_log(), 0, (1.0,), tol=1e-10)
+        assert rec.constant_profile and rec.point == 0.5
+        assert _grid_nodes(counted.sizes) == 65
+
+    def test_no_crossing_raises_localization_error(self):
+        """A profile that neither crosses the target nor stays constant
+        fails after the 1024-cell grid with LocalizationError, a
+        RuntimeError, naming the step."""
+        model = _CurvatureModel(lambda x: 2.0 + x)
+        counted = _CountingModel(model)
+        with pytest.raises(em.LocalizationError, match="step 0") as info:
+            em.localize(counted, _unit_segment_log(), 0, (1.0,))
+        assert isinstance(info.value, RuntimeError)
+        assert counted.calls == 1025 and len(set(counted.points)) == 1025
 
     def test_refinement_only_for_unbracketed_targets(self):
         """q(tau) = tau + a bump no node of the 64-cell grid sees. The

@@ -269,6 +269,15 @@ class TestStackedValueAndGrad:
                 assert losses[i] == loss
                 assert np.array_equal(G[i], g)
 
+    @pytest.mark.parametrize("model", _all_models()[1:4], ids=lambda m: m.name)
+    def test_empty_stack(self, model):
+        """A (0, dim) stack of points gives (0,) losses and (0, dim)
+        gradients, and a (0, dim) stack of directions (0, dim) products."""
+        empty = np.empty((0, model.dim))
+        losses, G = model.value_and_grad(empty)
+        assert losses.shape == (0,) and G.shape == (0, model.dim)
+        assert model.hvp(np.zeros(model.dim), empty).shape == (0, model.dim)
+
     def test_only_the_stacking_models_declare_it(self):
         assert [type(m) for m in _all_models() if m.stacked_value_and_grad] == [
             ScalarPolyModel, TwoLayerLinearModel, TwoLayerLinearModel]

@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from edge_lab import edge_metrics as em, numerics, verify
 from edge_lab.edge_metrics import G4_WEIGHTS, K9_NODES, K9_WEIGHTS
-from edge_lab.numerics import (BracketError, NonConvergenceError,
-                               SingularJacobianError, brent_root, dense_eigvalsh,
-                               lambda_max_iter, newton_solve, uniform_rule)
+from edge_lab.numerics import (MACHINE_EPS, BracketError, EvaluationError,
+                               NonConvergenceError, SingularJacobianError,
+                               brent_root, dense_eigvalsh, lambda_max_iter,
+                               newton_solve, uniform_rule)
 
 
 def _integrate(f, rule):
@@ -135,6 +137,76 @@ class TestBrent:
         with pytest.raises(BracketError):
             brent_root(lambda x: x, 1.0, 1.0)
 
+    def test_nonconvergence_after_budget(self):
+        """(x - 0.7)^5 is too flat at its root for 100 iterations at this
+        tol; scipy's brentq fails on it too."""
+        with pytest.raises(NonConvergenceError, match="100 iterations"):
+            brent_root(lambda x: (x - 0.7) ** 5, 0.0, 1.0, tol=1e-14)
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(EvaluationError):
+            brent_root(lambda x: x - 0.5 if x != 0.5 else math.nan, 0.0, 1.0)
+        with pytest.raises(EvaluationError):
+            brent_root(lambda x: math.inf * (x - 0.25) if x < 0.1 else x - 0.25,
+                       0.0, 1.0)
+
+
+_BRENTQ_CASES = [
+    (lambda x: x - 0.5, 0.0, 1.0),
+    (lambda x: x * x - 2, 1.0, 2.0),
+    (lambda t: math.cos(t) - t, 0.0, 1.0),
+    (lambda x: x ** 3 - 0.3 * x + 0.01, 0.2, 1.0),
+    (lambda x: math.atan(50.0 * (x - 0.3)), -0.1, 1.05),
+    (lambda x: math.tanh(x - 0.123456), -1.0, 2.0),
+]
+
+
+class TestBrentMatchesBrentq:
+    """``brent_root`` is scipy's ``brentq`` step for step, so its roots
+    are bit-equal to scipy's (the tests may import scipy; the package
+    does not)."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-13, 1e-14])
+    @pytest.mark.parametrize("case", range(len(_BRENTQ_CASES)))
+    def test_oracle_functions(self, case, tol):
+        from scipy.optimize import brentq
+        f, lo, hi = _BRENTQ_CASES[case]
+        assert brent_root(f, lo, hi, tol=tol) == \
+            brentq(f, lo, hi, xtol=tol, rtol=4 * MACHINE_EPS)
+
+    def test_random_quintics(self):
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(4)
+        compared = 0
+        for _ in range(300):
+            c = rng.standard_normal(6)
+            f = lambda x: float(np.polyval(c, x))
+            if f(-2.0) * f(2.0) >= 0.0:
+                continue
+            assert brent_root(f, -2.0, 2.0, tol=1e-14) == \
+                brentq(f, -2.0, 2.0, xtol=1e-14, rtol=4 * MACHINE_EPS)
+            compared += 1
+        assert compared > 100
+
+    def test_bundled_mlp_localization_roots(self, monkeypatch):
+        """Every root that localization asks of Brent's method on the
+        bundled 533-parameter MLP run, compared with brentq on the same
+        profile function."""
+        from scipy.optimize import brentq
+        model, log = verify._mlp_eos_short()
+        table = em.curvature_table(model, log, "loss")
+        compared = []
+
+        def both(f, lo, hi, tol):
+            got = brent_root(f, lo, hi, tol)
+            compared.append(got == brentq(f, lo, hi, xtol=tol, rtol=4 * MACHINE_EPS))
+            return got
+
+        monkeypatch.setattr(em, "brent_root", both)
+        for i in range(0, len(table.k), 15):
+            em.localize(model, log, int(table.k[i]), (table.rtilde[i], table.rbar[i]))
+        assert len(compared) >= 30 and all(compared)
+
 
 class TestNewton:
     def test_scalar_linear(self):
@@ -203,7 +275,7 @@ class TestLambdaMax:
     def test_matches_dense_on_200_random(self):
         rng = np.random.default_rng(1)
         for i in range(200):
-            n = int(rng.integers(3, 25))
+            n = int(rng.integers(3, 121))
             A = rng.standard_normal((n, n))
             A = (A + A.T) / 2
             lam = lambda_max_iter(lambda v: A @ v, n, tol=1e-10, seed=i)
@@ -221,3 +293,65 @@ class TestLambdaMax:
         B = np.array([[0.0, 1.0, 0], [0.0, 0.0, 0], [0, 0, 1.0]])
         with pytest.raises(ValueError, match="symmetry"):
             lambda_max_iter(lambda v: B @ v, 3, seed=0)
+
+    @pytest.mark.parametrize("start", [1, 2, 4])
+    def test_start_on_lower_eigenvector(self, start):
+        """The Krylov space of an eigenvector is one-dimensional; the
+        breakdown restart still finds the top eigenvalue."""
+        H = np.diag([5.0, 3.0, 1.0, -2.0, 0.5, 4.5])
+        lam = lambda_max_iter(lambda v: H @ v, 6, v0=np.eye(6)[start])
+        assert lam == pytest.approx(5.0, abs=1e-9)
+
+    def test_start_in_invariant_subspace(self):
+        """A start inside a rotated two-dimensional invariant subspace
+        that misses the top eigenvector."""
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        vals = np.linspace(-3.0, 2.0, 40)
+        A = (Q * vals) @ Q.T
+        A = (A + A.T) / 2
+        v0 = Q[:, 3] + 0.5 * Q[:, 10]
+        lam = lambda_max_iter(lambda v: A @ v, 40, tol=1e-10, v0=v0)
+        assert lam == pytest.approx(2.0, abs=1e-8)
+
+    def test_zero_operator(self):
+        assert lambda_max_iter(lambda v: 0.0 * v, 5) == 0.0
+
+    def test_at_least_start_rayleigh_quotient(self):
+        """v0 spans the first Lanczos vector, so the largest Ritz value is
+        at least its Rayleigh quotient, also when v0 is close to the top
+        eigenvector and the two nearly coincide."""
+        rng = np.random.default_rng(8)
+        for i in range(100):
+            n = int(rng.integers(3, 60))
+            A = rng.standard_normal((n, n))
+            A = (A + A.T) / 2
+            top = np.linalg.eigh(A)[1][:, -1]
+            v0 = rng.standard_normal(n) if i % 2 else top + 1e-6 * rng.standard_normal(n)
+            rq = float(v0 @ A @ v0) / float(v0 @ v0)
+            lam = lambda_max_iter(lambda v: A @ v, n, v0=v0, seed=i)
+            assert lam >= rq - 4 * MACHINE_EPS * abs(rq)
+
+    def test_products_per_call(self):
+        """One operator product per Lanczos vector plus the two of the
+        symmetry spot-check, fewer than the dimension on a spread spectrum."""
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((200, 200))
+        A = (A + A.T) / 2
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return A @ v
+
+        lam = lambda_max_iter(op, 200, tol=1e-9)
+        assert lam == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-9)
+        assert len(calls) < 200
+
+    def test_basis_cap(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((50, 50))
+        A = (A + A.T) / 2
+        monkeypatch.setattr(numerics, "LANCZOS_MAX_VECTORS", 4)
+        with pytest.raises(NonConvergenceError, match="4 Lanczos vectors"):
+            lambda_max_iter(lambda v: A @ v, 50)
