@@ -262,7 +262,6 @@ class TestBifurcateCommand:
         lines = (out / "branch.csv").read_bytes().decode().strip().split("\r\n")
         assert len(lines) == 1  # header only
 
-
     def test_diverged_runs_leave_amp_empty(self, tmp_path):
         """The hardening scalar model diverges above eta_c = 2 after 790,
         108 and 34 steps: no run has an orbit, so every amp cell is empty,
