@@ -409,7 +409,8 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
     lockstep (so the model's ``value_and_grad`` must take point stacks),
     discards the leading ``discard_frac`` of each run's steps and reports
     half the peak-to-peak projection onto ``u``, flagging the runs that
-    diverged; returns (list of EmpiricalPoint, False).
+    diverged; returns (list of EmpiricalPoint, lost flag), the branch lost
+    when every run diverged.
     """
     etas = [float(e) for e in etas]
     if u is None:
@@ -431,7 +432,7 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
             # Only a row that left the stack keeps fewer than run_steps steps.
             points.append(EmpiricalPoint(eta=eta, amplitude=amp,
                                          diverged=n < run_steps))
-        return points, False
+        return points, all(p.diverged for p in points)
 
     if mode != "continuation":
         raise ValueError("mode must be 'continuation' or 'empirical'")

@@ -401,7 +401,7 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
 
     rows = []
     for k in range(log.num_steps - 1):
-        if float(np.linalg.norm(log.steps[k])) < edge_metrics.DEGENERATE_STEP:
+        if float(np.linalg.norm(log.step(k))) < edge_metrics.DEGENERATE_STEP:
             continue
         proxy, actual = edge_metrics.loss_change_proxy(log, k)
         rows.append([k, actual, proxy])
@@ -621,10 +621,14 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
 
     Replays the loss and gradient at every logged iterate, re-derives
     the update consistency, and recomputes the telescoping balance from
-    the quadrature-route curvature table of the logged iterates. Only
-    ``resolved_config.json`` and the loss, gradient-norm and iterate
-    columns of ``trajectory.csv`` are read; an edit to them breaks at
-    least one of these named identities, while the other outputs and the
+    the quadrature-route curvature table of the logged iterates. The
+    replayed log derives each step from its recomputed gradient, as the
+    run did, so the telescoping residual on the run's own ``route`` is
+    the run's bit for bit and must equal ``balance_report.json``'s
+    ``identity_residual`` exactly. Only ``resolved_config.json``, that
+    field and the loss, gradient-norm and iterate columns of
+    ``trajectory.csv`` are read; an edit to them breaks at least one of
+    these named identities, while the other outputs and the
     ``step_norm`` column go unchecked.
     """
     import time as _time
@@ -643,6 +647,8 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     if ws is None:
         _fail("include_w", "trajectory.csv has no iterate columns (rerun with "
               "include_w)")
+    reported = _load_config(str(run_dir / "balance_report.json"))
+    reported = reported.get("identity_residual") if isinstance(reported, dict) else None
 
     values, grads = zip(*(model.value_and_grad(w) for w in ws))
     worst_loss = float(max(abs(v - l) / max(1.0, abs(l))
@@ -671,13 +677,22 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     t3 = _time.perf_counter()
     log = trajectory.TrajectoryLog(
         eta=eta, model_id=model.name, losses=losses, grads=np.array(grads),
-        steps=np.diff(ws, axis=0), w_stored=ws)
+        w_stored=ws)
     table = edge_metrics.curvature_table(model, log)
     resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
     tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
     results.append(verify.CheckResult(
         "telescoping_balance", bool(resid <= tol), _time.perf_counter() - t3,
         {"residual": resid, "tolerance": tol, "unsettled_steps": table.unsettled}))
+
+    t4 = _time.perf_counter()
+    if resolved["route"] != table.route:
+        table = edge_metrics.curvature_table(model, log, resolved["route"])
+        resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
+    results.append(verify.CheckResult(
+        "identity_residual_replay",
+        isinstance(reported, float) and reported == resid, _time.perf_counter() - t4,
+        {"replayed": resid, "reported": reported, "route": table.route}))
     return results
 
 

@@ -139,9 +139,7 @@ class LocalizationRecord:
 
 
 def _step(log: TrajectoryLog, k: int) -> tuple[Array, float]:
-    if not 0 <= k < log.num_steps:
-        raise IndexError(f"step {k} outside 0..{log.num_steps - 1}")
-    d = log.steps[k]
+    d = log.step(k)
     nd = float(np.linalg.norm(d))
     if nd < DEGENERATE_STEP:
         raise DegenerateStepError(f"step {k} has norm {nd:.3e} < {DEGENERATE_STEP}")
@@ -226,7 +224,7 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
         raise ValueError("route must be 'quadrature' or 'loss'")
     ks, norms_sq, rbars, rtildes, nodes, skipped, unsettled = [], [], [], [], [], [], []
     for k in range(log.num_steps):
-        d = log.steps[k]
+        d = log.step(k)
         nd = float(np.linalg.norm(d))
         if nd < DEGENERATE_STEP:
             skipped.append(k)
@@ -333,7 +331,7 @@ def localized_sharpness(model: LossModel, log: TrajectoryLog,
     with the step direction (so the estimate is at least the directional
     curvature there) on one ``hvp_at`` operator for the point.
     """
-    d = log.steps[rec.k]
+    d = log.step(rec.k)
     w_pt = log.w(rec.k) + rec.point * d
     if model.dim <= 64:
         return float(dense_eigvalsh(model.hessian_dense(w_pt))[-1])
@@ -463,7 +461,7 @@ def near_periodicity_bound(log: TrajectoryLog, k: int) -> tuple[float, float]:
         raise IndexError("near_periodicity_bound needs records k..k+2")
     d, nd = _step(log, k)
     lhs = abs(step_mean_curvature_exact(log, k) - 2.0 / log.eta)
-    two_step = log.steps[k] + log.steps[k + 1]
+    two_step = d + log.step(k + 1)
     rhs = float(np.linalg.norm(two_step)) / (log.eta * nd)
     return lhs, rhs
 
@@ -471,7 +469,7 @@ def near_periodicity_bound(log: TrajectoryLog, k: int) -> tuple[float, float]:
 def return_ratio(log: TrajectoryLog, k: int) -> float:
     """Two-step return ratio ||w_{k+2} - w_k|| / ||d_k||."""
     d, nd = _step(log, k)
-    return float(np.linalg.norm(log.steps[k] + log.steps[k + 1])) / nd
+    return float(np.linalg.norm(d + log.step(k + 1))) / nd
 
 
 def loss_change_proxy(log: TrajectoryLog, k: int) -> tuple[float, float]:
@@ -481,8 +479,8 @@ def loss_change_proxy(log: TrajectoryLog, k: int) -> tuple[float, float]:
     """
     if k + 1 >= log.num_steps:
         raise IndexError("loss_change_proxy needs records k..k+2")
-    d = log.steps[k]
-    two_step = log.steps[k] + log.steps[k + 1]
+    d = log.step(k)
+    two_step = d + log.step(k + 1)
     proxy = -float(d @ two_step) / (2.0 * log.eta)
     actual = float(log.losses[k + 1] - log.losses[k])
     return proxy, actual
@@ -534,7 +532,7 @@ def sgd_balance_report(model: LossModel,
     noise_sq = 0.0
     max_prop = 0.0
     for k in range(log.num_steps):
-        s = log.steps[k]
+        s = log.step(k)
         ns = float(np.linalg.norm(s))
         eps = log.noise[k]
         g = log.grads[k]
@@ -545,7 +543,7 @@ def sgd_balance_report(model: LossModel,
             hbar_s = np.zeros_like(s)
             for wq, tau in zip(u_rule.weights, u_rule.nodes):
                 hbar_s = hbar_s + wq * model.hvp(w + tau * s, s)
-            resid = log.steps[k + 1] - (s - eta * hbar_s) \
+            resid = log.step(k + 1) - (s - eta * hbar_s) \
                 + eta * (log.noise[k + 1] - eps)
             max_prop = max(max_prop, float(np.linalg.norm(resid)))
 
@@ -578,7 +576,7 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
     for k in range(log.num_steps):
         i = row_of.get(k)
         if i is None:
-            nd = float(np.linalg.norm(log.steps[k]))
+            nd = float(np.linalg.norm(log.step(k)))
             rows.append([k, nd * nd] + [None] * (len(header) - 2))
             continue
         rbar, rtilde = float(table.rbar[i]), float(table.rtilde[i])

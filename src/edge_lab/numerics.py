@@ -264,7 +264,10 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     # Rows are touched only as the basis grows, so the pages of an unused
     # tail are never mapped.
     V = np.empty((min(dim, LANCZOS_MAX_VECTORS), dim))
-    alpha, beta = [], []        # the tridiagonal matrix of the current block
+    # The tridiagonal matrix of the basis, written one entry per vector;
+    # the block still growing is T[first:j + 1, first:j + 1].
+    T = np.zeros((len(V) + 1, len(V) + 1))
+    first = 0
     done = -math.inf            # largest Ritz value of the closed block
     random_block = v0 is None
     q = rng.standard_normal(dim) if random_block else np.asarray(v0, float)
@@ -277,17 +280,16 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
         r = r - c @ basis
         c2 = basis @ r
         r = r - c2 @ basis
-        alpha.append(float(c[j] + c2[j]))
+        T[j, j] = c[j] + c2[j]
         b = float(np.linalg.norm(r))
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        theta, S = np.linalg.eigh(T)
+        theta, S = np.linalg.eigh(T[first:j + 1, first:j + 1])
         top = max(done, float(theta[-1]))
         if j + 1 == dim:
             return top
         if b <= tol * max(_EPS23, float(np.max(np.abs(theta)))):    # breakdown
             if random_block:
                 return top
-            done, alpha, beta, random_block = top, [], [], True
+            done, first, random_block = top, j + 1, True
             q = rng.standard_normal(dim)
             for _ in range(2):
                 q = q - (basis @ q) @ basis
@@ -295,7 +297,7 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
             continue
         if abs(b * S[-1, -1]) <= tol * max(_EPS23, abs(float(theta[-1]))):
             return top
-        beta.append(b)
+        T[j, j + 1] = T[j + 1, j] = b
         q = r / b
     raise NonConvergenceError(
         f"lambda_max_iter: not converged to tol {tol:g} within "

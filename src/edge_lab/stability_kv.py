@@ -50,7 +50,7 @@ def recoil_check(log: TrajectoryLog, k: int) -> tuple[float, float, float]:
     """
     if k + 1 >= log.num_steps:
         raise IndexError("recoil_check needs steps k and k+1")
-    d0, d1 = log.steps[k], log.steps[k + 1]
+    d0, d1 = log.step(k), log.step(k + 1)
     rbar = step_mean_curvature_exact(log, k)
     nd0 = float(np.linalg.norm(d0))
     inner = float(d1 @ d0)
@@ -189,14 +189,14 @@ def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
     observed length can never exceed the cap.
     """
     thr = 2.0 / log.eta
-    norms = np.linalg.norm(log.steps, axis=1)
+    K = log.num_steps
+    norms = np.array([np.linalg.norm(log.step(k)) for k in range(K)])
     usable = norms >= DEGENERATE_STEP
     if not np.any(usable):
         return []
     dmax, dmin = float(norms[usable].max()), float(norms[usable].min())
     out = []
     k = 0
-    K = log.num_steps
     while k < K:
         if usable[k] and step_mean_curvature_exact(log, k) > thr:
             start = k

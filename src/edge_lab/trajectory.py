@@ -2,7 +2,9 @@
 
 Deterministic full-batch GD, noisy SGD (Gaussian or mini-batch residual
 noise), and synchronized two-objective pairs. Logs keep every iterate,
-step increment, loss and gradient densely.
+loss and gradient (and the SGD noise) densely; a step increment is not
+stored but derived from its logged gradient by the runner's own
+expression, so it is the increment the runner applied, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,22 +41,22 @@ ITERATE_DIVERGENCE = 1e8
 class TrajectoryLog:
     """Complete per-step record of a gradient-descent run.
 
-    ``steps[k]`` is w_{k+1} - w_k; iterates (``w_stored``), losses and
-    gradients are stored for every step 0..K.
+    Iterates (``w_stored``), losses and gradients are stored for every
+    step 0..K. ``step(k)`` is the increment the runner applied,
+    w_{k+1} = w_k + step(k) bitwise, derived from ``grads[k]``.
     """
 
     eta: float
     model_id: str
     losses: Array
     grads: Array
-    steps: Array
     w_stored: Array
     diverged: bool = False
     divergence_step: int | None = None
 
     @property
     def num_steps(self) -> int:
-        return self.steps.shape[0]
+        return self.w_stored.shape[0] - 1
 
     @property
     def dim(self) -> int:
@@ -65,12 +67,26 @@ class TrajectoryLog:
             raise IndexError(f"step {k} outside 0..{self.num_steps}")
         return self.w_stored[k].copy()
 
+    def _check_step(self, k: int) -> None:
+        if not 0 <= k < self.num_steps:
+            raise IndexError(f"step {k} outside 0..{self.num_steps - 1}")
+
+    def step(self, k: int) -> Array:
+        """Increment of step k, -eta grad_k, a new array."""
+        self._check_step(k)
+        return -self.eta * self.grads[k]
+
 
 @dataclass
 class StochasticTrajectoryLog(TrajectoryLog):
     """Trajectory log with the per-step gradient noise recorded exactly."""
 
     noise: Array = field(default_factory=lambda: np.zeros((0, 0)))
+
+    def step(self, k: int) -> Array:
+        """Increment of step k, -eta (grad_k + eps_k), a new array."""
+        self._check_step(k)
+        return -self.eta * (self.grads[k] + self.noise[k])
 
 
 @dataclass
@@ -163,10 +179,11 @@ def _run(model, w0, eta, K, noise):
         raise ValueError(f"w0 must have dimension {model.dim}")
 
     # One buffer per logged quantity, filled in place; on divergence the
-    # log keeps the prefix of the n steps taken.
+    # log keeps the prefix of the n steps taken. Each increment is the
+    # expression of the log's ``step``, so the log re-derives it bitwise.
+    eta = float(eta)
     losses = np.empty(K + 1)
     grads = np.empty((K + 1, model.dim))
-    steps = np.empty((K, model.dim))
     noises = np.empty((K, model.dim)) if noise is not None else None
     iterates = np.empty((K + 1, model.dim))
     iterates[0] = w
@@ -176,10 +193,9 @@ def _run(model, w0, eta, K, noise):
     while div_step is None and n < K:
         if noise is not None:
             noises[n] = noise.sample(model, w, grads[n])
-            steps[n] = -eta * (grads[n] + noises[n])
+            w = w + -eta * (grads[n] + noises[n])
         else:
-            steps[n] = -eta * grads[n]
-        w = w + steps[n]
+            w = w + -eta * grads[n]
         loss, g = model.value_and_grad(w)
         if _diverged(np.array([loss]), w[None])[0]:
             div_step = n + 1
@@ -188,8 +204,8 @@ def _run(model, w0, eta, K, noise):
         losses[n], grads[n], iterates[n] = loss, g, w
 
     kwargs = dict(
-        eta=float(eta), model_id=model.name,
-        losses=losses[:n + 1], grads=grads[:n + 1], steps=steps[:n],
+        eta=eta, model_id=model.name,
+        losses=losses[:n + 1], grads=grads[:n + 1],
         w_stored=iterates[:n + 1],
         diverged=div_step is not None, divergence_step=div_step)
     if noise is not None:
@@ -234,7 +250,7 @@ def write_trajectory_csv(log: TrajectoryLog, path, include_w: bool = False) -> N
         header += [f"w{i}" for i in range(log.dim)]
     rows = []
     for k in range(log.num_steps + 1):
-        step_norm = np.linalg.norm(log.steps[k]) if k < log.num_steps else None
+        step_norm = np.linalg.norm(log.step(k)) if k < log.num_steps else None
         row = [k, log.losses[k], np.linalg.norm(log.grads[k]), step_norm]
         rows.append([*row, *log.w_stored[k]] if include_w else row)
     write_csv(path, header, rows)

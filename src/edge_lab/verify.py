@@ -134,7 +134,7 @@ def _check_quadratic_exactness():
         table = edge_metrics.curvature_table(model, log)
         H = model.H
         for i, k in enumerate(table.k):
-            d = log.steps[k]
+            d = log.step(k)
             u = d / float(np.linalg.norm(d))
             uhu = float(u @ (H @ u))
             vals = [
@@ -146,7 +146,7 @@ def _check_quadratic_exactness():
             worst_route = max(worst_route, max(abs(v - uhu) for v in vals))
             if k + 1 < log.num_steps:
                 pred = d - log.eta * (H @ d)
-                worst_prop = max(worst_prop, float(np.linalg.norm(log.steps[k + 1] - pred)))
+                worst_prop = max(worst_prop, float(np.linalg.norm(log.step(k + 1) - pred)))
         rep = edge_metrics.edge_balance_report(model, log, table)
         worst_tel = max(worst_tel, rep.identity_residual)
     passed = max(worst_route, worst_prop, worst_tel) <= tol
@@ -302,7 +302,7 @@ def _check_near_periodicity():
     for name, (model, log) in _bundle().items():
         worst = -np.inf
         for k in range(log.num_steps - 1):
-            if float(np.linalg.norm(log.steps[k])) < edge_metrics.DEGENERATE_STEP:
+            if float(np.linalg.norm(log.step(k))) < edge_metrics.DEGENERATE_STEP:
                 continue
             lhs, rhs = edge_metrics.near_periodicity_bound(log, k)
             worst = max(worst, lhs - rhs)
@@ -328,7 +328,7 @@ def _check_mechanisms():
     worst = 0.0
     for name, (model, log) in _bundle().items():
         for k in range(log.num_steps - 1):
-            nd = float(np.linalg.norm(log.steps[k]))
+            nd = float(np.linalg.norm(log.step(k)))
             if nd < edge_metrics.DEGENERATE_STEP:
                 continue
             inner, predicted, _ = stability_kv.recoil_check(log, k)

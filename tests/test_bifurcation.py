@@ -353,7 +353,7 @@ class TestLockstepSweep:
         logs, amps = _run_gd_oracle(model, w_bar, etas, u, run_steps, run_offset)
         points, lost = bf.branch_sweep(model, w_bar, etas, "empirical", u=u,
                                        run_steps=run_steps, run_offset=run_offset)
-        assert not lost
+        assert lost == all(log.diverged for log in logs)
         assert [p.eta for p in points] == list(etas)
         assert [p.amplitude for p in points] == amps
         assert [p.diverged for p in points] == [log.diverged for log in logs]

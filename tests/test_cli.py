@@ -265,7 +265,8 @@ class TestBifurcateCommand:
     def test_diverged_runs_leave_amp_empty(self, tmp_path):
         """The hardening scalar model diverges above eta_c = 2 after 790,
         108 and 34 steps: no run has an orbit, so every amp cell is empty,
-        no exponent is fitted and the step sizes are listed as diverged."""
+        no exponent is fitted, the step sizes are listed as diverged and
+        the empirical branch is lost."""
         out = tmp_path / "out"
         cfg = {"model": {"kind": "scalar_poly", "lam": 1, "beta": 1},
                "etas": [2.005, 2.05, 2.2], "modes": ["empirical"],
@@ -275,6 +276,7 @@ class TestBifurcateCommand:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["exponents"]["empirical"] is None
         assert summary["empirical_diverged_etas"] == [2.005, 2.05, 2.2]
+        assert summary["empirical_branch_lost"] is True
 
     def test_fit_skips_diverged_runs(self, tmp_path):
         """The soft quartic orbits at 2.05 to 2.2 and diverges at 4.5; the
@@ -289,6 +291,7 @@ class TestBifurcateCommand:
         assert amps[3] == "" and all(amps[:3])
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["empirical_diverged_etas"] == [4.5]
+        assert summary["empirical_branch_lost"] is False
         want = bifurcation.fit_scaling_exponent(etas[:3], [float(a) for a in amps[:3]], 2.0)
         assert summary["exponents"]["empirical"] == want
         assert want == pytest.approx(0.5, abs=0.05)
@@ -414,11 +417,40 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["checks"]} == \
             {"quadratic_exactness", "mechanisms", "stochastic_balance"}
 
-    def test_run_dir_integrity_pass(self, tmp_path):
+    @pytest.mark.parametrize("route", ["quadrature", "loss"])
+    def test_run_dir_integrity_pass(self, tmp_path, route):
+        """Replay on the run's own route reproduces its telescoping
+        residual bit for bit."""
         out = tmp_path / "run"
-        cfg = _quad_run_config(out)
-        main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
+        cfg = dict(_quad_run_config(out), route=route)
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        [replay] = [c for c in report["checks"] if c["name"] == "identity_residual_replay"]
+        reported = json.loads((out / "balance_report.json").read_text())["identity_residual"]
+        assert replay["details"] == {"replayed": reported, "reported": reported,
+                                     "route": route}
+
+    @pytest.mark.parametrize("value", ["nextafter", "string", "absent"])
+    def test_edited_identity_residual_detected(self, tmp_path, capsys, value):
+        """An edit of balance_report.json's identity_residual, by one ulp,
+        to another type or away, fails exactly the replay check."""
+        out = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json", _quad_run_config(out))])
+        path = out / "balance_report.json"
+        rep = json.loads(path.read_text())
+        if value == "nextafter":
+            rep["identity_residual"] = float(np.nextafter(rep["identity_residual"], 1.0))
+        elif value == "string":
+            rep["identity_residual"] = str(rep["identity_residual"])
+        else:
+            del rep["identity_residual"]
+        path.write_text(json.dumps(rep))
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
+        assert "FAILED: identity_residual_replay" in capsys.readouterr().err
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+            "identity_residual_replay"]
 
     def test_corrupted_loss_detected(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -488,6 +520,15 @@ class TestVerifyCommand:
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
         assert line.startswith(f"config error at {traj} line 3:")
 
+    def test_run_dir_without_balance_report(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json",
+                                               _quad_run_config(run_dir))])
+        (run_dir / "balance_report.json").unlink()
+        capsys.readouterr()
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line.startswith(f"config error at {run_dir / 'balance_report.json'}:")
+
 
 # A GELU MLP whose first steps (|d| up to 69) have profiles no fixed Gauss
 # order up to 64 integrates to 1e-9; 34 of its 300 steps need bisection.
@@ -529,6 +570,8 @@ class TestUnsettledQuadrature:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         [tele] = [c for c in report["checks"] if c["name"] == "telescoping_balance"]
         assert tele["details"]["unsettled_steps"] == []
+        [replay] = [c for c in report["checks"] if c["name"] == "identity_residual_replay"]
+        assert replay["details"]["replayed"] == rep["identity_residual"]
 
     def test_budget_exhausted_steps_named(self, repro_run, tmp_path, capsys,
                                           monkeypatch):

@@ -69,9 +69,9 @@ class _CurvatureModel(LossModel):
 
 
 def _unit_segment_log():
-    """One step from 0 to 1, so tau is the point itself."""
+    """One step from 0 to 1 (gradient -1 at eta 1), so tau is the point itself."""
     return TrajectoryLog(eta=1.0, model_id="unit", losses=np.zeros(2),
-                         grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                         grads=np.array([[-1.0], [0.0]]),
                          w_stored=np.array([[0.0], [1.0]]))
 
 
@@ -100,7 +100,7 @@ class TestCurvatureRoutes:
         table = em.curvature_table(model, log)
         assert table.skipped == [] and list(table.k) == list(range(40))
         for k in range(0, 40, 5):
-            d = log.steps[k]
+            d = log.step(k)
             u = d / np.linalg.norm(d)
             uhu = float(u @ H @ u)
             assert em.step_mean_curvature_exact(log, k) == pytest.approx(uhu, abs=1e-12)
@@ -114,7 +114,7 @@ class TestCurvatureRoutes:
         model = make_scalar_poly(1.0, 1.0, 0.0)   # L'' = 1 + 2x
         x0, eta = 0.2, 0.5
         log = run_gd(model, np.array([x0]), eta, 3)
-        d = float(log.steps[0][0])
+        d = float(log.step(0)[0])
         q0, slope = 1.0 + 2.0 * x0, 2.0 * d
         assert em.step_mean_curvature_exact(log, 0) == \
             pytest.approx(q0 + slope / 2.0, abs=1e-13)
@@ -163,7 +163,7 @@ class TestCurvatureRoutes:
     def test_degenerate_step_rejected(self):
         model = make_scalar_poly(3.0)
         log = run_gd(model, np.array([1.0]), 0.5, 3)
-        log.steps[1] = 0.0
+        log.grads[1] = 0.0
         with pytest.raises(em.DegenerateStepError):
             em.step_mean_curvature_exact(log, 1)
 
@@ -199,7 +199,7 @@ class TestCurvatureRoutes:
         closed forms; with a budget of 4 intervals the step is unsettled."""
         model = _BumpModel()
         log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
-                            grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                            grads=np.array([[-1.0], [0.0]]),
                             w_stored=np.array([[0.0], [1.0]]))
         mass = model.WIDTH * math.sqrt(math.pi)
         table = em.curvature_table(model, log)
@@ -216,7 +216,7 @@ class TestCurvatureRoutes:
         its closed form 2 (1 - 2 * 0.3) sqrt(pi) width."""
         model = _OddBumpModel()
         log = TrajectoryLog(eta=1.0, model_id="odd", losses=np.zeros(2),
-                            grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                            grads=np.array([[-1.0], [0.0]]),
                             w_stored=np.array([[0.0], [1.0]]))
         table = em.curvature_table(model, log)
         assert table.unsettled == [] and table.nodes[0] > 9
@@ -285,9 +285,10 @@ class TestProfileAndLocalization:
         assert model.dim > 64
         rec = em.LocalizationRecord(k=5, point=0.4, target=0.0, q_at_point=0.0,
                                     constant_profile=False)
-        w_pt = log.w(5) + 0.4 * log.steps[5]
+        d = log.step(5)
+        w_pt = log.w(5) + 0.4 * d
         per_call = lambda_max_iter(lambda v: model.hvp(w_pt, v), model.dim,
-                                   v0=log.steps[5] / np.linalg.norm(log.steps[5]))
+                                   v0=d / np.linalg.norm(d))
         calls = []
         forward = MlpModel._forward
 
@@ -333,7 +334,7 @@ class TestProfileAndLocalization:
         model, log = mlp_run
         table = em.curvature_table(model, log)
         bump_log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
-                                 grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                                 grads=np.array([[-1.0], [0.0]]),
                                  w_stored=np.array([[0.0], [1.0]]))
         for counted, lg, k, targets, grid in [
                 (_CountingModel(model), log, 5, (table.rtilde[5], table.rbar[5]), 17),
@@ -420,7 +421,7 @@ class TestProfileAndLocalization:
         bracket it on the bump's rising flank near tau = 0.5."""
         model = _BumpModel()
         log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
-                            grads=np.zeros((2, 1)), steps=np.ones((1, 1)),
+                            grads=np.array([[-1.0], [0.0]]),
                             w_stored=np.array([[0.0], [1.0]]))
         bump, line = em.localize(model, log, 0, (1.2, 0.7))
         assert 0.5 < bump.point < _BumpModel.CENTER

@@ -302,6 +302,14 @@ class TestLambdaMax:
         lam = lambda_max_iter(lambda v: H @ v, 6, v0=np.eye(6)[start])
         assert lam == pytest.approx(5.0, abs=1e-9)
 
+    def test_restart_tests_the_new_block_alone(self):
+        """After the restart the stopping test reads the new block only:
+        the closed block's Ritz value 4, above the new block's first Ritz
+        values, does not end the iteration before it finds 5."""
+        H = np.diag([5.0, 4.0] + [0.0] * 38)
+        lam = lambda_max_iter(lambda v: H @ v, 40, v0=np.eye(40)[1])
+        assert lam == pytest.approx(5.0, abs=1e-9)
+
     def test_start_in_invariant_subspace(self):
         """A start inside a rotated two-dimensional invariant subspace
         that misses the top eigenvector."""

@@ -19,7 +19,7 @@ class TestRecoil:
         # lam = 5 at eta = 0.5 sits one unit above the threshold
         log = run_gd(make_scalar_poly(5.0), np.array([1.0]), 0.5, 8)
         inner, predicted, growth = kv.recoil_check(log, 0)
-        nd2 = float(log.steps[0] @ log.steps[0])
+        nd2 = float(log.step(0) @ log.step(0))
         assert inner == pytest.approx(-1.5 * nd2, abs=1e-12)
         assert inner == pytest.approx(predicted, abs=1e-12)
         assert growth == pytest.approx(1.5, abs=1e-12)
@@ -28,13 +28,13 @@ class TestRecoil:
     def test_subcritical_inner_product(self):
         log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 8)
         inner, predicted, _ = kv.recoil_check(log, 0)
-        nd2 = float(log.steps[0] @ log.steps[0])
+        nd2 = float(log.step(0) @ log.step(0))
         assert inner == pytest.approx(-0.5 * nd2, abs=1e-13)
 
     def test_sustained_growth_compounds(self):
         log = run_gd(make_scalar_poly(5.0), np.array([1e-4]), 0.5, 6)
-        d0 = np.linalg.norm(log.steps[0])
-        d5 = np.linalg.norm(log.steps[5])
+        d0 = np.linalg.norm(log.step(0))
+        d5 = np.linalg.norm(log.step(5))
         assert d5 >= 1.5 ** 5 * d0 * (1 - 1e-12)
 
     def test_identity_on_nonquadratic(self):
@@ -42,7 +42,7 @@ class TestRecoil:
         log = run_gd(model, np.array([0.25]), 2.2, 120)
         for k in range(log.num_steps - 1):
             inner, predicted, _ = kv.recoil_check(log, k)
-            nd2 = float(log.steps[k] @ log.steps[k])
+            nd2 = float(log.step(k) @ log.step(k))
             assert abs(inner - predicted) <= 1e-10 * max(nd2, abs(predicted))
 
     def test_zero_step_is_degenerate(self):

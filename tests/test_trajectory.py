@@ -28,8 +28,11 @@ def _replay(model, w0, eta, n, noise=None):
 def _assert_rows(log, dim):
     n = log.num_steps
     assert log.losses.shape == (n + 1,) and log.grads.shape == (n + 1, dim)
-    assert log.steps.shape == (n, dim) and log.w_stored.shape == (n + 1, dim)
+    assert log.w_stored.shape == (n + 1, dim)
     assert np.all(np.isfinite(log.losses)) and np.all(np.isfinite(log.grads))
+    for k in (-1, n):
+        with pytest.raises(IndexError):
+            log.step(k)
 
 
 class TestGd:
@@ -54,7 +57,7 @@ class TestGd:
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, -2.0]), 0.4, 20)
         for k in range(log.num_steps):
-            np.testing.assert_array_equal(log.steps[k], -0.4 * log.grads[k])
+            np.testing.assert_array_equal(log.step(k), -0.4 * log.grads[k])
 
     def test_replay_gradients(self):
         """Re-evaluating the model at logged iterates reproduces logged data."""
@@ -76,7 +79,7 @@ class TestGd:
         log = run_gd(model, rng.standard_normal(6), 0.2, 80)
         P = np.eye(6) - 0.2 * H
         for k in range(log.num_steps - 1):
-            np.testing.assert_allclose(log.steps[k + 1], P @ log.steps[k],
+            np.testing.assert_allclose(log.step(k + 1), P @ log.step(k),
                                        atol=1e-12)
 
     def test_monotone_descent_below_threshold(self):
@@ -170,8 +173,9 @@ class TestTruncation:
                 assert _diverged(losses[i:i + 1], W[i:i + 1])[0] == verdicts[i]
 
     def test_log_is_held_once(self):
-        """The runner fills one buffer per logged quantity: its traced
-        peak stays close to the bytes of the finished log."""
+        """The runner fills one buffer per logged quantity, and only the
+        gradients and iterates are (K+1, dim): its traced peak stays close
+        to the bytes of the finished log."""
         model = make_quadratic(np.diag(np.linspace(0.1, 1.0, 200)))
         w0 = np.ones(200)
         tracemalloc.start()
@@ -181,9 +185,51 @@ class TestTruncation:
         finally:
             tracemalloc.stop()
         assert not log.diverged
-        log_bytes = sum(a.nbytes for a in (log.losses, log.grads, log.steps,
-                                           log.w_stored))
+        arrays = [v for v in vars(log).values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays].count((2001, 200)) == 2
+        log_bytes = sum(a.nbytes for a in arrays)
         assert peak <= 1.25 * log_bytes, peak / log_bytes
+
+
+def _step_case(case):
+    """(model, w0, eta, noise source or None) of a run whose steps are checked."""
+    if case in ("gd", "minibatch"):
+        ds = make_synthetic_dataset(0, 25, 4, 2, teacher_rank=2)
+        model = make_mlp([4, 5, 2], "tanh", ds)
+        noise = NoiseSource("minibatch", seed=21, batch_size=5) if case == "minibatch" else None
+        return model, model.init_params(seed=1), 0.3, noise
+    if case == "gd-diverged":       # the loss passes 1e12 at step 5
+        return make_scalar_poly(5.0), np.array([1e3]), 1.0, None
+    model = make_quadratic(np.diag([5.0, 1.0]))
+    if case == "gaussian":
+        return model, np.array([1.0, -1.0]), 0.3, NoiseSource("gaussian", seed=3, sigma=0.1)
+    return model, np.array([1e3, 1.0]), 1.0, NoiseSource("gaussian", seed=4, sigma=0.5)
+
+
+class TestStepDerivation:
+    """A log derives each increment from its logged gradient (and noise);
+    the result is the increment the runner applied, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["gd", "gaussian", "minibatch",
+                                      "gd-diverged", "gaussian-diverged"])
+    def test_step_is_the_applied_increment(self, case):
+        model, w0, eta, noise = _step_case(case)
+        log = (run_gd(model, w0, eta, 40) if noise is None
+               else run_sgd(model, w0, eta, 40, noise))
+        assert log.diverged == case.endswith("diverged") and log.num_steps > 0
+        for k in range(log.num_steps):
+            d = log.step(k)
+            assert np.array_equal(log.w(k) + d, log.w(k + 1))
+            g = log.grads[k] if noise is None else log.grads[k] + log.noise[k]
+            assert np.array_equal(d, -eta * g)
+        eps = None if noise is None else log.noise
+        np.testing.assert_array_equal(
+            _replay(model, w0, eta, log.num_steps, eps), log.w(log.num_steps))
+
+    def test_step_is_a_new_array(self):
+        log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 3)
+        log.step(0)[0] = 7.0
+        assert log.step(0)[0] == -0.5 * log.grads[0][0]
 
 
 class TestSgd:
@@ -193,7 +239,9 @@ class TestSgd:
         gd = run_gd(model, w0, 0.5, 30)
         sgd = run_sgd(model, w0, 0.5, 30, NoiseSource("gaussian", seed=0, sigma=0.0))
         assert np.array_equal(gd.losses, sgd.losses)
-        assert np.array_equal(gd.steps, sgd.steps)
+        assert np.array_equal(gd.w_stored, sgd.w_stored)
+        for k in range(30):
+            assert np.array_equal(gd.step(k), sgd.step(k))
 
     def test_seeded_reproducibility(self):
         model = make_quadratic(np.diag([3.0, 1.0]))
@@ -208,9 +256,8 @@ class TestSgd:
         log = run_sgd(model, np.array([1.0, -1.0]), 0.5, 30,
                       NoiseSource("gaussian", seed=3, sigma=0.1))
         for k in range(log.num_steps):
-            np.testing.assert_allclose(
-                log.steps[k], -0.5 * (log.grads[k] + log.noise[k]),
-                rtol=1e-13, atol=1e-16)
+            np.testing.assert_array_equal(
+                log.step(k), -0.5 * (log.grads[k] + log.noise[k]))
 
     def test_minibatch_noise_replayable(self):
         """Mini-batch residual noise: indices replay from the documented stream."""
