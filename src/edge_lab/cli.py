@@ -17,12 +17,14 @@ import contextlib
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import bifurcation, edge_metrics, loss_models, trajectory, verify
-from .numerics import DENSE_DIM_LIMIT, NonConvergenceError, uniform_rule
+from .numerics import (DENSE_DIM_LIMIT, BracketError, EvaluationError,
+                       NonConvergenceError, SingularJacobianError, uniform_rule)
 from .stability_kv import strain_run, write_strain_csv
 from .trajectory import write_csv
 
@@ -330,6 +332,16 @@ def _resolve_run(cfg: dict) -> dict:
     })
 
 
+@contextlib.contextmanager
+def _timed(wall: dict, phase: str):
+    """Add the wall seconds of the block to ``wall[phase]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        wall[phase] += time.perf_counter() - start
+
+
 def cmd_run(resolved: dict, out: Path) -> int:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
@@ -337,20 +349,29 @@ def cmd_run(resolved: dict, out: Path) -> int:
         resolved["include_w"] = model.dim <= 32
     _write_json(out / "resolved_config.json", resolved)
 
-    with _allocation("steps"):
+    wall = {"runner": 0.0, "curvature_table": 0.0, "reports": 0.0}
+    with _timed(wall, "runner"), _allocation("steps"):
         log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
-    trajectory.write_trajectory_csv(log, out / "trajectory.csv",
-                                    include_w=resolved["include_w"])
-    table = edge_metrics.curvature_table(model, log, resolved["route"])
-    report = edge_metrics.edge_balance_report(model, log, table,
-                                              deltas=resolved["deltas"])
-    edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
-                                   with_localization=resolved["localize"])
-    _write_json(out / "balance_report.json", report.to_dict())
-    summary = trajectory.run_summary(log)
-    summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
-    summary["num_unsettled_steps"] = len(table.unsettled)
-    _write_json(out / "summary.json", summary)
+    with _timed(wall, "reports"):
+        trajectory.write_trajectory_csv(log, out / "trajectory.csv",
+                                        include_w=resolved["include_w"])
+    with _timed(wall, "curvature_table"):
+        table = edge_metrics.curvature_table(model, log, resolved["route"])
+    with _timed(wall, "reports"):
+        report = edge_metrics.edge_balance_report(model, log, table,
+                                                  deltas=resolved["deltas"])
+        edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
+                                       with_localization=resolved["localize"])
+        _write_json(out / "balance_report.json", report.to_dict())
+        summary = trajectory.run_summary(log)
+        summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
+        summary["num_unsettled_steps"] = len(table.unsettled)
+        _write_json(out / "summary.json", summary)
+    # Timings differ between identical runs, so they live in a file of
+    # their own, which no check reads.
+    _write_json(out / "timings.json", {
+        "wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
+        "unsettled_steps": len(table.unsettled)})
     unsettled = _unsettled_exit(_steps(table.unsettled))
     return EXIT_DIVERGENCE if log.diverged else unsettled
 
@@ -631,8 +652,7 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     these named identities, while the other outputs and the
     ``step_norm`` column go unchecked.
     """
-    import time as _time
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     path = str(run_dir / "resolved_config.json")
     stored = _load_config(path)
     if not isinstance(stored, dict) or stored.pop("command", None) != "run":
@@ -654,27 +674,27 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     worst_loss = float(max(abs(v - l) / max(1.0, abs(l))
                            for v, l in zip(values, losses)))
     results.append(verify.CheckResult(
-        "loss_replay", bool(worst_loss <= 1e-12), _time.perf_counter() - t0,
+        "loss_replay", bool(worst_loss <= 1e-12), time.perf_counter() - t0,
         {"max_relative_error": worst_loss, "tolerance": 1e-12}))
 
-    t1 = _time.perf_counter()
+    t1 = time.perf_counter()
     worst_g = float(max(abs(float(np.linalg.norm(g)) - gn) / max(1.0, gn)
                         for g, gn in zip(grads, gnorms)))
     results.append(verify.CheckResult(
-        "gradient_replay", bool(worst_g <= 1e-12), _time.perf_counter() - t1,
+        "gradient_replay", bool(worst_g <= 1e-12), time.perf_counter() - t1,
         {"max_relative_error": worst_g, "tolerance": 1e-12}))
 
-    t2 = _time.perf_counter()
+    t2 = time.perf_counter()
     eta = resolved["eta"]
     worst_u = float(max(
         float(np.linalg.norm(ws[k + 1] - (ws[k] - eta * grads[k])))
         / (1.0 + float(np.linalg.norm(ws[k])))
         for k in range(len(ws) - 1)))
     results.append(verify.CheckResult(
-        "update_consistency", bool(worst_u <= 1e-12), _time.perf_counter() - t2,
+        "update_consistency", bool(worst_u <= 1e-12), time.perf_counter() - t2,
         {"max_relative_error": worst_u, "tolerance": 1e-12}))
 
-    t3 = _time.perf_counter()
+    t3 = time.perf_counter()
     log = trajectory.TrajectoryLog(
         eta=eta, model_id=model.name, losses=losses, grads=np.array(grads),
         w_stored=ws)
@@ -682,16 +702,16 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
     tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
     results.append(verify.CheckResult(
-        "telescoping_balance", bool(resid <= tol), _time.perf_counter() - t3,
+        "telescoping_balance", bool(resid <= tol), time.perf_counter() - t3,
         {"residual": resid, "tolerance": tol, "unsettled_steps": table.unsettled}))
 
-    t4 = _time.perf_counter()
+    t4 = time.perf_counter()
     if resolved["route"] != table.route:
         table = edge_metrics.curvature_table(model, log, resolved["route"])
         resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
     results.append(verify.CheckResult(
         "identity_residual_replay",
-        isinstance(reported, float) and reported == resid, _time.perf_counter() - t4,
+        isinstance(reported, float) and reported == resid, time.perf_counter() - t4,
         {"replayed": resid, "reported": reported, "route": table.route}))
     return results
 
@@ -755,7 +775,8 @@ def main(argv=None) -> int:
     except bifurcation.NoBranchError as exc:
         print(f"config error at model: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (edge_metrics.LocalizationError, NonConvergenceError) as exc:
+    except (edge_metrics.LocalizationError, NonConvergenceError,
+            SingularJacobianError, EvaluationError, BracketError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ASSERTION
 

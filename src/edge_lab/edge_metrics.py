@@ -30,7 +30,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel
-from .numerics import (NonConvergenceError, brent_root, dense_eigvalsh,
+from .numerics import (BracketError, EvaluationError, NonConvergenceError,
+                       brent_root, dense_eigvalsh,
                        lambda_max_iter, uniform_rule)
 from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
 
@@ -567,7 +568,9 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
     beyond the end of the run (or a localized point when localization
     is off) are left empty, as is every curvature field of a degenerate
     step. A Brent or Lanczos iteration of the localization that does not
-    converge raises NonConvergenceError naming the step.
+    converge raises NonConvergenceError naming the step; a non-finite
+    profile value or an invalid bracket in Brent's method raises
+    EvaluationError or BracketError naming the step.
     """
     header = ["k", "step_norm_sq", "rbar", "rtilde", "xi", "zeta", "lambda_max_xi",
               "delta_L", "proxy", "return_ratio"]
@@ -588,6 +591,8 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
             except NonConvergenceError as exc:
                 raise NonConvergenceError(f"localization of step {k}: {exc}",
                                           exc.history) from exc
+            except (EvaluationError, BracketError) as exc:
+                raise type(exc)(f"localization of step {k}: {exc}") from exc
             xi, zeta = rec_t.point, rec_b.point
         delta_l = float(log.losses[k + 1] - log.losses[k])
         proxy = ratio = None

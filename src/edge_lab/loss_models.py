@@ -450,28 +450,59 @@ def make_synthetic_dataset(seed: int, n: int, d_in: int, d_out: int,
     return Dataset(X=X, Y=Y, seed=int(seed), teacher_rank=r)
 
 
-def _tanh_triplet(z):
+def _tanh_triplet(z, second=True):
     t = np.tanh(z)
     dp = 1.0 - t * t
-    return t, dp, -2.0 * t * dp
+    return t, dp, (-2.0 * t * dp if second else None)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu_triplet(z):
+def _gelu_triplet(z, second=True):
     # Exact erf form; smooth to all orders.
     from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
     pdf = np.exp(-0.5 * z * z) * _INV_SQRT2PI
     val = z * cdf
     dp = cdf + z * pdf
-    ddp = pdf * (2.0 - z * z)
-    return val, dp, ddp
+    return val, dp, (pdf * (2.0 - z * z) if second else None)
 
 
-_ACTIVATIONS = {"tanh": _tanh_triplet, "gelu": _gelu_triplet}
+def _tanh_taylor(Z, Zd, Zdd, A, Ad, Add, scratch):
+    """Write A = tanh(Z) and its first two tau-derivatives into A, Ad, Add.
+
+    phi' = 1 - A^2 and phi'' = -2 A phi', so Add = phi' Zdd - 2 A Ad Zd;
+    ``Zdd`` None means Zdd = 0. ``scratch`` is overwritten.
+    """
+    np.tanh(Z, out=A)
+    dp = np.multiply(A, A, out=scratch)
+    np.subtract(1.0, dp, out=dp)
+    np.multiply(dp, Zd, out=Ad)
+    np.multiply(A, -2.0, out=Add)
+    Add *= Ad
+    Add *= Zd
+    if Zdd is not None:
+        dp *= Zdd
+        Add += dp
+
+
+def _gelu_taylor(Z, Zd, Zdd, A, Ad, Add, scratch):
+    """As ``_tanh_taylor``, from the exact-erf GELU triplet."""
+    val, dp, ddp = _gelu_triplet(Z)
+    np.copyto(A, val)
+    np.multiply(dp, Zd, out=Ad)
+    np.multiply(ddp, Zd, out=Add)
+    Add *= Zd
+    if Zdd is not None:
+        Add += np.multiply(dp, Zdd, out=scratch)
+
+
+# Per activation: the (phi, phi', phi'') triplet of an array, and the
+# in-place Taylor step of the profile kernel.
+_ACTIVATIONS = {"tanh": (_tanh_triplet, _tanh_taylor),
+                "gelu": (_gelu_triplet, _gelu_taylor)}
 
 
 class MlpModel(LossModel):
@@ -492,7 +523,7 @@ class MlpModel(LossModel):
             raise ValueError("dataset shapes do not match network widths")
         self.widths = widths
         self.activation = activation
-        self._act = _ACTIVATIONS[activation]
+        self._act, self._taylor = _ACTIVATIONS[activation]
         self.dataset = dataset
         self.n_layers = len(widths) - 1
         self.dim = sum(widths[l + 1] * widths[l] + widths[l + 1]
@@ -501,6 +532,9 @@ class MlpModel(LossModel):
                      f"n={dataset.n},seed={dataset.seed})")
         self.inf_value = 0.0  # MSE is nonnegative
         self._hvp_buffers = None
+        # (unit, sample) data for the profile kernel, laid out once.
+        self._inputs_t = np.ascontiguousarray(dataset.X.T)
+        self._targets_t = np.ascontiguousarray(dataset.Y.T)
 
     def init_params(self, seed: int, scale: float = 1.0) -> Array:
         """Gaussian init, std scale/sqrt(fan_in) per layer, zero biases."""
@@ -530,14 +564,16 @@ class MlpModel(LossModel):
         return np.concatenate([np.concatenate([W.reshape(*W.shape[:-2], -1), b], axis=-1)
                                for W, b in params], axis=-1)
 
-    def _forward(self, params, X):
+    def _forward(self, params, X, second=True):
         A = X
         acts = [A]        # post-activation per layer, acts[0] = inputs
-        dphis, ddphis = [], []   # phi', phi'' of the hidden layers; the output is affine
+        # phi' and phi'' (None unless ``second``) of the hidden layers; the
+        # output is affine.
+        dphis, ddphis = [], []
         for l, (W, b) in enumerate(params):
             A = A @ W.T + b
             if l < self.n_layers - 1:
-                A, dp, ddp = self._act(A)
+                A, dp, ddp = self._act(A, second)
                 dphis.append(dp)
                 ddphis.append(ddp)
             acts.append(A)
@@ -545,7 +581,7 @@ class MlpModel(LossModel):
 
     def _value_grad(self, w, X, Y):
         params = self.unpack(w)
-        acts, dphis, _ = self._forward(params, X)
+        acts, dphis, _ = self._forward(params, X, second=False)
         n = X.shape[0]
         resid = acts[-1] - Y
         val = float(0.5 * np.sum(resid * resid) / n)
@@ -671,33 +707,64 @@ class MlpModel(LossModel):
         Along w + tau d each layer carries its pre-activation Z and the
         first two tau-derivatives (Zd, Zdd); the loss's second derivative
         is sum(Zd^2 + (Z - Y) Zdd) / n at the output, with no backward
-        pass. The first pre-activation is affine in tau, so its value at
-        tau = 0 and its tangent are computed once for all nodes. Arrays
-        are (unit, sample), which measured faster than (sample, unit) for
-        the bundled widths.
+        pass. Arrays are (unit, sample), which measured faster than
+        (sample, unit) for the bundled widths. The first pre-activation
+        is affine in tau: its tangent is computed once per call, and its
+        value at each node by one multiply-add, with Zdd = 0.
+
+        Every later layer, of fan-in h, reads one stacked operand
+        S = [1; A; Ad; Add] of shape (1 + 3h, n), allocated once per call,
+        into which the activation's Taylor step writes A = phi(Z) and its
+        tau-derivatives in place. With W_t = W + tau D and b_t = b + tau db
+        (D, db the step's blocks), the layer is three GEMMs on row slices
+        of S, which fold in the bias adds and the sums of tangent products:
+
+            Z'   = [b_t | W_t]      S[0 : 1+h]
+            Zd'  = [db | D | W_t]   S[0 : 1+2h]
+            Zdd' = [2D | W_t]       S[1+h : 1+3h]
+
+        The left operands of every node are built before the node loop by
+        elementwise operations, which round each entry as for one node
+        alone; the nodes then run one at a time through the same buffers.
+        So a node's value does not depend on the other nodes of the call.
+        Batching the nodes along the sample axis measured slower.
         """
         params, tang = self.unpack(w), self.unpack(d)
-        X, Y = self.dataset.X.T, self.dataset.Y.T
+        X, Y = self._inputs_t, self._targets_t
+        taus = np.asarray(taus, dtype=float)
+        m, n, ts = len(taus), X.shape[1], taus[:, None, None]
         (W, b), (D, db) = params[0], tang[0]
-        Z_base = W @ X + b[:, None]
         Zd_first = D @ X + db[:, None]
+        Z_first = W @ X + b[:, None] + ts * Zd_first
+        # Per later layer: the views the Taylor step writes (A, Ad, Add of S,
+        # and a scratch), and (left operand per node, rows of S, result) of
+        # each of the three GEMMs.
+        layers = []
+        for (W, b), (D, db) in zip(params[1:], tang[1:]):
+            out, h = W.shape
+            S = np.empty((1 + 3 * h, n))
+            S[0] = 1.0
+            tangent = np.concatenate([db[:, None], D], axis=1)
+            left0 = np.concatenate([b[:, None], W], axis=1) + ts * tangent
+            left1, left2 = np.empty((m, out, 1 + 2 * h)), np.empty((m, out, 2 * h))
+            left1[:, :, :1 + h] = tangent
+            left1[:, :, 1 + h:] = left2[:, :, h:] = left0[:, :, 1:]
+            left2[:, :, :h] = 2.0 * D
+            Z, Zd, Zdd = np.empty((3, out, n))
+            layers.append(((S[1:1 + h], S[1 + h:1 + 2 * h], S[1 + 2 * h:],
+                            np.empty((h, n))),
+                           ((left0, S[:1 + h], Z), (left1, S[:1 + 2 * h], Zd),
+                            (left2, S[1 + h:], Zdd))))
         scale = self.dataset.n * float(np.linalg.norm(d)) ** 2
-        q = np.empty(len(taus))
-        for i, t in enumerate(taus):
-            Z, Zd, Zdd = Z_base + t * Zd_first, Zd_first, None  # Zdd = 0 here
-            for (W, b), (D, db) in zip(params[1:], tang[1:]):
-                A, dp, ddp = self._act(Z)
-                Ad = dp * Zd
-                Add = ddp * Zd * Zd
-                if Zdd is not None:
-                    Add += dp * Zdd
-                Wt = W + t * D
-                Z = Wt @ A + (b + t * db)[:, None]
-                Zd = Wt @ Ad + D @ A + db[:, None]
-                Zdd = Wt @ Add + 2.0 * (D @ Ad)
+        q = np.empty(m)
+        for i in range(m):
+            Z, Zd, Zdd = Z_first[i], Zd_first, None    # Zdd = 0 here
+            for taylor_out, gemms in layers:
+                self._taylor(Z, Zd, Zdd, *taylor_out)
+                Z, Zd, Zdd = [np.dot(left[i], rows, out=res) for left, rows, res in gemms]
             curv = np.vdot(Zd, Zd)
             if Zdd is not None:   # a single affine layer has no Zdd term
-                curv += np.vdot(Z - Y, Zdd)
+                curv += np.vdot(np.subtract(Z, Y, out=Z), Zdd)
             q[i] = curv / scale
         return q
 

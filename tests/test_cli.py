@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -573,6 +574,22 @@ class TestUnsettledQuadrature:
         [replay] = [c for c in report["checks"] if c["name"] == "identity_residual_replay"]
         assert replay["details"]["replayed"] == rep["identity_residual"]
 
+    def test_timings_file(self, repro_run, tmp_path):
+        """``run`` writes the wall seconds of its phases, the curvature
+        table's node total and the unsettled count to timings.json, which
+        ``verify --run-dir`` does not read."""
+        out, table = repro_run
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == ["curvature_table_nodes", "unsettled_steps", "wall_s"]
+        assert sorted(timings["wall_s"]) == ["curvature_table", "reports", "runner"]
+        assert all(isinstance(v, float) and v > 0 for v in timings["wall_s"].values())
+        assert timings["curvature_table_nodes"] == int(table.nodes.sum()) > 9 * len(table.k)
+        assert timings["unsettled_steps"] == 0
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        (run_dir / "timings.json").write_text("not JSON")
+        assert main(["verify", "--run-dir", str(run_dir), "--out", str(tmp_path)]) == 0
+
     def test_budget_exhausted_steps_named(self, repro_run, tmp_path, capsys,
                                           monkeypatch):
         """With a budget of one interval, exactly the steps that bisect at
@@ -590,9 +607,12 @@ class TestUnsettledQuadrature:
                          f"after 1 intervals"]
         assert sorted(p.name for p in out.iterdir()) == [
             "balance_report.json", "metrics.csv", "resolved_config.json",
-            "summary.json", "trajectory.csv"]
+            "summary.json", "timings.json", "trajectory.csv"]
         assert json.loads((out / "balance_report.json").read_text())[
             "unsettled_steps"] == bisected
+        timings = json.loads((out / "timings.json").read_text())
+        assert timings["unsettled_steps"] == len(bisected)
+        assert timings["curvature_table_nodes"] == 9 * len(repro_run[1].k)
         assert json.loads((out / "summary.json").read_text())[
             "num_unsettled_steps"] == len(bisected)
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
@@ -833,6 +853,44 @@ class TestFailureContract:
         monkeypatch.setattr(numerics, budget, value)
         line = self._localized_run_fails(tmp_path, capsys)
         assert line.startswith("localization of step 0: ") and message in line, line
+
+    @pytest.mark.parametrize("error, force, message", [
+        # Brent sees a non-finite profile value.
+        ("EvaluationError", lambda f, lo, hi, tol: (lambda t: float("nan"), lo, hi, tol),
+         "non-finite function value nan in brent_root"),
+        # Brent is handed its bracket reversed.
+        ("BracketError", lambda f, lo, hi, tol: (f, hi, lo, tol), "empty bracket")],
+        ids=["EvaluationError", "BracketError"])
+    def test_localization_brent_errors(self, tmp_path, capsys, monkeypatch,
+                                       error, force, message):
+        brent = em.brent_root
+        raised = []
+
+        def forced(f, lo, hi, tol=1e-12):
+            try:
+                return brent(*force(f, lo, hi, tol))
+            except Exception as exc:
+                raised.append(type(exc).__name__)
+                raise
+
+        monkeypatch.setattr(em, "brent_root", forced)
+        line = self._localized_run_fails(tmp_path, capsys)
+        assert raised == [error]
+        assert line.startswith("localization of step 0: ") and message in line, line
+
+    def test_singular_jacobian(self, tmp_path, capsys, monkeypatch):
+        """A restricted Hessian taken for singular stops ``bifurcate`` with
+        one stderr line and exit 1."""
+        monkeypatch.setattr(bifurcation, "KERNEL_THRESHOLD", 2.0)
+        cfg = {"model": {"kind": "scalar_poly", "lam": 1.0, "beta": -1.0},
+               "etas": [2.01, 2.02], "modes": ["continuation"],
+               "out_dir": str(tmp_path / "out")}
+        rc = main(["bifurcate", "--config", _write_config(tmp_path / "c.json", cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert err.splitlines() == ["restricted Hessian is singular; pass the "
+                                    "normal-space basis of the minimum manifold "
+                                    "as `subspace`"]
 
     def test_bad_second_model_reported_at_second_model(self, tmp_path, capsys):
         """A second model its constructor rejects is a config error at

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from edge_lab import loss_models
+from edge_lab.edge_metrics import K9_NODES
 from edge_lab.loss_models import (LossModel, MlpModel, QuadraticModel,
                                   ScalarPolyModel, TwoLayerLinearModel,
                                   balanced_minimizer, make_mlp,
@@ -121,17 +122,27 @@ _TAUS = np.array([0.0, 0.07, 0.2, 0.35, 0.5, 0.61, 0.8, 0.93, 1.0])
 class TestSegmentCurvature:
     """segment_curvature(w, d, taus) is the step profile at every node."""
 
-    @pytest.mark.parametrize("widths, activation", [
-        ([5, 6, 4, 3], "tanh"), ([5, 6, 4, 3], "gelu"), ([5, 3], "tanh")])
-    def test_mlp_forward_mode_matches_hvp_route(self, widths, activation):
-        ds = make_synthetic_dataset(2, 40, 5, 3, teacher_rank=2, noise=0.05)
+    @pytest.mark.parametrize("widths, activation, dataset", [
+        ([5, 6, 4, 3], "tanh", (2, 40, 2, 0.05)),
+        ([5, 6, 4, 3], "gelu", (2, 40, 2, 0.05)),
+        ([5, 3], "tanh", (2, 40, 2, 0.05)),
+        ([5, 6, 4, 5, 3], "gelu", (2, 40, 2, 0.05)),
+        ([10, 16, 16, 5], "tanh", (0, 200, 3, 0.1))],   # the README MLP
+        ids=["tanh", "gelu", "affine", "gelu-3-hidden", "readme"])
+    def test_mlp_forward_mode_matches_hvp_route(self, widths, activation, dataset):
+        """At fixed nodes with both ends, the K9 nodes and the K9 nodes of
+        a bisected half span, in one call."""
+        seed, n, rank, noise = dataset
+        ds = make_synthetic_dataset(seed, n, widths[0], widths[-1],
+                                    teacher_rank=rank, noise=noise)
         model = make_mlp(widths, activation, ds)
+        taus = np.concatenate([_TAUS, K9_NODES, 0.5 + 0.5 * K9_NODES])
         rng = np.random.default_rng(12)
         for _ in range(3):
             w = model.init_params(seed=int(rng.integers(100)), scale=1.5)
             d = 0.3 * rng.standard_normal(model.dim)
-            ref = _hvp_profile(model, w, d, _TAUS)
-            q = model.segment_curvature(w, d, _TAUS)
+            ref = _hvp_profile(model, w, d, taus)
+            q = model.segment_curvature(w, d, taus)
             assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("model", _all_models()[:4], ids=lambda m: m.name)
@@ -142,7 +153,10 @@ class TestSegmentCurvature:
         np.testing.assert_array_equal(model.segment_curvature(w, d, _TAUS),
                                       _hvp_profile(model, w, d, _TAUS))
 
-    @pytest.mark.parametrize("model", _all_models(), ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", _all_models() + [
+        make_mlp([5, 6, 4, 3], activation,
+                 make_synthetic_dataset(0, 40, 5, 3, teacher_rank=2, noise=0.05))
+        for activation in ("tanh", "gelu")], ids=lambda m: m.name)
     def test_one_node_equals_its_place_in_many(self, model):
         rng = np.random.default_rng(14)
         w, d = 0.5 * rng.standard_normal(model.dim), rng.standard_normal(model.dim)
@@ -519,6 +533,23 @@ class TestMlp:
         w = mlp.init_params(seed=1)
         np.testing.assert_allclose(mlp.gradient_batch(w, np.arange(30)),
                                    mlp.gradient(w), atol=1e-14)
+
+    @pytest.mark.parametrize("activation", ["tanh", "gelu"])
+    def test_gradient_skips_second_derivative(self, activation):
+        """The gradient asks the activation for no phi'' (the R-operator
+        does), and its bits are those of a forward pass that computes it."""
+        ds = make_synthetic_dataset(0, 30, 4, 2, teacher_rank=2)
+        mlp = make_mlp([4, 6, 5, 2], activation, ds)
+        w = mlp.init_params(seed=1)
+        act, asked = mlp._act, []
+        mlp._act = lambda z, second=True: (asked.append(second), act(z, second))[1]
+        value, grad = mlp.value_and_grad(w)
+        assert asked == [False, False]
+        mlp.hvp(w, grad)
+        assert asked[2:] == [True, True]
+        mlp._act = lambda z, second=True: act(z, True)
+        full_value, full_grad = mlp.value_and_grad(w)
+        assert value == full_value and np.array_equal(grad, full_grad)
 
     def test_shape_mismatch_rejected(self):
         ds = make_synthetic_dataset(0, 30, 4, 2)
