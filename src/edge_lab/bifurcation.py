@@ -91,8 +91,19 @@ class _Slice:
         return g if self.S is None else self.S.T @ g
 
     def hessian(self, z: Array) -> Array:
-        H = self.model.hessian_dense(self.to_full(z))
-        return H if self.S is None else self.S.T @ H @ self.S
+        """Slice Hessian S^T H S at the point of reduced coordinates z,
+        exactly symmetric.
+
+        With a subspace it is one stacked ``hvp`` of the n basis directions,
+        S^T H S from n products and never the dim x dim Hessian, so no
+        dimension limit applies; ``(A + A^T) / 2`` then makes it symmetric
+        bit for bit. Without one it is ``hessian_dense``.
+        """
+        x = self.to_full(z)
+        if self.S is None:
+            return self.model.hessian_dense(x)
+        A = self.model.hvp(x, self.S.T) @ self.S
+        return (A + A.T) / 2.0
 
 
 class EdgeCoupling:
@@ -169,7 +180,9 @@ class BranchPoint:
     eta: float
     a: Array
     m: Array
-    residual: float           # || grad profile(a) - (2/eta) a || on the slice
+    # ||(r_x - r_y) / 2|| / eta of the step residuals r_x, r_y at the orbit
+    # pair: || grad profile(a) - (2/eta) a || on the slice.
+    residual: float
     profile_value: float
     trivial: bool
     raw_residual: float       # || GD^2(x) - x || for x = m - a, full space
@@ -186,12 +199,15 @@ class EmpiricalPoint:
 
     A run that passed the divergence limits is ``diverged``; its
     ``amplitude`` then measures the truncated window before the blow-up,
-    not an orbit, and belongs in no scaling fit.
+    not an orbit, and belongs in no scaling fit. ``evaluations`` counts
+    the iterates whose loss and gradient the run computed: its rows in
+    the sweep's stacked ``value_and_grad`` calls.
     """
 
     eta: float
     amplitude: float
     diverged: bool = False
+    evaluations: int = 0
 
 
 def _raw_two_step_residual(model: LossModel, eta: float, x: Array) -> float:
@@ -249,9 +265,8 @@ def period_two_solve(model: LossModel, w_bar: Array, eta: float, a0: Array,
     m_full = sl.to_full((zx + zy) / 2.0)
 
     trivial = float(np.linalg.norm(a_full)) < TRIVIAL_AMPLITUDE
-    grad_p = 0.5 * (model.gradient(m_full + a_full) - model.gradient(m_full - a_full))
-    grad_p_red = sl.to_reduced(grad_p)
-    resid = float(np.linalg.norm(grad_p_red - (2.0 / eta) * sl.to_reduced(a_full)))
+    rx, ry = coupling.step_residuals(zx, zy)
+    resid = float(np.linalg.norm((rx - ry) / 2.0)) / eta
     profile = 0.5 * (model.value(m_full + a_full) + model.value(m_full - a_full))
     raw = _raw_two_step_residual(model, eta, m_full - a_full)
     raw_ok = raw <= RAW_ORBIT_TOL * (1.0 + float(np.linalg.norm(m_full - a_full)))
@@ -352,17 +367,18 @@ def branch_predict(eta: float, eta_c: float, Q_u: float) -> tuple[bool, float]:
 
 def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
                           run_offset: float, etas: list[float],
-                          K: int) -> tuple[Array, list[int]]:
+                          K: int) -> tuple[Array, list[int], list[int]]:
     """Full-batch GD from w_bar + run_offset u at every step size at once.
 
     One (m, dim) stack of iterates advances by one stacked
     ``value_and_grad`` per step, each row by its own step size, exactly as
     ``run_gd`` advances one. Only the projections (w_k - w_bar) . u are
     kept, each by the 1-D dot of a single point: returns the (K + 1, m)
-    projections and, per step size, the number of steps its run keeps.
-    A row past the divergence limits at iterate n keeps iterates
-    0..n - 1, as ``run_gd`` truncates its log, and leaves the stack; a
-    start point past them keeps iterate 0.
+    projections and, per step size, the number of steps its run keeps and
+    the number of its iterates evaluated. A row past the divergence
+    limits at iterate n keeps iterates 0..n - 1, as ``run_gd`` truncates
+    its log, and leaves the stack after n + 1 evaluations; a start point
+    past them keeps iterate 0.
     """
     if not model.stacked_value_and_grad:
         raise ValueError(f"the empirical sweep needs a model whose "
@@ -375,6 +391,7 @@ def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
     m = len(etas)
     proj = np.empty((K + 1, m))
     kept = [K] * m
+    evaluated = [K + 1] * m
     neg_etas = -np.array(etas)
     rows = np.arange(m)      # the step size of each row of W
     W = np.tile(w_bar + run_offset * u, (m, 1))
@@ -391,8 +408,9 @@ def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
         if out.any():
             for r in rows[out].tolist():
                 kept[r] = max(k - 1, 0)
+                evaluated[r] = k + 1
             rows, W, G = rows[~out], W[~out], G[~out]
-    return proj, kept
+    return proj, kept, evaluated
 
 
 def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
@@ -423,15 +441,16 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
     u = u / float(np.linalg.norm(u))
 
     if mode == "empirical":
-        proj, kept = _lockstep_projections(model, w_bar, u, run_offset, etas,
-                                           run_steps)
+        proj, kept, evaluated = _lockstep_projections(
+            model, w_bar, u, run_offset, etas, run_steps)
         points = []
         for r, (eta, n) in enumerate(zip(etas, kept)):
             window = proj[int(discard_frac * n):n + 1, r]
             amp = 0.5 * float(window.max() - window.min())
             # Only a row that left the stack keeps fewer than run_steps steps.
             points.append(EmpiricalPoint(eta=eta, amplitude=amp,
-                                         diverged=n < run_steps))
+                                         diverged=n < run_steps,
+                                         evaluations=evaluated[r]))
         return points, all(p.diverged for p in points)
 
     if mode != "continuation":

@@ -489,14 +489,17 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
         u = np.array([1.0])
     _write_json(out / "resolved_config.json", resolved)
 
-    eta_c, _ = bifurcation.critical_eta(model, w_bar, subspace)
-    Q_u = bifurcation.quartic_coefficient(model, w_bar, u, subspace)
+    wall = {"normal_form": 0.0, "continuation": 0.0, "empirical": 0.0}
+    with _timed(wall, "normal_form"):
+        eta_c, _ = bifurcation.critical_eta(model, w_bar, subspace)
+        Q_u = bifurcation.quartic_coefficient(model, w_bar, u, subspace)
 
     rows = []
     summary = {"eta_c": eta_c, "quartic_u": Q_u, "exponents": {}}
     etas = resolved["etas"]
+    evaluations = []
     for mode in resolved["modes"]:
-        with _allocation("run_steps"):
+        with _timed(wall, mode), _allocation("run_steps"):
             points, lost = bifurcation.branch_sweep(
                 model, w_bar, etas, mode, u=u, subspace=subspace,
                 run_steps=resolved["run_steps"], run_offset=resolved["run_offset"],
@@ -519,8 +522,14 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
         summary[f"{mode}_branch_lost"] = bool(lost)
         if mode == "empirical":
             summary["empirical_diverged_etas"] = [p.eta for p in points if p.diverged]
+            evaluations = [p.evaluations for p in points]
     write_csv(out / "branch.csv", ["eta", "amp", "residual", "mode"], rows)
     _write_json(out / "sweep_summary.json", summary)
+    # Every run of the empirical sweep is a row of the stacked call at each
+    # of its evaluated iterates, so the longest run counts the calls.
+    _write_json(out / "timings.json", {
+        "wall_s": wall, "lockstep_value_and_grad_calls": max(evaluations, default=0),
+        "lockstep_row_steps": sum(evaluations)})
     return EXIT_OK
 
 

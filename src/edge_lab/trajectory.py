@@ -16,6 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel, MlpModel
+from .numerics import MACHINE_EPS
 
 __all__ = [
     "TrajectoryLog",
@@ -107,18 +108,48 @@ class PairedLog:
         return min(self.log_s.num_steps, self.log_sp.num_steps)
 
 
+def _row_norms(W: Array) -> Array:
+    """Norm of each row of ``W``, from the 1-D ``dot`` that
+    ``np.linalg.norm`` takes for a single point, so a row's norm does not
+    depend on its stack."""
+    return np.sqrt([w.dot(w) for w in W])
+
+
+def _norm_free_bound(dim: int) -> float:
+    """A bound on |entries| below which no row of length ``dim`` (at least
+    1) has a computed norm past ``ITERATE_DIVERGENCE``.
+
+    With u = MACHINE_EPS / 2 and M the largest |entry| of a row, the row's dot is
+    at most (1 + gamma_dim) dim M^2, gamma_dim = dim u / (1 - dim u), in
+    any order of summation (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1), and the correctly rounded sqrt
+    adds a factor (1 + u). The bound C (1 - (dim + 5) u) / sqrt(dim),
+    C = ITERATE_DIVERGENCE, is formed exactly up to its product, its
+    sqrt and its division, three roundings that put it at most a factor
+    (1 + u)^2 / (1 - u) above its exact value. So M below it gives a
+    norm below C (1 - (dim + 5) u) (1 + u)^3 (1 + gamma_dim)^(1/2) / (1 - u),
+    which is at most C while dim u <= 1/100: there the factor
+    (1 + u)^3 (1 + gamma_dim)^(1/2) / (1 - u) is at most
+    1 + (0.51 dim + 4.01) u, less than 1 / (1 - (dim + 5) u).
+    """
+    return ITERATE_DIVERGENCE * (1.0 - (dim + 5) * MACHINE_EPS / 2.0) / math.sqrt(dim)
+
+
 def _diverged(losses: Array, W: Array) -> Array:
     """Which rows of the iterate stack ``W``, at their ``losses``, are past
     the divergence limits.
 
-    Each row's norm is the 1-D ``dot`` that ``np.linalg.norm`` takes for a
-    single point, so a row's verdict does not depend on its stack.
+    Row norms come from ``_row_norms``, so a row's verdict does not depend
+    on its stack. When every entry of the stack is finite and below
+    ``_norm_free_bound``, no norm can pass the limit, so only the losses
+    are tested and the norms are not taken; the verdict is the same.
     """
-    norms = np.sqrt([w.dot(w) for w in W])
-    # NaN fails every comparison, and a non-finite entry of a row makes its
-    # norm inf or NaN, so the test also catches every non-finite value.
-    return ~((losses > -math.inf) & (losses <= LOSS_DIVERGENCE)
-             & (norms <= ITERATE_DIVERGENCE))
+    # NaN fails every comparison, so a NaN or infinite entry (max|w| NaN or
+    # inf) takes the per-row path, where it makes its row's norm inf or NaN.
+    loss_ok = (losses > -math.inf) & (losses <= LOSS_DIVERGENCE)
+    if W.size and np.abs(W).max() < _norm_free_bound(W.shape[1]):
+        return ~loss_ok
+    return ~(loss_ok & (_row_norms(W) <= ITERATE_DIVERGENCE))
 
 
 class NoiseSource:

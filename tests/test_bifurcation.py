@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from edge_lab import bifurcation as bf
-from edge_lab.loss_models import (balanced_minimizer, make_mlp, make_quadratic,
+from edge_lab.loss_models import (ScalarPolyModel, TwoLayerLinearModel,
+                                  balanced_minimizer, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset,
                                   make_two_layer_linear)
 from edge_lab.numerics import (MACHINE_EPS, SingularJacobianError, dense_eigvalsh,
@@ -23,6 +24,43 @@ def _linear_net():
     w_bar, geom = balanced_minimizer(np.diag([2.0, 1.0]), 2)
     S, _ = geom.normal_basis()
     return w_bar, geom, S
+
+
+def _wide_linear_net():
+    """A net of the benchmark's shape: a rank-3 10 x 20 target with
+    singular values 2, 1, 0.5 at hidden width 6 (dim 180, 81 normal
+    directions)."""
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.standard_normal((10, 3)))
+    V, _ = np.linalg.qr(rng.standard_normal((20, 3)))
+    w_bar, geom = balanced_minimizer((U * [2.0, 1.0, 0.5]) @ V.T, 6, rank=3)
+    S, _ = geom.normal_basis()
+    return w_bar, geom, S
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = eps / 2: a computed sum of k
+    rounded terms, or a chain of k roundings, has at most this relative
+    error against the sum of the absolute values it was formed from."""
+    u = MACHINE_EPS / 2.0
+    return k * u / (1.0 - k * u)
+
+
+def _absolute(model):
+    """(abs_model, K): the model whose gradient and Hessian products at |w|
+    and |v| are the model's own expressions with every factor replaced by
+    its absolute value, which bound every rounding error of the model's
+    kernels, and K, the longest chain of roundings in those kernels.
+
+    For the linear net R = W2 W1 - M becomes |W2| |W1| + |M| (target
+    -|M|); its gradient and Hessian products chain a GEMM of inner
+    dimension h, one of inner dimension p or d and two additions. The
+    scalar quartic's slope has at most six roundings.
+    """
+    if isinstance(model, TwoLayerLinearModel):
+        return (TwoLayerLinearModel(-np.abs(model.M), model.h),
+                model.h + max(model.p, model.d) + 2)
+    return ScalarPolyModel(abs(model.lam), abs(model.gamma), abs(model.beta)), 6
 
 
 class TestEdgeCoupling:
@@ -205,6 +243,48 @@ class TestQuarticCoefficient:
             bf.quartic_coefficient(geom.model, w_bar, geom.sharp_direction())
 
 
+class TestSliceHessian:
+    """The slice Hessian S^T H S comes from n Hessian-vector products."""
+
+    @pytest.mark.parametrize("net", [_linear_net, _wide_linear_net],
+                             ids=["dim-8", "dim-180"])
+    def test_matches_projected_dense_hessian(self, net):
+        """Exactly symmetric, and within rounding of the dense route
+        S^T hessian_dense(x) S, on the normal slice and off the minimum.
+
+        With B = |S|^T Hhat |S| (Hhat the absolute-value Hessian of
+        ``_absolute``), the slice route is within gamma(K + dim + 1) B of
+        the exact S^T H S (its products, the product with S and the
+        symmetrizing sum), and the dense route within
+        gamma(K + 2 dim + 1) B (its products, its symmetrizing sum and
+        two products with S); the two routes differ by at most the sum."""
+        w_bar, geom, S = net()
+        model = geom.model
+        sl = bf._Slice(model, w_bar, S)
+        abs_model, K = _absolute(model)
+        rng = np.random.default_rng(0)
+        for z in (np.zeros(sl.n), 0.1 * rng.standard_normal(sl.n)):
+            x = sl.to_full(z)
+            H = sl.hessian(z)
+            assert np.array_equal(H, H.T)
+            dense = S.T @ model.hessian_dense(x) @ S
+            B = abs_model.hvp(np.abs(x), np.abs(S).T) @ np.abs(S)
+            dim = model.dim
+            tol = (_gamma(K + dim + 1) + _gamma(K + 2 * dim + 1)) * B
+            assert np.all(np.abs(H - dense) <= tol)
+
+    @pytest.mark.parametrize("model, w", [
+        (QUARTIC, np.array([0.3])),
+        (make_quadratic(np.array([[2.0, 0.5], [0.5, 1.0]])), np.array([0.1, -0.2])),
+        (make_mlp([3, 4, 2], "tanh", make_synthetic_dataset(0, 12, 3, 2)), None),
+    ], ids=["quartic", "quadratic", "mlp"])
+    def test_full_space_is_dense_hessian(self, model, w):
+        if w is None:
+            w = model.init_params(seed=1)
+        sl = bf._Slice(model, np.zeros(model.dim), None)
+        assert np.array_equal(sl.hessian(w), model.hessian_dense(w))
+
+
 class TestCriticalEta:
     def test_scalar(self):
         eta_c, basis = bf.critical_eta(make_quadratic(np.array([[1.0]])),
@@ -232,6 +312,64 @@ class TestCriticalEta:
         H_red = S.T @ geom.model.hessian_dense(w_bar) @ S
         numeric = dense_eigvalsh(H_red)[::-1]
         np.testing.assert_allclose(numeric, analytic, atol=1e-8)
+
+
+class TestOrbitResidual:
+    """``BranchPoint.residual`` is ||(r_x - r_y) / 2|| / eta of the edge
+    coupling's step residuals, the same quantity as the full-space profile
+    formula ||S^T (g(m + a) - g(m - a)) / 2 - (2 / eta) S^T a||."""
+
+    @staticmethod
+    def _full_space_formula(model, sl, eta, zx, zy):
+        m_full = sl.to_full((zx + zy) / 2.0)
+        a_full = sl.dir_to_full((zy - zx) / 2.0)
+        grad_p = 0.5 * (model.gradient(m_full + a_full) - model.gradient(m_full - a_full))
+        return float(np.linalg.norm(sl.to_reduced(grad_p)
+                                    - (2.0 / eta) * sl.to_reduced(a_full)))
+
+    @pytest.mark.parametrize("case", ["quartic", "linear-net"])
+    def test_equals_full_space_formula(self, case):
+        """Both formulas compute the exact value from the same pair
+        (zx, zy) through at most D = dim + n + K + 8 chained roundings
+        (n slice coordinates; the 8 cover the halvings, sums and the 2/eta
+        scaling around the products), each bounded by the absolute values
+        V = |S|^T (ghat(x) + ghat(y) + (Hhat(x) + Hhat(y)) P)
+        + (2 / eta) |S|^T |S| (|zx| + |zy|), with P = |w_bar| + |S| (|zx| + |zy|)
+        the size of the full-space points, whose rounding moves the
+        gradients by at most Hhat P gamma: so they differ by at most
+        2 gamma(D) ||V||."""
+        if case == "quartic":
+            model, w_bar, S, eta, a0 = QUARTIC, np.array([0.0]), None, 2.5, np.array([0.3])
+        else:
+            w_bar, geom, S = _linear_net()
+            model, eta = geom.model, 1.05 * 0.5
+            _, alpha_sq = bf.branch_predict(eta, 0.5, -4.0)
+            a0 = math.sqrt(alpha_sq) * geom.sharp_direction()
+        bp = bf.period_two_solve(model, w_bar, eta, a0, subspace=S)
+        assert not bp.trivial and bp.raw_ok
+        sl = bf._Slice(model, w_bar, S)
+        coupling = bf.EdgeCoupling(eta, model, w_bar, S)
+        abs_model, K = _absolute(model)
+        absS = np.eye(model.dim) if S is None else np.abs(S)
+        zx = sl.to_reduced(bp.m - bp.a - w_bar)
+        zy = sl.to_reduced(bp.m + bp.a - w_bar)
+        # the orbit, where both vanish to rounding, and a pair off it
+        for px, py in ((zx, zy), (1.1 * zx, 0.9 * zy)):
+            rx, ry = coupling.step_residuals(px, py)
+            new = float(np.linalg.norm((rx - ry) / 2.0)) / eta
+            old = self._full_space_formula(model, sl, eta, px, py)
+            x, y = np.abs(sl.to_full(px)), np.abs(sl.to_full(py))
+            P = np.abs(w_bar) + absS @ (np.abs(px) + np.abs(py))
+            V = absS.T @ (abs_model.gradient(x) + abs_model.gradient(y)
+                          + abs_model.hvp(x, P) + abs_model.hvp(y, P))
+            V = V + (2.0 / eta) * absS.T @ absS @ (np.abs(px) + np.abs(py))
+            bound = 2.0 * _gamma(model.dim + sl.n + K + 8) * float(np.linalg.norm(V))
+            assert abs(new - old) <= bound
+            if px is zx:
+                assert abs(bp.residual - new) <= bound
+            else:
+                assert new > 1e-3
+        assert bp.residual <= 1e-12 / eta
 
 
 class TestBranchPrediction:
@@ -357,11 +495,14 @@ class TestLockstepSweep:
         assert [p.eta for p in points] == list(etas)
         assert [p.amplitude for p in points] == amps
         assert [p.diverged for p in points] == [log.diverged for log in logs]
-        proj, kept = bf._lockstep_projections(model, w_bar, u, run_offset,
-                                              list(etas), run_steps)
+        proj, kept, evaluated = bf._lockstep_projections(
+            model, w_bar, u, run_offset, list(etas), run_steps)
         assert proj.shape == (run_steps + 1, len(etas))
         for r, log in enumerate(logs):
             assert kept[r] == log.num_steps
+            # run_gd evaluates iterates 0..divergence_step, or all K + 1
+            assert evaluated[r] == points[r].evaluations == (
+                log.divergence_step + 1 if log.diverged else run_steps + 1)
             want = [(log.w(k) - w_bar) @ u for k in range(log.num_steps + 1)]
             assert np.array_equal(proj[:kept[r] + 1, r], want)
         return logs, points

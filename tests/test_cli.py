@@ -279,6 +279,28 @@ class TestBifurcateCommand:
         assert summary["empirical_diverged_etas"] == [2.005, 2.05, 2.2]
         assert summary["empirical_branch_lost"] is True
 
+    def test_timings_file(self, tmp_path):
+        """``bifurcate`` writes the wall seconds of its phases and counts
+        the empirical sweep's stacked ``value_and_grad`` calls and rows:
+        each run is a row at every iterate its ``run_gd`` evaluates."""
+        out = tmp_path / "out"
+        etas, steps = [1.9, 2.05, 2.2], 500
+        cfg = {"model": {"kind": "scalar_poly", "lam": 1, "beta": 1},
+               "etas": etas, "modes": ["continuation", "empirical"],
+               "run_steps": steps, "out_dir": str(out)}
+        assert main(["bifurcate", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == ["lockstep_row_steps",
+                                   "lockstep_value_and_grad_calls", "wall_s"]
+        assert sorted(timings["wall_s"]) == ["continuation", "empirical", "normal_form"]
+        assert all(isinstance(v, float) and v > 0 for v in timings["wall_s"].values())
+        model = loss_models.make_scalar_poly(1.0, 0.0, 1.0)
+        logs = [run_gd(model, np.array([1e-3]), eta, steps) for eta in etas]
+        rows = [log.divergence_step + 1 if log.diverged else steps + 1 for log in logs]
+        assert rows == [steps + 1, 110, 36]
+        assert timings["lockstep_value_and_grad_calls"] == max(rows)
+        assert timings["lockstep_row_steps"] == sum(rows)
+
     def test_fit_skips_diverged_runs(self, tmp_path):
         """The soft quartic orbits at 2.05 to 2.2 and diverges at 4.5; the
         exponent is the fit over the three orbits alone."""
@@ -891,6 +913,28 @@ class TestFailureContract:
         assert err.splitlines() == ["restricted Hessian is singular; pass the "
                                     "normal-space basis of the minimum manifold "
                                     "as `subspace`"]
+
+    def test_linear_net_above_dense_limit(self, tmp_path):
+        """Continuation on a linear net above the dense-Hessian limit (dim
+        600) runs on the normal slice and exits 0, no traceback."""
+        cfg = {"model": {"kind": "two_layer_linear", "hidden": 20, "rank": 3,
+                         "dataset": {"seed": 11, "n": 200, "d_in": 20, "d_out": 10,
+                                     "teacher_spectrum": [2.0, 1.0, 0.5]}},
+               "etas": [0.502, 0.51], "modes": ["continuation"]}
+        assert numerics.DENSE_DIM_LIMIT < 20 * (20 + 10)
+        out = tmp_path / "out"
+        src = str(Path(edge_lab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "edge_lab.cli", "bifurcate", "--config",
+             _write_config(tmp_path / "c.json", cfg), "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["eta_c"] == pytest.approx(0.5, abs=1e-10)
+        assert summary["quartic_u"] == pytest.approx(-4.0, abs=1e-4)
+        assert _csv_rows(out / "branch.csv")[0][0] == "0.502"
 
     def test_bad_second_model_reported_at_second_model(self, tmp_path, capsys):
         """A second model its constructor rejects is a config error at

@@ -228,6 +228,35 @@ class TestNewton:
         with pytest.raises(SingularJacobianError):
             newton_solve(F, J, np.zeros(2))
 
+    @pytest.mark.parametrize("J", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]],
+                                   [[1.0, 0.0], [0.0, 1e-13]]],
+                             ids=["rank-one", "zero", "condition-1e13"])
+    def test_symmetric_singular_jacobian(self, J):
+        J = np.array(J)
+        with pytest.raises(SingularJacobianError):
+            newton_solve(lambda v: J @ v - 1.0, lambda v: J, np.zeros(2))
+
+    def test_symmetric_condition_number_matches_cond(self):
+        """On symmetric matrices, max|lambda| / min|lambda| is the 2-norm
+        condition number np.linalg.cond takes from the singular values.
+        Both come from backward-stable decompositions, each exact for a
+        matrix within about n eps ||A|| of A, which moves max and min by at
+        most that much each: the two agree to 4 n eps kappa relative."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            kappa = 10.0 ** rng.uniform(0.0, 8.0)
+            lam = np.exp(rng.uniform(0.0, math.log(kappa), n)) * rng.choice([-1.0, 1.0], n)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            A = (Q * lam) @ Q.T
+            A = (A + A.T) / 2.0
+            want = np.linalg.cond(A)
+            assert numerics._condition_number(A) == pytest.approx(
+                want, rel=4 * n * MACHINE_EPS * want)
+        assert numerics._condition_number(np.diag([2.0, -1.0, 0.0])) == math.inf
+        assert numerics._condition_number(np.zeros((3, 3))) == math.inf
+        assert numerics._condition_number(np.array([[math.inf, 1.0], [1.0, 2.0]])) == math.inf
+
     def test_nonconvergence_reports_history(self):
         # Gradient pathologically scaled so Newton cannot reach tol in 3 steps.
         with pytest.raises(NonConvergenceError) as info:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from edge_lab import trajectory
 from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset)
 from edge_lab.trajectory import (ITERATE_DIVERGENCE, LOSS_DIVERGENCE,
@@ -23,6 +24,26 @@ def _replay(model, w0, eta, n, noise=None):
         g = model.gradient(x) if noise is None else model.gradient(x) + noise[k]
         x = x + -eta * g
     return x
+
+
+def _fast_path_bound(dim):
+    """The |entry| below which ``_diverged`` may skip the row norms:
+    C (1 - (dim + 5) u) / sqrt(dim), C = ITERATE_DIVERGENCE and u = 2^-53,
+    as derived in ``trajectory._norm_free_bound``."""
+    return ITERATE_DIVERGENCE * (1.0 - (dim + 5) * 2.0 ** -53) / math.sqrt(dim)
+
+
+def _bound_cases():
+    """(loss, row, diverged) with the row's largest |entry| one ulp below,
+    at and one ulp above the fast-path bound: every entry at that value
+    (the largest norm the bound admits), and one negated entry with the
+    rest 0. No such norm reaches the limit."""
+    cases = []
+    for dim in (1, 2, 180, 533):
+        b = _fast_path_bound(dim)
+        for m in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
+            cases += [(0.5, [m] * dim, False), (0.5, [-m] + [0.0] * (dim - 1), False)]
+    return cases
 
 
 def _assert_rows(log, dim):
@@ -155,10 +176,26 @@ class TestTruncation:
         (math.nextafter(LOSS_DIVERGENCE, math.inf), [1.0], True),
         (0.5, [ITERATE_DIVERGENCE, 0.0], False),
         (0.5, [math.nextafter(ITERATE_DIVERGENCE, math.inf), 0.0], True),
+        *_bound_cases(),
     ])
-    def test_divergence_verdict(self, loss, w, diverged):
+    def test_divergence_verdict(self, loss, w, diverged, monkeypatch):
+        """The verdict is the per-row path's, and the row norms are skipped
+        exactly when every entry is finite and below the fast-path bound."""
+        losses, W = np.array([loss]), np.array([w])
+        row_norms, calls = trajectory._row_norms, []
+        monkeypatch.setattr(trajectory, "_row_norms",
+                            lambda W: calls.append(1) or row_norms(W))
         with np.errstate(over="ignore"):     # the overflowing norm warns
-            assert _diverged(np.array([loss]), np.array([w])).tolist() == [diverged]
+            per_row = ~((losses > -math.inf) & (losses <= LOSS_DIVERGENCE)
+                        & (row_norms(W) <= ITERATE_DIVERGENCE))
+            assert _diverged(losses, W).tolist() == per_row.tolist() == [diverged]
+        fast = bool(np.all(np.isfinite(W))) and np.abs(W).max() < _fast_path_bound(len(w))
+        assert len(calls) == (0 if fast else 1)
+
+    def test_empty_stacks(self):
+        assert _diverged(np.empty(0), np.empty((0, 3))).tolist() == []
+        losses = np.array([0.5, math.nan])
+        assert _diverged(losses, np.empty((2, 0))).tolist() == [False, True]
 
     def test_stack_verdict_is_each_row_alone(self):
         """Each row of a stack gets the verdict it gets alone."""
