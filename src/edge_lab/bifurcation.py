@@ -15,15 +15,13 @@ dynamics in the full space.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .loss_models import LossModel
-from .numerics import (NonConvergenceError, SingularJacobianError, fd_step,
-                       newton_solve)
+from .numerics import NonConvergenceError, SingularJacobianError, newton_solve
 from .trajectory import _diverged
 
 __all__ = [
@@ -275,50 +273,23 @@ def period_two_solve(model: LossModel, w_bar: Array, eta: float, a0: Array,
                        raw_residual=raw, raw_ok=raw_ok)
 
 
-def _grad_second_diff(sl: _Slice, u_red: Array, h: float) -> Array:
-    gp = sl.gradient(h * u_red)
-    g0 = sl.gradient(np.zeros(sl.n))
-    gm = sl.gradient(-h * u_red)
-    return (gp - 2.0 * g0 + gm) / (h * h)
-
-
-def _value_fourth_diff(sl: _Slice, u_red: Array, h: float) -> float:
-    vals = [sl.value(t * h * u_red) for t in (-2, -1, 0, 1, 2)]
-    return (vals[0] - 4 * vals[1] + 6 * vals[2] - 4 * vals[3] + vals[4]) / h ** 4
-
-
 def quartic_coefficient(model: LossModel, w_bar: Array, u: Array,
                         subspace: Array | None = None) -> float:
     """Quartic branching coefficient of the orbit profile along ``u``.
 
-    Combines the fourth directional derivative of the loss with the
-    center-map correction built from the second difference of the
-    gradient and the slice-restricted inverse Hessian:
-    (1/6) d4 - (1/2) <d3, H^{-1} d3>. Homogeneous of degree four in u.
-    Each finite-difference contraction is recomputed at half step as a
-    consistency check.
+    (1/6) d4 - (1/2) <d3, H^{-1} d3>: the fourth directional derivative
+    of the loss with the center-map correction, where d3 = D^3 L[u, u, .]
+    projected onto the slice and H is the slice Hessian. Both
+    contractions are the model's exact ``line_derivatives``, so a model
+    without them raises ``ValueError``. Homogeneous of degree four in u.
     """
     sl = _Slice(model, w_bar, subspace)
-    u_red = sl.to_reduced(np.atleast_1d(np.asarray(u, dtype=float)))
-    if subspace is not None:
-        back = sl.dir_to_full(u_red)
-        if float(np.linalg.norm(back - np.asarray(u, float))) > 1e-8 * (
-                1.0 + float(np.linalg.norm(u))):
-            raise ValueError("direction u must lie in the given subspace")
-    wnorm = float(np.linalg.norm(sl.w_bar))
-    h3, h4 = fd_step(3, wnorm), fd_step(4, wnorm)
-
-    d3 = _grad_second_diff(sl, u_red, h3)
-    d3_half = _grad_second_diff(sl, u_red, h3 / 2.0)
-    d4 = _value_fourth_diff(sl, u_red, h4)
-    d4_half = _value_fourth_diff(sl, u_red, h4 / 2.0)
-    scale3 = max(1.0, float(np.linalg.norm(d3_half)))
-    if float(np.linalg.norm(d3 - d3_half)) > 1e-3 * scale3:
-        warnings.warn("third-derivative contraction is step-size sensitive; "
-                      "treat the quartic coefficient with caution")
-    if abs(d4 - d4_half) > 1e-3 * max(1.0, abs(d4_half)):
-        warnings.warn("fourth-derivative stencil is step-size sensitive; "
-                      "treat the quartic coefficient with caution")
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u_slice = sl.dir_to_full(sl.to_reduced(u))
+    if float(np.linalg.norm(u_slice - u)) > 1e-8 * (1.0 + float(np.linalg.norm(u))):
+        raise ValueError("direction u must lie in the given subspace")
+    d3, d4 = model.line_derivatives(sl.w_bar, u_slice)
+    d3 = sl.to_reduced(d3)
 
     H = sl.hessian(np.zeros(sl.n))
     evals = np.linalg.eigvalsh(H)
@@ -327,8 +298,7 @@ def quartic_coefficient(model: LossModel, w_bar: Array, u: Array,
         raise SingularJacobianError(
             "restricted Hessian is singular; pass the normal-space basis of "
             "the minimum manifold as `subspace`")
-    y = np.linalg.solve(H, d3_half)
-    return float(d4_half / 6.0 - 0.5 * float(d3_half @ y))
+    return float(d4 / 6.0 - 0.5 * float(d3 @ np.linalg.solve(H, d3)))
 
 
 def critical_eta(model: LossModel, w_bar: Array,
@@ -413,30 +383,27 @@ def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
     return proj, kept, evaluated
 
 
-def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
-                 u: Array | None = None, subspace: Array | None = None,
-                 run_steps: int = 2000, run_offset: float = 1e-3,
-                 discard_frac: float = 0.8):
-    """Sweep the period-two branch over a step-size grid.
+def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str, u: Array,
+                 subspace: Array | None = None, run_steps: int = 2000,
+                 run_offset: float = 1e-3, discard_frac: float = 0.8,
+                 eta_c: float | None = None, Q_u: float | None = None):
+    """Sweep the period-two branch along ``u`` over a step-size grid.
 
-    Continuation mode solves each grid point seeded from the previous
-    (the first from the quadratic branch prediction), bisecting the eta
-    step once on failure before declaring the branch lost; returns
-    (list of BranchPoint, lost flag). Empirical mode runs the raw
-    dynamics from a small offset along ``u`` at every step size in
-    lockstep (so the model's ``value_and_grad`` must take point stacks),
-    discards the leading ``discard_frac`` of each run's steps and reports
-    half the peak-to-peak projection onto ``u``, flagging the runs that
-    diverged; returns (list of EmpiricalPoint, lost flag), the branch lost
-    when every run diverged.
+    Continuation mode follows the branch from the caller's normal form,
+    the critical step size ``eta_c`` and the quartic coefficient ``Q_u``
+    (``critical_eta`` and ``quartic_coefficient``), which it requires. It
+    seeds the first grid point from the branch prediction and every later
+    one from the previous orbit scaled by the predicted amplitude ratio,
+    bisecting the eta step once on failure before declaring the branch
+    lost; returns (list of BranchPoint, lost flag). Empirical mode runs
+    the raw dynamics from a small offset along ``u`` at every step size
+    in lockstep (so the model's ``value_and_grad`` must take point
+    stacks), discards the leading ``discard_frac`` of each run's steps and
+    reports half the peak-to-peak projection onto ``u``, flagging the runs
+    that diverged; returns (list of EmpiricalPoint, lost flag), the branch
+    lost when every run diverged.
     """
     etas = [float(e) for e in etas]
-    if u is None:
-        _, basis = critical_eta(model, w_bar, subspace)
-        if basis.shape[1] != 1:
-            raise ValueError("critical eigenspace is not one-dimensional; "
-                             "pass the branch direction u explicitly")
-        u = basis[:, 0]
     u = np.asarray(u, dtype=float)
     u = u / float(np.linalg.norm(u))
 
@@ -455,39 +422,36 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str,
 
     if mode != "continuation":
         raise ValueError("mode must be 'continuation' or 'empirical'")
+    if eta_c is None or Q_u is None:
+        raise ValueError("continuation needs the normal form: pass eta_c and Q_u")
 
-    eta_c, _ = critical_eta(model, w_bar, subspace)
-    Q_u = quartic_coefficient(model, w_bar, u, subspace)
-    points: list[BranchPoint] = []
-    prev_a = None
-    for eta in etas:
-        if prev_a is None:
-            exists, alpha_sq = branch_predict(eta, eta_c, Q_u)
-            if not exists:
-                return points, True
+    def solve(eta: float, prev: BranchPoint | None) -> BranchPoint | None:
+        """The nontrivial orbit at eta, or None; seeded at the predicted
+        amplitude, along ``u`` or along the previous orbit ``prev``."""
+        exists, alpha_sq = branch_predict(eta, eta_c, Q_u)
+        if not exists:
+            return None
+        if prev is None:
             seed = math.sqrt(alpha_sq) * u
         else:
-            seed = prev_a
+            seed = math.sqrt(alpha_sq / branch_predict(prev.eta, eta_c, Q_u)[1]) * prev.a
         try:
             bp = period_two_solve(model, w_bar, eta, seed, subspace=subspace)
         except (NonConvergenceError, SingularJacobianError):
-            bp = None
-        if bp is None or bp.trivial:
+            return None
+        return None if bp.trivial else bp
+
+    points: list[BranchPoint] = []
+    for eta in etas:
+        prev = points[-1] if points else None
+        bp = solve(eta, prev)
+        if bp is None and prev is not None:
             # One bisection of the eta step before giving up.
-            if points:
-                mid = 0.5 * (points[-1].eta + eta)
-                try:
-                    bp_mid = period_two_solve(model, w_bar, mid, points[-1].a,
-                                              subspace=subspace)
-                    if not bp_mid.trivial:
-                        bp = period_two_solve(model, w_bar, eta, bp_mid.a,
-                                              subspace=subspace)
-                except (NonConvergenceError, SingularJacobianError):
-                    bp = None
-            if bp is None or bp.trivial:
-                return points, True
+            mid = solve(0.5 * (prev.eta + eta), prev)
+            bp = None if mid is None else solve(eta, mid)
+        if bp is None:
+            return points, True
         points.append(bp)
-        prev_a = bp.a
     return points, False
 
 

@@ -495,7 +495,11 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
         Q_u = bifurcation.quartic_coefficient(model, w_bar, u, subspace)
 
     rows = []
-    summary = {"eta_c": eta_c, "quartic_u": Q_u, "exponents": {}}
+    # The branch lies where (2/eta - 2/eta_c) / Q_u > 0 (``branch_predict``);
+    # a zero Q_u predicts none.
+    side = "above" if Q_u < 0 else "below" if Q_u > 0 else None
+    summary = {"eta_c": eta_c, "quartic_u": Q_u, "branch_side": side,
+               "exponents": {}}
     etas = resolved["etas"]
     evaluations = []
     for mode in resolved["modes"]:
@@ -503,7 +507,7 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
             points, lost = bifurcation.branch_sweep(
                 model, w_bar, etas, mode, u=u, subspace=subspace,
                 run_steps=resolved["run_steps"], run_offset=resolved["run_offset"],
-                discard_frac=resolved["discard_frac"])
+                discard_frac=resolved["discard_frac"], eta_c=eta_c, Q_u=Q_u)
         fitted = []
         for p in points:
             resid = p.residual if isinstance(p, bifurcation.BranchPoint) else float("nan")

@@ -57,8 +57,12 @@ class LossModel:
     ``hessian_dense`` is one ``hvp`` call on the identity stack (for the
     MLP, one forward pass plus blocks of 32 directions) and is only
     available for dim <= 512; ``segment_curvature`` is the step profile
-    from one ``hvp`` per node. ``inf_value`` is a declared lower bound on
-    the loss over the region the bundled experiments visit (used by the
+    from one ``hvp`` per node. ``line_derivatives(w, u)`` returns the exact
+    contractions D^3 L(w)[u, u, .] and D^4 L(w)[u, u, u, u] of the normal
+    form; only models with closed-form line derivatives (the scalar
+    polynomial and the linear net) provide it, the others raise
+    ``ValueError``. ``inf_value`` is a declared lower bound on the loss
+    over the region the bundled experiments visit (used by the
     curvature-forcing bound); None means unknown.
     """
 
@@ -90,6 +94,10 @@ class LossModel:
                 f"(model has dim {self.dim})")
         H = self.hvp(np.asarray(w, dtype=float), np.eye(self.dim))
         return (H + H.T) / 2.0
+
+    def line_derivatives(self, w: Array, u: Array) -> tuple[Array, float]:
+        raise ValueError(f"{self.name} has no exact line derivatives for "
+                         f"the normal form")
 
     def segment_curvature(self, w: Array, d: Array, taus) -> Array:
         """Profile q(tau_i) = d^T H(w + tau_i d) d / ||d||^2 at each node.
@@ -176,6 +184,12 @@ class ScalarPolyModel(LossModel):
         x = float(np.asarray(w).reshape(()))
         return np.array([[self.second_derivative(x)]])
 
+    def line_derivatives(self, w, u):
+        x = float(np.asarray(w).reshape(()))
+        t = float(np.asarray(u).reshape(()))
+        return (np.array([self.third_derivative(x) * t * t]),
+                self.fourth_derivative(x) * t ** 4)
+
     def second_derivative(self, x: float) -> float:
         return self.lam + 2.0 * self.gamma * x + 3.0 * self.beta * x * x
 
@@ -237,6 +251,17 @@ class TwoLayerLinearModel(LossModel):
         dR = W2 @ V1 + V2 @ W1
         return self.pack(V2.swapaxes(-1, -2) @ R + W2.T @ dR,
                          dR @ W1.T + R @ V1.swapaxes(-1, -2))
+
+    def line_derivatives(self, w, u):
+        # (W2 + t V2)(W1 + t V1) = P0 + t P1 + t^2 P2, so L(w + t u) is a
+        # quartic in t: D^4 L[u^4] = 12 ||P2||^2, and D^3 L[u, u, .] is the
+        # gradient in w of D^2 L[u, u] = ||P1||^2 + 2 <P0 - M, P2>.
+        W1, W2 = self.unpack(w)
+        V1, V2 = self.unpack(u)
+        P1 = W2 @ V1 + V2 @ W1
+        P2 = V2 @ V1
+        d3 = 2.0 * self.pack(V2.T @ P1 + W2.T @ P2, P1 @ V1.T + P2 @ W1.T)
+        return d3, 12.0 * float(np.sum(P2 * P2))
 
 
 def _rank_from_singular_values(s: Array, rank: int | None) -> int:

@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
 Gauss-Legendre rules on [0, 1], bracketed root finding, damped Newton
-solves, dense symmetric eigenvalues, iterative largest-eigenvalue
-estimation from Hessian-vector products, and the default central
-finite-difference step. (The embedded G4/K9 Gauss-Kronrod pair that
-integrates curvature profiles is a fixed table in ``edge_metrics``.)
+solves, dense symmetric eigenvalues, and iterative largest-eigenvalue
+estimation from Hessian-vector products. (The embedded G4/K9
+Gauss-Kronrod pair that integrates curvature profiles is a fixed table
+in ``edge_metrics``.)
 
 Every kernel here is numpy-only: ``brent_root`` is a port of scipy's
 ``brentq`` and ``lambda_max_iter`` runs its own Lanczos iteration, so
@@ -31,7 +31,6 @@ __all__ = [
     "newton_solve",
     "dense_eigvalsh",
     "lambda_max_iter",
-    "fd_step",
     "BracketError",
     "EvaluationError",
     "NonConvergenceError",
@@ -322,12 +321,3 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     raise NonConvergenceError(
         f"lambda_max_iter: not converged to tol {tol:g} within "
         f"{LANCZOS_MAX_VECTORS} Lanczos vectors")
-
-
-def fd_step(order: int, w_norm: float = 0.0) -> float:
-    """Default central-difference step balancing truncation and rounding."""
-    if order in (1, 2):
-        return MACHINE_EPS ** (1.0 / 3.0) * (1.0 + w_norm)
-    if order in (3, 4):
-        return MACHINE_EPS ** (1.0 / 5.0) * (1.0 + w_norm)
-    raise ValueError("derivative order must be in {1, 2, 3, 4}")

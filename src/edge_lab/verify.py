@@ -228,8 +228,11 @@ def _check_scalar_pitchfork():
     """Continuation amplitude matches sqrt(1 - 2/eta); exponent 0.5 +- 0.02."""
     quartic = loss_models.make_scalar_poly(1.0, 0.0, -1.0)
     etas = 2.0 + np.logspace(math.log10(0.002), math.log10(0.2), 12)
-    points, lost = bifurcation.branch_sweep(quartic, np.array([0.0]), etas,
-                                            "continuation", u=np.array([1.0]))
+    w_bar, u = np.array([0.0]), np.array([1.0])
+    eta_c, _ = bifurcation.critical_eta(quartic, w_bar)
+    Q_u = bifurcation.quartic_coefficient(quartic, w_bar, u)
+    points, lost = bifurcation.branch_sweep(quartic, w_bar, etas, "continuation",
+                                            u=u, eta_c=eta_c, Q_u=Q_u)
     amps = np.array([p.amplitude for p in points])
     exact = np.sqrt(1.0 - 2.0 / etas)
     rel = float(np.max(np.abs(amps - exact) / exact))

@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from edge_lab import bifurcation as bf
+from edge_lab import cli
 from edge_lab.loss_models import (ScalarPolyModel, TwoLayerLinearModel,
                                   balanced_minimizer, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset,
                                   make_two_layer_linear)
-from edge_lab.numerics import (MACHINE_EPS, SingularJacobianError, dense_eigvalsh,
-                               fd_step)
+from edge_lab.numerics import MACHINE_EPS, SingularJacobianError, dense_eigvalsh
 from edge_lab.trajectory import run_gd
 
 
 QUARTIC = make_scalar_poly(1.0, 0.0, -1.0)    # soft quartic: branch above 2
 CUBIC = make_scalar_poly(1.0, 1.0, 0.0)       # asymmetric basin at 0
 HARDENING = make_scalar_poly(1.0, 0.0, 1.0)   # branch below the threshold
+
+# The soft quartic's exact normal form: eta_c = 2 / lam, Q_u = beta.
+QUARTIC_NORMAL_FORM = {"eta_c": 2.0, "Q_u": -1.0}
+
+# Central-difference step balancing truncation and rounding at unit scale.
+FD_STEP = MACHINE_EPS ** (1.0 / 3.0)
 
 
 def _linear_net():
@@ -36,6 +42,26 @@ def _wide_linear_net():
     w_bar, geom = balanced_minimizer((U * [2.0, 1.0, 0.5]) @ V.T, 6, rank=3)
     S, _ = geom.normal_basis()
     return w_bar, geom, S
+
+
+def _benchmark_net(seed=0):
+    """The ``bifurcate`` benchmark's net, built as the command builds it:
+    hidden width 6 on the rank-3 least-squares target of dataset seed
+    11 + seed (dim 180, 81 normal directions)."""
+    res = cli._resolve_bifurcate({"model": {
+        "kind": "two_layer_linear", "hidden": 6, "rank": 3,
+        "dataset": {"seed": 11 + seed, "n": 200, "d_in": 20, "d_out": 10,
+                    "teacher_spectrum": [2.0, 1.0, 0.5]}},
+        "etas": [0.51]})["model"]
+    w_bar, geom = balanced_minimizer(cli._linear_target(res), 6, rank=3)
+    S, _ = geom.normal_basis()
+    return w_bar, geom, S
+
+
+def _normal_form(model, w_bar, u, S=None):
+    """The sweep's normal-form arguments, as ``bifurcate`` computes them."""
+    return {"eta_c": bf.critical_eta(model, w_bar, S)[0],
+            "Q_u": bf.quartic_coefficient(model, w_bar, u, S)}
 
 
 def _gamma(k):
@@ -72,7 +98,7 @@ class TestEdgeCoupling:
         coupling = bf.EdgeCoupling(0.5, model, np.zeros(2))
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(2), rng.standard_normal(2)
-        h = fd_step(1)
+        h = FD_STEP
         fd = np.zeros(4)
         for i in range(4):
             e = h * np.eye(4)[i]
@@ -86,7 +112,7 @@ class TestEdgeCoupling:
         coupling = bf.EdgeCoupling(0.55, geom.model, w_bar, S)
         rng = np.random.default_rng(2)
         z = 0.1 * rng.standard_normal(2 * S.shape[1])
-        n, h = S.shape[1], fd_step(1)
+        n, h = S.shape[1], FD_STEP
 
         def residuals(zz):
             return np.concatenate(coupling.step_residuals(zz[:n], zz[n:]))
@@ -215,32 +241,116 @@ class TestPeriodTwoSolve:
 
 
 class TestQuarticCoefficient:
+    """The scalar models' contractions are exact in binary floating point
+    (small integers times powers of two), so Q_u is too."""
+
     def test_soft_quartic(self):
         Q = bf.quartic_coefficient(QUARTIC, np.array([0.0]), np.array([1.0]))
-        assert Q == pytest.approx(-1.0, abs=1e-7)
+        assert Q == -1.0
 
     def test_cubic_correction(self):
         # pure cubic model: (1/6)*0 - (1/2)*(d3)^2/lam = -2 for d3=2, lam=1
         Q = bf.quartic_coefficient(CUBIC, np.array([0.0]), np.array([1.0]))
-        assert Q == pytest.approx(-2.0, abs=1e-6)
+        assert Q == -2.0
 
     def test_homogeneity_degree_four(self):
         for model, expected in ((QUARTIC, -1.0), (CUBIC, -2.0)):
-            base = bf.quartic_coefficient(model, np.array([0.0]), np.array([1.0]))
-            for t in (0.5, 2.0):
+            for t in (0.5, 1.0, 2.0):
                 scaled = bf.quartic_coefficient(model, np.array([0.0]),
                                                 np.array([t]))
-                assert scaled == pytest.approx(t ** 4 * base, rel=1e-6)
+                assert scaled == t ** 4 * expected
 
     def test_linear_net_sharp_direction(self):
         w_bar, geom, S = _linear_net()
         Q = bf.quartic_coefficient(geom.model, w_bar, geom.sharp_direction(), S)
         assert Q == pytest.approx(-4.0, abs=1e-4)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_net_within_rounding_of_minus_four(self, seed):
+        """On the ``bifurcate`` benchmark's net the sharp mode decouples: d4 = 3, d3 = 3 sqrt(2 sigma_1) u_c and
+        H u_c = 2 sigma_1 u_c, so Q_u = 1/2 - 9/2 = -4 for every sigma_1.
+
+        To first order Q = d4/6 - (1/2) d3^T H^{-1} d3 moves by
+        |dd4|/6 + |y|^T |dd3| + (1/2) |y|^T |dH| |y| with y = H^{-1} d3.
+        Each computed contraction is within eps = gamma(N) of its value
+        times the absolute-value contraction D4, D3 = |S|^T d3hat or
+        B = |S|^T Hhat |S| of ``_absolute``: N = K + dim + n + max(p, d)
+        chains the model's kernels (K), the projection onto the slice
+        (dim), the solve on the n slice coordinates and the products with
+        the SVD frames that build w_bar, S and u_c (max(p, d)). The
+        computed w_bar leaves a residual R = W2 W1 - M of norm
+        rho = sqrt(2 L(w_bar)), which adds R-terms of norm at most
+        sqrt(2) rho to the Hessian. The bound doubles the first-order sum
+        to cover the second-order terms."""
+        w_bar, geom, S = _benchmark_net(seed)
+        model, u = geom.model, geom.sharp_direction()
+        Q = bf.quartic_coefficient(model, w_bar, u, S)
+
+        H = bf._Slice(model, w_bar, S).hessian(np.zeros(S.shape[1]))
+        y = np.abs(np.linalg.solve(H, S.T @ model.line_derivatives(w_bar, u)[0]))
+        abs_model, K = _absolute(model)
+        D3, D4 = abs_model.line_derivatives(np.abs(w_bar), np.abs(u))
+        B = abs_model.hvp(np.abs(w_bar), np.abs(S).T) @ np.abs(S)
+        eps = _gamma(K + model.dim + S.shape[1] + max(model.p, model.d))
+        rho = math.sqrt(2.0 * model.value(w_bar))
+        first_order = (eps * (D4 / 6.0 + y @ (np.abs(S).T @ D3) + 0.5 * y @ B @ y)
+                       + 0.5 * math.sqrt(2.0) * rho * float(y @ y))
+        assert abs(Q + 4.0) <= 2.0 * first_order
+
     def test_singular_hessian_needs_subspace(self):
         w_bar, geom, _ = _linear_net()
         with pytest.raises(SingularJacobianError, match="subspace"):
             bf.quartic_coefficient(geom.model, w_bar, geom.sharp_direction())
+
+    def test_mlp_has_no_exact_coefficient(self):
+        """An MLP has no closed-form line derivatives: an error, no estimate."""
+        model = make_mlp([3, 4, 2], "tanh", make_synthetic_dataset(0, 12, 3, 2))
+        w = model.init_params(seed=1)
+        u = np.ones(model.dim) / math.sqrt(model.dim)
+        with pytest.raises(ValueError, match="mlp.*no exact line derivatives"):
+            bf.quartic_coefficient(model, w, u)
+
+
+class TestLineDerivatives:
+    """The linear net's L(w + t u) is a quartic in t, so hvp(w + t u, u) is
+    quadratic and u^T H(w + t u) u a quadratic in t: the central difference
+    of the first and the second difference of the second give
+    D^3 L[u, u, .] and D^4 L[u, u, u, u] exactly, up to rounding."""
+
+    @pytest.mark.parametrize("net", [_linear_net, _wide_linear_net],
+                             ids=["dim-8", "dim-180"])
+    def test_match_differences_of_hvp(self, net):
+        """At w_bar and off it, along the sharp direction and a random one.
+
+        Each hvp at x = w +- h u is within gamma(K + 1) A of exact, with
+        A = hvphat(|w| + h |u|, |u|) of ``_absolute`` (the extra rounding
+        forms x), and u^T of it within gamma(K + dim + 1) |u|^T A. With the
+        difference and the division (two more roundings), the central
+        difference is within gamma(K + 3) A / h and the second difference
+        within 4 gamma(K + dim + 3) |u|^T A / h^2. ``line_derivatives``
+        itself is within gamma(K + dim) of its absolute-value contraction
+        (its chains are shorter than the slice projection's)."""
+        w_bar, geom, S = net()
+        model = geom.model
+        abs_model, K = _absolute(model)
+        rng = np.random.default_rng(3)
+        h, dim = 0.5, model.dim
+        off = w_bar + 0.1 * S @ rng.standard_normal(S.shape[1])
+        random = rng.standard_normal(dim)
+        for w in (w_bar, off):
+            for u in (geom.sharp_direction(), random / np.linalg.norm(random)):
+                d3, d4 = model.line_derivatives(w, u)
+                D3, D4 = abs_model.line_derivatives(np.abs(w), np.abs(u))
+                A = abs_model.hvp(np.abs(w) + h * np.abs(u), np.abs(u))
+                central = (model.hvp(w + h * u, u) - model.hvp(w - h * u, u)) / (2 * h)
+                assert np.all(np.abs(d3 - central)
+                              <= _gamma(K + 3) * A / h + _gamma(K + dim) * D3)
+                q = [float(u @ model.hvp(w + t * u, u)) for t in (-h, 0.0, h)]
+                second = (q[0] - 2.0 * q[1] + q[2]) / (h * h)
+                assert abs(d4 - second) <= (
+                    4 * _gamma(K + dim + 3) * float(np.abs(u) @ A) / (h * h)
+                    + _gamma(K + dim) * D4)
+                assert abs(d4) > 1e-3 and float(np.linalg.norm(d3)) > 1e-3
 
 
 class TestSliceHessian:
@@ -394,12 +504,20 @@ class TestBranchPrediction:
 
 
 class TestBranchSweep:
+    def test_continuation_needs_normal_form(self):
+        """Continuation takes eta_c and Q_u from its caller and never
+        computes them itself."""
+        with pytest.raises(ValueError, match="pass eta_c and Q_u"):
+            bf.branch_sweep(QUARTIC, np.array([0.0]), [2.1], "continuation",
+                            u=np.array([1.0]), eta_c=2.0)
+
     def test_quartic_amplitude_law_near_threshold(self):
         """Within 5% of the critical step size the predicted amplitude is
         good to 2% relative."""
         etas = np.linspace(2.002, 2.1, 8)
         points, lost = bf.branch_sweep(QUARTIC, np.array([0.0]), etas,
-                                       "continuation", u=np.array([1.0]))
+                                       "continuation", u=np.array([1.0]),
+                                       **QUARTIC_NORMAL_FORM)
         assert not lost
         for eta, p in zip(etas, points):
             _, alpha_sq = bf.branch_predict(eta, 2.0, -1.0)
@@ -408,7 +526,8 @@ class TestBranchSweep:
     def test_quartic_exponent(self):
         etas = 2.0 + np.logspace(math.log10(0.002), math.log10(0.2), 12)
         points, _ = bf.branch_sweep(QUARTIC, np.array([0.0]), etas,
-                                    "continuation", u=np.array([1.0]))
+                                    "continuation", u=np.array([1.0]),
+                                    **QUARTIC_NORMAL_FORM)
         slope = bf.fit_scaling_exponent(etas, [p.amplitude for p in points], 2.0)
         assert abs(slope - 0.5) <= 0.02
 
@@ -424,7 +543,8 @@ class TestBranchSweep:
         emp, _ = bf.branch_sweep(QUARTIC, np.array([0.0]), etas, "empirical",
                                  u=np.array([1.0]), run_steps=4000)
         cont, _ = bf.branch_sweep(QUARTIC, np.array([0.0]), etas,
-                                  "continuation", u=np.array([1.0]))
+                                  "continuation", u=np.array([1.0]),
+                                  **QUARTIC_NORMAL_FORM)
         for e, c in zip(emp, cont):
             assert e.amplitude == pytest.approx(c.amplitude, rel=1e-6)
 
@@ -437,10 +557,26 @@ class TestBranchSweep:
         emp, _ = bf.branch_sweep(geom.model, w_bar, etas, "empirical",
                                  u=u_c, run_steps=4000)
         cont, lost = bf.branch_sweep(geom.model, w_bar, etas, "continuation",
-                                     u=u_c, subspace=S)
+                                     u=u_c, subspace=S,
+                                     **_normal_form(geom.model, w_bar, u_c, S))
         assert not lost
         for e, c in zip(emp, cont):
             assert e.amplitude == pytest.approx(c.amplitude, rel=0.05)
+
+    def test_coarse_grid_stays_on_branch(self):
+        """From eta 0.502 to 0.51 the amplitude more than doubles. Seeded
+        with the previous orbit scaled by the predicted amplitude ratio,
+        Newton lands on the orbit at 0.51, near the prediction
+        sqrt((2/0.51 - 4) / -4) = 0.14003; seeded with the previous orbit
+        as it is, it fell to the fixed point and lost the branch."""
+        w_bar, geom, S = _benchmark_net()
+        u = geom.sharp_direction()
+        points, lost = bf.branch_sweep(geom.model, w_bar, [0.502, 0.51],
+                                       "continuation", u=u, subspace=S,
+                                       **_normal_form(geom.model, w_bar, u, S))
+        assert not lost and len(points) == 2
+        assert all(p.raw_ok and not p.trivial for p in points)
+        assert points[1].amplitude == pytest.approx(0.1400, abs=1e-4)
 
     def test_width_invariant_branch(self):
         """Orbits at padded hidden widths carry identical amplitude and

@@ -263,6 +263,24 @@ class TestBifurcateCommand:
         lines = (out / "branch.csv").read_bytes().decode().strip().split("\r\n")
         assert len(lines) == 1  # header only
 
+    @pytest.mark.parametrize("beta, etas, side, quartic_u", [
+        (-1.0, [2.05, 2.1], "above", -1.0),
+        (1.0, [1.8, 1.9], "below", 1.0),
+    ], ids=["supercritical", "subcritical"])
+    def test_branch_side(self, tmp_path, beta, etas, side, quartic_u):
+        """The summary states on which side of eta_c the branch lies: above
+        it when Q_u < 0, below it when Q_u > 0; continuation finds the
+        orbits there."""
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "scalar_poly", "lam": 1.0, "beta": beta},
+               "etas": etas, "modes": ["continuation"], "out_dir": str(out)}
+        assert main(["bifurcate", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["branch_side"] == side
+        assert summary["quartic_u"] == quartic_u
+        assert summary["continuation_branch_lost"] is False
+        assert len(_csv_rows(out / "branch.csv")) == len(etas)
+
     def test_diverged_runs_leave_amp_empty(self, tmp_path):
         """The hardening scalar model diverges above eta_c = 2 after 790,
         108 and 34 steps: no run has an orbit, so every amp cell is empty,
