@@ -455,14 +455,23 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str, u: Array,
     return points, False
 
 
-def fit_scaling_exponent(etas, amplitudes, eta_c: float) -> float:
-    """Least-squares slope of log amplitude against log(eta - eta_c)."""
+def fit_scaling_exponent(etas, amplitudes, eta_c: float,
+                         side: str = "above") -> float:
+    """Least-squares slope of log amplitude against log|eta - eta_c|.
+
+    Fits the points on the branch's ``side`` of eta_c: "above" (eta >
+    eta_c, a supercritical branch) or "below" (eta < eta_c, a
+    subcritical one), as ``bifurcate``'s ``branch_side`` states it.
+    """
+    if side not in ("above", "below"):
+        raise ValueError(f"side must be 'above' or 'below', not {side!r}")
     etas = np.asarray(etas, dtype=float)
     amps = np.asarray(amplitudes, dtype=float)
-    mask = (etas > eta_c) & (amps > 0)
+    gap = etas - eta_c if side == "above" else eta_c - etas
+    mask = (gap > 0) & (amps > 0)
     if int(mask.sum()) < 2:
-        raise ValueError("need at least two points above the threshold")
-    x = np.log(etas[mask] - eta_c)
+        raise ValueError(f"need at least two points {side} the threshold")
+    x = np.log(gap[mask])
     y = np.log(amps[mask])
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)

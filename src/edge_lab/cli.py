@@ -13,9 +13,11 @@ Exit codes: 0 ok, 1 assertion failure, 2 config error, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -342,6 +344,15 @@ def _timed(wall: dict, phase: str):
         wall[phase] += time.perf_counter() - start
 
 
+def _reports(model, log, table, deltas) -> tuple[dict, dict]:
+    """The contents of a run's balance_report.json and summary.json."""
+    report = edge_metrics.edge_balance_report(model, log, table, deltas=deltas)
+    summary = trajectory.run_summary(log)
+    summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
+    summary["num_unsettled_steps"] = len(table.unsettled)
+    return report.to_dict(), summary
+
+
 def cmd_run(resolved: dict, out: Path) -> int:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
@@ -350,6 +361,7 @@ def cmd_run(resolved: dict, out: Path) -> int:
     _write_json(out / "resolved_config.json", resolved)
 
     wall = {"runner": 0.0, "curvature_table": 0.0, "reports": 0.0}
+    work = collections.Counter(localization_profile_nodes=0, lanczos_products=0)
     with _timed(wall, "runner"), _allocation("steps"):
         log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
     with _timed(wall, "reports"):
@@ -358,20 +370,17 @@ def cmd_run(resolved: dict, out: Path) -> int:
     with _timed(wall, "curvature_table"):
         table = edge_metrics.curvature_table(model, log, resolved["route"])
     with _timed(wall, "reports"):
-        report = edge_metrics.edge_balance_report(model, log, table,
-                                                  deltas=resolved["deltas"])
         edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
-                                       with_localization=resolved["localize"])
-        _write_json(out / "balance_report.json", report.to_dict())
-        summary = trajectory.run_summary(log)
-        summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
-        summary["num_unsettled_steps"] = len(table.unsettled)
+                                       with_localization=resolved["localize"],
+                                       work=work)
+        report, summary = _reports(model, log, table, resolved["deltas"])
+        _write_json(out / "balance_report.json", report)
         _write_json(out / "summary.json", summary)
     # Timings differ between identical runs, so they live in a file of
     # their own, which no check reads.
     _write_json(out / "timings.json", {
         "wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
-        "unsettled_steps": len(table.unsettled)})
+        "unsettled_steps": len(table.unsettled), **work})
     unsettled = _unsettled_exit(_steps(table.unsettled))
     return EXIT_DIVERGENCE if log.diverged else unsettled
 
@@ -519,7 +528,7 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
                 fitted.append(p)
         try:
             expo = bifurcation.fit_scaling_exponent(
-                [p.eta for p in fitted], [p.amplitude for p in fitted], eta_c)
+                [p.eta for p in fitted], [p.amplitude for p in fitted], eta_c, side)
         except ValueError:
             expo = None
         summary["exponents"][mode] = expo
@@ -650,6 +659,39 @@ def _without_nulls(cfg):
     return cfg
 
 
+def _mismatches(stored, replayed, path: str) -> list[str]:
+    """Paths at which two JSON values differ: same type and value, floats
+    bit for bit with NaN equal to NaN, dicts key by key, lists item by item."""
+    if isinstance(stored, dict) and isinstance(replayed, dict):
+        absent = object()
+        return [m for key in sorted(stored.keys() | replayed.keys())
+                for m in _mismatches(stored.get(key, absent),
+                                     replayed.get(key, absent), f"{path}.{key}")]
+    if isinstance(stored, list) and isinstance(replayed, list) \
+            and len(stored) == len(replayed):
+        return [m for i, (a, b) in enumerate(zip(stored, replayed))
+                for m in _mismatches(a, b, f"{path}[{i}]")]
+    if type(stored) is not type(replayed):
+        return [path]
+    if isinstance(stored, float):
+        same = (stored != stored and replayed != replayed) or (
+            stored == replayed
+            and math.copysign(1.0, stored) == math.copysign(1.0, replayed))
+        return [] if same else [path]
+    return [] if stored == replayed else [path]
+
+
+def _replayed_divergence(model, ws, eta: float, steps: int) -> tuple[bool, int | None]:
+    """(diverged, divergence_step) of a run whose log holds iterates
+    ``ws``, as ``run_gd`` decides them: a log shorter than ``steps`` ends
+    where the next step, taken again here, diverges."""
+    taken = len(ws) - 1
+    if taken == steps:
+        return False, None
+    tail = trajectory.run_gd(model, ws[-1], eta, 1)
+    return (True, taken + tail.divergence_step) if tail.diverged else (False, None)
+
+
 def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     """Re-check a finished run directory against its own model.
 
@@ -657,13 +699,16 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     the update consistency, and recomputes the telescoping balance from
     the quadrature-route curvature table of the logged iterates. The
     replayed log derives each step from its recomputed gradient, as the
-    run did, so the telescoping residual on the run's own ``route`` is
-    the run's bit for bit and must equal ``balance_report.json``'s
-    ``identity_residual`` exactly. Only ``resolved_config.json``, that
-    field and the loss, gradient-norm and iterate columns of
-    ``trajectory.csv`` are read; an edit to them breaks at least one of
-    these named identities, while the other outputs and the
-    ``step_norm`` column go unchecked.
+    run did, so the curvature table on the run's own ``route`` is the
+    run's bit for bit: its telescoping residual must equal
+    ``balance_report.json``'s ``identity_residual`` exactly, and the
+    whole of ``balance_report.json`` (with the run's ``deltas``) and
+    ``summary.json``, recomputed from the replayed log and table, must
+    equal the stored files field by field (``report_replay``). Besides
+    those two files, only ``resolved_config.json`` and the loss,
+    gradient-norm and iterate columns of ``trajectory.csv`` are read; an
+    edit to them breaks at least one of these named identities, while
+    ``metrics.csv`` and the ``step_norm`` column go unchecked.
     """
     t0 = time.perf_counter()
     path = str(run_dir / "resolved_config.json")
@@ -680,8 +725,10 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     if ws is None:
         _fail("include_w", "trajectory.csv has no iterate columns (rerun with "
               "include_w)")
-    reported = _load_config(str(run_dir / "balance_report.json"))
-    reported = reported.get("identity_residual") if isinstance(reported, dict) else None
+    stored_report = _load_config(str(run_dir / "balance_report.json"))
+    stored_summary = _load_config(str(run_dir / "summary.json"))
+    reported = (stored_report.get("identity_residual")
+                if isinstance(stored_report, dict) else None)
 
     values, grads = zip(*(model.value_and_grad(w) for w in ws))
     worst_loss = float(max(abs(v - l) / max(1.0, abs(l))
@@ -708,9 +755,10 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
         {"max_relative_error": worst_u, "tolerance": 1e-12}))
 
     t3 = time.perf_counter()
+    diverged, divergence_step = _replayed_divergence(model, ws, eta, resolved["steps"])
     log = trajectory.TrajectoryLog(
         eta=eta, model_id=model.name, losses=losses, grads=np.array(grads),
-        w_stored=ws)
+        w_stored=ws, diverged=diverged, divergence_step=divergence_step)
     table = edge_metrics.curvature_table(model, log)
     resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
     tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
@@ -721,11 +769,20 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     t4 = time.perf_counter()
     if resolved["route"] != table.route:
         table = edge_metrics.curvature_table(model, log, resolved["route"])
-        resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
+    # A JSON round trip gives the replayed reports the types they are read with.
+    report, summary = json.loads(json.dumps(_reports(model, log, table, resolved["deltas"])))
+    resid = report["identity_residual"]
     results.append(verify.CheckResult(
         "identity_residual_replay",
         isinstance(reported, float) and reported == resid, time.perf_counter() - t4,
         {"replayed": resid, "reported": reported, "route": table.route}))
+
+    t5 = time.perf_counter()
+    mismatched = (_mismatches(stored_report, report, "balance_report.json")
+                  + _mismatches(stored_summary, summary, "summary.json"))
+    results.append(verify.CheckResult(
+        "report_replay", not mismatched, time.perf_counter() - t5,
+        {"mismatched_fields": mismatched, "route": table.route}))
     return results
 
 

@@ -15,8 +15,10 @@ localization targets, the noisy balance, run-directory replay) reads
 its per-step rows. The quadrature route integrates each step's profile
 with the embedded G4/K9 Gauss-Kronrod pair, a fixed table of nodes and
 weights (``K9_NODES``, ``K9_WEIGHTS``, ``G4_WEIGHTS``), bisecting
-intervals until both averages settle; each row records the nodes it took, and steps
-that exhaust the interval budget are listed as unsettled.
+intervals until both averages settle; each row records the nodes it took and
+the profile values of its final intervals, and steps that exhaust the
+interval budget are listed as unsettled. ``localize`` brackets each
+average from those values.
 
 Curvature values carry inverse-step-size units (they are compared
 against the threshold 2/eta).
@@ -24,6 +26,8 @@ against the threshold 2/eta).
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +75,8 @@ class DegenerateStepError(ValueError):
 
 
 class LocalizationError(RuntimeError):
-    """The profile of a step neither crosses a target nor stays constant."""
+    """The known profile values of a step neither bracket a target nor
+    stay constant."""
 
 
 def _read_only(values) -> Array:
@@ -102,10 +107,6 @@ G4_WEIGHTS = _read_only([
 QUADRATURE_RTOL = 1e-9
 QUADRATURE_MAX_INTERVALS = 128
 
-# Cells of a localization grid whose nodes one segment_curvature call
-# evaluates before the scan looks for events again.
-LOCALIZE_CHUNK_CELLS = 16
-
 
 @dataclass(frozen=True)
 class CurvatureTable:
@@ -116,6 +117,14 @@ class CurvatureTable:
     values the row's quadrature took (0 on the loss route), and
     ``unsettled`` lists the steps whose quadrature hit the interval budget
     before it settled.
+
+    On the quadrature route the table keeps the K9 nodes of each row's
+    final intervals and the profile values there: row i's are
+    ``node_tau[node_start[i]:node_start[i + 1]]``, ascending and interior
+    to (0, 1), and ``node_q`` at the same places (``profile(i)``). The
+    row's rbar and rtilde are combinations of those values whose
+    coefficients are positive and sum to 1. On the loss route both
+    arrays are empty.
     """
 
     route: str                    # "quadrature" or "loss"
@@ -126,6 +135,16 @@ class CurvatureTable:
     nodes: NDArray[np.int64]
     skipped: list[int]
     unsettled: list[int]
+    node_start: NDArray[np.int64]
+    node_tau: Array
+    node_q: Array
+
+    def profile(self, i: int) -> tuple[Array, Array] | None:
+        """(nodes, profile values) of row i, None on the loss route."""
+        if self.route != "quadrature":
+            return None
+        lo, hi = self.node_start[i], self.node_start[i + 1]
+        return self.node_tau[lo:hi], self.node_q[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -168,25 +187,26 @@ def effective_curvature_from_loss(log: TrajectoryLog, k: int) -> float:
     return 2.0 * (dloss + nd ** 2 / log.eta) / nd ** 2
 
 
-def _intervals(model: LossModel, w: Array, d: Array, spans) -> list[tuple]:
-    """K9 sums over each (a, h) span [a, a + h] of the step, from one
-    ``segment_curvature`` call: per span (a, h, rbar part, rtilde part,
-    and the |K9 - G4| error of each part)."""
+def _intervals(profile, spans) -> list[tuple]:
+    """K9 sums over each (a, h) span [a, a + h] of the step, from one call
+    of the step's ``segment_profile``: per span (a, h, rbar part, rtilde
+    part, the |K9 - G4| error of each part, and the span's nodes and
+    profile values)."""
     ts = [a + h * K9_NODES for a, h in spans]
-    qs = model.segment_curvature(w, d, np.concatenate(ts)).reshape(len(spans), -1)
+    qs = profile(np.concatenate(ts)).reshape(len(spans), -1)
     out = []
     for (a, h), t, q in zip(spans, ts, qs):
         tri = 2.0 * (1.0 - t)
         kq, gq = h * K9_WEIGHTS * q, h * G4_WEIGHTS * q[1::2]
         rbar, rtilde = float(np.sum(kq)), float(np.dot(tri, kq))
         out.append((a, h, rbar, rtilde, abs(rbar - float(np.sum(gq))),
-                    abs(rtilde - float(np.dot(tri[1::2], gq)))))
+                    abs(rtilde - float(np.dot(tri[1::2], gq))), t, q))
     return out
 
 
-def _segment_averages(model: LossModel, w: Array,
-                      d: Array) -> tuple[float, float, int, bool]:
-    """(rbar, rtilde, profile nodes, settled) of one step.
+def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
+    """(rbar, rtilde, profile nodes, settled, final nodes, their values)
+    of one step.
 
     The profile is integrated by the embedded G4/K9 pair: rbar = sum w_i q_i
     and rtilde = sum 2 (1 - tau_i) w_i q_i from the K9 values, and
@@ -195,20 +215,24 @@ def _segment_averages(model: LossModel, w: Array,
     QUADRATURE_RTOL max(1, |total|). Otherwise the interval whose errors
     are the largest share of their tolerances (the leftmost on a tie) is
     bisected and both halves are evaluated, until the step holds
-    QUADRATURE_MAX_INTERVALS intervals; then it is unsettled.
+    QUADRATURE_MAX_INTERVALS intervals; then it is unsettled. The final
+    intervals' nodes ascend, and their K9 weights times the interval
+    widths are positive and sum to 1, as do those times 2 (1 - tau_i).
     """
-    parts = _intervals(model, w, d, [(0.0, 1.0)])
+    profile = model.segment_profile(w, d)
+    parts = _intervals(profile, [(0.0, 1.0)])
     while True:
-        rbar, rtilde, e_bar, e_tilde = (sum(col) for col in list(zip(*parts))[2:])
+        rbar, rtilde, e_bar, e_tilde = (sum(col) for col in list(zip(*parts))[2:6])
         tol_bar = QUADRATURE_RTOL * max(1.0, abs(rbar))
         tol_tilde = QUADRATURE_RTOL * max(1.0, abs(rtilde))
         settled = e_bar <= tol_bar and e_tilde <= tol_tilde
         if settled or len(parts) >= QUADRATURE_MAX_INTERVALS:
             nodes = len(K9_NODES) * (2 * len(parts) - 1)
-            return rbar, rtilde, nodes, settled
-        i = int(np.argmax([max(e_b / tol_bar, e_t / tol_tilde) for *_, e_b, e_t in parts]))
+            *_, taus, qs = zip(*parts)
+            return rbar, rtilde, nodes, settled, np.concatenate(taus), np.concatenate(qs)
+        i = int(np.argmax([max(p[4] / tol_bar, p[5] / tol_tilde) for p in parts]))
         a, h = parts[i][:2]
-        parts[i:i + 1] = _intervals(model, w, d, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
+        parts[i:i + 1] = _intervals(profile, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
 
 
 def curvature_table(model: LossModel, log: TrajectoryLog,
@@ -216,14 +240,18 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
     """Segment curvatures of every step of a run, in one pass.
 
     ``route="quadrature"`` integrates the directional curvature profile
-    adaptively (``_segment_averages``); ``route="loss"`` takes the exact
-    routes (gradient difference for rbar, loss change for rtilde).
+    adaptively (``_segment_averages``) and keeps each row's final nodes
+    and profile values; ``route="loss"`` takes the exact routes
+    (gradient difference for rbar, loss change for rtilde).
     Degenerate steps are skipped; their contribution to every weighted
     sum is below the rounding floor by construction.
     """
     if route not in ("quadrature", "loss"):
         raise ValueError("route must be 'quadrature' or 'loss'")
     ks, norms_sq, rbars, rtildes, nodes, skipped, unsettled = [], [], [], [], [], [], []
+    # Flat, growing buffers: one small array per row would cost about three
+    # times the memory of the values.
+    node_tau, node_q, node_start = array("d"), array("d"), array("q", [0])
     for k in range(log.num_steps):
         d = log.step(k)
         nd = float(np.linalg.norm(d))
@@ -231,9 +259,12 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
             skipped.append(k)
             continue
         if route == "quadrature":
-            rbar, rtilde, count, settled = _segment_averages(model, log.w(k), d)
+            rbar, rtilde, count, settled, taus, qs = _segment_averages(model, log.w(k), d)
             if not settled:
                 unsettled.append(k)
+            node_tau.frombytes(taus.tobytes())
+            node_q.frombytes(qs.tobytes())
+            node_start.append(len(node_tau))
         else:
             rbar = step_mean_curvature_exact(log, k)
             rtilde = effective_curvature_from_loss(log, k)
@@ -245,44 +276,55 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
         nodes.append(count)
     return CurvatureTable(route, np.array(ks, dtype=np.int64), np.array(norms_sq),
                           np.array(rbars), np.array(rtildes),
-                          np.array(nodes, dtype=np.int64), skipped, unsettled)
+                          np.array(nodes, dtype=np.int64), skipped, unsettled,
+                          np.frombuffer(node_start, dtype=np.int64),
+                          np.frombuffer(node_tau), np.frombuffer(node_q))
 
 
 def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
-             tol: float = 1e-10) -> list[LocalizationRecord]:
+             profile: tuple[Array, Array] | None = None, tol: float = 1e-10,
+             work: Counter | None = None) -> list[LocalizationRecord]:
     """Interior points of step k where the profile attains each target.
 
-    ``targets`` are segment averages of the step (rtilde and/or rbar
-    from ``curvature_table``); one record is returned per target. The
-    profile q(tau) is scanned left to right on a 64-cell grid, in chunks
-    of ``LOCALIZE_CHUNK_CELLS`` cells whose new nodes take one
-    ``segment_curvature`` call, shared by all targets. Once the values
-    seen so far span more than ``tol``, a target is decided at its
-    leftmost event among them: an interior node where q equals the
-    target exactly, or a sign change of q - target refined by Brent's
-    method, whichever lies further left. The scan stops as soon as
-    every target is decided. Targets still undecided at the end of the
-    grid go on to a grid twice as fine, up to 1024 cells, scanned the
-    same way; a profile whose values on a whole grid span at most
-    ``tol`` returns the conventional midpoint 0.5 as constant. A target
-    with no event on the 1024-cell grid raises LocalizationError.
+    ``profile`` holds profile values q_i at ascending interior nodes
+    tau_i, the step's row of a quadrature-route table
+    (``CurvatureTable.profile``); without one, as on the loss route, the
+    nine K9 nodes of [0, 1] are evaluated in one call. Each target is an
+    average of the step (rtilde and/or rbar of ``curvature_table``): a
+    combination of the q_i with positive coefficients summing to 1. So
+    q_i - target changes sign between two adjacent nodes or vanishes at
+    a node, unless every q_i lies within rounding of the target.
+
+    One record is returned per target. If the q_i span at most ``tol``
+    the profile counts as constant and every target gets the
+    conventional midpoint 0.5. Otherwise a target is decided at its
+    leftmost event: a node where q equals it exactly, or a sign change
+    between adjacent nodes refined by Brent's method, whichever lies
+    further left. A target the nodes do not bracket, one that is no such
+    average, raises LocalizationError naming the step. The step's
+    ``segment_profile`` evaluates each further tau once per call; the
+    number it evaluates is added to ``work["localization_profile_nodes"]``.
     """
     d, _ = _step(log, k)
-    w = log.w(k)
-    # Finer grids repeat the coarser nodes, and Brent re-evaluates its
-    # bracket ends and its root: evaluate each tau once per call.
-    memo: dict[float, float] = {}
+    step_profile = model.segment_profile(log.w(k), d)
+    if profile is None:
+        taus, qs = K9_NODES, step_profile(K9_NODES)
+    else:
+        taus, qs = profile
+    # Brent re-evaluates its bracket ends and the root is read back:
+    # evaluate each tau once per call.
+    memo = dict(zip(taus.tolist(), qs.tolist()))
+    known = len(memo) if profile is not None else 0
 
     def q(t: float) -> float:
         if t not in memo:
-            memo[t] = float(model.segment_curvature(w, d, (t,))[0])
+            memo[t] = float(step_profile((t,))[0])
         return memo[t]
 
-    def crossing(target, taus, qs):
-        """Record of ``target`` at its leftmost event on these nodes, else None."""
+    def event(target):
+        """Record of ``target`` at its leftmost event on the nodes, else None."""
         g = qs - target
         hits = np.nonzero(g == 0.0)[0]
-        hits = hits[(0.0 < taus[hits]) & (taus[hits] < 1.0)]
         changes = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
         if hits.size and not (changes.size and changes[0] < hits[0]):
             t0 = float(taus[hits[0]])
@@ -292,52 +334,47 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
         i = int(changes[0])
         root = brent_root(lambda t: q(t) - target,
                           float(taus[i]), float(taus[i + 1]), tol=1e-14)
-        root = min(max(root, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
         return LocalizationRecord(k, root, target, q(root), False)
 
-    records = [None] * len(targets)
-    cells = 64
-    while cells <= 1024 and None in records:
-        taus = np.linspace(0.0, 1.0, cells + 1)
-        grid = taus.tolist()
-        seen = 0
-        while seen < len(grid) and None in records:
-            chunk = grid[seen:seen + LOCALIZE_CHUNK_CELLS + (seen == 0)]
-            fresh = [t for t in chunk if t not in memo]
-            if fresh:
-                memo.update(zip(fresh, model.segment_curvature(w, d, fresh).tolist()))
-            seen += len(chunk)
-            qs = np.array([memo[t] for t in grid[:seen]])
-            flat = float(qs.max() - qs.min()) <= tol
-            if not flat:
-                records = [rec or crossing(target, taus[:seen], qs)
-                           for rec, target in zip(records, targets)]
-        if flat:    # the whole grid is within tol of constant
-            records = [rec or LocalizationRecord(k, 0.5, target, q(0.5), True)
-                       for rec, target in zip(records, targets)]
-        cells *= 2
+    if float(qs.max() - qs.min()) <= tol:
+        records = [LocalizationRecord(k, 0.5, target, q(0.5), True) for target in targets]
+    else:
+        records = [event(target) for target in targets]
+    if work is not None:
+        work["localization_profile_nodes"] += len(memo) - known
     if None in records:
         raise LocalizationError(
             f"no interior point found for step {k} "
-            f"(target {targets[records.index(None)]:g}) at grid 1024; "
-            "profile is neither constant nor crossing the target")
+            f"(target {targets[records.index(None)]:g}): its {len(taus)} "
+            "profile nodes neither bracket the target nor lie within "
+            f"{tol:g} of constant")
     return records
 
 
 def localized_sharpness(model: LossModel, log: TrajectoryLog,
-                        rec: LocalizationRecord) -> float:
+                        rec: LocalizationRecord,
+                        work: Counter | None = None) -> float:
     """Largest Hessian eigenvalue at the localized interior point.
 
     Dense eigenvalues for small models, otherwise Lanczos seeded
     with the step direction (so the estimate is at least the directional
-    curvature there) on one ``hvp_at`` operator for the point.
+    curvature there) on one ``hvp_at`` operator for the point. The
+    directions the operator applies, the symmetry spot-check's two
+    included, are added to ``work["lanczos_products"]``.
     """
     d = log.step(rec.k)
     w_pt = log.w(rec.k) + rec.point * d
     if model.dim <= 64:
         return float(dense_eigvalsh(model.hessian_dense(w_pt))[-1])
     u = d / float(np.linalg.norm(d))
-    return lambda_max_iter(model.hvp_at(w_pt), model.dim, v0=u)
+    op = model.hvp_at(w_pt)
+    if work is not None:
+        apply = op
+
+        def op(v):
+            work["lanczos_products"] += len(np.atleast_2d(v))
+            return apply(v)
+    return lambda_max_iter(op, model.dim, v0=u)
 
 
 @dataclass(frozen=True)
@@ -559,12 +596,15 @@ def sgd_balance_report(model: LossModel,
 
 
 def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTable,
-                      path, with_localization: bool = True) -> None:
+                      path, with_localization: bool = True,
+                      work: Counter | None = None) -> None:
     """Per-step metrics table.
 
     Columns: k, step_norm_sq, rbar, rtilde, xi, zeta, lambda_max_xi,
     delta_L, proxy, return_ratio. The curvatures are the rows of
-    ``table``, the run's ``curvature_table``. Fields that need records
+    ``table``, the run's ``curvature_table``, and each step is localized
+    from its row's profile values (``localize``); ``work`` tallies the
+    profile nodes and Lanczos products this takes. Fields that need records
     beyond the end of the run (or a localized point when localization
     is off) are left empty, as is every curvature field of a degenerate
     step. A Brent or Lanczos iteration of the localization that does not
@@ -586,8 +626,9 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
         xi = zeta = lam_xi = None
         if with_localization:
             try:
-                rec_t, rec_b = localize(model, log, k, (rtilde, rbar))
-                lam_xi = localized_sharpness(model, log, rec_t)
+                rec_t, rec_b = localize(model, log, k, (rtilde, rbar),
+                                        table.profile(i), work=work)
+                lam_xi = localized_sharpness(model, log, rec_t, work)
             except NonConvergenceError as exc:
                 raise NonConvergenceError(f"localization of step {k}: {exc}",
                                           exc.history) from exc

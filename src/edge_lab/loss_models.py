@@ -57,7 +57,11 @@ class LossModel:
     ``hessian_dense`` is one ``hvp`` call on the identity stack (for the
     MLP, one forward pass plus blocks of 32 directions) and is only
     available for dim <= 512; ``segment_curvature`` is the step profile
-    from one ``hvp`` per node. ``line_derivatives(w, u)`` returns the exact
+    from one ``hvp`` per node, and ``segment_profile(w, d)`` the operator
+    ``taus -> segment_curvature(w, d, taus)`` along one step, which a model
+    may override to set up the step once for many calls (the MLP does, so
+    localization's one-node calls share one setup).
+    ``line_derivatives(w, u)`` returns the exact
     contractions D^3 L(w)[u, u, .] and D^4 L(w)[u, u, u, u] of the normal
     form; only models with closed-form line derivatives (the scalar
     polynomial and the linear net) provide it, the others raise
@@ -106,6 +110,10 @@ class LossModel:
         """
         u = d / float(np.linalg.norm(d))
         return np.array([float(np.dot(u, self.hvp(w + t * d, u))) for t in taus])
+
+    def segment_profile(self, w: Array, d: Array):
+        """Operator ``taus -> segment_curvature(w, d, taus)`` along one step."""
+        return lambda taus: self.segment_curvature(w, d, taus)
 
 
 class QuadraticModel(LossModel):
@@ -727,6 +735,9 @@ class MlpModel(LossModel):
         return self._hvp_buffers
 
     def segment_curvature(self, w, d, taus):
+        return self.segment_profile(w, d)(taus)
+
+    def segment_profile(self, w, d):
         """Profile along the step by second-order forward (Taylor) mode.
 
         Along w + tau d each layer carries its pre-activation Z and the
@@ -734,12 +745,13 @@ class MlpModel(LossModel):
         is sum(Zd^2 + (Z - Y) Zdd) / n at the output, with no backward
         pass. Arrays are (unit, sample), which measured faster than
         (sample, unit) for the bundled widths. The first pre-activation
-        is affine in tau: its tangent is computed once per call, and its
-        value at each node by one multiply-add, with Zdd = 0.
+        is affine in tau: its tangent and its value at tau = 0 are
+        computed once per step, its value at each node by one
+        multiply-add, with Zdd = 0.
 
         Every later layer, of fan-in h, reads one stacked operand
-        S = [1; A; Ad; Add] of shape (1 + 3h, n), allocated once per call,
-        into which the activation's Taylor step writes A = phi(Z) and its
+        S = [1; A; Ad; Add] of shape (1 + 3h, n), into which the
+        activation's Taylor step writes A = phi(Z) and its
         tau-derivatives in place. With W_t = W + tau D and b_t = b + tau db
         (D, db the step's blocks), the layer is three GEMMs on row slices
         of S, which fold in the bias adds and the sums of tangent products:
@@ -748,50 +760,69 @@ class MlpModel(LossModel):
             Zd'  = [db | D | W_t]   S[0 : 1+2h]
             Zdd' = [2D | W_t]       S[1+h : 1+3h]
 
-        The left operands of every node are built before the node loop by
-        elementwise operations, which round each entry as for one node
-        alone; the nodes then run one at a time through the same buffers.
-        So a node's value does not depend on the other nodes of the call.
-        Batching the nodes along the sample axis measured slower.
+        Whatever does not depend on the nodes is built once, when the
+        operator is made: the unpacked blocks, the first layer's tangent,
+        [b | W], [db | D] and 2D, the S operands and the result buffers.
+        Each call builds the left operands of its nodes by elementwise
+        operations, which round each entry as for one node alone, then
+        runs the nodes one at a time through the same buffers. So a
+        node's value depends neither on the other nodes of its call nor
+        on earlier calls. Batching the nodes along the sample axis
+        measured slower. As with ``hvp_at``, the operators of one model
+        must not run in several threads at once.
         """
         params, tang = self.unpack(w), self.unpack(d)
         X, Y = self._inputs_t, self._targets_t
-        taus = np.asarray(taus, dtype=float)
-        m, n, ts = len(taus), X.shape[1], taus[:, None, None]
+        n = X.shape[1]
         (W, b), (D, db) = params[0], tang[0]
         Zd_first = D @ X + db[:, None]
-        Z_first = W @ X + b[:, None] + ts * Zd_first
-        # Per later layer: the views the Taylor step writes (A, Ad, Add of S,
-        # and a scratch), and (left operand per node, rows of S, result) of
-        # each of the three GEMMs.
+        Z_base = W @ X + b[:, None]
+        # Per later layer: [b | W], [db | D] and 2D, the views the Taylor
+        # step writes (A, Ad, Add of S, and a scratch), and (rows of S,
+        # result) of each of the three GEMMs.
         layers = []
         for (W, b), (D, db) in zip(params[1:], tang[1:]):
             out, h = W.shape
             S = np.empty((1 + 3 * h, n))
             S[0] = 1.0
-            tangent = np.concatenate([db[:, None], D], axis=1)
-            left0 = np.concatenate([b[:, None], W], axis=1) + ts * tangent
-            left1, left2 = np.empty((m, out, 1 + 2 * h)), np.empty((m, out, 2 * h))
-            left1[:, :, :1 + h] = tangent
-            left1[:, :, 1 + h:] = left2[:, :, h:] = left0[:, :, 1:]
-            left2[:, :, :h] = 2.0 * D
             Z, Zd, Zdd = np.empty((3, out, n))
-            layers.append(((S[1:1 + h], S[1 + h:1 + 2 * h], S[1 + 2 * h:],
+            layers.append((np.concatenate([b[:, None], W], axis=1),
+                           np.concatenate([db[:, None], D], axis=1), 2.0 * D,
+                           (S[1:1 + h], S[1 + h:1 + 2 * h], S[1 + 2 * h:],
                             np.empty((h, n))),
-                           ((left0, S[:1 + h], Z), (left1, S[:1 + 2 * h], Zd),
-                            (left2, S[1 + h:], Zdd))))
+                           ((S[:1 + h], Z), (S[:1 + 2 * h], Zd), (S[1 + h:], Zdd))))
         scale = self.dataset.n * float(np.linalg.norm(d)) ** 2
-        q = np.empty(m)
-        for i in range(m):
-            Z, Zd, Zdd = Z_first[i], Zd_first, None    # Zdd = 0 here
-            for taylor_out, gemms in layers:
-                self._taylor(Z, Zd, Zdd, *taylor_out)
-                Z, Zd, Zdd = [np.dot(left[i], rows, out=res) for left, rows, res in gemms]
-            curv = np.vdot(Zd, Zd)
-            if Zdd is not None:   # a single affine layer has no Zdd term
-                curv += np.vdot(np.subtract(Z, Y, out=Z), Zdd)
-            q[i] = curv / scale
-        return q
+
+        def profile(taus):
+            taus = np.asarray(taus, dtype=float)
+            m, ts = len(taus), taus[:, None, None]
+            Z_first = Z_base + ts * Zd_first
+            # Per later layer: the Taylor step's views, and (left operand
+            # per node, rows of S, result) of each of the three GEMMs.
+            steps = []
+            for base, tangent, twice_D, taylor_out, gemms in layers:
+                out, h = twice_D.shape
+                left0 = base + ts * tangent
+                left1, left2 = np.empty((m, out, 1 + 2 * h)), np.empty((m, out, 2 * h))
+                left1[:, :, :1 + h] = tangent
+                left1[:, :, 1 + h:] = left2[:, :, h:] = left0[:, :, 1:]
+                left2[:, :, :h] = twice_D
+                steps.append((taylor_out, [(left, *g) for left, g
+                                           in zip((left0, left1, left2), gemms)]))
+            q = np.empty(m)
+            for i in range(m):
+                Z, Zd, Zdd = Z_first[i], Zd_first, None    # Zdd = 0 here
+                for taylor_out, gemms in steps:
+                    self._taylor(Z, Zd, Zdd, *taylor_out)
+                    Z, Zd, Zdd = [np.dot(left[i], rows, out=res)
+                                  for left, rows, res in gemms]
+                curv = np.vdot(Zd, Zd)
+                if Zdd is not None:   # a single affine layer has no Zdd term
+                    curv += np.vdot(np.subtract(Z, Y, out=Z), Zdd)
+                q[i] = curv / scale
+            return q
+
+        return profile
 
 
 def make_quadratic(H, center=0.0) -> QuadraticModel:

@@ -50,11 +50,12 @@ class TestAcceptance:
         assert res.details["forcing_bound_everywhere"]
 
     def test_criterion_04_localization(self):
-        """Interior curvature points found at >= 95% of steps, sharpness
+        """Interior curvature points found at every step, sharpness
         dominates at all of them."""
         res = _run("localization")
         for name, entry in res.details.items():
-            assert entry["localized_fraction"] >= 0.95, name
+            assert entry["localized_fraction"] == 1.0, name
+            assert entry["failed_steps"] == {}, name
             assert entry["sharpness_bound_ok"], name
 
     def test_criterion_05_scalar_pitchfork(self):

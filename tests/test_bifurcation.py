@@ -531,6 +531,20 @@ class TestBranchSweep:
         slope = bf.fit_scaling_exponent(etas, [p.amplitude for p in points], 2.0)
         assert abs(slope - 0.5) <= 0.02
 
+    def test_exponent_on_the_stated_side(self):
+        """Amplitudes |eta - eta_c|^0.5 on each side fit 0.5 on that side
+        only; points on the other side are left out, and fewer than two
+        on the stated side, or a side that is neither, raise ValueError."""
+        gaps = np.array([0.004, 0.02, 0.1])
+        for side, sign in (("above", 1.0), ("below", -1.0)):
+            etas = np.concatenate([2.0 + sign * gaps, 2.0 - sign * gaps])
+            amps = np.concatenate([np.sqrt(gaps), [5.0, 1.0, 3.0]])
+            assert bf.fit_scaling_exponent(etas, amps, 2.0, side) == pytest.approx(0.5, abs=1e-12)
+            with pytest.raises(ValueError, match=side):
+                bf.fit_scaling_exponent(etas[[0, 3, 4]], amps[[0, 3, 4]], 2.0, side)
+        with pytest.raises(ValueError, match="side"):
+            bf.fit_scaling_exponent(2.0 + gaps, np.sqrt(gaps), 2.0, None)
+
     def test_empirical_below_threshold_collapses(self):
         etas = [1.7, 1.9]
         points, _ = bf.branch_sweep(QUARTIC, np.array([0.0]), etas, "empirical",

@@ -1,5 +1,6 @@
 """Config validation, output determinism, and the verify integrity checks."""
 
+import collections
 import copy
 import json
 import os
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edge_lab
-from edge_lab import bifurcation, edge_metrics as em, loss_models, numerics
-from edge_lab.cli import _RESOLVERS, ConfigError, main
+from edge_lab import bifurcation, cli, edge_metrics as em, loss_models, numerics
+from edge_lab.cli import _RESOLVERS, ConfigError, _mismatches, main
 from edge_lab.loss_models import make_mlp, make_quadratic, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
 from edge_lab.verify import telescoping_tolerance
@@ -171,6 +172,31 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["onset_step"] == 6
 
+    @pytest.mark.parametrize("route", ["quadrature", "loss"])
+    def test_localized_work_counts(self, tmp_path, route):
+        """timings.json counts the profile nodes localization evaluated and
+        the Lanczos products of its sharpness estimates (dim 98 > 64), as
+        ``write_metrics_csv`` tallies them; the loss route evaluates the
+        nine K9 nodes of each step itself."""
+        out = tmp_path / "out"
+        model_cfg = {"kind": "mlp", "widths": [3, 16, 2], "activation": "tanh",
+                     "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}}
+        cfg = {"model": model_cfg, "init": {"mode": "gaussian", "seed": 1},
+               "eta": 0.5, "steps": 4, "route": route, "localize": True,
+               "out_dir": str(out)}
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        model = cli._build_model(resolved["model"])
+        log = run_gd(model, model.init_params(seed=1), 0.5, 4)
+        work = collections.Counter()
+        em.write_metrics_csv(model, log, em.curvature_table(model, log, route),
+                             tmp_path / "m.csv", work=work)
+        assert (tmp_path / "m.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+        assert timings["localization_profile_nodes"] == work["localization_profile_nodes"]
+        assert timings["lanczos_products"] == work["lanczos_products"] > 4 * 2
+        assert work["localization_profile_nodes"] > (4 * 9 if route == "loss" else 0)
+
     def test_divergence_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = {
@@ -280,6 +306,19 @@ class TestBifurcateCommand:
         assert summary["quartic_u"] == quartic_u
         assert summary["continuation_branch_lost"] is False
         assert len(_csv_rows(out / "branch.csv")) == len(etas)
+
+    def test_subcritical_exponent(self, tmp_path):
+        """A subcritical branch (Q_u > 0) lies below eta_c = 2, and its
+        exponent is fitted against log(eta_c - eta) on that side."""
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "scalar_poly", "lam": 1, "beta": 1},
+               "etas": [1.8, 1.9, 1.95, 1.995], "modes": ["continuation"],
+               "out_dir": str(out)}
+        assert main(["bifurcate", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["branch_side"] == "below"
+        assert summary["continuation_branch_lost"] is False
+        assert summary["exponents"]["continuation"] == pytest.approx(0.5, abs=0.02)
 
     def test_diverged_runs_leave_amp_empty(self, tmp_path):
         """The hardening scalar model diverges above eta_c = 2 after 790,
@@ -475,7 +514,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("value", ["nextafter", "string", "absent"])
     def test_edited_identity_residual_detected(self, tmp_path, capsys, value):
         """An edit of balance_report.json's identity_residual, by one ulp,
-        to another type or away, fails exactly the replay check."""
+        to another type or away, fails exactly the two replay checks that
+        read it."""
         out = tmp_path / "run"
         main(["run", "--config", _write_config(tmp_path / "c.json", _quad_run_config(out))])
         path = out / "balance_report.json"
@@ -488,10 +528,58 @@ class TestVerifyCommand:
             del rep["identity_residual"]
         path.write_text(json.dumps(rep))
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
-        assert "FAILED: identity_residual_replay" in capsys.readouterr().err
+        assert "FAILED: identity_residual_replay, report_replay" in capsys.readouterr().err
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert [c["name"] for c in report["checks"] if not c["passed"]] == [
-            "identity_residual_replay"]
+            "identity_residual_replay", "report_replay"]
+        [replay] = [c for c in report["checks"] if c["name"] == "report_replay"]
+        assert replay["details"]["mismatched_fields"] == [
+            "balance_report.json.identity_residual"]
+
+    def test_tampered_reports_detected(self, tmp_path, capsys):
+        """weighted_mean set to 123 in balance_report.json and onset_step
+        to 7777 in summary.json: the replayed reports differ in exactly
+        those two fields, so report_replay fails and the command exits 1;
+        the untouched files replay bit for bit."""
+        out = tmp_path / "run"
+        cfg = {"model": {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
+                         "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
+               "init": {"mode": "gaussian", "seed": 1}, "eta": 0.5, "steps": 60,
+               "include_w": True, "deltas": [0.25, 1.0], "out_dir": str(out)}
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        for name, key, value in (("balance_report.json", "weighted_mean", 123),
+                                  ("summary.json", "onset_step", 7777)):
+            path = out / name
+            path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["FAILED: report_replay"]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        [replay] = [c for c in report["checks"] if c["name"] == "report_replay"]
+        assert replay["details"]["mismatched_fields"] == [
+            "balance_report.json.weighted_mean", "summary.json.onset_step"]
+
+    def test_diverged_run_replays(self, tmp_path):
+        """A run that diverged at step 5 keeps 4 steps; the replay takes
+        the fifth again to find the divergence its summary.json states."""
+        out = tmp_path / "run"
+        cfg = {"model": {"kind": "scalar_poly", "lam": 5.0},
+               "init": {"mode": "vector", "values": [1000.0]},
+               "eta": 1.0, "steps": 100, "include_w": True, "out_dir": str(out)}
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["divergence_step"] == 5 and summary["num_steps"] == 4
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+
+    def test_report_fields_compare_bit_for_bit(self):
+        """NaN equals NaN; 0.0 and -0.0, 1 and 1.0, a missing key or a
+        list of another length differ."""
+        nan = float("nan")
+        assert _mismatches({"a": nan, "b": [1, 2.5]}, {"a": nan, "b": [1, 2.5]}, "r") == []
+        assert _mismatches({"a": 0.0, "b": 1, "c": [1], "d": 2},
+                           {"a": -0.0, "b": 1.0, "c": [1, 2]}, "r") == [
+            "r.a", "r.b", "r.c", "r.d"]
 
     def test_corrupted_loss_detected(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -616,11 +704,15 @@ class TestUnsettledQuadrature:
 
     def test_timings_file(self, repro_run, tmp_path):
         """``run`` writes the wall seconds of its phases, the curvature
-        table's node total and the unsettled count to timings.json, which
-        ``verify --run-dir`` does not read."""
+        table's node total, the unsettled count and the localization's
+        work (none here) to timings.json, which ``verify --run-dir`` does
+        not read."""
         out, table = repro_run
         timings = json.loads((out / "timings.json").read_text())
-        assert sorted(timings) == ["curvature_table_nodes", "unsettled_steps", "wall_s"]
+        assert sorted(timings) == ["curvature_table_nodes", "lanczos_products",
+                                   "localization_profile_nodes", "unsettled_steps",
+                                   "wall_s"]
+        assert timings["lanczos_products"] == timings["localization_profile_nodes"] == 0
         assert sorted(timings["wall_s"]) == ["curvature_table", "reports", "runner"]
         assert all(isinstance(v, float) and v > 0 for v in timings["wall_s"].values())
         assert timings["curvature_table_nodes"] == int(table.nodes.sum()) > 9 * len(table.k)
@@ -880,8 +972,8 @@ class TestFailureContract:
     def test_localization_without_crossing(self, tmp_path, capsys, monkeypatch):
         """A profile above every target (the curvatures come from the loss
         route, so only localization reads the patched profile)."""
-        monkeypatch.setattr(loss_models.MlpModel, "segment_curvature",
-                            lambda self, w, d, taus: 1e6 + np.asarray(taus, float))
+        monkeypatch.setattr(loss_models.MlpModel, "segment_profile",
+                            lambda self, w, d: lambda taus: 1e6 + np.asarray(taus, float))
         line = self._localized_run_fails(tmp_path, capsys)
         assert line.startswith("no interior point found for step 0"), line
 

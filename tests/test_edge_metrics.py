@@ -1,11 +1,13 @@
 """Curvature routes, localization, balance reports, and the noisy balance."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from edge_lab import edge_metrics as em
+from edge_lab import verify
 from edge_lab.loss_models import (LossModel, MlpModel, make_mlp,
                                   make_quadratic, make_scalar_poly,
                                   make_synthetic_dataset,
@@ -15,24 +17,28 @@ from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
 
 
 class _CountingModel:
-    """Counts the profile nodes a wrapped model evaluates through
-    ``segment_curvature``, the nodes of each call, and records the points
-    they are made at."""
+    """Counts the profile nodes a wrapped model evaluates through its
+    ``segment_profile`` operators, the nodes of each call, and records
+    the points they are made at."""
 
     def __init__(self, model):
         self.model, self.calls, self.sizes, self.points = model, 0, [], []
 
-    def segment_curvature(self, w, d, taus):
-        self.calls += len(taus)
-        self.sizes.append(len(taus))
-        self.points.extend((w + t * d).tobytes() for t in taus)
-        return self.model.segment_curvature(w, d, taus)
+    def segment_profile(self, w, d):
+        profile = self.model.segment_profile(w, d)
+
+        def counted(taus):
+            self.calls += len(taus)
+            self.sizes.append(len(taus))
+            self.points.extend((w + t * d).tobytes() for t in taus)
+            return profile(taus)
+        return counted
 
 
 class _BumpModel(LossModel):
-    """1-D model with curvature x + exp(-((x - c) / s)^2): the bump is
-    centred midway between two nodes of the 64-cell grid on [0, 1] and
-    reads below 2e-7 at every one of them."""
+    """1-D model with curvature x + exp(-((x - c) / s)^2): a bump of
+    width 1/512 centred just right of 1/2, which the first K9 interval
+    barely sees."""
 
     dim = 1
     CENTER, WIDTH = 65 / 128, 1 / 512
@@ -73,12 +79,6 @@ def _unit_segment_log():
     return TrajectoryLog(eta=1.0, model_id="unit", losses=np.zeros(2),
                          grads=np.array([[-1.0], [0.0]]),
                          w_stored=np.array([[0.0], [1.0]]))
-
-
-def _grid_nodes(sizes) -> int:
-    """Nodes of the grid chunks among ``segment_curvature`` call sizes;
-    Brent's method evaluates one node per call."""
-    return sum(n for n in sizes if n > 1)
 
 
 @pytest.fixture(scope="module")
@@ -255,40 +255,50 @@ class TestProfileAndLocalization:
                                    np.polyval(poly, others), atol=1e-12)
 
     def test_localize_constant_profile_midpoint(self):
+        """The table's profile values span less than tol: the midpoint 0.5,
+        itself a node of the table's one K9 interval, so nothing is
+        evaluated; without the table, the nine K9 nodes are."""
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, 1.0]), 0.5, 5)
-        [rec] = em.localize(model, log, 0, (em.curvature_table(model, log).rtilde[0],))
-        assert rec.constant_profile and rec.point == 0.5
+        table = em.curvature_table(model, log)
+        for profile, evaluated in ((table.profile(0), 0), (None, 9)):
+            counted = _CountingModel(model)
+            [rec] = em.localize(counted, log, 0, (table.rtilde[0],), profile)
+            assert rec.constant_profile and rec.point == 0.5
+            assert counted.calls == evaluated
 
     def test_localize_linear_profile_closed_form(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 3)
         table = em.curvature_table(model, log)
-        xi, zeta = em.localize(model, log, 0, (table.rtilde[0], table.rbar[0]),
-                               tol=1e-12)
-        assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
-        assert zeta.point == pytest.approx(0.5, abs=1e-8)
-        assert abs(xi.q_at_point - xi.target) <= 1e-10
+        for profile in (table.profile(0), None):
+            xi, zeta = em.localize(model, log, 0, (table.rtilde[0], table.rbar[0]),
+                                   profile, tol=1e-12)
+            assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
+            assert zeta.point == pytest.approx(0.5, abs=1e-8)
+            assert abs(xi.q_at_point - xi.target) <= 1e-10
 
     def test_localized_sharpness_dominates(self, mlp_run):
         model, log = mlp_run
         table = em.curvature_table(model, log)
         for k in range(0, log.num_steps, 17):
-            [rec] = em.localize(model, log, k, (table.rtilde[k],))
+            [rec] = em.localize(model, log, k, (table.rtilde[k],), table.profile(k))
             lam = em.localized_sharpness(model, log, rec)
             assert lam >= rec.target - 1e-8
 
     def test_localized_sharpness_reuses_one_linearization(self, mlp_run, monkeypatch):
         """The Lanczos path (dim > 64) runs one forward pass for all its
-        products, and its estimate is the one from per-product hvp calls."""
+        products, and its estimate is the one from per-product hvp calls;
+        ``work`` counts every product, the symmetry spot-check's included."""
         model, log = mlp_run
         assert model.dim > 64
         rec = em.LocalizationRecord(k=5, point=0.4, target=0.0, q_at_point=0.0,
                                     constant_profile=False)
         d = log.step(5)
         w_pt = log.w(5) + 0.4 * d
-        per_call = lambda_max_iter(lambda v: model.hvp(w_pt, v), model.dim,
-                                   v0=d / np.linalg.norm(d))
+        products = []
+        per_call = lambda_max_iter(lambda v: products.append(1) or model.hvp(w_pt, v),
+                                   model.dim, v0=d / np.linalg.norm(d))
         calls = []
         forward = MlpModel._forward
 
@@ -297,138 +307,91 @@ class TestProfileAndLocalization:
             return forward(self, params, X)
 
         monkeypatch.setattr(MlpModel, "_forward", counting_forward)
-        assert em.localized_sharpness(model, log, rec) == per_call
+        work = Counter()
+        assert em.localized_sharpness(model, log, rec, work) == per_call
         assert len(calls) == 1
+        assert work == {"lanczos_products": len(products)} and len(products) > 2
 
     def test_two_targets_match_single_target_calls(self, mlp_run):
         model, log = mlp_run
         table = em.curvature_table(model, log)
         for k in range(0, log.num_steps, 23):
             targets = (table.rtilde[k], table.rbar[k])
-            single = [rec for t in targets for rec in em.localize(model, log, k, (t,))]
-            assert em.localize(model, log, k, targets) == single
-
-    def test_two_targets_share_the_grid(self, mlp_run):
-        """Both targets bracket on the 64-cell grid. The two-target scan
-        evaluates the longer of the two single-target grid prefixes, once:
-        the shorter prefix is what two separate calls compute twice."""
-        model, log = mlp_run
-        counted = _CountingModel(model)
-        table = em.curvature_table(model, log)
-        targets = (table.rtilde[0], table.rbar[0])
-        singles = []
-        for t in targets:
-            counted.sizes = []
-            em.localize(counted, log, 0, (t,))
-            singles.append(_grid_nodes(counted.sizes))
-        separate, counted.calls, counted.sizes = counted.calls, 0, []
-        em.localize(counted, log, 0, targets)
-        assert all(17 <= n <= 65 for n in singles)
-        assert _grid_nodes(counted.sizes) == max(singles)
-        assert separate - counted.calls == min(singles)
+            for profile in (table.profile(k), None):
+                single = [rec for t in targets
+                          for rec in em.localize(model, log, k, (t,), profile)]
+                assert em.localize(model, log, k, targets, profile) == single
 
     def test_each_tau_evaluated_once(self, mlp_run):
-        """Brent's bracket ends are grid nodes, Brent evaluates them
-        again, the root is read back, and a finer grid repeats the
-        coarser nodes: none of these is a second evaluation."""
+        """From the table's profile, localization evaluates only Brent's
+        points, one per call, none of them a table node (Brent's bracket
+        ends are) and none twice (the root is read back); without it, the
+        nine K9 nodes come first in one call. ``work`` counts them."""
         model, log = mlp_run
         table = em.curvature_table(model, log)
-        bump_log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
-                                 grads=np.array([[-1.0], [0.0]]),
-                                 w_stored=np.array([[0.0], [1.0]]))
-        for counted, lg, k, targets, grid in [
-                (_CountingModel(model), log, 5, (table.rtilde[5], table.rbar[5]), 17),
-                (_CountingModel(_BumpModel()), bump_log, 0, (1.2, 0.7), 65 + 8)]:
-            em.localize(counted, lg, k, targets)
-            assert _grid_nodes(counted.sizes) >= grid
-            assert counted.calls > _grid_nodes(counted.sizes)   # Brent ran
-            assert len(set(counted.points)) == counted.calls
-
-    def test_scan_stops_at_the_first_bracket(self, mlp_run):
-        """The grid is scanned left to right in 16-cell chunks and the
-        scan ends with the chunk where the last target is decided: the
-        nodes evaluated are a prefix of the 64-cell grid ending on a
-        chunk boundary, and on this run some steps decide both targets
-        before the grid ends."""
-        model, log = mlp_run
-        table = em.curvature_table(model, log)
-        prefixes = []
-        for k in range(0, log.num_steps, 7):
-            counted = _CountingModel(model)
-            em.localize(counted, log, k, (table.rtilde[k], table.rbar[k]))
-            grid_sizes = [n for n in counted.sizes if n > 1]
-            assert grid_sizes == [17, 16, 16, 16][:len(grid_sizes)]
-            prefixes.append(sum(grid_sizes))
-        assert max(prefixes) <= 65 and min(prefixes) < 65
+        for k in (0, 5, 60):
+            targets = (table.rtilde[k], table.rbar[k])
+            taus, _ = table.profile(k)
+            w, d = log.w(k), log.step(k)
+            table_points = {(w + t * d).tobytes() for t in taus}
+            for profile, sizes in ((table.profile(k), []), (None, [9])):
+                counted, work = _CountingModel(model), Counter()
+                em.localize(counted, log, k, targets, profile, work=work)
+                assert counted.sizes[:len(sizes)] == sizes
+                assert set(counted.sizes[len(sizes):]) == {1}
+                assert len(set(counted.points)) == counted.calls
+                assert work == {"localization_profile_nodes": counted.calls}
+                if profile is not None:
+                    assert not table_points & set(counted.points)
 
     def test_leftmost_event_wins(self):
-        """q(tau) = (tau - 0.125)(tau - 0.1) equals the target 0 exactly at
-        the node 0.125 and crosses it between the nodes 6/64 and 7/64, both
-        in the first chunk: the crossing lies further left, so it is the
-        point, and the scan ends after that chunk."""
-        model = _CurvatureModel(lambda x: (x - 0.125) * (x - 0.1))
-        counted = _CountingModel(model)
-        [rec] = em.localize(counted, _unit_segment_log(), 0, (0.0,))
-        assert rec.point == pytest.approx(0.1, abs=1e-12) and not rec.constant_profile
-        assert _grid_nodes(counted.sizes) == 17
+        """q(tau) = (tau - 0.125)(tau - 0.1) changes sign between the
+        nodes 0.05 and 0.11 and equals the target 0 exactly at the node
+        0.125: the leftmost of the two events is the point, the root 0.1
+        on the first node set, the node 0.125 on the second."""
+        curv = lambda x: (x - 0.125) * (x - 0.1)
+        model = _CurvatureModel(curv)
+        for taus, point in (([0.05, 0.11, 0.125, 0.3], 0.1),
+                            ([0.112, 0.125, 0.3], 0.125)):
+            taus = np.array(taus)
+            profile = (taus, np.array([curv(t) for t in taus]))
+            [rec] = em.localize(model, _unit_segment_log(), 0, (0.0,), profile)
+            assert rec.point == pytest.approx(point, abs=1e-12)
+            assert not rec.constant_profile
 
     def test_exact_interior_hit(self):
-        """q(tau) = tau - 0.5 equals the target at the node 0.5 exactly and
-        changes sign nowhere else: the node is the point, and q there is
-        the target."""
+        """q(tau) = tau - 0.5 equals the target at the K9 node 0.5 exactly
+        and changes sign nowhere else: the node is the point, and q there
+        is the target."""
         model = _CurvatureModel(lambda x: x - 0.5)
         [rec] = em.localize(model, _unit_segment_log(), 0, (0.0,))
         assert rec.point == 0.5 and rec.q_at_point == 0.0
 
-    def test_flat_prefix_waits_for_the_span(self):
-        """q varies by under tol on [0, 1/2] and rises after it. Its sign
-        change at tau = 0.1 is taken only once the values seen span more
-        than tol, in the third chunk; a scan deciding on the flat prefix
-        alone would call this a constant profile or decide earlier."""
-        model = _CurvatureModel(
-            lambda x: 1.0 + 1e-11 * (x - 0.1) + (max(x - 0.5, 0.0)))
-        counted = _CountingModel(model)
-        [rec] = em.localize(counted, _unit_segment_log(), 0, (1.0,), tol=1e-10)
-        assert rec.point == pytest.approx(0.1, abs=1e-4) and not rec.constant_profile
-        assert _grid_nodes(counted.sizes) == 49
-
-    def test_constant_profile_scans_the_whole_grid(self):
-        """A profile within tol of constant crosses the target at 0.1, but
-        only the whole grid shows it constant: the midpoint rule applies,
-        after all 65 nodes."""
-        model = _CurvatureModel(lambda x: 1.0 + 1e-11 * (x - 0.1))
-        counted = _CountingModel(model)
-        [rec] = em.localize(counted, _unit_segment_log(), 0, (1.0,), tol=1e-10)
-        assert rec.constant_profile and rec.point == 0.5
-        assert _grid_nodes(counted.sizes) == 65
-
-    def test_no_crossing_raises_localization_error(self):
-        """A profile that neither crosses the target nor stays constant
-        fails after the 1024-cell grid with LocalizationError, a
-        RuntimeError, naming the step."""
+    def test_unbracketed_target_raises_localization_error(self):
+        """A target above or below every profile value is no average of
+        them: LocalizationError, a RuntimeError, naming the step, after the
+        nine K9 nodes (one call) or none from given values."""
         model = _CurvatureModel(lambda x: 2.0 + x)
-        counted = _CountingModel(model)
-        with pytest.raises(em.LocalizationError, match="step 0") as info:
-            em.localize(counted, _unit_segment_log(), 0, (1.0,))
-        assert isinstance(info.value, RuntimeError)
-        assert counted.calls == 1025 and len(set(counted.points)) == 1025
+        taus = em.K9_NODES
+        for profile, evaluated in ((None, 9), ((taus, 2.0 + taus), 0)):
+            counted = _CountingModel(model)
+            with pytest.raises(em.LocalizationError, match="step 0") as info:
+                em.localize(counted, _unit_segment_log(), 0, (1.0,), profile)
+            assert isinstance(info.value, RuntimeError)
+            assert counted.sizes == ([evaluated] if evaluated else [])
 
-    def test_refinement_only_for_unbracketed_targets(self):
-        """q(tau) = tau + a bump no node of the 64-cell grid sees. The
-        target 1.2 is reached only inside the bump, so it is found on
-        the 128-cell grid; 0.7 is bracketed at tau = 0.7 on the coarse
-        grid and keeps that root, although the finer grid would first
-        bracket it on the bump's rising flank near tau = 0.5."""
-        model = _BumpModel()
-        log = TrajectoryLog(eta=1.0, model_id="bump", losses=np.zeros(2),
-                            grads=np.array([[-1.0], [0.0]]),
-                            w_stored=np.array([[0.0], [1.0]]))
-        bump, line = em.localize(model, log, 0, (1.2, 0.7))
-        assert 0.5 < bump.point < _BumpModel.CENTER
-        assert abs(bump.q_at_point - 1.2) <= 1e-9 and not bump.constant_profile
-        assert line.point == pytest.approx(0.7, abs=1e-12)
-        assert [bump, line] == (em.localize(model, log, 0, (1.2,))
-                                + em.localize(model, log, 0, (0.7,)))
+    def test_bundled_tables_bracket_both_targets(self):
+        """Both averages of every row of every bundled run's quadrature
+        table lie between its least and largest profile value (so adjacent
+        nodes bracket them), or the row is constant within 1e-10."""
+        for name, (model, log) in verify._bundle().items():
+            table = em.curvature_table(model, log)
+            for i in range(len(table.k)):
+                _, qs = table.profile(i)
+                if qs.max() - qs.min() <= 1e-10:
+                    continue
+                for target in (table.rtilde[i], table.rbar[i]):
+                    assert qs.min() <= target <= qs.max(), (name, int(table.k[i]))
 
 
 class TestBalanceReport:
@@ -551,11 +514,12 @@ class TestNearPeriodicityAndProxy:
 class TestEosOnset:
     def test_first_crossing(self):
         r = np.array([1.0, 2.0, 3.79, 3.81, 3.5])
+        no_profile = (np.zeros(1, dtype=np.int64), np.empty(0), np.empty(0))
         table = em.CurvatureTable("loss", np.arange(5), np.ones(5), r, r,
-                                  np.zeros(5, dtype=np.int64), [], [])
+                                  np.zeros(5, dtype=np.int64), [], [], *no_profile)
         assert em.eos_onset(table, 0.5) == 3
         short = em.CurvatureTable("loss", np.arange(2), np.ones(2), r[:2], r[:2],
-                                  np.zeros(2, dtype=np.int64), [], [])
+                                  np.zeros(2, dtype=np.int64), [], [], *no_profile)
         assert em.eos_onset(short, 0.5) is None
 
     def test_reports_trajectory_step_after_skipped_steps(self):
