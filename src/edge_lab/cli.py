@@ -17,8 +17,10 @@ import collections
 import contextlib
 import dataclasses
 import json
+import itertools
 import math
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -361,14 +363,15 @@ def cmd_run(resolved: dict, out: Path) -> int:
     _write_json(out / "resolved_config.json", resolved)
 
     wall = {"runner": 0.0, "curvature_table": 0.0, "reports": 0.0}
-    work = collections.Counter(localization_profile_nodes=0, lanczos_products=0)
+    work = collections.Counter(localization_profile_nodes=0, lanczos_products=0,
+                               curvature_table_workers=0)
     with _timed(wall, "runner"), _allocation("steps"):
         log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
     with _timed(wall, "reports"):
         trajectory.write_trajectory_csv(log, out / "trajectory.csv",
                                         include_w=resolved["include_w"])
     with _timed(wall, "curvature_table"):
-        table = edge_metrics.curvature_table(model, log, resolved["route"])
+        table = edge_metrics.curvature_table(model, log, resolved["route"], work)
     with _timed(wall, "reports"):
         edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
                                        with_localization=resolved["localize"],
@@ -417,25 +420,29 @@ def _resolve_balance(cfg: dict) -> dict:
     })
 
 
-def _balance_one(model, w0, eta, resolved, out: Path, idx: int) -> dict:
-    with _allocation("steps"):
+def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
+                 wall: dict, work: collections.Counter) -> dict:
+    with _timed(wall, "runner"), _allocation("steps"):
         log = trajectory.run_gd(model, w0, eta, resolved["steps"])
-    table = edge_metrics.curvature_table(model, log, resolved["route"])
-    report = edge_metrics.edge_balance_report(model, log, table,
-                                              deltas=resolved["deltas"])
-    running, forcing = edge_metrics.running_balance(model, log, table)
-    rows = [[k, mean, None if np.isnan(bound) else bound]
-            for k, mean, bound in zip(table.k, running, forcing)]
-    write_csv(out / f"balance_eta{idx}.csv",
-              ["k", "running_weighted_mean", "forcing_bound"], rows)
+    with _timed(wall, "curvature_table"):
+        table = edge_metrics.curvature_table(model, log, resolved["route"], work)
+    work["curvature_table_nodes"] += int(table.nodes.sum())
+    with _timed(wall, "reports"):
+        report = edge_metrics.edge_balance_report(model, log, table,
+                                                  deltas=resolved["deltas"])
+        running, forcing = edge_metrics.running_balance(model, log, table)
+        rows = [[k, mean, None if np.isnan(bound) else bound]
+                for k, mean, bound in zip(table.k, running, forcing)]
+        write_csv(out / f"balance_eta{idx}.csv",
+                  ["k", "running_weighted_mean", "forcing_bound"], rows)
 
-    rows = []
-    for k in range(log.num_steps - 1):
-        if float(np.linalg.norm(log.step(k))) < edge_metrics.DEGENERATE_STEP:
-            continue
-        proxy, actual = edge_metrics.loss_change_proxy(log, k)
-        rows.append([k, actual, proxy])
-    write_csv(out / f"scatter_eta{idx}.csv", ["k", "actual_delta_L", "proxy"], rows)
+        rows = []
+        for k in range(log.num_steps - 1):
+            if float(np.linalg.norm(log.step(k))) < edge_metrics.DEGENERATE_STEP:
+                continue
+            proxy, actual = edge_metrics.loss_change_proxy(log, k)
+            rows.append([k, actual, proxy])
+        write_csv(out / f"scatter_eta{idx}.csv", ["k", "actual_delta_L", "proxy"], rows)
     return {"eta": eta, "weighted_mean": report.weighted_mean,
             "threshold": 2.0 / eta,
             "identity_residual": report.identity_residual,
@@ -447,9 +454,12 @@ def cmd_balance(resolved: dict, out: Path) -> int:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
-    entries = [_balance_one(model, w0, eta, resolved, out, i)
+    wall = {"runner": 0.0, "curvature_table": 0.0, "reports": 0.0}
+    work = collections.Counter(curvature_table_nodes=0, curvature_table_workers=0)
+    entries = [_balance_one(model, w0, eta, resolved, out, i, wall, work)
                for i, eta in enumerate(resolved["etas"])]
     _write_json(out / "balance_summary.json", {"runs": entries})
+    _write_json(out / "timings.json", {"wall_s": wall, **work})
     unsettled = _unsettled_exit("; ".join(
         f"{_steps(e['unsettled_steps'])} of etas[{i}]"
         for i, e in enumerate(entries) if e["unsettled_steps"]))
@@ -606,18 +616,22 @@ def cmd_strain(resolved: dict, out: Path) -> int:
             f"has dim {model_sp.dim})")
     w0 = _build_init(resolved["init"], model_s, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
-    with _allocation("steps"):
+    wall = {"runner": 0.0, "strain": 0.0, "reports": 0.0}
+    with _timed(wall, "runner"), _allocation("steps"):
         pair = trajectory.run_pair_gd(model_s, model_sp, w0, resolved["eta"], resolved["steps"])
-    strain = strain_run(pair, model_s,
-                        rule=uniform_rule(resolved["quadrature_order"]),
-                        adaptive=resolved["adaptive"])
-    write_strain_csv(strain, out / "strain.csv")
-    _write_json(out / "strain_summary.json", {
-        "eta": resolved["eta"], "steps": strain.num_steps,
-        "max_recurrence_residual": float(strain.residual.max()),
-        "final_strain_norm": float(np.linalg.norm(strain.delta[-1])),
-        "diverged": pair.log_s.diverged or pair.log_sp.diverged,
-    })
+    with _timed(wall, "strain"):
+        strain = strain_run(pair, model_s,
+                            rule=uniform_rule(resolved["quadrature_order"]),
+                            adaptive=resolved["adaptive"])
+    with _timed(wall, "reports"):
+        write_strain_csv(strain, out / "strain.csv")
+        _write_json(out / "strain_summary.json", {
+            "eta": resolved["eta"], "steps": strain.num_steps,
+            "max_recurrence_residual": float(strain.residual.max()),
+            "final_strain_norm": float(np.linalg.norm(strain.delta[-1])),
+            "diverged": pair.log_s.diverged or pair.log_sp.diverged,
+        })
+    _write_json(out / "timings.json", {"wall_s": wall})
     if pair.log_s.diverged or pair.log_sp.diverged:
         return EXIT_DIVERGENCE
     return EXIT_OK
@@ -681,6 +695,21 @@ def _mismatches(stored, replayed, path: str) -> list[str]:
     return [] if stored == replayed else [path]
 
 
+def _first_csv_mismatch(stored: bytes, replayed: bytes) -> dict | None:
+    """The first cell at which two CSV files differ: its line (the header
+    is line 1) and the name of its column; None if the files are
+    byte-identical."""
+    # Decoding with surrogateescape loses no byte, so equal cells mean equal files.
+    old, new = ([line.split(",") for line in text.decode(errors="surrogateescape")
+                 .split("\r\n")] for text in (stored, replayed))
+    for line, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=[]), 1):
+        if a != b:
+            col = next(i for i, (x, y) in enumerate(itertools.zip_longest(a, b))
+                       if x != y)
+            return {"line": line, "column": new[0][col] if col < len(new[0]) else None}
+    return None
+
+
 def _replayed_divergence(model, ws, eta: float, steps: int) -> tuple[bool, int | None]:
     """(diverged, divergence_step) of a run whose log holds iterates
     ``ws``, as ``run_gd`` decides them: a log shorter than ``steps`` ends
@@ -704,11 +733,14 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     ``balance_report.json``'s ``identity_residual`` exactly, and the
     whole of ``balance_report.json`` (with the run's ``deltas``) and
     ``summary.json``, recomputed from the replayed log and table, must
-    equal the stored files field by field (``report_replay``). Besides
-    those two files, only ``resolved_config.json`` and the loss,
+    equal the stored files field by field (``report_replay``), and
+    ``metrics.csv``, rewritten from them (localized if the run was), must
+    equal the stored file byte for byte (``metrics_replay``, which names
+    the line and column of the first differing cell). Besides those
+    three files, only ``resolved_config.json`` and the loss,
     gradient-norm and iterate columns of ``trajectory.csv`` are read; an
     edit to them breaks at least one of these named identities, while
-    ``metrics.csv`` and the ``step_norm`` column go unchecked.
+    the ``step_norm`` column goes unchecked.
     """
     t0 = time.perf_counter()
     path = str(run_dir / "resolved_config.json")
@@ -727,6 +759,11 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
               "include_w)")
     stored_report = _load_config(str(run_dir / "balance_report.json"))
     stored_summary = _load_config(str(run_dir / "summary.json"))
+    metrics_path = run_dir / "metrics.csv"
+    try:
+        stored_metrics = metrics_path.read_bytes()
+    except OSError as exc:
+        _fail(str(metrics_path), f"cannot read: {exc.strerror}")
     reported = (stored_report.get("identity_residual")
                 if isinstance(stored_report, dict) else None)
 
@@ -783,6 +820,16 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     results.append(verify.CheckResult(
         "report_replay", not mismatched, time.perf_counter() - t5,
         {"mismatched_fields": mismatched, "route": table.route}))
+
+    t6 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        edge_metrics.write_metrics_csv(model, log, table, Path(tmp) / "metrics.csv",
+                                       with_localization=resolved["localize"])
+        replayed = (Path(tmp) / "metrics.csv").read_bytes()
+    mismatch = _first_csv_mismatch(stored_metrics, replayed)
+    results.append(verify.CheckResult(
+        "metrics_replay", mismatch is None, time.perf_counter() - t6,
+        {"first_mismatch": mismatch, "localized": resolved["localize"]}))
     return results
 
 

@@ -26,7 +26,8 @@ against the threshold 2/eta).
 
 from __future__ import annotations
 
-from array import array
+import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -106,6 +107,10 @@ G4_WEIGHTS = _read_only([
     0.17392742256872698])
 QUADRATURE_RTOL = 1e-9
 QUADRATURE_MAX_INTERVALS = 128
+
+# ``curvature_table`` deals its steps to its processes in chunks of this
+# many consecutive non-degenerate steps.
+_CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -191,9 +196,13 @@ def _intervals(profile, spans) -> list[tuple]:
     """K9 sums over each (a, h) span [a, a + h] of the step, from one call
     of the step's ``segment_profile``: per span (a, h, rbar part, rtilde
     part, the |K9 - G4| error of each part, and the span's nodes and
-    profile values)."""
+    profile values). A non-finite profile value raises EvaluationError."""
     ts = [a + h * K9_NODES for a, h in spans]
     qs = profile(np.concatenate(ts)).reshape(len(spans), -1)
+    if not np.isfinite(qs).all():
+        bad = np.argwhere(~np.isfinite(qs))[0]
+        raise EvaluationError(f"non-finite profile value {qs[tuple(bad)]} "
+                              f"at tau {ts[bad[0]][bad[1]]:.17g}")
     out = []
     for (a, h), t, q in zip(spans, ts, qs):
         tri = 2.0 * (1.0 - t)
@@ -235,8 +244,123 @@ def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
         parts[i:i + 1] = _intervals(profile, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
 
 
+def _row(model: LossModel, log: TrajectoryLog, k: int, route: str) -> tuple:
+    """(k, rbar, rtilde, profile nodes, settled, final nodes, their values)
+    of non-degenerate step k, the last two as raw float64 bytes (empty on
+    the loss route). A non-finite profile value raises EvaluationError
+    naming the step."""
+    if route == "loss":
+        return (k, step_mean_curvature_exact(log, k),
+                effective_curvature_from_loss(log, k), 0, True, b"", b"")
+    try:
+        rbar, rtilde, count, settled, taus, qs = _segment_averages(
+            model, log.w(k), log.step(k))
+    except EvaluationError as exc:
+        raise EvaluationError(f"curvature table, step {k}: {exc}") from exc
+    return k, rbar, rtilde, count, settled, taus.tobytes(), qs.tobytes()
+
+
+def _rows(model: LossModel, log: TrajectoryLog, ks, route: str) -> tuple:
+    """(rows of steps ``ks`` in order, None), or, once a step raises,
+    (the rows before it, (its k, the exception))."""
+    rows = []
+    for k in ks:
+        try:
+            rows.append(_row(model, log, k, route))
+        except Exception as exc:
+            return rows, (k, exc)
+    return rows, None
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_rows(model: LossModel, log: TrajectoryLog, ks, route: str):
+    """(pid, read end of its pipe) of a forked process that writes the
+    pickled ``_rows`` of ``ks`` to the pipe. A fork inherits the model and
+    the log, so only the rows cross the pipe; the rows need numpy alone,
+    and OpenBLAS shuts its thread pool down across a fork. The process
+    ends by ``os._exit`` on every path, status 0 once the rows are
+    written, so it never returns into its caller's frames, exit handlers
+    or buffers."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            payload = pickle.dumps(_rows(model, log, ks, route),
+                                   pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _table_rows(model: LossModel, log: TrajectoryLog, ks, route: str,
+                workers: int | None) -> tuple[list, int]:
+    """(rows of steps ``ks`` in k order, the number of processes that
+    computed them).
+
+    The steps are cut into chunks of _CHUNK_STEPS consecutive steps, dealt
+    round-robin to ``workers`` processes (default: one per CPU this
+    process may run on), at most one per chunk. This process takes the
+    first share and forks one process for each other share; a forked
+    process sends back only its rows. Each row depends on its step alone,
+    so the rows are those of one process for any count. A step that
+    raises stops its share; the exception of the lowest such step, the
+    one a single process would have met first, is raised here once every
+    share is in, with its class, message and attributes. A share whose
+    process could not be forked, or ended without its rows, is computed
+    here. Every forked process is reaped before this returns or raises.
+    """
+    chunks = [ks[i:i + _CHUNK_STEPS] for i in range(0, len(ks), _CHUNK_STEPS)]
+    count = max(1, min(workers or _cpu_count(), len(chunks)))
+    shares = [[k for chunk in chunks[j::count] for k in chunk] for j in range(count)]
+    forked, payloads = [], {}
+    try:
+        for j in range(1, count):
+            try:
+                forked.append((j, *_fork_rows(model, log, shares[j], route)))
+            except OSError:
+                pass
+        results = [_rows(model, log, shares[0], route)]
+        for j, _, fh in forked:
+            payloads[j] = fh.read()
+    finally:
+        for j, pid, fh in forked:
+            fh.close()
+            if j not in payloads:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            if os.waitpid(pid, 0)[1] != 0:
+                payloads.pop(j, None)
+    results += [pickle.loads(payloads[j]) if j in payloads
+                else _rows(model, log, shares[j], route) for j in range(1, count)]
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return sorted((row for rows, _ in results for row in rows),
+                  key=lambda row: row[0]), len(forked) + 1
+
+
 def curvature_table(model: LossModel, log: TrajectoryLog,
-                    route: str = "quadrature") -> CurvatureTable:
+                    route: str = "quadrature", work: Counter | None = None,
+                    *, workers: int | None = None) -> CurvatureTable:
     """Segment curvatures of every step of a run, in one pass.
 
     ``route="quadrature"`` integrates the directional curvature profile
@@ -245,40 +369,36 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
     (gradient difference for rbar, loss change for rtilde).
     Degenerate steps are skipped; their contribution to every weighted
     sum is below the rounding floor by construction.
+
+    The rows are computed in up to ``workers`` processes, by default one
+    per CPU this process may run on (``_table_rows``); the table is the
+    same for any count. ``work["curvature_table_workers"]`` becomes the
+    largest number of processes a table has used. A non-finite profile
+    value raises EvaluationError naming the step.
     """
     if route not in ("quadrature", "loss"):
         raise ValueError("route must be 'quadrature' or 'loss'")
-    ks, norms_sq, rbars, rtildes, nodes, skipped, unsettled = [], [], [], [], [], [], []
-    # Flat, growing buffers: one small array per row would cost about three
-    # times the memory of the values.
-    node_tau, node_q, node_start = array("d"), array("d"), array("q", [0])
+    ks, norms_sq, skipped = [], [], []
     for k in range(log.num_steps):
-        d = log.step(k)
-        nd = float(np.linalg.norm(d))
+        nd = float(np.linalg.norm(log.step(k)))
         if nd < DEGENERATE_STEP:
             skipped.append(k)
-            continue
-        if route == "quadrature":
-            rbar, rtilde, count, settled, taus, qs = _segment_averages(model, log.w(k), d)
-            if not settled:
-                unsettled.append(k)
-            node_tau.frombytes(taus.tobytes())
-            node_q.frombytes(qs.tobytes())
-            node_start.append(len(node_tau))
         else:
-            rbar = step_mean_curvature_exact(log, k)
-            rtilde = effective_curvature_from_loss(log, k)
-            count = 0
-        ks.append(k)
-        norms_sq.append(nd ** 2)
-        rbars.append(rbar)
-        rtildes.append(rtilde)
-        nodes.append(count)
+            ks.append(k)
+            norms_sq.append(nd ** 2)
+    rows, used = _table_rows(model, log, ks, route, workers)
+    if work is not None:
+        work["curvature_table_workers"] = max(work["curvature_table_workers"], used)
+    _, rbars, rtildes, nodes, settled, taus, qs = zip(*rows) if rows else [()] * 7
+    node_start = [0]
+    if route == "quadrature":
+        node_start += [len(t) // K9_NODES.itemsize for t in taus]
     return CurvatureTable(route, np.array(ks, dtype=np.int64), np.array(norms_sq),
                           np.array(rbars), np.array(rtildes),
-                          np.array(nodes, dtype=np.int64), skipped, unsettled,
-                          np.frombuffer(node_start, dtype=np.int64),
-                          np.frombuffer(node_tau), np.frombuffer(node_q))
+                          np.array(nodes, dtype=np.int64), skipped,
+                          [k for k, ok in zip(ks, settled) if not ok],
+                          np.cumsum(node_start, dtype=np.int64),
+                          np.frombuffer(b"".join(taus)), np.frombuffer(b"".join(qs)))
 
 
 def localize(model: LossModel, log: TrajectoryLog, k: int, targets,

@@ -92,6 +92,15 @@ class TestConfigValidation:
         assert "seed" not in resolved
 
 
+# A localized tanh MLP (dim 26) whose 150 steps make three chunks of the
+# curvature table.
+_SMALL_MLP_RUN = {
+    "model": {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
+              "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
+    "init": {"mode": "gaussian", "seed": 1}, "eta": 0.5, "steps": 150,
+    "localize": True, "include_w": True}
+
+
 class TestRunCommand:
     def test_outputs_and_determinism(self, tmp_path):
         cfg = _quad_run_config(tmp_path / "a")
@@ -197,6 +206,27 @@ class TestRunCommand:
         assert timings["lanczos_products"] == work["lanczos_products"] > 4 * 2
         assert work["localization_profile_nodes"] > (4 * 9 if route == "loss" else 0)
 
+    def test_outputs_identical_for_any_cpu_count(self, tmp_path, monkeypatch):
+        """With one CPU and with two, the curvature table of a localized
+        150-step MLP run takes one process and two: every output but
+        timings.json is byte-identical, and both runs replay."""
+        outs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = outs[cpus] = tmp_path / f"cpus{cpus}"
+            cfg = dict(_SMALL_MLP_RUN, out_dir=str(out))
+            assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+            timings = json.loads((out / "timings.json").read_text())
+            assert timings["curvature_table_workers"] == cpus
+            assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
+        for name in names:
+            if name not in ("timings.json", "resolved_config.json"):
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        resolved = [json.loads((outs[c] / "resolved_config.json").read_text()) for c in (1, 2)]
+        assert resolved[0] == dict(resolved[1], out_dir=str(outs[1]))
+
     def test_divergence_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = {
@@ -232,6 +262,23 @@ class TestBalanceCommand:
             assert entry["weighted_mean"] == pytest.approx(3.0, abs=1e-11)
         assert (out / "balance_eta0.csv").exists()
         assert (out / "scatter_eta1.csv").exists()
+
+    def test_timings_file(self, tmp_path):
+        """timings.json: the wall seconds of each phase summed over the
+        step sizes, the nodes of their curvature tables, and the most
+        processes one of them took (one: 30 steps are a single chunk)."""
+        out = tmp_path / "out"
+        cfg = self._config(out)
+        assert main(["balance", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == ["curvature_table_nodes", "curvature_table_workers",
+                                   "wall_s"]
+        assert sorted(timings["wall_s"]) == ["curvature_table", "reports", "runner"]
+        assert all(v > 0 for v in timings["wall_s"].values())
+        # Constant curvature settles every step on its first 9 nodes.
+        assert timings["curvature_table_nodes"] == sum(
+            9 * len(_csv_rows(out / f"balance_eta{i}.csv")) for i in (0, 1))
+        assert timings["curvature_table_workers"] == 1
 
     def test_k_column_is_trajectory_step(self, tmp_path):
         """Degenerate steps 0-5 have no row; the first row is step 6."""
@@ -410,6 +457,10 @@ class TestStrainCommand:
         summary = json.loads((out / "strain_summary.json").read_text())
         assert summary["max_recurrence_residual"] <= 1e-6
         assert summary["final_strain_norm"] > 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == ["wall_s"]
+        assert sorted(timings["wall_s"]) == ["reports", "runner", "strain"]
+        assert all(v > 0 for v in timings["wall_s"].values())
 
     def test_leave_one_out_rank_limited_linear(self, tmp_path):
         """The left-out objective keeps the model's rank limit: a width-6
@@ -536,6 +587,25 @@ class TestVerifyCommand:
         assert replay["details"]["mismatched_fields"] == [
             "balance_report.json.identity_residual"]
 
+    def test_edited_metrics_cell_detected(self, tmp_path, capsys):
+        """An rtilde cell of metrics.csv moved by one ulp fails exactly
+        metrics_replay, which names its line and column."""
+        out = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json", _quad_run_config(out))])
+        path = out / "metrics.csv"
+        lines = path.read_bytes().decode().split("\r\n")
+        cells = lines[5].split(",")
+        cells[3] = f"{np.nextafter(float(cells[3]), 4.0):.17g}"
+        lines[5] = ",".join(cells)
+        path.write_bytes("\r\n".join(lines).encode())
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["FAILED: metrics_replay"]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        [replay] = [c for c in report["checks"] if c["name"] == "metrics_replay"]
+        assert replay["details"] == {"first_mismatch": {"line": 6, "column": "rtilde"},
+                                     "localized": True}
+
     def test_tampered_reports_detected(self, tmp_path, capsys):
         """weighted_mean set to 123 in balance_report.json and onset_step
         to 7777 in summary.json: the replayed reports differ in exactly
@@ -658,6 +728,15 @@ class TestVerifyCommand:
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
         assert line.startswith(f"config error at {run_dir / 'balance_report.json'}:")
 
+    def test_run_dir_without_metrics(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json",
+                                               _quad_run_config(run_dir))])
+        (run_dir / "metrics.csv").unlink()
+        capsys.readouterr()
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line.startswith(f"config error at {run_dir / 'metrics.csv'}: cannot read")
+
 
 # A GELU MLP whose first steps (|d| up to 69) have profiles no fixed Gauss
 # order up to 64 integrates to 1e-9; 34 of its 300 steps need bisection.
@@ -704,14 +783,17 @@ class TestUnsettledQuadrature:
 
     def test_timings_file(self, repro_run, tmp_path):
         """``run`` writes the wall seconds of its phases, the curvature
-        table's node total, the unsettled count and the localization's
-        work (none here) to timings.json, which ``verify --run-dir`` does
-        not read."""
+        table's node total and process count (one per CPU, at most one
+        per chunk of its 300 steps), the unsettled count and the
+        localization's work (none here) to timings.json, which
+        ``verify --run-dir`` does not read."""
         out, table = repro_run
         timings = json.loads((out / "timings.json").read_text())
-        assert sorted(timings) == ["curvature_table_nodes", "lanczos_products",
-                                   "localization_profile_nodes", "unsettled_steps",
-                                   "wall_s"]
+        assert sorted(timings) == ["curvature_table_nodes", "curvature_table_workers",
+                                   "lanczos_products", "localization_profile_nodes",
+                                   "unsettled_steps", "wall_s"]
+        assert timings["curvature_table_workers"] == min(
+            em._cpu_count(), -(-300 // em._CHUNK_STEPS))
         assert timings["lanczos_products"] == timings["localization_profile_nodes"] == 0
         assert sorted(timings["wall_s"]) == ["curvature_table", "reports", "runner"]
         assert all(isinstance(v, float) and v > 0 for v in timings["wall_s"].values())
@@ -968,6 +1050,29 @@ class TestFailureContract:
         lines = err.splitlines()
         assert len(lines) == 1, lines
         return lines[0]
+
+    def test_non_finite_profile_in_a_worker(self, tmp_path, capsys, monkeypatch):
+        """A NaN profile at step 70, in the second chunk of the curvature
+        table, which a forked process computes: exit 1, one stderr line
+        naming the step, and no process left behind."""
+        model = cli._build_model(cli._resolve_run(_SMALL_MLP_RUN)["model"])
+        bad = run_gd(model, model.init_params(seed=1), 0.5, 150).w(70).tobytes()
+        profile = loss_models.MlpModel.segment_profile
+
+        def failing(self, w, d):
+            if w.tobytes() == bad:
+                return lambda taus: np.full(len(taus), np.nan)
+            return profile(self, w, d)
+        monkeypatch.setattr(loss_models.MlpModel, "segment_profile", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = dict(_SMALL_MLP_RUN, out_dir=str(tmp_path / "out"))
+        rc = main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("curvature table, step 70: non-finite profile "
+                                   "value nan at tau "), lines
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_localization_without_crossing(self, tmp_path, capsys, monkeypatch):
         """A profile above every target (the curvatures come from the loss

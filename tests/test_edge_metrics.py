@@ -1,6 +1,8 @@
 """Curvature routes, localization, balance reports, and the noisy balance."""
 
+import dataclasses
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -12,7 +14,7 @@ from edge_lab.loss_models import (LossModel, MlpModel, make_mlp,
                                   make_quadratic, make_scalar_poly,
                                   make_synthetic_dataset,
                                   make_two_layer_linear, balanced_minimizer)
-from edge_lab.numerics import lambda_max_iter
+from edge_lab.numerics import EvaluationError, NonConvergenceError, lambda_max_iter
 from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
 
 
@@ -181,10 +183,11 @@ class TestCurvatureRoutes:
     def test_nodes_per_step_mlp(self, mlp_run):
         """A step that settles on its first interval costs exactly 9 nodes
         in one ``segment_curvature`` call; each bisection adds one call
-        with 9 nodes for each half. ``nodes`` records what was spent."""
+        with 9 nodes for each half. ``nodes`` records what was spent.
+        The count is of this process, so the table is computed in it alone."""
         model, log = mlp_run
         counted = _CountingModel(model)
-        table = em.curvature_table(counted, log)
+        table = em.curvature_table(counted, log, workers=1)
         assert table.unsettled == [] and np.sum(table.nodes == 9) > 0
         expected = []
         for n in table.nodes:
@@ -575,3 +578,140 @@ class TestMetricsCsv:
         assert float(first[5]) == pytest.approx(0.5, abs=1e-6)
         last = lines[-1].split(",")
         assert last[8] == "" and last[9] == ""  # no k+2 record at the end
+
+
+# Steps 90-101 of a GELU MLP run, of which steps 92-98 (2-8 here) need
+# bisection.
+@pytest.fixture(scope="module")
+def gelu_run():
+    ds = make_synthetic_dataset(628, 36, 3, 3, noise=0.1)
+    model = make_mlp([3, 2, 7, 3], "gelu", ds)
+    eta = 1.6168833663738404
+    w90 = run_gd(model, model.init_params(268), eta, 90).w(90)
+    return model, run_gd(model, w90, eta, 12)
+
+
+def _assert_same_table(a, b):
+    """Every field of two tables equal, arrays in dtype, shape and bytes."""
+    for f in dataclasses.fields(em.CurvatureTable):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+class _FailingModel:
+    """Wraps a model; the profile of each step starting at a point of
+    ``bad`` gives NaN, or raises ``error`` if one is given."""
+
+    def __init__(self, model, bad, error=None):
+        self.model, self.bad, self.error = model, [w.tobytes() for w in bad], error
+
+    def segment_profile(self, w, d):
+        if w.tobytes() not in self.bad:
+            return self.model.segment_profile(w, d)
+        if self.error is not None:
+            raise self.error
+        return lambda taus: np.full(len(taus), np.nan)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelTable:
+    """The table's rows are computed in chunks of consecutive steps dealt
+    round-robin to several processes; the table is the same for any
+    count. Chunks of 2 steps here: with 2 processes, steps 2-3, 6-7 and
+    10-11 are a forked process's."""
+
+    @pytest.fixture(autouse=True)
+    def _short_chunks(self, monkeypatch):
+        monkeypatch.setattr(em, "_CHUNK_STEPS", 2)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("route", ["quadrature", "loss"])
+    def test_bisected_steps_identical(self, gelu_run, route, workers):
+        model, log = gelu_run
+        work = Counter()
+        table = em.curvature_table(model, log, route, work, workers=workers)
+        assert work["curvature_table_workers"] == workers
+        _assert_same_table(table, em.curvature_table(model, log, route, workers=1))
+        if route == "quadrature":
+            assert np.all(table.nodes[2:4] > 9)
+        _no_child_left()
+
+    def test_degenerate_steps_skipped(self):
+        """Steps 0-5, too short to have a direction, are skipped; the
+        chunks hold only the other 34 steps."""
+        model = make_quadratic(np.array([[3.0]]))
+        log = run_gd(model, np.array([1e-16]), 1.0, 40)
+        table = em.curvature_table(model, log, workers=2)
+        assert table.skipped == list(range(6)) and list(table.k) == list(range(6, 40))
+        _assert_same_table(table, em.curvature_table(model, log, workers=1))
+
+    def test_unsettled_steps_in_order(self, gelu_run, monkeypatch):
+        """With a budget of one interval the bisecting steps 2-8, in the
+        chunks of both processes, are listed unsettled in k order."""
+        monkeypatch.setattr(em, "QUADRATURE_MAX_INTERVALS", 1)
+        model, log = gelu_run
+        table = em.curvature_table(model, log, workers=2)
+        assert table.unsettled == list(range(2, 9))
+        _assert_same_table(table, em.curvature_table(model, log, workers=1))
+
+    def test_share_of_a_lost_process_computed_here(self, gelu_run, monkeypatch):
+        """A forked process that ends without its rows (here at step 3),
+        or one that cannot be forked, leaves its share to this process."""
+        model, log = gelu_run
+        parent = os.getpid()
+
+        class Dying(_FailingModel):
+            def segment_profile(self, w, d):
+                if w.tobytes() in self.bad and os.getpid() != parent:
+                    os._exit(3)
+                return self.model.segment_profile(w, d)
+
+        reference = em.curvature_table(model, log, workers=1)
+        _assert_same_table(em.curvature_table(Dying(model, [log.w(3)]), log, workers=2),
+                           reference)
+        _no_child_left()
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+        _assert_same_table(em.curvature_table(model, log, workers=2), reference)
+
+    def test_one_process_where_fork_is_missing(self, gelu_run, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        work = Counter()
+        em.curvature_table(*gelu_run, route="loss", work=work)
+        assert work["curvature_table_workers"] == 1
+
+    @pytest.mark.parametrize("bad", [[3], [3, 5], [1, 3]],
+                             ids=["worker", "worker_first", "parent_first"])
+    def test_non_finite_profile(self, gelu_run, bad):
+        """A NaN profile at step 3 (a forked process's) raises the
+        EvaluationError one process raises, naming the step; of several
+        such steps the lowest is named, whichever process met it."""
+        model, log = gelu_run
+        failing = _FailingModel(model, [log.w(k) for k in bad])
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(EvaluationError) as err:
+                em.curvature_table(failing, log, workers=workers)
+            messages.append(str(err.value))
+            _no_child_left()
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(
+            f"curvature table, step {bad[0]}: non-finite profile value nan at tau ")
+
+    def test_worker_nonconvergence_keeps_history(self, gelu_run):
+        model, log = gelu_run
+        failing = _FailingModel(model, [log.w(3)],
+                                NonConvergenceError("no convergence", [3.0, 2.5]))
+        with pytest.raises(NonConvergenceError) as err:
+            em.curvature_table(failing, log, workers=2)
+        assert str(err.value) == "no convergence" and err.value.history == [3.0, 2.5]
+        _no_child_left()
