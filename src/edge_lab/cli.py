@@ -306,8 +306,9 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _out_dir(resolved: dict, args) -> Path:
-    out = Path(args.out or resolved["out_dir"])
+def _out_dir(args, default: str) -> Path:
+    """The output directory, ``--out`` or else ``default``, created."""
+    out = Path(args.out or default)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -319,16 +320,12 @@ def _out_dir(resolved: dict, args) -> Path:
 # run
 # ---------------------------------------------------------------------------
 
-_ROUTES = ("quadrature", "loss")
-
-
 def _resolve_run(cfg: dict) -> dict:
     return _object(cfg, "", {
         "model": _resolve_model(cfg, "model"),
         "init": _resolve_init(cfg),
         "eta": _number(cfg, "eta", positive=True),
         "steps": _integer(cfg, "steps", 1),
-        "route": _choice(cfg, "route", _ROUTES, "quadrature"),
         "localize": _flag(cfg, "localize", False),
         "include_w": _flag(cfg, "include_w", None),
         "deltas": _numbers(cfg, "deltas", positive=True, default=None),
@@ -371,7 +368,7 @@ def cmd_run(resolved: dict, out: Path) -> int:
         trajectory.write_trajectory_csv(log, out / "trajectory.csv",
                                         include_w=resolved["include_w"])
     with _timed(wall, "curvature_table"):
-        table = edge_metrics.curvature_table(model, log, resolved["route"], work)
+        table = edge_metrics.curvature_table(model, log, work)
     with _timed(wall, "reports"):
         edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
                                        with_localization=resolved["localize"],
@@ -414,7 +411,6 @@ def _resolve_balance(cfg: dict) -> dict:
         "init": _resolve_init(cfg),
         "etas": _numbers(cfg, "etas", positive=True),
         "steps": _integer(cfg, "steps", 1),
-        "route": _choice(cfg, "route", _ROUTES, "quadrature"),
         "deltas": _numbers(cfg, "deltas", positive=True, default=None),
         "out_dir": _string(cfg, "out_dir", "."),
     })
@@ -425,7 +421,7 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
     with _timed(wall, "runner"), _allocation("steps"):
         log = trajectory.run_gd(model, w0, eta, resolved["steps"])
     with _timed(wall, "curvature_table"):
-        table = edge_metrics.curvature_table(model, log, resolved["route"], work)
+        table = edge_metrics.curvature_table(model, log, work)
     work["curvature_table_nodes"] += int(table.nodes.sum())
     with _timed(wall, "reports"):
         report = edge_metrics.edge_balance_report(model, log, table,
@@ -641,7 +637,9 @@ def cmd_strain(resolved: dict, out: Path) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _parse_trajectory_csv(path: Path):
+def _parse_trajectory_csv(path: Path, dim: int):
+    """(losses, gradient norms, iterates or None) of a trajectory CSV whose
+    iterate columns, if any, are ``dim`` wide."""
     try:
         with open(path, newline="") as fh:
             lines = [ln for ln in fh.read().split("\r\n") if ln]
@@ -663,6 +661,11 @@ def _parse_trajectory_csv(path: Path):
                 ws.append([float(v) for v in parts[4:]])
         except ValueError as exc:
             _fail(f"{path} line {row}", str(exc))
+    if not losses:
+        _fail(str(path), "no rows")
+    if has_w and len(header) - 4 != dim:
+        _fail(str(path), f"{len(header) - 4} iterate columns, the model has "
+              f"dimension {dim}")
     return (np.array(losses), np.array(gnorms),
             np.array(ws) if has_w else None)
 
@@ -726,10 +729,9 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
 
     Replays the loss and gradient at every logged iterate, re-derives
     the update consistency, and recomputes the telescoping balance from
-    the quadrature-route curvature table of the logged iterates. The
-    replayed log derives each step from its recomputed gradient, as the
-    run did, so the curvature table on the run's own ``route`` is the
-    run's bit for bit: its telescoping residual must equal
+    the curvature table of the logged iterates. The replayed log derives
+    each step from its recomputed gradient, as the run did, so the table
+    is the run's bit for bit: its telescoping residual must equal
     ``balance_report.json``'s ``identity_residual`` exactly, and the
     whole of ``balance_report.json`` (with the run's ``deltas``) and
     ``summary.json``, recomputed from the replayed log and table, must
@@ -740,7 +742,9 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     three files, only ``resolved_config.json`` and the loss,
     gradient-norm and iterate columns of ``trajectory.csv`` are read; an
     edit to them breaks at least one of these named identities, while
-    the ``step_norm`` column goes unchecked.
+    the ``step_norm`` column goes unchecked. A ``trajectory.csv`` with no
+    rows, or with iterate columns of another width than the model's, is
+    a config error naming the file.
     """
     t0 = time.perf_counter()
     path = str(run_dir / "resolved_config.json")
@@ -752,7 +756,7 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     # its key.
     resolved = _resolve_run(_without_nulls(stored))
     model = _build_model(resolved["model"])
-    losses, gnorms, ws = _parse_trajectory_csv(run_dir / "trajectory.csv")
+    losses, gnorms, ws = _parse_trajectory_csv(run_dir / "trajectory.csv", model.dim)
     results = []
     if ws is None:
         _fail("include_w", "trajectory.csv has no iterate columns (rerun with "
@@ -783,10 +787,11 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
 
     t2 = time.perf_counter()
     eta = resolved["eta"]
-    worst_u = float(max(
+    # A run that diverged at its first step logs no step: nothing to check.
+    worst_u = float(max((
         float(np.linalg.norm(ws[k + 1] - (ws[k] - eta * grads[k])))
         / (1.0 + float(np.linalg.norm(ws[k])))
-        for k in range(len(ws) - 1)))
+        for k in range(len(ws) - 1)), default=0.0))
     results.append(verify.CheckResult(
         "update_consistency", bool(worst_u <= 1e-12), time.perf_counter() - t2,
         {"max_relative_error": worst_u, "tolerance": 1e-12}))
@@ -804,22 +809,20 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
         {"residual": resid, "tolerance": tol, "unsettled_steps": table.unsettled}))
 
     t4 = time.perf_counter()
-    if resolved["route"] != table.route:
-        table = edge_metrics.curvature_table(model, log, resolved["route"])
     # A JSON round trip gives the replayed reports the types they are read with.
     report, summary = json.loads(json.dumps(_reports(model, log, table, resolved["deltas"])))
     resid = report["identity_residual"]
     results.append(verify.CheckResult(
         "identity_residual_replay",
         isinstance(reported, float) and reported == resid, time.perf_counter() - t4,
-        {"replayed": resid, "reported": reported, "route": table.route}))
+        {"replayed": resid, "reported": reported}))
 
     t5 = time.perf_counter()
     mismatched = (_mismatches(stored_report, report, "balance_report.json")
                   + _mismatches(stored_summary, summary, "summary.json"))
     results.append(verify.CheckResult(
         "report_replay", not mismatched, time.perf_counter() - t5,
-        {"mismatched_fields": mismatched, "route": table.route}))
+        {"mismatched_fields": mismatched}))
 
     t6 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -834,8 +837,7 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
 
 
 def cmd_verify(args) -> int:
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, ".")
     if args.run_dir:
         results = verify_run_dir(Path(args.run_dir))
         for r in results:
@@ -884,7 +886,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         resolved = {"command": args.command,
                     **_RESOLVERS[args.command](_load_config(args.config))}
-        out = _out_dir(resolved, args)
+        out = _out_dir(args, resolved["out_dir"])
         return _COMMANDS[args.command](resolved, out)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -5,20 +5,20 @@ average rbar (which governs the step-increment propagator) and the
 triangularly weighted "effective" curvature rtilde (which governs the
 one-step loss change). Each is computable by two independent routes:
 exactly from logged gradients/losses, or by quadrature of the
-directional curvature profile q(tau) = u^T H(w_k + tau d_k) u. The
-quadrature route makes the telescoping balance identity a genuine test
-instead of a tautology.
+directional curvature profile q(tau) = u^T H(w_k + tau d_k) u. Taking
+rtilde from the quadrature makes the telescoping balance identity a
+genuine test instead of a tautology.
 
-``curvature_table`` is the one place either route is evaluated: it
-walks a run once and every consumer (balance report, metrics CSV,
-localization targets, the noisy balance, run-directory replay) reads
-its per-step rows. The quadrature route integrates each step's profile
-with the embedded G4/K9 Gauss-Kronrod pair, a fixed table of nodes and
-weights (``K9_NODES``, ``K9_WEIGHTS``, ``G4_WEIGHTS``), bisecting
-intervals until both averages settle; each row records the nodes it took and
-the profile values of its final intervals, and steps that exhaust the
-interval budget are listed as unsettled. ``localize`` brackets each
-average from those values.
+``curvature_table`` walks a run once by quadrature, and every consumer
+(balance report, metrics CSV, localization targets, the noisy balance,
+run-directory replay) reads its per-step rows. It integrates each step's
+profile with the embedded G4/K9 Gauss-Kronrod pair, a fixed table of
+nodes and weights (``K9_NODES``, ``K9_WEIGHTS``, ``G4_WEIGHTS``),
+bisecting intervals until both averages settle; each row records the
+nodes it took and the profile values of its final intervals, and steps
+that exhaust the interval budget are listed as unsettled. ``localize``
+brackets each average from those values. ``write_metrics_csv`` puts the
+exact routes beside the table's values.
 
 Curvature values carry inverse-step-size units (they are compared
 against the threshold 2/eta).
@@ -119,20 +119,17 @@ class CurvatureTable:
 
     Row i describes trajectory step ``k[i]``; degenerate steps have no
     row and are listed in ``skipped``. ``nodes[i]`` counts the profile
-    values the row's quadrature took (0 on the loss route), and
-    ``unsettled`` lists the steps whose quadrature hit the interval budget
-    before it settled.
+    values the row's quadrature took, and ``unsettled`` lists the steps
+    whose quadrature hit the interval budget before it settled.
 
-    On the quadrature route the table keeps the K9 nodes of each row's
-    final intervals and the profile values there: row i's are
+    The table keeps the K9 nodes of each row's final intervals and the
+    profile values there: row i's are
     ``node_tau[node_start[i]:node_start[i + 1]]``, ascending and interior
     to (0, 1), and ``node_q`` at the same places (``profile(i)``). The
     row's rbar and rtilde are combinations of those values whose
-    coefficients are positive and sum to 1. On the loss route both
-    arrays are empty.
+    coefficients are positive and sum to 1.
     """
 
-    route: str                    # "quadrature" or "loss"
     k: NDArray[np.int64]
     step_norm_sq: Array
     rbar: Array
@@ -144,10 +141,8 @@ class CurvatureTable:
     node_tau: Array
     node_q: Array
 
-    def profile(self, i: int) -> tuple[Array, Array] | None:
-        """(nodes, profile values) of row i, None on the loss route."""
-        if self.route != "quadrature":
-            return None
+    def profile(self, i: int) -> tuple[Array, Array]:
+        """(nodes, profile values) of row i."""
         lo, hi = self.node_start[i], self.node_start[i + 1]
         return self.node_tau[lo:hi], self.node_q[lo:hi]
 
@@ -244,14 +239,10 @@ def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
         parts[i:i + 1] = _intervals(profile, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
 
 
-def _row(model: LossModel, log: TrajectoryLog, k: int, route: str) -> tuple:
+def _row(model: LossModel, log: TrajectoryLog, k: int) -> tuple:
     """(k, rbar, rtilde, profile nodes, settled, final nodes, their values)
-    of non-degenerate step k, the last two as raw float64 bytes (empty on
-    the loss route). A non-finite profile value raises EvaluationError
-    naming the step."""
-    if route == "loss":
-        return (k, step_mean_curvature_exact(log, k),
-                effective_curvature_from_loss(log, k), 0, True, b"", b"")
+    of non-degenerate step k, the last two as raw float64 bytes. A
+    non-finite profile value raises EvaluationError naming the step."""
     try:
         rbar, rtilde, count, settled, taus, qs = _segment_averages(
             model, log.w(k), log.step(k))
@@ -260,13 +251,13 @@ def _row(model: LossModel, log: TrajectoryLog, k: int, route: str) -> tuple:
     return k, rbar, rtilde, count, settled, taus.tobytes(), qs.tobytes()
 
 
-def _rows(model: LossModel, log: TrajectoryLog, ks, route: str) -> tuple:
+def _rows(model: LossModel, log: TrajectoryLog, ks) -> tuple:
     """(rows of steps ``ks`` in order, None), or, once a step raises,
     (the rows before it, (its k, the exception))."""
     rows = []
     for k in ks:
         try:
-            rows.append(_row(model, log, k, route))
+            rows.append(_row(model, log, k))
         except Exception as exc:
             return rows, (k, exc)
     return rows, None
@@ -281,7 +272,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_rows(model: LossModel, log: TrajectoryLog, ks, route: str):
+def _fork_rows(model: LossModel, log: TrajectoryLog, ks):
     """(pid, read end of its pipe) of a forked process that writes the
     pickled ``_rows`` of ``ks`` to the pipe. A fork inherits the model and
     the log, so only the rows cross the pipe; the rows need numpy alone,
@@ -300,7 +291,7 @@ def _fork_rows(model: LossModel, log: TrajectoryLog, ks, route: str):
         status = 1
         try:
             os.close(read)
-            payload = pickle.dumps(_rows(model, log, ks, route),
+            payload = pickle.dumps(_rows(model, log, ks),
                                    pickle.HIGHEST_PROTOCOL)
             with open(write, "wb") as fh:
                 fh.write(payload)
@@ -311,7 +302,7 @@ def _fork_rows(model: LossModel, log: TrajectoryLog, ks, route: str):
     return pid, open(read, "rb")
 
 
-def _table_rows(model: LossModel, log: TrajectoryLog, ks, route: str,
+def _table_rows(model: LossModel, log: TrajectoryLog, ks,
                 workers: int | None) -> tuple[list, int]:
     """(rows of steps ``ks`` in k order, the number of processes that
     computed them).
@@ -335,10 +326,10 @@ def _table_rows(model: LossModel, log: TrajectoryLog, ks, route: str,
     try:
         for j in range(1, count):
             try:
-                forked.append((j, *_fork_rows(model, log, shares[j], route)))
+                forked.append((j, *_fork_rows(model, log, shares[j])))
             except OSError:
                 pass
-        results = [_rows(model, log, shares[0], route)]
+        results = [_rows(model, log, shares[0])]
         for j, _, fh in forked:
             payloads[j] = fh.read()
     finally:
@@ -350,7 +341,7 @@ def _table_rows(model: LossModel, log: TrajectoryLog, ks, route: str,
             if os.waitpid(pid, 0)[1] != 0:
                 payloads.pop(j, None)
     results += [pickle.loads(payloads[j]) if j in payloads
-                else _rows(model, log, shares[j], route) for j in range(1, count)]
+                else _rows(model, log, shares[j]) for j in range(1, count)]
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -359,16 +350,14 @@ def _table_rows(model: LossModel, log: TrajectoryLog, ks, route: str,
 
 
 def curvature_table(model: LossModel, log: TrajectoryLog,
-                    route: str = "quadrature", work: Counter | None = None,
+                    work: Counter | None = None,
                     *, workers: int | None = None) -> CurvatureTable:
     """Segment curvatures of every step of a run, in one pass.
 
-    ``route="quadrature"`` integrates the directional curvature profile
-    adaptively (``_segment_averages``) and keeps each row's final nodes
-    and profile values; ``route="loss"`` takes the exact routes
-    (gradient difference for rbar, loss change for rtilde).
-    Degenerate steps are skipped; their contribution to every weighted
-    sum is below the rounding floor by construction.
+    Integrates each step's directional curvature profile adaptively
+    (``_segment_averages``) and keeps each row's final nodes and profile
+    values. Degenerate steps are skipped; their contribution to every
+    weighted sum is below the rounding floor by construction.
 
     The rows are computed in up to ``workers`` processes, by default one
     per CPU this process may run on (``_table_rows``); the table is the
@@ -376,8 +365,6 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
     largest number of processes a table has used. A non-finite profile
     value raises EvaluationError naming the step.
     """
-    if route not in ("quadrature", "loss"):
-        raise ValueError("route must be 'quadrature' or 'loss'")
     ks, norms_sq, skipped = [], [], []
     for k in range(log.num_steps):
         nd = float(np.linalg.norm(log.step(k)))
@@ -386,14 +373,12 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
         else:
             ks.append(k)
             norms_sq.append(nd ** 2)
-    rows, used = _table_rows(model, log, ks, route, workers)
+    rows, used = _table_rows(model, log, ks, workers)
     if work is not None:
         work["curvature_table_workers"] = max(work["curvature_table_workers"], used)
     _, rbars, rtildes, nodes, settled, taus, qs = zip(*rows) if rows else [()] * 7
-    node_start = [0]
-    if route == "quadrature":
-        node_start += [len(t) // K9_NODES.itemsize for t in taus]
-    return CurvatureTable(route, np.array(ks, dtype=np.int64), np.array(norms_sq),
+    node_start = [0] + [len(t) // K9_NODES.itemsize for t in taus]
+    return CurvatureTable(np.array(ks, dtype=np.int64), np.array(norms_sq),
                           np.array(rbars), np.array(rtildes),
                           np.array(nodes, dtype=np.int64), skipped,
                           [k for k, ok in zip(ks, settled) if not ok],
@@ -402,18 +387,17 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
 
 
 def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
-             profile: tuple[Array, Array] | None = None, tol: float = 1e-10,
+             profile: tuple[Array, Array], tol: float = 1e-10,
              work: Counter | None = None) -> list[LocalizationRecord]:
     """Interior points of step k where the profile attains each target.
 
     ``profile`` holds profile values q_i at ascending interior nodes
-    tau_i, the step's row of a quadrature-route table
-    (``CurvatureTable.profile``); without one, as on the loss route, the
-    nine K9 nodes of [0, 1] are evaluated in one call. Each target is an
-    average of the step (rtilde and/or rbar of ``curvature_table``): a
-    combination of the q_i with positive coefficients summing to 1. So
-    q_i - target changes sign between two adjacent nodes or vanishes at
-    a node, unless every q_i lies within rounding of the target.
+    tau_i, the step's row of the run's ``curvature_table``
+    (``CurvatureTable.profile``). Each target is an average of the step
+    (its rtilde and/or rbar in that table): a combination of the q_i with
+    positive coefficients summing to 1. So q_i - target changes sign
+    between two adjacent nodes or vanishes at a node, unless every q_i
+    lies within rounding of the target.
 
     One record is returned per target. If the q_i span at most ``tol``
     the profile counts as constant and every target gets the
@@ -427,14 +411,11 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
     """
     d, _ = _step(log, k)
     step_profile = model.segment_profile(log.w(k), d)
-    if profile is None:
-        taus, qs = K9_NODES, step_profile(K9_NODES)
-    else:
-        taus, qs = profile
+    taus, qs = profile
     # Brent re-evaluates its bracket ends and the root is read back:
     # evaluate each tau once per call.
     memo = dict(zip(taus.tolist(), qs.tolist()))
-    known = len(memo) if profile is not None else 0
+    known = len(memo)
 
     def q(t: float) -> float:
         if t not in memo:
@@ -528,7 +509,7 @@ class EdgeBalanceReport:
 
     def to_dict(self) -> dict:
         return {
-            "eta": self.eta, "K": self.K, "route": self.table.route,
+            "eta": self.eta, "K": self.K,
             "E_K": self.E_K, "loss_drop": self.loss_drop,
             "identity_residual": self.identity_residual,
             "weighted_mean": self.weighted_mean,
@@ -673,7 +654,7 @@ def sgd_balance_report(model: LossModel,
                        log: StochasticTrajectoryLog) -> SgdBalanceReport:
     """Noisy balance identity and per-step forced-propagator residual.
 
-    rtilde comes from the quadrature-route ``curvature_table``. The
+    rtilde comes from the run's ``curvature_table``. The
     propagator residual applies the uniform segment Hessian to the
     stochastic step by order-4 vector quadrature, so it is an
     independent check rather than a restatement of the update rule.
@@ -721,8 +702,11 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
     """Per-step metrics table.
 
     Columns: k, step_norm_sq, rbar, rtilde, xi, zeta, lambda_max_xi,
-    delta_L, proxy, return_ratio. The curvatures are the rows of
-    ``table``, the run's ``curvature_table``, and each step is localized
+    delta_L, proxy, return_ratio, rbar_exact, rtilde_exact. rbar and
+    rtilde are the rows of ``table``, the run's ``curvature_table``;
+    rbar_exact and rtilde_exact are the exact routes from the logged
+    gradient difference and loss change (``step_mean_curvature_exact``
+    and ``effective_curvature_from_loss``). Each step is localized
     from its row's profile values (``localize``); ``work`` tallies the
     profile nodes and Lanczos products this takes. Fields that need records
     beyond the end of the run (or a localized point when localization
@@ -733,7 +717,7 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
     EvaluationError or BracketError naming the step.
     """
     header = ["k", "step_norm_sq", "rbar", "rtilde", "xi", "zeta", "lambda_max_xi",
-              "delta_L", "proxy", "return_ratio"]
+              "delta_L", "proxy", "return_ratio", "rbar_exact", "rtilde_exact"]
     row_of = {int(k): i for i, k in enumerate(table.k)}
     rows = []
     for k in range(log.num_steps):
@@ -760,6 +744,11 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
         if k + 1 < log.num_steps:
             proxy, _ = loss_change_proxy(log, k)
             ratio = return_ratio(log, k)
-        rows.append([k, table.step_norm_sq[i], rbar, rtilde, xi, zeta, lam_xi,
-                     delta_l, proxy, ratio])
+        # The exact routes, as the two library functions compute them
+        # bit for bit, from the row's own step norm and loss change.
+        nsq = float(table.step_norm_sq[i])
+        rbar_exact = float(log.step(k) @ (log.grads[k + 1] - log.grads[k])) / nsq
+        rtilde_exact = 2.0 * (delta_l + nsq / log.eta) / nsq
+        rows.append([k, nsq, rbar, rtilde, xi, zeta, lam_xi,
+                     delta_l, proxy, ratio, rbar_exact, rtilde_exact])
     write_csv(path, header, rows)

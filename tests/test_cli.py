@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import edge_lab
 from edge_lab import bifurcation, cli, edge_metrics as em, loss_models, numerics
 from edge_lab.cli import _RESOLVERS, ConfigError, _mismatches, main
-from edge_lab.loss_models import make_mlp, make_quadratic, make_synthetic_dataset
+from edge_lab.loss_models import make_mlp, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
 from edge_lab.verify import telescoping_tolerance
 
@@ -87,9 +87,8 @@ class TestConfigValidation:
         cfg = _quad_run_config(out)
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
-        assert resolved["route"] == "quadrature"
-        assert "thin_stride" not in resolved
-        assert "seed" not in resolved
+        assert sorted(resolved) == ["command", "deltas", "eta", "include_w", "init",
+                                    "localize", "model", "out_dir", "steps"]
 
 
 # A localized tanh MLP (dim 26) whose 150 steps make three chunks of the
@@ -122,25 +121,6 @@ class TestRunCommand:
         lines = (out / "metrics.csv").read_bytes().decode().strip().split("\r\n")
         rtildes = [float(row.split(",")[3]) for row in lines[1:]]
         np.testing.assert_allclose(rtildes, 3.0, atol=1e-11)
-
-    def test_loss_route(self, tmp_path):
-        """route "loss" finishes, and metrics.csv carries the loss-route rtilde."""
-        out = tmp_path / "out"
-        cfg = {
-            "model": {"kind": "quadratic", "diag": [3.0, 1.0]},
-            "init": {"mode": "vector", "values": [1.0, 1.0]},
-            "eta": 0.5, "steps": 40, "route": "loss", "localize": True,
-            "out_dir": str(out),
-        }
-        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
-        model = make_quadratic(np.diag([3.0, 1.0]), 0.0)
-        log = run_gd(model, np.array([1.0, 1.0]), 0.5, 40)
-        table = em.curvature_table(model, log, "loss")
-        rows = _csv_rows(out / "metrics.csv")
-        assert [int(r[0]) for r in rows] == list(table.k)
-        assert [float(r[3]) for r in rows] == list(table.rtilde)
-        report = json.loads((out / "balance_report.json").read_text())
-        assert report["route"] == "loss"
 
     def test_one_value_per_quantity(self, tmp_path):
         """metrics.csv and balance_report.json hold the same rtilde, and
@@ -181,30 +161,28 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["onset_step"] == 6
 
-    @pytest.mark.parametrize("route", ["quadrature", "loss"])
-    def test_localized_work_counts(self, tmp_path, route):
-        """timings.json counts the profile nodes localization evaluated and
-        the Lanczos products of its sharpness estimates (dim 98 > 64), as
-        ``write_metrics_csv`` tallies them; the loss route evaluates the
-        nine K9 nodes of each step itself."""
+    def test_localized_work_counts(self, tmp_path):
+        """timings.json counts the profile nodes localization evaluated
+        beyond the curvature table's and the Lanczos products of its
+        sharpness estimates (dim 98 > 64), as ``write_metrics_csv`` tallies
+        them."""
         out = tmp_path / "out"
         model_cfg = {"kind": "mlp", "widths": [3, 16, 2], "activation": "tanh",
                      "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}}
         cfg = {"model": model_cfg, "init": {"mode": "gaussian", "seed": 1},
-               "eta": 0.5, "steps": 4, "route": route, "localize": True,
-               "out_dir": str(out)}
+               "eta": 0.5, "steps": 4, "localize": True, "out_dir": str(out)}
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         timings = json.loads((out / "timings.json").read_text())
         resolved = json.loads((out / "resolved_config.json").read_text())
         model = cli._build_model(resolved["model"])
         log = run_gd(model, model.init_params(seed=1), 0.5, 4)
         work = collections.Counter()
-        em.write_metrics_csv(model, log, em.curvature_table(model, log, route),
+        em.write_metrics_csv(model, log, em.curvature_table(model, log),
                              tmp_path / "m.csv", work=work)
         assert (tmp_path / "m.csv").read_bytes() == (out / "metrics.csv").read_bytes()
         assert timings["localization_profile_nodes"] == work["localization_profile_nodes"]
         assert timings["lanczos_products"] == work["lanczos_products"] > 4 * 2
-        assert work["localization_profile_nodes"] > (4 * 9 if route == "loss" else 0)
+        assert work["localization_profile_nodes"] > 0
 
     def test_outputs_identical_for_any_cpu_count(self, tmp_path, monkeypatch):
         """With one CPU and with two, the curvature table of a localized
@@ -548,19 +526,16 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["checks"]} == \
             {"quadratic_exactness", "mechanisms", "stochastic_balance"}
 
-    @pytest.mark.parametrize("route", ["quadrature", "loss"])
-    def test_run_dir_integrity_pass(self, tmp_path, route):
-        """Replay on the run's own route reproduces its telescoping
-        residual bit for bit."""
+    def test_run_dir_integrity_pass(self, tmp_path):
+        """Replay reproduces the run's telescoping residual bit for bit."""
         out = tmp_path / "run"
-        cfg = dict(_quad_run_config(out), route=route)
+        cfg = _quad_run_config(out)
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         [replay] = [c for c in report["checks"] if c["name"] == "identity_residual_replay"]
         reported = json.loads((out / "balance_report.json").read_text())["identity_residual"]
-        assert replay["details"] == {"replayed": reported, "reported": reported,
-                                     "route": route}
+        assert replay["details"] == {"replayed": reported, "reported": reported}
 
     @pytest.mark.parametrize("value", ["nextafter", "string", "absent"])
     def test_edited_identity_residual_detected(self, tmp_path, capsys, value):
@@ -587,15 +562,17 @@ class TestVerifyCommand:
         assert replay["details"]["mismatched_fields"] == [
             "balance_report.json.identity_residual"]
 
-    def test_edited_metrics_cell_detected(self, tmp_path, capsys):
-        """An rtilde cell of metrics.csv moved by one ulp fails exactly
+    @pytest.mark.parametrize("column", ["rtilde", "rtilde_exact"])
+    def test_edited_metrics_cell_detected(self, tmp_path, capsys, column):
+        """A cell of metrics.csv moved by one ulp fails exactly
         metrics_replay, which names its line and column."""
         out = tmp_path / "run"
         main(["run", "--config", _write_config(tmp_path / "c.json", _quad_run_config(out))])
         path = out / "metrics.csv"
         lines = path.read_bytes().decode().split("\r\n")
         cells = lines[5].split(",")
-        cells[3] = f"{np.nextafter(float(cells[3]), 4.0):.17g}"
+        col = lines[0].split(",").index(column)
+        cells[col] = f"{np.nextafter(float(cells[col]), 4.0):.17g}"
         lines[5] = ",".join(cells)
         path.write_bytes("\r\n".join(lines).encode())
         capsys.readouterr()
@@ -603,7 +580,7 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.splitlines() == ["FAILED: metrics_replay"]
         report = json.loads((tmp_path / "verify_report.json").read_text())
         [replay] = [c for c in report["checks"] if c["name"] == "metrics_replay"]
-        assert replay["details"] == {"first_mismatch": {"line": 6, "column": "rtilde"},
+        assert replay["details"] == {"first_mismatch": {"line": 6, "column": column},
                                      "localized": True}
 
     def test_tampered_reports_detected(self, tmp_path, capsys):
@@ -736,6 +713,66 @@ class TestVerifyCommand:
         capsys.readouterr()
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
         assert line.startswith(f"config error at {run_dir / 'metrics.csv'}: cannot read")
+
+    def test_run_dir_with_route(self, tmp_path, capsys):
+        """A run directory whose resolved config still holds the removed
+        ``route`` key no longer replays."""
+        run_dir = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json",
+                                               _quad_run_config(run_dir))])
+        path = run_dir / "resolved_config.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), route="quadrature")))
+        capsys.readouterr()
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line == "config error at route: unknown key"
+
+    def test_run_dir_header_only_trajectory(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json",
+                                               _quad_run_config(run_dir))])
+        traj = run_dir / "trajectory.csv"
+        traj.write_bytes(traj.read_bytes().split(b"\r\n")[0] + b"\r\n")
+        capsys.readouterr()
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line == f"config error at {traj}: no rows"
+
+    def test_run_dir_iterate_width_mismatch(self, tmp_path, capsys):
+        """The model of the resolved config, edited to dimension 3, does
+        not fit the logged one-dimensional iterates."""
+        run_dir = tmp_path / "run"
+        main(["run", "--config", _write_config(tmp_path / "c.json",
+                                               _quad_run_config(run_dir))])
+        path = run_dir / "resolved_config.json"
+        path.write_text(json.dumps(_with(json.loads(path.read_text()),
+                                         "model.diag", [3.0, 1.0, 1.0])))
+        capsys.readouterr()
+        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
+        assert line == (f"config error at {run_dir / 'trajectory.csv'}: "
+                        "1 iterate columns, the model has dimension 3")
+
+    def test_run_dir_diverged_at_first_step(self, tmp_path, capsys):
+        """A run that diverges at its first step logs no step; its
+        one-row trajectory replays and every check passes."""
+        out = tmp_path / "run"
+        cfg = {"model": {"kind": "quadratic", "diag": [3.0, 1.0]},
+               "init": {"mode": "vector", "values": [1e150, 1.0]},
+               "eta": 0.5, "steps": 10, "out_dir": str(out)}
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 3
+        assert len(_csv_rows(out / "trajectory.csv")) == 1
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert len(report["checks"]) == 7 and report["passed"] is True
+
+    def test_out_not_creatable(self, tmp_path, capsys):
+        """An --out below a file is a config error at --out, before any
+        check runs."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["verify", "--suite", "quadratic", "--out", str(blocker / "sub")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(lines) == 1, lines
+        assert lines[0].startswith(f"config error at --out: cannot create {blocker / 'sub'}: ")
 
 
 # A GELU MLP whose first steps (|d| up to 69) have profiles no fixed Gauss
@@ -967,7 +1004,8 @@ class TestFailureContract:
         ("run", "out_dir", None),
         ("run", "model.diag", [3.0, float("inf")]),
         ("run", "init.values", ["1"]),
-        ("balance", "route", "foo"),
+        ("run", "route", "quadrature"),
+        ("balance", "route", "quadrature"),
         ("balance", "steps", 0),
         ("bifurcate", "model.lam", "3"),
         ("bifurcate", "etas", [float("nan")]),
@@ -1039,7 +1077,7 @@ class TestFailureContract:
         "model": {"kind": "mlp", "widths": [3, 16, 2], "activation": "tanh",
                   "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
         "init": {"mode": "gaussian", "seed": 1}, "eta": 0.5, "steps": 3,
-        "route": "loss", "localize": True}
+        "localize": True}
 
     def _localized_run_fails(self, tmp_path, capsys) -> str:
         """Run the localized MLP in-process: exit 1 and one stderr line."""
@@ -1075,10 +1113,14 @@ class TestFailureContract:
             os.waitpid(-1, os.WNOHANG)
 
     def test_localization_without_crossing(self, tmp_path, capsys, monkeypatch):
-        """A profile above every target (the curvatures come from the loss
-        route, so only localization reads the patched profile)."""
-        monkeypatch.setattr(loss_models.MlpModel, "segment_profile",
-                            lambda self, w, d: lambda taus: 1e6 + np.asarray(taus, float))
+        """Profile values above every target at the table's nodes (the
+        curvatures are computed before the patched values are read)."""
+        profile = em.CurvatureTable.profile
+
+        def above(self, i):
+            taus, _ = profile(self, i)
+            return taus, 1e6 + taus
+        monkeypatch.setattr(em.CurvatureTable, "profile", above)
         line = self._localized_run_fails(tmp_path, capsys)
         assert line.startswith("no interior point found for step 0"), line
 
@@ -1258,13 +1300,12 @@ _PROPERTY_BASES = [
                        "dataset": {"seed": 0, "n": 10, "d_in": 4, "d_out": 2,
                                    "teacher_rank": 1, "noise": 0.1}},
              "init": {"mode": "gaussian", "seed": 1, "scale": 0.5},
-             "eta": 0.5, "steps": 5, "route": "loss", "localize": True,
+             "eta": 0.5, "steps": 5, "localize": True,
              "include_w": None, "deltas": [0.1], "out_dir": "out"}),
     ("balance", {"model": {"kind": "quadratic", "matrix": [[3.0, 0.0], [0.0, 1.0]],
                            "center": [0.1, 0.0]},
                  "init": {"mode": "vector", "values": [1.0, 1.0]},
-                 "etas": [0.5], "steps": 5, "route": "quadrature",
-                 "deltas": None, "out_dir": "out"}),
+                 "etas": [0.5], "steps": 5, "deltas": None, "out_dir": "out"}),
     ("bifurcate", {"model": {"kind": "two_layer_linear", "hidden": 3, "rank": 2,
                              "dataset": {"seed": 0, "n": 10, "d_in": 3, "d_out": 2,
                                          "teacher_spectrum": [2.0, 1.0]}},

@@ -126,12 +126,6 @@ class TestCurvatureRoutes:
         assert table.rbar[0] == pytest.approx(q0 + slope / 2.0, abs=1e-13)
         assert table.rtilde[0] == pytest.approx(q0 + slope / 3.0, abs=1e-13)
 
-    def test_loss_route_telescopes_tautologically(self, mlp_run):
-        """The loss-route balance is an algebraic identity on any run."""
-        model, log = mlp_run
-        rep = em.edge_balance_report(model, log, em.curvature_table(model, log, "loss"))
-        assert rep.identity_residual <= 1e-12 * max(1.0, abs(2 * rep.loss_drop))
-
     def test_route_agreement_two_layer(self):
         w_bar, geom = balanced_minimizer(np.diag([2.0, 1.0]), 2)
         model = geom.model
@@ -227,12 +221,6 @@ class TestCurvatureRoutes:
         exact = 2.0 * 0.4 * model.WIDTH * math.sqrt(math.pi)
         assert abs(table.rtilde[0] - exact) <= 1e-9
 
-    def test_unknown_route_rejected(self):
-        model = make_scalar_poly(3.0)
-        log = run_gd(model, np.array([1.0]), 0.5, 3)
-        with pytest.raises(ValueError):
-            em.curvature_table(model, log, "exact-algebraic")
-
 
 class TestProfileAndLocalization:
     def test_profile_constant_on_quadratic(self):
@@ -260,26 +248,24 @@ class TestProfileAndLocalization:
     def test_localize_constant_profile_midpoint(self):
         """The table's profile values span less than tol: the midpoint 0.5,
         itself a node of the table's one K9 interval, so nothing is
-        evaluated; without the table, the nine K9 nodes are."""
+        evaluated."""
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, 1.0]), 0.5, 5)
         table = em.curvature_table(model, log)
-        for profile, evaluated in ((table.profile(0), 0), (None, 9)):
-            counted = _CountingModel(model)
-            [rec] = em.localize(counted, log, 0, (table.rtilde[0],), profile)
-            assert rec.constant_profile and rec.point == 0.5
-            assert counted.calls == evaluated
+        counted = _CountingModel(model)
+        [rec] = em.localize(counted, log, 0, (table.rtilde[0],), table.profile(0))
+        assert rec.constant_profile and rec.point == 0.5
+        assert counted.calls == 0
 
     def test_localize_linear_profile_closed_form(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 3)
         table = em.curvature_table(model, log)
-        for profile in (table.profile(0), None):
-            xi, zeta = em.localize(model, log, 0, (table.rtilde[0], table.rbar[0]),
-                                   profile, tol=1e-12)
-            assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
-            assert zeta.point == pytest.approx(0.5, abs=1e-8)
-            assert abs(xi.q_at_point - xi.target) <= 1e-10
+        xi, zeta = em.localize(model, log, 0, (table.rtilde[0], table.rbar[0]),
+                               table.profile(0), tol=1e-12)
+        assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
+        assert zeta.point == pytest.approx(0.5, abs=1e-8)
+        assert abs(xi.q_at_point - xi.target) <= 1e-10
 
     def test_localized_sharpness_dominates(self, mlp_run):
         model, log = mlp_run
@@ -319,17 +305,16 @@ class TestProfileAndLocalization:
         model, log = mlp_run
         table = em.curvature_table(model, log)
         for k in range(0, log.num_steps, 23):
-            targets = (table.rtilde[k], table.rbar[k])
-            for profile in (table.profile(k), None):
-                single = [rec for t in targets
-                          for rec in em.localize(model, log, k, (t,), profile)]
-                assert em.localize(model, log, k, targets, profile) == single
+            targets, profile = (table.rtilde[k], table.rbar[k]), table.profile(k)
+            single = [rec for t in targets
+                      for rec in em.localize(model, log, k, (t,), profile)]
+            assert em.localize(model, log, k, targets, profile) == single
 
     def test_each_tau_evaluated_once(self, mlp_run):
         """From the table's profile, localization evaluates only Brent's
         points, one per call, none of them a table node (Brent's bracket
-        ends are) and none twice (the root is read back); without it, the
-        nine K9 nodes come first in one call. ``work`` counts them."""
+        ends are) and none twice (the root is read back). ``work`` counts
+        them."""
         model, log = mlp_run
         table = em.curvature_table(model, log)
         for k in (0, 5, 60):
@@ -337,15 +322,12 @@ class TestProfileAndLocalization:
             taus, _ = table.profile(k)
             w, d = log.w(k), log.step(k)
             table_points = {(w + t * d).tobytes() for t in taus}
-            for profile, sizes in ((table.profile(k), []), (None, [9])):
-                counted, work = _CountingModel(model), Counter()
-                em.localize(counted, log, k, targets, profile, work=work)
-                assert counted.sizes[:len(sizes)] == sizes
-                assert set(counted.sizes[len(sizes):]) == {1}
-                assert len(set(counted.points)) == counted.calls
-                assert work == {"localization_profile_nodes": counted.calls}
-                if profile is not None:
-                    assert not table_points & set(counted.points)
+            counted, work = _CountingModel(model), Counter()
+            em.localize(counted, log, k, targets, table.profile(k), work=work)
+            assert set(counted.sizes) == {1}
+            assert len(set(counted.points)) == counted.calls
+            assert work == {"localization_profile_nodes": counted.calls}
+            assert not table_points & set(counted.points)
 
     def test_leftmost_event_wins(self):
         """q(tau) = (tau - 0.125)(tau - 0.1) changes sign between the
@@ -367,21 +349,21 @@ class TestProfileAndLocalization:
         and changes sign nowhere else: the node is the point, and q there
         is the target."""
         model = _CurvatureModel(lambda x: x - 0.5)
-        [rec] = em.localize(model, _unit_segment_log(), 0, (0.0,))
+        profile = (em.K9_NODES, em.K9_NODES - 0.5)
+        [rec] = em.localize(model, _unit_segment_log(), 0, (0.0,), profile)
         assert rec.point == 0.5 and rec.q_at_point == 0.0
 
     def test_unbracketed_target_raises_localization_error(self):
         """A target above or below every profile value is no average of
-        them: LocalizationError, a RuntimeError, naming the step, after the
-        nine K9 nodes (one call) or none from given values."""
+        them: LocalizationError, a RuntimeError, naming the step, with no
+        further profile value evaluated."""
         model = _CurvatureModel(lambda x: 2.0 + x)
         taus = em.K9_NODES
-        for profile, evaluated in ((None, 9), ((taus, 2.0 + taus), 0)):
-            counted = _CountingModel(model)
-            with pytest.raises(em.LocalizationError, match="step 0") as info:
-                em.localize(counted, _unit_segment_log(), 0, (1.0,), profile)
-            assert isinstance(info.value, RuntimeError)
-            assert counted.sizes == ([evaluated] if evaluated else [])
+        counted = _CountingModel(model)
+        with pytest.raises(em.LocalizationError, match="step 0") as info:
+            em.localize(counted, _unit_segment_log(), 0, (1.0,), (taus, 2.0 + taus))
+        assert isinstance(info.value, RuntimeError)
+        assert counted.sizes == []
 
     def test_bundled_tables_bracket_both_targets(self):
         """Both averages of every row of every bundled run's quadrature
@@ -518,10 +500,10 @@ class TestEosOnset:
     def test_first_crossing(self):
         r = np.array([1.0, 2.0, 3.79, 3.81, 3.5])
         no_profile = (np.zeros(1, dtype=np.int64), np.empty(0), np.empty(0))
-        table = em.CurvatureTable("loss", np.arange(5), np.ones(5), r, r,
+        table = em.CurvatureTable(np.arange(5), np.ones(5), r, r,
                                   np.zeros(5, dtype=np.int64), [], [], *no_profile)
         assert em.eos_onset(table, 0.5) == 3
-        short = em.CurvatureTable("loss", np.arange(2), np.ones(2), r[:2], r[:2],
+        short = em.CurvatureTable(np.arange(2), np.ones(2), r[:2], r[:2],
                                   np.zeros(2, dtype=np.int64), [], [], *no_profile)
         assert em.eos_onset(short, 0.5) is None
 
@@ -571,13 +553,53 @@ class TestMetricsCsv:
                              with_localization=True)
         lines = path.read_bytes().decode().strip().split("\r\n")
         assert lines[0] == ("k,step_norm_sq,rbar,rtilde,xi,zeta,lambda_max_xi,"
-                            "delta_L,proxy,return_ratio")
+                            "delta_L,proxy,return_ratio,rbar_exact,rtilde_exact")
         assert len(lines) == 9
         first = lines[1].split(",")
         assert float(first[4]) == pytest.approx(1 / 3, abs=1e-6)
         assert float(first[5]) == pytest.approx(0.5, abs=1e-6)
         last = lines[-1].split(",")
         assert last[8] == "" and last[9] == ""  # no k+2 record at the end
+
+    @staticmethod
+    def _exact_columns(model, log, tmp_path):
+        """{k: (rbar_exact, rtilde_exact) cells} of an unlocalized metrics.csv."""
+        path = tmp_path / "metrics.csv"
+        em.write_metrics_csv(model, log, em.curvature_table(model, log), path,
+                             with_localization=False)
+        lines = path.read_bytes().decode().split("\r\n")[:-1]
+        assert lines[0].split(",")[10:] == ["rbar_exact", "rtilde_exact"]
+        return {int(c[0]): tuple(c[10:]) for c in (ln.split(",") for ln in lines[1:])}
+
+    def test_exact_columns_are_the_exact_routes(self, mlp_run, tmp_path):
+        """Bit for bit the library's gradient-difference and loss-change routes."""
+        model, log = mlp_run
+        cells = self._exact_columns(model, log, tmp_path)
+        assert list(cells) == list(range(log.num_steps))
+        for k, (rbar, rtilde) in cells.items():
+            assert float(rbar) == em.step_mean_curvature_exact(log, k)
+            assert float(rtilde) == em.effective_curvature_from_loss(log, k)
+
+    def test_exact_columns_on_quadratic(self, tmp_path):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((4, 4))
+        H = (A + A.T) / 2 + 2.0 * np.eye(4)
+        model = make_quadratic(H)
+        log = run_gd(model, rng.standard_normal(4), 0.3, 30)
+        for k, cells in self._exact_columns(model, log, tmp_path).items():
+            d = log.step(k)
+            u = d / np.linalg.norm(d)
+            for cell in cells:
+                assert abs(float(cell) - float(u @ H @ u)) <= 1e-12
+
+    def test_exact_columns_empty_on_degenerate_steps(self, tmp_path):
+        """Steps 0-5 are too short to have a direction."""
+        model = make_quadratic(np.array([[3.0]]))
+        log = run_gd(model, np.array([1e-16]), 1.0, 10)
+        cells = self._exact_columns(model, log, tmp_path)
+        assert all(cells[k] == ("", "") for k in range(6))
+        assert all(float(c) == pytest.approx(3.0, abs=1e-12)
+                   for k in range(6, 10) for c in cells[k])
 
 
 # Steps 90-101 of a GELU MLP run, of which steps 92-98 (2-8 here) need
@@ -632,15 +654,13 @@ class TestParallelTable:
         monkeypatch.setattr(em, "_CHUNK_STEPS", 2)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("route", ["quadrature", "loss"])
-    def test_bisected_steps_identical(self, gelu_run, route, workers):
+    def test_bisected_steps_identical(self, gelu_run, workers):
         model, log = gelu_run
         work = Counter()
-        table = em.curvature_table(model, log, route, work, workers=workers)
+        table = em.curvature_table(model, log, work, workers=workers)
         assert work["curvature_table_workers"] == workers
-        _assert_same_table(table, em.curvature_table(model, log, route, workers=1))
-        if route == "quadrature":
-            assert np.all(table.nodes[2:4] > 9)
+        _assert_same_table(table, em.curvature_table(model, log, workers=1))
+        assert np.all(table.nodes[2:4] > 9)
         _no_child_left()
 
     def test_degenerate_steps_skipped(self):
@@ -686,7 +706,7 @@ class TestParallelTable:
     def test_one_process_where_fork_is_missing(self, gelu_run, monkeypatch):
         monkeypatch.delattr(os, "fork")
         work = Counter()
-        em.curvature_table(*gelu_run, route="loss", work=work)
+        em.curvature_table(*gelu_run, work=work)
         assert work["curvature_table_workers"] == 1
 
     @pytest.mark.parametrize("bad", [[3], [3, 5], [1, 3]],

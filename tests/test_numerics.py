@@ -194,7 +194,7 @@ class TestBrentMatchesBrentq:
         profile function."""
         from scipy.optimize import brentq
         model, log = verify._mlp_eos_short()
-        table = em.curvature_table(model, log, "loss")
+        table = em.curvature_table(model, log)
         compared = []
 
         def both(f, lo, hi, tol):
@@ -204,7 +204,8 @@ class TestBrentMatchesBrentq:
 
         monkeypatch.setattr(em, "brent_root", both)
         for i in range(0, len(table.k), 15):
-            em.localize(model, log, int(table.k[i]), (table.rtilde[i], table.rbar[i]))
+            em.localize(model, log, int(table.k[i]), (table.rtilde[i], table.rbar[i]),
+                        table.profile(i))
         assert len(compared) >= 30 and all(compared)
 
 
