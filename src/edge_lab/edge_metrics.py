@@ -26,14 +26,13 @@ against the threshold 2/eta).
 
 from __future__ import annotations
 
-import os
-import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._procmap import OrderedMap
 from .loss_models import LossModel
 from .numerics import (BracketError, EvaluationError, NonConvergenceError,
                        brent_root, dense_eigvalsh,
@@ -109,8 +108,9 @@ QUADRATURE_RTOL = 1e-9
 QUADRATURE_MAX_INTERVALS = 128
 
 # ``curvature_table`` deals its steps to its processes in chunks of this
-# many consecutive non-degenerate steps.
-_CHUNK_STEPS = 64
+# many consecutive non-degenerate steps, so a table of at most this many
+# steps forks nothing.
+_CHUNK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
 
 
 def _row(model: LossModel, log: TrajectoryLog, k: int) -> tuple:
-    """(k, rbar, rtilde, profile nodes, settled, final nodes, their values)
+    """(rbar, rtilde, profile nodes, settled, final nodes, their values)
     of non-degenerate step k, the last two as raw float64 bytes. A
     non-finite profile value raises EvaluationError naming the step."""
     try:
@@ -248,105 +248,7 @@ def _row(model: LossModel, log: TrajectoryLog, k: int) -> tuple:
             model, log.w(k), log.step(k))
     except EvaluationError as exc:
         raise EvaluationError(f"curvature table, step {k}: {exc}") from exc
-    return k, rbar, rtilde, count, settled, taus.tobytes(), qs.tobytes()
-
-
-def _rows(model: LossModel, log: TrajectoryLog, ks) -> tuple:
-    """(rows of steps ``ks`` in order, None), or, once a step raises,
-    (the rows before it, (its k, the exception))."""
-    rows = []
-    for k in ks:
-        try:
-            rows.append(_row(model, log, k))
-        except Exception as exc:
-            return rows, (k, exc)
-    return rows, None
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_rows(model: LossModel, log: TrajectoryLog, ks):
-    """(pid, read end of its pipe) of a forked process that writes the
-    pickled ``_rows`` of ``ks`` to the pipe. A fork inherits the model and
-    the log, so only the rows cross the pipe; the rows need numpy alone,
-    and OpenBLAS shuts its thread pool down across a fork. The process
-    ends by ``os._exit`` on every path, status 0 once the rows are
-    written, so it never returns into its caller's frames, exit handlers
-    or buffers."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            payload = pickle.dumps(_rows(model, log, ks),
-                                   pickle.HIGHEST_PROTOCOL)
-            with open(write, "wb") as fh:
-                fh.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _table_rows(model: LossModel, log: TrajectoryLog, ks,
-                workers: int | None) -> tuple[list, int]:
-    """(rows of steps ``ks`` in k order, the number of processes that
-    computed them).
-
-    The steps are cut into chunks of _CHUNK_STEPS consecutive steps, dealt
-    round-robin to ``workers`` processes (default: one per CPU this
-    process may run on), at most one per chunk. This process takes the
-    first share and forks one process for each other share; a forked
-    process sends back only its rows. Each row depends on its step alone,
-    so the rows are those of one process for any count. A step that
-    raises stops its share; the exception of the lowest such step, the
-    one a single process would have met first, is raised here once every
-    share is in, with its class, message and attributes. A share whose
-    process could not be forked, or ended without its rows, is computed
-    here. Every forked process is reaped before this returns or raises.
-    """
-    chunks = [ks[i:i + _CHUNK_STEPS] for i in range(0, len(ks), _CHUNK_STEPS)]
-    count = max(1, min(workers or _cpu_count(), len(chunks)))
-    shares = [[k for chunk in chunks[j::count] for k in chunk] for j in range(count)]
-    forked, payloads = [], {}
-    try:
-        for j in range(1, count):
-            try:
-                forked.append((j, *_fork_rows(model, log, shares[j])))
-            except OSError:
-                pass
-        results = [_rows(model, log, shares[0])]
-        for j, _, fh in forked:
-            payloads[j] = fh.read()
-    finally:
-        for j, pid, fh in forked:
-            fh.close()
-            if j not in payloads:
-                import signal
-                os.kill(pid, signal.SIGKILL)
-            if os.waitpid(pid, 0)[1] != 0:
-                payloads.pop(j, None)
-    results += [pickle.loads(payloads[j]) if j in payloads
-                else _rows(model, log, shares[j]) for j in range(1, count)]
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return sorted((row for rows, _ in results for row in rows),
-                  key=lambda row: row[0]), len(forked) + 1
+    return rbar, rtilde, count, settled, taus.tobytes(), qs.tobytes()
 
 
 def curvature_table(model: LossModel, log: TrajectoryLog,
@@ -360,8 +262,9 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
     weighted sum is below the rounding floor by construction.
 
     The rows are computed in up to ``workers`` processes, by default one
-    per CPU this process may run on (``_table_rows``); the table is the
-    same for any count. ``work["curvature_table_workers"]`` becomes the
+    per CPU this process may run on, which take chunks of _CHUNK_STEPS
+    consecutive steps on demand (``OrderedMap``); the table is the same
+    for any count. ``work["curvature_table_workers"]`` becomes the
     largest number of processes a table has used. A non-finite profile
     value raises EvaluationError naming the step.
     """
@@ -373,10 +276,11 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
         else:
             ks.append(k)
             norms_sq.append(nd ** 2)
-    rows, used = _table_rows(model, log, ks, workers)
+    with OrderedMap(lambda k: _row(model, log, k), ks, _CHUNK_STEPS, workers) as rows:
+        rbars, rtildes, nodes, settled, taus, qs = zip(*rows) if ks else [()] * 6
     if work is not None:
-        work["curvature_table_workers"] = max(work["curvature_table_workers"], used)
-    _, rbars, rtildes, nodes, settled, taus, qs = zip(*rows) if rows else [()] * 7
+        work["curvature_table_workers"] = max(work["curvature_table_workers"],
+                                              rows.processes)
     node_start = [0] + [len(t) // K9_NODES.itemsize for t in taus]
     return CurvatureTable(np.array(ks, dtype=np.int64), np.array(norms_sq),
                           np.array(rbars), np.array(rtildes),
@@ -739,15 +643,18 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
             except (EvaluationError, BracketError) as exc:
                 raise type(exc)(f"localization of step {k}: {exc}") from exc
             xi, zeta = rec_t.point, rec_b.point
+        # Each step increment is derived once; the cells are those of
+        # loss_change_proxy, return_ratio and the two exact routes bit for
+        # bit, the latter from the row's own step norm and loss change.
+        d = log.step(k)
         delta_l = float(log.losses[k + 1] - log.losses[k])
         proxy = ratio = None
         if k + 1 < log.num_steps:
-            proxy, _ = loss_change_proxy(log, k)
-            ratio = return_ratio(log, k)
-        # The exact routes, as the two library functions compute them
-        # bit for bit, from the row's own step norm and loss change.
+            two_step = d + log.step(k + 1)
+            proxy = -float(d @ two_step) / (2.0 * log.eta)
+            ratio = float(np.linalg.norm(two_step)) / float(np.linalg.norm(d))
         nsq = float(table.step_norm_sq[i])
-        rbar_exact = float(log.step(k) @ (log.grads[k + 1] - log.grads[k])) / nsq
+        rbar_exact = float(d @ (log.grads[k + 1] - log.grads[k])) / nsq
         rtilde_exact = 2.0 * (delta_l + nsq / log.eta) / nsq
         rows.append([k, nsq, rbar, rtilde, xi, zeta, lam_xi,
                      delta_l, proxy, ratio, rbar_exact, rtilde_exact])

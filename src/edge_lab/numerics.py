@@ -49,6 +49,12 @@ BRENT_MAX_ITER = 100
 LANCZOS_MAX_VECTORS = 300
 # ARPACK's floor on |theta| in its convergence test.
 _EPS23 = MACHINE_EPS ** (2.0 / 3.0)
+# lambda_max_iter tests the Ritz value once a block holds _RITZ_FROM
+# vectors and then at every _RITZ_EVERY-th one. Each test is an eigh of
+# the block's tridiagonal matrix; on the README MLP (dim 533) an estimate
+# takes about 30 vectors, and an eigh at every one took a fifth of it.
+_RITZ_FROM = 12
+_RITZ_EVERY = 3
 
 
 class EvaluationError(ValueError):
@@ -256,16 +262,20 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     the largest Ritz value theta of the tridiagonal matrix is accepted
     once |beta s_last| <= tol max(eps^(2/3), |theta|), with beta the norm
     of the new residual and s_last the last entry of theta's Ritz vector.
-    A residual norm at most tol times the largest |theta| (a breakdown:
-    the Krylov space is invariant to within tol) closes the block. A
-    block grown from a random vector then holds the largest eigenvalue
-    of the space it was drawn from, and the iteration returns. A block
-    grown from ``v0`` may sit inside an invariant subspace that misses
-    the largest eigenvalue, so the iteration goes on once from a seeded
-    random vector orthogonal to the basis, as ARPACK's restart does. The
-    estimate is the largest Ritz value over all blocks, tested on the
-    block still growing. Raises NonConvergenceError once the basis would
-    exceed ``LANCZOS_MAX_VECTORS`` vectors.
+    The test runs once the block holds _RITZ_FROM vectors, then at every
+    _RITZ_EVERY-th. A residual norm at most tol times the largest |theta|
+    (a breakdown: the Krylov space is invariant to within tol) closes the
+    block; that test is made at every vector, from the Ritz values
+    wherever a Gershgorin bound on the largest |theta| does not rule it
+    out. A block grown from a random vector then holds the largest
+    eigenvalue of the space it was drawn from, and the iteration
+    returns. A block grown from ``v0`` may sit inside an invariant
+    subspace that misses the largest eigenvalue, so the iteration goes
+    on once from a seeded random vector orthogonal to the basis, as
+    ARPACK's restart does. The estimate is the largest Ritz value over
+    all blocks, tested on the block still growing. Raises
+    NonConvergenceError once the basis would exceed
+    ``LANCZOS_MAX_VECTORS`` vectors.
     """
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
@@ -288,6 +298,9 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     T = np.zeros((len(V) + 1, len(V) + 1))
     first = 0
     done = -math.inf            # largest Ritz value of the closed block
+    # The largest |diagonal| and |off-diagonal| entries of the block:
+    # twice their sum bounds its largest |theta| with room for rounding.
+    amax = bmax = 0.0
     random_block = v0 is None
     q = rng.standard_normal(dim) if random_block else np.asarray(v0, float)
     q = q / np.linalg.norm(q)
@@ -301,22 +314,28 @@ def lambda_max_iter(hvp: Callable[[NDArray[np.float64]], NDArray[np.float64]],
         r = r - c2 @ basis
         T[j, j] = c[j] + c2[j]
         b = float(np.linalg.norm(r))
-        theta, S = np.linalg.eigh(T[first:j + 1, first:j + 1])
-        top = max(done, float(theta[-1]))
-        if j + 1 == dim:
-            return top
-        if b <= tol * max(_EPS23, float(np.max(np.abs(theta)))):    # breakdown
-            if random_block:
+        amax = max(amax, abs(float(T[j, j])))
+        size = j + 1 - first
+        if (j + 1 == dim or b <= tol * max(_EPS23, 2.0 * (amax + 2.0 * bmax))
+                or (size >= _RITZ_FROM and (size - _RITZ_FROM) % _RITZ_EVERY == 0)):
+            theta, S = np.linalg.eigh(T[first:j + 1, first:j + 1])
+            top = max(done, float(theta[-1]))
+            if j + 1 == dim:
                 return top
-            done, first, random_block = top, j + 1, True
-            q = rng.standard_normal(dim)
-            for _ in range(2):
-                q = q - (basis @ q) @ basis
-            q = q / np.linalg.norm(q)
-            continue
-        if abs(b * S[-1, -1]) <= tol * max(_EPS23, abs(float(theta[-1]))):
-            return top
+            if b <= tol * max(_EPS23, float(np.max(np.abs(theta)))):    # breakdown
+                if random_block:
+                    return top
+                done, first, random_block = top, j + 1, True
+                amax = bmax = 0.0
+                q = rng.standard_normal(dim)
+                for _ in range(2):
+                    q = q - (basis @ q) @ basis
+                q = q / np.linalg.norm(q)
+                continue
+            if abs(b * S[-1, -1]) <= tol * max(_EPS23, abs(float(theta[-1]))):
+                return top
         T[j, j + 1] = T[j + 1, j] = b
+        bmax = max(bmax, b)
         q = r / b
     raise NonConvergenceError(
         f"lambda_max_iter: not converged to tol {tol:g} within "

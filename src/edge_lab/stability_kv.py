@@ -10,11 +10,13 @@ pair of runs on two objectives.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._procmap import OrderedMap
 from .edge_metrics import DEGENERATE_STEP, step_mean_curvature_exact
 from .loss_models import LossModel
 from .numerics import QuadratureRule, dense_eigvalsh, uniform_rule
@@ -37,6 +39,12 @@ Array = NDArray[np.float64]
 # Adaptive strain quadrature: the order doubles until successive segment
 # Hessians agree to this relative tolerance.
 ADAPT_TOL = 1e-10
+
+# ``strain_run`` deals its steps to its processes in chunks of this many
+# consecutive steps. Each A_k crosses a pipe, so a chunk holds dim^2 * 8
+# bytes per step; a short chunk keeps the results waiting for an earlier
+# chunk, and so the caller's memory, small.
+_CHUNK_STEPS = 4
 
 
 def recoil_check(log: TrajectoryLog, k: int) -> tuple[float, float, float]:
@@ -123,16 +131,42 @@ def _segment_hessian(model: LossModel, base: Array, delta: Array,
     return A
 
 
+def _step_matrix(model: LossModel, base: Array, delta: Array,
+                 rule: QuadratureRule, adaptive: bool) -> tuple[Array, int]:
+    """(A, the dense Hessians it took): the segment Hessian from ``base``
+    along ``delta`` by ``rule``, with ``adaptive`` at doubled orders until
+    two successive ones agree."""
+    order, A = rule.order, _segment_hessian(model, base, delta, rule)
+    hessians = len(rule.nodes)
+    while adaptive and order < 64:
+        order *= 2
+        A, prev = _segment_hessian(model, base, delta, uniform_rule(order)), A
+        hessians += order
+        if float(np.max(np.abs(A - prev))) <= ADAPT_TOL * max(1.0, float(np.max(np.abs(A)))):
+            break
+    return A, hessians
+
+
 def strain_run(pair: PairedLog, model_s: LossModel,
                rule: QuadratureRule | None = None,
-               adaptive: bool = False) -> StrainLog:
+               adaptive: bool = False, work: Counter | None = None,
+               *, workers: int | None = None) -> StrainLog:
     """Assemble the strain/stress/excursion log of a paired run.
 
     A_k is the uniform quadrature of the first objective's Hessian along
     the segment from w'_k to w_k. With ``adaptive`` the order doubles
-    until A_k stabilizes (for non-polynomial objectives). Each A_k is
-    held only while its step is processed: the propagated strain follows
-    z_0 = 0, z_{k+1} = (I - eta A_k) z_k - eta f_k in the same pass.
+    until A_k stabilizes (for non-polynomial objectives).
+
+    Each A_k depends on its step alone, so the A_k are computed in up to
+    ``workers`` processes, by default one per CPU this process may run
+    on, which take chunks of _CHUNK_STEPS consecutive steps on demand
+    (``OrderedMap``). This process consumes them in k order and holds
+    each only while its step is processed: kappa, the residual and the
+    propagated strain z_0 = 0, z_{k+1} = (I - eta A_k) z_k - eta f_k
+    follow in the same pass, so the log is the same for any count.
+    ``work["strain_workers"]`` becomes the largest number of processes a
+    run has used, and ``work["strain_dense_hessians"]`` adds the dense
+    Hessians of every process.
     """
     if rule is None:
         rule = uniform_rule()
@@ -145,19 +179,22 @@ def strain_run(pair: PairedLog, model_s: LossModel,
     z = np.zeros((K + 1, dim))
     kappa = np.zeros(K)
     residual = np.zeros(K)
-    for k in range(K):
-        wp = pair.log_sp.w_stored[k]
-        stress[k] = model_s.gradient(wp) - pair.log_sp.grads[k]
-        order, A = rule.order, _segment_hessian(model_s, wp, delta[k], rule)
-        while adaptive and order < 64:
-            order *= 2
-            A, prev = _segment_hessian(model_s, wp, delta[k], uniform_rule(order)), A
-            if float(np.max(np.abs(A - prev))) <= ADAPT_TOL * max(1.0, float(np.max(np.abs(A)))):
-                break
-        kappa[k] = excursion_kappa(A, eta)
-        predicted = delta[k] - eta * (A @ delta[k]) - eta * stress[k]
-        residual[k] = float(np.linalg.norm(delta[k + 1] - predicted))
-        z[k + 1] = z[k] - eta * (A @ z[k]) - eta * stress[k]
+    hessians = 0
+
+    def step_matrix(k: int) -> tuple[Array, int]:
+        return _step_matrix(model_s, pair.log_sp.w_stored[k], delta[k], rule, adaptive)
+
+    with OrderedMap(step_matrix, range(K), _CHUNK_STEPS, workers) as matrices:
+        for k, (A, count) in enumerate(matrices):
+            hessians += count
+            stress[k] = model_s.gradient(pair.log_sp.w_stored[k]) - pair.log_sp.grads[k]
+            kappa[k] = excursion_kappa(A, eta)
+            predicted = delta[k] - eta * (A @ delta[k]) - eta * stress[k]
+            residual[k] = float(np.linalg.norm(delta[k + 1] - predicted))
+            z[k + 1] = z[k] - eta * (A @ z[k]) - eta * stress[k]
+    if work is not None:
+        work["strain_workers"] = max(work["strain_workers"], matrices.processes)
+        work["strain_dense_hessians"] += hessians
     return StrainLog(eta=eta, delta=delta, stress=stress, propagated=z,
                      kappa=kappa, residual=residual)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edge_lab
-from edge_lab import bifurcation, cli, edge_metrics as em, loss_models, numerics
+from edge_lab import _procmap, bifurcation, cli, edge_metrics as em, loss_models, numerics
 from edge_lab.cli import _RESOLVERS, ConfigError, _mismatches, main
 from edge_lab.loss_models import make_mlp, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
@@ -403,6 +403,36 @@ class TestBifurcateCommand:
 
 
 class TestStrainCommand:
+    def test_outputs_identical_for_any_cpu_count(self, tmp_path, monkeypatch):
+        """With one CPU and with two, the segment Hessians of a 30-step
+        leave-one-out MLP pair take one process and two: every output but
+        timings.json is byte-identical, and so is the Hessian count."""
+        outs, timings = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = outs[cpus] = tmp_path / f"cpus{cpus}"
+            cfg = {
+                "model": {"kind": "mlp", "widths": [4, 5, 2], "activation": "tanh",
+                          "dataset": {"seed": 3, "n": 20, "d_in": 4, "d_out": 2,
+                                      "teacher_rank": 2, "noise": 0.05}},
+                "init": {"mode": "gaussian", "seed": 1},
+                "eta": 0.3, "steps": 30, "leave_one_out": 0,
+                "quadrature_order": 6, "out_dir": str(out),
+            }
+            assert main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+            timings[cpus] = json.loads((out / "timings.json").read_text())
+            assert timings[cpus]["strain_workers"] == cpus
+            assert timings[cpus]["strain_dense_hessians"] == 30 * 6
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
+        for name in names:
+            if name not in ("timings.json", "resolved_config.json"):
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        resolved = [json.loads((outs[c] / "resolved_config.json").read_text()) for c in (1, 2)]
+        assert resolved[0] == dict(resolved[1], out_dir=str(outs[1]))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_identical_datasets_zero_strain(self, tmp_path):
         out = tmp_path / "out"
         cfg = {
@@ -436,9 +466,12 @@ class TestStrainCommand:
         assert summary["max_recurrence_residual"] <= 1e-6
         assert summary["final_strain_norm"] > 0
         timings = json.loads((out / "timings.json").read_text())
-        assert sorted(timings) == ["wall_s"]
+        assert sorted(timings) == ["strain_dense_hessians", "strain_workers", "wall_s"]
         assert sorted(timings["wall_s"]) == ["reports", "runner", "strain"]
         assert all(v > 0 for v in timings["wall_s"].values())
+        # 15 steps make 4 chunks; adaptive from order 8 takes order 16 too.
+        assert timings["strain_workers"] == min(_procmap.cpu_count(), 4)
+        assert timings["strain_dense_hessians"] >= 15 * (8 + 16)
 
     def test_leave_one_out_rank_limited_linear(self, tmp_path):
         """The left-out objective keeps the model's rank limit: a width-6
@@ -830,7 +863,7 @@ class TestUnsettledQuadrature:
                                    "lanczos_products", "localization_profile_nodes",
                                    "unsettled_steps", "wall_s"]
         assert timings["curvature_table_workers"] == min(
-            em._cpu_count(), -(-300 // em._CHUNK_STEPS))
+            _procmap.cpu_count(), -(-300 // em._CHUNK_STEPS))
         assert timings["lanczos_products"] == timings["localization_profile_nodes"] == 0
         assert sorted(timings["wall_s"]) == ["curvature_table", "reports", "runner"]
         assert all(isinstance(v, float) and v > 0 for v in timings["wall_s"].values())

@@ -644,14 +644,15 @@ def _no_child_left():
 
 
 class TestParallelTable:
-    """The table's rows are computed in chunks of consecutive steps dealt
-    round-robin to several processes; the table is the same for any
-    count. Chunks of 2 steps here: with 2 processes, steps 2-3, 6-7 and
-    10-11 are a forked process's."""
+    """The table's rows are computed in chunks of consecutive steps that
+    forked processes take on demand; the table is the same for any
+    count. Chunks of 2 steps here, so the 12 steps make 6 chunks."""
 
     @pytest.fixture(autouse=True)
     def _short_chunks(self, monkeypatch):
         monkeypatch.setattr(em, "_CHUNK_STEPS", 2)
+        yield
+        _no_child_left()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_bisected_steps_identical(self, gelu_run, workers):
@@ -660,8 +661,7 @@ class TestParallelTable:
         table = em.curvature_table(model, log, work, workers=workers)
         assert work["curvature_table_workers"] == workers
         _assert_same_table(table, em.curvature_table(model, log, workers=1))
-        assert np.all(table.nodes[2:4] > 9)
-        _no_child_left()
+        assert np.all(table.nodes[2:9] > 9)
 
     def test_degenerate_steps_skipped(self):
         """Steps 0-5, too short to have a direction, are skipped; the
@@ -673,17 +673,17 @@ class TestParallelTable:
         _assert_same_table(table, em.curvature_table(model, log, workers=1))
 
     def test_unsettled_steps_in_order(self, gelu_run, monkeypatch):
-        """With a budget of one interval the bisecting steps 2-8, in the
-        chunks of both processes, are listed unsettled in k order."""
+        """With a budget of one interval the bisecting steps 2-8, in four
+        chunks, are listed unsettled in k order."""
         monkeypatch.setattr(em, "QUADRATURE_MAX_INTERVALS", 1)
         model, log = gelu_run
         table = em.curvature_table(model, log, workers=2)
         assert table.unsettled == list(range(2, 9))
         _assert_same_table(table, em.curvature_table(model, log, workers=1))
 
-    def test_share_of_a_lost_process_computed_here(self, gelu_run, monkeypatch):
+    def test_chunk_of_a_lost_process_computed_here(self, gelu_run, monkeypatch):
         """A forked process that ends without its rows (here at step 3),
-        or one that cannot be forked, leaves its share to this process."""
+        or one that cannot be forked, leaves its chunks to this process."""
         model, log = gelu_run
         parent = os.getpid()
 
@@ -710,11 +710,11 @@ class TestParallelTable:
         assert work["curvature_table_workers"] == 1
 
     @pytest.mark.parametrize("bad", [[3], [3, 5], [1, 3]],
-                             ids=["worker", "worker_first", "parent_first"])
+                             ids=["step_3", "steps_3_and_5", "steps_1_and_3"])
     def test_non_finite_profile(self, gelu_run, bad):
-        """A NaN profile at step 3 (a forked process's) raises the
-        EvaluationError one process raises, naming the step; of several
-        such steps the lowest is named, whichever process met it."""
+        """A NaN profile at step 3 raises the EvaluationError one process
+        raises, naming the step; of several such steps the lowest is
+        named, whichever process met it first."""
         model, log = gelu_run
         failing = _FailingModel(model, [log.w(k) for k in bad])
         messages = []
@@ -734,4 +734,3 @@ class TestParallelTable:
         with pytest.raises(NonConvergenceError) as err:
             em.curvature_table(failing, log, workers=2)
         assert str(err.value) == "no convergence" and err.value.history == [3.0, 2.5]
-        _no_child_left()

@@ -386,6 +386,23 @@ class TestLambdaMax:
         assert lam == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-9)
         assert len(calls) < 200
 
+    def test_ritz_schedule_matches_every_vector(self, monkeypatch):
+        """Testing the Ritz value only from the 12th vector on, at every
+        3rd, moves the estimate by rounding alone: the reference tests it
+        at every vector."""
+        rng = np.random.default_rng(12)
+        for i in range(40):
+            n = int(rng.integers(13, 120))
+            A = rng.standard_normal((n, n))
+            A = (A + A.T) / 2
+            v0 = rng.standard_normal(n)
+            lam = lambda_max_iter(lambda v: A @ v, n, v0=v0, seed=i)
+            with monkeypatch.context() as m:
+                m.setattr(numerics, "_RITZ_FROM", 1)
+                m.setattr(numerics, "_RITZ_EVERY", 1)
+                ref = lambda_max_iter(lambda v: A @ v, n, v0=v0, seed=i)
+            assert lam == pytest.approx(ref, rel=1e-13)
+
     def test_basis_cap(self, monkeypatch):
         rng = np.random.default_rng(10)
         A = rng.standard_normal((50, 50))

@@ -1,6 +1,9 @@
 """Recoil, oscillatory cancellation, excursions, propagators, and strain."""
 
+import dataclasses
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from edge_lab.edge_metrics import DegenerateStepError
 from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset,
                                   make_two_layer_linear)
-from edge_lab.numerics import uniform_rule
+from edge_lab.numerics import NonConvergenceError, uniform_rule
 from edge_lab.trajectory import run_gd, run_pair_gd
 
 
@@ -122,6 +125,11 @@ def _mlp_leave_one_out_models():
     return make_mlp([5, 6, 3], "tanh", ds), make_mlp([5, 6, 3], "tanh", ds2)
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestPropagatorProduct:
     def test_constant_matrix_power(self):
         _, _, _, H, eta = _quadratic_pair()
@@ -181,6 +189,51 @@ class TestStrainRun:
         strain = kv.strain_run(pair, m1, rule=uniform_rule(8), adaptive=True)
         assert strain.residual.max() <= 1e-6
         assert np.linalg.norm(strain.delta[-1]) > 0
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_identical_for_any_process_count(self, adaptive):
+        """The A_k are computed in chunks of 4 steps that forked processes
+        take on demand: every field of the log is the same for 1, 2 and 3
+        processes, and so is the count of dense Hessians they took."""
+        m1, m2 = _mlp_leave_one_out_models()
+        pair = run_pair_gd(m1, m2, m1.init_params(seed=7), 0.3, 25)
+        logs, works = [], []
+        for workers in (1, 2, 3):
+            works.append(Counter())
+            logs.append(kv.strain_run(pair, m1, rule=uniform_rule(8), adaptive=adaptive,
+                                      work=works[-1], workers=workers))
+            _no_child_left()
+        for log in logs[1:]:
+            for f in dataclasses.fields(kv.StrainLog):
+                x, y = getattr(logs[0], f.name), getattr(log, f.name)
+                if isinstance(x, np.ndarray):
+                    assert (x.shape, x.tobytes()) == (y.shape, y.tobytes()), f.name
+                else:
+                    assert x == y, f.name
+        assert [w["strain_workers"] for w in works] == [1, 2, 3]
+        [hessians] = {w["strain_dense_hessians"] for w in works}
+        # Adaptive: orders 8 and 16 at least, at every step.
+        assert hessians >= 25 * (8 + 16) if adaptive else hessians == 25 * 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lowest_failing_step_raised(self, monkeypatch, workers):
+        """A segment Hessian that fails at steps 9 and 5, in different
+        chunks, raises the error of step 5 with its attributes."""
+        qa, _, pair, _, _ = _quadratic_pair()
+        bad = {pair.log_sp.w(k).tobytes(): k for k in (9, 5)}
+        step_matrix = kv._step_matrix
+
+        def failing(model, base, *args):
+            if base.tobytes() in bad:
+                k = bad[base.tobytes()]
+                raise NonConvergenceError(f"step {k}", [float(k)])
+            return step_matrix(model, base, *args)
+
+        monkeypatch.setattr(kv, "_step_matrix", failing)
+        with pytest.raises(NonConvergenceError) as err:
+            kv.strain_run(pair, qa, workers=workers)
+        assert str(err.value) == "step 5" and err.value.history == [5.0]
+        _no_child_left()
 
     def test_strain_bound_holds(self):
         qa, _, pair, _, _ = _quadratic_pair()
