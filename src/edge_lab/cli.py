@@ -18,7 +18,6 @@ import contextlib
 import dataclasses
 import json
 import itertools
-import math
 import sys
 import tempfile
 import time
@@ -264,6 +263,11 @@ def _resolve_init(cfg: dict) -> dict:
         "mode": mode, "scale": _number(init, "init.scale", default=1e-3)})
 
 
+# The key that sizes the parameter vector of a model kind, named when a
+# vector of that size cannot be allocated.
+_SIZE_KEYS = {"two_layer_linear": "model.hidden", "mlp": "model.widths"}
+
+
 @_config_values("init")
 def _build_init(res_init: dict, model: loss_models.LossModel,
                 model_res: dict) -> np.ndarray:
@@ -274,19 +278,20 @@ def _build_init(res_init: dict, model: loss_models.LossModel,
             raise ConfigError(
                 f"config error at init.values: expected {model.dim} entries")
         return w0
-    if mode == "gaussian":
-        if isinstance(model, loss_models.MlpModel):
-            return model.init_params(res_init["seed"], res_init["scale"])
-        rng = np.random.default_rng(res_init["seed"])
-        return res_init["scale"] * rng.standard_normal(model.dim)
-    if mode == "minimizer_offset":
-        if model_res["kind"] != "two_layer_linear":
-            raise ConfigError("config error at init.mode: minimizer_offset "
-                              "applies to two_layer_linear models")
-        w_bar, geom = loss_models.balanced_minimizer(
-            _linear_target(model_res), model_res["hidden"],
-            rank=model_res["rank"])
-        return w_bar + res_init["scale"] * geom.sharp_direction()
+    with _allocation(_SIZE_KEYS.get(model_res["kind"], "model")):
+        if mode == "gaussian":
+            if isinstance(model, loss_models.MlpModel):
+                return model.init_params(res_init["seed"], res_init["scale"])
+            rng = np.random.default_rng(res_init["seed"])
+            return res_init["scale"] * rng.standard_normal(model.dim)
+        if mode == "minimizer_offset":
+            if model_res["kind"] != "two_layer_linear":
+                raise ConfigError("config error at init.mode: minimizer_offset "
+                                  "applies to two_layer_linear models")
+            w_bar, geom = loss_models.balanced_minimizer(
+                _linear_target(model_res), model_res["hidden"],
+                rank=model_res["rank"])
+            return w_bar + res_init["scale"] * geom.sharp_direction()
     raise AssertionError(mode)
 
 
@@ -327,7 +332,6 @@ def _resolve_run(cfg: dict) -> dict:
         "eta": _number(cfg, "eta", positive=True),
         "steps": _integer(cfg, "steps", 1),
         "localize": _flag(cfg, "localize", False),
-        "include_w": _flag(cfg, "include_w", None),
         "deltas": _numbers(cfg, "deltas", positive=True, default=None),
         "out_dir": _string(cfg, "out_dir", "."),
     })
@@ -343,20 +347,16 @@ def _timed(wall: dict, phase: str):
         wall[phase] += time.perf_counter() - start
 
 
-def _reports(model, log, table, deltas) -> tuple[dict, dict]:
-    """The contents of a run's balance_report.json and summary.json."""
-    report = edge_metrics.edge_balance_report(model, log, table, deltas=deltas)
-    summary = trajectory.run_summary(log)
-    summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
-    summary["num_unsettled_steps"] = len(table.unsettled)
-    return report.to_dict(), summary
+def _run_outputs(resolved: dict, out: Path):
+    """Build the model and w_0 of a resolved ``run`` config and write every
+    output of the run but timings.json to ``out``.
 
-
-def cmd_run(resolved: dict, out: Path) -> int:
+    Returns the log, the curvature table and the contents of
+    timings.json. The resolved config fixes w_0 and with it every iterate,
+    so ``verify --run-dir`` replays a run by calling this again.
+    """
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
-    if resolved["include_w"] is None:
-        resolved["include_w"] = model.dim <= 32
     _write_json(out / "resolved_config.json", resolved)
 
     wall = {"runner": 0.0, "curvature_table": 0.0, "reports": 0.0}
@@ -365,22 +365,30 @@ def cmd_run(resolved: dict, out: Path) -> int:
     with _timed(wall, "runner"), _allocation("steps"):
         log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
     with _timed(wall, "reports"):
-        trajectory.write_trajectory_csv(log, out / "trajectory.csv",
-                                        include_w=resolved["include_w"])
+        trajectory.write_trajectory_csv(log, out / "trajectory.csv")
     with _timed(wall, "curvature_table"):
         table = edge_metrics.curvature_table(model, log, work)
     with _timed(wall, "reports"):
         edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
                                        with_localization=resolved["localize"],
                                        work=work)
-        report, summary = _reports(model, log, table, resolved["deltas"])
-        _write_json(out / "balance_report.json", report)
+        report = edge_metrics.edge_balance_report(model, log, table,
+                                                  deltas=resolved["deltas"])
+        summary = trajectory.run_summary(log)
+        summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
+        summary["num_unsettled_steps"] = len(table.unsettled)
+        _write_json(out / "balance_report.json", report.to_dict())
         _write_json(out / "summary.json", summary)
+    return log, table, {
+        "wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
+        "unsettled_steps": len(table.unsettled), **work}
+
+
+def cmd_run(resolved: dict, out: Path) -> int:
+    log, table, timings = _run_outputs(resolved, out)
     # Timings differ between identical runs, so they live in a file of
     # their own, which no check reads.
-    _write_json(out / "timings.json", {
-        "wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
-        "unsettled_steps": len(table.unsettled), **work})
+    _write_json(out / "timings.json", timings)
     unsettled = _unsettled_exit(_steps(table.unsettled))
     return EXIT_DIVERGENCE if log.diverged else unsettled
 
@@ -494,10 +502,11 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
     model_res = resolved["model"]
     model = _build_model(model_res)
     if model_res["kind"] == "two_layer_linear":
-        w_bar, geom = loss_models.balanced_minimizer(
-            _linear_target(model_res), model_res["hidden"], rank=model_res["rank"])
-        subspace, _ = geom.normal_basis()
-        u = geom.sharp_direction()
+        with _allocation("model.hidden"):
+            w_bar, geom = loss_models.balanced_minimizer(
+                _linear_target(model_res), model_res["hidden"], rank=model_res["rank"])
+            subspace, _ = geom.normal_basis()
+            u = geom.sharp_direction()
     else:
         w_bar = bifurcation.find_critical_point(model, np.zeros(1))
         subspace = None
@@ -638,114 +647,55 @@ def cmd_strain(resolved: dict, out: Path) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _parse_trajectory_csv(path: Path, dim: int):
-    """(losses, gradient norms, iterates or None) of a trajectory CSV whose
-    iterate columns, if any, are ``dim`` wide."""
-    try:
-        with open(path, newline="") as fh:
-            lines = [ln for ln in fh.read().split("\r\n") if ln]
-    except OSError as exc:
-        _fail(str(path), f"cannot read: {exc.strerror}")
-    header = lines[0].split(",") if lines else []
-    if header[:4] != ["k", "loss", "grad_norm", "step_norm"]:
-        _fail(str(path), "unrecognized trajectory CSV header")
-    has_w = len(header) > 4
-    losses, gnorms, ws = [], [], []
-    for row, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        try:
-            if len(parts) != len(header):
-                raise ValueError(f"{len(parts)} fields, header has {len(header)}")
-            losses.append(float(parts[1]))
-            gnorms.append(float(parts[2]))
-            if has_w:
-                ws.append([float(v) for v in parts[4:]])
-        except ValueError as exc:
-            _fail(f"{path} line {row}", str(exc))
-    if not losses:
-        _fail(str(path), "no rows")
-    if has_w and len(header) - 4 != dim:
-        _fail(str(path), f"{len(header) - 4} iterate columns, the model has "
-              f"dimension {dim}")
-    return (np.array(losses), np.array(gnorms),
-            np.array(ws) if has_w else None)
-
-
 def _without_nulls(cfg):
     if isinstance(cfg, dict):
         return {k: _without_nulls(v) for k, v in cfg.items() if v is not None}
     return cfg
 
 
-def _mismatches(stored, replayed, path: str) -> list[str]:
-    """Paths at which two JSON values differ: same type and value, floats
-    bit for bit with NaN equal to NaN, dicts key by key, lists item by item."""
-    if isinstance(stored, dict) and isinstance(replayed, dict):
-        absent = object()
-        return [m for key in sorted(stored.keys() | replayed.keys())
-                for m in _mismatches(stored.get(key, absent),
-                                     replayed.get(key, absent), f"{path}.{key}")]
-    if isinstance(stored, list) and isinstance(replayed, list) \
-            and len(stored) == len(replayed):
-        return [m for i, (a, b) in enumerate(zip(stored, replayed))
-                for m in _mismatches(a, b, f"{path}[{i}]")]
-    if type(stored) is not type(replayed):
-        return [path]
-    if isinstance(stored, float):
-        same = (stored != stored and replayed != replayed) or (
-            stored == replayed
-            and math.copysign(1.0, stored) == math.copysign(1.0, replayed))
-        return [] if same else [path]
-    return [] if stored == replayed else [path]
-
-
-def _first_csv_mismatch(stored: bytes, replayed: bytes) -> dict | None:
-    """The first cell at which two CSV files differ: its line (the header
-    is line 1) and the name of its column; None if the files are
-    byte-identical."""
-    # Decoding with surrogateescape loses no byte, so equal cells mean equal files.
-    old, new = ([line.split(",") for line in text.decode(errors="surrogateescape")
-                 .split("\r\n")] for text in (stored, replayed))
-    for line, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=[]), 1):
-        if a != b:
-            col = next(i for i, (x, y) in enumerate(itertools.zip_longest(a, b))
+def _first_mismatch(name: str, stored: bytes, replayed: bytes) -> dict | None:
+    """Where the stored output ``name`` first differs from its replay: the
+    file, the line (the first is line 1) and, for a CSV file, the name of
+    the column; None if the two are byte-identical."""
+    csv = name.endswith(".csv")
+    # Decoding with surrogateescape loses no byte, so equal lines mean equal files.
+    old, new = (text.decode(errors="surrogateescape").split("\r\n" if csv else "\n")
+                for text in (stored, replayed))
+    for line, (a, b) in enumerate(itertools.zip_longest(old, new), 1):
+        if a == b:
+            continue
+        where = {"file": name, "line": line}
+        if csv:
+            cells = ([] if text is None else text.split(",") for text in (a, b))
+            col = next(i for i, (x, y) in enumerate(itertools.zip_longest(*cells))
                        if x != y)
-            return {"line": line, "column": new[0][col] if col < len(new[0]) else None}
+            header = new[0].split(",")
+            where["column"] = header[col] if col < len(header) else None
+        return where
     return None
 
 
-def _replayed_divergence(model, ws, eta: float, steps: int) -> tuple[bool, int | None]:
-    """(diverged, divergence_step) of a run whose log holds iterates
-    ``ws``, as ``run_gd`` decides them: a log shorter than ``steps`` ends
-    where the next step, taken again here, diverges."""
-    taken = len(ws) - 1
-    if taken == steps:
-        return False, None
-    tail = trajectory.run_gd(model, ws[-1], eta, 1)
-    return (True, taken + tail.divergence_step) if tail.diverged else (False, None)
+# The replay checks of ``verify --run-dir`` and the outputs each compares.
+_REPLAYS = {"trajectory_replay": ("trajectory.csv",),
+            "report_replay": ("balance_report.json", "summary.json"),
+            "metrics_replay": ("metrics.csv",)}
 
 
 def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
-    """Re-check a finished run directory against its own model.
+    """Re-check a finished run directory by running it again.
 
-    Replays the loss and gradient at every logged iterate, re-derives
-    the update consistency, and recomputes the telescoping balance from
-    the curvature table of the logged iterates. The replayed log derives
-    each step from its recomputed gradient, as the run did, so the table
-    is the run's bit for bit: its telescoping residual must equal
-    ``balance_report.json``'s ``identity_residual`` exactly, and the
-    whole of ``balance_report.json`` (with the run's ``deltas``) and
-    ``summary.json``, recomputed from the replayed log and table, must
-    equal the stored files field by field (``report_replay``), and
-    ``metrics.csv``, rewritten from them (localized if the run was), must
-    equal the stored file byte for byte (``metrics_replay``, which names
-    the line and column of the first differing cell). Besides those
-    three files, only ``resolved_config.json`` and the loss,
-    gradient-norm and iterate columns of ``trajectory.csv`` are read; an
-    edit to them breaks at least one of these named identities, while
-    the ``step_norm`` column goes unchecked. A ``trajectory.csv`` with no
-    rows, or with iterate columns of another width than the model's, is
-    a config error naming the file.
+    The stored ``resolved_config.json`` is read back through the run's
+    strict readers, and fixes w_0 and with it every iterate, bit for bit
+    on one host and BLAS. ``_run_outputs``, the code of ``run`` itself,
+    runs it again into a temporary directory. ``telescoping_balance``
+    holds the replayed identity residual to ``telescoping_tolerance`` and
+    lists the unsettled steps; each replay check compares its stored
+    outputs with the replayed ones byte for byte and names, for each file
+    that differs, the first differing line (and the column, in a CSV
+    file). A config that is not a run's or that a reader rejects, or a
+    missing output, is a config error naming the key or file. A replay
+    costs one run, whose time counts to ``telescoping_balance``;
+    timings.json is not read.
     """
     t0 = time.perf_counter()
     path = str(run_dir / "resolved_config.json")
@@ -755,85 +705,28 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     # The readers take an absent key for null wherever they accept null, so
     # a stored config resolves to itself, and a damaged one is an error at
     # its key.
-    resolved = _resolve_run(_without_nulls(stored))
-    model = _build_model(resolved["model"])
-    losses, gnorms, ws = _parse_trajectory_csv(run_dir / "trajectory.csv", model.dim)
-    results = []
-    if ws is None:
-        _fail("include_w", "trajectory.csv has no iterate columns (rerun with "
-              "include_w)")
-    stored_report = _load_config(str(run_dir / "balance_report.json"))
-    stored_summary = _load_config(str(run_dir / "summary.json"))
-    metrics_path = run_dir / "metrics.csv"
-    try:
-        stored_metrics = metrics_path.read_bytes()
-    except OSError as exc:
-        _fail(str(metrics_path), f"cannot read: {exc.strerror}")
-    reported = (stored_report.get("identity_residual")
-                if isinstance(stored_report, dict) else None)
-
-    values, grads = zip(*(model.value_and_grad(w) for w in ws))
-    worst_loss = float(max(abs(v - l) / max(1.0, abs(l))
-                           for v, l in zip(values, losses)))
-    results.append(verify.CheckResult(
-        "loss_replay", bool(worst_loss <= 1e-12), time.perf_counter() - t0,
-        {"max_relative_error": worst_loss, "tolerance": 1e-12}))
-
-    t1 = time.perf_counter()
-    worst_g = float(max(abs(float(np.linalg.norm(g)) - gn) / max(1.0, gn)
-                        for g, gn in zip(grads, gnorms)))
-    results.append(verify.CheckResult(
-        "gradient_replay", bool(worst_g <= 1e-12), time.perf_counter() - t1,
-        {"max_relative_error": worst_g, "tolerance": 1e-12}))
-
-    t2 = time.perf_counter()
-    eta = resolved["eta"]
-    # A run that diverged at its first step logs no step: nothing to check.
-    worst_u = float(max((
-        float(np.linalg.norm(ws[k + 1] - (ws[k] - eta * grads[k])))
-        / (1.0 + float(np.linalg.norm(ws[k])))
-        for k in range(len(ws) - 1)), default=0.0))
-    results.append(verify.CheckResult(
-        "update_consistency", bool(worst_u <= 1e-12), time.perf_counter() - t2,
-        {"max_relative_error": worst_u, "tolerance": 1e-12}))
-
-    t3 = time.perf_counter()
-    diverged, divergence_step = _replayed_divergence(model, ws, eta, resolved["steps"])
-    log = trajectory.TrajectoryLog(
-        eta=eta, model_id=model.name, losses=losses, grads=np.array(grads),
-        w_stored=ws, diverged=diverged, divergence_step=divergence_step)
-    table = edge_metrics.curvature_table(model, log)
-    # A JSON round trip gives the replayed reports the types they are read
-    # with; a float's round trip is exact.
-    report, summary = json.loads(json.dumps(_reports(model, log, table, resolved["deltas"])))
-    resid = report["identity_residual"]
-    tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
-    results.append(verify.CheckResult(
-        "telescoping_balance", bool(resid <= tol), time.perf_counter() - t3,
-        {"residual": resid, "tolerance": tol, "unsettled_steps": table.unsettled}))
-
-    t4 = time.perf_counter()
-    results.append(verify.CheckResult(
-        "identity_residual_replay",
-        isinstance(reported, float) and reported == resid, time.perf_counter() - t4,
-        {"replayed": resid, "reported": reported}))
-
-    t5 = time.perf_counter()
-    mismatched = (_mismatches(stored_report, report, "balance_report.json")
-                  + _mismatches(stored_summary, summary, "summary.json"))
-    results.append(verify.CheckResult(
-        "report_replay", not mismatched, time.perf_counter() - t5,
-        {"mismatched_fields": mismatched}))
-
-    t6 = time.perf_counter()
+    resolved = {"command": "run", **_resolve_run(_without_nulls(stored))}
+    outputs = {}
+    for name in itertools.chain(*_REPLAYS.values()):
+        try:
+            outputs[name] = (run_dir / name).read_bytes()
+        except OSError as exc:
+            _fail(str(run_dir / name), f"cannot read: {exc.strerror}")
     with tempfile.TemporaryDirectory() as tmp:
-        edge_metrics.write_metrics_csv(model, log, table, Path(tmp) / "metrics.csv",
-                                       with_localization=resolved["localize"])
-        replayed = (Path(tmp) / "metrics.csv").read_bytes()
-    mismatch = _first_csv_mismatch(stored_metrics, replayed)
-    results.append(verify.CheckResult(
-        "metrics_replay", mismatch is None, time.perf_counter() - t6,
-        {"first_mismatch": mismatch, "localized": resolved["localize"]}))
+        log, table, _ = _run_outputs(resolved, Path(tmp))
+        replayed = {name: (Path(tmp) / name).read_bytes() for name in outputs}
+    resid = json.loads(replayed["balance_report.json"])["identity_residual"]
+    tol = verify.telescoping_tolerance(log.losses, is_mlp=resolved["model"]["kind"] == "mlp")
+    results = [verify.CheckResult(
+        "telescoping_balance", bool(resid <= tol), time.perf_counter() - t0,
+        {"residual": resid, "tolerance": tol, "unsettled_steps": table.unsettled})]
+    for check, names in _REPLAYS.items():
+        t1 = time.perf_counter()
+        mismatches = [m for name in names
+                      if (m := _first_mismatch(name, outputs[name], replayed[name]))]
+        results.append(verify.CheckResult(check, not mismatches,
+                                          time.perf_counter() - t1,
+                                          {"mismatches": mismatches}))
     return results
 
 

@@ -56,11 +56,11 @@ class LossModel:
     so a Lanczos estimate reuses one linearization);
     ``hessian_dense`` is one ``hvp`` call on the identity stack (for the
     MLP, one forward pass plus blocks of 32 directions) and is only
-    available for dim <= 512; ``segment_curvature`` is the step profile
-    from one ``hvp`` per node, and ``segment_profile(w, d)`` the operator
-    ``taus -> segment_curvature(w, d, taus)`` along one step, which a model
-    may override to set up the step once for many calls (the MLP does, so
-    localization's one-node calls share one setup).
+    available for dim <= 512; ``segment_profile(w, d)`` is the operator
+    ``taus -> q(taus)``, the step profile along one step from one ``hvp``
+    per node, which a model may override to set up the step once for many
+    calls (the MLP does, so localization's one-node calls share one
+    setup).
     ``line_derivatives(w, u)`` returns the exact
     contractions D^3 L(w)[u, u, .] and D^4 L(w)[u, u, u, u] of the normal
     form; only models with closed-form line derivatives (the scalar
@@ -103,17 +103,15 @@ class LossModel:
         raise ValueError(f"{self.name} has no exact line derivatives for "
                          f"the normal form")
 
-    def segment_curvature(self, w: Array, d: Array, taus) -> Array:
-        """Profile q(tau_i) = d^T H(w + tau_i d) d / ||d||^2 at each node.
+    def segment_profile(self, w: Array, d: Array):
+        """Operator ``taus -> q(taus)`` along one step: the profile
+        q(tau_i) = d^T H(w + tau_i d) d / ||d||^2 at each node.
 
         The generic route is one ``hvp`` per node along the unit direction.
         """
         u = d / float(np.linalg.norm(d))
-        return np.array([float(np.dot(u, self.hvp(w + t * d, u))) for t in taus])
-
-    def segment_profile(self, w: Array, d: Array):
-        """Operator ``taus -> segment_curvature(w, d, taus)`` along one step."""
-        return lambda taus: self.segment_curvature(w, d, taus)
+        return lambda taus: np.array([float(np.dot(u, self.hvp(w + t * d, u)))
+                                      for t in taus])
 
 
 class QuadraticModel(LossModel):
@@ -733,9 +731,6 @@ class MlpModel(LossModel):
             self._hvp_buffers = [np.empty((4, _HVP_BLOCK, out, n))
                                  for out in self.widths[1:]]
         return self._hvp_buffers
-
-    def segment_curvature(self, w, d, taus):
-        return self.segment_profile(w, d)(taus)
 
     def segment_profile(self, w, d):
         """Profile along the step by second-order forward (Taylor) mode.

@@ -157,11 +157,11 @@ def strain_run(pair: PairedLog, model_s: LossModel,
     the segment from w'_k to w_k. With ``adaptive`` the order doubles
     until A_k stabilizes (for non-polynomial objectives).
 
-    Each A_k depends on its step alone, so the A_k are computed in up to
-    ``workers`` processes, by default one per CPU this process may run
-    on, which take chunks of _CHUNK_STEPS consecutive steps on demand
-    (``OrderedMap``). This process consumes them in k order and holds
-    each only while its step is processed: kappa, the residual and the
+    Each A_k and its kappa depend on its step alone, so they are computed
+    in up to ``workers`` processes, by default one per CPU this process
+    may run on, which take chunks of _CHUNK_STEPS consecutive steps on
+    demand (``OrderedMap``). This process consumes them in k order and
+    holds each A_k only while its step is processed: the residual and the
     propagated strain z_0 = 0, z_{k+1} = (I - eta A_k) z_k - eta f_k
     follow in the same pass, so the log is the same for any count.
     ``work["strain_workers"]`` becomes the largest number of processes a
@@ -181,14 +181,15 @@ def strain_run(pair: PairedLog, model_s: LossModel,
     residual = np.zeros(K)
     hessians = 0
 
-    def step_matrix(k: int) -> tuple[Array, int]:
-        return _step_matrix(model_s, pair.log_sp.w_stored[k], delta[k], rule, adaptive)
+    def step_matrix(k: int) -> tuple[Array, int, float]:
+        A, count = _step_matrix(model_s, pair.log_sp.w_stored[k], delta[k], rule, adaptive)
+        return A, count, excursion_kappa(A, eta)
 
     with OrderedMap(step_matrix, range(K), _CHUNK_STEPS, workers) as matrices:
-        for k, (A, count) in enumerate(matrices):
+        for k, (A, count, excursion) in enumerate(matrices):
             hessians += count
+            kappa[k] = excursion
             stress[k] = model_s.gradient(pair.log_sp.w_stored[k]) - pair.log_sp.grads[k]
-            kappa[k] = excursion_kappa(A, eta)
             predicted = delta[k] - eta * (A @ delta[k]) - eta * stress[k]
             residual[k] = float(np.linalg.norm(delta[k + 1] - predicted))
             z[k + 1] = z[k] - eta * (A @ z[k]) - eta * stress[k]

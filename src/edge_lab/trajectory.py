@@ -274,17 +274,12 @@ def write_csv(path, header, rows) -> None:
         fh.write("".join(",".join(map(_cell, row)) + "\r\n" for row in [header, *rows]))
 
 
-def write_trajectory_csv(log: TrajectoryLog, path, include_w: bool = False) -> None:
-    """Columns k, loss, grad_norm, step_norm (+ optional flattened iterate)."""
-    header = ["k", "loss", "grad_norm", "step_norm"]
-    if include_w:
-        header += [f"w{i}" for i in range(log.dim)]
-    rows = []
-    for k in range(log.num_steps + 1):
-        step_norm = np.linalg.norm(log.step(k)) if k < log.num_steps else None
-        row = [k, log.losses[k], np.linalg.norm(log.grads[k]), step_norm]
-        rows.append([*row, *log.w_stored[k]] if include_w else row)
-    write_csv(path, header, rows)
+def write_trajectory_csv(log: TrajectoryLog, path) -> None:
+    """Columns k, loss, grad_norm, step_norm."""
+    rows = [[k, log.losses[k], np.linalg.norm(log.grads[k]),
+             np.linalg.norm(log.step(k)) if k < log.num_steps else None]
+            for k in range(log.num_steps + 1)]
+    write_csv(path, ["k", "loss", "grad_norm", "step_norm"], rows)
 
 
 def run_summary(log: TrajectoryLog) -> dict:

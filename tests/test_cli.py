@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import edge_lab
 from edge_lab import _procmap, bifurcation, cli, edge_metrics as em, loss_models, numerics
-from edge_lab.cli import _RESOLVERS, ConfigError, _mismatches, main
+from edge_lab.cli import _RESOLVERS, ConfigError, main
 from edge_lab.loss_models import make_mlp, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
 from edge_lab.verify import telescoping_tolerance
@@ -43,6 +43,17 @@ def _csv_rows(path):
     return [row.split(",") for row in lines[1:]]
 
 
+def _edit_cell(path, line, column, edit):
+    """Replace the cell of the CSV file ``path`` at ``line`` (the header is
+    line 1) and ``column`` by ``edit`` of it."""
+    lines = path.read_bytes().decode().split("\r\n")
+    cells = lines[line - 1].split(",")
+    col = lines[0].split(",").index(column)
+    cells[col] = edit(cells[col])
+    lines[line - 1] = ",".join(cells)
+    path.write_bytes("\r\n".join(lines).encode())
+
+
 def _quad_run_config(out_dir, eta=0.5, steps=40):
     return {
         "model": {"kind": "quadratic", "diag": [3.0]},
@@ -50,7 +61,6 @@ def _quad_run_config(out_dir, eta=0.5, steps=40):
         "eta": eta,
         "steps": steps,
         "localize": True,
-        "include_w": True,
         "out_dir": str(out_dir),
     }
 
@@ -87,7 +97,7 @@ class TestConfigValidation:
         cfg = _quad_run_config(out)
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
-        assert sorted(resolved) == ["command", "deltas", "eta", "include_w", "init",
+        assert sorted(resolved) == ["command", "deltas", "eta", "init",
                                     "localize", "model", "out_dir", "steps"]
 
 
@@ -97,7 +107,7 @@ _SMALL_MLP_RUN = {
     "model": {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
               "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
     "init": {"mode": "gaussian", "seed": 1}, "eta": 0.5, "steps": 150,
-    "localize": True, "include_w": True}
+    "localize": True}
 
 
 class TestRunCommand:
@@ -210,7 +220,7 @@ class TestRunCommand:
         cfg = {
             "model": {"kind": "scalar_poly", "lam": 5.0},
             "init": {"mode": "vector", "values": [1000.0]},
-            "eta": 1.0, "steps": 100, "include_w": True,
+            "eta": 1.0, "steps": 100,
             "out_dir": str(out),
         }
         rc = main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
@@ -559,25 +569,63 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["checks"]} == \
             {"quadratic_exactness", "mechanisms", "stochastic_balance"}
 
-    def test_run_dir_integrity_pass(self, tmp_path):
-        """Replay reproduces the run's telescoping residual bit for bit."""
+    _CHECKS = ["telescoping_balance", "trajectory_replay", "report_replay",
+               "metrics_replay"]
+
+    @staticmethod
+    def _quad_run(tmp_path):
         out = tmp_path / "run"
-        cfg = _quad_run_config(out)
-        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        assert main(["run", "--config", _write_config(tmp_path / "c.json",
+                                                      _quad_run_config(out))]) == 0
+        return out
+
+    @staticmethod
+    def _replay_fails(run_dir, out, capsys) -> dict:
+        """``verify --run-dir``, which must exit 1 naming its failed
+        checks: the details of each failed check, by name."""
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(run_dir), "--out", str(out)]) == 1
+        report = json.loads((out / "verify_report.json").read_text())
+        failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+        assert capsys.readouterr().err.splitlines() == [f"FAILED: {', '.join(failed)}"]
+        return failed
+
+    def test_run_dir_integrity_pass(self, tmp_path):
+        """The rerun reproduces every output byte for byte, and its
+        telescoping residual is the run's."""
+        out = self._quad_run(tmp_path)
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        [replay] = [c for c in report["checks"] if c["name"] == "identity_residual_replay"]
+        assert [c["name"] for c in report["checks"]] == self._CHECKS
         reported = json.loads((out / "balance_report.json").read_text())["identity_residual"]
-        assert replay["details"] == {"replayed": reported, "reported": reported}
+        assert report["checks"][0]["details"]["residual"] == reported
+        assert all(c["details"] == {"mismatches": []} for c in report["checks"][1:])
+
+    def test_wide_mlp_run_replays(self, tmp_path):
+        """The README MLP (dim 533), localized for 40 steps, replays from
+        its resolved config alone: trajectory.csv holds no iterate."""
+        out = tmp_path / "run"
+        cfg = {"model": {"kind": "mlp", "widths": [10, 16, 16, 5], "activation": "tanh",
+                         "dataset": {"seed": 0, "n": 200, "d_in": 10, "d_out": 5,
+                                     "teacher_rank": 3, "noise": 0.1}},
+               "init": {"mode": "gaussian", "seed": 1}, "eta": 0.5, "steps": 40,
+               "localize": True, "out_dir": str(out)}
+        assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        assert (out / "trajectory.csv").read_bytes().startswith(
+            b"k,loss,grad_norm,step_norm\r\n")
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert [c["name"] for c in report["checks"] if c["passed"]] == self._CHECKS
 
     @pytest.mark.parametrize("value", ["nextafter", "string", "absent"])
     def test_edited_identity_residual_detected(self, tmp_path, capsys, value):
         """An edit of balance_report.json's identity_residual, by one ulp,
-        to another type or away, fails exactly the two replay checks that
-        read it."""
-        out = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json", _quad_run_config(out))])
+        to another type or away, fails exactly report_replay, which names
+        the field's line."""
+        out = self._quad_run(tmp_path)
         path = out / "balance_report.json"
+        [line] = [i for i, text in enumerate(path.read_text().split("\n"), 1)
+                  if '"identity_residual"' in text]
         rep = json.loads(path.read_text())
         if value == "nextafter":
             rep["identity_residual"] = float(np.nextafter(rep["identity_residual"], 1.0))
@@ -585,116 +633,70 @@ class TestVerifyCommand:
             rep["identity_residual"] = str(rep["identity_residual"])
         else:
             del rep["identity_residual"]
-        path.write_text(json.dumps(rep))
-        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
-        assert "FAILED: identity_residual_replay, report_replay" in capsys.readouterr().err
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
-            "identity_residual_replay", "report_replay"]
-        [replay] = [c for c in report["checks"] if c["name"] == "report_replay"]
-        assert replay["details"]["mismatched_fields"] == [
-            "balance_report.json.identity_residual"]
+        cli._write_json(path, rep)
+        assert self._replay_fails(out, tmp_path, capsys) == {"report_replay": {
+            "mismatches": [{"file": "balance_report.json", "line": line}]}}
 
     @pytest.mark.parametrize("column", ["rtilde", "rtilde_exact"])
     def test_edited_metrics_cell_detected(self, tmp_path, capsys, column):
         """A cell of metrics.csv moved by one ulp fails exactly
         metrics_replay, which names its line and column."""
-        out = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json", _quad_run_config(out))])
-        path = out / "metrics.csv"
-        lines = path.read_bytes().decode().split("\r\n")
-        cells = lines[5].split(",")
-        col = lines[0].split(",").index(column)
-        cells[col] = f"{np.nextafter(float(cells[col]), 4.0):.17g}"
-        lines[5] = ",".join(cells)
-        path.write_bytes("\r\n".join(lines).encode())
-        capsys.readouterr()
-        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["FAILED: metrics_replay"]
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        [replay] = [c for c in report["checks"] if c["name"] == "metrics_replay"]
-        assert replay["details"] == {"first_mismatch": {"line": 6, "column": column},
-                                     "localized": True}
+        out = self._quad_run(tmp_path)
+        _edit_cell(out / "metrics.csv", 6, column,
+                   lambda cell: f"{np.nextafter(float(cell), 4.0):.17g}")
+        assert self._replay_fails(out, tmp_path, capsys) == {"metrics_replay": {
+            "mismatches": [{"file": "metrics.csv", "line": 6, "column": column}]}}
+
+    @pytest.mark.parametrize("column", ["grad_norm", "step_norm"])
+    def test_edited_trajectory_cell_detected(self, tmp_path, capsys, column):
+        """A grad_norm or step_norm cell of trajectory.csv moved by one ulp
+        fails exactly trajectory_replay, which names its line and column."""
+        out = self._quad_run(tmp_path)
+        _edit_cell(out / "trajectory.csv", 6, column,
+                   lambda cell: f"{np.nextafter(float(cell), np.inf):.17g}")
+        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+            "mismatches": [{"file": "trajectory.csv", "line": 6, "column": column}]}}
 
     def test_tampered_reports_detected(self, tmp_path, capsys):
         """weighted_mean set to 123 in balance_report.json and onset_step
-        to 7777 in summary.json: the replayed reports differ in exactly
-        those two fields, so report_replay fails and the command exits 1;
-        the untouched files replay bit for bit."""
+        to 7777 in summary.json: report_replay fails and names the line of
+        each edit; the other outputs replay byte for byte."""
         out = tmp_path / "run"
         cfg = {"model": {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
                          "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
                "init": {"mode": "gaussian", "seed": 1}, "eta": 0.5, "steps": 60,
-               "include_w": True, "deltas": [0.25, 1.0], "out_dir": str(out)}
+               "deltas": [0.25, 1.0], "out_dir": str(out)}
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        mismatches = []
         for name, key, value in (("balance_report.json", "weighted_mean", 123),
                                   ("summary.json", "onset_step", 7777)):
             path = out / name
-            path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
-        capsys.readouterr()
-        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["FAILED: report_replay"]
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        [replay] = [c for c in report["checks"] if c["name"] == "report_replay"]
-        assert replay["details"]["mismatched_fields"] == [
-            "balance_report.json.weighted_mean", "summary.json.onset_step"]
+            [line] = [i for i, text in enumerate(path.read_text().split("\n"), 1)
+                      if f'"{key}"' in text]
+            cli._write_json(path, dict(json.loads(path.read_text()), **{key: value}))
+            mismatches.append({"file": name, "line": line})
+        assert self._replay_fails(out, tmp_path, capsys) == {
+            "report_replay": {"mismatches": mismatches}}
 
     def test_diverged_run_replays(self, tmp_path):
-        """A run that diverged at step 5 keeps 4 steps; the replay takes
-        the fifth again to find the divergence its summary.json states."""
+        """A run that diverged at step 5 keeps 4 steps; the rerun diverges
+        at the same step and replays."""
         out = tmp_path / "run"
         cfg = {"model": {"kind": "scalar_poly", "lam": 5.0},
                "init": {"mode": "vector", "values": [1000.0]},
-               "eta": 1.0, "steps": 100, "include_w": True, "out_dir": str(out)}
+               "eta": 1.0, "steps": 100, "out_dir": str(out)}
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["divergence_step"] == 5 and summary["num_steps"] == 4
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
 
-    def test_report_fields_compare_bit_for_bit(self):
-        """NaN equals NaN; 0.0 and -0.0, 1 and 1.0, a missing key or a
-        list of another length differ."""
-        nan = float("nan")
-        assert _mismatches({"a": nan, "b": [1, 2.5]}, {"a": nan, "b": [1, 2.5]}, "r") == []
-        assert _mismatches({"a": 0.0, "b": 1, "c": [1], "d": 2},
-                           {"a": -0.0, "b": 1.0, "c": [1, 2]}, "r") == [
-            "r.a", "r.b", "r.c", "r.d"]
-
     def test_corrupted_loss_detected(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        cfg = _quad_run_config(out)
-        main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
-        traj = out / "trajectory.csv"
-        raw = traj.read_bytes().decode()
-        lines = raw.split("\r\n")
-        parts = lines[3].split(",")
-        parts[1] = f"{float(parts[1]) + 1e-3:.17g}"  # tamper with one loss
-        lines[3] = ",".join(parts)
-        traj.write_bytes("\r\n".join(lines).encode())
-        rc = main(["verify", "--run-dir", str(out), "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "loss_replay" in err
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        failed = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert "loss_replay" in failed
-
-    def test_corrupted_iterate_detected(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        cfg = _quad_run_config(out)
-        main(["run", "--config", _write_config(tmp_path / "c.json", cfg)])
-        traj = out / "trajectory.csv"
-        lines = traj.read_bytes().decode().split("\r\n")
-        parts = lines[5].split(",")
-        parts[4] = f"{float(parts[4]) + 1e-4:.17g}"  # tamper with one iterate
-        lines[5] = ",".join(parts)
-        traj.write_bytes("\r\n".join(lines).encode())
-        rc = main(["verify", "--run-dir", str(out), "--out", str(tmp_path)])
-        assert rc == 1
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        failed = {c["name"] for c in report["checks"] if not c["passed"]}
-        assert failed & {"loss_replay", "gradient_replay", "update_consistency"}
+        out = self._quad_run(tmp_path)
+        _edit_cell(out / "trajectory.csv", 4, "loss",
+                   lambda cell: f"{float(cell) + 1e-3:.17g}")
+        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+            "mismatches": [{"file": "trajectory.csv", "line": 4, "column": "loss"}]}}
 
     @staticmethod
     def _run_dir_config_error(run_dir, out, capsys) -> str:
@@ -718,30 +720,47 @@ class TestVerifyCommand:
         assert line.startswith("config error at model:")
 
     def test_run_dir_malformed_trajectory_row(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json",
-                                               _quad_run_config(run_dir))])
-        traj = run_dir / "trajectory.csv"
-        lines = traj.read_bytes().decode().split("\r\n")
-        lines[2] = lines[2].replace(lines[2].split(",")[1], "abc", 1)
-        traj.write_bytes("\r\n".join(lines).encode())
+        """A cell that is no number is a differing cell like any other."""
+        out = self._quad_run(tmp_path)
+        _edit_cell(out / "trajectory.csv", 3, "loss", lambda cell: "abc")
+        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+            "mismatches": [{"file": "trajectory.csv", "line": 3, "column": "loss"}]}}
+
+    def test_run_dir_truncated_trajectory(self, tmp_path, capsys):
+        """trajectory.csv without its last row fails trajectory_replay at
+        the line the row held."""
+        out = self._quad_run(tmp_path)
+        traj = out / "trajectory.csv"
+        lines = traj.read_bytes().split(b"\r\n")
+        traj.write_bytes(b"\r\n".join(lines[:-2] + lines[-1:]))
+        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+            "mismatches": [{"file": "trajectory.csv", "line": len(lines) - 1,
+                            "column": "k"}]}}
+
+    def test_run_dir_header_only_trajectory(self, tmp_path, capsys):
+        out = self._quad_run(tmp_path)
+        traj = out / "trajectory.csv"
+        traj.write_bytes(traj.read_bytes().split(b"\r\n")[0] + b"\r\n")
+        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+            "mismatches": [{"file": "trajectory.csv", "line": 2, "column": "k"}]}}
+
+    @pytest.mark.parametrize("name", ["trajectory.csv", "summary.json"])
+    def test_run_dir_without_output(self, tmp_path, capsys, name):
+        run_dir = self._quad_run(tmp_path)
+        (run_dir / name).unlink()
         capsys.readouterr()
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
-        assert line.startswith(f"config error at {traj} line 3:")
+        assert line.startswith(f"config error at {run_dir / name}: cannot read")
 
     def test_run_dir_without_balance_report(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json",
-                                               _quad_run_config(run_dir))])
+        run_dir = self._quad_run(tmp_path)
         (run_dir / "balance_report.json").unlink()
         capsys.readouterr()
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
         assert line.startswith(f"config error at {run_dir / 'balance_report.json'}:")
 
     def test_run_dir_without_metrics(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json",
-                                               _quad_run_config(run_dir))])
+        run_dir = self._quad_run(tmp_path)
         (run_dir / "metrics.csv").unlink()
         capsys.readouterr()
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
@@ -750,38 +769,23 @@ class TestVerifyCommand:
     def test_run_dir_with_route(self, tmp_path, capsys):
         """A run directory whose resolved config still holds the removed
         ``route`` key no longer replays."""
-        run_dir = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json",
-                                               _quad_run_config(run_dir))])
+        run_dir = self._quad_run(tmp_path)
         path = run_dir / "resolved_config.json"
         path.write_text(json.dumps(dict(json.loads(path.read_text()), route="quadrature")))
         capsys.readouterr()
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
         assert line == "config error at route: unknown key"
 
-    def test_run_dir_header_only_trajectory(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json",
-                                               _quad_run_config(run_dir))])
-        traj = run_dir / "trajectory.csv"
-        traj.write_bytes(traj.read_bytes().split(b"\r\n")[0] + b"\r\n")
-        capsys.readouterr()
-        line = self._run_dir_config_error(run_dir, tmp_path, capsys)
-        assert line == f"config error at {traj}: no rows"
-
-    def test_run_dir_iterate_width_mismatch(self, tmp_path, capsys):
-        """The model of the resolved config, edited to dimension 3, does
-        not fit the logged one-dimensional iterates."""
-        run_dir = tmp_path / "run"
-        main(["run", "--config", _write_config(tmp_path / "c.json",
-                                               _quad_run_config(run_dir))])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_run_dir_with_include_w(self, tmp_path, capsys, value):
+        """Nor does one that holds the removed ``include_w`` key, which
+        stored the iterates in trajectory.csv."""
+        run_dir = self._quad_run(tmp_path)
         path = run_dir / "resolved_config.json"
-        path.write_text(json.dumps(_with(json.loads(path.read_text()),
-                                         "model.diag", [3.0, 1.0, 1.0])))
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), include_w=value)))
         capsys.readouterr()
         line = self._run_dir_config_error(run_dir, tmp_path, capsys)
-        assert line == (f"config error at {run_dir / 'trajectory.csv'}: "
-                        "1 iterate columns, the model has dimension 3")
+        assert line == "config error at include_w: unknown key"
 
     def test_run_dir_diverged_at_first_step(self, tmp_path, capsys):
         """A run that diverges at its first step logs no step; its
@@ -795,7 +799,7 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert len(report["checks"]) == 7 and report["passed"] is True
+        assert len(report["checks"]) == 4 and report["passed"] is True
 
     def test_out_not_creatable(self, tmp_path, capsys):
         """An --out below a file is a config error at --out, before any
@@ -815,7 +819,7 @@ _REPRO = {
               "dataset": {"seed": 628, "n": 36, "d_in": 3, "d_out": 3,
                           "noise": 0.1}},
     "init": {"mode": "gaussian", "seed": 268},
-    "eta": 1.6168833663738404, "steps": 300, "include_w": True,
+    "eta": 1.6168833663738404, "steps": 300,
 }
 
 
@@ -848,8 +852,7 @@ class TestUnsettledQuadrature:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         [tele] = [c for c in report["checks"] if c["name"] == "telescoping_balance"]
         assert tele["details"]["unsettled_steps"] == []
-        [replay] = [c for c in report["checks"] if c["name"] == "identity_residual_replay"]
-        assert replay["details"]["replayed"] == rep["identity_residual"]
+        assert tele["details"]["residual"] == rep["identity_residual"]
 
     def test_timings_file(self, repro_run, tmp_path):
         """``run`` writes the wall seconds of its phases, the curvature
@@ -938,7 +941,7 @@ class TestInitModes:
             "model": {"kind": "two_layer_linear", "hidden": 2,
                       "target": [[2.0, 0.0], [0.0, 1.0]]},
             "init": {"mode": "minimizer_offset", "scale": 0.01},
-            "eta": 0.55, "steps": 50, "include_w": True,
+            "eta": 0.55, "steps": 50,
             "out_dir": str(out),
         }
         assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
@@ -1024,6 +1027,7 @@ class TestFailureContract:
         ("balance", "deltas", [float("inf")]),
         ("run", "include_w", "no"),
         ("run", "include_w", 1),
+        ("run", "include_w", True),
         ("run", "localize", "yes"),
         ("run", "localize", None),
         ("run", "steps", 2.5),
@@ -1104,6 +1108,33 @@ class TestFailureContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(
             "config error at model.dataset.n: too large"), lines
+        assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("run", {"model": {"kind": "mlp", "widths": [10, 10 ** 11, 5],
+                           "dataset": {"seed": 0, "n": 10, "d_in": 10, "d_out": 5}},
+                 "init": {"mode": "gaussian"}, "eta": 0.1, "steps": 3},
+         "model.widths"),
+        ("run", {"model": {"kind": "two_layer_linear", "hidden": 10 ** 11,
+                           "target": [[2.0, 0.0], [0.0, 1.0]]},
+                 "init": {"mode": "gaussian"}, "eta": 0.1, "steps": 3},
+         "model.hidden"),
+        ("bifurcate", {"model": {"kind": "two_layer_linear", "hidden": 10 ** 11,
+                                 "target": [[2.0, 0.0], [0.0, 1.0]]},
+                       "etas": [0.6], "modes": ["empirical"]},
+         "model.hidden"),
+    ], ids=["mlp_init", "linear_init", "linear_geometry"])
+    def test_model_too_large_to_allocate(self, tmp_path, capsys, command, cfg, key):
+        """A model whose parameter vector or geometry cannot be allocated
+        is one config-error line at the key that sizes it and exit 2;
+        numpy refuses before touching memory, and nothing is written."""
+        out = tmp_path / "out"
+        rc = main([command, "--config",
+                   _write_config(tmp_path / "c.json", dict(cfg, out_dir=str(out)))])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"config error at {key}: too large"), lines
         assert not any(out.glob("*"))
 
     _LOCALIZED_MLP = {
@@ -1244,8 +1275,6 @@ class TestFailureContract:
         ("strain", "quadrature_order", 1),
         ("run", "deltas", [1, 0.5]),
         ("run", "deltas", None),
-        ("run", "include_w", None),
-        ("run", "include_w", False),
         ("run", "localize", False),
         ("balance", "deltas", [2.0]),
         ("bifurcate", "discard_frac", 0),
@@ -1334,7 +1363,7 @@ _PROPERTY_BASES = [
                                    "teacher_rank": 1, "noise": 0.1}},
              "init": {"mode": "gaussian", "seed": 1, "scale": 0.5},
              "eta": 0.5, "steps": 5, "localize": True,
-             "include_w": None, "deltas": [0.1], "out_dir": "out"}),
+             "deltas": [0.1], "out_dir": "out"}),
     ("balance", {"model": {"kind": "quadratic", "matrix": [[3.0, 0.0], [0.0, 1.0]],
                            "center": [0.1, 0.0]},
                  "init": {"mode": "vector", "values": [1.0, 1.0]},

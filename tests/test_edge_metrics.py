@@ -176,7 +176,7 @@ class TestCurvatureRoutes:
 
     def test_nodes_per_step_mlp(self, mlp_run):
         """A step that settles on its first interval costs exactly 9 nodes
-        in one ``segment_curvature`` call; each bisection adds one call
+        in one profile call; each bisection adds one call
         with 9 nodes for each half. ``nodes`` records what was spent.
         The count is of this process, so the table is computed in it alone."""
         model, log = mlp_run
@@ -226,13 +226,13 @@ class TestProfileAndLocalization:
     def test_profile_constant_on_quadratic(self):
         model = make_quadratic(np.diag([3.0, 1.0]))
         w, d = np.array([1.0, 0.0]), np.array([-0.5, 0.0])
-        vals = model.segment_curvature(w, d, (0.0, 0.3, 1.0))
+        vals = model.segment_profile(w, d)((0.0, 0.3, 1.0))
         np.testing.assert_allclose(vals, 3.0, atol=1e-14)
 
     def test_profile_linear_example(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
         taus = np.array([0.0, 0.25, 0.8])
-        vals = model.segment_curvature(np.array([0.0]), np.array([1.0]), taus)
+        vals = model.segment_profile(np.array([0.0]), np.array([1.0]))(taus)
         np.testing.assert_allclose(vals, 1.0 + 2.0 * taus, atol=1e-14)
 
     def test_profile_quadratic_interpolates(self):
@@ -240,9 +240,9 @@ class TestProfileAndLocalization:
         model = make_scalar_poly(1.0, 0.0, -1.0)
         w, d = np.array([0.1]), np.array([0.5])
         taus = np.array([0.0, 0.5, 1.0])
-        poly = np.polyfit(taus, model.segment_curvature(w, d, taus), 2)
+        poly = np.polyfit(taus, model.segment_profile(w, d)(taus), 2)
         others = np.array([0.2, 0.7, 0.9])
-        np.testing.assert_allclose(model.segment_curvature(w, d, others),
+        np.testing.assert_allclose(model.segment_profile(w, d)(others),
                                    np.polyval(poly, others), atol=1e-12)
 
     def test_localize_constant_profile_midpoint(self):

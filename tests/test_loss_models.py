@@ -99,7 +99,7 @@ class TestModelContract:
         np.testing.assert_array_equal(model.gradient(w), w ** 3 + w)
         np.testing.assert_array_equal(model.hessian_dense(w), np.diag(3 * w ** 2 + 1))
         d = np.array([1.2, 0.0, 1.6])   # 2 u for the unit u = (0.6, 0, 0.8)
-        [q0] = model.segment_curvature(w, d, (0.0,))
+        [q0] = model.segment_profile(w, d)((0.0,))
         assert q0 == pytest.approx(0.36 * 1.75 + 0.64 * 13.0, abs=1e-14)
 
     @pytest.mark.parametrize("cls", [QuadraticModel, ScalarPolyModel,
@@ -120,7 +120,7 @@ _TAUS = np.array([0.0, 0.07, 0.2, 0.35, 0.5, 0.61, 0.8, 0.93, 1.0])
 
 
 class TestSegmentCurvature:
-    """segment_curvature(w, d, taus) is the step profile at every node."""
+    """segment_profile(w, d)(taus) is the step profile at every node."""
 
     @pytest.mark.parametrize("widths, activation, dataset", [
         ([5, 6, 4, 3], "tanh", (2, 40, 2, 0.05)),
@@ -142,7 +142,7 @@ class TestSegmentCurvature:
             w = model.init_params(seed=int(rng.integers(100)), scale=1.5)
             d = 0.3 * rng.standard_normal(model.dim)
             ref = _hvp_profile(model, w, d, taus)
-            q = model.segment_curvature(w, d, taus)
+            q = model.segment_profile(w, d)(taus)
             assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("model", _all_models()[:4], ids=lambda m: m.name)
@@ -150,7 +150,7 @@ class TestSegmentCurvature:
         """Models without an override keep the per-node hvp arithmetic bit for bit."""
         rng = np.random.default_rng(13)
         w, d = 0.5 * rng.standard_normal(model.dim), rng.standard_normal(model.dim)
-        np.testing.assert_array_equal(model.segment_curvature(w, d, _TAUS),
+        np.testing.assert_array_equal(model.segment_profile(w, d)(_TAUS),
                                       _hvp_profile(model, w, d, _TAUS))
 
     @pytest.mark.parametrize("model", _all_models() + [
@@ -160,10 +160,10 @@ class TestSegmentCurvature:
     def test_one_node_equals_its_place_in_many(self, model):
         rng = np.random.default_rng(14)
         w, d = 0.5 * rng.standard_normal(model.dim), rng.standard_normal(model.dim)
-        many = model.segment_curvature(w, d, _TAUS)
+        many = model.segment_profile(w, d)(_TAUS)
         assert many.shape == _TAUS.shape
         for i, t in enumerate(_TAUS):
-            assert model.segment_curvature(w, d, (t,))[0] == many[i]
+            assert model.segment_profile(w, d)((t,))[0] == many[i]
 
 
 def _column_oracle(model, w):

@@ -387,14 +387,14 @@ class TestSerialization:
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, -1.0]), 0.5, 10)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(log, path, include_w=True)
+        write_trajectory_csv(log, path)
         lines = path.read_bytes().decode().strip().split("\r\n")
-        assert lines[0] == "k,loss,grad_norm,step_norm,w0,w1"
+        assert lines[0] == "k,loss,grad_norm,step_norm"
         assert len(lines) == 12
         last = lines[-1].split(",")
         assert last[3] == ""  # no step off the final record
-        w10 = [float(last[4]), float(last[5])]
-        np.testing.assert_array_equal(w10, log.w(10))
+        assert float(last[2]) == np.linalg.norm(log.grads[10])
+        assert float(lines[-2].split(",")[3]) == np.linalg.norm(log.step(9))
 
         summary = run_summary(log)
         json.dumps(summary)
