@@ -197,15 +197,22 @@ class EmpiricalPoint:
 
     A run that passed the divergence limits is ``diverged``; its
     ``amplitude`` then measures the truncated window before the blow-up,
-    not an orbit, and belongs in no scaling fit. ``evaluations`` counts
-    the iterates whose loss and gradient the run computed: its rows in
-    the sweep's stacked ``value_and_grad`` calls.
+    not an orbit. A run that settled toward the fixed point is
+    ``decayed``; its amplitude measures the transient. Neither kept an
+    ``orbit``, and neither belongs in a scaling fit. ``evaluations``
+    counts the iterates whose loss and gradient the run computed: its
+    rows in the sweep's stacked ``value_and_grad`` calls.
     """
 
     eta: float
     amplitude: float
     diverged: bool = False
+    decayed: bool = False
     evaluations: int = 0
+
+    @property
+    def orbit(self) -> bool:
+        return not (self.diverged or self.decayed)
 
 
 def _raw_two_step_residual(model: LossModel, eta: float, x: Array) -> float:
@@ -383,6 +390,10 @@ def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
     return proj, kept, evaluated
 
 
+def _half_range(x: Array) -> float:
+    return 0.5 * float(x.max() - x.min())
+
+
 def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str, u: Array,
                  subspace: Array | None = None, run_steps: int = 2000,
                  run_offset: float = 1e-3, discard_frac: float = 0.8,
@@ -400,8 +411,8 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str, u: Array,
     in lockstep (so the model's ``value_and_grad`` must take point
     stacks), discards the leading ``discard_frac`` of each run's steps and
     reports half the peak-to-peak projection onto ``u``, flagging the runs
-    that diverged; returns (list of EmpiricalPoint, lost flag), the branch
-    lost when every run diverged.
+    that diverged or decayed; returns (list of EmpiricalPoint, lost flag),
+    the branch lost when no run kept an orbit.
     """
     etas = [float(e) for e in etas]
     u = np.asarray(u, dtype=float)
@@ -413,12 +424,18 @@ def branch_sweep(model: LossModel, w_bar: Array, etas, mode: str, u: Array,
         points = []
         for r, (eta, n) in enumerate(zip(etas, kept)):
             window = proj[int(discard_frac * n):n + 1, r]
-            amp = 0.5 * float(window.max() - window.min())
+            amp = _half_range(window)
             # Only a row that left the stack keeps fewer than run_steps steps.
-            points.append(EmpiricalPoint(eta=eta, amplitude=amp,
-                                         diverged=n < run_steps,
-                                         evaluations=evaluated[r]))
-        return points, all(p.diverged for p in points)
+            diverged = n < run_steps
+            # A decaying run's amplitude over the last tenth of its window
+            # is below half that over the first; an orbit's is about equal.
+            # A tenth holds at least the two iterates of one period.
+            tenth = max(2, len(window) // 10)
+            decayed = not diverged and (amp == 0 or _half_range(window[-tenth:])
+                                        < 0.5 * _half_range(window[:tenth]))
+            points.append(EmpiricalPoint(eta=eta, amplitude=amp, diverged=diverged,
+                                         decayed=decayed, evaluations=evaluated[r]))
+        return points, not any(p.orbit for p in points)
 
     if mode != "continuation":
         raise ValueError("mode must be 'continuation' or 'empirical'")

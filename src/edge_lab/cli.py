@@ -16,8 +16,9 @@ import argparse
 import collections
 import contextlib
 import dataclasses
-import json
 import itertools
+import json
+import math
 import sys
 import tempfile
 import time
@@ -305,9 +306,19 @@ def _load_config(path: str) -> dict:
         _fail(path, f"invalid JSON: {exc}")
 
 
+def _strict(obj):
+    """``obj`` with every NaN or infinite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_strict, obj))
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, obj: dict) -> None:
+    """Write ``obj`` as strict JSON: a non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -320,6 +331,10 @@ def _out_dir(args, default: str) -> Path:
         _fail("--out" if args.out else "out_dir", f"cannot create {out}: {exc}")
     return out
 
+
+# A command writes resolved_config.json (its first ``_write_json`` call)
+# right after its build step, then its outputs, and returns its exit code and
+# the contents of timings.json, which ``main`` writes.
 
 # ---------------------------------------------------------------------------
 # run
@@ -347,14 +362,7 @@ def _timed(wall: dict, phase: str):
         wall[phase] += time.perf_counter() - start
 
 
-def _run_outputs(resolved: dict, out: Path):
-    """Build the model and w_0 of a resolved ``run`` config and write every
-    output of the run but timings.json to ``out``.
-
-    Returns the log, the curvature table and the contents of
-    timings.json. The resolved config fixes w_0 and with it every iterate,
-    so ``verify --run-dir`` replays a run by calling this again.
-    """
+def cmd_run(resolved: dict, out: Path) -> tuple[int, dict]:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
@@ -379,18 +387,10 @@ def _run_outputs(resolved: dict, out: Path):
         summary["num_unsettled_steps"] = len(table.unsettled)
         _write_json(out / "balance_report.json", report.to_dict())
         _write_json(out / "summary.json", summary)
-    return log, table, {
-        "wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
-        "unsettled_steps": len(table.unsettled), **work}
-
-
-def cmd_run(resolved: dict, out: Path) -> int:
-    log, table, timings = _run_outputs(resolved, out)
-    # Timings differ between identical runs, so they live in a file of
-    # their own, which no check reads.
-    _write_json(out / "timings.json", timings)
+    timings = {"wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
+               "unsettled_steps": len(table.unsettled), **work}
     unsettled = _unsettled_exit(_steps(table.unsettled))
-    return EXIT_DIVERGENCE if log.diverged else unsettled
+    return EXIT_DIVERGENCE if log.diverged else unsettled, timings
 
 
 def _steps(ks) -> str:
@@ -454,7 +454,7 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
             "diverged": log.diverged}
 
 
-def cmd_balance(resolved: dict, out: Path) -> int:
+def cmd_balance(resolved: dict, out: Path) -> tuple[int, dict]:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
@@ -463,11 +463,11 @@ def cmd_balance(resolved: dict, out: Path) -> int:
     entries = [_balance_one(model, w0, eta, resolved, out, i, wall, work)
                for i, eta in enumerate(resolved["etas"])]
     _write_json(out / "balance_summary.json", {"runs": entries})
-    _write_json(out / "timings.json", {"wall_s": wall, **work})
     unsettled = _unsettled_exit("; ".join(
         f"{_steps(e['unsettled_steps'])} of etas[{i}]"
         for i, e in enumerate(entries) if e["unsettled_steps"]))
-    return EXIT_DIVERGENCE if any(e["diverged"] for e in entries) else unsettled
+    diverged = any(e["diverged"] for e in entries)
+    return EXIT_DIVERGENCE if diverged else unsettled, {"wall_s": wall, **work}
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +488,10 @@ def _resolve_bifurcate(cfg: dict) -> dict:
         "model": model_res,
         "etas": _numbers(cfg, "etas", positive=True),
         "modes": _read(cfg, "modes", lambda v: isinstance(v, list) and v != []
-                       and all(isinstance(m, str) and m in _MODES for m in v),
-                       "a non-empty list of 'continuation' and 'empirical'",
-                       list(_MODES)),
+                       and all(isinstance(m, str) and m in _MODES for m in v)
+                       and len(set(v)) == len(v),
+                       "a non-empty list of 'continuation' and 'empirical', "
+                       "each at most once", list(_MODES)),
         "run_steps": _integer(cfg, "run_steps", 1, 2000),
         "run_offset": _number(cfg, "run_offset", default=1e-3),
         "discard_frac": discard_frac,
@@ -498,7 +499,7 @@ def _resolve_bifurcate(cfg: dict) -> dict:
     })
 
 
-def cmd_bifurcate(resolved: dict, out: Path) -> int:
+def cmd_bifurcate(resolved: dict, out: Path) -> tuple[int, dict]:
     model_res = resolved["model"]
     model = _build_model(model_res)
     if model_res["kind"] == "two_layer_linear":
@@ -535,11 +536,11 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
         fitted = []
         for p in points:
             resid = p.residual if isinstance(p, bifurcation.BranchPoint) else float("nan")
-            # A diverged empirical run has no orbit: an empty amp cell, and
-            # it stays out of the fit.
-            diverged = isinstance(p, bifurcation.EmpiricalPoint) and p.diverged
-            rows.append([p.eta, None if diverged else p.amplitude, resid, mode])
-            if not diverged:
+            # An empirical run that diverged or decayed has no orbit: an
+            # empty amp cell, and it stays out of the fit.
+            orbit = isinstance(p, bifurcation.BranchPoint) or p.orbit
+            rows.append([p.eta, p.amplitude if orbit else None, resid, mode])
+            if orbit:
                 fitted.append(p)
         try:
             expo = bifurcation.fit_scaling_exponent(
@@ -550,15 +551,15 @@ def cmd_bifurcate(resolved: dict, out: Path) -> int:
         summary[f"{mode}_branch_lost"] = bool(lost)
         if mode == "empirical":
             summary["empirical_diverged_etas"] = [p.eta for p in points if p.diverged]
+            summary["empirical_decayed_etas"] = [p.eta for p in points if p.decayed]
             evaluations = [p.evaluations for p in points]
     write_csv(out / "branch.csv", ["eta", "amp", "residual", "mode"], rows)
     _write_json(out / "sweep_summary.json", summary)
     # Every run of the empirical sweep is a row of the stacked call at each
     # of its evaluated iterates, so the longest run counts the calls.
-    _write_json(out / "timings.json", {
+    return EXIT_OK, {
         "wall_s": wall, "lockstep_value_and_grad_calls": max(evaluations, default=0),
-        "lockstep_row_steps": sum(evaluations)})
-    return EXIT_OK
+        "lockstep_row_steps": sum(evaluations)}
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +591,8 @@ def _resolve_strain(cfg: dict) -> dict:
     dataset = model_res.get("dataset")
     if variants != ["second_model"] and dataset is None:
         _fail(variants[0], "needs a model with a dataset")
+    if "leave_one_out" in cfg and dataset["n"] < 2:
+        _fail("leave_one_out", "needs model.dataset.n >= 2: no row would be left")
     if "leave_one_out" in cfg and resolved["leave_one_out"] >= dataset["n"]:
         _fail("leave_one_out", f"must be below model.dataset.n = {dataset['n']}")
     return resolved
@@ -607,7 +610,7 @@ def _second_model(resolved: dict) -> loss_models.LossModel:
     return _build_model(dict(res, dataset=dict(res["dataset"], **edit)))
 
 
-def cmd_strain(resolved: dict, out: Path) -> int:
+def cmd_strain(resolved: dict, out: Path) -> tuple[int, dict]:
     model_s = _build_model(resolved["model"])
     if model_s.dim > DENSE_DIM_LIMIT:
         raise ConfigError(
@@ -631,16 +634,16 @@ def cmd_strain(resolved: dict, out: Path) -> int:
                             adaptive=resolved["adaptive"], work=work)
     with _timed(wall, "reports"):
         write_strain_csv(strain, out / "strain.csv")
+        diverged = pair.log_s.diverged or pair.log_sp.diverged
+        # A pair that diverged at its first step has no recurrence residual.
         _write_json(out / "strain_summary.json", {
             "eta": resolved["eta"], "steps": strain.num_steps,
-            "max_recurrence_residual": float(strain.residual.max()),
+            "max_recurrence_residual": (float(strain.residual.max())
+                                        if strain.num_steps else None),
             "final_strain_norm": float(np.linalg.norm(strain.delta[-1])),
-            "diverged": pair.log_s.diverged or pair.log_sp.diverged,
+            "diverged": diverged,
         })
-    _write_json(out / "timings.json", {"wall_s": wall, **work})
-    if pair.log_s.diverged or pair.log_sp.diverged:
-        return EXIT_DIVERGENCE
-    return EXIT_OK
+    return EXIT_DIVERGENCE if diverged else EXIT_OK, {"wall_s": wall, **work}
 
 
 # ---------------------------------------------------------------------------
@@ -675,58 +678,50 @@ def _first_mismatch(name: str, stored: bytes, replayed: bytes) -> dict | None:
     return None
 
 
-# The replay checks of ``verify --run-dir`` and the outputs each compares.
-_REPLAYS = {"trajectory_replay": ("trajectory.csv",),
-            "report_replay": ("balance_report.json", "summary.json"),
-            "metrics_replay": ("metrics.csv",)}
-
-
 def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
-    """Re-check a finished run directory by running it again.
+    """Re-check a finished directory of any command by running it again.
 
-    The stored ``resolved_config.json`` is read back through the run's
-    strict readers, and fixes w_0 and with it every iterate, bit for bit
-    on one host and BLAS. ``_run_outputs``, the code of ``run`` itself,
-    runs it again into a temporary directory. ``telescoping_balance``
-    holds the replayed identity residual to ``telescoping_tolerance`` and
-    lists the unsettled steps; each replay check compares its stored
-    outputs with the replayed ones byte for byte and names, for each file
-    that differs, the first differing line (and the column, in a CSV
-    file). A config that is not a run's or that a reader rejects, or a
-    missing output, is a config error naming the key or file. A replay
-    costs one run, whose time counts to ``telescoping_balance``;
-    timings.json is not read.
+    The stored ``resolved_config.json`` names the command, is read back
+    through its strict readers and fixes every output, bit for bit on one
+    host and BLAS. The command runs again into a temporary directory, and
+    ``replay`` compares each file it wrote with the stored one, naming for
+    each that differs the first differing line (and column, in a CSV
+    file). For a ``run``, ``telescoping_balance`` holds the replayed
+    identity residual to ``telescoping_tolerance``. A config that a reader
+    rejects, or a missing output, is a config error naming key or file.
     """
     t0 = time.perf_counter()
-    path = str(run_dir / "resolved_config.json")
-    stored = _load_config(path)
-    if not isinstance(stored, dict) or stored.pop("command", None) != "run":
-        _fail(path, "not the resolved config of a 'run'")
-    # The readers take an absent key for null wherever they accept null, so
-    # a stored config resolves to itself, and a damaged one is an error at
-    # its key.
-    resolved = {"command": "run", **_resolve_run(_without_nulls(stored))}
-    outputs = {}
-    for name in itertools.chain(*_REPLAYS.values()):
+    stored = _load_config(str(run_dir / "resolved_config.json"))
+    command = _choice(stored, "command", tuple(_COMMANDS))
+    del stored["command"]
+    # The readers take an absent key for null wherever they accept null, so a
+    # stored config resolves to itself and a damaged one fails at its key.
+    resolved = {"command": command, **_RESOLVERS[command](_without_nulls(stored))}
+    with tempfile.TemporaryDirectory() as tmp:
+        _COMMANDS[command](resolved, Path(tmp))
+        replayed = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+    mismatches = []
+    for name, new in replayed.items():
         try:
-            outputs[name] = (run_dir / name).read_bytes()
+            old = (run_dir / name).read_bytes()
         except OSError as exc:
             _fail(str(run_dir / name), f"cannot read: {exc.strerror}")
-    with tempfile.TemporaryDirectory() as tmp:
-        log, table, _ = _run_outputs(resolved, Path(tmp))
-        replayed = {name: (Path(tmp) / name).read_bytes() for name in outputs}
-    resid = json.loads(replayed["balance_report.json"])["identity_residual"]
-    tol = verify.telescoping_tolerance(log.losses, is_mlp=resolved["model"]["kind"] == "mlp")
-    results = [verify.CheckResult(
-        "telescoping_balance", bool(resid <= tol), time.perf_counter() - t0,
-        {"residual": resid, "tolerance": tol, "unsettled_steps": table.unsettled})]
-    for check, names in _REPLAYS.items():
+        if mismatch := _first_mismatch(name, old, new):
+            mismatches.append(mismatch)
+    results = [verify.CheckResult("replay", not mismatches, time.perf_counter() - t0,
+                                  {"mismatches": mismatches})]
+    if command == "run":
         t1 = time.perf_counter()
-        mismatches = [m for name in names
-                      if (m := _first_mismatch(name, outputs[name], replayed[name]))]
-        results.append(verify.CheckResult(check, not mismatches,
-                                          time.perf_counter() - t1,
-                                          {"mismatches": mismatches}))
+        report = json.loads(replayed["balance_report.json"])
+        # Loss cells hold 17 significant digits, so they read back bitwise.
+        rows = replayed["trajectory.csv"].decode().split("\r\n")[1:-1]
+        losses = [float(row.split(",")[1]) for row in (rows[0], rows[-1])]
+        tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
+        resid = report["identity_residual"]
+        results.append(verify.CheckResult(
+            "telescoping_balance", resid is not None and resid <= tol,
+            time.perf_counter() - t1, {"residual": resid, "tolerance": tol,
+                                       "unsettled_steps": report["unsettled_steps"]}))
     return results
 
 
@@ -781,7 +776,11 @@ def main(argv=None) -> int:
         resolved = {"command": args.command,
                     **_RESOLVERS[args.command](_load_config(args.config))}
         out = _out_dir(args, resolved["out_dir"])
-        return _COMMANDS[args.command](resolved, out)
+        code, timings = _COMMANDS[args.command](resolved, out)
+        # Timings differ between identical runs, so they live in a file of
+        # their own, which no check reads.
+        _write_json(out / "timings.json", timings)
+        return code
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -297,11 +297,12 @@ def _check_linear_net_normal_form():
                                 math.log10(0.2 * eta_c2), 9)
     emp, _ = bifurcation.branch_sweep(geom2.model, w_bar2, etas, "empirical",
                                       u=geom2.sharp_direction(), run_steps=4000)
-    orbits = [p for p in emp if not p.diverged]
+    orbits = [p for p in emp if p.orbit]
     slope = bifurcation.fit_scaling_exponent(
         [p.eta for p in orbits], [p.amplitude for p in orbits], eta_c2)
     details["empirical_exponent"] = slope
     details["empirical_diverged_etas"] = [p.eta for p in emp if p.diverged]
+    details["empirical_decayed_etas"] = [p.eta for p in emp if p.decayed]
     ok &= abs(slope - 0.5) <= 0.05 and len(orbits) == len(emp)
     return ok, details
 

@@ -547,10 +547,12 @@ class TestBranchSweep:
 
     def test_empirical_below_threshold_collapses(self):
         etas = [1.7, 1.9]
-        points, _ = bf.branch_sweep(QUARTIC, np.array([0.0]), etas, "empirical",
-                                    u=np.array([1.0]), run_steps=800)
+        points, lost = bf.branch_sweep(QUARTIC, np.array([0.0]), etas, "empirical",
+                                       u=np.array([1.0]), run_steps=800)
         for p in points:
             assert p.amplitude <= 1e-6
+            assert p.decayed and not p.diverged and not p.orbit
+        assert lost
 
     def test_empirical_matches_continuation(self):
         etas = [2.05, 2.1, 2.2]
@@ -610,17 +612,25 @@ class TestBranchSweep:
 def _run_gd_oracle(model, w_bar, etas, u, run_steps, run_offset=1e-3,
                    discard_frac=0.8):
     """The empirical sweep as one ``run_gd`` per step size: for each eta the
-    logged run and half the peak-to-peak projection onto ``u`` over the last
-    ``1 - discard_frac`` of its (possibly truncated) steps."""
-    logs, amps = [], []
+    logged run, half the peak-to-peak projection onto ``u`` over the last
+    ``1 - discard_frac`` of its (possibly truncated) steps, and whether a
+    run that did not diverge decayed: an amplitude of 0, or one over the
+    last tenth of that window below half the one over its first tenth."""
+    def half_range(x):
+        return 0.5 * float(x.max() - x.min())
+
+    logs, amps, decayed = [], [], []
     for eta in etas:
         log = run_gd(model, w_bar + run_offset * u, eta, run_steps)
         start = int(discard_frac * log.num_steps)
         proj = np.array([float((log.w(k) - w_bar) @ u)
                          for k in range(start, log.num_steps + 1)])
+        tenth = max(2, len(proj) // 10)
         logs.append(log)
-        amps.append(0.5 * float(proj.max() - proj.min()))
-    return logs, amps
+        amps.append(half_range(proj))
+        decayed.append(not log.diverged and (
+            amps[-1] == 0 or half_range(proj[-tenth:]) < 0.5 * half_range(proj[:tenth])))
+    return logs, amps, decayed
 
 
 def _odd_linear_net():
@@ -638,13 +648,14 @@ class TestLockstepSweep:
 
     def _check(self, model, w_bar, u, etas, run_steps, run_offset=1e-3):
         u = u / float(np.linalg.norm(u))   # as branch_sweep normalizes it
-        logs, amps = _run_gd_oracle(model, w_bar, etas, u, run_steps, run_offset)
+        logs, amps, decayed = _run_gd_oracle(model, w_bar, etas, u, run_steps, run_offset)
         points, lost = bf.branch_sweep(model, w_bar, etas, "empirical", u=u,
                                        run_steps=run_steps, run_offset=run_offset)
-        assert lost == all(log.diverged for log in logs)
+        assert lost == all(log.diverged or d for log, d in zip(logs, decayed))
         assert [p.eta for p in points] == list(etas)
         assert [p.amplitude for p in points] == amps
         assert [p.diverged for p in points] == [log.diverged for log in logs]
+        assert [p.decayed for p in points] == decayed
         proj, kept, evaluated = bf._lockstep_projections(
             model, w_bar, u, run_offset, list(etas), run_steps)
         assert proj.shape == (run_steps + 1, len(etas))
@@ -659,13 +670,14 @@ class TestLockstepSweep:
 
     @pytest.mark.parametrize("model", [QUARTIC, HARDENING], ids=lambda m: m.name)
     def test_scalar_quartic_both_sides(self, model):
-        """eta_c = 2: the soft quartic orbits above it; the hardening one
-        settles below it and diverges above it after 34 to 433 steps."""
+        """eta_c = 2: both settle below it; the soft quartic orbits above
+        it, and the hardening one diverges there after 34 to 433 steps."""
         etas = [1.9, 1.99, 2.01, 2.05, 2.2]
-        logs, _ = self._check(model, np.array([0.0]), np.array([1.0]), etas, 4000)
+        logs, points = self._check(model, np.array([0.0]), np.array([1.0]), etas, 4000)
         diverged = [log.diverged for log in logs]
         assert diverged == ([False] * 5 if model is QUARTIC
                             else [False, False, True, True, True])
+        assert [p.decayed for p in points] == [True, True, False, False, False]
 
     def test_linear_net(self):
         w_bar, geom, _ = _linear_net()

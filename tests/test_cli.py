@@ -371,6 +371,29 @@ class TestBifurcateCommand:
         assert summary["empirical_diverged_etas"] == [2.005, 2.05, 2.2]
         assert summary["empirical_branch_lost"] is True
 
+    @pytest.mark.parametrize("beta, etas, run_offset", [
+        (1.0, [1.8, 1.9, 1.95, 1.995], 1e-3),
+        (-1.0, [1.9, 1.99], 1e-3),
+        (-1.0, [2.05, 2.1], 0.0),
+    ], ids=["subcritical", "below_supercritical", "no_offset"])
+    def test_decayed_runs_leave_amp_empty(self, tmp_path, beta, etas, run_offset):
+        """A run that settles to the fixed point observes no orbit: the
+        hardening model's orbits below eta_c = 2 are unstable, the softening
+        one has none there, and a run from the fixed point itself never
+        leaves it. Every amp cell is empty, no exponent is fitted, the step
+        sizes are listed as decayed and the empirical branch is lost."""
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "scalar_poly", "lam": 1, "beta": beta},
+               "etas": etas, "modes": ["empirical"], "run_offset": run_offset,
+               "out_dir": str(out)}
+        assert main(["bifurcate", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        assert [row[1] for row in _csv_rows(out / "branch.csv")] == [""] * len(etas)
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["exponents"]["empirical"] is None
+        assert summary["empirical_decayed_etas"] == etas
+        assert summary["empirical_diverged_etas"] == []
+        assert summary["empirical_branch_lost"] is True
+
     def test_timings_file(self, tmp_path):
         """``bifurcate`` writes the wall seconds of its phases and counts
         the empirical sweep's stacked ``value_and_grad`` calls and rows:
@@ -406,6 +429,7 @@ class TestBifurcateCommand:
         assert amps[3] == "" and all(amps[:3])
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["empirical_diverged_etas"] == [4.5]
+        assert summary["empirical_decayed_etas"] == []
         assert summary["empirical_branch_lost"] is False
         want = bifurcation.fit_scaling_exponent(etas[:3], [float(a) for a in amps[:3]], 2.0)
         assert summary["exponents"]["empirical"] == want
@@ -545,6 +569,22 @@ class TestStrainCommand:
         rc = main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
 
+    def test_diverged_at_first_step(self, tmp_path):
+        """A pair whose first model diverges at its first step keeps no
+        step: exit 3, a null recurrence residual, and the directory
+        replays."""
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "quadratic", "diag": [1e7, 1.0]},
+               "second_model": {"kind": "quadratic", "diag": [1e7, 2.0]},
+               "init": {"mode": "vector", "values": [1.0, 1.0]},
+               "eta": 1.0, "steps": 5, "out_dir": str(out)}
+        assert main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)]) == 3
+        summary = json.loads((out / "strain_summary.json").read_text())
+        assert summary["steps"] == 0 and summary["diverged"] is True
+        assert summary["max_recurrence_residual"] is None
+        assert _csv_rows(out / "strain.csv") == []
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+
     def test_quadratic_pair_via_second_model(self, tmp_path):
         out = tmp_path / "out"
         cfg = {
@@ -561,6 +601,35 @@ class TestStrainCommand:
         assert summary["max_recurrence_residual"] <= 1e-12
 
 
+def _strict_json(path):
+    """The JSON file at ``path``, which must hold no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("diag, values, rc, nulls", [
+    ([-1.0, 2.0], [1.0, 1.0], 0, ["forcing_bound"]),
+    ([3.0, 1.0], [1e150, 1.0], 3, ["forcing_bound", "max_rtilde", "weighted_mean"]),
+], ids=["unbounded_below", "diverged_at_first_step"])
+def test_non_finite_values_written_as_null(tmp_path, diag, values, rc, nulls):
+    """A quadratic with a negative eigenvalue has no known infimum, and a
+    run that diverges at its first step has no curvature mass: the values
+    these leave undefined are null, and every JSON output is strict JSON."""
+    base = {"model": {"kind": "quadratic", "diag": diag},
+            "init": {"mode": "vector", "values": values}, "steps": 10}
+    for command, step_sizes in (("run", {"eta": 0.5}), ("balance", {"etas": [0.5]})):
+        cfg = dict(base, **step_sizes, out_dir=str(tmp_path / command))
+        assert main([command, "--config", _write_config(tmp_path / "c.json", cfg)]) == rc
+    outputs = {f"{path.parent.name}/{path.name}": _strict_json(path)
+               for path in sorted(tmp_path.glob("*/*.json"))}
+    assert len(outputs) == 7
+    report = outputs["run/balance_report.json"]
+    assert [key for key, value in report.items() if value is None] == nulls
+    [entry] = outputs["balance/balance_summary.json"]["runs"]
+    assert (entry["weighted_mean"] is None) == ("weighted_mean" in nulls)
+
+
 class TestVerifyCommand:
     def test_quadratic_suite_passes(self, tmp_path):
         assert main(["verify", "--suite", "quadratic", "--out", str(tmp_path)]) == 0
@@ -569,8 +638,7 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["checks"]} == \
             {"quadratic_exactness", "mechanisms", "stochastic_balance"}
 
-    _CHECKS = ["telescoping_balance", "trajectory_replay", "report_replay",
-               "metrics_replay"]
+    _CHECKS = ["replay", "telescoping_balance"]
 
     @staticmethod
     def _quad_run(tmp_path):
@@ -598,8 +666,8 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert [c["name"] for c in report["checks"]] == self._CHECKS
         reported = json.loads((out / "balance_report.json").read_text())["identity_residual"]
-        assert report["checks"][0]["details"]["residual"] == reported
-        assert all(c["details"] == {"mismatches": []} for c in report["checks"][1:])
+        assert report["checks"][0]["details"] == {"mismatches": []}
+        assert report["checks"][1]["details"]["residual"] == reported
 
     def test_wide_mlp_run_replays(self, tmp_path):
         """The README MLP (dim 533), localized for 40 steps, replays from
@@ -620,8 +688,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("value", ["nextafter", "string", "absent"])
     def test_edited_identity_residual_detected(self, tmp_path, capsys, value):
         """An edit of balance_report.json's identity_residual, by one ulp,
-        to another type or away, fails exactly report_replay, which names
-        the field's line."""
+        to another type or away, fails exactly replay, which names the
+        field's line."""
         out = self._quad_run(tmp_path)
         path = out / "balance_report.json"
         [line] = [i for i, text in enumerate(path.read_text().split("\n"), 1)
@@ -634,33 +702,33 @@ class TestVerifyCommand:
         else:
             del rep["identity_residual"]
         cli._write_json(path, rep)
-        assert self._replay_fails(out, tmp_path, capsys) == {"report_replay": {
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": "balance_report.json", "line": line}]}}
 
     @pytest.mark.parametrize("column", ["rtilde", "rtilde_exact"])
     def test_edited_metrics_cell_detected(self, tmp_path, capsys, column):
-        """A cell of metrics.csv moved by one ulp fails exactly
-        metrics_replay, which names its line and column."""
+        """A cell of metrics.csv moved by one ulp fails exactly replay,
+        which names its line and column."""
         out = self._quad_run(tmp_path)
         _edit_cell(out / "metrics.csv", 6, column,
                    lambda cell: f"{np.nextafter(float(cell), 4.0):.17g}")
-        assert self._replay_fails(out, tmp_path, capsys) == {"metrics_replay": {
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": "metrics.csv", "line": 6, "column": column}]}}
 
     @pytest.mark.parametrize("column", ["grad_norm", "step_norm"])
     def test_edited_trajectory_cell_detected(self, tmp_path, capsys, column):
         """A grad_norm or step_norm cell of trajectory.csv moved by one ulp
-        fails exactly trajectory_replay, which names its line and column."""
+        fails exactly replay, which names its line and column."""
         out = self._quad_run(tmp_path)
         _edit_cell(out / "trajectory.csv", 6, column,
                    lambda cell: f"{np.nextafter(float(cell), np.inf):.17g}")
-        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": "trajectory.csv", "line": 6, "column": column}]}}
 
     def test_tampered_reports_detected(self, tmp_path, capsys):
         """weighted_mean set to 123 in balance_report.json and onset_step
-        to 7777 in summary.json: report_replay fails and names the line of
-        each edit; the other outputs replay byte for byte."""
+        to 7777 in summary.json: replay fails and names the line of each
+        edit; the other outputs replay byte for byte."""
         out = tmp_path / "run"
         cfg = {"model": {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
                          "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
@@ -677,7 +745,7 @@ class TestVerifyCommand:
             cli._write_json(path, dict(json.loads(path.read_text()), **{key: value}))
             mismatches.append({"file": name, "line": line})
         assert self._replay_fails(out, tmp_path, capsys) == {
-            "report_replay": {"mismatches": mismatches}}
+            "replay": {"mismatches": mismatches}}
 
     def test_diverged_run_replays(self, tmp_path):
         """A run that diverged at step 5 keeps 4 steps; the rerun diverges
@@ -695,7 +763,7 @@ class TestVerifyCommand:
         out = self._quad_run(tmp_path)
         _edit_cell(out / "trajectory.csv", 4, "loss",
                    lambda cell: f"{float(cell) + 1e-3:.17g}")
-        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": "trajectory.csv", "line": 4, "column": "loss"}]}}
 
     @staticmethod
@@ -723,17 +791,17 @@ class TestVerifyCommand:
         """A cell that is no number is a differing cell like any other."""
         out = self._quad_run(tmp_path)
         _edit_cell(out / "trajectory.csv", 3, "loss", lambda cell: "abc")
-        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": "trajectory.csv", "line": 3, "column": "loss"}]}}
 
     def test_run_dir_truncated_trajectory(self, tmp_path, capsys):
-        """trajectory.csv without its last row fails trajectory_replay at
-        the line the row held."""
+        """trajectory.csv without its last row fails replay at the line the
+        row held."""
         out = self._quad_run(tmp_path)
         traj = out / "trajectory.csv"
         lines = traj.read_bytes().split(b"\r\n")
         traj.write_bytes(b"\r\n".join(lines[:-2] + lines[-1:]))
-        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": "trajectory.csv", "line": len(lines) - 1,
                             "column": "k"}]}}
 
@@ -741,7 +809,7 @@ class TestVerifyCommand:
         out = self._quad_run(tmp_path)
         traj = out / "trajectory.csv"
         traj.write_bytes(traj.read_bytes().split(b"\r\n")[0] + b"\r\n")
-        assert self._replay_fails(out, tmp_path, capsys) == {"trajectory_replay": {
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": "trajectory.csv", "line": 2, "column": "k"}]}}
 
     @pytest.mark.parametrize("name", ["trajectory.csv", "summary.json"])
@@ -799,7 +867,68 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert len(report["checks"]) == 4 and report["passed"] is True
+        assert len(report["checks"]) == 2 and report["passed"] is True
+
+    # A small config of each other command, and a CSV cell of its output
+    # (file, column) at line 4.
+    _OTHER_COMMANDS = {
+        "balance": ({"model": {"kind": "mlp", "widths": [3, 4, 2], "activation": "tanh",
+                               "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}},
+                     "init": {"mode": "gaussian", "seed": 1}, "etas": [0.25, 0.5],
+                     "steps": 30},
+                    "balance_eta1.csv", "running_weighted_mean"),
+        "strain": ({"model": {"kind": "mlp", "widths": [4, 5, 2], "activation": "tanh",
+                              "dataset": {"seed": 3, "n": 20, "d_in": 4, "d_out": 2,
+                                          "teacher_rank": 2, "noise": 0.05}},
+                    "init": {"mode": "gaussian", "seed": 1}, "eta": 0.3, "steps": 10,
+                    "leave_one_out": 0},
+                   "strain.csv", "kappa"),
+        "bifurcate": ({"model": {"kind": "scalar_poly", "lam": 1.0, "beta": -1.0},
+                       "etas": [2.05, 2.1], "run_steps": 500},
+                      "branch.csv", "amp"),
+    }
+
+    def _other_run(self, tmp_path, command):
+        cfg, name, column = self._OTHER_COMMANDS[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(
+            tmp_path / "c.json", dict(cfg, out_dir=str(out)))]) == 0
+        return out, name, column
+
+    @pytest.mark.parametrize("command", ["balance", "strain", "bifurcate"])
+    def test_other_command_replays(self, tmp_path, capsys, command):
+        """A directory of each other command replays byte for byte under
+        the one replay check; a cell of its CSV output moved by one ulp
+        fails replay, which names the file, line and column."""
+        out, name, column = self._other_run(tmp_path, command)
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert [(c["name"], c["details"]) for c in report["checks"]] == [
+            ("replay", {"mismatches": []})]
+        _edit_cell(out / name, 4, column,
+                   lambda cell: f"{np.nextafter(float(cell), np.inf):.17g}")
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
+            "mismatches": [{"file": name, "line": 4, "column": column}]}}
+
+    def test_strain_dir_without_strain_csv(self, tmp_path, capsys):
+        out, name, _ = self._other_run(tmp_path, "strain")
+        (out / name).unlink()
+        capsys.readouterr()
+        line = self._run_dir_config_error(out, tmp_path, capsys)
+        assert line.startswith(f"config error at {out / name}: cannot read")
+
+    @pytest.mark.parametrize("stored, message", [
+        ({}, "config error at command: required"),
+        ({"command": "verify"}, "config error at command: must be one of 'run', "
+                                "'balance', 'bifurcate', 'strain'"),
+        ([], "config error at <root>: expected an object"),
+    ], ids=["absent", "verify", "not_an_object"])
+    def test_run_dir_of_no_command(self, tmp_path, capsys, stored, message):
+        """A stored config must name the command that wrote the directory."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "resolved_config.json").write_text(json.dumps(stored))
+        assert self._run_dir_config_error(run_dir, tmp_path, capsys) == message
 
     def test_out_not_creatable(self, tmp_path, capsys):
         """An --out below a file is a config error at --out, before any
@@ -1053,6 +1182,7 @@ class TestFailureContract:
         ("bifurcate", "run_steps", 0),
         ("bifurcate", "run_offset", "x"),
         ("bifurcate", "modes", ["empirical", "other"]),
+        ("bifurcate", "modes", ["empirical", "continuation", "empirical"]),
         ("bifurcate linear", "model.hidden", 2.5),
         ("bifurcate linear", "model.rank", 0),
         ("bifurcate linear", "model.dataset.teacher_rank", 1.5),
@@ -1342,6 +1472,17 @@ class TestFailureContract:
     ])
     def test_good_strain_value_accepted(self, tmp_path, key, value):
         assert main(["strain", "--config", self._strain_pair(tmp_path, key, value)]) == 0
+
+    def test_leave_one_out_of_one_row(self, tmp_path, capsys):
+        """Leaving out the only row of a one-row dataset leaves no data: a
+        config error at leave_one_out, not a traceback."""
+        cfg = _with(json.loads(Path(self._strain_pair(tmp_path, "leave_one_out", 0))
+                               .read_text()), "model.dataset.n", 1)
+        rc = main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error at leave_one_out:"), lines
+        assert not any((tmp_path / "out").glob("*"))
 
 
 # Values that a lax reader lets through: booleans for numbers, numbers
