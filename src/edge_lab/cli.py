@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bifurcation, edge_metrics, loss_models, trajectory, verify
+from . import bifurcation, edge_metrics, loss_models, stability_kv, trajectory, verify
 from .numerics import (DENSE_DIM_LIMIT, BracketError, EvaluationError,
                        NonConvergenceError, SingularJacobianError, uniform_rule)
 from .stability_kv import strain_run, write_strain_csv
@@ -535,9 +535,9 @@ def cmd_bifurcate(resolved: dict, out: Path) -> tuple[int, dict]:
                 discard_frac=resolved["discard_frac"], eta_c=eta_c, Q_u=Q_u)
         fitted = []
         for p in points:
-            resid = p.residual if isinstance(p, bifurcation.BranchPoint) else float("nan")
-            # An empirical run that diverged or decayed has no orbit: an
-            # empty amp cell, and it stays out of the fit.
+            resid = p.residual if isinstance(p, bifurcation.BranchPoint) else None
+            # An empirical run has no residual, and one that diverged or
+            # decayed has no orbit: empty cells, and it stays out of the fit.
             orbit = isinstance(p, bifurcation.BranchPoint) or p.orbit
             rows.append([p.eta, p.amplitude if orbit else None, resid, mode])
             if orbit:
@@ -585,7 +585,6 @@ def _resolve_strain(cfg: dict) -> dict:
         "second_model": (_resolve_model(cfg, "second_model")
                          if "second_model" in cfg else None),
         "quadrature_order": _integer(cfg, "quadrature_order", 1, default=4),
-        "adaptive": _flag(cfg, "adaptive", False),
         "out_dir": _string(cfg, "out_dir", "."),
     })
     dataset = model_res.get("dataset")
@@ -623,15 +622,17 @@ def cmd_strain(resolved: dict, out: Path) -> tuple[int, dict]:
             f"parameter dimension (model has dim {model_s.dim}, second_model "
             f"has dim {model_sp.dim})")
     w0 = _build_init(resolved["init"], model_s, resolved["model"])
+    # The start rule is built (and cached for strain_run) before any write,
+    # so that an order too large to build is a config error.
+    with _allocation("quadrature_order"):
+        uniform_rule(resolved["quadrature_order"])
     _write_json(out / "resolved_config.json", resolved)
     wall = {"runner": 0.0, "strain": 0.0, "reports": 0.0}
     work = collections.Counter(strain_workers=0, strain_dense_hessians=0)
     with _timed(wall, "runner"), _allocation("steps"):
         pair = trajectory.run_pair_gd(model_s, model_sp, w0, resolved["eta"], resolved["steps"])
     with _timed(wall, "strain"):
-        strain = strain_run(pair, model_s,
-                            rule=uniform_rule(resolved["quadrature_order"]),
-                            adaptive=resolved["adaptive"], work=work)
+        strain = strain_run(pair, model_s, resolved["quadrature_order"], work=work)
     with _timed(wall, "reports"):
         write_strain_csv(strain, out / "strain.csv")
         diverged = pair.log_s.diverged or pair.log_sp.diverged
@@ -640,10 +641,16 @@ def cmd_strain(resolved: dict, out: Path) -> tuple[int, dict]:
             "eta": resolved["eta"], "steps": strain.num_steps,
             "max_recurrence_residual": (float(strain.residual.max())
                                         if strain.num_steps else None),
+            "unsettled_steps": strain.unsettled,
             "final_strain_norm": float(np.linalg.norm(strain.delta[-1])),
             "diverged": diverged,
         })
-    return EXIT_DIVERGENCE if diverged else EXIT_OK, {"wall_s": wall, **work}
+    if strain.unsettled:
+        print(f"unsettled strain quadrature at steps {_steps(strain.unsettled)}: "
+              f"not within {stability_kv.STRAIN_RTOL:g} max(1, |delta_k|) at order "
+              f"{stability_kv.STRAIN_MAX_ORDER} or above", file=sys.stderr)
+    code = EXIT_DIVERGENCE if diverged else EXIT_ASSERTION if strain.unsettled else EXIT_OK
+    return code, {"wall_s": wall, **work}
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +694,10 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     ``replay`` compares each file it wrote with the stored one, naming for
     each that differs the first differing line (and column, in a CSV
     file). For a ``run``, ``telescoping_balance`` holds the replayed
-    identity residual to ``telescoping_tolerance``. A config that a reader
+    identity residual to ``telescoping_tolerance``; for a ``strain``,
+    ``recurrence_residual`` passes when the replayed summary lists no
+    unsettled step (a residual above ``STRAIN_RTOL * max(1, ||delta_k||)``
+    at the largest order). A config that a reader
     rejects, or a missing output, is a config error naming key or file.
     """
     t0 = time.perf_counter()
@@ -710,8 +720,8 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
             mismatches.append(mismatch)
     results = [verify.CheckResult("replay", not mismatches, time.perf_counter() - t0,
                                   {"mismatches": mismatches})]
+    t1 = time.perf_counter()
     if command == "run":
-        t1 = time.perf_counter()
         report = json.loads(replayed["balance_report.json"])
         # Loss cells hold 17 significant digits, so they read back bitwise.
         rows = replayed["trajectory.csv"].decode().split("\r\n")[1:-1]
@@ -722,6 +732,14 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
             "telescoping_balance", resid is not None and resid <= tol,
             time.perf_counter() - t1, {"residual": resid, "tolerance": tol,
                                        "unsettled_steps": report["unsettled_steps"]}))
+    if command == "strain":
+        summary = json.loads(replayed["strain_summary.json"])
+        results.append(verify.CheckResult(
+            "recurrence_residual", not summary["unsettled_steps"],
+            time.perf_counter() - t1,
+            {"max_recurrence_residual": summary["max_recurrence_residual"],
+             "tolerance": stability_kv.STRAIN_RTOL,
+             "unsettled_steps": summary["unsettled_steps"]}))
     return results
 
 

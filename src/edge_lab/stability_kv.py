@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,9 +36,13 @@ __all__ = [
 
 Array = NDArray[np.float64]
 
-# Adaptive strain quadrature: the order doubles until successive segment
-# Hessians agree to this relative tolerance.
-ADAPT_TOL = 1e-10
+# A step's strain quadrature settles once its recurrence residual, which is
+# exactly the quadrature's error eta ||(A_k - Abar_k) delta_k||, is at most
+# STRAIN_RTOL * max(1, ||delta_k||); the residual's rounding floor on the
+# benchmark's dim-92 MLP is 3e-16..7e-16. Until then its Gauss-Legendre
+# order doubles, while below STRAIN_MAX_ORDER.
+STRAIN_RTOL = 1e-10
+STRAIN_MAX_ORDER = 64
 
 # ``strain_run`` deals its steps to its processes in chunks of this many
 # consecutive steps. Each A_k crosses a pipe, so a chunk holds dim^2 * 8
@@ -106,8 +110,9 @@ class StrainLog:
     mismatch at the reference trajectory, kappa[k] the excursion of the
     segment-averaged Hessian A_k of the first objective, residual[k] the
     recurrence mismatch ||delta_{k+1} - (I - eta A_k) delta_k + eta f_k||,
-    and propagated[k] the variation-of-constants strain
-    -eta sum_{s<k} (I - eta A_{k-1}) ... (I - eta A_{s+1}) f_s.
+    propagated[k] the variation-of-constants strain
+    -eta sum_{s<k} (I - eta A_{k-1}) ... (I - eta A_{s+1}) f_s, and
+    unsettled the steps whose residual stayed above the tolerance.
     """
 
     eta: float
@@ -116,6 +121,7 @@ class StrainLog:
     propagated: Array             # (K+1, dim)
     kappa: Array                  # (K,)
     residual: Array               # (K,)
+    unsettled: list[int] = field(default_factory=list)
 
     @property
     def num_steps(self) -> int:
@@ -131,73 +137,64 @@ def _segment_hessian(model: LossModel, base: Array, delta: Array,
     return A
 
 
-def _step_matrix(model: LossModel, base: Array, delta: Array,
-                 rule: QuadratureRule, adaptive: bool) -> tuple[Array, int]:
-    """(A, the dense Hessians it took): the segment Hessian from ``base``
-    along ``delta`` by ``rule``, with ``adaptive`` at doubled orders until
-    two successive ones agree."""
-    order, A = rule.order, _segment_hessian(model, base, delta, rule)
-    hessians = len(rule.nodes)
-    while adaptive and order < 64:
-        order *= 2
-        A, prev = _segment_hessian(model, base, delta, uniform_rule(order)), A
-        hessians += order
-        if float(np.max(np.abs(A - prev))) <= ADAPT_TOL * max(1.0, float(np.max(np.abs(A)))):
-            break
-    return A, hessians
-
-
-def strain_run(pair: PairedLog, model_s: LossModel,
-               rule: QuadratureRule | None = None,
-               adaptive: bool = False, work: Counter | None = None,
-               *, workers: int | None = None) -> StrainLog:
+def strain_run(pair: PairedLog, model_s: LossModel, order: int = 4,
+               work: Counter | None = None, *, workers: int | None = None) -> StrainLog:
     """Assemble the strain/stress/excursion log of a paired run.
 
-    A_k is the uniform quadrature of the first objective's Hessian along
-    the segment from w'_k to w_k. With ``adaptive`` the order doubles
-    until A_k stabilizes (for non-polynomial objectives).
+    A_k is the Gauss-Legendre quadrature of the first objective's Hessian
+    along the segment from w'_k to w_k, from ``order`` nodes; the order
+    doubles, up to STRAIN_MAX_ORDER, while the step's residual is above
+    the tolerance (``STRAIN_RTOL``), and a step still above it is listed
+    in ``unsettled``.
 
-    Each A_k and its kappa depend on its step alone, so they are computed
-    in up to ``workers`` processes, by default one per CPU this process
-    may run on, which take chunks of _CHUNK_STEPS consecutive steps on
-    demand (``OrderedMap``). This process consumes them in k order and
-    holds each A_k only while its step is processed: the residual and the
-    propagated strain z_0 = 0, z_{k+1} = (I - eta A_k) z_k - eta f_k
-    follow in the same pass, so the log is the same for any count.
-    ``work["strain_workers"]`` becomes the largest number of processes a
-    run has used, and ``work["strain_dense_hessians"]`` adds the dense
-    Hessians of every process.
+    Each step's stress f_k, A_k, kappa and residual depend on that step
+    alone, so they are computed in up to ``workers`` processes, by default
+    one per CPU this process may run on, which take chunks of _CHUNK_STEPS
+    consecutive steps on demand (``OrderedMap``). This process consumes
+    them in k order and holds each A_k only while it advances the
+    propagated strain z_0 = 0, z_{k+1} = (I - eta A_k) z_k - eta f_k, so
+    the log is the same for any count. ``work["strain_workers"]`` becomes
+    the largest number of processes a run has used, and
+    ``work["strain_dense_hessians"]`` adds the dense Hessians of every
+    process.
     """
-    if rule is None:
-        rule = uniform_rule()
     K = pair.num_steps
     eta = pair.log_s.eta
     dim = pair.log_s.dim
+    w_sp = pair.log_sp.w_stored
 
-    delta = pair.log_s.w_stored[:K + 1] - pair.log_sp.w_stored[:K + 1]
+    delta = pair.log_s.w_stored[:K + 1] - w_sp[:K + 1]
     stress = np.zeros((K, dim))
     z = np.zeros((K + 1, dim))
     kappa = np.zeros(K)
     residual = np.zeros(K)
-    hessians = 0
+    unsettled, hessians = [], 0
 
-    def step_matrix(k: int) -> tuple[Array, int, float]:
-        A, count = _step_matrix(model_s, pair.log_sp.w_stored[k], delta[k], rule, adaptive)
-        return A, count, excursion_kappa(A, eta)
+    def step(k: int) -> tuple[Array, Array, float, float, bool, int]:
+        f = model_s.gradient(w_sp[k]) - pair.log_sp.grads[k]
+        tol = STRAIN_RTOL * max(1.0, float(np.linalg.norm(delta[k])))
+        n, count = order, 0
+        while True:
+            A = _segment_hessian(model_s, w_sp[k], delta[k], uniform_rule(n))
+            count += n
+            predicted = delta[k] - eta * (A @ delta[k]) - eta * f
+            r = float(np.linalg.norm(delta[k + 1] - predicted))
+            if r <= tol or n >= STRAIN_MAX_ORDER:
+                return A, f, excursion_kappa(A, eta), r, r <= tol, count
+            n *= 2
 
-    with OrderedMap(step_matrix, range(K), _CHUNK_STEPS, workers) as matrices:
-        for k, (A, count, excursion) in enumerate(matrices):
+    with OrderedMap(step, range(K), _CHUNK_STEPS, workers) as steps:
+        for k, (A, f, excursion, r, settled, count) in enumerate(steps):
+            stress[k], kappa[k], residual[k] = f, excursion, r
+            if not settled:
+                unsettled.append(k)
             hessians += count
-            kappa[k] = excursion
-            stress[k] = model_s.gradient(pair.log_sp.w_stored[k]) - pair.log_sp.grads[k]
-            predicted = delta[k] - eta * (A @ delta[k]) - eta * stress[k]
-            residual[k] = float(np.linalg.norm(delta[k + 1] - predicted))
-            z[k + 1] = z[k] - eta * (A @ z[k]) - eta * stress[k]
+            z[k + 1] = z[k] - eta * (A @ z[k]) - eta * f
     if work is not None:
-        work["strain_workers"] = max(work["strain_workers"], matrices.processes)
+        work["strain_workers"] = max(work["strain_workers"], steps.processes)
         work["strain_dense_hessians"] += hessians
     return StrainLog(eta=eta, delta=delta, stress=stress, propagated=z,
-                     kappa=kappa, residual=residual)
+                     kappa=kappa, residual=residual, unsettled=unsettled)
 
 
 def propagator_norm(T: Array) -> float:

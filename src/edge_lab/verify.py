@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bifurcation, edge_metrics, loss_models, stability_kv, trajectory
-from .numerics import (NonConvergenceError, dense_eigvalsh, lambda_max_iter,
-                       uniform_rule)
+from .numerics import NonConvergenceError, dense_eigvalsh, lambda_max_iter
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "CHECKS", "telescoping_tolerance"]
 
@@ -428,8 +427,7 @@ def _check_kelvin_voigt():
                                  teacher_rank=ds.teacher_rank)
     m_loo = loss_models.make_mlp([6, 8, 4], "tanh", ds_loo)
     pair_m = trajectory.run_pair_gd(m_full, m_loo, m_full.init_params(seed=7), 0.3, 40)
-    strain_m = stability_kv.strain_run(pair_m, m_full, rule=uniform_rule(8),
-                                       adaptive=True)
+    strain_m = stability_kv.strain_run(pair_m, m_full, 8)
     details["mlp_recurrence_residual"] = float(strain_m.residual.max())
     ok &= strain_m.residual.max() <= 1e-6
 

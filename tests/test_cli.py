@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edge_lab
-from edge_lab import _procmap, bifurcation, cli, edge_metrics as em, loss_models, numerics
+from edge_lab import (_procmap, bifurcation, cli, edge_metrics as em, loss_models, numerics,
+                      stability_kv)
 from edge_lab.cli import _RESOLVERS, ConfigError, main
 from edge_lab.loss_models import make_mlp, make_synthetic_dataset
 from edge_lab.trajectory import run_gd
@@ -309,6 +310,10 @@ class TestBifurcateCommand:
         lines = (out / "branch.csv").read_bytes().decode().strip().split("\r\n")
         assert lines[0] == "eta,amp,residual,mode"
         assert len(lines) == 1 + 2 * len(etas)
+        # An empirical run has no residual: its cell is empty, not "nan".
+        rows = [line.split(",") for line in lines[1:]]
+        assert {(mode, resid == "") for _, _, resid, mode in rows} == {
+            ("continuation", False), ("empirical", True)}
 
     def test_wrong_side_empty_branch(self, tmp_path):
         out = tmp_path / "out"
@@ -436,6 +441,17 @@ class TestBifurcateCommand:
         assert want == pytest.approx(0.5, abs=0.05)
 
 
+# The benchmark's mlp_strain model at seed shift 109817480, without its
+# quadrature order.
+_STRAIN_PROBE = {
+    "model": {"kind": "mlp", "widths": [6, 8, 4], "activation": "tanh",
+              "dataset": {"seed": 109817483, "n": 60, "d_in": 6, "d_out": 4,
+                          "teacher_rank": 2, "noise": 0.05}},
+    "init": {"mode": "gaussian", "seed": 109817487},
+    "eta": 0.3, "leave_one_out": 0,
+}
+
+
 class TestStrainCommand:
     def test_outputs_identical_for_any_cpu_count(self, tmp_path, monkeypatch):
         """With one CPU and with two, the segment Hessians of a 30-step
@@ -492,7 +508,6 @@ class TestStrainCommand:
             "eta": 0.3, "steps": 15,
             "leave_one_out": 0,
             "quadrature_order": 8,
-            "adaptive": True,
             "out_dir": str(out),
         }
         assert main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
@@ -503,9 +518,49 @@ class TestStrainCommand:
         assert sorted(timings) == ["strain_dense_hessians", "strain_workers", "wall_s"]
         assert sorted(timings["wall_s"]) == ["reports", "runner", "strain"]
         assert all(v > 0 for v in timings["wall_s"].values())
-        # 15 steps make 4 chunks; adaptive from order 8 takes order 16 too.
+        # 15 steps make 4 chunks; every step settles at order 8.
         assert timings["strain_workers"] == min(_procmap.cpu_count(), 4)
-        assert timings["strain_dense_hessians"] >= 15 * (8 + 16)
+        assert timings["strain_dense_hessians"] == 15 * 8
+        assert summary["unsettled_steps"] == []
+
+    def test_default_order_doubles_where_it_misses(self, tmp_path):
+        """The benchmark's strain model at a seed where order 4, the default,
+        misses the settle tolerance at steps 34-40 and 75-88 (residuals up
+        to 1.1e-3 over 200 steps): those steps double their order, and the
+        run exits 0 with every residual within 1e-10 (|delta_k| < 1)."""
+        out = tmp_path / "out"
+        cfg = dict(_STRAIN_PROBE, steps=89, out_dir=str(out))
+        assert main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = json.loads((out / "strain_summary.json").read_text())
+        assert summary["unsettled_steps"] == []
+        assert summary["max_recurrence_residual"] <= 1e-10
+        assert summary["final_strain_norm"] < 1
+        assert json.loads((out / "timings.json").read_text())[
+            "strain_dense_hessians"] > 89 * 4
+
+    def test_unsettled_steps_named(self, tmp_path, capsys, monkeypatch):
+        """With the largest order set to the start order, the steps that
+        miss the tolerance stay unsettled: listed in strain_summary.json,
+        named on one stderr line, exit 1; ``verify --run-dir`` replays the
+        directory and fails only ``recurrence_residual``, which lists them."""
+        monkeypatch.setattr(stability_kv, "STRAIN_MAX_ORDER", 4)
+        out = tmp_path / "out"
+        cfg = dict(_STRAIN_PROBE, steps=41, out_dir=str(out))
+        assert main(["strain", "--config", _write_config(tmp_path / "c.json", cfg)]) == 1
+        missed = list(range(34, 41))
+        assert capsys.readouterr().err.splitlines() == [
+            f"unsettled strain quadrature at steps {', '.join(map(str, missed))}: "
+            "not within 1e-10 max(1, |delta_k|) at order 4 or above"]
+        summary = json.loads((out / "strain_summary.json").read_text())
+        assert summary["unsettled_steps"] == missed
+        assert summary["max_recurrence_residual"] > 1e-10
+        assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+            ("replay", True), ("recurrence_residual", False)]
+        assert report["checks"][1]["details"] == {
+            "max_recurrence_residual": summary["max_recurrence_residual"],
+            "tolerance": 1e-10, "unsettled_steps": missed}
 
     def test_leave_one_out_rank_limited_linear(self, tmp_path):
         """The left-out objective keeps the model's rank limit: a width-6
@@ -903,12 +958,25 @@ class TestVerifyCommand:
         out, name, column = self._other_run(tmp_path, command)
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert [(c["name"], c["details"]) for c in report["checks"]] == [
-            ("replay", {"mismatches": []})]
+        assert [(c["name"], c["details"]) for c in report["checks"]][0] == (
+            "replay", {"mismatches": []})
+        assert [c["name"] for c in report["checks"][1:]] == (
+            ["recurrence_residual"] if command == "strain" else [])
         _edit_cell(out / name, 4, column,
                    lambda cell: f"{np.nextafter(float(cell), np.inf):.17g}")
         assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
             "mismatches": [{"file": name, "line": 4, "column": column}]}}
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_strain_dir_with_adaptive(self, tmp_path, capsys, value):
+        """A strain directory whose resolved config still holds the removed
+        ``adaptive`` key no longer replays."""
+        out, _, _ = self._other_run(tmp_path, "strain")
+        path = out / "resolved_config.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), adaptive=value)))
+        capsys.readouterr()
+        line = self._run_dir_config_error(out, tmp_path, capsys)
+        assert line == "config error at adaptive: unknown key"
 
     def test_strain_dir_without_strain_csv(self, tmp_path, capsys):
         out, name, _ = self._other_run(tmp_path, "strain")
@@ -1146,8 +1214,8 @@ class TestFailureContract:
         ("strain", "quadrature_order", -3),
         ("strain", "quadrature_order", 2.5),
         ("strain", "quadrature_order", "4"),
-        ("strain", "adaptive", "no"),
-        ("strain", "adaptive", None),
+        ("strain", "adaptive", True),
+        ("strain", "adaptive", False),
         ("run", "deltas", "abc"),
         ("run", "deltas", []),
         ("run", "deltas", [0.1, -1.0]),
@@ -1253,11 +1321,15 @@ class TestFailureContract:
                                  "target": [[2.0, 0.0], [0.0, 1.0]]},
                        "etas": [0.6], "modes": ["empirical"]},
          "model.hidden"),
-    ], ids=["mlp_init", "linear_init", "linear_geometry"])
+        ("strain", dict(_BASES["strain"], quadrature_order=10 ** 6),
+         "quadrature_order"),
+    ], ids=["mlp_init", "linear_init", "linear_geometry", "strain_rule"])
     def test_model_too_large_to_allocate(self, tmp_path, capsys, command, cfg, key):
-        """A model whose parameter vector or geometry cannot be allocated
-        is one config-error line at the key that sizes it and exit 2;
-        numpy refuses before touching memory, and nothing is written."""
+        """A model whose parameter vector or geometry cannot be allocated,
+        or a strain start order whose Gauss rule cannot be built (a 7.28 TiB
+        companion matrix), is one config-error line at the key that sizes
+        it and exit 2; numpy refuses before touching memory, and nothing is
+        written."""
         out = tmp_path / "out"
         rc = main([command, "--config",
                    _write_config(tmp_path / "c.json", dict(cfg, out_dir=str(out)))])
@@ -1521,8 +1593,7 @@ _PROPERTY_BASES = [
                 "init": {"mode": "minimizer_offset", "scale": 0.01},
                 "second_model": {"kind": "quadratic", "diag": [1.0] * 8,
                                  "center": 0.5},
-                "eta": 0.5, "steps": 5, "quadrature_order": 4, "adaptive": True,
-                "out_dir": "out"}),
+                "eta": 0.5, "steps": 5, "quadrature_order": 4, "out_dir": "out"}),
     ("strain", {"model": {"kind": "mlp", "widths": [4, 3, 2],
                           "dataset": _MLP_DATASET},
                 "init": {"mode": "gaussian"}, "eta": 0.1, "steps": 3,

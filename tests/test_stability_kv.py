@@ -186,22 +186,22 @@ class TestStrainRun:
     def test_mlp_leave_one_out(self):
         m1, m2 = _mlp_leave_one_out_models()
         pair = run_pair_gd(m1, m2, m1.init_params(seed=7), 0.3, 25)
-        strain = kv.strain_run(pair, m1, rule=uniform_rule(8), adaptive=True)
+        strain = kv.strain_run(pair, m1, 8)
         assert strain.residual.max() <= 1e-6
         assert np.linalg.norm(strain.delta[-1]) > 0
 
-    @pytest.mark.parametrize("adaptive", [False, True])
-    def test_identical_for_any_process_count(self, adaptive):
-        """The A_k are computed in chunks of 4 steps that forked processes
-        take on demand: every field of the log is the same for 1, 2 and 3
-        processes, and so is the count of dense Hessians they took."""
+    @pytest.mark.parametrize("order, doubles", [(2, True), (8, False)])
+    def test_identical_for_any_process_count(self, order, doubles):
+        """The steps are computed in chunks of 4 that forked processes take
+        on demand: every field of the log is the same for 1, 2 and 3
+        processes, and so is the count of dense Hessians they took, also
+        when some steps double their start order."""
         m1, m2 = _mlp_leave_one_out_models()
         pair = run_pair_gd(m1, m2, m1.init_params(seed=7), 0.3, 25)
         logs, works = [], []
         for workers in (1, 2, 3):
             works.append(Counter())
-            logs.append(kv.strain_run(pair, m1, rule=uniform_rule(8), adaptive=adaptive,
-                                      work=works[-1], workers=workers))
+            logs.append(kv.strain_run(pair, m1, order, work=works[-1], workers=workers))
             _no_child_left()
         for log in logs[1:]:
             for f in dataclasses.fields(kv.StrainLog):
@@ -212,8 +212,7 @@ class TestStrainRun:
                     assert x == y, f.name
         assert [w["strain_workers"] for w in works] == [1, 2, 3]
         [hessians] = {w["strain_dense_hessians"] for w in works}
-        # Adaptive: orders 8 and 16 at least, at every step.
-        assert hessians >= 25 * (8 + 16) if adaptive else hessians == 25 * 8
+        assert (hessians > 25 * order) == doubles and logs[0].unsettled == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lowest_failing_step_raised(self, monkeypatch, workers):
@@ -221,15 +220,15 @@ class TestStrainRun:
         chunks, raises the error of step 5 with its attributes."""
         qa, _, pair, _, _ = _quadratic_pair()
         bad = {pair.log_sp.w(k).tobytes(): k for k in (9, 5)}
-        step_matrix = kv._step_matrix
+        segment_hessian = kv._segment_hessian
 
         def failing(model, base, *args):
             if base.tobytes() in bad:
                 k = bad[base.tobytes()]
                 raise NonConvergenceError(f"step {k}", [float(k)])
-            return step_matrix(model, base, *args)
+            return segment_hessian(model, base, *args)
 
-        monkeypatch.setattr(kv, "_step_matrix", failing)
+        monkeypatch.setattr(kv, "_segment_hessian", failing)
         with pytest.raises(NonConvergenceError) as err:
             kv.strain_run(pair, qa, workers=workers)
         assert str(err.value) == "step 5" and err.value.history == [5.0]
@@ -326,9 +325,8 @@ class TestStrainViaPropagator:
             model, m2 = _mlp_leave_one_out_models()
             eta = 0.3
             pair = run_pair_gd(model, m2, model.init_params(seed=7), eta, 25)
-        rule = uniform_rule(8)
-        strain = kv.strain_run(pair, model, rule=rule)
-        A = _segment_hessians(pair, model, rule)
+        strain = kv.strain_run(pair, model, 8)
+        A = _segment_hessians(pair, model, uniform_rule(8))
         for k in range(strain.num_steps + 1):
             via = _strain_via_propagator(A, strain.stress, eta, k)
             err = np.linalg.norm(strain.propagated[k] - via)
