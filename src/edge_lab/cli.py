@@ -362,7 +362,7 @@ def _timed(wall: dict, phase: str):
         wall[phase] += time.perf_counter() - start
 
 
-def cmd_run(resolved: dict, out: Path) -> tuple[int, dict]:
+def cmd_run(resolved: dict, out: Path, sink=None) -> tuple[int, dict]:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
@@ -387,6 +387,8 @@ def cmd_run(resolved: dict, out: Path) -> tuple[int, dict]:
         summary["num_unsettled_steps"] = len(table.unsettled)
         _write_json(out / "balance_report.json", report.to_dict())
         _write_json(out / "summary.json", summary)
+    if sink is not None:
+        sink(model, log, table)
     timings = {"wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
                "unsettled_steps": len(table.unsettled), **work}
     unsettled = _unsettled_exit(_steps(table.unsettled))
@@ -419,21 +421,19 @@ def _resolve_balance(cfg: dict) -> dict:
         "init": _resolve_init(cfg),
         "etas": _numbers(cfg, "etas", positive=True),
         "steps": _integer(cfg, "steps", 1),
-        "deltas": _numbers(cfg, "deltas", positive=True, default=None),
         "out_dir": _string(cfg, "out_dir", "."),
     })
 
 
 def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
-                 wall: dict, work: collections.Counter) -> dict:
+                 wall: dict, work: collections.Counter, sink) -> dict:
     with _timed(wall, "runner"), _allocation("steps"):
         log = trajectory.run_gd(model, w0, eta, resolved["steps"])
     with _timed(wall, "curvature_table"):
         table = edge_metrics.curvature_table(model, log, work)
     work["curvature_table_nodes"] += int(table.nodes.sum())
     with _timed(wall, "reports"):
-        report = edge_metrics.edge_balance_report(model, log, table,
-                                                  deltas=resolved["deltas"])
+        report = edge_metrics.edge_balance_report(model, log, table)
         running, forcing = edge_metrics.running_balance(model, log, table)
         rows = [[k, mean, None if np.isnan(bound) else bound]
                 for k, mean, bound in zip(table.k, running, forcing)]
@@ -447,6 +447,8 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
             proxy, actual = edge_metrics.loss_change_proxy(log, k)
             rows.append([k, actual, proxy])
         write_csv(out / f"scatter_eta{idx}.csv", ["k", "actual_delta_L", "proxy"], rows)
+    if sink is not None:
+        sink(model, log, table)
     return {"eta": eta, "weighted_mean": report.weighted_mean,
             "threshold": 2.0 / eta,
             "identity_residual": report.identity_residual,
@@ -454,13 +456,13 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
             "diverged": log.diverged}
 
 
-def cmd_balance(resolved: dict, out: Path) -> tuple[int, dict]:
+def cmd_balance(resolved: dict, out: Path, sink=None) -> tuple[int, dict]:
     model = _build_model(resolved["model"])
     w0 = _build_init(resolved["init"], model, resolved["model"])
     _write_json(out / "resolved_config.json", resolved)
     wall = {"runner": 0.0, "curvature_table": 0.0, "reports": 0.0}
     work = collections.Counter(curvature_table_nodes=0, curvature_table_workers=0)
-    entries = [_balance_one(model, w0, eta, resolved, out, i, wall, work)
+    entries = [_balance_one(model, w0, eta, resolved, out, i, wall, work, sink)
                for i, eta in enumerate(resolved["etas"])]
     _write_json(out / "balance_summary.json", {"runs": entries})
     unsettled = _unsettled_exit("; ".join(
@@ -499,7 +501,7 @@ def _resolve_bifurcate(cfg: dict) -> dict:
     })
 
 
-def cmd_bifurcate(resolved: dict, out: Path) -> tuple[int, dict]:
+def cmd_bifurcate(resolved: dict, out: Path, sink=None) -> tuple[int, dict]:
     model_res = resolved["model"]
     model = _build_model(model_res)
     if model_res["kind"] == "two_layer_linear":
@@ -533,6 +535,8 @@ def cmd_bifurcate(resolved: dict, out: Path) -> tuple[int, dict]:
                 model, w_bar, etas, mode, u=u, subspace=subspace,
                 run_steps=resolved["run_steps"], run_offset=resolved["run_offset"],
                 discard_frac=resolved["discard_frac"], eta_c=eta_c, Q_u=Q_u)
+        if sink is not None and mode == "continuation":
+            sink(points)
         fitted = []
         for p in points:
             resid = p.residual if isinstance(p, bifurcation.BranchPoint) else None
@@ -609,7 +613,7 @@ def _second_model(resolved: dict) -> loss_models.LossModel:
     return _build_model(dict(res, dataset=dict(res["dataset"], **edit)))
 
 
-def cmd_strain(resolved: dict, out: Path) -> tuple[int, dict]:
+def cmd_strain(resolved: dict, out: Path, sink=None) -> tuple[int, dict]:
     model_s = _build_model(resolved["model"])
     if model_s.dim > DENSE_DIM_LIMIT:
         raise ConfigError(
@@ -645,6 +649,8 @@ def cmd_strain(resolved: dict, out: Path) -> tuple[int, dict]:
             "final_strain_norm": float(np.linalg.norm(strain.delta[-1])),
             "diverged": diverged,
         })
+    if sink is not None:
+        sink(strain)
     if strain.unsettled:
         print(f"unsettled strain quadrature at steps {_steps(strain.unsettled)}: "
               f"not within {stability_kv.STRAIN_RTOL:g} max(1, |delta_k|) at order "
@@ -685,6 +691,35 @@ def _first_mismatch(name: str, stored: bytes, replayed: bytes) -> dict | None:
     return None
 
 
+def _recurrence_residual(strain) -> tuple[bool, dict]:
+    """Every step of the strain recurrence within STRAIN_RTOL
+    max(1, ||delta_k||), the tolerance its quadrature settles to."""
+    return not strain.unsettled, {
+        "max_recurrence_residual": float(strain.residual.max()) if strain.num_steps else None,
+        "tolerance": stability_kv.STRAIN_RTOL, "unsettled_steps": strain.unsettled}
+
+
+def _raw_orbit(points) -> tuple[bool, dict]:
+    """Every continuation point is a period-two orbit of the raw GD map, to
+    RAW_ORBIT_TOL (``BranchPoint.raw_ok``)."""
+    return all(p.raw_ok for p in points), {
+        "max_raw_residual": max((p.raw_residual for p in points), default=None),
+        "tolerance": bifurcation.RAW_ORBIT_TOL,
+        "failed_etas": [p.eta for p in points if not p.raw_ok]}
+
+
+# The checks of ``verify --run-dir`` by command, applied to what the command
+# hands to its sink: the (model, log, table) of a run or of each step size
+# of a balance, the continuation points of a sweep, a strain's StrainLog.
+_RUN_DIR_CHECKS = {
+    "run": {name: verify.THEOREMS[name] for name in (
+        "telescoping_balance", "near_periodicity", "recoil", "run_length_caps")},
+    "balance": {"telescoping_balance": verify.THEOREMS["telescoping_balance"]},
+    "bifurcate": {"raw_orbit": _raw_orbit},
+    "strain": {"recurrence_residual": _recurrence_residual},
+}
+
+
 def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     """Re-check a finished directory of any command by running it again.
 
@@ -693,11 +728,9 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     host and BLAS. The command runs again into a temporary directory, and
     ``replay`` compares each file it wrote with the stored one, naming for
     each that differs the first differing line (and column, in a CSV
-    file). For a ``run``, ``telescoping_balance`` holds the replayed
-    identity residual to ``telescoping_tolerance``; for a ``strain``,
-    ``recurrence_residual`` passes when the replayed summary lists no
-    unsettled step (a residual above ``STRAIN_RTOL * max(1, ||delta_k||)``
-    at the largest order). A config that a reader
+    file). The command hands each run it holds to a sink as it finishes
+    it, where the checks of its command in ``_RUN_DIR_CHECKS`` apply; a
+    ``balance`` reports them per ``etas[i]``. A config that a reader
     rejects, or a missing output, is a config error naming key or file.
     """
     t0 = time.perf_counter()
@@ -707,8 +740,17 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     # The readers take an absent key for null wherever they accept null, so a
     # stored config resolves to itself and a damaged one fails at its key.
     resolved = {"command": command, **_RESOLVERS[command](_without_nulls(stored))}
+    checks = _RUN_DIR_CHECKS[command]
+    outcomes = {name: [] for name in checks}  # (passed, seconds, details) per run
+
+    def sink(*run):
+        for name, check in checks.items():
+            start = time.perf_counter()
+            passed, details = check(*run)
+            outcomes[name].append((passed, time.perf_counter() - start, details))
+
     with tempfile.TemporaryDirectory() as tmp:
-        _COMMANDS[command](resolved, Path(tmp))
+        _COMMANDS[command](resolved, Path(tmp), sink)
         replayed = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
     mismatches = []
     for name, new in replayed.items():
@@ -718,29 +760,16 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
             _fail(str(run_dir / name), f"cannot read: {exc.strerror}")
         if mismatch := _first_mismatch(name, old, new):
             mismatches.append(mismatch)
-    results = [verify.CheckResult("replay", not mismatches, time.perf_counter() - t0,
-                                  {"mismatches": mismatches})]
-    t1 = time.perf_counter()
-    if command == "run":
-        report = json.loads(replayed["balance_report.json"])
-        # Loss cells hold 17 significant digits, so they read back bitwise.
-        rows = replayed["trajectory.csv"].decode().split("\r\n")[1:-1]
-        losses = [float(row.split(",")[1]) for row in (rows[0], rows[-1])]
-        tol = verify.telescoping_tolerance(losses, is_mlp=resolved["model"]["kind"] == "mlp")
-        resid = report["identity_residual"]
-        results.append(verify.CheckResult(
-            "telescoping_balance", resid is not None and resid <= tol,
-            time.perf_counter() - t1, {"residual": resid, "tolerance": tol,
-                                       "unsettled_steps": report["unsettled_steps"]}))
-    if command == "strain":
-        summary = json.loads(replayed["strain_summary.json"])
-        results.append(verify.CheckResult(
-            "recurrence_residual", not summary["unsettled_steps"],
-            time.perf_counter() - t1,
-            {"max_recurrence_residual": summary["max_recurrence_residual"],
-             "tolerance": stability_kv.STRAIN_RTOL,
-             "unsettled_steps": summary["unsettled_steps"]}))
-    return results
+    checked = []
+    for name, runs in outcomes.items():
+        if runs:
+            passed, seconds, details = zip(*runs)
+            checked.append(verify.CheckResult(name, all(passed), sum(seconds), (
+                {f"etas[{i}]": d for i, d in enumerate(details)}
+                if command == "balance" else details[0])))
+    replay_s = time.perf_counter() - t0 - sum(r.seconds for r in checked)
+    return [verify.CheckResult("replay", not mismatches, replay_s,
+                               {"mismatches": mismatches}), *checked]
 
 
 def cmd_verify(args) -> int:

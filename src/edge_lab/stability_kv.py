@@ -9,6 +9,7 @@ pair of runs on two objectives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -219,9 +220,15 @@ def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
     """Maximal above-threshold runs with their geometric-growth length caps.
 
     Returns (start, length, cap) per maximal run of steps with
-    rbar_k > 2/eta; cap is ceil(log(dmax/dmin) / log(1 + eta*delta))
-    for the run's smallest threshold excess delta. On a bounded run the
-    observed length can never exceed the cap.
+    rbar_k > 2/eta, for its smallest excess delta = min(rbar_k - 2/eta)
+    and the extreme norms dmin, dmax of the log's non-degenerate steps.
+    By the recoil identity <d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2,
+    ||d_{k+1}|| >= (1 + eta delta) ||d_k|| at each step of the run. A run
+    of length L followed by a logged step shows L such factors, so
+    (1 + eta delta)^L <= dmax/dmin and L <= cap = ceil(log(dmax/dmin) /
+    log(1 + eta delta)). A run that reaches the end of the log shows only
+    L - 1, since d_K is not a logged step: its cap is one more. So on any
+    log the length never exceeds the cap.
     """
     thr = 2.0 / log.eta
     K = log.num_steps
@@ -230,24 +237,16 @@ def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
     if not np.any(usable):
         return []
     dmax, dmin = float(norms[usable].max()), float(norms[usable].min())
+    excess = [step_mean_curvature_exact(log, k) - thr if usable[k] else 0.0
+              for k in range(K)]
     out = []
-    k = 0
-    while k < K:
-        if usable[k] and step_mean_curvature_exact(log, k) > thr:
-            start = k
-            excess = []
-            while k < K and usable[k]:
-                e = step_mean_curvature_exact(log, k) - thr
-                if e <= 0:
-                    break
-                excess.append(e)
-                k += 1
-            delta = min(excess)
+    for above, run in itertools.groupby(range(K), lambda k: excess[k] > 0):
+        if above:
+            run = list(run)
+            delta = min(excess[k] for k in run)
             cap = math.ceil(math.log(dmax / dmin) / math.log1p(log.eta * delta)) \
-                if delta > 0 and dmax > dmin else len(excess)
-            out.append((start, len(excess), max(cap, 1)))
-        else:
-            k += 1
+                if dmax > dmin else len(run)
+            out.append((run[0], len(run), max(cap + (run[-1] == K - 1), 1)))
     return out
 
 

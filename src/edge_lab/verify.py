@@ -3,8 +3,11 @@
 Each check re-derives one family of identities or bounds (curvature
 route agreement, telescoping balance, localization, branch scaling,
 stability mechanisms, strain recurrence, noisy balance) at its pinned
-tolerance and reports the measured residuals. The CLI `verify`
-subcommand and the acceptance test suite both run these.
+tolerance and reports the measured residuals; the CLI `verify`
+subcommand and the acceptance tests run these. Each per-run theorem is
+one function of a GD run's model, log and curvature table (``THEOREMS``),
+which the suite applies to the bundled runs and ``verify --run-dir`` to
+the runs a command hands over as it replays a directory.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from . import bifurcation, edge_metrics, loss_models, stability_kv, trajectory
 from .numerics import NonConvergenceError, dense_eigvalsh, lambda_max_iter
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "CHECKS", "telescoping_tolerance"]
+__all__ = ["CheckResult", "SUITES", "run_suite", "CHECKS", "THEOREMS",
+           "telescoping_tolerance"]
 
 
 @dataclass
@@ -53,6 +57,91 @@ def telescoping_tolerance(losses, is_mlp: bool) -> float:
     return 1e-8 * max(1.0, abs(float(losses[0])))
 
 
+# Per-run theorems, each (model, log, curvature table) -> (passed, details).
+
+def _telescoping_balance(model, log, table):
+    """sum_k ||d_k||^2 (2/eta - rtilde_k) = 2 (L_0 - L_K), to ``telescoping_tolerance``."""
+    resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
+    tol = telescoping_tolerance(log.losses, isinstance(model, loss_models.MlpModel))
+    return resid <= tol, {"residual": resid, "tolerance": tol,
+                          "unsettled_steps": table.unsettled}
+
+
+def _near_periodicity(model, log, table):
+    """|rbar_k - 2/eta| <= ||w_{k+2} - w_k|| / (eta ||d_k||) + 1e-10 for k < K - 1."""
+    worst = -np.inf
+    for k in table.k[table.k + 1 < log.num_steps]:
+        lhs, rhs = edge_metrics.near_periodicity_bound(log, int(k))
+        worst = max(worst, lhs - rhs)
+    return worst <= 1e-10, {"max_lhs_minus_rhs": worst}
+
+
+def _recoil(model, log, table):
+    """<d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2, relative to 1e-10, for k < K - 1."""
+    worst = 0.0
+    for k, nd_sq in zip(table.k, table.step_norm_sq):
+        if k + 1 < log.num_steps:
+            inner, predicted, _ = stability_kv.recoil_check(log, int(k))
+            scale = nd_sq * max(1.0, abs(predicted) / nd_sq)
+            worst = max(worst, abs(inner - predicted) / scale)
+    return worst <= 1e-10, {"max_relative_residual": worst}
+
+
+def _run_length_caps(model, log, table):
+    """No run of steps above 2/eta outlasts its ``supercritical_run_lengths`` cap."""
+    runs = stability_kv.supercritical_run_lengths(log)
+    over = [run for run in runs if run[1] > run[2]]
+    return not over, {"supercritical_runs": len(runs), "over_cap": over}
+
+
+def _localization(model, log, table):
+    """Each step's rtilde is attained inside it, where the sharpness is at least rtilde."""
+    q_tol = 1e-6 if isinstance(model, loss_models.MlpModel) else 1e-8
+    total, located, lam_ok, errors = len(table.k), 0, 0, {}
+    for i, (k, target) in enumerate(zip(table.k, table.rtilde)):
+        try:
+            [rec] = edge_metrics.localize(model, log, int(k), (target,),
+                                          table.profile(i), tol=1e-10)
+            lam = edge_metrics.localized_sharpness(model, log, rec)
+        except (edge_metrics.LocalizationError, NonConvergenceError) as exc:
+            errors[int(k)] = str(exc)
+            continue
+        if abs(rec.q_at_point - rec.target) <= q_tol:
+            located += 1
+            if lam >= rec.target - 1e-8:
+                lam_ok += 1
+    return located == total and lam_ok == located, {
+        "steps": total, "localized_fraction": located / total if total else 1.0,
+        "sharpness_bound_ok": lam_ok == located, "failed_steps": errors}
+
+
+def _gd_run(theorem):
+    """``theorem``, failing also where a logged iterate w_{k+1} is not
+    w_k + step(k), bitwise as the runner writes it (``first_off_step``):
+    the steps come from the logged gradients, and near-periodicity, recoil
+    and the caps hold for any gradients, so this ties them to the iterates."""
+    @functools.wraps(theorem)
+    def check(model, log, table):
+        passed, details = theorem(model, log, table)
+        off = next((k for k in range(log.num_steps) if not np.array_equal(
+            log.w_stored[k + 1], log.w_stored[k] + log.step(k))), None)
+        return bool(passed) and off is None, dict(details, first_off_step=off)
+    return check
+
+
+THEOREMS = {name: _gd_run(theorem) for name, theorem in (
+    ("telescoping_balance", _telescoping_balance), ("near_periodicity", _near_periodicity),
+    ("recoil", _recoil), ("run_length_caps", _run_length_caps),
+    ("localization", _localization))}
+
+
+def _apply(theorem, runs: dict) -> tuple[bool, dict]:
+    """``theorem`` on each named run: whether all pass, details by name."""
+    outcomes = {name: theorem(*run) for name, run in runs.items()}
+    return (all(ok for ok, _ in outcomes.values()),
+            {name: details for name, (_, details) in outcomes.items()})
+
+
 # ---------------------------------------------------------------------------
 # Bundled models and runs (built lazily, cached for the process lifetime)
 # ---------------------------------------------------------------------------
@@ -69,53 +158,40 @@ def _quad_nd(dim: int, seed: int):
 
 
 @functools.cache
+def _models():
+    """The quartic w^2/2 - w^4/4, the balanced linear net (w_bar, geometry)
+    and the README MLP."""
+    ds = loss_models.make_synthetic_dataset(0, 200, 10, 5, teacher_rank=3, noise=0.1)
+    return (loss_models.make_scalar_poly(1.0, 0.0, -1.0),
+            loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2),
+            loss_models.make_mlp([10, 16, 16, 5], "tanh", ds))
+
+
+def _gd(model, w0, eta: float, steps: int):
+    log = trajectory.run_gd(model, w0, eta, steps)
+    return model, log, edge_metrics.curvature_table(model, log)
+
+
+@functools.cache
 def _bundle():
-    """Bundled runs exercised by the localization / mechanism checks."""
-    runs = {}
-    q1 = loss_models.make_quadratic([[3.0]], 0.0)
-    runs["quad1d"] = (q1, trajectory.run_gd(q1, np.array([1.0]), 0.5, 40))
-    qn = _quad_nd(8, seed=2)
-    rng = np.random.default_rng(3)
-    runs["quad_nd"] = (qn, trajectory.run_gd(qn, rng.standard_normal(8), 0.5, 80))
-    cubic = loss_models.make_scalar_poly(1.0, 1.0, 0.0)
-    runs["cubic1d"] = (cubic, trajectory.run_gd(cubic, np.array([0.4]), 0.5, 40))
-    quartic = loss_models.make_scalar_poly(1.0, 0.0, -1.0)
-    runs["quartic_eos"] = (quartic, trajectory.run_gd(quartic, np.array([0.3]), 2.5, 200))
-    w_bar, geom = loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2)
-    net = geom.model
-    w0 = w_bar + 1e-2 * geom.sharp_direction()
-    runs["linear_net_eos"] = (net, trajectory.run_gd(net, w0, 0.55, 400))
-    runs["mlp_eos"] = _mlp_eos_short()
-    return runs
-
-
-@functools.cache
-def _mlp_model():
-    ds = loss_models.make_synthetic_dataset(0, 200, 10, 5, teacher_rank=3,
-                                            noise=0.1)
-    return loss_models.make_mlp([10, 16, 16, 5], "tanh", ds)
-
-
-@functools.cache
-def _mlp_eos_short():
-    mlp = _mlp_model()
-    return mlp, trajectory.run_gd(mlp, mlp.init_params(seed=1), 0.5, 300)
+    """Bundled runs, each (model, log, table), for the per-run theorems."""
+    quartic, (w_bar, geom), mlp = _models()
+    return {
+        "quad1d": _gd(loss_models.make_quadratic([[3.0]], 0.0), np.array([1.0]), 0.5, 40),
+        "quad_nd": _gd(_quad_nd(8, seed=2), np.random.default_rng(3).standard_normal(8),
+                       0.5, 80),
+        "cubic1d": _gd(loss_models.make_scalar_poly(1.0, 1.0, 0.0), np.array([0.4]),
+                       0.5, 40),
+        "quartic_eos": _gd(quartic, np.array([0.3]), 2.5, 200),
+        "linear_net_eos": _gd(geom.model, w_bar + 1e-2 * geom.sharp_direction(), 0.55, 400),
+        "mlp_eos": _gd(mlp, mlp.init_params(seed=1), 0.5, 300),
+    }
 
 
 @functools.cache
 def _mlp_eos_long():
-    mlp = _mlp_model()
-    log = trajectory.run_gd(mlp, mlp.init_params(seed=1), 0.5, 4000)
-    table = edge_metrics.curvature_table(mlp, log)
-    return mlp, log, edge_metrics.edge_balance_report(mlp, log, table)
-
-
-@functools.cache
-def _sweep_net():
-    ds = loss_models.make_synthetic_dataset(11, 200, 10, 5, noise=0.0,
-                                            teacher_spectrum=[2.0, 1.0, 0.5])
-    M = np.linalg.lstsq(ds.X, ds.Y, rcond=None)[0].T
-    return loss_models.balanced_minimizer(M, 3, rank=3)
+    _, _, mlp = _models()
+    return _gd(mlp, mlp.init_params(seed=1), 0.5, 4000)
 
 
 # ---------------------------------------------------------------------------
@@ -157,84 +233,44 @@ def _check_quadratic_exactness():
 @_timed
 def _check_edge_balance_independent():
     """Quadrature-route telescoping balance on polynomial and MLP runs."""
-    quartic = loss_models.make_scalar_poly(1.0, 0.0, -1.0)
-    w_bar, geom = loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2)
-    runs = {"quartic": (quartic, np.array([0.3]), 2.5),
-            "linear_net": (geom.model, w_bar + 1e-2 * geom.sharp_direction(), 0.55)}
-    reports = {}
-    for name, (model, w0, eta) in runs.items():
-        log = trajectory.run_gd(model, w0, eta, 2000)
-        reports[name] = log, edge_metrics.edge_balance_report(
-            model, log, edge_metrics.curvature_table(model, log))
-    reports["mlp"] = _mlp_eos_long()[1:]
-    details = {}
-    ok = True
-    for name, (log, rep) in reports.items():
-        tol = telescoping_tolerance(log.losses, is_mlp=name == "mlp")
-        details[f"{name}_residual"] = rep.identity_residual
-        details[f"{name}_tolerance"] = tol
-        ok &= rep.identity_residual <= tol
-    return ok, details
+    quartic, (w_bar, geom), _ = _models()
+    runs = {"quartic": _gd(quartic, np.array([0.3]), 2.5, 2000),
+            "linear_net": _gd(geom.model, w_bar + 1e-2 * geom.sharp_direction(),
+                              0.55, 2000),
+            "mlp": _mlp_eos_long()}
+    ok, outcomes = _apply(THEOREMS["telescoping_balance"], runs)
+    return ok, {f"{name}_{key}": details[key] for name, details in outcomes.items()
+                for key in ("residual", "tolerance")}
 
 
 @_timed
 def _check_mlp_saturation():
     """Weighted-mean curvature saturates at 2/eta; forcing bound at every K."""
-    mlp, log, rep = _mlp_eos_long()
+    mlp, log, table = _mlp_eos_long()
     eta = log.eta
     thr = 2.0 / eta
     lam0 = lambda_max_iter(mlp.hvp_at(log.w(0)), mlp.dim, seed=0)
-    running, bounds = edge_metrics.running_balance(mlp, log, rep.table)
+    running, bounds = edge_metrics.running_balance(mlp, log, table)
     tail = running[int(0.75 * running.size):]
     tail_dev = float(np.max(np.abs(tail - thr)) / thr)
-    forcing_ok = bool(np.all(np.maximum.accumulate(rep.table.rtilde) >= bounds - 1e-12))
+    forcing_ok = bool(np.all(np.maximum.accumulate(table.rtilde) >= bounds - 1e-12))
     passed = (lam0 < thr) and tail_dev <= 0.05 and forcing_ok
     return passed, {"initial_sharpness": lam0, "threshold": thr,
                     "tail_relative_deviation": tail_dev, "tolerance": 0.05,
                     "forcing_bound_everywhere": forcing_ok,
-                    "onset_step": edge_metrics.eos_onset(rep.table, eta)}
+                    "onset_step": edge_metrics.eos_onset(table, eta)}
 
 
 @_timed
 def _check_localization():
-    """Interior points realizing the averaged curvatures, with sharpness bound.
-
-    Every step of every bundled run is localized from its table row's
-    profile values, which bracket rtilde by construction; a step that
-    raises LocalizationError or NonConvergenceError fails the check and
-    is named in the details.
-    """
-    details = {}
-    ok = True
-    for name, (model, log) in _bundle().items():
-        is_mlp = isinstance(model, loss_models.MlpModel)
-        q_tol = 1e-6 if is_mlp else 1e-8
-        table = edge_metrics.curvature_table(model, log)
-        total, located, lam_ok, errors = len(table.k), 0, 0, {}
-        for i, (k, target) in enumerate(zip(table.k, table.rtilde)):
-            try:
-                [rec] = edge_metrics.localize(model, log, int(k), (target,),
-                                              table.profile(i), tol=1e-10)
-                lam = edge_metrics.localized_sharpness(model, log, rec)
-            except (edge_metrics.LocalizationError, NonConvergenceError) as exc:
-                errors[int(k)] = str(exc)
-                continue
-            if abs(rec.q_at_point - rec.target) <= q_tol:
-                located += 1
-                if lam >= rec.target - 1e-8:
-                    lam_ok += 1
-        frac = located / total if total else 1.0
-        details[name] = {"steps": total, "localized_fraction": frac,
-                         "sharpness_bound_ok": lam_ok == located,
-                         "failed_steps": errors}
-        ok &= located == total and lam_ok == located
-    return ok, details
+    """Interior points realizing rtilde, with sharpness bound, on every bundled run."""
+    return _apply(THEOREMS["localization"], _bundle())
 
 
 @_timed
 def _check_scalar_pitchfork():
     """Continuation amplitude matches sqrt(1 - 2/eta); exponent 0.5 +- 0.02."""
-    quartic = loss_models.make_scalar_poly(1.0, 0.0, -1.0)
+    quartic, _, _ = _models()
     etas = 2.0 + np.logspace(math.log10(0.002), math.log10(0.2), 12)
     w_bar, u = np.array([0.0]), np.array([1.0])
     eta_c, _ = bifurcation.critical_eta(quartic, w_bar)
@@ -259,7 +295,7 @@ def _check_linear_net_normal_form():
     details = {}
     ok = True
 
-    w_bar, geom = loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2)
+    _, (w_bar, geom), _ = _models()
     net = geom.model
     S, _ = geom.normal_basis()
     analytic = geom.transverse_spectrum()
@@ -290,7 +326,10 @@ def _check_linear_net_normal_form():
     details["width_invariance"] = worst
     ok &= worst <= 1e-13
 
-    w_bar2, geom2 = _sweep_net()
+    ds = loss_models.make_synthetic_dataset(11, 200, 10, 5, noise=0.0,
+                                            teacher_spectrum=[2.0, 1.0, 0.5])
+    M = np.linalg.lstsq(ds.X, ds.Y, rcond=None)[0].T
+    w_bar2, geom2 = loss_models.balanced_minimizer(M, 3, rank=3)
     eta_c2, _ = bifurcation.critical_eta(geom2.model, w_bar2, geom2.normal_basis()[0])
     etas = eta_c2 + np.logspace(math.log10(0.005 * eta_c2),
                                 math.log10(0.2 * eta_c2), 9)
@@ -309,45 +348,22 @@ def _check_linear_net_normal_form():
 @_timed
 def _check_near_periodicity():
     """Two-step return bound everywhere; MLP return ratio drops after onset."""
-    details = {}
-    ok = True
-    for name, (model, log) in _bundle().items():
-        worst = -np.inf
-        for k in range(log.num_steps - 1):
-            if float(np.linalg.norm(log.step(k))) < edge_metrics.DEGENERATE_STEP:
-                continue
-            lhs, rhs = edge_metrics.near_periodicity_bound(log, k)
-            worst = max(worst, lhs - rhs)
-        details[name] = {"max_lhs_minus_rhs": worst}
-        ok &= worst <= 1e-10
-
-    _, log_m, rep = _mlp_eos_long()
-    onset = edge_metrics.eos_onset(rep.table, log_m.eta)
+    ok, details = _apply(THEOREMS["near_periodicity"], _bundle())
+    _, log_m, table_m = _mlp_eos_long()
+    onset = edge_metrics.eos_onset(table_m, log_m.eta)
     ratios = np.array([edge_metrics.return_ratio(log_m, k)
                        for k in range(onset, log_m.num_steps - 1)])
     med = float(np.median(ratios))
     details["mlp_post_onset_median_ratio"] = med
-    ok &= med < 0.3
-    return ok, details
+    return ok and med < 0.3, details
 
 
 @_timed
 def _check_mechanisms():
-    """Recoil identity, oscillatory cancellation, propagator norm bound."""
-    details = {}
-    ok = True
-
-    worst = 0.0
-    for name, (model, log) in _bundle().items():
-        for k in range(log.num_steps - 1):
-            nd = float(np.linalg.norm(log.step(k)))
-            if nd < edge_metrics.DEGENERATE_STEP:
-                continue
-            inner, predicted, _ = stability_kv.recoil_check(log, k)
-            scale = nd ** 2 * max(1.0, abs(predicted) / nd ** 2)
-            worst = max(worst, abs(inner - predicted) / scale)
-    details["recoil_relative"] = worst
-    ok &= worst <= 1e-10
+    """Recoil identity, oscillatory cancellation, propagator norm bound,
+    supercritical run-length caps."""
+    ok, recoil = _apply(THEOREMS["recoil"], _bundle())
+    details = {"recoil_relative": max(d["max_relative_residual"] for d in recoil.values())}
 
     rng = np.random.default_rng(7)
     viol = 0
@@ -376,32 +392,51 @@ def _check_mechanisms():
     details["propagator_violations"] = int(viol)
     ok &= viol == 0
 
-    caps_ok = True
-    for name, (model, log) in _bundle().items():
-        if log.diverged:
-            continue
-        for start, length, cap in stability_kv.supercritical_run_lengths(log):
-            caps_ok &= length <= cap
-    details["supercritical_runs_capped"] = bool(caps_ok)
-    ok &= caps_ok
-    return ok, details
+    caps_ok, _ = _apply(THEOREMS["run_length_caps"], _bundle())
+    details["supercritical_runs_capped"] = caps_ok
+    return ok and caps_ok, details
 
 
 @_timed
 def _check_kelvin_voigt():
-    """Strain recurrence residuals, propagator formula, quadratic closed form."""
-    details = {}
-    ok = True
-
+    """Strain recurrence at every step within the tolerance its quadrature
+    settles to (no unsettled step), propagator formula, quadratic closed form."""
     H = np.diag([3.0, 1.0])
     qa = loss_models.make_quadratic(H, np.array([0.2, -0.1]))
     qb = loss_models.make_quadratic(H, np.array([-0.3, 0.4]))
-    w0 = np.array([1.0, 1.0])
     eta = 0.5
-    pair = trajectory.run_pair_gd(qa, qb, w0, eta, 30)
-    strain = stability_kv.strain_run(pair, qa)
-    details["quadratic_recurrence_residual"] = float(strain.residual.max())
-    ok &= strain.residual.max() <= 1e-10
+    strains = {"quadratic": stability_kv.strain_run(
+        trajectory.run_pair_gd(qa, qb, np.array([1.0, 1.0]), eta, 30), qa)}
+
+    _, (w_bar, geom), _ = _models()
+    net_b = loss_models.make_two_layer_linear(np.diag([2.0, 1.0]) + 0.05, 2)
+    strains["linear_net"] = stability_kv.strain_run(
+        trajectory.run_pair_gd(geom.model, net_b, w_bar + 0.05, 0.3, 30), geom.model)
+
+    ds = loss_models.make_synthetic_dataset(3, 60, 6, 4, teacher_rank=2, noise=0.05)
+    m_full = loss_models.make_mlp([6, 8, 4], "tanh", ds)
+    ds_loo = loss_models.Dataset(X=ds.X[1:], Y=ds.Y[1:], seed=ds.seed,
+                                 teacher_rank=ds.teacher_rank)
+    m_loo = loss_models.make_mlp([6, 8, 4], "tanh", ds_loo)
+    pair_m = trajectory.run_pair_gd(m_full, m_loo, m_full.init_params(seed=7), 0.3, 40)
+    strains["mlp"] = stability_kv.strain_run(pair_m, m_full, 8)
+
+    details, ok = {}, True
+    worst_prop = worst_bound = 0.0
+    for name, s in strains.items():
+        details[f"{name}_recurrence_residual"] = float(s.residual.max())
+        ok &= not s.unsettled
+        err = (np.linalg.norm(s.propagated - s.delta, axis=1)
+               / (1.0 + np.linalg.norm(s.delta, axis=1)))
+        worst_prop = max(worst_prop, float(err.max()))
+        bound = stability_kv.strain_bound_rhs(s)
+        for k in range(1, s.num_steps + 1):
+            worst_bound = max(worst_bound, float(np.linalg.norm(s.delta[k])) - bound[k])
+    details["propagator_formula"] = worst_prop
+    details["strain_bound_max_excess"] = worst_bound
+    ok &= worst_prop <= 1e-10 and worst_bound <= 1e-10
+
+    strain = strains["quadratic"]
     f = H @ (qb.center - qa.center)
     prop = np.eye(2) - eta * H
     worst_cf = 0.0
@@ -411,42 +446,6 @@ def _check_kelvin_voigt():
         worst_cf = max(worst_cf, float(np.linalg.norm(strain.delta[k] - closed)))
     details["quadratic_closed_form"] = worst_cf
     ok &= worst_cf <= 1e-10
-
-    w_bar, geom = loss_models.balanced_minimizer(np.diag([2.0, 1.0]), 2)
-    net_a = geom.model
-    net_b = loss_models.make_two_layer_linear(np.diag([2.0, 1.0]) + 0.05, 2)
-    pair_n = trajectory.run_pair_gd(net_a, net_b, w_bar + 0.05, 0.3, 30)
-    strain_n = stability_kv.strain_run(pair_n, net_a)
-    details["linear_net_recurrence_residual"] = float(strain_n.residual.max())
-    ok &= strain_n.residual.max() <= 1e-10
-
-    ds = loss_models.make_synthetic_dataset(3, 60, 6, 4, teacher_rank=2, noise=0.05)
-    m_full = loss_models.make_mlp([6, 8, 4], "tanh", ds)
-    keep = np.arange(1, ds.n)
-    ds_loo = loss_models.Dataset(X=ds.X[keep], Y=ds.Y[keep], seed=ds.seed,
-                                 teacher_rank=ds.teacher_rank)
-    m_loo = loss_models.make_mlp([6, 8, 4], "tanh", ds_loo)
-    pair_m = trajectory.run_pair_gd(m_full, m_loo, m_full.init_params(seed=7), 0.3, 40)
-    strain_m = stability_kv.strain_run(pair_m, m_full, 8)
-    details["mlp_recurrence_residual"] = float(strain_m.residual.max())
-    ok &= strain_m.residual.max() <= 1e-6
-
-    worst_prop = 0.0
-    for s in (strain, strain_n, strain_m):
-        err = (np.linalg.norm(s.propagated - s.delta, axis=1)
-               / (1.0 + np.linalg.norm(s.delta, axis=1)))
-        worst_prop = max(worst_prop, float(err.max()))
-    details["propagator_formula"] = worst_prop
-    ok &= worst_prop <= 1e-10
-
-    worst_bound = 0.0
-    for s in (strain, strain_n, strain_m):
-        bound = stability_kv.strain_bound_rhs(s)
-        for k in range(1, s.num_steps + 1):
-            lhs = float(np.linalg.norm(s.delta[k]))
-            worst_bound = max(worst_bound, lhs - bound[k])
-    details["strain_bound_max_excess"] = worst_bound
-    ok &= worst_bound <= 1e-10
     return ok, details
 
 

@@ -52,7 +52,7 @@ class TestAcceptance:
     def test_criterion_04_localization(self):
         """Interior curvature points found at every step, sharpness
         dominates at all of them."""
-        res = _run("localization")
+        res = _run("localization", budget_seconds=30.0)
         for name, entry in res.details.items():
             assert entry["localized_fraction"] == 1.0, name
             assert entry["failed_steps"] == {}, name
@@ -76,7 +76,7 @@ class TestAcceptance:
 
     def test_criterion_07_near_periodicity(self):
         """Return bound everywhere; MLP return ratio below 0.3 past onset."""
-        res = _run("near_periodicity")
+        res = _run("near_periodicity", budget_seconds=10.0)
         assert res.details["mlp_post_onset_median_ratio"] < 0.3
 
     def test_criterion_08_mechanism_suites(self):
@@ -91,7 +91,7 @@ class TestAcceptance:
         res = _run("kelvin_voigt", budget_seconds=30.0)
         assert res.details["quadratic_recurrence_residual"] <= 1e-10
         assert res.details["linear_net_recurrence_residual"] <= 1e-10
-        assert res.details["mlp_recurrence_residual"] <= 1e-6
+        assert res.details["mlp_recurrence_residual"] <= 1e-10
         assert res.details["propagator_formula"] <= 1e-10
         assert res.details["quadratic_closed_form"] <= 1e-10
 

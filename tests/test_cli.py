@@ -693,7 +693,8 @@ class TestVerifyCommand:
         assert {c["name"] for c in report["checks"]} == \
             {"quadratic_exactness", "mechanisms", "stochastic_balance"}
 
-    _CHECKS = ["replay", "telescoping_balance"]
+    _CHECKS = ["replay", "telescoping_balance", "near_periodicity", "recoil",
+               "run_length_caps"]
 
     @staticmethod
     def _quad_run(tmp_path):
@@ -922,7 +923,8 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert len(report["checks"]) == 2 and report["passed"] is True
+        assert [c["name"] for c in report["checks"]] == self._CHECKS
+        assert report["passed"] is True
 
     # A small config of each other command, and a CSV cell of its output
     # (file, column) at line 4.
@@ -950,18 +952,32 @@ class TestVerifyCommand:
             tmp_path / "c.json", dict(cfg, out_dir=str(out)))]) == 0
         return out, name, column
 
+    # The check of each other command's runs that follows replay.
+    _OTHER_CHECKS = {"balance": "telescoping_balance", "strain": "recurrence_residual",
+                     "bifurcate": "raw_orbit"}
+
     @pytest.mark.parametrize("command", ["balance", "strain", "bifurcate"])
     def test_other_command_replays(self, tmp_path, capsys, command):
-        """A directory of each other command replays byte for byte under
-        the one replay check; a cell of its CSV output moved by one ulp
-        fails replay, which names the file, line and column."""
+        """A directory of each other command replays byte for byte and
+        passes the check of its runs: telescoping at each step size of a
+        balance, the recurrence residual of a strain, the raw orbit of
+        each continuation point of a sweep. A cell of its CSV output moved
+        by one ulp fails replay, which names the file, line and column."""
         out, name, column = self._other_run(tmp_path, command)
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert [(c["name"], c["details"]) for c in report["checks"]][0] == (
             "replay", {"mismatches": []})
-        assert [c["name"] for c in report["checks"][1:]] == (
-            ["recurrence_residual"] if command == "strain" else [])
+        [check] = report["checks"][1:]
+        assert check["name"] == self._OTHER_CHECKS[command] and check["passed"]
+        if command == "balance":
+            runs = json.loads((out / "balance_summary.json").read_text())["runs"]
+            assert list(check["details"]) == ["etas[0]", "etas[1]"]
+            assert [d["residual"] for d in check["details"].values()] == [
+                run["identity_residual"] for run in runs]
+        if command == "bifurcate":
+            assert check["details"]["failed_etas"] == []
+            assert check["details"]["max_raw_residual"] <= bifurcation.RAW_ORBIT_TOL
         _edit_cell(out / name, 4, column,
                    lambda cell: f"{np.nextafter(float(cell), np.inf):.17g}")
         assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
@@ -977,6 +993,34 @@ class TestVerifyCommand:
         capsys.readouterr()
         line = self._run_dir_config_error(out, tmp_path, capsys)
         assert line == "config error at adaptive: unknown key"
+
+    def test_raw_orbit_names_failed_points(self, tmp_path, capsys, monkeypatch):
+        """With RAW_ORBIT_TOL at 0, which no output depends on, a sweep
+        directory still replays, and raw_orbit fails, naming the step
+        sizes whose raw two-step residual is not exactly 0."""
+        out, _, _ = self._other_run(tmp_path, "bifurcate")
+        monkeypatch.setattr(bifurcation, "RAW_ORBIT_TOL", 0.0)
+        failed = self._replay_fails(out, tmp_path, capsys)
+        assert list(failed) == ["raw_orbit"]
+        details = failed["raw_orbit"]
+        assert details["tolerance"] == 0.0 and details["max_raw_residual"] > 0.0
+        assert details["failed_etas"] and set(details["failed_etas"]) <= {2.05, 2.1}
+
+    def test_balance_dir_with_deltas(self, tmp_path, capsys):
+        """A balance directory whose resolved config holds the removed
+        ``deltas`` key, which changed no output of balance, no longer
+        replays; one whose ``deltas`` is null reads back and reruns, and
+        fails only replay, at that line of resolved_config.json."""
+        out, _, _ = self._other_run(tmp_path, "balance")
+        path = out / "resolved_config.json"
+        stored = json.loads(path.read_text())
+        cli._write_json(path, dict(stored, deltas=[0.1, 0.3]))
+        capsys.readouterr()
+        line = self._run_dir_config_error(out, tmp_path, capsys)
+        assert line == "config error at deltas: unknown key"
+        cli._write_json(path, dict(stored, deltas=None))
+        assert self._replay_fails(out, tmp_path, capsys) == {"replay": {
+            "mismatches": [{"file": "resolved_config.json", "line": 3}]}}
 
     def test_strain_dir_without_strain_csv(self, tmp_path, capsys):
         out, name, _ = self._other_run(tmp_path, "strain")
@@ -1221,7 +1265,7 @@ class TestFailureContract:
         ("run", "deltas", [0.1, -1.0]),
         ("run", "deltas", [0.1, "x"]),
         ("run", "deltas", [True]),
-        ("balance", "deltas", [float("inf")]),
+        ("balance", "deltas", [0.1]),
         ("run", "include_w", "no"),
         ("run", "include_w", 1),
         ("run", "include_w", True),
@@ -1256,6 +1300,7 @@ class TestFailureContract:
         ("bifurcate linear", "model.dataset.teacher_rank", 1.5),
         ("bifurcate linear", "model.dataset.teacher_spectrum", [1.0, -1.0]),
         ("bifurcate linear", "model.dataset.noise", -0.1),
+        ("balance", "deltas", None),
     ], ids=lambda v: "10**400" if v == 10 ** 400 else None)
     def test_bad_value_rejected_before_running(self, tmp_path, capsys,
                                                base, key, value):
@@ -1478,7 +1523,6 @@ class TestFailureContract:
         ("run", "deltas", [1, 0.5]),
         ("run", "deltas", None),
         ("run", "localize", False),
-        ("balance", "deltas", [2.0]),
         ("bifurcate", "discard_frac", 0),
         ("bifurcate", "etas", [2, 2.2]),
         ("bifurcate linear", "model.rank", None),
@@ -1580,7 +1624,7 @@ _PROPERTY_BASES = [
     ("balance", {"model": {"kind": "quadratic", "matrix": [[3.0, 0.0], [0.0, 1.0]],
                            "center": [0.1, 0.0]},
                  "init": {"mode": "vector", "values": [1.0, 1.0]},
-                 "etas": [0.5], "steps": 5, "deltas": None, "out_dir": "out"}),
+                 "etas": [0.5], "steps": 5, "out_dir": "out"}),
     ("bifurcate", {"model": {"kind": "two_layer_linear", "hidden": 3, "rank": 2,
                              "dataset": {"seed": 0, "n": 10, "d_in": 3, "d_out": 2,
                                          "teacher_spectrum": [2.0, 1.0]}},

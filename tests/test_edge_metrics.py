@@ -369,8 +369,7 @@ class TestProfileAndLocalization:
         """Both averages of every row of every bundled run's quadrature
         table lie between its least and largest profile value (so adjacent
         nodes bracket them), or the row is constant within 1e-10."""
-        for name, (model, log) in verify._bundle().items():
-            table = em.curvature_table(model, log)
+        for name, (model, log, table) in verify._bundle().items():
             for i in range(len(table.k)):
                 _, qs = table.profile(i)
                 if qs.max() - qs.min() <= 1e-10:

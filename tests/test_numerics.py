@@ -193,8 +193,7 @@ class TestBrentMatchesBrentq:
         bundled 533-parameter MLP run, compared with brentq on the same
         profile function."""
         from scipy.optimize import brentq
-        model, log = verify._mlp_eos_short()
-        table = em.curvature_table(model, log)
+        model, log, table = verify._bundle()["mlp_eos"]
         compared = []
 
         def both(f, lo, hi, tol):

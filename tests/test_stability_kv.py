@@ -340,6 +340,16 @@ class TestSupercriticalRuns:
         for start, length, cap in kv.supercritical_run_lengths(log):
             assert length <= cap
 
+    @pytest.mark.parametrize("steps", [4, 10])
+    def test_run_to_end_of_log_capped(self, steps):
+        """Every step of 5 w^2 / 2 at eta 0.5 is above 2/eta and grows the
+        next by 1.5: a run to the end of the log shows one growth factor
+        fewer than its length, since d_K is not a logged step, and its cap
+        counts that factor."""
+        log = run_gd(make_quadratic([[5.0]], 0.0), np.array([1.0]), 0.5, steps)
+        assert not log.diverged
+        assert kv.supercritical_run_lengths(log) == [(0, steps, steps)]
+
     def test_no_runs_below_threshold(self):
         log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 30)
         assert kv.supercritical_run_lengths(log) == []
