@@ -440,12 +440,8 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
         write_csv(out / f"balance_eta{idx}.csv",
                   ["k", "running_weighted_mean", "forcing_bound"], rows)
 
-        rows = []
-        for k in range(log.num_steps - 1):
-            if float(np.linalg.norm(log.step(k))) < edge_metrics.DEGENERATE_STEP:
-                continue
-            proxy, actual = edge_metrics.loss_change_proxy(log, k)
-            rows.append([k, actual, proxy])
+        rows = [[k, float(log.losses[k + 1] - log.losses[k]), proxy]
+                for k, proxy in zip(table.k, table.proxy) if k + 1 < log.num_steps]
         write_csv(out / f"scatter_eta{idx}.csv", ["k", "actual_delta_L", "proxy"], rows)
     if sink is not None:
         sink(model, log, table)

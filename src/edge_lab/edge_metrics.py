@@ -9,16 +9,17 @@ directional curvature profile q(tau) = u^T H(w_k + tau d_k) u. Taking
 rtilde from the quadrature makes the telescoping balance identity a
 genuine test instead of a tautology.
 
-``curvature_table`` walks a run once by quadrature, and every consumer
-(balance report, metrics CSV, localization targets, the noisy balance,
-run-directory replay) reads its per-step rows. It integrates each step's
+``curvature_table`` walks a run once, and every consumer (balance
+report, metrics CSV, balance scatter, localization targets, the noisy
+balance, the per-run theorems of ``verify``) reads its per-step rows.
+Each row holds both averages by quadrature, both by the exact routes,
+and the step's two-step terms. The table integrates each step's
 profile with the embedded G4/K9 Gauss-Kronrod pair, a fixed table of
 nodes and weights (``K9_NODES``, ``K9_WEIGHTS``, ``G4_WEIGHTS``),
 bisecting intervals until both averages settle; each row records the
 nodes it took and the profile values of its final intervals, and steps
 that exhaust the interval budget are listed as unsettled. ``localize``
-brackets each average from those values. ``write_metrics_csv`` puts the
-exact routes beside the table's values.
+brackets each average from those values.
 
 Curvature values carry inverse-step-size units (they are compared
 against the threshold 2/eta).
@@ -26,6 +27,7 @@ against the threshold 2/eta).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -41,23 +43,17 @@ from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
 
 __all__ = [
     "DEGENERATE_STEP",
-    "DegenerateStepError",
     "LocalizationError",
     "CurvatureTable",
     "LocalizationRecord",
     "WindowMass",
     "EdgeBalanceReport",
     "SgdBalanceReport",
-    "step_mean_curvature_exact",
-    "effective_curvature_from_loss",
     "curvature_table",
     "localize",
     "localized_sharpness",
     "edge_balance_report",
     "running_balance",
-    "near_periodicity_bound",
-    "return_ratio",
-    "loss_change_proxy",
     "sgd_balance_report",
     "eos_onset",
     "write_metrics_csv",
@@ -68,10 +64,6 @@ Array = NDArray[np.float64]
 # Steps shorter than this are degenerate: the unit direction (and any
 # curvature along it) is numerically meaningless.
 DEGENERATE_STEP = 1e-14
-
-
-class DegenerateStepError(ValueError):
-    """Step increment too short to define a direction."""
 
 
 class LocalizationError(RuntimeError):
@@ -115,12 +107,30 @@ _CHUNK_STEPS = 32
 
 @dataclass(frozen=True)
 class CurvatureTable:
-    """Both segment curvatures of every non-degenerate step of one run.
+    """The run's one per-step table: both segment curvatures of every
+    non-degenerate step, by quadrature and by the exact routes, and the
+    trajectory's two-step terms there.
 
-    Row i describes trajectory step ``k[i]``; degenerate steps have no
-    row and are listed in ``skipped``. ``nodes[i]`` counts the profile
-    values the row's quadrature took, and ``unsettled`` lists the steps
-    whose quadrature hit the interval budget before it settled.
+    Row i describes trajectory step ``k[i]``, with increment d_k and
+    weight ``step_norm_sq`` ||d_k||^2; degenerate steps have no row and
+    are listed in ``skipped``. ``rbar`` and ``rtilde`` integrate the
+    step's curvature profile; ``nodes[i]`` counts the profile values the
+    row's quadrature took, and ``unsettled`` lists the steps whose
+    quadrature hit the interval budget before it settled.
+
+    ``rbar_exact`` is d_k^T (g_{k+1} - g_k) / ||d_k||^2, exact by the
+    fundamental theorem of calculus, and ``rtilde_exact`` is
+    2 (L_{k+1} - L_k + ||d_k||^2 / eta) / ||d_k||^2, the GD loss change
+    L_{k+1} - L_k = -||d_k||^2 / eta + (1/2) d_k^T Htilde d_k rearranged.
+    ``proxy`` is the trajectory-only loss-change proxy
+    -d_k . (d_k + d_{k+1}) / (2 eta), exact on quadratics,
+    ``two_step_norm`` is ||w_{k+2} - w_k|| = ||d_k + d_{k+1}|| and
+    ``inner_next`` is <d_{k+1}, d_k>; these three are NaN at the last
+    step, which has no d_{k+1}. On a ``StochasticTrajectoryLog`` d_k is
+    the noisy step, for which the GD relation behind ``rtilde_exact`` and
+    ``proxy`` does not hold, so neither is the step's value there.
+    ``np.sqrt(step_norm_sq)`` is ||d_k|| bitwise: in binary floating
+    point the rounded square root of a rounded square is its argument.
 
     The table keeps the K9 nodes of each row's final intervals and the
     profile values there: row i's are
@@ -134,6 +144,11 @@ class CurvatureTable:
     step_norm_sq: Array
     rbar: Array
     rtilde: Array
+    rbar_exact: Array
+    rtilde_exact: Array
+    proxy: Array
+    two_step_norm: Array
+    inner_next: Array
     nodes: NDArray[np.int64]
     skipped: list[int]
     unsettled: list[int]
@@ -156,35 +171,6 @@ class LocalizationRecord:
     target: float
     q_at_point: float
     constant_profile: bool
-
-
-def _step(log: TrajectoryLog, k: int) -> tuple[Array, float]:
-    d = log.step(k)
-    nd = float(np.linalg.norm(d))
-    if nd < DEGENERATE_STEP:
-        raise DegenerateStepError(f"step {k} has norm {nd:.3e} < {DEGENERATE_STEP}")
-    return d, nd
-
-
-def step_mean_curvature_exact(log: TrajectoryLog, k: int) -> float:
-    """Uniform segment-average curvature from the logged gradient difference.
-
-    d^T (grad_{k+1} - grad_k) / ||d||^2; exact by the fundamental theorem
-    of calculus, no quadrature involved.
-    """
-    d, nd = _step(log, k)
-    return float(d @ (log.grads[k + 1] - log.grads[k])) / nd ** 2
-
-
-def effective_curvature_from_loss(log: TrajectoryLog, k: int) -> float:
-    """Triangularly weighted segment curvature recovered from logged losses.
-
-    Rearranges the one-step loss change
-    L_{k+1} - L_k = -||d||^2/eta + (1/2) d^T Htilde d.
-    """
-    d, nd = _step(log, k)
-    dloss = float(log.losses[k + 1] - log.losses[k])
-    return 2.0 * (dloss + nd ** 2 / log.eta) / nd ** 2
 
 
 def _intervals(profile, spans) -> list[tuple]:
@@ -254,36 +240,52 @@ def _row(model: LossModel, log: TrajectoryLog, k: int) -> tuple:
 def curvature_table(model: LossModel, log: TrajectoryLog,
                     work: Counter | None = None,
                     *, workers: int | None = None) -> CurvatureTable:
-    """Segment curvatures of every step of a run, in one pass.
+    """Per-step table of a run, in one pass over its steps.
 
-    Integrates each step's directional curvature profile adaptively
-    (``_segment_averages``) and keeps each row's final nodes and profile
-    values. Degenerate steps are skipped; their contribution to every
-    weighted sum is below the rounding floor by construction.
+    Derives each step increment once, for its norm, the exact routes and
+    the two-step terms, and integrates each step's directional curvature
+    profile adaptively (``_segment_averages``), keeping each row's final
+    nodes and profile values. Degenerate steps are skipped; their
+    contribution to every weighted sum is below the rounding floor by
+    construction.
 
-    The rows are computed in up to ``workers`` processes, by default one
-    per CPU this process may run on, which take chunks of _CHUNK_STEPS
-    consecutive steps on demand (``OrderedMap``); the table is the same
-    for any count. ``work["curvature_table_workers"]`` becomes the
-    largest number of processes a table has used. A non-finite profile
-    value raises EvaluationError naming the step.
+    The quadrature rows are computed in up to ``workers`` processes, by
+    default one per CPU this process may run on, which take chunks of
+    _CHUNK_STEPS consecutive steps on demand (``OrderedMap``); the table
+    is the same for any count. ``work["curvature_table_workers"]``
+    becomes the largest number of processes a table has used. A
+    non-finite profile value raises EvaluationError naming the step.
     """
-    ks, norms_sq, skipped = [], [], []
-    for k in range(log.num_steps):
-        nd = float(np.linalg.norm(log.step(k)))
+    eta = log.eta
+    ks, skipped = [], []
+    # Column i holds row i's step_norm_sq, rbar_exact, rtilde_exact and
+    # three two-step terms, which stay NaN at the last step.
+    cols = np.full((6, log.num_steps), np.nan)
+    steps = itertools.chain((log.step(k) for k in range(log.num_steps)), [None])
+    for k, (d, d_next) in enumerate(itertools.pairwise(steps)):
+        nd = float(np.linalg.norm(d))
         if nd < DEGENERATE_STEP:
             skipped.append(k)
-        else:
-            ks.append(k)
-            norms_sq.append(nd ** 2)
+            continue
+        nsq = nd ** 2
+        delta_l = float(log.losses[k + 1] - log.losses[k])
+        col = cols[:, len(ks)]
+        col[:3] = (nsq, float(d @ (log.grads[k + 1] - log.grads[k])) / nsq,
+                   2.0 * (delta_l + nsq / eta) / nsq)
+        if d_next is not None:
+            two_step = d + d_next
+            col[3:] = (-float(d @ two_step) / (2.0 * eta),
+                       float(np.linalg.norm(two_step)), float(d_next @ d))
+        ks.append(k)
     with OrderedMap(lambda k: _row(model, log, k), ks, _CHUNK_STEPS, workers) as rows:
         rbars, rtildes, nodes, settled, taus, qs = zip(*rows) if ks else [()] * 6
     if work is not None:
         work["curvature_table_workers"] = max(work["curvature_table_workers"],
                                               rows.processes)
+    norms_sq, *routes = cols[:, :len(ks)]
     node_start = [0] + [len(t) // K9_NODES.itemsize for t in taus]
-    return CurvatureTable(np.array(ks, dtype=np.int64), np.array(norms_sq),
-                          np.array(rbars), np.array(rtildes),
+    return CurvatureTable(np.array(ks, dtype=np.int64), norms_sq,
+                          np.array(rbars), np.array(rtildes), *routes,
                           np.array(nodes, dtype=np.int64), skipped,
                           [k for k, ok in zip(ks, settled) if not ok],
                           np.cumsum(node_start, dtype=np.int64),
@@ -313,8 +315,7 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
     ``segment_profile`` evaluates each further tau once per call; the
     number it evaluates is added to ``work["localization_profile_nodes"]``.
     """
-    d, _ = _step(log, k)
-    step_profile = model.segment_profile(log.w(k), d)
+    step_profile = model.segment_profile(log.w(k), log.step(k))
     taus, qs = profile
     # Brent re-evaluates its bracket ends and the root is read back:
     # evaluate each tau once per call.
@@ -494,41 +495,6 @@ def running_balance(model: LossModel, log: TrajectoryLog,
     return running, _forcing_bound(model, log, cum_w)
 
 
-def near_periodicity_bound(log: TrajectoryLog, k: int) -> tuple[float, float]:
-    """(|rbar_k - 2/eta|, ||w_{k+2} - w_k|| / (eta ||d_k||)).
-
-    The left side never exceeds the right: near two-step return forces
-    the segment curvature to the threshold.
-    """
-    if k + 1 >= log.num_steps:
-        raise IndexError("near_periodicity_bound needs records k..k+2")
-    d, nd = _step(log, k)
-    lhs = abs(step_mean_curvature_exact(log, k) - 2.0 / log.eta)
-    two_step = d + log.step(k + 1)
-    rhs = float(np.linalg.norm(two_step)) / (log.eta * nd)
-    return lhs, rhs
-
-
-def return_ratio(log: TrajectoryLog, k: int) -> float:
-    """Two-step return ratio ||w_{k+2} - w_k|| / ||d_k||."""
-    d, nd = _step(log, k)
-    return float(np.linalg.norm(d + log.step(k + 1))) / nd
-
-
-def loss_change_proxy(log: TrajectoryLog, k: int) -> tuple[float, float]:
-    """Trajectory-only loss-change proxy and the actual change.
-
-    Proxy: -(1/2 eta) d_k . (w_{k+2} - w_k). Exact on quadratics.
-    """
-    if k + 1 >= log.num_steps:
-        raise IndexError("loss_change_proxy needs records k..k+2")
-    d = log.step(k)
-    two_step = d + log.step(k + 1)
-    proxy = -float(d @ two_step) / (2.0 * log.eta)
-    actual = float(log.losses[k + 1] - log.losses[k])
-    return proxy, actual
-
-
 def eos_onset(table: CurvatureTable, eta: float) -> int | None:
     """First trajectory step whose effective curvature reaches 95% of 2/eta."""
     thr = 0.95 * 2.0 / eta
@@ -558,7 +524,8 @@ def sgd_balance_report(model: LossModel,
                        log: StochasticTrajectoryLog) -> SgdBalanceReport:
     """Noisy balance identity and per-step forced-propagator residual.
 
-    rtilde comes from the run's ``curvature_table``. The
+    rtilde comes from the run's ``curvature_table``, whose rows are the
+    non-degenerate steps the propagator residual is taken at. The
     propagator residual applies the uniform segment Hessian to the
     stochastic step by order-4 vector quadrature, so it is an
     independent check rather than a restatement of the update rule.
@@ -573,22 +540,19 @@ def sgd_balance_report(model: LossModel,
     lhs = float(np.sum(table.step_norm_sq * (thr - table.rtilde)))
     cross = 0.0
     noise_sq = 0.0
-    max_prop = 0.0
-    for k in range(log.num_steps):
-        s = log.step(k)
-        ns = float(np.linalg.norm(s))
-        eps = log.noise[k]
-        g = log.grads[k]
+    for g, eps in zip(log.grads, log.noise):
         cross += float(g @ eps)
         noise_sq += float(eps @ eps)
-        if ns >= DEGENERATE_STEP and k + 1 < log.num_steps:
-            w = log.w(k)
-            hbar_s = np.zeros_like(s)
-            for wq, tau in zip(u_rule.weights, u_rule.nodes):
-                hbar_s = hbar_s + wq * model.hvp(w + tau * s, s)
-            resid = log.step(k + 1) - (s - eta * hbar_s) \
-                + eta * (log.noise[k + 1] - eps)
-            max_prop = max(max_prop, float(np.linalg.norm(resid)))
+    max_prop = 0.0
+    for k in table.k[table.k + 1 < log.num_steps]:
+        s = log.step(k)
+        w = log.w(k)
+        hbar_s = np.zeros_like(s)
+        for wq, tau in zip(u_rule.weights, u_rule.nodes):
+            hbar_s = hbar_s + wq * model.hvp(w + tau * s, s)
+        resid = log.step(k + 1) - (s - eta * hbar_s) \
+            + eta * (log.noise[k + 1] - log.noise[k])
+        max_prop = max(max_prop, float(np.linalg.norm(resid)))
 
     loss_term = 2.0 * float(log.losses[0] - log.losses[-1])
     cross_term = 2.0 * eta * cross
@@ -606,23 +570,25 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
     """Per-step metrics table.
 
     Columns: k, step_norm_sq, rbar, rtilde, xi, zeta, lambda_max_xi,
-    delta_L, proxy, return_ratio, rbar_exact, rtilde_exact. rbar and
-    rtilde are the rows of ``table``, the run's ``curvature_table``;
-    rbar_exact and rtilde_exact are the exact routes from the logged
-    gradient difference and loss change (``step_mean_curvature_exact``
-    and ``effective_curvature_from_loss``). Each step is localized
-    from its row's profile values (``localize``); ``work`` tallies the
-    profile nodes and Lanczos products this takes. Fields that need records
-    beyond the end of the run (or a localized point when localization
-    is off) are left empty, as is every curvature field of a degenerate
-    step. A Brent or Lanczos iteration of the localization that does not
-    converge raises NonConvergenceError naming the step; a non-finite
-    profile value or an invalid bracket in Brent's method raises
-    EvaluationError or BracketError naming the step.
+    delta_L, proxy, return_ratio, rbar_exact, rtilde_exact. Each
+    non-degenerate step's cells are its row of ``table``, the run's
+    ``curvature_table``: rbar and rtilde by quadrature, rbar_exact and
+    rtilde_exact by the exact routes, the loss-change proxy, and the
+    two-step return ratio ||w_{k+2} - w_k|| / ||d_k||. Each such step is
+    localized from its row's profile values (``localize``); ``work``
+    tallies the profile nodes and Lanczos products this takes. Fields
+    that need records beyond the end of the run (or a localized point
+    when localization is off) are left empty. A degenerate step's row
+    holds only k and step_norm_sq. A Brent or Lanczos iteration of the
+    localization that does not converge raises NonConvergenceError
+    naming the step; a non-finite profile value or an invalid bracket in
+    Brent's method raises EvaluationError or BracketError naming the
+    step.
     """
     header = ["k", "step_norm_sq", "rbar", "rtilde", "xi", "zeta", "lambda_max_xi",
               "delta_L", "proxy", "return_ratio", "rbar_exact", "rtilde_exact"]
     row_of = {int(k): i for i, k in enumerate(table.k)}
+    ratios = table.two_step_norm / np.sqrt(table.step_norm_sq)
     rows = []
     for k in range(log.num_steps):
         i = row_of.get(k)
@@ -643,19 +609,10 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
             except (EvaluationError, BracketError) as exc:
                 raise type(exc)(f"localization of step {k}: {exc}") from exc
             xi, zeta = rec_t.point, rec_b.point
-        # Each step increment is derived once; the cells are those of
-        # loss_change_proxy, return_ratio and the two exact routes bit for
-        # bit, the latter from the row's own step norm and loss change.
-        d = log.step(k)
-        delta_l = float(log.losses[k + 1] - log.losses[k])
-        proxy = ratio = None
+        two_step = [None, None]
         if k + 1 < log.num_steps:
-            two_step = d + log.step(k + 1)
-            proxy = -float(d @ two_step) / (2.0 * log.eta)
-            ratio = float(np.linalg.norm(two_step)) / float(np.linalg.norm(d))
-        nsq = float(table.step_norm_sq[i])
-        rbar_exact = float(d @ (log.grads[k + 1] - log.grads[k])) / nsq
-        rtilde_exact = 2.0 * (delta_l + nsq / log.eta) / nsq
-        rows.append([k, nsq, rbar, rtilde, xi, zeta, lam_xi,
-                     delta_l, proxy, ratio, rbar_exact, rtilde_exact])
+            two_step = [float(table.proxy[i]), float(ratios[i])]
+        rows.append([k, float(table.step_norm_sq[i]), rbar, rtilde, xi, zeta, lam_xi,
+                     float(log.losses[k + 1] - log.losses[k]), *two_step,
+                     float(table.rbar_exact[i]), float(table.rtilde_exact[i])])
     write_csv(path, header, rows)

@@ -1,10 +1,10 @@
 """Stability mechanisms and the discrete two-trajectory strain framework.
 
-Covers the step-recoil identity above the threshold, the oscillatory
-cancellation bound inside the stability window, the excursion measure
-of a step matrix beyond [0, 2/eta], the norm of a propagator product
-with its exponential bound, and the strain/stress recurrence for a
-pair of runs on two objectives.
+Covers the run-length caps the step-recoil identity puts on steps above
+the threshold, the oscillatory cancellation bound inside the stability
+window, the excursion measure of a step matrix beyond [0, 2/eta], the
+norm of a propagator product with its exponential bound, and the
+strain/stress recurrence for a pair of runs on two objectives.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._procmap import OrderedMap
-from .edge_metrics import DEGENERATE_STEP, step_mean_curvature_exact
+from .edge_metrics import CurvatureTable
 from .loss_models import LossModel
 from .numerics import QuadratureRule, dense_eigvalsh, uniform_rule
-from .trajectory import PairedLog, TrajectoryLog, write_csv
+from .trajectory import PairedLog, write_csv
 
 __all__ = [
     "StrainLog",
-    "recoil_check",
     "oscillatory_bound",
     "excursion_kappa",
     "propagator_norm",
@@ -50,26 +49,6 @@ STRAIN_MAX_ORDER = 64
 # bytes per step; a short chunk keeps the results waiting for an earlier
 # chunk, and so the caller's memory, small.
 _CHUNK_STEPS = 4
-
-
-def recoil_check(log: TrajectoryLog, k: int) -> tuple[float, float, float]:
-    """(inner, predicted, growth) for consecutive steps k, k+1.
-
-    inner = <d_{k+1}, d_k>, predicted = (1 - eta*rbar_k) ||d_k||^2 with
-    the exact gradient-difference curvature, growth = ||d_{k+1}||/||d_k||.
-    The two first entries agree identically; above the threshold the
-    growth factor is at least 1 + eta*(rbar - 2/eta). A degenerate step k
-    raises ``DegenerateStepError``.
-    """
-    if k + 1 >= log.num_steps:
-        raise IndexError("recoil_check needs steps k and k+1")
-    d0, d1 = log.step(k), log.step(k + 1)
-    rbar = step_mean_curvature_exact(log, k)
-    nd0 = float(np.linalg.norm(d0))
-    inner = float(d1 @ d0)
-    predicted = (1.0 - log.eta * rbar) * nd0 ** 2
-    growth = float(np.linalg.norm(d1)) / nd0
-    return inner, predicted, growth
 
 
 def oscillatory_bound(m_seq, u_seq, eta: float) -> tuple[float, float]:
@@ -216,13 +195,17 @@ def strain_bound_rhs(strain: StrainLog) -> Array:
     return strain.eta * B
 
 
-def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
+def supercritical_run_lengths(table: CurvatureTable, eta: float,
+                              K: int) -> list[tuple[int, int, int]]:
     """Maximal above-threshold runs with their geometric-growth length caps.
 
-    Returns (start, length, cap) per maximal run of steps with
-    rbar_k > 2/eta, for its smallest excess delta = min(rbar_k - 2/eta)
-    and the extreme norms dmin, dmax of the log's non-degenerate steps.
-    By the recoil identity <d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2,
+    ``table`` is the curvature table of a GD run of K steps at step size
+    eta. Returns (start, length, cap) per maximal run of its steps with
+    rbar_k > 2/eta, rbar_k the exact route ``table.rbar_exact`` (a
+    degenerate step, which has no row, ends a run), for its smallest
+    excess delta = min(rbar_k - 2/eta) and the extreme norms dmin, dmax
+    of the table's steps. By the recoil identity
+    <d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2,
     ||d_{k+1}|| >= (1 + eta delta) ||d_k|| at each step of the run. A run
     of length L followed by a logged step shows L such factors, so
     (1 + eta delta)^L <= dmax/dmin and L <= cap = ceil(log(dmax/dmin) /
@@ -230,21 +213,18 @@ def supercritical_run_lengths(log: TrajectoryLog) -> list[tuple[int, int, int]]:
     L - 1, since d_K is not a logged step: its cap is one more. So on any
     log the length never exceeds the cap.
     """
-    thr = 2.0 / log.eta
-    K = log.num_steps
-    norms = np.array([np.linalg.norm(log.step(k)) for k in range(K)])
-    usable = norms >= DEGENERATE_STEP
-    if not np.any(usable):
+    if not table.k.size:
         return []
-    dmax, dmin = float(norms[usable].max()), float(norms[usable].min())
-    excess = [step_mean_curvature_exact(log, k) - thr if usable[k] else 0.0
-              for k in range(K)]
+    norms = np.sqrt(table.step_norm_sq)
+    dmax, dmin = float(norms.max()), float(norms.min())
+    excess = np.zeros(K)
+    excess[table.k] = table.rbar_exact - 2.0 / eta
     out = []
     for above, run in itertools.groupby(range(K), lambda k: excess[k] > 0):
         if above:
             run = list(run)
-            delta = min(excess[k] for k in run)
-            cap = math.ceil(math.log(dmax / dmin) / math.log1p(log.eta * delta)) \
+            delta = float(excess[run].min())
+            cap = math.ceil(math.log(dmax / dmin) / math.log1p(eta * delta)) \
                 if dmax > dmin else len(run)
             out.append((run[0], len(run), max(cap + (run[-1] == K - 1), 1)))
     return out

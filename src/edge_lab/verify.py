@@ -69,27 +69,27 @@ def _telescoping_balance(model, log, table):
 
 def _near_periodicity(model, log, table):
     """|rbar_k - 2/eta| <= ||w_{k+2} - w_k|| / (eta ||d_k||) + 1e-10 for k < K - 1."""
-    worst = -np.inf
-    for k in table.k[table.k + 1 < log.num_steps]:
-        lhs, rhs = edge_metrics.near_periodicity_bound(log, int(k))
-        worst = max(worst, lhs - rhs)
+    has_next = table.k + 1 < log.num_steps
+    lhs = np.abs(table.rbar_exact - 2.0 / log.eta)
+    rhs = table.two_step_norm / (log.eta * np.sqrt(table.step_norm_sq))
+    worst = float(np.max((lhs - rhs)[has_next], initial=-np.inf))
     return worst <= 1e-10, {"max_lhs_minus_rhs": worst}
 
 
 def _recoil(model, log, table):
     """<d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2, relative to 1e-10, for k < K - 1."""
-    worst = 0.0
-    for k, nd_sq in zip(table.k, table.step_norm_sq):
-        if k + 1 < log.num_steps:
-            inner, predicted, _ = stability_kv.recoil_check(log, int(k))
-            scale = nd_sq * max(1.0, abs(predicted) / nd_sq)
-            worst = max(worst, abs(inner - predicted) / scale)
+    has_next = table.k + 1 < log.num_steps
+    nd_sq = table.step_norm_sq[has_next]
+    predicted = (1.0 - log.eta * table.rbar_exact[has_next]) * nd_sq
+    scale = nd_sq * np.maximum(1.0, np.abs(predicted) / nd_sq)
+    resid = np.abs(table.inner_next[has_next] - predicted) / scale
+    worst = float(np.max(resid, initial=0.0))
     return worst <= 1e-10, {"max_relative_residual": worst}
 
 
 def _run_length_caps(model, log, table):
     """No run of steps above 2/eta outlasts its ``supercritical_run_lengths`` cap."""
-    runs = stability_kv.supercritical_run_lengths(log)
+    runs = stability_kv.supercritical_run_lengths(table, log.eta, log.num_steps)
     over = [run for run in runs if run[1] > run[2]]
     return not over, {"supercritical_runs": len(runs), "over_cap": over}
 
@@ -213,12 +213,8 @@ def _check_quadratic_exactness():
             d = log.step(k)
             u = d / float(np.linalg.norm(d))
             uhu = float(u @ (H @ u))
-            vals = [
-                edge_metrics.step_mean_curvature_exact(log, k),
-                edge_metrics.effective_curvature_from_loss(log, k),
-                table.rbar[i],
-                table.rtilde[i],
-            ]
+            vals = [table.rbar_exact[i], table.rtilde_exact[i],
+                    table.rbar[i], table.rtilde[i]]
             worst_route = max(worst_route, max(abs(v - uhu) for v in vals))
             if k + 1 < log.num_steps:
                 pred = d - log.eta * (H @ d)
@@ -351,8 +347,8 @@ def _check_near_periodicity():
     ok, details = _apply(THEOREMS["near_periodicity"], _bundle())
     _, log_m, table_m = _mlp_eos_long()
     onset = edge_metrics.eos_onset(table_m, log_m.eta)
-    ratios = np.array([edge_metrics.return_ratio(log_m, k)
-                       for k in range(onset, log_m.num_steps - 1)])
+    rows = (table_m.k >= onset) & (table_m.k + 1 < log_m.num_steps)
+    ratios = table_m.two_step_norm[rows] / np.sqrt(table_m.step_norm_sq[rows])
     med = float(np.median(ratios))
     details["mlp_post_onset_median_ratio"] = med
     return ok and med < 0.3, details

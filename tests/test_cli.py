@@ -156,8 +156,9 @@ class TestRunCommand:
         ds = make_synthetic_dataset(0, 60, 5, 3, teacher_rank=2, noise=0.1)
         model = make_mlp([5, 8, 3], "tanh", ds)
         log = run_gd(model, model.init_params(seed=1), 0.5, 120)
-        for r in rows:
-            exact = em.step_mean_curvature_exact(log, int(r[0]))
+        table = em.curvature_table(model, log)
+        assert [int(r[0]) for r in rows] == list(table.k)
+        for r, exact in zip(rows, table.rbar_exact):
             assert abs(float(r[2]) - exact) <= 1e-9 * abs(exact)
 
     def test_onset_after_degenerate_steps(self, tmp_path):
@@ -683,6 +684,44 @@ def test_non_finite_values_written_as_null(tmp_path, diag, values, rc, nulls):
     assert [key for key, value in report.items() if value is None] == nulls
     [entry] = outputs["balance/balance_summary.json"]["runs"]
     assert (entry["weighted_mean"] is None) == ("weighted_mean" in nulls)
+
+
+def test_two_step_cells_are_table_columns(tmp_path):
+    """A run's metrics.csv and a balance's scatter_eta0.csv at the same
+    step size write the curvature table's columns: the proxy, the return
+    ratio ||d_k + d_{k+1}|| / ||d_k|| and both exact routes, each cell
+    equal to its column after the round trip through 17 digits; the last
+    step, which has no d_{k+1}, leaves its two-step cells empty."""
+    dataset = {"seed": 0, "n": 60, "d_in": 5, "d_out": 3,
+               "teacher_rank": 2, "noise": 0.1}
+    base = {"model": {"kind": "mlp", "widths": [5, 8, 3], "activation": "tanh",
+                      "dataset": dataset},
+            "init": {"mode": "gaussian", "seed": 1}, "steps": 60}
+    for command, extra in (("run", {"eta": 0.5, "localize": False}),
+                           ("balance", {"etas": [0.5]})):
+        cfg = dict(base, **extra, out_dir=str(tmp_path / command))
+        assert main([command, "--config", _write_config(tmp_path / "c.json", cfg)]) == 0
+    model = make_mlp([5, 8, 3], "tanh", make_synthetic_dataset(0, 60, 5, 3,
+                                                              teacher_rank=2, noise=0.1))
+    log = run_gd(model, model.init_params(seed=1), 0.5, 60)
+    table = em.curvature_table(model, log)
+    assert list(table.k) == list(range(60))
+
+    def column(rows, index):
+        return [float(r[index]) if r[index] else None for r in rows]
+
+    def expected(values):
+        return [float(v) for v in values[:-1]] + [None]
+
+    metrics = _csv_rows(tmp_path / "run" / "metrics.csv")
+    assert column(metrics, 8) == expected(table.proxy)
+    assert column(metrics, 9) == expected(table.two_step_norm
+                                          / np.sqrt(table.step_norm_sq))
+    assert column(metrics, 10) == list(table.rbar_exact)
+    assert column(metrics, 11) == list(table.rtilde_exact)
+    scatter = _csv_rows(tmp_path / "balance" / "scatter_eta0.csv")
+    assert [int(r[0]) for r in scatter] == list(table.k[:-1])
+    assert column(scatter, 2) == expected(table.proxy)[:-1]
 
 
 class TestVerifyCommand:

@@ -105,8 +105,8 @@ class TestCurvatureRoutes:
             d = log.step(k)
             u = d / np.linalg.norm(d)
             uhu = float(u @ H @ u)
-            assert em.step_mean_curvature_exact(log, k) == pytest.approx(uhu, abs=1e-12)
-            assert em.effective_curvature_from_loss(log, k) == pytest.approx(uhu, abs=1e-12)
+            assert table.rbar_exact[k] == pytest.approx(uhu, abs=1e-12)
+            assert table.rtilde_exact[k] == pytest.approx(uhu, abs=1e-12)
             assert table.rbar[k] == pytest.approx(uhu, abs=1e-12)
             assert table.rtilde[k] == pytest.approx(uhu, abs=1e-12)
 
@@ -118,11 +118,9 @@ class TestCurvatureRoutes:
         log = run_gd(model, np.array([x0]), eta, 3)
         d = float(log.step(0)[0])
         q0, slope = 1.0 + 2.0 * x0, 2.0 * d
-        assert em.step_mean_curvature_exact(log, 0) == \
-            pytest.approx(q0 + slope / 2.0, abs=1e-13)
-        assert em.effective_curvature_from_loss(log, 0) == \
-            pytest.approx(q0 + slope / 3.0, abs=1e-12)
         table = em.curvature_table(model, log)
+        assert table.rbar_exact[0] == pytest.approx(q0 + slope / 2.0, abs=1e-13)
+        assert table.rtilde_exact[0] == pytest.approx(q0 + slope / 3.0, abs=1e-12)
         assert table.rbar[0] == pytest.approx(q0 + slope / 2.0, abs=1e-13)
         assert table.rtilde[0] == pytest.approx(q0 + slope / 3.0, abs=1e-13)
 
@@ -133,35 +131,36 @@ class TestCurvatureRoutes:
         table = em.curvature_table(model, log)
         assert table.skipped == []
         for k in range(0, 200, 13):
-            a = em.effective_curvature_from_loss(log, k)
-            assert abs(a - table.rtilde[k]) <= 1e-10
+            assert abs(table.rtilde_exact[k] - table.rtilde[k]) <= 1e-10
 
     def test_route_agreement_mlp(self, mlp_run):
         model, log = mlp_run
         table = em.curvature_table(model, log)
         assert table.skipped == []
         for k in range(0, log.num_steps, 11):
-            a = em.effective_curvature_from_loss(log, k)
+            a = table.rtilde_exact[k]
             assert abs(a - table.rtilde[k]) <= 1e-6 * max(1.0, abs(a))
-            c = em.step_mean_curvature_exact(log, k)
+            c = table.rbar_exact[k]
             assert abs(c - table.rbar[k]) <= 1e-6 * max(1.0, abs(c))
 
     def test_ascent_step_constructed(self):
         """A supercritical quartic step raises the loss."""
         model = make_scalar_poly(1.0, 0.0, -1.0)
         log = run_gd(model, np.array([0.05]), 2.5, 40)
-        rts = [em.effective_curvature_from_loss(log, k) for k in range(40)]
-        ascents = [k for k, rt in enumerate(rts) if rt > 2 / 2.5]
-        assert ascents
+        table = em.curvature_table(model, log)
+        assert list(table.k) == list(range(40))
+        ascents = table.k[table.rtilde_exact > 2 / 2.5]
+        assert ascents.size
         for k in ascents:
             assert log.losses[k + 1] > log.losses[k]
 
     def test_degenerate_step_rejected(self):
+        """A step too short to have a direction gets no row."""
         model = make_scalar_poly(3.0)
         log = run_gd(model, np.array([1.0]), 0.5, 3)
         log.grads[1] = 0.0
-        with pytest.raises(em.DegenerateStepError):
-            em.step_mean_curvature_exact(log, 1)
+        table = em.curvature_table(model, log)
+        assert table.skipped == [1] and list(table.k) == [0, 2]
 
     def test_one_node_set_per_order(self):
         """Both averages and their error estimate come from the same profile
@@ -454,57 +453,80 @@ class TestBalanceReport:
         json.dumps(rep.to_dict())
 
 
+def _near_periodicity_sides(table, eta):
+    """(|rbar_k - 2/eta|, ||w_{k+2} - w_k|| / (eta ||d_k||)) of each row."""
+    return (np.abs(table.rbar_exact - 2.0 / eta),
+            table.two_step_norm / (eta * np.sqrt(table.step_norm_sq)))
+
+
 class TestNearPeriodicityAndProxy:
     def test_exact_period_two(self):
-        log = run_gd(make_scalar_poly(4.0), np.array([1.0]), 0.5, 10)
-        lhs, rhs = em.near_periodicity_bound(log, 2)
-        assert lhs == pytest.approx(0.0, abs=1e-12)
-        assert rhs == pytest.approx(0.0, abs=1e-12)
+        model = make_scalar_poly(4.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 10)
+        lhs, rhs = _near_periodicity_sides(em.curvature_table(model, log), log.eta)
+        assert lhs[2] == pytest.approx(0.0, abs=1e-12)
+        assert rhs[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_subcritical_equality(self):
-        log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 10)
-        lhs, rhs = em.near_periodicity_bound(log, 0)
-        assert lhs == pytest.approx(1.0, abs=1e-12)
-        assert rhs == pytest.approx(1.0, abs=1e-12)
+        model = make_scalar_poly(3.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 10)
+        lhs, rhs = _near_periodicity_sides(em.curvature_table(model, log), log.eta)
+        assert lhs[0] == pytest.approx(1.0, abs=1e-12)
+        assert rhs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_bound_holds_on_random_runs(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((4, 4))
         H = (A + A.T) / 2 + 2.0 * np.eye(4)
-        log = run_gd(make_quadratic(H), rng.standard_normal(4), 0.45, 60)
-        for k in range(log.num_steps - 1):
-            lhs, rhs = em.near_periodicity_bound(log, k)
-            assert lhs <= rhs + 1e-10
+        model = make_quadratic(H)
+        log = run_gd(model, rng.standard_normal(4), 0.45, 60)
+        table = em.curvature_table(model, log)
+        assert list(table.k) == list(range(log.num_steps))
+        lhs, rhs = _near_periodicity_sides(table, log.eta)
+        assert np.all(lhs[:-1] <= rhs[:-1] + 1e-10)
+        assert np.isnan(rhs[-1])  # no k+2 record at the end
 
     def test_proxy_exact_on_quadratic(self):
-        log = run_gd(make_quadratic(np.diag([3.0, 1.0])), np.array([1.0, 1.0]),
-                     0.5, 30)
-        for k in range(log.num_steps - 1):
-            proxy, actual = em.loss_change_proxy(log, k)
-            assert proxy == pytest.approx(actual, abs=1e-13)
+        model = make_quadratic(np.diag([3.0, 1.0]))
+        log = run_gd(model, np.array([1.0, 1.0]), 0.5, 30)
+        table = em.curvature_table(model, log)
+        assert list(table.k) == list(range(log.num_steps))
+        np.testing.assert_allclose(table.proxy[:-1], np.diff(log.losses)[:-1],
+                                   rtol=0, atol=1e-13)
+        assert np.isnan(table.proxy[-1])
 
     def test_proxy_zero_at_period_two(self):
-        log = run_gd(make_scalar_poly(4.0), np.array([1.0]), 0.5, 10)
-        proxy, actual = em.loss_change_proxy(log, 1)
-        assert proxy == pytest.approx(0.0, abs=1e-13)
-        assert actual == pytest.approx(0.0, abs=1e-13)
+        model = make_scalar_poly(4.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 10)
+        table = em.curvature_table(model, log)
+        assert table.proxy[1] == pytest.approx(0.0, abs=1e-13)
+        assert log.losses[2] - log.losses[1] == pytest.approx(0.0, abs=1e-13)
 
     def test_return_ratio(self):
-        log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 10)
+        model = make_scalar_poly(3.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 10)
+        table = em.curvature_table(model, log)
         # two-step displacement (2 - eta*lam) d_k, so ratio |2 - 1.5| = 0.5
-        assert em.return_ratio(log, 0) == pytest.approx(0.5, abs=1e-12)
+        ratio = table.two_step_norm[0] / np.sqrt(table.step_norm_sq[0])
+        assert ratio == pytest.approx(0.5, abs=1e-12)
 
 
 class TestEosOnset:
+    @staticmethod
+    def _table(r):
+        """A table of steps 0.. whose four curvature columns are ``r``."""
+        n, none = len(r), np.full(len(r), np.nan)
+        return em.CurvatureTable(
+            k=np.arange(n), step_norm_sq=np.ones(n), rbar=r, rtilde=r,
+            rbar_exact=r, rtilde_exact=r, proxy=none, two_step_norm=none,
+            inner_next=none, nodes=np.zeros(n, dtype=np.int64), skipped=[],
+            unsettled=[], node_start=np.zeros(1, dtype=np.int64),
+            node_tau=np.empty(0), node_q=np.empty(0))
+
     def test_first_crossing(self):
         r = np.array([1.0, 2.0, 3.79, 3.81, 3.5])
-        no_profile = (np.zeros(1, dtype=np.int64), np.empty(0), np.empty(0))
-        table = em.CurvatureTable(np.arange(5), np.ones(5), r, r,
-                                  np.zeros(5, dtype=np.int64), [], [], *no_profile)
-        assert em.eos_onset(table, 0.5) == 3
-        short = em.CurvatureTable(np.arange(2), np.ones(2), r[:2], r[:2],
-                                  np.zeros(2, dtype=np.int64), [], [], *no_profile)
-        assert em.eos_onset(short, 0.5) is None
+        assert em.eos_onset(self._table(r), 0.5) == 3
+        assert em.eos_onset(self._table(r[:2]), 0.5) is None
 
     def test_reports_trajectory_step_after_skipped_steps(self):
         """Steps 0-5 are degenerate; the onset is step 6, not row 0."""
@@ -561,23 +583,30 @@ class TestMetricsCsv:
         assert last[8] == "" and last[9] == ""  # no k+2 record at the end
 
     @staticmethod
-    def _exact_columns(model, log, tmp_path):
+    def _exact_columns(model, log, tmp_path, table=None):
         """{k: (rbar_exact, rtilde_exact) cells} of an unlocalized metrics.csv."""
         path = tmp_path / "metrics.csv"
-        em.write_metrics_csv(model, log, em.curvature_table(model, log), path,
-                             with_localization=False)
+        table = em.curvature_table(model, log) if table is None else table
+        em.write_metrics_csv(model, log, table, path, with_localization=False)
         lines = path.read_bytes().decode().split("\r\n")[:-1]
         assert lines[0].split(",")[10:] == ["rbar_exact", "rtilde_exact"]
         return {int(c[0]): tuple(c[10:]) for c in (ln.split(",") for ln in lines[1:])}
 
     def test_exact_columns_are_the_exact_routes(self, mlp_run, tmp_path):
-        """Bit for bit the library's gradient-difference and loss-change routes."""
+        """Bit for bit the table's gradient-difference and loss-change
+        routes, which are d^T (g_{k+1} - g_k) / ||d||^2 and
+        2 (delta_L + ||d||^2 / eta) / ||d||^2."""
         model, log = mlp_run
-        cells = self._exact_columns(model, log, tmp_path)
-        assert list(cells) == list(range(log.num_steps))
+        table = em.curvature_table(model, log)
+        cells = self._exact_columns(model, log, tmp_path, table)
+        assert list(cells) == list(table.k) == list(range(log.num_steps))
         for k, (rbar, rtilde) in cells.items():
-            assert float(rbar) == em.step_mean_curvature_exact(log, k)
-            assert float(rtilde) == em.effective_curvature_from_loss(log, k)
+            d, nsq = log.step(k), table.step_norm_sq[k]
+            assert float(rbar) == table.rbar_exact[k] == \
+                float(d @ (log.grads[k + 1] - log.grads[k])) / nsq
+            delta_l = float(log.losses[k + 1] - log.losses[k])
+            assert float(rtilde) == table.rtilde_exact[k] == \
+                2.0 * (delta_l + nsq / log.eta) / nsq
 
     def test_exact_columns_on_quadratic(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -592,11 +621,16 @@ class TestMetricsCsv:
                 assert abs(float(cell) - float(u @ H @ u)) <= 1e-12
 
     def test_exact_columns_empty_on_degenerate_steps(self, tmp_path):
-        """Steps 0-5 are too short to have a direction."""
+        """Steps 0-5 are too short to have a direction: each of their rows
+        holds only k and step_norm_sq."""
         model = make_quadratic(np.array([[3.0]]))
         log = run_gd(model, np.array([1e-16]), 1.0, 10)
         cells = self._exact_columns(model, log, tmp_path)
         assert all(cells[k] == ("", "") for k in range(6))
+        lines = (tmp_path / "metrics.csv").read_bytes().decode().split("\r\n")
+        for k, line in enumerate(lines[1:7]):
+            c = line.split(",")
+            assert c[0] == str(k) and c[1] != "" and c[2:] == [""] * 10
         assert all(float(c) == pytest.approx(3.0, abs=1e-12)
                    for k in range(6, 10) for c in cells[k])
 

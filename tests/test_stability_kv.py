@@ -8,8 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from edge_lab import edge_metrics as em
 from edge_lab import stability_kv as kv
-from edge_lab.edge_metrics import DegenerateStepError
 from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset,
                                   make_two_layer_linear)
@@ -17,22 +17,33 @@ from edge_lab.numerics import NonConvergenceError, uniform_rule
 from edge_lab.trajectory import run_gd, run_pair_gd
 
 
+def _recoil(model, log):
+    """The table of a run and, at each of its rows, <d_{k+1}, d_k> and
+    (1 - eta rbar_k) ||d_k||^2 from the exact gradient-difference rbar_k."""
+    table = em.curvature_table(model, log)
+    predicted = (1.0 - log.eta * table.rbar_exact) * table.step_norm_sq
+    return table, table.inner_next, predicted
+
+
 class TestRecoil:
     def test_supercritical_growth(self):
         # lam = 5 at eta = 0.5 sits one unit above the threshold
-        log = run_gd(make_scalar_poly(5.0), np.array([1.0]), 0.5, 8)
-        inner, predicted, growth = kv.recoil_check(log, 0)
+        model = make_scalar_poly(5.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 8)
+        table, inner, predicted = _recoil(model, log)
+        growth = np.sqrt(table.step_norm_sq[1]) / np.sqrt(table.step_norm_sq[0])
         nd2 = float(log.step(0) @ log.step(0))
-        assert inner == pytest.approx(-1.5 * nd2, abs=1e-12)
-        assert inner == pytest.approx(predicted, abs=1e-12)
+        assert inner[0] == pytest.approx(-1.5 * nd2, abs=1e-12)
+        assert inner[0] == pytest.approx(predicted[0], abs=1e-12)
         assert growth == pytest.approx(1.5, abs=1e-12)
         assert growth >= 1 + 0.5 * 1.0
 
     def test_subcritical_inner_product(self):
-        log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 8)
-        inner, predicted, _ = kv.recoil_check(log, 0)
+        model = make_scalar_poly(3.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 8)
+        _, inner, _ = _recoil(model, log)
         nd2 = float(log.step(0) @ log.step(0))
-        assert inner == pytest.approx(-0.5 * nd2, abs=1e-13)
+        assert inner[0] == pytest.approx(-0.5 * nd2, abs=1e-13)
 
     def test_sustained_growth_compounds(self):
         log = run_gd(make_scalar_poly(5.0), np.array([1e-4]), 0.5, 6)
@@ -43,16 +54,18 @@ class TestRecoil:
     def test_identity_on_nonquadratic(self):
         model = make_scalar_poly(1.0, 0.8, -1.0)
         log = run_gd(model, np.array([0.25]), 2.2, 120)
-        for k in range(log.num_steps - 1):
-            inner, predicted, _ = kv.recoil_check(log, k)
-            nd2 = float(log.step(k) @ log.step(k))
-            assert abs(inner - predicted) <= 1e-10 * max(nd2, abs(predicted))
+        table, inner, predicted = _recoil(model, log)
+        assert list(table.k) == list(range(log.num_steps))
+        nd2 = table.step_norm_sq[:-1]
+        assert np.all(np.abs(inner - predicted)[:-1]
+                      <= 1e-10 * np.maximum(nd2, np.abs(predicted[:-1])))
 
     def test_zero_step_is_degenerate(self):
         # a start at the minimum never moves: every step is exactly zero
-        log = run_gd(make_quadratic(np.diag([3.0])), np.array([0.0]), 0.5, 3)
-        with pytest.raises(DegenerateStepError):
-            kv.recoil_check(log, 0)
+        model = make_quadratic(np.diag([3.0]))
+        log = run_gd(model, np.array([0.0]), 0.5, 3)
+        table = em.curvature_table(model, log)
+        assert table.k.size == 0 and table.skipped == [0, 1, 2]
 
 
 class TestOscillatoryBound:
@@ -333,11 +346,18 @@ class TestStrainViaPropagator:
             assert err <= 1e-10 * (1 + np.linalg.norm(via))
 
 
+def _supercritical_runs(model, log):
+    return kv.supercritical_run_lengths(em.curvature_table(model, log), log.eta,
+                                        log.num_steps)
+
+
 class TestSupercriticalRuns:
     def test_lengths_capped_on_bounded_run(self):
         model = make_scalar_poly(1.0, 0.0, -1.0)
         log = run_gd(model, np.array([0.3]), 2.5, 400)
-        for start, length, cap in kv.supercritical_run_lengths(log):
+        runs = _supercritical_runs(model, log)
+        assert runs
+        for start, length, cap in runs:
             assert length <= cap
 
     @pytest.mark.parametrize("steps", [4, 10])
@@ -346,13 +366,24 @@ class TestSupercriticalRuns:
         next by 1.5: a run to the end of the log shows one growth factor
         fewer than its length, since d_K is not a logged step, and its cap
         counts that factor."""
-        log = run_gd(make_quadratic([[5.0]], 0.0), np.array([1.0]), 0.5, steps)
+        model = make_quadratic([[5.0]], 0.0)
+        log = run_gd(model, np.array([1.0]), 0.5, steps)
         assert not log.diverged
-        assert kv.supercritical_run_lengths(log) == [(0, steps, steps)]
+        assert _supercritical_runs(model, log) == [(0, steps, steps)]
+
+    def test_degenerate_step_ends_run(self):
+        """A degenerate step 3 of 5 w^2 / 2 at eta 0.5 has no row and so
+        splits the above-threshold steps; step 2, whose next gradient is
+        zeroed, reads rbar_2 = 1/eta, below 2/eta."""
+        model = make_quadratic([[5.0]], 0.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 8)
+        log.grads[3] = 0.0
+        assert _supercritical_runs(model, log) == [(0, 2, 7), (4, 4, 8)]
 
     def test_no_runs_below_threshold(self):
-        log = run_gd(make_scalar_poly(3.0), np.array([1.0]), 0.5, 30)
-        assert kv.supercritical_run_lengths(log) == []
+        model = make_scalar_poly(3.0)
+        log = run_gd(model, np.array([1.0]), 0.5, 30)
+        assert _supercritical_runs(model, log) == []
 
 
 class TestStrainCsv:
