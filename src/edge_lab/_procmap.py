@@ -10,11 +10,15 @@ strain's segment Hessians are computed this way.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import pickle
 import select
 import signal
 from typing import Callable, Iterator
+
+import numpy as np
 
 __all__ = ["OrderedMap", "cpu_count"]
 
@@ -29,6 +33,25 @@ def cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# The thread-count setter of the OpenBLAS that numpy wheels bundle, in its
+# 64-bit-integer and its 32-bit-integer build.
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Run this process's OpenBLAS on one thread, where the OpenBLAS that
+    numpy bundles can be found; elsewhere do nothing. A worker forked with
+    the default pool starts one BLAS thread per CPU of its own, so two
+    workers on two CPUs would run four busy-waiting threads."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SET_THREADS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
 
 
 def _run(fn: Callable, items) -> tuple[list, Exception | None]:
@@ -51,7 +74,8 @@ class OrderedMap:
     per chunk) it forks that many workers on entry; work of fewer than
     two chunks, or a single worker, forks nothing. A fork inherits ``fn``
     and everything it reads, so only chunk indices and results cross the
-    pipes; OpenBLAS shuts its thread pool down across a fork. This
+    pipes; OpenBLAS shuts its thread pool down across a fork, and each
+    worker runs it on one thread (``_one_blas_thread``). This
     process deals the chunk indices and reads results as they arrive,
     so no worker waits on a full pipe, and releases them in item order.
     It deals at most twice the workers' count of chunks beyond the
@@ -131,6 +155,7 @@ class OrderedMap:
         try:
             for fd in (read, self._tasks, *self._workers):
                 os.close(fd)
+            _one_blas_thread()
             with open(write, "wb") as out:
                 while index := os.read(tasks, _INDEX):
                     c = int.from_bytes(index, "little")

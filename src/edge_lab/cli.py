@@ -375,11 +375,10 @@ def cmd_run(resolved: dict, out: Path, sink=None) -> tuple[int, dict]:
     with _timed(wall, "reports"):
         trajectory.write_trajectory_csv(log, out / "trajectory.csv")
     with _timed(wall, "curvature_table"):
-        table = edge_metrics.curvature_table(model, log, work)
+        table = edge_metrics.curvature_table(model, log, work,
+                                             localize=resolved["localize"])
     with _timed(wall, "reports"):
-        edge_metrics.write_metrics_csv(model, log, table, out / "metrics.csv",
-                                       with_localization=resolved["localize"],
-                                       work=work)
+        edge_metrics.write_metrics_csv(log, table, out / "metrics.csv")
         report = edge_metrics.edge_balance_report(model, log, table,
                                                   deltas=resolved["deltas"])
         summary = trajectory.run_summary(log)
@@ -705,8 +704,9 @@ def _raw_orbit(points) -> tuple[bool, dict]:
 
 
 # The checks of ``verify --run-dir`` by command, applied to what the command
-# hands to its sink: the (model, log, table) of a run or of each step size
-# of a balance, the continuation points of a sweep, a strain's StrainLog.
+# hands to its sink: the ``verify.gd_run`` of the (model, log, table) of a
+# run or of each step size of a balance, the continuation points of a
+# sweep, a strain's StrainLog. A localized run adds ``localization``.
 _RUN_DIR_CHECKS = {
     "run": {name: verify.THEOREMS[name] for name in (
         "telescoping_balance", "near_periodicity", "recoil", "run_length_caps")},
@@ -737,9 +737,13 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     # stored config resolves to itself and a damaged one fails at its key.
     resolved = {"command": command, **_RESOLVERS[command](_without_nulls(stored))}
     checks = _RUN_DIR_CHECKS[command]
+    if command == "run" and resolved["localize"]:
+        checks = dict(checks, localization=verify.THEOREMS["localization"])
     outcomes = {name: [] for name in checks}  # (passed, seconds, details) per run
 
     def sink(*run):
+        if command in ("run", "balance"):
+            run = (verify.gd_run(*run),)
         for name, check in checks.items():
             start = time.perf_counter()
             passed, details = check(*run)

@@ -10,16 +10,17 @@ rtilde from the quadrature makes the telescoping balance identity a
 genuine test instead of a tautology.
 
 ``curvature_table`` walks a run once, and every consumer (balance
-report, metrics CSV, balance scatter, localization targets, the noisy
-balance, the per-run theorems of ``verify``) reads its per-step rows.
-Each row holds both averages by quadrature, both by the exact routes,
-and the step's two-step terms. The table integrates each step's
-profile with the embedded G4/K9 Gauss-Kronrod pair, a fixed table of
-nodes and weights (``K9_NODES``, ``K9_WEIGHTS``, ``G4_WEIGHTS``),
-bisecting intervals until both averages settle; each row records the
-nodes it took and the profile values of its final intervals, and steps
-that exhaust the interval budget are listed as unsettled. ``localize``
-brackets each average from those values.
+report, metrics CSV, balance scatter, the noisy balance, the per-run
+theorems of ``verify``) reads its per-step rows. Each row holds both
+averages by quadrature, both by the exact routes, the step's two-step
+terms and, when asked, where the step attains its averages. The table
+integrates each step's profile with the embedded G4/K9 Gauss-Kronrod
+pair, a fixed table of nodes and weights (``K9_NODES``, ``K9_WEIGHTS``,
+``G4_WEIGHTS``), bisecting intervals until both averages settle; each
+row records the nodes it took and the profile values of its final
+intervals, and steps that exhaust the interval budget are listed as
+unsettled. ``localize`` brackets each average from those values, in the
+process that computed the row.
 
 Curvature values carry inverse-step-size units (they are compared
 against the threshold 2/eta).
@@ -28,6 +29,7 @@ against the threshold 2/eta).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -138,6 +140,15 @@ class CurvatureTable:
     to (0, 1), and ``node_q`` at the same places (``profile(i)``). The
     row's rbar and rtilde are combinations of those values whose
     coefficients are positive and sum to 1.
+
+    A table built with ``localize`` holds where each step attains its
+    averages (``localize``): ``xi`` where the profile equals rtilde,
+    ``zeta`` where it equals rbar, ``q_xi`` the profile value at xi, and
+    ``lambda_max_xi`` the largest Hessian eigenvalue there
+    (``localized_sharpness``). These four are NaN in every row of a table
+    built without it, and in a row whose localization failed;
+    ``localization_errors`` maps each such step k to the exception its
+    localization raised, in step order.
     """
 
     k: NDArray[np.int64]
@@ -149,6 +160,11 @@ class CurvatureTable:
     proxy: Array
     two_step_norm: Array
     inner_next: Array
+    xi: Array
+    zeta: Array
+    q_xi: Array
+    lambda_max_xi: Array
+    localization_errors: dict[int, Exception]
     nodes: NDArray[np.int64]
     skipped: list[int]
     unsettled: list[int]
@@ -225,21 +241,55 @@ def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
         parts[i:i + 1] = _intervals(profile, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
 
 
-def _row(model: LossModel, log: TrajectoryLog, k: int) -> tuple:
+def _localized(model: LossModel, log: TrajectoryLog, k: int,
+               rbar: float, rtilde: float, profile: tuple[Array, Array]) -> tuple:
+    """(xi, zeta, q(xi), lambda_max(xi), profile nodes, Lanczos products,
+    None) of step k, localized from its row's ``profile``; where the
+    localization raises, the four points are NaN and the last entry is
+    the exception. A Brent or Lanczos iteration that does not converge is
+    a NonConvergenceError naming the step, a non-finite profile value or
+    an invalid bracket in Brent's method an EvaluationError or
+    BracketError naming the step, and a target the nodes do not bracket a
+    LocalizationError."""
+    work = Counter()
+    points, failure = (math.nan,) * 4, None
+    try:
+        rec_t, rec_b = localize(model, log, k, (rtilde, rbar), profile, work=work)
+        points = (rec_t.point, rec_b.point, rec_t.q_at_point,
+                  localized_sharpness(model, log, rec_t, work))
+    except LocalizationError as exc:
+        failure = exc
+    except NonConvergenceError as exc:
+        failure = NonConvergenceError(f"localization of step {k}: {exc}", exc.history)
+    except (EvaluationError, BracketError) as exc:
+        failure = type(exc)(f"localization of step {k}: {exc}")
+    return (*points, work["localization_profile_nodes"], work["lanczos_products"],
+            failure)
+
+
+_NOT_LOCALIZED = (math.nan,) * 4 + (0, 0, None)
+
+
+def _row(model: LossModel, log: TrajectoryLog, k: int, localized: bool) -> tuple:
     """(rbar, rtilde, profile nodes, settled, final nodes, their values)
-    of non-degenerate step k, the last two as raw float64 bytes. A
-    non-finite profile value raises EvaluationError naming the step."""
+    of non-degenerate step k, the nodes and values as raw float64 bytes,
+    followed by the step's ``_localized`` entries, or NaN points and no
+    work when not ``localized``. A non-finite profile value of the
+    quadrature raises EvaluationError naming the step."""
     try:
         rbar, rtilde, count, settled, taus, qs = _segment_averages(
             model, log.w(k), log.step(k))
     except EvaluationError as exc:
         raise EvaluationError(f"curvature table, step {k}: {exc}") from exc
-    return rbar, rtilde, count, settled, taus.tobytes(), qs.tobytes()
+    where = (_localized(model, log, k, rbar, rtilde, (taus, qs)) if localized
+             else _NOT_LOCALIZED)
+    return rbar, rtilde, count, settled, taus.tobytes(), qs.tobytes(), *where
 
 
 def curvature_table(model: LossModel, log: TrajectoryLog,
                     work: Counter | None = None,
-                    *, workers: int | None = None) -> CurvatureTable:
+                    *, localize: bool = False,
+                    workers: int | None = None) -> CurvatureTable:
     """Per-step table of a run, in one pass over its steps.
 
     Derives each step increment once, for its norm, the exact routes and
@@ -247,14 +297,22 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
     profile adaptively (``_segment_averages``), keeping each row's final
     nodes and profile values. Degenerate steps are skipped; their
     contribution to every weighted sum is below the rounding floor by
-    construction.
+    construction. With ``localize``, each step is then localized from its
+    row's profile values (``localize``, ``localized_sharpness``) in the
+    process that integrated it, filling ``xi``, ``zeta``, ``q_xi`` and
+    ``lambda_max_xi``; a step whose localization fails gets NaN there
+    and its exception in ``localization_errors``.
 
-    The quadrature rows are computed in up to ``workers`` processes, by
-    default one per CPU this process may run on, which take chunks of
-    _CHUNK_STEPS consecutive steps on demand (``OrderedMap``); the table
-    is the same for any count. ``work["curvature_table_workers"]``
-    becomes the largest number of processes a table has used. A
-    non-finite profile value raises EvaluationError naming the step.
+    The rows are computed in up to ``workers`` processes, by default one
+    per CPU this process may run on, which take chunks of _CHUNK_STEPS
+    consecutive steps on demand (``OrderedMap``); the table is the same
+    for any count. ``work["curvature_table_workers"]`` becomes the
+    largest number of processes a table has used; with ``localize``, the
+    profile nodes localization evaluated beyond the table's and the
+    Lanczos products of its sharpness estimates are added to
+    ``work["localization_profile_nodes"]`` and ``work["lanczos_products"]``.
+    A non-finite profile value of the quadrature raises EvaluationError
+    naming the step.
     """
     eta = log.eta
     ks, skipped = [], []
@@ -277,15 +335,22 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
             col[3:] = (-float(d @ two_step) / (2.0 * eta),
                        float(np.linalg.norm(two_step)), float(d_next @ d))
         ks.append(k)
-    with OrderedMap(lambda k: _row(model, log, k), ks, _CHUNK_STEPS, workers) as rows:
-        rbars, rtildes, nodes, settled, taus, qs = zip(*rows) if ks else [()] * 6
+    with OrderedMap(lambda k: _row(model, log, k, localize), ks, _CHUNK_STEPS,
+                    workers) as rows:
+        (rbars, rtildes, nodes, settled, taus, qs, *points,
+         loc_nodes, products, failures) = zip(*rows) if ks else [()] * 13
     if work is not None:
         work["curvature_table_workers"] = max(work["curvature_table_workers"],
                                               rows.processes)
+        if localize:
+            work["localization_profile_nodes"] += sum(loc_nodes)
+            work["lanczos_products"] += sum(products)
     norms_sq, *routes = cols[:, :len(ks)]
     node_start = [0] + [len(t) // K9_NODES.itemsize for t in taus]
     return CurvatureTable(np.array(ks, dtype=np.int64), norms_sq,
                           np.array(rbars), np.array(rtildes), *routes,
+                          *(np.array(col, dtype=np.float64) for col in points),
+                          {k: exc for k, exc in zip(ks, failures) if exc is not None},
                           np.array(nodes, dtype=np.int64), skipped,
                           [k for k, ok in zip(ks, settled) if not ok],
                           np.cumsum(node_start, dtype=np.int64),
@@ -564,27 +629,25 @@ def sgd_balance_report(model: LossModel,
                             max_propagator_residual=max_prop)
 
 
-def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTable,
-                      path, with_localization: bool = True,
-                      work: Counter | None = None) -> None:
-    """Per-step metrics table.
+def write_metrics_csv(log: TrajectoryLog, table: CurvatureTable, path) -> None:
+    """Per-step metrics table, written from the columns of ``table``, the
+    run's ``curvature_table``.
 
     Columns: k, step_norm_sq, rbar, rtilde, xi, zeta, lambda_max_xi,
     delta_L, proxy, return_ratio, rbar_exact, rtilde_exact. Each
-    non-degenerate step's cells are its row of ``table``, the run's
-    ``curvature_table``: rbar and rtilde by quadrature, rbar_exact and
-    rtilde_exact by the exact routes, the loss-change proxy, and the
-    two-step return ratio ||w_{k+2} - w_k|| / ||d_k||. Each such step is
-    localized from its row's profile values (``localize``); ``work``
-    tallies the profile nodes and Lanczos products this takes. Fields
-    that need records beyond the end of the run (or a localized point
-    when localization is off) are left empty. A degenerate step's row
-    holds only k and step_norm_sq. A Brent or Lanczos iteration of the
-    localization that does not converge raises NonConvergenceError
-    naming the step; a non-finite profile value or an invalid bracket in
-    Brent's method raises EvaluationError or BracketError naming the
-    step.
+    non-degenerate step's cells are its row of the table: rbar and rtilde
+    by quadrature, the localized points xi and zeta and the sharpness
+    lambda_max_xi there, rbar_exact and rtilde_exact by the exact routes,
+    the loss-change proxy, and the two-step return ratio
+    ||w_{k+2} - w_k|| / ||d_k||. Fields that need records beyond the end
+    of the run, or the localized points of a table built without
+    localization, are left empty. A degenerate step's row holds only k
+    and step_norm_sq. If the localization of a step failed, the exception
+    of the lowest such step (``CurvatureTable.localization_errors``) is
+    raised and nothing is written.
     """
+    if table.localization_errors:
+        raise next(iter(table.localization_errors.values()))
     header = ["k", "step_norm_sq", "rbar", "rtilde", "xi", "zeta", "lambda_max_xi",
               "delta_L", "proxy", "return_ratio", "rbar_exact", "rtilde_exact"]
     row_of = {int(k): i for i, k in enumerate(table.k)}
@@ -596,23 +659,14 @@ def write_metrics_csv(model: LossModel, log: TrajectoryLog, table: CurvatureTabl
             nd = float(np.linalg.norm(log.step(k)))
             rows.append([k, nd * nd] + [None] * (len(header) - 2))
             continue
-        rbar, rtilde = float(table.rbar[i]), float(table.rtilde[i])
-        xi = zeta = lam_xi = None
-        if with_localization:
-            try:
-                rec_t, rec_b = localize(model, log, k, (rtilde, rbar),
-                                        table.profile(i), work=work)
-                lam_xi = localized_sharpness(model, log, rec_t, work)
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(f"localization of step {k}: {exc}",
-                                          exc.history) from exc
-            except (EvaluationError, BracketError) as exc:
-                raise type(exc)(f"localization of step {k}: {exc}") from exc
-            xi, zeta = rec_t.point, rec_b.point
+        where = [float(table.xi[i]), float(table.zeta[i]), float(table.lambda_max_xi[i])]
+        if math.isnan(where[0]):
+            where = [None] * 3
         two_step = [None, None]
         if k + 1 < log.num_steps:
             two_step = [float(table.proxy[i]), float(ratios[i])]
-        rows.append([k, float(table.step_norm_sq[i]), rbar, rtilde, xi, zeta, lam_xi,
+        rows.append([k, float(table.step_norm_sq[i]), float(table.rbar[i]),
+                     float(table.rtilde[i]), *where,
                      float(log.losses[k + 1] - log.losses[k]), *two_step,
                      float(table.rbar_exact[i]), float(table.rtilde_exact[i])])
     write_csv(path, header, rows)

@@ -5,9 +5,9 @@ route agreement, telescoping balance, localization, branch scaling,
 stability mechanisms, strain recurrence, noisy balance) at its pinned
 tolerance and reports the measured residuals; the CLI `verify`
 subcommand and the acceptance tests run these. Each per-run theorem is
-one function of a GD run's model, log and curvature table (``THEOREMS``),
-which the suite applies to the bundled runs and ``verify --run-dir`` to
-the runs a command hands over as it replays a directory.
+one function of a GD run (``THEOREMS``, applied to a ``gd_run``), which
+the suite applies to the bundled runs and ``verify --run-dir`` to the
+runs a command hands over as it replays a directory.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bifurcation, edge_metrics, loss_models, stability_kv, trajectory
-from .numerics import NonConvergenceError, dense_eigvalsh, lambda_max_iter
+from .numerics import dense_eigvalsh, lambda_max_iter
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "CHECKS", "THEOREMS",
-           "telescoping_tolerance"]
+           "GdRun", "gd_run", "telescoping_tolerance"]
 
 
 @dataclass
@@ -95,36 +96,48 @@ def _run_length_caps(model, log, table):
 
 
 def _localization(model, log, table):
-    """Each step's rtilde is attained inside it, where the sharpness is at least rtilde."""
+    """Each step's rtilde is attained inside it, where the sharpness is at
+    least rtilde: the localization columns of a table built with
+    ``localize``. A step whose localization failed is named with its
+    message; a table built without localization localizes no step."""
     q_tol = 1e-6 if isinstance(model, loss_models.MlpModel) else 1e-8
-    total, located, lam_ok, errors = len(table.k), 0, 0, {}
-    for i, (k, target) in enumerate(zip(table.k, table.rtilde)):
-        try:
-            [rec] = edge_metrics.localize(model, log, int(k), (target,),
-                                          table.profile(i), tol=1e-10)
-            lam = edge_metrics.localized_sharpness(model, log, rec)
-        except (edge_metrics.LocalizationError, NonConvergenceError) as exc:
-            errors[int(k)] = str(exc)
-            continue
-        if abs(rec.q_at_point - rec.target) <= q_tol:
-            located += 1
-            if lam >= rec.target - 1e-8:
-                lam_ok += 1
+    total = len(table.k)
+    at_target = np.abs(table.q_xi - table.rtilde) <= q_tol
+    located = int(at_target.sum())
+    lam_ok = int((at_target & (table.lambda_max_xi >= table.rtilde - 1e-8)).sum())
     return located == total and lam_ok == located, {
         "steps": total, "localized_fraction": located / total if total else 1.0,
-        "sharpness_bound_ok": lam_ok == located, "failed_steps": errors}
+        "sharpness_bound_ok": lam_ok == located,
+        "failed_steps": {k: str(exc) for k, exc in table.localization_errors.items()}}
+
+
+class GdRun(NamedTuple):
+    """A GD run as the per-run theorems read it: model, log, curvature
+    table, and the first step k whose logged iterate w_{k+1} is not
+    w_k + step(k), bitwise as the runner writes it (None if there is none)."""
+
+    model: loss_models.LossModel
+    log: trajectory.TrajectoryLog
+    table: edge_metrics.CurvatureTable
+    first_off_step: int | None
+
+
+def gd_run(model, log, table) -> GdRun:
+    """The run with its iterates scanned once for ``first_off_step``."""
+    off = next((k for k in range(log.num_steps) if not np.array_equal(
+        log.w_stored[k + 1], log.w_stored[k] + log.step(k))), None)
+    return GdRun(model, log, table, off)
 
 
 def _gd_run(theorem):
-    """``theorem``, failing also where a logged iterate w_{k+1} is not
-    w_k + step(k), bitwise as the runner writes it (``first_off_step``):
-    the steps come from the logged gradients, and near-periodicity, recoil
-    and the caps hold for any gradients, so this ties them to the iterates."""
+    """``theorem`` of a ``GdRun``, failing also where the run has a
+    ``first_off_step``: the steps come from the logged gradients, and
+    near-periodicity, recoil and the caps hold for any gradients, so this
+    ties them to the iterates."""
     @functools.wraps(theorem)
-    def check(model, log, table):
-        passed, details = theorem(model, log, table)
-        off = next((k for k in range(log.num_steps) if not np.array_equal(
-            log.w_stored[k + 1], log.w_stored[k] + log.step(k))), None)
+    def check(run: GdRun):
+        passed, details = theorem(run.model, run.log, run.table)
+        off = run.first_off_step
         return bool(passed) and off is None, dict(details, first_off_step=off)
     return check
 
@@ -136,8 +149,8 @@ THEOREMS = {name: _gd_run(theorem) for name, theorem in (
 
 
 def _apply(theorem, runs: dict) -> tuple[bool, dict]:
-    """``theorem`` on each named run: whether all pass, details by name."""
-    outcomes = {name: theorem(*run) for name, run in runs.items()}
+    """``theorem`` on each named ``GdRun``: whether all pass, details by name."""
+    outcomes = {name: theorem(run) for name, run in runs.items()}
     return (all(ok for ok, _ in outcomes.values()),
             {name: details for name, (_, details) in outcomes.items()})
 
@@ -167,25 +180,25 @@ def _models():
             loss_models.make_mlp([10, 16, 16, 5], "tanh", ds))
 
 
-def _gd(model, w0, eta: float, steps: int):
+def _gd(model, w0, eta: float, steps: int, localize: bool = False) -> GdRun:
     log = trajectory.run_gd(model, w0, eta, steps)
-    return model, log, edge_metrics.curvature_table(model, log)
+    return gd_run(model, log, edge_metrics.curvature_table(model, log, localize=localize))
 
 
 @functools.cache
 def _bundle():
-    """Bundled runs, each (model, log, table), for the per-run theorems."""
+    """Bundled runs, each a localized ``GdRun``, for the per-run theorems."""
     quartic, (w_bar, geom), mlp = _models()
-    return {
-        "quad1d": _gd(loss_models.make_quadratic([[3.0]], 0.0), np.array([1.0]), 0.5, 40),
-        "quad_nd": _gd(_quad_nd(8, seed=2), np.random.default_rng(3).standard_normal(8),
-                       0.5, 80),
-        "cubic1d": _gd(loss_models.make_scalar_poly(1.0, 1.0, 0.0), np.array([0.4]),
-                       0.5, 40),
-        "quartic_eos": _gd(quartic, np.array([0.3]), 2.5, 200),
-        "linear_net_eos": _gd(geom.model, w_bar + 1e-2 * geom.sharp_direction(), 0.55, 400),
-        "mlp_eos": _gd(mlp, mlp.init_params(seed=1), 0.5, 300),
+    runs = {
+        "quad1d": (loss_models.make_quadratic([[3.0]], 0.0), np.array([1.0]), 0.5, 40),
+        "quad_nd": (_quad_nd(8, seed=2), np.random.default_rng(3).standard_normal(8),
+                    0.5, 80),
+        "cubic1d": (loss_models.make_scalar_poly(1.0, 1.0, 0.0), np.array([0.4]), 0.5, 40),
+        "quartic_eos": (quartic, np.array([0.3]), 2.5, 200),
+        "linear_net_eos": (geom.model, w_bar + 1e-2 * geom.sharp_direction(), 0.55, 400),
+        "mlp_eos": (mlp, mlp.init_params(seed=1), 0.5, 300),
     }
+    return {name: _gd(*run, localize=True) for name, run in runs.items()}
 
 
 @functools.cache
@@ -242,7 +255,7 @@ def _check_edge_balance_independent():
 @_timed
 def _check_mlp_saturation():
     """Weighted-mean curvature saturates at 2/eta; forcing bound at every K."""
-    mlp, log, table = _mlp_eos_long()
+    mlp, log, table, _ = _mlp_eos_long()
     eta = log.eta
     thr = 2.0 / eta
     lam0 = lambda_max_iter(mlp.hvp_at(log.w(0)), mlp.dim, seed=0)
@@ -345,7 +358,7 @@ def _check_linear_net_normal_form():
 def _check_near_periodicity():
     """Two-step return bound everywhere; MLP return ratio drops after onset."""
     ok, details = _apply(THEOREMS["near_periodicity"], _bundle())
-    _, log_m, table_m = _mlp_eos_long()
+    _, log_m, table_m, _ = _mlp_eos_long()
     onset = edge_metrics.eos_onset(table_m, log_m.eta)
     rows = (table_m.k >= onset) & (table_m.k + 1 < log_m.num_steps)
     ratios = table_m.two_step_norm[rows] / np.sqrt(table_m.step_norm_sq[rows])

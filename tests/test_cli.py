@@ -176,8 +176,10 @@ class TestRunCommand:
     def test_localized_work_counts(self, tmp_path):
         """timings.json counts the profile nodes localization evaluated
         beyond the curvature table's and the Lanczos products of its
-        sharpness estimates (dim 98 > 64), as ``write_metrics_csv`` tallies
-        them."""
+        sharpness estimates (dim 98 > 64), which the table's processes
+        tally: the sums of what ``localize`` and ``localized_sharpness``
+        count when each step is localized in turn from the rows of a
+        table built without localization."""
         out = tmp_path / "out"
         model_cfg = {"kind": "mlp", "widths": [3, 16, 2], "activation": "tanh",
                      "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}}
@@ -188,10 +190,12 @@ class TestRunCommand:
         resolved = json.loads((out / "resolved_config.json").read_text())
         model = cli._build_model(resolved["model"])
         log = run_gd(model, model.init_params(seed=1), 0.5, 4)
+        table = em.curvature_table(model, log)
         work = collections.Counter()
-        em.write_metrics_csv(model, log, em.curvature_table(model, log),
-                             tmp_path / "m.csv", work=work)
-        assert (tmp_path / "m.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+        for i, k in enumerate(table.k):
+            rec, _ = em.localize(model, log, int(k), (table.rtilde[i], table.rbar[i]),
+                                 table.profile(i), work=work)
+            em.localized_sharpness(model, log, rec, work)
         assert timings["localization_profile_nodes"] == work["localization_profile_nodes"]
         assert timings["lanczos_products"] == work["lanczos_products"] > 4 * 2
         assert work["localization_profile_nodes"] > 0
@@ -755,14 +759,18 @@ class TestVerifyCommand:
 
     def test_run_dir_integrity_pass(self, tmp_path):
         """The rerun reproduces every output byte for byte, and its
-        telescoping residual is the run's."""
+        telescoping residual is the run's. The run is localized, so
+        ``localization`` is checked too, from the replayed table."""
         out = self._quad_run(tmp_path)
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert [c["name"] for c in report["checks"]] == self._CHECKS
+        assert [c["name"] for c in report["checks"]] == self._CHECKS + ["localization"]
         reported = json.loads((out / "balance_report.json").read_text())["identity_residual"]
         assert report["checks"][0]["details"] == {"mismatches": []}
         assert report["checks"][1]["details"]["residual"] == reported
+        assert report["checks"][-1]["details"] == {
+            "steps": 40, "localized_fraction": 1.0, "sharpness_bound_ok": True,
+            "failed_steps": {}, "first_off_step": None}
 
     def test_wide_mlp_run_replays(self, tmp_path):
         """The README MLP (dim 533), localized for 40 steps, replays from
@@ -778,7 +786,8 @@ class TestVerifyCommand:
             b"k,loss,grad_norm,step_norm\r\n")
         assert main(["verify", "--run-dir", str(out), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert [c["name"] for c in report["checks"] if c["passed"]] == self._CHECKS
+        assert [c["name"] for c in report["checks"] if c["passed"]] == \
+            self._CHECKS + ["localization"]
 
     @pytest.mark.parametrize("value", ["nextafter", "string", "absent"])
     def test_edited_identity_residual_detected(self, tmp_path, capsys, value):
@@ -1464,13 +1473,13 @@ class TestFailureContract:
 
     def test_localization_without_crossing(self, tmp_path, capsys, monkeypatch):
         """Profile values above every target at the table's nodes (the
-        curvatures are computed before the patched values are read)."""
-        profile = em.CurvatureTable.profile
+        curvatures are integrated before the values are shifted)."""
+        averages = em._segment_averages
 
-        def above(self, i):
-            taus, _ = profile(self, i)
-            return taus, 1e6 + taus
-        monkeypatch.setattr(em.CurvatureTable, "profile", above)
+        def above(model, w, d):
+            *head, taus, _ = averages(model, w, d)
+            return (*head, taus, 1e6 + taus)
+        monkeypatch.setattr(em, "_segment_averages", above)
         line = self._localized_run_fails(tmp_path, capsys)
         assert line.startswith("no interior point found for step 0"), line
 
@@ -1504,7 +1513,7 @@ class TestFailureContract:
 
         monkeypatch.setattr(em, "brent_root", forced)
         line = self._localized_run_fails(tmp_path, capsys)
-        assert raised == [error]
+        assert raised == [error] * 3    # once in each of the 3 steps
         assert line.startswith("localization of step 0: ") and message in line, line
 
     def test_singular_jacobian(self, tmp_path, capsys, monkeypatch):

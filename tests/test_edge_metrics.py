@@ -368,7 +368,7 @@ class TestProfileAndLocalization:
         """Both averages of every row of every bundled run's quadrature
         table lie between its least and largest profile value (so adjacent
         nodes bracket them), or the row is constant within 1e-10."""
-        for name, (model, log, table) in verify._bundle().items():
+        for name, (model, log, table, _) in verify._bundle().items():
             for i in range(len(table.k)):
                 _, qs = table.profile(i)
                 if qs.max() - qs.min() <= 1e-10:
@@ -519,7 +519,8 @@ class TestEosOnset:
         return em.CurvatureTable(
             k=np.arange(n), step_norm_sq=np.ones(n), rbar=r, rtilde=r,
             rbar_exact=r, rtilde_exact=r, proxy=none, two_step_norm=none,
-            inner_next=none, nodes=np.zeros(n, dtype=np.int64), skipped=[],
+            inner_next=none, xi=none, zeta=none, q_xi=none, lambda_max_xi=none,
+            localization_errors={}, nodes=np.zeros(n, dtype=np.int64), skipped=[],
             unsettled=[], node_start=np.zeros(1, dtype=np.int64),
             node_tau=np.empty(0), node_q=np.empty(0))
 
@@ -570,8 +571,7 @@ class TestMetricsCsv:
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 8)
         path = tmp_path / "metrics.csv"
-        em.write_metrics_csv(model, log, em.curvature_table(model, log), path,
-                             with_localization=True)
+        em.write_metrics_csv(log, em.curvature_table(model, log, localize=True), path)
         lines = path.read_bytes().decode().strip().split("\r\n")
         assert lines[0] == ("k,step_norm_sq,rbar,rtilde,xi,zeta,lambda_max_xi,"
                             "delta_L,proxy,return_ratio,rbar_exact,rtilde_exact")
@@ -587,7 +587,7 @@ class TestMetricsCsv:
         """{k: (rbar_exact, rtilde_exact) cells} of an unlocalized metrics.csv."""
         path = tmp_path / "metrics.csv"
         table = em.curvature_table(model, log) if table is None else table
-        em.write_metrics_csv(model, log, table, path, with_localization=False)
+        em.write_metrics_csv(log, table, path)
         lines = path.read_bytes().decode().split("\r\n")[:-1]
         assert lines[0].split(",")[10:] == ["rbar_exact", "rtilde_exact"]
         return {int(c[0]): tuple(c[10:]) for c in (ln.split(",") for ln in lines[1:])}
@@ -759,6 +759,64 @@ class TestParallelTable:
         assert messages[0] == messages[1]
         assert messages[0].startswith(
             f"curvature table, step {bad[0]}: non-finite profile value nan at tau ")
+
+    def test_localized_columns(self, mlp_run):
+        """Localized in the table's processes (dim 75, so by Lanczos), each
+        row's xi, zeta, q(xi) and lambda_max(xi) are bitwise those of
+        ``localize`` and ``localized_sharpness`` called in turn on the rows
+        of a table built without localization, whose four columns are NaN,
+        for one process and two; ``work`` counts the same profile nodes and
+        Lanczos products."""
+        model, log = mlp_run
+        plain = em.curvature_table(model, log, workers=1)
+        assert all(np.isnan(c).all() for c in (plain.xi, plain.zeta, plain.q_xi,
+                                               plain.lambda_max_xi))
+        serial, expected = Counter(), []
+        for i, k in enumerate(plain.k):
+            rec_t, rec_b = em.localize(model, log, int(k), (plain.rtilde[i], plain.rbar[i]),
+                                       plain.profile(i), work=serial)
+            expected.append((rec_t.point, rec_b.point, rec_t.q_at_point,
+                             em.localized_sharpness(model, log, rec_t, serial)))
+        tables = []
+        for workers in (1, 2):
+            work = Counter()
+            tables.append(em.curvature_table(model, log, work, localize=True,
+                                             workers=workers))
+            assert work == dict(serial, curvature_table_workers=workers)
+        _assert_same_table(*tables)
+        table = tables[0]
+        got = np.column_stack([table.xi, table.zeta, table.q_xi, table.lambda_max_xi])
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert table.localization_errors == {}
+        assert table.node_q.tobytes() == plain.node_q.tobytes()
+
+    def test_unbracketed_steps_fail_alike(self, gelu_run, monkeypatch, tmp_path):
+        """Profile values above every target at the nodes of steps 3 and 5
+        (their averages are integrated before the values are shifted): with
+        one process and with two, those rows' localization cells are NaN,
+        their LocalizationErrors are kept, and ``write_metrics_csv`` raises
+        the one of step 3 and writes nothing."""
+        model, log = gelu_run
+        averages = em._segment_averages
+        bad = {log.w(k).tobytes() for k in (3, 5)}
+
+        def shifted(model, w, d):
+            *head, taus, qs = averages(model, w, d)
+            return (*head, taus, 1e6 + taus if w.tobytes() in bad else qs)
+        monkeypatch.setattr(em, "_segment_averages", shifted)
+        path = tmp_path / "metrics.csv"
+        messages = []
+        for workers in (1, 2):
+            table = em.curvature_table(model, log, localize=True, workers=workers)
+            _no_child_left()
+            assert list(table.localization_errors) == [3, 5]
+            assert np.isnan(table.xi[[3, 5]]).all() and not np.isnan(table.xi[4])
+            with pytest.raises(em.LocalizationError) as err:
+                em.write_metrics_csv(log, table, path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("no interior point found for step 3 "), messages
+        assert not path.exists()
 
     def test_worker_nonconvergence_keeps_history(self, gelu_run):
         model, log = gelu_run

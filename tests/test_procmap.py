@@ -1,5 +1,7 @@
 """The ordered map of per-item work over forked processes."""
 
+import ctypes
+import glob
 import os
 import signal
 import time
@@ -171,3 +173,18 @@ def test_interrupt_reaps_every_worker():
             for i in results:
                 if i == 2:
                     raise KeyboardInterrupt
+
+
+def test_workers_run_blas_on_one_thread():
+    """Each forked worker runs numpy's OpenBLAS on one thread, whatever
+    this process runs it on."""
+    get = None
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", get)
+    if get is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    with OrderedMap(lambda i: (os.getpid(), get()), range(8), 2, workers=2) as m:
+        results = list(m)
+    assert m.processes == 2
+    assert {n for pid, n in results if pid != os.getpid()} == {1}
