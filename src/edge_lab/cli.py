@@ -439,8 +439,9 @@ def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
         write_csv(out / f"balance_eta{idx}.csv",
                   ["k", "running_weighted_mean", "forcing_bound"], rows)
 
-        rows = [[k, float(log.losses[k + 1] - log.losses[k]), proxy]
-                for k, proxy in zip(table.k, table.proxy) if k + 1 < log.num_steps]
+        rows = [[k, delta_l, proxy]
+                for k, delta_l, proxy in zip(table.k, table.delta_L, table.proxy)
+                if k + 1 < log.num_steps]
         write_csv(out / f"scatter_eta{idx}.csv", ["k", "actual_delta_L", "proxy"], rows)
     if sink is not None:
         sink(model, log, table)
@@ -686,23 +687,6 @@ def _first_mismatch(name: str, stored: bytes, replayed: bytes) -> dict | None:
     return None
 
 
-def _recurrence_residual(strain) -> tuple[bool, dict]:
-    """Every step of the strain recurrence within STRAIN_RTOL
-    max(1, ||delta_k||), the tolerance its quadrature settles to."""
-    return not strain.unsettled, {
-        "max_recurrence_residual": float(strain.residual.max()) if strain.num_steps else None,
-        "tolerance": stability_kv.STRAIN_RTOL, "unsettled_steps": strain.unsettled}
-
-
-def _raw_orbit(points) -> tuple[bool, dict]:
-    """Every continuation point is a period-two orbit of the raw GD map, to
-    RAW_ORBIT_TOL (``BranchPoint.raw_ok``)."""
-    return all(p.raw_ok for p in points), {
-        "max_raw_residual": max((p.raw_residual for p in points), default=None),
-        "tolerance": bifurcation.RAW_ORBIT_TOL,
-        "failed_etas": [p.eta for p in points if not p.raw_ok]}
-
-
 # The checks of ``verify --run-dir`` by command, applied to what the command
 # hands to its sink: the ``verify.gd_run`` of the (model, log, table) of a
 # run or of each step size of a balance, the continuation points of a
@@ -711,8 +695,8 @@ _RUN_DIR_CHECKS = {
     "run": {name: verify.THEOREMS[name] for name in (
         "telescoping_balance", "near_periodicity", "recoil", "run_length_caps")},
     "balance": {"telescoping_balance": verify.THEOREMS["telescoping_balance"]},
-    "bifurcate": {"raw_orbit": _raw_orbit},
-    "strain": {"recurrence_residual": _recurrence_residual},
+    "bifurcate": {"raw_orbit": verify.raw_orbit},
+    "strain": {"recurrence_residual": verify.recurrence_residual},
 }
 
 

@@ -17,10 +17,12 @@ terms and, when asked, where the step attains its averages. The table
 integrates each step's profile with the embedded G4/K9 Gauss-Kronrod
 pair, a fixed table of nodes and weights (``K9_NODES``, ``K9_WEIGHTS``,
 ``G4_WEIGHTS``), bisecting intervals until both averages settle; each
-row records the nodes it took and the profile values of its final
-intervals, and steps that exhaust the interval budget are listed as
-unsettled. ``localize`` brackets each average from those values, in the
-process that computed the row.
+row records how many nodes it took, and steps that exhaust the interval
+budget are listed as unsettled. With localization, the process that
+computed a row hands the step's profile operator and the profile values
+at the K9 nodes of its final intervals to ``localize``, which brackets
+each average from those values; the table keeps the points found, not
+the nodes.
 
 Curvature values carry inverse-step-size units (they are compared
 against the threshold 2/eta).
@@ -101,6 +103,10 @@ G4_WEIGHTS = _read_only([
 QUADRATURE_RTOL = 1e-9
 QUADRATURE_MAX_INTERVALS = 128
 
+# ``localize`` takes a step's profile for constant when its known values
+# span at most this much.
+CONSTANT_PROFILE_TOL = 1e-10
+
 # ``curvature_table`` deals its steps to its processes in chunks of this
 # many consecutive non-degenerate steps, so a table of at most this many
 # steps forks nothing.
@@ -121,8 +127,9 @@ class CurvatureTable:
     quadrature hit the interval budget before it settled.
 
     ``rbar_exact`` is d_k^T (g_{k+1} - g_k) / ||d_k||^2, exact by the
-    fundamental theorem of calculus, and ``rtilde_exact`` is
-    2 (L_{k+1} - L_k + ||d_k||^2 / eta) / ||d_k||^2, the GD loss change
+    fundamental theorem of calculus, ``delta_L`` is the loss change
+    L_{k+1} - L_k, and ``rtilde_exact`` is
+    2 (delta_L + ||d_k||^2 / eta) / ||d_k||^2, the GD loss change
     L_{k+1} - L_k = -||d_k||^2 / eta + (1/2) d_k^T Htilde d_k rearranged.
     ``proxy`` is the trajectory-only loss-change proxy
     -d_k . (d_k + d_{k+1}) / (2 eta), exact on quadratics,
@@ -134,15 +141,11 @@ class CurvatureTable:
     ``np.sqrt(step_norm_sq)`` is ||d_k|| bitwise: in binary floating
     point the rounded square root of a rounded square is its argument.
 
-    The table keeps the K9 nodes of each row's final intervals and the
-    profile values there: row i's are
-    ``node_tau[node_start[i]:node_start[i + 1]]``, ascending and interior
-    to (0, 1), and ``node_q`` at the same places (``profile(i)``). The
-    row's rbar and rtilde are combinations of those values whose
-    coefficients are positive and sum to 1.
-
     A table built with ``localize`` holds where each step attains its
-    averages (``localize``): ``xi`` where the profile equals rtilde,
+    averages, found by ``localize`` from the profile values at the nodes
+    of the row's final quadrature intervals, of which the row's rbar and
+    rtilde are combinations with positive coefficients summing to 1:
+    ``xi`` where the profile equals rtilde,
     ``zeta`` where it equals rbar, ``q_xi`` the profile value at xi, and
     ``lambda_max_xi`` the largest Hessian eigenvalue there
     (``localized_sharpness``). These four are NaN in every row of a table
@@ -157,6 +160,7 @@ class CurvatureTable:
     rtilde: Array
     rbar_exact: Array
     rtilde_exact: Array
+    delta_L: Array
     proxy: Array
     two_step_norm: Array
     inner_next: Array
@@ -168,14 +172,6 @@ class CurvatureTable:
     nodes: NDArray[np.int64]
     skipped: list[int]
     unsettled: list[int]
-    node_start: NDArray[np.int64]
-    node_tau: Array
-    node_q: Array
-
-    def profile(self, i: int) -> tuple[Array, Array]:
-        """(nodes, profile values) of row i."""
-        lo, hi = self.node_start[i], self.node_start[i + 1]
-        return self.node_tau[lo:hi], self.node_q[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -211,8 +207,8 @@ def _intervals(profile, spans) -> list[tuple]:
 
 
 def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
-    """(rbar, rtilde, profile nodes, settled, final nodes, their values)
-    of one step.
+    """(rbar, rtilde, profile nodes, settled, profile operator, final
+    nodes, their values) of one step.
 
     The profile is integrated by the embedded G4/K9 pair: rbar = sum w_i q_i
     and rtilde = sum 2 (1 - tau_i) w_i q_i from the K9 values, and
@@ -235,16 +231,18 @@ def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
         if settled or len(parts) >= QUADRATURE_MAX_INTERVALS:
             nodes = len(K9_NODES) * (2 * len(parts) - 1)
             *_, taus, qs = zip(*parts)
-            return rbar, rtilde, nodes, settled, np.concatenate(taus), np.concatenate(qs)
+            return (rbar, rtilde, nodes, settled, profile,
+                    np.concatenate(taus), np.concatenate(qs))
         i = int(np.argmax([max(p[4] / tol_bar, p[5] / tol_tilde) for p in parts]))
         a, h = parts[i][:2]
         parts[i:i + 1] = _intervals(profile, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
 
 
-def _localized(model: LossModel, log: TrajectoryLog, k: int,
-               rbar: float, rtilde: float, profile: tuple[Array, Array]) -> tuple:
+def _localized(model: LossModel, log: TrajectoryLog, k: int, rbar: float,
+               rtilde: float, profile, taus: Array, qs: Array) -> tuple:
     """(xi, zeta, q(xi), lambda_max(xi), profile nodes, Lanczos products,
-    None) of step k, localized from its row's ``profile``; where the
+    None) of step k, localized on its quadrature's ``profile`` operator
+    from the values ``qs`` at its final nodes ``taus``; where the
     localization raises, the four points are NaN and the last entry is
     the exception. A Brent or Lanczos iteration that does not converge is
     a NonConvergenceError naming the step, a non-finite profile value or
@@ -254,7 +252,7 @@ def _localized(model: LossModel, log: TrajectoryLog, k: int,
     work = Counter()
     points, failure = (math.nan,) * 4, None
     try:
-        rec_t, rec_b = localize(model, log, k, (rtilde, rbar), profile, work=work)
+        rec_t, rec_b = localize(profile, k, (rtilde, rbar), taus, qs, work=work)
         points = (rec_t.point, rec_b.point, rec_t.q_at_point,
                   localized_sharpness(model, log, rec_t, work))
     except LocalizationError as exc:
@@ -267,23 +265,20 @@ def _localized(model: LossModel, log: TrajectoryLog, k: int,
             failure)
 
 
-_NOT_LOCALIZED = (math.nan,) * 4 + (0, 0, None)
-
-
 def _row(model: LossModel, log: TrajectoryLog, k: int, localized: bool) -> tuple:
-    """(rbar, rtilde, profile nodes, settled, final nodes, their values)
-    of non-degenerate step k, the nodes and values as raw float64 bytes,
-    followed by the step's ``_localized`` entries, or NaN points and no
-    work when not ``localized``. A non-finite profile value of the
-    quadrature raises EvaluationError naming the step."""
+    """(rbar, rtilde, profile nodes, settled) of non-degenerate step k,
+    followed, when ``localized``, by the step's ``_localized`` entries,
+    from the profile operator and final nodes of its quadrature. A
+    non-finite profile value of the quadrature raises EvaluationError
+    naming the step."""
     try:
-        rbar, rtilde, count, settled, taus, qs = _segment_averages(
+        rbar, rtilde, count, settled, *final = _segment_averages(
             model, log.w(k), log.step(k))
     except EvaluationError as exc:
         raise EvaluationError(f"curvature table, step {k}: {exc}") from exc
-    where = (_localized(model, log, k, rbar, rtilde, (taus, qs)) if localized
-             else _NOT_LOCALIZED)
-    return rbar, rtilde, count, settled, taus.tobytes(), qs.tobytes(), *where
+    if not localized:
+        return rbar, rtilde, count, settled
+    return rbar, rtilde, count, settled, *_localized(model, log, k, rbar, rtilde, *final)
 
 
 def curvature_table(model: LossModel, log: TrajectoryLog,
@@ -294,14 +289,14 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
 
     Derives each step increment once, for its norm, the exact routes and
     the two-step terms, and integrates each step's directional curvature
-    profile adaptively (``_segment_averages``), keeping each row's final
-    nodes and profile values. Degenerate steps are skipped; their
-    contribution to every weighted sum is below the rounding floor by
-    construction. With ``localize``, each step is then localized from its
-    row's profile values (``localize``, ``localized_sharpness``) in the
-    process that integrated it, filling ``xi``, ``zeta``, ``q_xi`` and
-    ``lambda_max_xi``; a step whose localization fails gets NaN there
-    and its exception in ``localization_errors``.
+    profile adaptively (``_segment_averages``). Degenerate steps are
+    skipped; their contribution to every weighted sum is below the
+    rounding floor by construction. With ``localize``, each step is then
+    localized (``localize``, ``localized_sharpness``) in the process that
+    integrated it, on the profile operator of its quadrature and from the
+    profile values at the nodes of its final intervals, filling ``xi``,
+    ``zeta``, ``q_xi`` and ``lambda_max_xi``; a step whose localization
+    fails gets NaN there and its exception in ``localization_errors``.
 
     The rows are computed in up to ``workers`` processes, by default one
     per CPU this process may run on, which take chunks of _CHUNK_STEPS
@@ -316,9 +311,9 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
     """
     eta = log.eta
     ks, skipped = [], []
-    # Column i holds row i's step_norm_sq, rbar_exact, rtilde_exact and
-    # three two-step terms, which stay NaN at the last step.
-    cols = np.full((6, log.num_steps), np.nan)
+    # Column i holds row i's step_norm_sq, rbar_exact, rtilde_exact,
+    # delta_L and three two-step terms, which stay NaN at the last step.
+    cols = np.full((7, log.num_steps), np.nan)
     steps = itertools.chain((log.step(k) for k in range(log.num_steps)), [None])
     for k, (d, d_next) in enumerate(itertools.pairwise(steps)):
         nd = float(np.linalg.norm(d))
@@ -328,17 +323,21 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
         nsq = nd ** 2
         delta_l = float(log.losses[k + 1] - log.losses[k])
         col = cols[:, len(ks)]
-        col[:3] = (nsq, float(d @ (log.grads[k + 1] - log.grads[k])) / nsq,
-                   2.0 * (delta_l + nsq / eta) / nsq)
+        col[:4] = (nsq, float(d @ (log.grads[k + 1] - log.grads[k])) / nsq,
+                   2.0 * (delta_l + nsq / eta) / nsq, delta_l)
         if d_next is not None:
             two_step = d + d_next
-            col[3:] = (-float(d @ two_step) / (2.0 * eta),
+            col[4:] = (-float(d @ two_step) / (2.0 * eta),
                        float(np.linalg.norm(two_step)), float(d_next @ d))
         ks.append(k)
     with OrderedMap(lambda k: _row(model, log, k, localize), ks, _CHUNK_STEPS,
                     workers) as rows:
-        (rbars, rtildes, nodes, settled, taus, qs, *points,
-         loc_nodes, products, failures) = zip(*rows) if ks else [()] * 13
+        columns = list(zip(*rows)) or [()] * (11 if localize else 4)
+    rbars, rtildes, nodes, settled = columns[:4]
+    # Rows of a table built without localization hold only their
+    # quadrature entries: NaN points, no work and no failure.
+    *points, loc_nodes, products, failures = (
+        columns[4:] or [(math.nan,) * len(ks)] * 4 + [(), (), ()])
     if work is not None:
         work["curvature_table_workers"] = max(work["curvature_table_workers"],
                                               rows.processes)
@@ -346,42 +345,37 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
             work["localization_profile_nodes"] += sum(loc_nodes)
             work["lanczos_products"] += sum(products)
     norms_sq, *routes = cols[:, :len(ks)]
-    node_start = [0] + [len(t) // K9_NODES.itemsize for t in taus]
     return CurvatureTable(np.array(ks, dtype=np.int64), norms_sq,
                           np.array(rbars), np.array(rtildes), *routes,
                           *(np.array(col, dtype=np.float64) for col in points),
                           {k: exc for k, exc in zip(ks, failures) if exc is not None},
                           np.array(nodes, dtype=np.int64), skipped,
-                          [k for k, ok in zip(ks, settled) if not ok],
-                          np.cumsum(node_start, dtype=np.int64),
-                          np.frombuffer(b"".join(taus)), np.frombuffer(b"".join(qs)))
+                          [k for k, ok in zip(ks, settled) if not ok])
 
 
-def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
-             profile: tuple[Array, Array], tol: float = 1e-10,
+def localize(profile, k: int, targets, taus: Array, qs: Array,
              work: Counter | None = None) -> list[LocalizationRecord]:
-    """Interior points of step k where the profile attains each target.
+    """Interior points of step k where its profile attains each target.
 
-    ``profile`` holds profile values q_i at ascending interior nodes
-    tau_i, the step's row of the run's ``curvature_table``
-    (``CurvatureTable.profile``). Each target is an average of the step
-    (its rtilde and/or rbar in that table): a combination of the q_i with
+    ``profile`` is the step's ``segment_profile`` operator, and ``qs``
+    its values at the ascending interior nodes ``taus``: in
+    ``curvature_table``, the K9 nodes of the final intervals of the
+    step's quadrature. Each target is an average of the step (its rtilde
+    and/or rbar by that quadrature): a combination of the q_i with
     positive coefficients summing to 1. So q_i - target changes sign
     between two adjacent nodes or vanishes at a node, unless every q_i
     lies within rounding of the target.
 
-    One record is returned per target. If the q_i span at most ``tol``
-    the profile counts as constant and every target gets the
-    conventional midpoint 0.5. Otherwise a target is decided at its
-    leftmost event: a node where q equals it exactly, or a sign change
-    between adjacent nodes refined by Brent's method, whichever lies
-    further left. A target the nodes do not bracket, one that is no such
-    average, raises LocalizationError naming the step. The step's
-    ``segment_profile`` evaluates each further tau once per call; the
-    number it evaluates is added to ``work["localization_profile_nodes"]``.
+    One record is returned per target. If the q_i span at most
+    CONSTANT_PROFILE_TOL the profile counts as constant and every target
+    gets the conventional midpoint 0.5. Otherwise a target is decided at
+    its leftmost event: a node where q equals it exactly, or a sign
+    change between adjacent nodes refined by Brent's method, whichever
+    lies further left. A target the nodes do not bracket, one that is no
+    such average, raises LocalizationError naming the step. ``profile``
+    evaluates each further tau once per call; the number it evaluates is
+    added to ``work["localization_profile_nodes"]``.
     """
-    step_profile = model.segment_profile(log.w(k), log.step(k))
-    taus, qs = profile
     # Brent re-evaluates its bracket ends and the root is read back:
     # evaluate each tau once per call.
     memo = dict(zip(taus.tolist(), qs.tolist()))
@@ -389,7 +383,7 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
 
     def q(t: float) -> float:
         if t not in memo:
-            memo[t] = float(step_profile((t,))[0])
+            memo[t] = float(profile((t,))[0])
         return memo[t]
 
     def event(target):
@@ -407,7 +401,7 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
                           float(taus[i]), float(taus[i + 1]), tol=1e-14)
         return LocalizationRecord(k, root, target, q(root), False)
 
-    if float(qs.max() - qs.min()) <= tol:
+    if float(qs.max() - qs.min()) <= CONSTANT_PROFILE_TOL:
         records = [LocalizationRecord(k, 0.5, target, q(0.5), True) for target in targets]
     else:
         records = [event(target) for target in targets]
@@ -418,7 +412,7 @@ def localize(model: LossModel, log: TrajectoryLog, k: int, targets,
             f"no interior point found for step {k} "
             f"(target {targets[records.index(None)]:g}): its {len(taus)} "
             "profile nodes neither bracket the target nor lie within "
-            f"{tol:g} of constant")
+            f"{CONSTANT_PROFILE_TOL:g} of constant")
     return records
 
 
@@ -666,7 +660,6 @@ def write_metrics_csv(log: TrajectoryLog, table: CurvatureTable, path) -> None:
         if k + 1 < log.num_steps:
             two_step = [float(table.proxy[i]), float(ratios[i])]
         rows.append([k, float(table.step_norm_sq[i]), float(table.rbar[i]),
-                     float(table.rtilde[i]), *where,
-                     float(log.losses[k + 1] - log.losses[k]), *two_step,
+                     float(table.rtilde[i]), *where, float(table.delta_L[i]), *two_step,
                      float(table.rbar_exact[i]), float(table.rtilde_exact[i])])
     write_csv(path, header, rows)

@@ -5,9 +5,10 @@ route agreement, telescoping balance, localization, branch scaling,
 stability mechanisms, strain recurrence, noisy balance) at its pinned
 tolerance and reports the measured residuals; the CLI `verify`
 subcommand and the acceptance tests run these. Each per-run theorem is
-one function of a GD run (``THEOREMS``, applied to a ``gd_run``), which
-the suite applies to the bundled runs and ``verify --run-dir`` to the
-runs a command hands over as it replays a directory.
+one function of a run, which the suite applies to the bundled runs and
+``verify --run-dir`` to the runs a command hands over as it replays a
+directory: ``THEOREMS`` of a GD run (a ``gd_run``), ``raw_orbit`` of a
+sweep's continuation points and ``recurrence_residual`` of a strain.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from . import bifurcation, edge_metrics, loss_models, stability_kv, trajectory
 from .numerics import dense_eigvalsh, lambda_max_iter
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "CHECKS", "THEOREMS",
-           "GdRun", "gd_run", "telescoping_tolerance"]
+           "GdRun", "gd_run", "raw_orbit", "recurrence_residual",
+           "telescoping_tolerance"]
 
 
 @dataclass
@@ -146,6 +148,23 @@ THEOREMS = {name: _gd_run(theorem) for name, theorem in (
     ("telescoping_balance", _telescoping_balance), ("near_periodicity", _near_periodicity),
     ("recoil", _recoil), ("run_length_caps", _run_length_caps),
     ("localization", _localization))}
+
+
+def raw_orbit(points) -> tuple[bool, dict]:
+    """Every continuation point of a sweep is a period-two orbit of the raw
+    GD map, to RAW_ORBIT_TOL (``BranchPoint.raw_ok``)."""
+    return all(p.raw_ok for p in points), {
+        "max_raw_residual": max((p.raw_residual for p in points), default=None),
+        "tolerance": bifurcation.RAW_ORBIT_TOL,
+        "failed_etas": [p.eta for p in points if not p.raw_ok]}
+
+
+def recurrence_residual(strain) -> tuple[bool, dict]:
+    """Every step of a StrainLog's recurrence within STRAIN_RTOL
+    max(1, ||delta_k||), the tolerance its quadrature settles to."""
+    return not strain.unsettled, {
+        "max_recurrence_residual": float(strain.residual.max()) if strain.num_steps else None,
+        "tolerance": stability_kv.STRAIN_RTOL, "unsettled_steps": strain.unsettled}
 
 
 def _apply(theorem, runs: dict) -> tuple[bool, dict]:
@@ -290,7 +309,7 @@ def _check_scalar_pitchfork():
     exact = np.sqrt(1.0 - 2.0 / etas)
     rel = float(np.max(np.abs(amps - exact) / exact))
     slope = bifurcation.fit_scaling_exponent(etas, amps, 2.0)
-    raw_ok = all(p.raw_ok for p in points)
+    raw_ok, _ = raw_orbit(points)
     passed = (not lost) and rel <= 1e-8 and abs(slope - 0.5) <= 0.02 and raw_ok
     return passed, {"amplitude_relative_error": rel, "amplitude_tolerance": 1e-8,
                     "exponent": slope, "exponent_window": 0.02,
@@ -433,8 +452,9 @@ def _check_kelvin_voigt():
     details, ok = {}, True
     worst_prop = worst_bound = 0.0
     for name, s in strains.items():
-        details[f"{name}_recurrence_residual"] = float(s.residual.max())
-        ok &= not s.unsettled
+        settled, recurrence = recurrence_residual(s)
+        details[f"{name}_recurrence_residual"] = recurrence["max_recurrence_residual"]
+        ok &= settled
         err = (np.linalg.norm(s.propagated - s.delta, axis=1)
                / (1.0 + np.linalg.norm(s.delta, axis=1)))
         worst_prop = max(worst_prop, float(err.max()))

@@ -178,8 +178,9 @@ class TestRunCommand:
         beyond the curvature table's and the Lanczos products of its
         sharpness estimates (dim 98 > 64), which the table's processes
         tally: the sums of what ``localize`` and ``localized_sharpness``
-        count when each step is localized in turn from the rows of a
-        table built without localization."""
+        count when each step is localized in turn, from the targets of a
+        table built without localization and the final nodes of the
+        step's quadrature."""
         out = tmp_path / "out"
         model_cfg = {"kind": "mlp", "widths": [3, 16, 2], "activation": "tanh",
                      "dataset": {"seed": 0, "n": 12, "d_in": 3, "d_out": 2}}
@@ -193,8 +194,9 @@ class TestRunCommand:
         table = em.curvature_table(model, log)
         work = collections.Counter()
         for i, k in enumerate(table.k):
-            rec, _ = em.localize(model, log, int(k), (table.rtilde[i], table.rbar[i]),
-                                 table.profile(i), work=work)
+            *_, profile, taus, qs = em._segment_averages(model, log.w(k), log.step(k))
+            rec, _ = em.localize(profile, int(k), (table.rtilde[i], table.rbar[i]),
+                                 taus, qs, work=work)
             em.localized_sharpness(model, log, rec, work)
         assert timings["localization_profile_nodes"] == work["localization_profile_nodes"]
         assert timings["lanczos_products"] == work["lanczos_products"] > 4 * 2
@@ -1472,8 +1474,9 @@ class TestFailureContract:
             os.waitpid(-1, os.WNOHANG)
 
     def test_localization_without_crossing(self, tmp_path, capsys, monkeypatch):
-        """Profile values above every target at the table's nodes (the
-        curvatures are integrated before the values are shifted)."""
+        """Profile values above every target at the final nodes of each
+        step's quadrature (the curvatures are integrated before the values
+        are shifted)."""
         averages = em._segment_averages
 
         def above(model, w, d):

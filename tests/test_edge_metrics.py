@@ -76,11 +76,16 @@ class _CurvatureModel(LossModel):
         return self.curv(float(w[0])) * np.asarray(v)
 
 
-def _unit_segment_log():
-    """One step from 0 to 1 (gradient -1 at eta 1), so tau is the point itself."""
-    return TrajectoryLog(eta=1.0, model_id="unit", losses=np.zeros(2),
-                         grads=np.array([[-1.0], [0.0]]),
-                         w_stored=np.array([[0.0], [1.0]]))
+def _unit_segment_profile(model):
+    """Profile operator of the 1-D step from 0 to 1, so tau is the point itself."""
+    return model.segment_profile(np.array([0.0]), np.array([1.0]))
+
+
+def _quadrature(model, log, k):
+    """(rbar, rtilde, profile nodes, settled, profile operator, final
+    nodes, their values) of step k, as its curvature-table row computes
+    them."""
+    return em._segment_averages(model, log.w(k), log.step(k))
 
 
 @pytest.fixture(scope="module")
@@ -245,23 +250,23 @@ class TestProfileAndLocalization:
                                    np.polyval(poly, others), atol=1e-12)
 
     def test_localize_constant_profile_midpoint(self):
-        """The table's profile values span less than tol: the midpoint 0.5,
-        itself a node of the table's one K9 interval, so nothing is
-        evaluated."""
+        """The quadrature's profile values span less than
+        CONSTANT_PROFILE_TOL: the midpoint 0.5, itself a node of the
+        quadrature's one K9 interval, so nothing more is evaluated."""
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, 1.0]), 0.5, 5)
-        table = em.curvature_table(model, log)
         counted = _CountingModel(model)
-        [rec] = em.localize(counted, log, 0, (table.rtilde[0],), table.profile(0))
+        _, rtilde, nodes, _, profile, taus, qs = _quadrature(counted, log, 0)
+        assert counted.calls == nodes == 9
+        [rec] = em.localize(profile, 0, (rtilde,), taus, qs)
         assert rec.constant_profile and rec.point == 0.5
-        assert counted.calls == 0
+        assert counted.calls == nodes
 
     def test_localize_linear_profile_closed_form(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 3)
-        table = em.curvature_table(model, log)
-        xi, zeta = em.localize(model, log, 0, (table.rtilde[0], table.rbar[0]),
-                               table.profile(0), tol=1e-12)
+        rbar, rtilde, _, _, profile, taus, qs = _quadrature(model, log, 0)
+        xi, zeta = em.localize(profile, 0, (rtilde, rbar), taus, qs)
         assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert zeta.point == pytest.approx(0.5, abs=1e-8)
         assert abs(xi.q_at_point - xi.target) <= 1e-10
@@ -270,7 +275,8 @@ class TestProfileAndLocalization:
         model, log = mlp_run
         table = em.curvature_table(model, log)
         for k in range(0, log.num_steps, 17):
-            [rec] = em.localize(model, log, k, (table.rtilde[k],), table.profile(k))
+            *_, profile, taus, qs = _quadrature(model, log, k)
+            [rec] = em.localize(profile, k, (table.rtilde[k],), taus, qs)
             lam = em.localized_sharpness(model, log, rec)
             assert lam >= rec.target - 1e-8
 
@@ -302,27 +308,25 @@ class TestProfileAndLocalization:
 
     def test_two_targets_match_single_target_calls(self, mlp_run):
         model, log = mlp_run
-        table = em.curvature_table(model, log)
         for k in range(0, log.num_steps, 23):
-            targets, profile = (table.rtilde[k], table.rbar[k]), table.profile(k)
-            single = [rec for t in targets
-                      for rec in em.localize(model, log, k, (t,), profile)]
-            assert em.localize(model, log, k, targets, profile) == single
+            rbar, rtilde, _, _, profile, taus, qs = _quadrature(model, log, k)
+            single = [rec for t in (rtilde, rbar)
+                      for rec in em.localize(profile, k, (t,), taus, qs)]
+            assert em.localize(profile, k, (rtilde, rbar), taus, qs) == single
 
     def test_each_tau_evaluated_once(self, mlp_run):
-        """From the table's profile, localization evaluates only Brent's
-        points, one per call, none of them a table node (Brent's bracket
-        ends are) and none twice (the root is read back). ``work`` counts
-        them."""
+        """From the final nodes of the step's quadrature, localization
+        evaluates on the quadrature's operator only Brent's points, one
+        per call, none of them a final node (Brent's bracket ends are)
+        and none twice (the root is read back). ``work`` counts them."""
         model, log = mlp_run
-        table = em.curvature_table(model, log)
         for k in (0, 5, 60):
-            targets = (table.rtilde[k], table.rbar[k])
-            taus, _ = table.profile(k)
+            counted, work = _CountingModel(model), Counter()
+            rbar, rtilde, _, _, profile, taus, qs = _quadrature(counted, log, k)
             w, d = log.w(k), log.step(k)
             table_points = {(w + t * d).tobytes() for t in taus}
-            counted, work = _CountingModel(model), Counter()
-            em.localize(counted, log, k, targets, table.profile(k), work=work)
+            counted.calls, counted.sizes, counted.points = 0, [], []
+            em.localize(profile, k, (rtilde, rbar), taus, qs, work=work)
             assert set(counted.sizes) == {1}
             assert len(set(counted.points)) == counted.calls
             assert work == {"localization_profile_nodes": counted.calls}
@@ -338,8 +342,8 @@ class TestProfileAndLocalization:
         for taus, point in (([0.05, 0.11, 0.125, 0.3], 0.1),
                             ([0.112, 0.125, 0.3], 0.125)):
             taus = np.array(taus)
-            profile = (taus, np.array([curv(t) for t in taus]))
-            [rec] = em.localize(model, _unit_segment_log(), 0, (0.0,), profile)
+            [rec] = em.localize(_unit_segment_profile(model), 0, (0.0,), taus,
+                                np.array([curv(t) for t in taus]))
             assert rec.point == pytest.approx(point, abs=1e-12)
             assert not rec.constant_profile
 
@@ -348,8 +352,8 @@ class TestProfileAndLocalization:
         and changes sign nowhere else: the node is the point, and q there
         is the target."""
         model = _CurvatureModel(lambda x: x - 0.5)
-        profile = (em.K9_NODES, em.K9_NODES - 0.5)
-        [rec] = em.localize(model, _unit_segment_log(), 0, (0.0,), profile)
+        [rec] = em.localize(_unit_segment_profile(model), 0, (0.0,), em.K9_NODES,
+                            em.K9_NODES - 0.5)
         assert rec.point == 0.5 and rec.q_at_point == 0.0
 
     def test_unbracketed_target_raises_localization_error(self):
@@ -360,17 +364,19 @@ class TestProfileAndLocalization:
         taus = em.K9_NODES
         counted = _CountingModel(model)
         with pytest.raises(em.LocalizationError, match="step 0") as info:
-            em.localize(counted, _unit_segment_log(), 0, (1.0,), (taus, 2.0 + taus))
+            em.localize(_unit_segment_profile(counted), 0, (1.0,), taus, 2.0 + taus)
         assert isinstance(info.value, RuntimeError)
         assert counted.sizes == []
 
     def test_bundled_tables_bracket_both_targets(self):
         """Both averages of every row of every bundled run's quadrature
-        table lie between its least and largest profile value (so adjacent
-        nodes bracket them), or the row is constant within 1e-10."""
+        table lie between the least and largest profile value at the final
+        nodes of the row's quadrature (so adjacent nodes bracket them), or
+        the row is constant within 1e-10."""
         for name, (model, log, table, _) in verify._bundle().items():
-            for i in range(len(table.k)):
-                _, qs = table.profile(i)
+            for i, k in enumerate(table.k):
+                rbar, rtilde, *_, qs = _quadrature(model, log, k)
+                assert (rbar, rtilde) == (table.rbar[i], table.rtilde[i])
                 if qs.max() - qs.min() <= 1e-10:
                     continue
                 for target in (table.rtilde[i], table.rbar[i]):
@@ -518,11 +524,10 @@ class TestEosOnset:
         n, none = len(r), np.full(len(r), np.nan)
         return em.CurvatureTable(
             k=np.arange(n), step_norm_sq=np.ones(n), rbar=r, rtilde=r,
-            rbar_exact=r, rtilde_exact=r, proxy=none, two_step_norm=none,
-            inner_next=none, xi=none, zeta=none, q_xi=none, lambda_max_xi=none,
-            localization_errors={}, nodes=np.zeros(n, dtype=np.int64), skipped=[],
-            unsettled=[], node_start=np.zeros(1, dtype=np.int64),
-            node_tau=np.empty(0), node_q=np.empty(0))
+            rbar_exact=r, rtilde_exact=r, delta_L=none, proxy=none,
+            two_step_norm=none, inner_next=none, xi=none, zeta=none, q_xi=none,
+            lambda_max_xi=none, localization_errors={},
+            nodes=np.zeros(n, dtype=np.int64), skipped=[], unsettled=[])
 
     def test_first_crossing(self):
         r = np.array([1.0, 2.0, 3.79, 3.81, 3.5])
@@ -595,7 +600,8 @@ class TestMetricsCsv:
     def test_exact_columns_are_the_exact_routes(self, mlp_run, tmp_path):
         """Bit for bit the table's gradient-difference and loss-change
         routes, which are d^T (g_{k+1} - g_k) / ||d||^2 and
-        2 (delta_L + ||d||^2 / eta) / ||d||^2."""
+        2 (delta_L + ||d||^2 / eta) / ||d||^2, with the table's
+        delta_L = L_{k+1} - L_k."""
         model, log = mlp_run
         table = em.curvature_table(model, log)
         cells = self._exact_columns(model, log, tmp_path, table)
@@ -605,6 +611,7 @@ class TestMetricsCsv:
             assert float(rbar) == table.rbar_exact[k] == \
                 float(d @ (log.grads[k + 1] - log.grads[k])) / nsq
             delta_l = float(log.losses[k + 1] - log.losses[k])
+            assert table.delta_L[k] == delta_l
             assert float(rtilde) == table.rtilde_exact[k] == \
                 2.0 * (delta_l + nsq / log.eta) / nsq
 
@@ -763,18 +770,20 @@ class TestParallelTable:
     def test_localized_columns(self, mlp_run):
         """Localized in the table's processes (dim 75, so by Lanczos), each
         row's xi, zeta, q(xi) and lambda_max(xi) are bitwise those of
-        ``localize`` and ``localized_sharpness`` called in turn on the rows
-        of a table built without localization, whose four columns are NaN,
-        for one process and two; ``work`` counts the same profile nodes and
-        Lanczos products."""
+        ``localize`` and ``localized_sharpness`` called in turn on each
+        step's quadrature and the targets of a table built without
+        localization, whose four columns are NaN, for one process and two;
+        ``work`` counts the same profile nodes and Lanczos products, and
+        every other column is that of the table built without it."""
         model, log = mlp_run
         plain = em.curvature_table(model, log, workers=1)
         assert all(np.isnan(c).all() for c in (plain.xi, plain.zeta, plain.q_xi,
                                                plain.lambda_max_xi))
         serial, expected = Counter(), []
         for i, k in enumerate(plain.k):
-            rec_t, rec_b = em.localize(model, log, int(k), (plain.rtilde[i], plain.rbar[i]),
-                                       plain.profile(i), work=serial)
+            *_, profile, taus, qs = _quadrature(model, log, k)
+            rec_t, rec_b = em.localize(profile, int(k), (plain.rtilde[i], plain.rbar[i]),
+                                       taus, qs, work=serial)
             expected.append((rec_t.point, rec_b.point, rec_t.q_at_point,
                              em.localized_sharpness(model, log, rec_t, serial)))
         tables = []
@@ -788,7 +797,35 @@ class TestParallelTable:
         got = np.column_stack([table.xi, table.zeta, table.q_xi, table.lambda_max_xi])
         assert got.tobytes() == np.array(expected).tobytes()
         assert table.localization_errors == {}
-        assert table.node_q.tobytes() == plain.node_q.tobytes()
+        _assert_same_table(dataclasses.replace(
+            table, xi=plain.xi, zeta=plain.zeta, q_xi=plain.q_xi,
+            lambda_max_xi=plain.lambda_max_xi), plain)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_profile_operator_per_localized_row(self, gelu_run, tmp_path,
+                                                    workers):
+        """A localized table builds each step's profile operator once, for
+        its quadrature and its localization alike, in whichever process
+        computes the row: the builds, logged to a file by every process,
+        name each row's step once."""
+        model, log = gelu_run
+        path = tmp_path / "builds"
+
+        class Logged:
+            def __getattr__(self, name):
+                return getattr(model, name)
+
+            def segment_profile(self, w, d):
+                with open(path, "a") as fh:
+                    fh.write(w.tobytes().hex() + "\n")
+                return model.segment_profile(w, d)
+
+        work = Counter()
+        table = em.curvature_table(Logged(), log, work, localize=True, workers=workers)
+        assert work["curvature_table_workers"] == workers
+        assert table.localization_errors == {} and len(table.k) == 12
+        assert Counter(path.read_text().split()) == {
+            log.w(k).tobytes().hex(): 1 for k in table.k}
 
     def test_unbracketed_steps_fail_alike(self, gelu_run, monkeypatch, tmp_path):
         """Profile values above every target at the nodes of steps 3 and 5

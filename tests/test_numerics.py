@@ -203,8 +203,9 @@ class TestBrentMatchesBrentq:
 
         monkeypatch.setattr(em, "brent_root", both)
         for i in range(0, len(table.k), 15):
-            em.localize(model, log, int(table.k[i]), (table.rtilde[i], table.rbar[i]),
-                        table.profile(i))
+            k = int(table.k[i])
+            *_, profile, taus, qs = em._segment_averages(model, log.w(k), log.step(k))
+            em.localize(profile, k, (table.rtilde[i], table.rbar[i]), taus, qs)
         assert len(compared) >= 30 and all(compared)
 
 
