@@ -60,8 +60,9 @@ def _config_values(path: str):
 
 @contextlib.contextmanager
 def _allocation(path: str):
-    """Report logs too large to allocate, which only a run can find out,
-    as a config error at ``path``, the count that sizes them."""
+    """Report logs or per-step buffers too large to allocate, which only a
+    run can find out, as a config error at ``path``, the count that sizes
+    them."""
     try:
         yield
     except MemoryError as exc:
@@ -370,28 +371,39 @@ def cmd_run(resolved: dict, out: Path, sink=None) -> tuple[int, dict]:
     wall = {"runner": 0.0, "curvature_table": 0.0, "reports": 0.0}
     work = collections.Counter(localization_profile_nodes=0, lanczos_products=0,
                                curvature_table_workers=0)
-    with _timed(wall, "runner"), _allocation("steps"):
-        log = trajectory.run_gd(model, w0, resolved["eta"], resolved["steps"])
+    run, table = _run_table(model, w0, resolved["eta"], resolved["steps"], wall, work,
+                            localize=resolved["localize"])
     with _timed(wall, "reports"):
-        trajectory.write_trajectory_csv(log, out / "trajectory.csv")
-    with _timed(wall, "curvature_table"):
-        table = edge_metrics.curvature_table(model, log, work,
-                                             localize=resolved["localize"])
-    with _timed(wall, "reports"):
-        edge_metrics.write_metrics_csv(log, table, out / "metrics.csv")
-        report = edge_metrics.edge_balance_report(model, log, table,
+        trajectory.write_trajectory_csv(run, out / "trajectory.csv")
+        edge_metrics.write_metrics_csv(run, table, out / "metrics.csv")
+        report = edge_metrics.edge_balance_report(model, run, table,
                                                   deltas=resolved["deltas"])
-        summary = trajectory.run_summary(log)
-        summary["onset_step"] = edge_metrics.eos_onset(table, log.eta)
+        summary = trajectory.run_summary(run)
+        summary["onset_step"] = edge_metrics.eos_onset(table, run.eta)
         summary["num_unsettled_steps"] = len(table.unsettled)
         _write_json(out / "balance_report.json", report.to_dict())
         _write_json(out / "summary.json", summary)
     if sink is not None:
-        sink(model, log, table)
+        sink(model, run, table)
     timings = {"wall_s": wall, "curvature_table_nodes": int(table.nodes.sum()),
                "unsettled_steps": len(table.unsettled), **work}
     unsettled = _unsettled_exit(_steps(table.unsettled))
-    return EXIT_DIVERGENCE if log.diverged else unsettled, timings
+    return EXIT_DIVERGENCE if run.diverged else unsettled, timings
+
+
+def _run_table(model, w0, eta: float, steps: int, wall: dict,
+               work: collections.Counter, localize: bool = False):
+    """(the finished ``StepStream`` of a GD run, its curvature table),
+    the table read from the stream as the runner takes the steps, so no
+    (steps + 1, dim) log is held. ``wall["runner"]`` gets the runner's
+    seconds and ``wall["curvature_table"]`` the rest. Per-step buffers
+    too large to allocate are a config error at ``steps``."""
+    with _allocation("steps"), _timed(wall, "curvature_table"):
+        run = trajectory.StepStream(model, w0, eta, steps)
+        table = edge_metrics.curvature_table(model, run, work, localize=localize)
+    wall["runner"] += run.seconds
+    wall["curvature_table"] -= run.seconds
+    return run, table
 
 
 def _steps(ks) -> str:
@@ -426,30 +438,27 @@ def _resolve_balance(cfg: dict) -> dict:
 
 def _balance_one(model, w0, eta, resolved, out: Path, idx: int,
                  wall: dict, work: collections.Counter, sink) -> dict:
-    with _timed(wall, "runner"), _allocation("steps"):
-        log = trajectory.run_gd(model, w0, eta, resolved["steps"])
-    with _timed(wall, "curvature_table"):
-        table = edge_metrics.curvature_table(model, log, work)
+    run, table = _run_table(model, w0, eta, resolved["steps"], wall, work)
     work["curvature_table_nodes"] += int(table.nodes.sum())
     with _timed(wall, "reports"):
-        report = edge_metrics.edge_balance_report(model, log, table)
-        running, forcing = edge_metrics.running_balance(model, log, table)
-        rows = [[k, mean, None if np.isnan(bound) else bound]
-                for k, mean, bound in zip(table.k, running, forcing)]
+        report = edge_metrics.edge_balance_report(model, run, table)
+        running, forcing = edge_metrics.running_balance(model, run, table)
+        rows = ([k, mean, None if np.isnan(bound) else bound]
+                for k, mean, bound in zip(table.k, running, forcing))
         write_csv(out / f"balance_eta{idx}.csv",
                   ["k", "running_weighted_mean", "forcing_bound"], rows)
 
-        rows = [[k, delta_l, proxy]
+        rows = ([k, delta_l, proxy]
                 for k, delta_l, proxy in zip(table.k, table.delta_L, table.proxy)
-                if k + 1 < log.num_steps]
+                if k + 1 < run.num_steps)
         write_csv(out / f"scatter_eta{idx}.csv", ["k", "actual_delta_L", "proxy"], rows)
     if sink is not None:
-        sink(model, log, table)
+        sink(model, run, table)
     return {"eta": eta, "weighted_mean": report.weighted_mean,
             "threshold": 2.0 / eta,
             "identity_residual": report.identity_residual,
             "unsettled_steps": table.unsettled,
-            "diverged": log.diverged}
+            "diverged": run.diverged}
 
 
 def cmd_balance(resolved: dict, out: Path, sink=None) -> tuple[int, dict]:
@@ -688,9 +697,10 @@ def _first_mismatch(name: str, stored: bytes, replayed: bytes) -> dict | None:
 
 
 # The checks of ``verify --run-dir`` by command, applied to what the command
-# hands to its sink: the ``verify.gd_run`` of the (model, log, table) of a
-# run or of each step size of a balance, the continuation points of a
-# sweep, a strain's StrainLog. A localized run adds ``localization``.
+# hands to its sink: the ``verify.GdRun`` (model, finished step stream,
+# table) of a run or of each step size of a balance, the continuation
+# points of a sweep, a strain's StrainLog. A localized run adds
+# ``localization``.
 _RUN_DIR_CHECKS = {
     "run": {name: verify.THEOREMS[name] for name in (
         "telescoping_balance", "near_periodicity", "recoil", "run_length_caps")},
@@ -727,7 +737,7 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
 
     def sink(*run):
         if command in ("run", "balance"):
-            run = (verify.gd_run(*run),)
+            run = (verify.GdRun(*run),)
         for name, check in checks.items():
             start = time.perf_counter()
             passed, details = check(*run)

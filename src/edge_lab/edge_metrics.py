@@ -9,9 +9,10 @@ directional curvature profile q(tau) = u^T H(w_k + tau d_k) u. Taking
 rtilde from the quadrature makes the telescoping balance identity a
 genuine test instead of a tautology.
 
-``curvature_table`` walks a run once, and every consumer (balance
-report, metrics CSV, balance scatter, the noisy balance, the per-run
-theorems of ``verify``) reads its per-step rows. Each row holds both
+``curvature_table`` walks a run's steps once, as the runner takes them
+(a ``StepStream``) or from a log, and every consumer (balance report,
+metrics CSV, balance scatter, the noisy balance, the per-run theorems of
+``verify``) reads its per-step rows. Each row holds both
 averages by quadrature, both by the exact routes, the step's two-step
 terms and, when asked, where the step attains its averages. The table
 integrates each step's profile with the embedded G4/K9 Gauss-Kronrod
@@ -30,6 +31,7 @@ against the threshold 2/eta).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -38,12 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from ._procmap import OrderedMap
+from ._procmap import OrderedMap, cpu_count
 from .loss_models import LossModel
 from .numerics import (BracketError, EvaluationError, NonConvergenceError,
                        brent_root, dense_eigvalsh,
                        lambda_max_iter, uniform_rule)
-from .trajectory import StochasticTrajectoryLog, TrajectoryLog, write_csv
+from .trajectory import StepStream, StochasticTrajectoryLog, TrajectoryLog, write_csv
 
 __all__ = [
     "DEGENERATE_STEP",
@@ -107,9 +109,9 @@ QUADRATURE_MAX_INTERVALS = 128
 # span at most this much.
 CONSTANT_PROFILE_TOL = 1e-10
 
-# ``curvature_table`` deals its steps to its processes in chunks of this
-# many consecutive non-degenerate steps, so a table of at most this many
-# steps forks nothing.
+# ``curvature_table`` deals its steps to its processes in chunks of at most
+# this many consecutive non-degenerate steps, and a run of at most this
+# many steps forks nothing.
 _CHUNK_STEPS = 32
 
 
@@ -152,6 +154,11 @@ class CurvatureTable:
     built without it, and in a row whose localization failed;
     ``localization_errors`` maps each such step k to the exception its
     localization raised, in step order.
+
+    ``first_off_step`` is the first step k whose iterate w_{k+1} is not
+    w_k + d_k, bitwise as the runner writes it (None if there is none):
+    the steps are the increments the runner applied, so this ties the
+    rows to the iterates of a log.
     """
 
     k: NDArray[np.int64]
@@ -172,6 +179,7 @@ class CurvatureTable:
     nodes: NDArray[np.int64]
     skipped: list[int]
     unsettled: list[int]
+    first_off_step: int | None = None
 
 
 @dataclass(frozen=True)
@@ -238,23 +246,23 @@ def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
         parts[i:i + 1] = _intervals(profile, [(a, h / 2.0), (a + h / 2.0, h / 2.0)])
 
 
-def _localized(model: LossModel, log: TrajectoryLog, k: int, rbar: float,
+def _localized(model: LossModel, k: int, w: Array, d: Array, rbar: float,
                rtilde: float, profile, taus: Array, qs: Array) -> tuple:
     """(xi, zeta, q(xi), lambda_max(xi), profile nodes, Lanczos products,
-    None) of step k, localized on its quadrature's ``profile`` operator
-    from the values ``qs`` at its final nodes ``taus``; where the
-    localization raises, the four points are NaN and the last entry is
-    the exception. A Brent or Lanczos iteration that does not converge is
-    a NonConvergenceError naming the step, a non-finite profile value or
-    an invalid bracket in Brent's method an EvaluationError or
-    BracketError naming the step, and a target the nodes do not bracket a
-    LocalizationError."""
+    None) of step k from w along d, localized on its quadrature's
+    ``profile`` operator from the values ``qs`` at its final nodes
+    ``taus``; where the localization raises, the four points are NaN and
+    the last entry is the exception. A Brent or Lanczos iteration that
+    does not converge is a NonConvergenceError naming the step, a
+    non-finite profile value or an invalid bracket in Brent's method an
+    EvaluationError or BracketError naming the step, and a target the
+    nodes do not bracket a LocalizationError."""
     work = Counter()
     points, failure = (math.nan,) * 4, None
     try:
         rec_t, rec_b = localize(profile, k, (rtilde, rbar), taus, qs, work=work)
         points = (rec_t.point, rec_b.point, rec_t.q_at_point,
-                  localized_sharpness(model, log, rec_t, work))
+                  localized_sharpness(model, w, d, rec_t, work))
     except LocalizationError as exc:
         failure = exc
     except NonConvergenceError as exc:
@@ -265,73 +273,94 @@ def _localized(model: LossModel, log: TrajectoryLog, k: int, rbar: float,
             failure)
 
 
-def _row(model: LossModel, log: TrajectoryLog, k: int, localized: bool) -> tuple:
-    """(rbar, rtilde, profile nodes, settled) of non-degenerate step k,
-    followed, when ``localized``, by the step's ``_localized`` entries,
-    from the profile operator and final nodes of its quadrature. A
-    non-finite profile value of the quadrature raises EvaluationError
-    naming the step."""
+def _row(model: LossModel, localized: bool, item: tuple) -> tuple:
+    """(rbar, rtilde, profile nodes, settled) of the non-degenerate step
+    ``item`` = (k, w_k, d_k), followed, when ``localized``, by the step's
+    ``_localized`` entries, from the profile operator and final nodes of
+    its quadrature. A non-finite profile value of the quadrature raises
+    EvaluationError naming the step."""
+    k, w, d = item
     try:
-        rbar, rtilde, count, settled, *final = _segment_averages(
-            model, log.w(k), log.step(k))
+        rbar, rtilde, count, settled, *final = _segment_averages(model, w, d)
     except EvaluationError as exc:
         raise EvaluationError(f"curvature table, step {k}: {exc}") from exc
     if not localized:
         return rbar, rtilde, count, settled
-    return rbar, rtilde, count, settled, *_localized(model, log, k, rbar, rtilde, *final)
+    return rbar, rtilde, count, settled, *_localized(model, k, w, d, rbar, rtilde, *final)
 
 
-def curvature_table(model: LossModel, log: TrajectoryLog,
+def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
                     work: Counter | None = None,
                     *, localize: bool = False,
                     workers: int | None = None) -> CurvatureTable:
     """Per-step table of a run, in one pass over its steps.
 
-    Derives each step increment once, for its norm, the exact routes and
-    the two-step terms, and integrates each step's directional curvature
-    profile adaptively (``_segment_averages``). Degenerate steps are
-    skipped; their contribution to every weighted sum is below the
-    rounding floor by construction. With ``localize``, each step is then
-    localized (``localize``, ``localized_sharpness``) in the process that
-    integrated it, on the profile operator of its quadrature and from the
-    profile values at the nodes of its final intervals, filling ``xi``,
-    ``zeta``, ``q_xi`` and ``lambda_max_xi``; a step whose localization
-    fails gets NaN there and its exception in ``localization_errors``.
+    ``run`` is a ``StepStream``, whose steps the table reads as the
+    runner takes them, or a log, which supplies the same steps from its
+    rows. The walk holds two consecutive steps at a time: from step k
+    and step k + 1 it takes the norm of d_k the step carries, the exact
+    routes and the two-step terms, and checks that w_{k+1} is
+    w_k + d_k bitwise (``first_off_step``). Each step's directional
+    curvature profile is integrated adaptively (``_segment_averages``).
+    Degenerate steps are skipped; their contribution to every weighted
+    sum is below the rounding floor by construction. With ``localize``,
+    each step is then localized (``localize``, ``localized_sharpness``)
+    in the process that integrated it, on the profile operator of its
+    quadrature and from the profile values at the nodes of its final
+    intervals, filling ``xi``, ``zeta``, ``q_xi`` and ``lambda_max_xi``;
+    a step whose localization fails gets NaN there and its exception in
+    ``localization_errors``.
 
     The rows are computed in up to ``workers`` processes, by default one
-    per CPU this process may run on, which take chunks of _CHUNK_STEPS
-    consecutive steps on demand (``OrderedMap``); the table is the same
-    for any count. ``work["curvature_table_workers"]`` becomes the
-    largest number of processes a table has used; with ``localize``, the
-    profile nodes localization evaluated beyond the table's and the
-    Lanczos products of its sharpness estimates are added to
+    per CPU this process may run on, which take chunks of consecutive
+    steps on demand (``OrderedMap``), each chunk's (k, w_k, d_k) sent
+    along; a run of at most _CHUNK_STEPS steps forks nothing. A chunk
+    holds at most _CHUNK_STEPS steps and at most a quarter of each
+    process's share of the run's ``max_steps``, so the last round of
+    chunks leaves no process long idle. The table is the same for any
+    count. ``work["curvature_table_workers"]`` becomes the largest
+    number of processes a table has used; with ``localize``, the profile
+    nodes localization evaluated beyond the table's and the Lanczos
+    products of its sharpness estimates are added to
     ``work["localization_profile_nodes"]`` and ``work["lanczos_products"]``.
     A non-finite profile value of the quadrature raises EvaluationError
     naming the step.
     """
-    eta = log.eta
-    ks, skipped = [], []
+    eta, K = run.eta, run.max_steps
+    workers = 1 if K <= _CHUNK_STEPS else (workers or cpu_count())
+    chunk = min(_CHUNK_STEPS, -(-K // (4 * workers)))
+    ks, skipped, off = [], [], None
     # Column i holds row i's step_norm_sq, rbar_exact, rtilde_exact,
-    # delta_L and three two-step terms, which stay NaN at the last step.
-    cols = np.full((7, log.num_steps), np.nan)
-    steps = itertools.chain((log.step(k) for k in range(log.num_steps)), [None])
-    for k, (d, d_next) in enumerate(itertools.pairwise(steps)):
-        nd = float(np.linalg.norm(d))
-        if nd < DEGENERATE_STEP:
-            skipped.append(k)
-            continue
-        nsq = nd ** 2
-        delta_l = float(log.losses[k + 1] - log.losses[k])
-        col = cols[:, len(ks)]
-        col[:4] = (nsq, float(d @ (log.grads[k + 1] - log.grads[k])) / nsq,
-                   2.0 * (delta_l + nsq / eta) / nsq, delta_l)
-        if d_next is not None:
-            two_step = d + d_next
-            col[4:] = (-float(d @ two_step) / (2.0 * eta),
-                       float(np.linalg.norm(two_step)), float(d_next @ d))
-        ks.append(k)
-    with OrderedMap(lambda k: _row(model, log, k, localize), ks, _CHUNK_STEPS,
-                    workers) as rows:
+    # delta_L and three two-step terms, which are NaN at the last step. A
+    # column is written as its row is made, so a run that ends early
+    # touches no more of the buffer than its rows.
+    cols = np.empty((7, K))
+
+    def steps():
+        """(k, w_k, d_k) of each non-degenerate step, its columns filled."""
+        nonlocal off
+        for s, s_next in itertools.pairwise(run):
+            d, d_next = s.d, s_next.d
+            if off is None and not (s_next.w == s.w + d).all():
+                off = s.k
+            if s.norm < DEGENERATE_STEP:
+                skipped.append(s.k)
+                continue
+            nsq = s.norm ** 2
+            delta_l = float(s_next.loss - s.loss)
+            col = cols[:, len(ks)]
+            col[:4] = (nsq, float(d @ (s_next.grad - s.grad)) / nsq,
+                       2.0 * (delta_l + nsq / eta) / nsq, delta_l)
+            col[4:] = math.nan
+            if d_next is not None:
+                two_step = d + d_next
+                col[4:] = (-float(d @ two_step) / (2.0 * eta),
+                           float(np.linalg.norm(two_step)), float(d_next @ d))
+            ks.append(s.k)
+            yield s.k, s.w, d
+
+    with OrderedMap(functools.partial(_row, model, localize), steps(), chunk,
+                    workers, count=K) as rows:
         columns = list(zip(*rows)) or [()] * (11 if localize else 4)
     rbars, rtildes, nodes, settled = columns[:4]
     # Rows of a table built without localization hold only their
@@ -350,7 +379,7 @@ def curvature_table(model: LossModel, log: TrajectoryLog,
                           *(np.array(col, dtype=np.float64) for col in points),
                           {k: exc for k, exc in zip(ks, failures) if exc is not None},
                           np.array(nodes, dtype=np.int64), skipped,
-                          [k for k, ok in zip(ks, settled) if not ok])
+                          [k for k, ok in zip(ks, settled) if not ok], off)
 
 
 def localize(profile, k: int, targets, taus: Array, qs: Array,
@@ -416,10 +445,11 @@ def localize(profile, k: int, targets, taus: Array, qs: Array,
     return records
 
 
-def localized_sharpness(model: LossModel, log: TrajectoryLog,
+def localized_sharpness(model: LossModel, w: Array, d: Array,
                         rec: LocalizationRecord,
                         work: Counter | None = None) -> float:
-    """Largest Hessian eigenvalue at the localized interior point.
+    """Largest Hessian eigenvalue at the localized interior point
+    w + rec.point d of the step from w along d.
 
     Dense eigenvalues for small models, otherwise Lanczos seeded
     with the step direction (so the estimate is at least the directional
@@ -427,8 +457,7 @@ def localized_sharpness(model: LossModel, log: TrajectoryLog,
     directions the operator applies, the symmetry spot-check's two
     included, are added to ``work["lanczos_products"]``.
     """
-    d = log.step(rec.k)
-    w_pt = log.w(rec.k) + rec.point * d
+    w_pt = w + rec.point * d
     if model.dim <= 64:
         return float(dense_eigvalsh(model.hessian_dense(w_pt))[-1])
     u = d / float(np.linalg.norm(d))
@@ -491,41 +520,42 @@ class EdgeBalanceReport:
         }
 
 
-def _forcing_bound(model: LossModel, log: TrajectoryLog, E):
+def _forcing_bound(model: LossModel, run: TrajectoryLog | StepStream, E):
     """2/eta - 2 (L_0 - L_inf) / E at step weights E > 0; NaN if L_inf is unknown."""
     if model.inf_value is None:
         return E * float("nan")
-    return 2.0 / log.eta - 2.0 * (float(log.losses[0]) - model.inf_value) / E
+    return 2.0 / run.eta - 2.0 * (float(run.losses[0]) - model.inf_value) / E
 
 
-def edge_balance_report(model: LossModel, log: TrajectoryLog,
+def edge_balance_report(model: LossModel, run: TrajectoryLog | StepStream,
                         table: CurvatureTable,
                         deltas=None) -> EdgeBalanceReport:
     """Telescoping balance, signed decomposition and window masses.
 
     Reads rtilde and the step weights ||d_k||^2 from ``table`` (the run's
-    ``curvature_table``), which already leaves out degenerate steps.
+    ``curvature_table``), which already leaves out degenerate steps, and
+    the losses from ``run``, a log or a finished stream.
     """
-    eta = log.eta
+    eta = run.eta
     thr = 2.0 / eta
     if deltas is None:
         deltas = [0.05 * thr, 0.1 * thr, 0.5 * thr]
     rtildes, weights = table.rtilde, table.step_norm_sq
 
     E_K = float(weights.sum())
-    loss_drop = float(log.losses[0] - log.losses[-1])
+    loss_drop = float(run.losses[0] - run.losses[-1])
     lhs = float(np.sum(weights * (thr - rtildes)))
     identity_residual = abs(lhs - 2.0 * loss_drop)
     weighted_mean = float(np.sum(weights * rtildes) / E_K) if E_K > 0 else float("nan")
 
-    forcing = _forcing_bound(model, log, E_K) if E_K > 0 else float("nan")
+    forcing = _forcing_bound(model, run, E_K) if E_K > 0 else float("nan")
 
     dev = thr - rtildes
     B_minus = float(np.sum(weights * np.clip(dev, 0.0, None)))
     B_plus = float(np.sum(weights * np.clip(-dev, 0.0, None)))
 
-    gap = 2.0 * (float(log.losses[0]) - (model.inf_value if model.inf_value is not None
-                                         else float(log.losses[-1])))
+    gap = 2.0 * (float(run.losses[0]) - (model.inf_value if model.inf_value is not None
+                                         else float(run.losses[-1])))
     windows = {}
     for delta in deltas:
         sub = float(np.sum(weights[rtildes <= thr - delta]))
@@ -537,13 +567,13 @@ def edge_balance_report(model: LossModel, log: TrajectoryLog,
             sub_bound=(gap + B_plus) / delta, super_bound=B_plus / delta)
 
     return EdgeBalanceReport(
-        eta=eta, K=log.num_steps, E_K=E_K, loss_drop=loss_drop,
+        eta=eta, K=run.num_steps, E_K=E_K, loss_drop=loss_drop,
         identity_residual=identity_residual, weighted_mean=weighted_mean,
         forcing_bound=forcing, max_rtilde=float(rtildes.max()) if rtildes.size else float("nan"),
         B_minus=B_minus, B_plus=B_plus, windows=windows, table=table)
 
 
-def running_balance(model: LossModel, log: TrajectoryLog,
+def running_balance(model: LossModel, run: TrajectoryLog | StepStream,
                     table: CurvatureTable) -> tuple[Array, Array]:
     """Running weighted mean curvature sum w_j rtilde_j / E_i and forcing
     bound 2/eta - 2 (L_0 - L_inf) / E_i at each table row i, E_i summing
@@ -551,7 +581,7 @@ def running_balance(model: LossModel, log: TrajectoryLog,
     least the bound, which is NaN when ``model.inf_value`` is unknown."""
     cum_w = np.cumsum(table.step_norm_sq)
     running = np.cumsum(table.step_norm_sq * table.rtilde) / cum_w
-    return running, _forcing_bound(model, log, cum_w)
+    return running, _forcing_bound(model, run, cum_w)
 
 
 def eos_onset(table: CurvatureTable, eta: float) -> int | None:
@@ -623,9 +653,11 @@ def sgd_balance_report(model: LossModel,
                             max_propagator_residual=max_prop)
 
 
-def write_metrics_csv(log: TrajectoryLog, table: CurvatureTable, path) -> None:
+def write_metrics_csv(run: TrajectoryLog | StepStream, table: CurvatureTable,
+                      path) -> None:
     """Per-step metrics table, written from the columns of ``table``, the
-    run's ``curvature_table``.
+    run's ``curvature_table``, and the step norms of ``run``, a log or a
+    finished stream.
 
     Columns: k, step_norm_sq, rbar, rtilde, xi, zeta, lambda_max_xi,
     delta_L, proxy, return_ratio, rbar_exact, rtilde_exact. Each
@@ -646,20 +678,19 @@ def write_metrics_csv(log: TrajectoryLog, table: CurvatureTable, path) -> None:
               "delta_L", "proxy", "return_ratio", "rbar_exact", "rtilde_exact"]
     row_of = {int(k): i for i, k in enumerate(table.k)}
     ratios = table.two_step_norm / np.sqrt(table.step_norm_sq)
-    rows = []
-    for k in range(log.num_steps):
+
+    def row(k):
         i = row_of.get(k)
         if i is None:
-            nd = float(np.linalg.norm(log.step(k)))
-            rows.append([k, nd * nd] + [None] * (len(header) - 2))
-            continue
+            nd = float(run.step_norms[k])
+            return [k, nd * nd] + [None] * (len(header) - 2)
         where = [float(table.xi[i]), float(table.zeta[i]), float(table.lambda_max_xi[i])]
         if math.isnan(where[0]):
             where = [None] * 3
         two_step = [None, None]
-        if k + 1 < log.num_steps:
+        if k + 1 < run.num_steps:
             two_step = [float(table.proxy[i]), float(ratios[i])]
-        rows.append([k, float(table.step_norm_sq[i]), float(table.rbar[i]),
-                     float(table.rtilde[i]), *where, float(table.delta_L[i]), *two_step,
-                     float(table.rbar_exact[i]), float(table.rtilde_exact[i])])
-    write_csv(path, header, rows)
+        return [k, float(table.step_norm_sq[i]), float(table.rbar[i]),
+                float(table.rtilde[i]), *where, float(table.delta_L[i]), *two_step,
+                float(table.rbar_exact[i]), float(table.rtilde_exact[i])]
+    write_csv(path, header, map(row, range(run.num_steps)))

@@ -1,16 +1,25 @@
-"""Gradient-descent runners and per-step trajectory logs.
+"""Gradient-descent runners, their step streams and per-step trajectory logs.
 
 Deterministic full-batch GD, noisy SGD (Gaussian or mini-batch residual
-noise), and synchronized two-objective pairs. Logs keep every iterate,
-loss and gradient (and the SGD noise) densely; a step increment is not
-stored but derived from its logged gradient by the runner's own
-expression, so it is the increment the runner applied, bit for bit.
+noise), and synchronized two-objective pairs. One runner, ``StepStream``,
+produces a run's steps one at a time and keeps only its per-step
+scalars, so a consumer that reads each step as it comes (the curvature
+table) holds O(dim) arrays. ``run_gd`` and ``run_sgd`` collect that
+stream into a log, which keeps every iterate, loss and gradient (and the
+SGD noise) densely; a log's step increment is not stored but derived
+from its logged gradient by the runner's own expression, so it is the
+increment the runner applied, bit for bit. A log supplies the same
+stream of steps from its stored rows.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import time
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -19,6 +28,8 @@ from .loss_models import LossModel, MlpModel
 from .numerics import MACHINE_EPS
 
 __all__ = [
+    "Step",
+    "StepStream",
     "TrajectoryLog",
     "StochasticTrajectoryLog",
     "PairedLog",
@@ -38,6 +49,93 @@ LOSS_DIVERGENCE = 1e12
 ITERATE_DIVERGENCE = 1e8
 
 
+class Step(NamedTuple):
+    """Step k of a run: the iterate w_k, its loss and gradient, and the
+    increment d_k the runner applied to it, with ||d_k|| and, in SGD, the
+    gradient noise eps_k in it. At the run's last iterate ``d``, ``norm``
+    and ``noise`` are None."""
+
+    k: int
+    w: Array
+    loss: float
+    grad: Array
+    d: Array | None
+    norm: float | None
+    noise: Array | None
+
+
+class StepStream:
+    """A GD or SGD run as the stream of its ``Step``s, taken as they are
+    read; iterate it once.
+
+    Step k is yielded once w_{k+1} is known to be within the divergence
+    limits: the first iterate past them ends the run without a step into
+    it, at ``divergence_step``, as the log of ``run_gd`` is truncated.
+    Iterating keeps only O(dim) arrays and fills the run's per-step
+    scalars: ``losses`` and ``grad_norms`` of iterates 0..n and
+    ``step_norms`` ||d_k|| of steps 0..n - 1, buffers of the
+    ``max_steps`` + 1 iterates a run may reach, cut to the run once the
+    stream ends, together with ``num_steps`` n, ``diverged`` and
+    ``divergence_step``. ``seconds`` adds up the wall time spent taking
+    the steps. With ``noise`` the increment is -eta (grad_k + eps_k),
+    else -eta grad_k, the expression of the log's ``step``.
+    """
+
+    def __init__(self, model: LossModel, w0: Array, eta: float, K: int,
+                 noise: NoiseSource | None = None):
+        if eta <= 0:
+            raise ValueError("eta must be positive")
+        if K < 1:
+            raise ValueError("K must be at least 1")
+        w = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
+        if w.shape != (model.dim,):
+            raise ValueError(f"w0 must have dimension {model.dim}")
+        self.eta, self.model_id, self.dim, self.max_steps = float(eta), model.name, model.dim, K
+        self.losses, self.grad_norms = np.empty(K + 1), np.empty(K + 1)
+        self.step_norms = np.empty(K)
+        self.num_steps: int | None = None
+        self.divergence_step: int | None = None
+        self.seconds = 0.0
+        self._steps = self._take(model, w, noise)
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_step is not None
+
+    def __iter__(self) -> Iterator[Step]:
+        return self._steps
+
+    def _take(self, model, w, noise) -> Iterator[Step]:
+        eta, k = self.eta, 0
+        start = time.perf_counter()
+        loss, g = model.value_and_grad(w)
+        if _diverged(np.array([loss]), w[None])[0]:
+            self.divergence_step = 0
+        while True:
+            g = np.array(g, dtype=float)
+            self.losses[k], self.grad_norms[k] = loss, np.linalg.norm(g)
+            d = norm = eps = None
+            if self.divergence_step is None and k < self.max_steps:
+                eps = None if noise is None else noise.sample(model, w, g)
+                d = -eta * g if eps is None else -eta * (g + eps)
+                w_next = w + d
+                loss, g_next = model.value_and_grad(w_next)
+                if _diverged(np.array([loss]), w_next[None])[0]:
+                    self.divergence_step = k + 1
+                    d = eps = None
+                else:
+                    self.step_norms[k] = norm = float(np.linalg.norm(d))
+            self.seconds += time.perf_counter() - start
+            yield Step(k, w, self.losses[k], g, d, norm, eps)
+            start = time.perf_counter()
+            if d is None:
+                break
+            k, w, g = k + 1, w_next, g_next
+        self.num_steps = k
+        self.losses, self.grad_norms = self.losses[:k + 1], self.grad_norms[:k + 1]
+        self.step_norms = self.step_norms[:k]
+
+
 @dataclass
 class TrajectoryLog:
     """Complete per-step record of a gradient-descent run.
@@ -45,6 +143,8 @@ class TrajectoryLog:
     Iterates (``w_stored``), losses and gradients are stored for every
     step 0..K. ``step(k)`` is the increment the runner applied,
     w_{k+1} = w_k + step(k) bitwise, derived from ``grads[k]``.
+    Iterating a log yields the ``Step``s of its stored rows, those its
+    ``StepStream`` yielded.
     """
 
     eta: float
@@ -59,9 +159,33 @@ class TrajectoryLog:
     def num_steps(self) -> int:
         return self.w_stored.shape[0] - 1
 
+    # A log's steps are all there is: a consumer that sizes its work by the
+    # steps a stream may reach reads ``max_steps`` of either.
+    max_steps = num_steps
+
     @property
     def dim(self) -> int:
         return self.grads.shape[1]
+
+    @functools.cached_property
+    def grad_norms(self) -> Array:
+        return np.array([np.linalg.norm(g) for g in self.grads])
+
+    @functools.cached_property
+    def step_norms(self) -> Array:
+        """||step(k)|| of each step k, each computed once."""
+        return np.array([np.linalg.norm(self.step(k)) for k in range(self.num_steps)])
+
+    def __iter__(self) -> Iterator[Step]:
+        n = self.num_steps
+        for k in range(n + 1):
+            d = self.step(k) if k < n else None
+            yield Step(k, self.w_stored[k], self.losses[k], self.grads[k], d,
+                       None if d is None else float(self.step_norms[k]),
+                       self._noise(k) if k < n else None)
+
+    def _noise(self, k: int) -> Array | None:
+        return None
 
     def w(self, k: int) -> Array:
         if not 0 <= k <= self.num_steps:
@@ -88,6 +212,9 @@ class StochasticTrajectoryLog(TrajectoryLog):
         """Increment of step k, -eta (grad_k + eps_k), a new array."""
         self._check_step(k)
         return -self.eta * (self.grads[k] + self.noise[k])
+
+    def _noise(self, k: int) -> Array:
+        return self.noise[k]
 
 
 @dataclass
@@ -183,12 +310,13 @@ class NoiseSource:
 
 
 def run_gd(model: LossModel, w0: Array, eta: float, K: int) -> TrajectoryLog:
-    """Full-batch gradient descent for K steps.
+    """Full-batch gradient descent for K steps: the ``StepStream`` of the
+    run, collected.
 
     On divergence (non-finite or exploding loss/iterate) the log is
     truncated at the offending step and flagged.
     """
-    return _run(model, w0, eta, K, noise=None)
+    return _collect(StepStream(model, w0, eta, K))
 
 
 def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
@@ -197,49 +325,26 @@ def run_sgd(model: LossModel, w0: Array, eta: float, K: int,
 
     The noise actually applied at each step is recorded verbatim.
     """
-    return _run(model, w0, eta, K, noise=noise)
+    return _collect(StepStream(model, w0, eta, K, noise=noise), noisy=True)
 
 
-def _run(model, w0, eta, K, noise):
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    w = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
-    if w.shape != (model.dim,):
-        raise ValueError(f"w0 must have dimension {model.dim}")
-
-    # One buffer per logged quantity, filled in place; on divergence the
-    # log keeps the prefix of the n steps taken. Each increment is the
-    # expression of the log's ``step``, so the log re-derives it bitwise.
-    eta = float(eta)
-    losses = np.empty(K + 1)
-    grads = np.empty((K + 1, model.dim))
-    noises = np.empty((K, model.dim)) if noise is not None else None
-    iterates = np.empty((K + 1, model.dim))
-    iterates[0] = w
-    losses[0], grads[0] = model.value_and_grad(w)
-    n = 0
-    div_step = 0 if _diverged(losses[:1], iterates[:1])[0] else None
-    while div_step is None and n < K:
-        if noise is not None:
-            noises[n] = noise.sample(model, w, grads[n])
-            w = w + -eta * (grads[n] + noises[n])
-        else:
-            w = w + -eta * grads[n]
-        loss, g = model.value_and_grad(w)
-        if _diverged(np.array([loss]), w[None])[0]:
-            div_step = n + 1
-            break
-        n += 1
-        losses[n], grads[n], iterates[n] = loss, g, w
-
+def _collect(stream: StepStream, noisy: bool = False):
+    """The log of every step of ``stream``, filled into one buffer per
+    logged quantity and cut to the steps taken."""
+    K, dim = stream.max_steps, stream.dim
+    grads = np.empty((K + 1, dim))
+    iterates = np.empty((K + 1, dim))
+    noises = np.empty((K, dim)) if noisy else None
+    for step in stream:
+        iterates[step.k], grads[step.k] = step.w, step.grad
+        if step.noise is not None:
+            noises[step.k] = step.noise
+    n = stream.num_steps
     kwargs = dict(
-        eta=eta, model_id=model.name,
-        losses=losses[:n + 1], grads=grads[:n + 1],
-        w_stored=iterates[:n + 1],
-        diverged=div_step is not None, divergence_step=div_step)
-    if noise is not None:
+        eta=stream.eta, model_id=stream.model_id, losses=stream.losses,
+        grads=grads[:n + 1], w_stored=iterates[:n + 1],
+        diverged=stream.diverged, divergence_step=stream.divergence_step)
+    if noisy:
         return StochasticTrajectoryLog(noise=noises[:n], **kwargs)
     return TrajectoryLog(**kwargs)
 
@@ -268,27 +373,30 @@ def write_csv(path, header, rows) -> None:
     Every CSV output is written here, so its byte format is decided in one
     place: None is an empty field, a str is written as is, and a number
     is written with 17 significant digits (``.17g``), which round-trips
-    every float64.
+    every float64. Rows are written as they are read, so ``rows`` may be
+    a generator and no more than one row is held as text.
     """
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(map(_cell, row)) + "\r\n" for row in [header, *rows]))
+        fh.writelines(",".join(map(_cell, row)) + "\r\n"
+                      for row in itertools.chain([header], rows))
 
 
-def write_trajectory_csv(log: TrajectoryLog, path) -> None:
-    """Columns k, loss, grad_norm, step_norm."""
-    rows = [[k, log.losses[k], np.linalg.norm(log.grads[k]),
-             np.linalg.norm(log.step(k)) if k < log.num_steps else None]
-            for k in range(log.num_steps + 1)]
+def write_trajectory_csv(run: TrajectoryLog | StepStream, path) -> None:
+    """Columns k, loss, grad_norm, step_norm, from the per-step scalars of
+    a log or of a finished stream."""
+    rows = ([k, run.losses[k], run.grad_norms[k],
+             run.step_norms[k] if k < run.num_steps else None]
+            for k in range(run.num_steps + 1))
     write_csv(path, ["k", "loss", "grad_norm", "step_norm"], rows)
 
 
-def run_summary(log: TrajectoryLog) -> dict:
-    """JSON-ready run summary."""
+def run_summary(run: TrajectoryLog | StepStream) -> dict:
+    """JSON-ready run summary of a log or of a finished stream."""
     return {
-        "eta": log.eta,
-        "model": log.model_id,
-        "num_steps": log.num_steps,
-        "final_loss": float(log.losses[-1]),
-        "diverged": log.diverged,
-        "divergence_step": log.divergence_step,
+        "eta": run.eta,
+        "model": run.model_id,
+        "num_steps": run.num_steps,
+        "final_loss": float(run.losses[-1]),
+        "diverged": run.diverged,
+        "divergence_step": run.divergence_step,
     }

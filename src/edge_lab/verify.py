@@ -7,7 +7,7 @@ tolerance and reports the measured residuals; the CLI `verify`
 subcommand and the acceptance tests run these. Each per-run theorem is
 one function of a run, which the suite applies to the bundled runs and
 ``verify --run-dir`` to the runs a command hands over as it replays a
-directory: ``THEOREMS`` of a GD run (a ``gd_run``), ``raw_orbit`` of a
+directory: ``THEOREMS`` of a GD run (a ``GdRun``), ``raw_orbit`` of a
 sweep's continuation points and ``recurrence_residual`` of a strain.
 """
 
@@ -25,7 +25,7 @@ from . import bifurcation, edge_metrics, loss_models, stability_kv, trajectory
 from .numerics import dense_eigvalsh, lambda_max_iter
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "CHECKS", "THEOREMS",
-           "GdRun", "gd_run", "raw_orbit", "recurrence_residual",
+           "GdRun", "raw_orbit", "recurrence_residual",
            "telescoping_tolerance"]
 
 
@@ -60,44 +60,44 @@ def telescoping_tolerance(losses, is_mlp: bool) -> float:
     return 1e-8 * max(1.0, abs(float(losses[0])))
 
 
-# Per-run theorems, each (model, log, curvature table) -> (passed, details).
+# Per-run theorems, each (model, run, curvature table) -> (passed, details).
 
-def _telescoping_balance(model, log, table):
+def _telescoping_balance(model, run, table):
     """sum_k ||d_k||^2 (2/eta - rtilde_k) = 2 (L_0 - L_K), to ``telescoping_tolerance``."""
-    resid = edge_metrics.edge_balance_report(model, log, table).identity_residual
-    tol = telescoping_tolerance(log.losses, isinstance(model, loss_models.MlpModel))
+    resid = edge_metrics.edge_balance_report(model, run, table).identity_residual
+    tol = telescoping_tolerance(run.losses, isinstance(model, loss_models.MlpModel))
     return resid <= tol, {"residual": resid, "tolerance": tol,
                           "unsettled_steps": table.unsettled}
 
 
-def _near_periodicity(model, log, table):
+def _near_periodicity(model, run, table):
     """|rbar_k - 2/eta| <= ||w_{k+2} - w_k|| / (eta ||d_k||) + 1e-10 for k < K - 1."""
-    has_next = table.k + 1 < log.num_steps
-    lhs = np.abs(table.rbar_exact - 2.0 / log.eta)
-    rhs = table.two_step_norm / (log.eta * np.sqrt(table.step_norm_sq))
+    has_next = table.k + 1 < run.num_steps
+    lhs = np.abs(table.rbar_exact - 2.0 / run.eta)
+    rhs = table.two_step_norm / (run.eta * np.sqrt(table.step_norm_sq))
     worst = float(np.max((lhs - rhs)[has_next], initial=-np.inf))
     return worst <= 1e-10, {"max_lhs_minus_rhs": worst}
 
 
-def _recoil(model, log, table):
+def _recoil(model, run, table):
     """<d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2, relative to 1e-10, for k < K - 1."""
-    has_next = table.k + 1 < log.num_steps
+    has_next = table.k + 1 < run.num_steps
     nd_sq = table.step_norm_sq[has_next]
-    predicted = (1.0 - log.eta * table.rbar_exact[has_next]) * nd_sq
+    predicted = (1.0 - run.eta * table.rbar_exact[has_next]) * nd_sq
     scale = nd_sq * np.maximum(1.0, np.abs(predicted) / nd_sq)
     resid = np.abs(table.inner_next[has_next] - predicted) / scale
     worst = float(np.max(resid, initial=0.0))
     return worst <= 1e-10, {"max_relative_residual": worst}
 
 
-def _run_length_caps(model, log, table):
+def _run_length_caps(model, run, table):
     """No run of steps above 2/eta outlasts its ``supercritical_run_lengths`` cap."""
-    runs = stability_kv.supercritical_run_lengths(table, log.eta, log.num_steps)
-    over = [run for run in runs if run[1] > run[2]]
-    return not over, {"supercritical_runs": len(runs), "over_cap": over}
+    spells = stability_kv.supercritical_run_lengths(table, run.eta, run.num_steps)
+    over = [spell for spell in spells if spell[1] > spell[2]]
+    return not over, {"supercritical_runs": len(spells), "over_cap": over}
 
 
-def _localization(model, log, table):
+def _localization(model, run, table):
     """Each step's rtilde is attained inside it, where the sharpness is at
     least rtilde: the localization columns of a table built with
     ``localize``. A step whose localization failed is named with its
@@ -114,32 +114,24 @@ def _localization(model, log, table):
 
 
 class GdRun(NamedTuple):
-    """A GD run as the per-run theorems read it: model, log, curvature
-    table, and the first step k whose logged iterate w_{k+1} is not
-    w_k + step(k), bitwise as the runner writes it (None if there is none)."""
+    """A GD run as the per-run theorems read it: model, run (a log or a
+    finished ``StepStream``, of which they read the step size, the losses
+    and the step count) and curvature table."""
 
     model: loss_models.LossModel
-    log: trajectory.TrajectoryLog
+    run: trajectory.TrajectoryLog | trajectory.StepStream
     table: edge_metrics.CurvatureTable
-    first_off_step: int | None
-
-
-def gd_run(model, log, table) -> GdRun:
-    """The run with its iterates scanned once for ``first_off_step``."""
-    off = next((k for k in range(log.num_steps) if not np.array_equal(
-        log.w_stored[k + 1], log.w_stored[k] + log.step(k))), None)
-    return GdRun(model, log, table, off)
 
 
 def _gd_run(theorem):
-    """``theorem`` of a ``GdRun``, failing also where the run has a
+    """``theorem`` of a ``GdRun``, failing also where its table has a
     ``first_off_step``: the steps come from the logged gradients, and
     near-periodicity, recoil and the caps hold for any gradients, so this
     ties them to the iterates."""
     @functools.wraps(theorem)
     def check(run: GdRun):
-        passed, details = theorem(run.model, run.log, run.table)
-        off = run.first_off_step
+        passed, details = theorem(*run)
+        off = run.table.first_off_step
         return bool(passed) and off is None, dict(details, first_off_step=off)
     return check
 
@@ -201,7 +193,7 @@ def _models():
 
 def _gd(model, w0, eta: float, steps: int, localize: bool = False) -> GdRun:
     log = trajectory.run_gd(model, w0, eta, steps)
-    return gd_run(model, log, edge_metrics.curvature_table(model, log, localize=localize))
+    return GdRun(model, log, edge_metrics.curvature_table(model, log, localize=localize))
 
 
 @functools.cache
@@ -274,7 +266,7 @@ def _check_edge_balance_independent():
 @_timed
 def _check_mlp_saturation():
     """Weighted-mean curvature saturates at 2/eta; forcing bound at every K."""
-    mlp, log, table, _ = _mlp_eos_long()
+    mlp, log, table = _mlp_eos_long()
     eta = log.eta
     thr = 2.0 / eta
     lam0 = lambda_max_iter(mlp.hvp_at(log.w(0)), mlp.dim, seed=0)
@@ -377,7 +369,7 @@ def _check_linear_net_normal_form():
 def _check_near_periodicity():
     """Two-step return bound everywhere; MLP return ratio drops after onset."""
     ok, details = _apply(THEOREMS["near_periodicity"], _bundle())
-    _, log_m, table_m, _ = _mlp_eos_long()
+    _, log_m, table_m = _mlp_eos_long()
     onset = edge_metrics.eos_onset(table_m, log_m.eta)
     rows = (table_m.k >= onset) & (table_m.k + 1 < log_m.num_steps)
     ratios = table_m.two_step_norm[rows] / np.sqrt(table_m.step_norm_sq[rows])

@@ -15,7 +15,7 @@ from edge_lab.loss_models import (LossModel, MlpModel, make_mlp,
                                   make_synthetic_dataset,
                                   make_two_layer_linear, balanced_minimizer)
 from edge_lab.numerics import EvaluationError, NonConvergenceError, lambda_max_iter
-from edge_lab.trajectory import NoiseSource, TrajectoryLog, run_gd, run_sgd
+from edge_lab.trajectory import NoiseSource, StepStream, TrajectoryLog, run_gd, run_sgd
 
 
 class _CountingModel:
@@ -277,7 +277,7 @@ class TestProfileAndLocalization:
         for k in range(0, log.num_steps, 17):
             *_, profile, taus, qs = _quadrature(model, log, k)
             [rec] = em.localize(profile, k, (table.rtilde[k],), taus, qs)
-            lam = em.localized_sharpness(model, log, rec)
+            lam = em.localized_sharpness(model, log.w(k), log.step(k), rec)
             assert lam >= rec.target - 1e-8
 
     def test_localized_sharpness_reuses_one_linearization(self, mlp_run, monkeypatch):
@@ -302,7 +302,7 @@ class TestProfileAndLocalization:
 
         monkeypatch.setattr(MlpModel, "_forward", counting_forward)
         work = Counter()
-        assert em.localized_sharpness(model, log, rec, work) == per_call
+        assert em.localized_sharpness(model, log.w(5), d, rec, work) == per_call
         assert len(calls) == 1
         assert work == {"lanczos_products": len(products)} and len(products) > 2
 
@@ -373,7 +373,7 @@ class TestProfileAndLocalization:
         table lie between the least and largest profile value at the final
         nodes of the row's quadrature (so adjacent nodes bracket them), or
         the row is constant within 1e-10."""
-        for name, (model, log, table, _) in verify._bundle().items():
+        for name, (model, log, table) in verify._bundle().items():
             for i, k in enumerate(table.k):
                 rbar, rtilde, *_, qs = _quadrature(model, log, k)
                 assert (rbar, rtilde) == (table.rbar[i], table.rtilde[i])
@@ -785,7 +785,8 @@ class TestParallelTable:
             rec_t, rec_b = em.localize(profile, int(k), (plain.rtilde[i], plain.rbar[i]),
                                        taus, qs, work=serial)
             expected.append((rec_t.point, rec_b.point, rec_t.q_at_point,
-                             em.localized_sharpness(model, log, rec_t, serial)))
+                             em.localized_sharpness(model, log.w(k), log.step(k), rec_t,
+                                                    serial)))
         tables = []
         for workers in (1, 2):
             work = Counter()
@@ -862,3 +863,93 @@ class TestParallelTable:
         with pytest.raises(NonConvergenceError) as err:
             em.curvature_table(failing, log, workers=2)
         assert str(err.value) == "no convergence" and err.value.history == [3.0, 2.5]
+
+    @pytest.mark.parametrize("cap", [1, 3, 5, 32])
+    def test_table_independent_of_chunk_size(self, gelu_run, monkeypatch, cap):
+        """Chunks of at most 1, 3, 5 or 32 steps (32 forks nothing for
+        these 12) give the table of one process, localization included."""
+        model, log = gelu_run
+        reference = em.curvature_table(model, log, localize=True, workers=1)
+        monkeypatch.setattr(em, "_CHUNK_STEPS", cap)
+        _assert_same_table(em.curvature_table(model, log, localize=True, workers=2),
+                           reference)
+
+
+@pytest.mark.parametrize("steps, workers, chunk", [
+    (200, 2, 25), (4000, 2, 32), (100, 3, 9), (33, 2, 5), (32, 2, 8)])
+def test_chunks_fill_the_last_round(monkeypatch, steps, workers, chunk):
+    """A run's chunks hold at most 32 steps and at most a quarter of each
+    process's share of them, so every process takes about four or more
+    chunks: 200 steps on two make 8 chunks of 25, not 7 of 32. A run of
+    at most 32 steps takes one process."""
+    seen = []
+
+    class Recorded(em.OrderedMap):
+        def __init__(self, fn, items, size, workers=None, count=None):
+            seen.append((size, workers, count))
+            super().__init__(fn, items, size, workers, count)
+    monkeypatch.setattr(em, "OrderedMap", Recorded)
+    model = make_quadratic(np.array([[3.0]]))
+    em.curvature_table(model, run_gd(model, np.array([1.0]), 0.5, steps), workers=workers)
+    assert seen == [(chunk, 1 if steps <= 32 else workers, steps)]
+    _no_child_left()
+
+
+def _stream_case(case):
+    """(model, w0, eta, steps, localize) of a streamed-table case."""
+    if case == "diverged":        # the loss passes 1e12 at step 20
+        return make_quadratic(np.diag([3.0, 1.0])), np.array([1.0, 1.0]), 1.0, 60, False
+    if case == "degenerate":      # steps 0-5 too short to have a direction
+        return make_quadratic(np.array([[3.0]])), np.array([1e-16]), 1.0, 40, False
+    ds = make_synthetic_dataset(0, 60, 5, 3, teacher_rank=2, noise=0.1)
+    model = make_mlp([5, 8, 3], "tanh", ds)
+    return model, model.init_params(seed=1), 0.5, 40, True
+
+
+class TestStreamedTable:
+    """A table read from a ``StepStream`` as the runner takes the steps is
+    the table of the collected log, and the stream keeps the log's
+    per-step scalars."""
+
+    @pytest.fixture(autouse=True)
+    def _short_chunks(self, monkeypatch):
+        monkeypatch.setattr(em, "_CHUNK_STEPS", 4)
+        yield
+        _no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", ["diverged", "degenerate", "localized_mlp"])
+    def test_streamed_table_is_the_logged_one(self, case, workers):
+        model, w0, eta, steps, localize = _stream_case(case)
+        log = run_gd(model, w0, eta, steps)
+        logged = em.curvature_table(model, log, localize=localize, workers=workers)
+        stream = StepStream(model, w0, eta, steps)
+        work = Counter()
+        streamed = em.curvature_table(model, stream, work, localize=localize,
+                                      workers=workers)
+        assert work["curvature_table_workers"] == workers
+        _assert_same_table(streamed, logged)
+        assert streamed.first_off_step is None
+        assert (stream.num_steps, stream.diverged, stream.divergence_step) == (
+            log.num_steps, log.diverged, log.divergence_step)
+        for name in ("losses", "grad_norms", "step_norms"):
+            assert getattr(stream, name).tobytes() == getattr(log, name).tobytes(), name
+        if case == "diverged":
+            assert log.divergence_step == 20 and len(logged.k) == 19
+        elif case == "degenerate":
+            assert logged.skipped == list(range(6))
+        else:
+            assert len(logged.k) == 40 and not np.isnan(logged.lambda_max_xi).any()
+
+    def test_log_yields_the_streamed_steps(self):
+        """A log's steps are its stream's, bitwise, noise included."""
+        model = make_quadratic(np.diag([3.0, 1.0]))
+        noise = dict(seed=2, sigma=0.1)
+        steps = list(StepStream(model, np.array([1.0, -1.0]), 0.4, 15,
+                                NoiseSource("gaussian", **noise)))
+        log = run_sgd(model, np.array([1.0, -1.0]), 0.4, 15, NoiseSource("gaussian", **noise))
+        assert len(steps) == len(list(log)) == 16
+        for a, b in zip(steps, log):
+            assert [x.tobytes() if isinstance(x, np.ndarray) else x for x in a] == \
+                [x.tobytes() if isinstance(x, np.ndarray) else x for x in b]
+        assert steps[-1].d is steps[-1].norm is steps[-1].noise is None

@@ -193,7 +193,7 @@ class TestBrentMatchesBrentq:
         bundled 533-parameter MLP run, compared with brentq on the same
         profile function."""
         from scipy.optimize import brentq
-        model, log, table, _ = verify._bundle()["mlp_eos"]
+        model, log, table = verify._bundle()["mlp_eos"]
         compared = []
 
         def both(f, lo, hi, tol):

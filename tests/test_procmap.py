@@ -188,3 +188,49 @@ def test_workers_run_blas_on_one_thread():
         results = list(m)
     assert m.processes == 2
     assert {n for pid, n in results if pid != os.getpid()} == {1}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_items_drawn_within_the_look_ahead(workers):
+    """Items come from a generator, drawn only as the map needs them: while
+    the results of chunk c are yielded, at most the items of chunks
+    0..c + 2 * workers - 1 are drawn (0..c without workers), and the map
+    does read that far ahead."""
+    drawn = []
+    parent = os.getpid()
+
+    def items():
+        for i in range(60):
+            drawn.append(i)
+            yield i
+
+    def fn(i):
+        if os.getpid() != parent:
+            time.sleep(0.01 if i < 3 else 0.001)
+        return i
+
+    chunk, ahead = 3, []
+    with OrderedMap(fn, items(), chunk, workers, count=60) as results:
+        for i in results:
+            c = i // chunk
+            window = c + 1 if workers == 1 else c + 2 * workers
+            ahead.append(len(drawn) - window * chunk)
+        assert results.processes == workers
+    assert sorted(drawn) == drawn == list(range(60))
+    assert max(ahead) == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_items_raise_after_the_items_before(workers):
+    """An exception of the items themselves is raised once every item
+    drawn before it has its result."""
+
+    def items():
+        yield from range(7)
+        raise NonConvergenceError("items ran out", [7.0])
+
+    yielded = []
+    with pytest.raises(NonConvergenceError, match="items ran out") as err:
+        with OrderedMap(lambda i: i * i, items(), 2, workers, count=10) as results:
+            yielded.extend(results)
+    assert yielded == [i * i for i in range(7)] and err.value.history == [7.0]
