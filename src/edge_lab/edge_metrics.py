@@ -109,10 +109,17 @@ QUADRATURE_MAX_INTERVALS = 128
 # span at most this much.
 CONSTANT_PROFILE_TOL = 1e-10
 
-# ``curvature_table`` deals its steps to its processes in chunks of at most
-# this many consecutive non-degenerate steps, and a run of at most this
-# many steps forks nothing.
+# ``curvature_table`` submits its steps to its processes in chunks of at
+# most this many consecutive non-degenerate steps, and a run of at most
+# this many steps forks nothing.
 _CHUNK_STEPS = 32
+# A chunk also holds at most as many steps as fit their (w_k, d_k), 16 dim
+# bytes a step, in this many bytes (at least one step), so the chunks the
+# table reads ahead hold a bounded number of bytes at any dim: 32 steps up
+# to dim 2,048 (273 kB at the README MLP's 533), 3 steps at dim 20,490.
+# A worker keeps the heap it freed (``_procmap._start``), up to 256 MiB: its
+# peak RSS was 53.0 MiB on a dim-20,490 run and 29.8 MiB on the README MLP.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -313,13 +320,16 @@ def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
 
     The rows are computed in up to ``workers`` processes, by default one
     per CPU this process may run on, which take chunks of consecutive
-    steps on demand (``OrderedMap``), each chunk's (k, w_k, d_k) sent
-    along; a run of at most _CHUNK_STEPS steps forks nothing. A chunk
-    holds at most _CHUNK_STEPS steps and at most a quarter of each
+    steps as they free up (``OrderedMap``), each chunk's (k, w_k, d_k)
+    pickled along; a run of at most _CHUNK_STEPS steps forks nothing. A
+    chunk holds at most _CHUNK_STEPS steps, at most a quarter of each
     process's share of the run's ``max_steps``, so the last round of
-    chunks leaves no process long idle. The table is the same for any
-    count. ``work["curvature_table_workers"]`` becomes the largest
-    number of processes a table has used; with ``localize``, the profile
+    chunks leaves no process long idle, and at most the steps whose
+    (w_k, d_k) fit in _CHUNK_BYTES, so the chunks read ahead of the
+    rows, twice the processes' count, hold a bounded number of bytes at
+    any dim. The table is the same for any count.
+    ``work["curvature_table_workers"]`` becomes the largest number of
+    processes a table has used; with ``localize``, the profile
     nodes localization evaluated beyond the table's and the Lanczos
     products of its sharpness estimates are added to
     ``work["localization_profile_nodes"]`` and ``work["lanczos_products"]``.
@@ -328,7 +338,8 @@ def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
     """
     eta, K = run.eta, run.max_steps
     workers = 1 if K <= _CHUNK_STEPS else (workers or cpu_count())
-    chunk = min(_CHUNK_STEPS, -(-K // (4 * workers)))
+    chunk = min(_CHUNK_STEPS, -(-K // (4 * workers)),
+                max(1, _CHUNK_BYTES // (16 * run.dim)))
     ks, skipped, off = [], [], None
     # Column i holds row i's step_norm_sq, rbar_exact, rtilde_exact,
     # delta_L and three two-step terms, which are NaN at the last step. A

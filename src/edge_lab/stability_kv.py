@@ -44,10 +44,10 @@ Array = NDArray[np.float64]
 STRAIN_RTOL = 1e-10
 STRAIN_MAX_ORDER = 64
 
-# ``strain_run`` deals its steps to its processes in chunks of this many
-# consecutive steps. Each A_k crosses a pipe, so a chunk holds dim^2 * 8
-# bytes per step; a short chunk keeps the results waiting for an earlier
-# chunk, and so the caller's memory, small.
+# ``strain_run`` submits its steps to its processes in chunks of this many
+# consecutive steps. Each A_k is pickled back to the caller, so a chunk's
+# results hold dim^2 * 8 bytes per step; a short chunk keeps the results
+# waiting for an earlier chunk, and so the caller's memory, small.
 _CHUNK_STEPS = 4
 
 
@@ -130,13 +130,13 @@ def strain_run(pair: PairedLog, model_s: LossModel, order: int = 4,
     Each step's stress f_k, A_k, kappa and residual depend on that step
     alone, so they are computed in up to ``workers`` processes, by default
     one per CPU this process may run on, which take chunks of _CHUNK_STEPS
-    consecutive steps on demand (``OrderedMap``). This process consumes
-    them in k order and holds each A_k only while it advances the
-    propagated strain z_0 = 0, z_{k+1} = (I - eta A_k) z_k - eta f_k, so
-    the log is the same for any count. ``work["strain_workers"]`` becomes
-    the largest number of processes a run has used, and
-    ``work["strain_dense_hessians"]`` adds the dense Hessians of every
-    process.
+    consecutive steps as they free up (``OrderedMap``) and pickle their
+    results back. This process consumes them in k order and holds each
+    A_k only while it advances the propagated strain z_0 = 0,
+    z_{k+1} = (I - eta A_k) z_k - eta f_k, so the log is the same for any
+    count. ``work["strain_workers"]`` becomes the largest number of
+    processes a run has used, and ``work["strain_dense_hessians"]`` adds
+    the dense Hessians of every process.
     """
     K = pair.num_steps
     eta = pair.log_s.eta

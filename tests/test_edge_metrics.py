@@ -895,6 +895,29 @@ def test_chunks_fill_the_last_round(monkeypatch, steps, workers, chunk):
     _no_child_left()
 
 
+def test_wide_chunks_bounded_in_bytes(monkeypatch):
+    """At dim 20,000 a chunk holds the 3 steps whose (w_k, d_k) fit in
+    _CHUNK_BYTES, not the 5 of a quarter of each process's share of 40
+    steps, and the table is that of chunks of 5. (Both are computed in
+    workers, which run BLAS on one thread, as this process may not.)"""
+    seen = []
+
+    class Recorded(em.OrderedMap):
+        def __init__(self, fn, items, size, workers=None, count=None):
+            seen.append(size)
+            super().__init__(fn, items, size, workers, count)
+    monkeypatch.setattr(em, "OrderedMap", Recorded)
+    model = make_two_layer_linear(np.diag(np.linspace(1.0, 2.0, 100)), 100)
+    w0 = np.random.default_rng(0).normal(scale=0.1, size=model.dim)
+    log = run_gd(model, w0, 0.5, 40)
+    table = em.curvature_table(model, log, workers=2)
+    with monkeypatch.context() as m:
+        m.setattr(em, "_CHUNK_BYTES", 1 << 30)
+        _assert_same_table(table, em.curvature_table(model, log, workers=2))
+    assert model.dim == 20000 and seen == [3, 5]
+    _no_child_left()
+
+
 def _stream_case(case):
     """(model, w0, eta, steps, localize) of a streamed-table case."""
     if case == "diverged":        # the loss passes 1e12 at step 20

@@ -3,6 +3,7 @@
 import ctypes
 import glob
 import os
+import resource
 import signal
 import time
 
@@ -128,18 +129,32 @@ def test_unpicklable_failure_raised_by_the_caller():
 
 
 def test_chunks_of_a_failed_fork_computed_here(monkeypatch):
-    def no_fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-    monkeypatch.setattr(os, "fork", no_fork)
-    results, processes = _results(_square_with_pid, range(9), 2, 3)
-    assert processes == 1 and {pid for _, pid in results} == {os.getpid()}
+    """A fork that fails, at once or after one succeeded, leaves every
+    chunk to the caller, and the worker forked is reaped."""
+    fork = os.fork
+    for forks in (0, 1):
+        forked = []
+
+        def some_forks():
+            if len(forked) == forks:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            forked.append(fork())
+            return forked[-1]
+        monkeypatch.setattr(os, "fork", some_forks)
+        results, processes = _results(_square_with_pid, range(9), 2, 3)
+        assert len(forked) == forks
+        assert [r for r, _ in results] == [i * i for i in range(9)]
+        assert processes == 1 and {pid for _, pid in results} == {os.getpid()}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_stalled_worker_does_not_hold_up_the_others():
     """The worker of item 0 stalls for a second. The other two take every
-    chunk dealt meanwhile (items 1-5: twice the workers' count of chunks
-    of one item) and deliver results larger than a pipe holds, which the
-    caller reads as they arrive; a slow chunk holds back no more."""
+    chunk submitted meanwhile (items 1-5: twice the workers' count of
+    chunks of one item) and deliver results larger than a pipe holds; a
+    slow chunk holds back no more: the items, drawn from a generator, run
+    fewer than that many ahead of the results yielded."""
     parent = os.getpid()
     big = np.arange(20000.0)            # 160 kB, beyond a 64 KiB pipe
 
@@ -148,12 +163,19 @@ def test_stalled_worker_does_not_hold_up_the_others():
             time.sleep(1.0)
         return os.getpid(), big + i
 
+    drawn = []
+
+    def items():
+        for i in range(12):
+            drawn.append(i)
+            yield i
+
     held = []
-    with OrderedMap(fn, range(12), 1, 3) as results:
+    with OrderedMap(fn, items(), 1, 3, count=12) as results:
         got = []
         for r in results:
             got.append(r)
-            held.append(len(results._done))
+            held.append(len(drawn) - len(got))
     assert all(np.array_equal(a, big + i) for i, (_, a) in enumerate(got))
     stalled = got[0][0]
     assert stalled != parent
@@ -175,6 +197,26 @@ def test_interrupt_reaps_every_worker():
                     raise KeyboardInterrupt
 
 
+def test_interrupt_with_items_beyond_a_pipe():
+    """An interrupt while the pool still writes items larger than a pipe
+    holds (300 kB, to two workers that both compute) returns at once and
+    reaps every worker: no thread is left writing to a pipe no worker reads."""
+    items = [np.full(37500, float(i)) for i in range(8)]
+
+    def fn(a):
+        if a[0] > 0:
+            time.sleep(30)
+        return a[0]
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        with OrderedMap(fn, items, 1, 2) as results:
+            assert next(iter(results)) == 0
+            raise KeyboardInterrupt
+    assert results.processes == 2
+    assert time.monotonic() - start < 10
+
+
 def test_workers_run_blas_on_one_thread():
     """Each forked worker runs numpy's OpenBLAS on one thread, whatever
     this process runs it on."""
@@ -188,6 +230,40 @@ def test_workers_run_blas_on_one_thread():
         results = list(m)
     assert m.processes == 2
     assert {n for pid, n in results if pid != os.getpid()} == {1}
+
+
+def test_workers_leave_sigint_to_the_caller():
+    """A worker ignores SIGINT, so a terminal's Ctrl-C interrupts the
+    caller alone, which then kills and reaps the workers."""
+    with OrderedMap(lambda i: (os.getpid(), signal.getsignal(signal.SIGINT)),
+                    range(8), 2, workers=2) as m:
+        results = list(m)
+    assert m.processes == 2
+    assert {h for pid, h in results if pid != os.getpid()} == {signal.SIG_IGN}
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
+
+def test_workers_keep_their_freed_heap():
+    """A worker that frees 16 MB of 64 kB blocks takes them again without
+    page faults, whatever malloc thresholds its fork left it: glibc keeps
+    the freed heap instead of returning it at every step."""
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("no glibc mallopt")
+
+    def churn():
+        blocks = [np.ones(8192) for _ in range(256)]
+        del blocks
+
+    def faults(i):
+        churn()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        churn()
+        return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    with OrderedMap(faults, range(4), 1, workers=2) as m:
+        results = list(m)
+    assert m.processes == 2
+    assert max(n for pid, n in results if pid != os.getpid()) < 256
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
