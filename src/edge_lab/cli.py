@@ -697,14 +697,14 @@ def _first_mismatch(name: str, stored: bytes, replayed: bytes) -> dict | None:
 
 
 # The checks of ``verify --run-dir`` by command, applied to what the command
-# hands to its sink: the ``verify.GdRun`` (model, finished step stream,
-# table) of a run or of each step size of a balance, the continuation
-# points of a sweep, a strain's StrainLog. A localized run adds
-# ``localization``.
+# hands to its sink: the model, finished step stream and table of a run or
+# of each step size of a balance, the continuation points of a sweep, a
+# strain's StrainLog. A localized run adds ``localization``.
+_GD_CHECKS = {name: verify.THEOREMS[name]
+              for name in ("telescoping_balance", "route_agreement")}
 _RUN_DIR_CHECKS = {
-    "run": {name: verify.THEOREMS[name] for name in (
-        "telescoping_balance", "near_periodicity", "recoil", "run_length_caps")},
-    "balance": {"telescoping_balance": verify.THEOREMS["telescoping_balance"]},
+    "run": _GD_CHECKS,
+    "balance": _GD_CHECKS,
     "bifurcate": {"raw_orbit": verify.raw_orbit},
     "strain": {"recurrence_residual": verify.recurrence_residual},
 }
@@ -736,8 +736,6 @@ def verify_run_dir(run_dir: Path) -> list[verify.CheckResult]:
     outcomes = {name: [] for name in checks}  # (passed, seconds, details) per run
 
     def sink(*run):
-        if command in ("run", "balance"):
-            run = (verify.GdRun(*run),)
         for name, check in checks.items():
             start = time.perf_counter()
             passed, details = check(*run)

@@ -140,11 +140,14 @@ class CurvatureTable:
     L_{k+1} - L_k, and ``rtilde_exact`` is
     2 (delta_L + ||d_k||^2 / eta) / ||d_k||^2, the GD loss change
     L_{k+1} - L_k = -||d_k||^2 / eta + (1/2) d_k^T Htilde d_k rearranged.
+    ``rbar_bound`` and ``rtilde_bound`` bound how far each average may
+    lie from its exact route: the row's summed |K9 - G4| estimate plus
+    the rounding of the exact route (``_route_rounding``).
     ``proxy`` is the trajectory-only loss-change proxy
-    -d_k . (d_k + d_{k+1}) / (2 eta), exact on quadratics,
-    ``two_step_norm`` is ||w_{k+2} - w_k|| = ||d_k + d_{k+1}|| and
-    ``inner_next`` is <d_{k+1}, d_k>; these three are NaN at the last
-    step, which has no d_{k+1}. On a ``StochasticTrajectoryLog`` d_k is
+    -d_k . (d_k + d_{k+1}) / (2 eta), exact on quadratics, and
+    ``two_step_norm`` is ||w_{k+2} - w_k|| = ||d_k + d_{k+1}||; these two
+    are NaN at the last step, which has no d_{k+1}. On a
+    ``StochasticTrajectoryLog`` d_k is
     the noisy step, for which the GD relation behind ``rtilde_exact`` and
     ``proxy`` does not hold, so neither is the step's value there.
     ``np.sqrt(step_norm_sq)`` is ||d_k|| bitwise: in binary floating
@@ -161,11 +164,6 @@ class CurvatureTable:
     built without it, and in a row whose localization failed;
     ``localization_errors`` maps each such step k to the exception its
     localization raised, in step order.
-
-    ``first_off_step`` is the first step k whose iterate w_{k+1} is not
-    w_k + d_k, bitwise as the runner writes it (None if there is none):
-    the steps are the increments the runner applied, so this ties the
-    rows to the iterates of a log.
     """
 
     k: NDArray[np.int64]
@@ -174,10 +172,11 @@ class CurvatureTable:
     rtilde: Array
     rbar_exact: Array
     rtilde_exact: Array
+    rbar_bound: Array
+    rtilde_bound: Array
     delta_L: Array
     proxy: Array
     two_step_norm: Array
-    inner_next: Array
     xi: Array
     zeta: Array
     q_xi: Array
@@ -186,7 +185,6 @@ class CurvatureTable:
     nodes: NDArray[np.int64]
     skipped: list[int]
     unsettled: list[int]
-    first_off_step: int | None = None
 
 
 @dataclass(frozen=True)
@@ -222,12 +220,13 @@ def _intervals(profile, spans) -> list[tuple]:
 
 
 def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
-    """(rbar, rtilde, profile nodes, settled, profile operator, final
-    nodes, their values) of one step.
+    """(rbar, rtilde, their error estimates, profile nodes, settled,
+    profile operator, final nodes, their values) of one step.
 
     The profile is integrated by the embedded G4/K9 pair: rbar = sum w_i q_i
     and rtilde = sum 2 (1 - tau_i) w_i q_i from the K9 values, and
-    |K9 - G4| on each interval as the error estimate. The step settles
+    |K9 - G4| on each interval as the error estimate, summed over the
+    final intervals for each average. The step settles
     when, for both averages, the summed error is at most
     QUADRATURE_RTOL max(1, |total|). Otherwise the interval whose errors
     are the largest share of their tolerances (the leftmost on a tie) is
@@ -246,7 +245,7 @@ def _segment_averages(model: LossModel, w: Array, d: Array) -> tuple:
         if settled or len(parts) >= QUADRATURE_MAX_INTERVALS:
             nodes = len(K9_NODES) * (2 * len(parts) - 1)
             *_, taus, qs = zip(*parts)
-            return (rbar, rtilde, nodes, settled, profile,
+            return (rbar, rtilde, e_bar, e_tilde, nodes, settled, profile,
                     np.concatenate(taus), np.concatenate(qs))
         i = int(np.argmax([max(p[4] / tol_bar, p[5] / tol_tilde) for p in parts]))
         a, h = parts[i][:2]
@@ -281,19 +280,65 @@ def _localized(model: LossModel, k: int, w: Array, d: Array, rbar: float,
 
 
 def _row(model: LossModel, localized: bool, item: tuple) -> tuple:
-    """(rbar, rtilde, profile nodes, settled) of the non-degenerate step
-    ``item`` = (k, w_k, d_k), followed, when ``localized``, by the step's
+    """(rbar, rtilde, their error estimates, profile nodes, settled) of the
+    non-degenerate step ``item`` = (k, w_k, d_k), followed, when
+    ``localized``, by the step's
     ``_localized`` entries, from the profile operator and final nodes of
     its quadrature. A non-finite profile value of the quadrature raises
     EvaluationError naming the step."""
     k, w, d = item
     try:
-        rbar, rtilde, count, settled, *final = _segment_averages(model, w, d)
+        *quadrature, profile, taus, qs = _segment_averages(model, w, d)
     except EvaluationError as exc:
         raise EvaluationError(f"curvature table, step {k}: {exc}") from exc
     if not localized:
-        return rbar, rtilde, count, settled
-    return rbar, rtilde, count, settled, *_localized(model, k, w, d, rbar, rtilde, *final)
+        return tuple(quadrature)
+    return (*quadrature, *_localized(model, k, w, d, *quadrature[:2], profile, taus, qs))
+
+
+def _route_rounding(eta: float, rbar_exact: float, nsq: float, losses,
+                    w_norms, g_norms) -> tuple[float, float]:
+    """Rounding terms (for rbar, for rtilde) of a step's exact routes, from
+    rbar_exact, ||d_k||^2 and the losses, iterate norms and gradient norms
+    at w_k and w_{k+1}.
+
+    The quadrature integrates the profile along the segment from w_k to
+    w_k + d_k; the exact routes difference gradients and losses evaluated
+    at the stored iterates. With eps the machine epsilon and rho a scale
+    of the Hessian near the step, the two differ by rounding in three
+    ways:
+
+    - The stored w_{k+1} = fl(w_k + d_k) lies within eps/2 ||w_{k+1}|| of
+      the segment's end, which moves g_{k+1} by up to rho eps/2 ||w_{k+1}||
+      and L_{k+1} by ||g_{k+1}|| eps/2 ||w_{k+1}||, to first order.
+    - A backward-stable evaluation at w returns the exact value at a point
+      within a few eps ||w|| of w, rounded to a few eps of its size: the
+      gradient is off by about eps (||g|| + rho ||w||) and the loss by
+      about eps (|L| + ||g|| ||w||). Near a minimum ||g|| and |L| are
+      small, but the iterate is not, so there the ||w|| terms dominate.
+    - The averages, and the 2/eta in rtilde_exact, are rounded to eps of
+      their size, rho.
+
+    rbar_exact divides d_k^T (g_{k+1} - g_k) by ||d_k||^2, so a gradient
+    error e adds at most ||e|| / ||d_k||; rtilde_exact divides
+    2 (L_{k+1} - L_k) by ||d_k||^2. With rho = max(|rbar_exact|, 2/eta),
+    the Hessian's average along the step or the sharpness's scale at the
+    edge of stability, and c = 4 for the few ulps of each evaluation:
+
+        rbar:   c eps (rho + (||g_k|| + ||g_{k+1}||
+                              + rho (||w_k|| + ||w_{k+1}||)) / ||d_k||)
+        rtilde: c eps (rho + 2 (|L_k| + |L_{k+1}| + ||g_k|| ||w_k||
+                                + ||g_{k+1}|| ||w_{k+1}||) / ||d_k||^2)
+
+    Like |K9 - G4|, these estimate the error's size; they are no rigorous
+    bound, since rho is a scale and not the Hessian's norm.
+    """
+    rho = max(abs(rbar_exact), 2.0 / eta)
+    ulps = 4.0 * float(np.finfo(float).eps)
+    (w0, w1), (g0, g1) = w_norms, g_norms
+    return (ulps * (rho + (g0 + g1 + rho * (w0 + w1)) / math.sqrt(nsq)),
+            ulps * (rho + 2.0 * (abs(losses[0]) + abs(losses[1])
+                                 + g0 * w0 + g1 * w1) / nsq))
 
 
 def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
@@ -306,10 +351,11 @@ def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
     runner takes them, or a log, which supplies the same steps from its
     rows. The walk holds two consecutive steps at a time: from step k
     and step k + 1 it takes the norm of d_k the step carries, the exact
-    routes and the two-step terms, and checks that w_{k+1} is
-    w_k + d_k bitwise (``first_off_step``). Each step's directional
-    curvature profile is integrated adaptively (``_segment_averages``).
-    Degenerate steps are skipped; their contribution to every weighted
+    routes, their rounding terms (``_route_rounding``, from the norms of
+    both iterates and gradients) and the two-step terms. Each step's
+    directional curvature profile is integrated adaptively
+    (``_segment_averages``), and the route bounds add the row's error
+    estimates to the rounding terms. Degenerate steps are skipped; their contribution to every weighted
     sum is below the rounding floor by construction. With ``localize``,
     each step is then localized (``localize``, ``localized_sharpness``)
     in the process that integrated it, on the profile operator of its
@@ -327,7 +373,8 @@ def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
     chunks leaves no process long idle, and at most the steps whose
     (w_k, d_k) fit in _CHUNK_BYTES, so the chunks read ahead of the
     rows, twice the processes' count, hold a bounded number of bytes at
-    any dim. The table is the same for any count.
+    any dim. The table is the same for any count, as long as this
+    process too runs BLAS on one thread, as the workers do.
     ``work["curvature_table_workers"]`` becomes the largest number of
     processes a table has used; with ``localize``, the profile
     nodes localization evaluated beyond the table's and the Lanczos
@@ -340,57 +387,63 @@ def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
     workers = 1 if K <= _CHUNK_STEPS else (workers or cpu_count())
     chunk = min(_CHUNK_STEPS, -(-K // (4 * workers)),
                 max(1, _CHUNK_BYTES // (16 * run.dim)))
-    ks, skipped, off = [], [], None
-    # Column i holds row i's step_norm_sq, rbar_exact, rtilde_exact,
-    # delta_L and three two-step terms, which are NaN at the last step. A
-    # column is written as its row is made, so a run that ends early
-    # touches no more of the buffer than its rows.
-    cols = np.empty((7, K))
+    ks, skipped = [], []
+    # Column i holds row i's step_norm_sq, rbar_exact, rtilde_exact, their
+    # rounding terms, delta_L and two two-step terms, which are NaN at the
+    # last step. A column is written as its row is made, so a run that ends
+    # early touches no more of the buffer than its rows.
+    cols = np.empty((8, K))
 
     def steps():
         """(k, w_k, d_k) of each non-degenerate step, its columns filled."""
-        nonlocal off
-        for s, s_next in itertools.pairwise(run):
+        held = ((s, float(np.linalg.norm(s.w)), float(np.linalg.norm(s.grad)))
+                for s in run)
+        for (s, w_norm, g_norm), (s_next, w_norm_next, g_norm_next) in \
+                itertools.pairwise(held):
             d, d_next = s.d, s_next.d
-            if off is None and not (s_next.w == s.w + d).all():
-                off = s.k
             if s.norm < DEGENERATE_STEP:
                 skipped.append(s.k)
                 continue
             nsq = s.norm ** 2
             delta_l = float(s_next.loss - s.loss)
+            rbar_exact = float(d @ (s_next.grad - s.grad)) / nsq
             col = cols[:, len(ks)]
-            col[:4] = (nsq, float(d @ (s_next.grad - s.grad)) / nsq,
-                       2.0 * (delta_l + nsq / eta) / nsq, delta_l)
-            col[4:] = math.nan
+            col[:6] = (nsq, rbar_exact, 2.0 * (delta_l + nsq / eta) / nsq,
+                       *_route_rounding(eta, rbar_exact, nsq, (s.loss, s_next.loss),
+                                        (w_norm, w_norm_next), (g_norm, g_norm_next)),
+                       delta_l)
+            col[6:] = math.nan
             if d_next is not None:
                 two_step = d + d_next
-                col[4:] = (-float(d @ two_step) / (2.0 * eta),
-                           float(np.linalg.norm(two_step)), float(d_next @ d))
+                col[6:] = (-float(d @ two_step) / (2.0 * eta),
+                           float(np.linalg.norm(two_step)))
             ks.append(s.k)
             yield s.k, s.w, d
 
     with OrderedMap(functools.partial(_row, model, localize), steps(), chunk,
                     workers, count=K) as rows:
-        columns = list(zip(*rows)) or [()] * (11 if localize else 4)
-    rbars, rtildes, nodes, settled = columns[:4]
+        columns = list(zip(*rows)) or [()] * (13 if localize else 6)
+    rbars, rtildes, e_bars, e_tildes, nodes, settled = columns[:6]
     # Rows of a table built without localization hold only their
     # quadrature entries: NaN points, no work and no failure.
     *points, loc_nodes, products, failures = (
-        columns[4:] or [(math.nan,) * len(ks)] * 4 + [(), (), ()])
+        columns[6:] or [(math.nan,) * len(ks)] * 4 + [(), (), ()])
     if work is not None:
         work["curvature_table_workers"] = max(work["curvature_table_workers"],
                                               rows.processes)
         if localize:
             work["localization_profile_nodes"] += sum(loc_nodes)
             work["lanczos_products"] += sum(products)
-    norms_sq, *routes = cols[:, :len(ks)]
+    norms_sq, rbar_exact, rtilde_exact, rbar_round, rtilde_round, *rest = \
+        cols[:, :len(ks)]
     return CurvatureTable(np.array(ks, dtype=np.int64), norms_sq,
-                          np.array(rbars), np.array(rtildes), *routes,
+                          np.array(rbars), np.array(rtildes), rbar_exact, rtilde_exact,
+                          rbar_round + np.array(e_bars, dtype=np.float64),
+                          rtilde_round + np.array(e_tildes, dtype=np.float64), *rest,
                           *(np.array(col, dtype=np.float64) for col in points),
                           {k: exc for k, exc in zip(ks, failures) if exc is not None},
                           np.array(nodes, dtype=np.int64), skipped,
-                          [k for k, ok in zip(ks, settled) if not ok], off)
+                          [k for k, ok in zip(ks, settled) if not ok])
 
 
 def localize(profile, k: int, targets, taus: Array, qs: Array,

@@ -1,15 +1,13 @@
 """Stability mechanisms and the discrete two-trajectory strain framework.
 
-Covers the run-length caps the step-recoil identity puts on steps above
-the threshold, the oscillatory cancellation bound inside the stability
-window, the excursion measure of a step matrix beyond [0, 2/eta], the
-norm of a propagator product with its exponential bound, and the
-strain/stress recurrence for a pair of runs on two objectives.
+Covers the oscillatory cancellation bound inside the stability window,
+the excursion measure of a step matrix beyond [0, 2/eta], the norm of a
+propagator product with its exponential bound, and the strain/stress
+recurrence for a pair of runs on two objectives.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,7 +16,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._procmap import OrderedMap
-from .edge_metrics import CurvatureTable
 from .loss_models import LossModel
 from .numerics import QuadratureRule, dense_eigvalsh, uniform_rule
 from .trajectory import PairedLog, write_csv
@@ -30,7 +27,6 @@ __all__ = [
     "propagator_norm",
     "strain_run",
     "strain_bound_rhs",
-    "supercritical_run_lengths",
     "write_strain_csv",
 ]
 
@@ -134,7 +130,8 @@ def strain_run(pair: PairedLog, model_s: LossModel, order: int = 4,
     results back. This process consumes them in k order and holds each
     A_k only while it advances the propagated strain z_0 = 0,
     z_{k+1} = (I - eta A_k) z_k - eta f_k, so the log is the same for any
-    count. ``work["strain_workers"]`` becomes the largest number of
+    count, as long as this process too runs BLAS on one thread.
+    ``work["strain_workers"]`` becomes the largest number of
     processes a run has used, and ``work["strain_dense_hessians"]`` adds
     the dense Hessians of every process.
     """
@@ -193,41 +190,6 @@ def strain_bound_rhs(strain: StrainLog) -> Array:
     for k in range(strain.num_steps):
         B[k + 1] = math.exp(strain.kappa[k]) * B[k] + float(np.linalg.norm(strain.stress[k]))
     return strain.eta * B
-
-
-def supercritical_run_lengths(table: CurvatureTable, eta: float,
-                              K: int) -> list[tuple[int, int, int]]:
-    """Maximal above-threshold runs with their geometric-growth length caps.
-
-    ``table`` is the curvature table of a GD run of K steps at step size
-    eta. Returns (start, length, cap) per maximal run of its steps with
-    rbar_k > 2/eta, rbar_k the exact route ``table.rbar_exact`` (a
-    degenerate step, which has no row, ends a run), for its smallest
-    excess delta = min(rbar_k - 2/eta) and the extreme norms dmin, dmax
-    of the table's steps. By the recoil identity
-    <d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2,
-    ||d_{k+1}|| >= (1 + eta delta) ||d_k|| at each step of the run. A run
-    of length L followed by a logged step shows L such factors, so
-    (1 + eta delta)^L <= dmax/dmin and L <= cap = ceil(log(dmax/dmin) /
-    log(1 + eta delta)). A run that reaches the end of the log shows only
-    L - 1, since d_K is not a logged step: its cap is one more. So on any
-    log the length never exceeds the cap.
-    """
-    if not table.k.size:
-        return []
-    norms = np.sqrt(table.step_norm_sq)
-    dmax, dmin = float(norms.max()), float(norms.min())
-    excess = np.zeros(K)
-    excess[table.k] = table.rbar_exact - 2.0 / eta
-    out = []
-    for above, run in itertools.groupby(range(K), lambda k: excess[k] > 0):
-        if above:
-            run = list(run)
-            delta = float(excess[run].min())
-            cap = math.ceil(math.log(dmax / dmin) / math.log1p(eta * delta)) \
-                if dmax > dmin else len(run)
-            out.append((run[0], len(run), max(cap + (run[-1] == K - 1), 1)))
-    return out
 
 
 def write_strain_csv(strain: StrainLog, path) -> None:

@@ -7,8 +7,9 @@ tolerance and reports the measured residuals; the CLI `verify`
 subcommand and the acceptance tests run these. Each per-run theorem is
 one function of a run, which the suite applies to the bundled runs and
 ``verify --run-dir`` to the runs a command hands over as it replays a
-directory: ``THEOREMS`` of a GD run (a ``GdRun``), ``raw_orbit`` of a
-sweep's continuation points and ``recurrence_residual`` of a strain.
+directory: ``THEOREMS`` of a GD run's model, run and curvature table,
+``raw_orbit`` of a sweep's continuation points and
+``recurrence_residual`` of a strain.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from . import bifurcation, edge_metrics, loss_models, stability_kv, trajectory
 from .numerics import dense_eigvalsh, lambda_max_iter
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "CHECKS", "THEOREMS",
-           "GdRun", "raw_orbit", "recurrence_residual",
-           "telescoping_tolerance"]
+           "raw_orbit", "recurrence_residual", "telescoping_tolerance"]
 
 
 @dataclass
@@ -70,31 +69,25 @@ def _telescoping_balance(model, run, table):
                           "unsettled_steps": table.unsettled}
 
 
-def _near_periodicity(model, run, table):
-    """|rbar_k - 2/eta| <= ||w_{k+2} - w_k|| / (eta ||d_k||) + 1e-10 for k < K - 1."""
-    has_next = table.k + 1 < run.num_steps
-    lhs = np.abs(table.rbar_exact - 2.0 / run.eta)
-    rhs = table.two_step_norm / (run.eta * np.sqrt(table.step_norm_sq))
-    worst = float(np.max((lhs - rhs)[has_next], initial=-np.inf))
-    return worst <= 1e-10, {"max_lhs_minus_rhs": worst}
+def _route_agreement(model, run, table):
+    """At every step, |rbar_k - rbar_exact_k| <= rbar_bound_k and
+    |rtilde_k - rtilde_exact_k| <= rtilde_bound_k: the model's profile
+    integrates to what the run's gradients and losses give, within the
+    row's quadrature estimate and rounding. The steps that fail are named.
 
-
-def _recoil(model, run, table):
-    """<d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2, relative to 1e-10, for k < K - 1."""
-    has_next = table.k + 1 < run.num_steps
-    nd_sq = table.step_norm_sq[has_next]
-    predicted = (1.0 - run.eta * table.rbar_exact[has_next]) * nd_sq
-    scale = nd_sq * np.maximum(1.0, np.abs(predicted) / nd_sq)
-    resid = np.abs(table.inner_next[has_next] - predicted) / scale
-    worst = float(np.max(resid, initial=0.0))
-    return worst <= 1e-10, {"max_relative_residual": worst}
-
-
-def _run_length_caps(model, run, table):
-    """No run of steps above 2/eta outlasts its ``supercritical_run_lengths`` cap."""
-    spells = stability_kv.supercritical_run_lengths(table, run.eta, run.num_steps)
-    over = [spell for spell in spells if spell[1] > spell[2]]
-    return not over, {"supercritical_runs": len(spells), "over_cap": over}
+    Recoil, <d_{k+1}, d_k> = (1 - eta rbar_k) ||d_k||^2, and
+    near-periodicity, |rbar_k - 2/eta| <= ||d_k + d_{k+1}|| / (eta ||d_k||),
+    hold for rbar_exact by algebra, d_{k+1} - d_k = -eta (g_{k+1} - g_k),
+    on any gradient sequence. With the quadrature's rbar, the model's,
+    recoil holds to eta times this check's rbar gap, relative to
+    ||d_k||^2, and near-periodicity to the gap itself."""
+    rbar_gap = np.abs(table.rbar - table.rbar_exact) / table.rbar_bound
+    rtilde_gap = np.abs(table.rtilde - table.rtilde_exact) / table.rtilde_bound
+    failed = table.k[~((rbar_gap <= 1.0) & (rtilde_gap <= 1.0))]
+    return not failed.size, {
+        "max_rbar_gap_over_bound": float(np.max(rbar_gap, initial=0.0)),
+        "max_rtilde_gap_over_bound": float(np.max(rtilde_gap, initial=0.0)),
+        "failed_steps": failed.tolist()}
 
 
 def _localization(model, run, table):
@@ -113,33 +106,12 @@ def _localization(model, run, table):
         "failed_steps": {k: str(exc) for k, exc in table.localization_errors.items()}}
 
 
-class GdRun(NamedTuple):
-    """A GD run as the per-run theorems read it: model, run (a log or a
-    finished ``StepStream``, of which they read the step size, the losses
-    and the step count) and curvature table."""
-
-    model: loss_models.LossModel
-    run: trajectory.TrajectoryLog | trajectory.StepStream
-    table: edge_metrics.CurvatureTable
-
-
-def _gd_run(theorem):
-    """``theorem`` of a ``GdRun``, failing also where its table has a
-    ``first_off_step``: the steps come from the logged gradients, and
-    near-periodicity, recoil and the caps hold for any gradients, so this
-    ties them to the iterates."""
-    @functools.wraps(theorem)
-    def check(run: GdRun):
-        passed, details = theorem(*run)
-        off = run.table.first_off_step
-        return bool(passed) and off is None, dict(details, first_off_step=off)
-    return check
-
-
-THEOREMS = {name: _gd_run(theorem) for name, theorem in (
-    ("telescoping_balance", _telescoping_balance), ("near_periodicity", _near_periodicity),
-    ("recoil", _recoil), ("run_length_caps", _run_length_caps),
-    ("localization", _localization))}
+# The per-run theorems of a GD run: each reads its model, the run (a log
+# or a finished ``StepStream``, of which it reads the step size, the losses
+# and the step count) and its curvature table.
+THEOREMS = {"telescoping_balance": _telescoping_balance,
+            "route_agreement": _route_agreement,
+            "localization": _localization}
 
 
 def raw_orbit(points) -> tuple[bool, dict]:
@@ -160,8 +132,8 @@ def recurrence_residual(strain) -> tuple[bool, dict]:
 
 
 def _apply(theorem, runs: dict) -> tuple[bool, dict]:
-    """``theorem`` on each named ``GdRun``: whether all pass, details by name."""
-    outcomes = {name: theorem(run) for name, run in runs.items()}
+    """``theorem`` on each named GD run: whether all pass, details by name."""
+    outcomes = {name: theorem(*run) for name, run in runs.items()}
     return (all(ok for ok, _ in outcomes.values()),
             {name: details for name, (_, details) in outcomes.items()})
 
@@ -191,14 +163,15 @@ def _models():
             loss_models.make_mlp([10, 16, 16, 5], "tanh", ds))
 
 
-def _gd(model, w0, eta: float, steps: int, localize: bool = False) -> GdRun:
+def _gd(model, w0, eta: float, steps: int, localize: bool = False) -> tuple:
+    """(model, log, curvature table) of a GD run, as ``THEOREMS`` read it."""
     log = trajectory.run_gd(model, w0, eta, steps)
-    return GdRun(model, log, edge_metrics.curvature_table(model, log, localize=localize))
+    return model, log, edge_metrics.curvature_table(model, log, localize=localize)
 
 
 @functools.cache
 def _bundle():
-    """Bundled runs, each a localized ``GdRun``, for the per-run theorems."""
+    """Bundled runs, each with its localized table, for the per-run theorems."""
     quartic, (w_bar, geom), mlp = _models()
     runs = {
         "quad1d": (loss_models.make_quadratic([[3.0]], 0.0), np.array([1.0]), 0.5, 40),
@@ -213,9 +186,14 @@ def _bundle():
 
 
 @functools.cache
-def _mlp_eos_long():
-    _, _, mlp = _models()
-    return _gd(mlp, mlp.init_params(seed=1), 0.5, 4000)
+def _long_runs():
+    """The 2,000-step quartic and linear-net runs and the 4,000-step MLP
+    run, each with its table."""
+    quartic, (w_bar, geom), mlp = _models()
+    return {"quartic": _gd(quartic, np.array([0.3]), 2.5, 2000),
+            "linear_net": _gd(geom.model, w_bar + 1e-2 * geom.sharp_direction(),
+                              0.55, 2000),
+            "mlp": _gd(mlp, mlp.init_params(seed=1), 0.5, 4000)}
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +231,22 @@ def _check_quadratic_exactness():
 @_timed
 def _check_edge_balance_independent():
     """Quadrature-route telescoping balance on polynomial and MLP runs."""
-    quartic, (w_bar, geom), _ = _models()
-    runs = {"quartic": _gd(quartic, np.array([0.3]), 2.5, 2000),
-            "linear_net": _gd(geom.model, w_bar + 1e-2 * geom.sharp_direction(),
-                              0.55, 2000),
-            "mlp": _mlp_eos_long()}
-    ok, outcomes = _apply(THEOREMS["telescoping_balance"], runs)
+    ok, outcomes = _apply(THEOREMS["telescoping_balance"], _long_runs())
     return ok, {f"{name}_{key}": details[key] for name, details in outcomes.items()
                 for key in ("residual", "tolerance")}
 
 
 @_timed
+def _check_route_agreement():
+    """Each step's quadrature averages agree with its exact routes, within
+    the table's bounds, on the bundled and the long runs."""
+    return _apply(THEOREMS["route_agreement"], {**_bundle(), **_long_runs()})
+
+
+@_timed
 def _check_mlp_saturation():
     """Weighted-mean curvature saturates at 2/eta; forcing bound at every K."""
-    mlp, log, table = _mlp_eos_long()
+    mlp, log, table = _long_runs()["mlp"]
     eta = log.eta
     thr = 2.0 / eta
     lam0 = lambda_max_iter(mlp.hvp_at(log.w(0)), mlp.dim, seed=0)
@@ -367,24 +347,19 @@ def _check_linear_net_normal_form():
 
 @_timed
 def _check_near_periodicity():
-    """Two-step return bound everywhere; MLP return ratio drops after onset."""
-    ok, details = _apply(THEOREMS["near_periodicity"], _bundle())
-    _, log_m, table_m = _mlp_eos_long()
+    """The MLP's two-step return ratio drops below 0.3 after onset."""
+    _, log_m, table_m = _long_runs()["mlp"]
     onset = edge_metrics.eos_onset(table_m, log_m.eta)
     rows = (table_m.k >= onset) & (table_m.k + 1 < log_m.num_steps)
     ratios = table_m.two_step_norm[rows] / np.sqrt(table_m.step_norm_sq[rows])
     med = float(np.median(ratios))
-    details["mlp_post_onset_median_ratio"] = med
-    return ok and med < 0.3, details
+    return med < 0.3, {"mlp_post_onset_median_ratio": med}
 
 
 @_timed
 def _check_mechanisms():
-    """Recoil identity, oscillatory cancellation, propagator norm bound,
-    supercritical run-length caps."""
-    ok, recoil = _apply(THEOREMS["recoil"], _bundle())
-    details = {"recoil_relative": max(d["max_relative_residual"] for d in recoil.values())}
-
+    """Oscillatory cancellation and propagator norm bound, on random draws."""
+    ok, details = True, {}
     rng = np.random.default_rng(7)
     viol = 0
     for _ in range(1000):
@@ -411,10 +386,7 @@ def _check_mechanisms():
         viol += stability_kv.propagator_norm(T) > math.exp(ksum) + 1e-10
     details["propagator_violations"] = int(viol)
     ok &= viol == 0
-
-    caps_ok, _ = _apply(THEOREMS["run_length_caps"], _bundle())
-    details["supercritical_runs_capped"] = caps_ok
-    return ok and caps_ok, details
+    return ok, details
 
 
 @_timed
@@ -509,6 +481,7 @@ def _check_stochastic_balance():
 CHECKS = {
     "quadratic_exactness": _check_quadratic_exactness,
     "edge_balance_independent": _check_edge_balance_independent,
+    "route_agreement": _check_route_agreement,
     "mlp_saturation": _check_mlp_saturation,
     "localization": _check_localization,
     "scalar_pitchfork": _check_scalar_pitchfork,

@@ -81,10 +81,19 @@ def _unit_segment_profile(model):
     return model.segment_profile(np.array([0.0]), np.array([1.0]))
 
 
+def _assert_routes_within_bounds(table, tolerance):
+    """|rbar - rbar_exact| <= rbar_bound and |rtilde - rtilde_exact| <=
+    rtilde_bound at every row, each bound within ``tolerance(exact)``."""
+    for name in ("rbar", "rtilde"):
+        exact, bound = getattr(table, f"{name}_exact"), getattr(table, f"{name}_bound")
+        assert np.all(np.abs(getattr(table, name) - exact) <= bound), name
+        assert np.all(bound <= tolerance(exact)), name
+
+
 def _quadrature(model, log, k):
-    """(rbar, rtilde, profile nodes, settled, profile operator, final
-    nodes, their values) of step k, as its curvature-table row computes
-    them."""
+    """(rbar, rtilde, their error estimates, profile nodes, settled,
+    profile operator, final nodes, their values) of step k, as its
+    curvature-table row computes them."""
     return em._segment_averages(model, log.w(k), log.step(k))
 
 
@@ -130,23 +139,53 @@ class TestCurvatureRoutes:
         assert table.rtilde[0] == pytest.approx(q0 + slope / 3.0, abs=1e-13)
 
     def test_route_agreement_two_layer(self):
+        """At every step both averages lie within their bound columns of
+        their exact routes, and the bounds within 1e-10."""
         w_bar, geom = balanced_minimizer(np.diag([2.0, 1.0]), 2)
         model = geom.model
         log = run_gd(model, w_bar + 0.01 * geom.sharp_direction(), 0.55, 200)
         table = em.curvature_table(model, log)
         assert table.skipped == []
-        for k in range(0, 200, 13):
-            assert abs(table.rtilde_exact[k] - table.rtilde[k]) <= 1e-10
+        _assert_routes_within_bounds(table, lambda exact: 1e-10)
 
     def test_route_agreement_mlp(self, mlp_run):
+        """At every step both averages lie within their bound columns of
+        their exact routes, and the bounds within 1e-6 relative."""
         model, log = mlp_run
         table = em.curvature_table(model, log)
         assert table.skipped == []
-        for k in range(0, log.num_steps, 11):
-            a = table.rtilde_exact[k]
-            assert abs(a - table.rtilde[k]) <= 1e-6 * max(1.0, abs(a))
-            c = table.rbar_exact[k]
-            assert abs(c - table.rbar[k]) <= 1e-6 * max(1.0, abs(c))
+        _assert_routes_within_bounds(
+            table, lambda exact: 1e-6 * np.maximum(1.0, np.abs(exact)))
+
+    def test_bounds_add_rounding_to_quadrature_estimates(self, mlp_run):
+        """Each row's bound columns are its quadrature's |K9 - G4| estimates
+        plus the positive rounding terms of its exact routes, from the
+        losses and the norms of the iterates and gradients at both ends."""
+        model, log = mlp_run
+        table = em.curvature_table(model, log)
+        assert table.skipped == []
+        for k in range(0, log.num_steps, 17):
+            _, _, e_bar, e_tilde, *_ = _quadrature(model, log, k)
+            norms = [tuple(float(np.linalg.norm(v[j])) for j in (k, k + 1))
+                     for v in (log.w_stored, log.grads)]
+            r_bar, r_tilde = em._route_rounding(
+                log.eta, table.rbar_exact[k], table.step_norm_sq[k],
+                log.losses[k:k + 2], *norms)
+            assert r_bar > 0.0 and r_tilde > 0.0
+            assert table.rbar_bound[k] == pytest.approx(e_bar + r_bar, rel=1e-12)
+            assert table.rtilde_bound[k] == pytest.approx(e_tilde + r_tilde, rel=1e-12)
+
+    def test_route_rounding_at_minimum_grows_with_iterate(self):
+        """With zero gradients and losses, as at a minimum, the rbar term
+        still grows with the iterates' norms, through the moved end point
+        and the evaluation at w, while the rtilde term is the averages' own
+        rounding, 4 eps 2/eta."""
+        eps4 = 4.0 * float(np.finfo(float).eps)
+        small = em._route_rounding(0.5, 1.0, 1e-4, (0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
+        large = em._route_rounding(0.5, 1.0, 1e-4, (0.0, 0.0), (10.0, 10.0), (0.0, 0.0))
+        assert small[0] == pytest.approx(eps4 * 4.0 * (1.0 + 2.0 / 1e-2))
+        assert large[0] == pytest.approx(eps4 * 4.0 * (1.0 + 20.0 / 1e-2))
+        assert small[1] == large[1] == pytest.approx(eps4 * 4.0)
 
     def test_ascent_step_constructed(self):
         """A supercritical quartic step raises the loss."""
@@ -256,7 +295,7 @@ class TestProfileAndLocalization:
         model = make_quadratic(np.diag([3.0, 1.0]))
         log = run_gd(model, np.array([1.0, 1.0]), 0.5, 5)
         counted = _CountingModel(model)
-        _, rtilde, nodes, _, profile, taus, qs = _quadrature(counted, log, 0)
+        _, rtilde, _, _, nodes, _, profile, taus, qs = _quadrature(counted, log, 0)
         assert counted.calls == nodes == 9
         [rec] = em.localize(profile, 0, (rtilde,), taus, qs)
         assert rec.constant_profile and rec.point == 0.5
@@ -265,7 +304,7 @@ class TestProfileAndLocalization:
     def test_localize_linear_profile_closed_form(self):
         model = make_scalar_poly(1.0, 1.0, 0.0)
         log = run_gd(model, np.array([0.3]), 0.5, 3)
-        rbar, rtilde, _, _, profile, taus, qs = _quadrature(model, log, 0)
+        rbar, rtilde, *_, profile, taus, qs = _quadrature(model, log, 0)
         xi, zeta = em.localize(profile, 0, (rtilde, rbar), taus, qs)
         assert xi.point == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert zeta.point == pytest.approx(0.5, abs=1e-8)
@@ -309,7 +348,7 @@ class TestProfileAndLocalization:
     def test_two_targets_match_single_target_calls(self, mlp_run):
         model, log = mlp_run
         for k in range(0, log.num_steps, 23):
-            rbar, rtilde, _, _, profile, taus, qs = _quadrature(model, log, k)
+            rbar, rtilde, *_, profile, taus, qs = _quadrature(model, log, k)
             single = [rec for t in (rtilde, rbar)
                       for rec in em.localize(profile, k, (t,), taus, qs)]
             assert em.localize(profile, k, (rtilde, rbar), taus, qs) == single
@@ -322,7 +361,7 @@ class TestProfileAndLocalization:
         model, log = mlp_run
         for k in (0, 5, 60):
             counted, work = _CountingModel(model), Counter()
-            rbar, rtilde, _, _, profile, taus, qs = _quadrature(counted, log, k)
+            rbar, rtilde, *_, profile, taus, qs = _quadrature(counted, log, k)
             w, d = log.w(k), log.step(k)
             table_points = {(w + t * d).tobytes() for t in taus}
             counted.calls, counted.sizes, counted.points = 0, [], []
@@ -525,7 +564,8 @@ class TestEosOnset:
         return em.CurvatureTable(
             k=np.arange(n), step_norm_sq=np.ones(n), rbar=r, rtilde=r,
             rbar_exact=r, rtilde_exact=r, delta_L=none, proxy=none,
-            two_step_norm=none, inner_next=none, xi=none, zeta=none, q_xi=none,
+            rbar_bound=none, rtilde_bound=none, two_step_norm=none, xi=none,
+            zeta=none, q_xi=none,
             lambda_max_xi=none, localization_errors={},
             nodes=np.zeros(n, dtype=np.int64), skipped=[], unsettled=[])
 
@@ -952,7 +992,6 @@ class TestStreamedTable:
                                       workers=workers)
         assert work["curvature_table_workers"] == workers
         _assert_same_table(streamed, logged)
-        assert streamed.first_off_step is None
         assert (stream.num_steps, stream.diverged, stream.divergence_step) == (
             log.num_steps, log.diverged, log.divergence_step)
         for name in ("losses", "grad_norms", "step_norms"):

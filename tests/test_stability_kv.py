@@ -18,11 +18,14 @@ from edge_lab.trajectory import run_gd, run_pair_gd
 
 
 def _recoil(model, log):
-    """The table of a run and, at each of its rows, <d_{k+1}, d_k> and
-    (1 - eta rbar_k) ||d_k||^2 from the exact gradient-difference rbar_k."""
+    """The table of a run and, at each of its rows, <d_{k+1}, d_k> from the
+    log's steps (NaN at the last step) and (1 - eta rbar_k) ||d_k||^2 from
+    the exact gradient-difference rbar_k."""
     table = em.curvature_table(model, log)
+    inner = np.array([float(log.step(k + 1) @ log.step(k)) if k + 1 < log.num_steps
+                      else np.nan for k in table.k])
     predicted = (1.0 - log.eta * table.rbar_exact) * table.step_norm_sq
-    return table, table.inner_next, predicted
+    return table, inner, predicted
 
 
 class TestRecoil:
@@ -344,46 +347,6 @@ class TestStrainViaPropagator:
             via = _strain_via_propagator(A, strain.stress, eta, k)
             err = np.linalg.norm(strain.propagated[k] - via)
             assert err <= 1e-10 * (1 + np.linalg.norm(via))
-
-
-def _supercritical_runs(model, log):
-    return kv.supercritical_run_lengths(em.curvature_table(model, log), log.eta,
-                                        log.num_steps)
-
-
-class TestSupercriticalRuns:
-    def test_lengths_capped_on_bounded_run(self):
-        model = make_scalar_poly(1.0, 0.0, -1.0)
-        log = run_gd(model, np.array([0.3]), 2.5, 400)
-        runs = _supercritical_runs(model, log)
-        assert runs
-        for start, length, cap in runs:
-            assert length <= cap
-
-    @pytest.mark.parametrize("steps", [4, 10])
-    def test_run_to_end_of_log_capped(self, steps):
-        """Every step of 5 w^2 / 2 at eta 0.5 is above 2/eta and grows the
-        next by 1.5: a run to the end of the log shows one growth factor
-        fewer than its length, since d_K is not a logged step, and its cap
-        counts that factor."""
-        model = make_quadratic([[5.0]], 0.0)
-        log = run_gd(model, np.array([1.0]), 0.5, steps)
-        assert not log.diverged
-        assert _supercritical_runs(model, log) == [(0, steps, steps)]
-
-    def test_degenerate_step_ends_run(self):
-        """A degenerate step 3 of 5 w^2 / 2 at eta 0.5 has no row and so
-        splits the above-threshold steps; step 2, whose next gradient is
-        zeroed, reads rbar_2 = 1/eta, below 2/eta."""
-        model = make_quadratic([[5.0]], 0.0)
-        log = run_gd(model, np.array([1.0]), 0.5, 8)
-        log.grads[3] = 0.0
-        assert _supercritical_runs(model, log) == [(0, 2, 7), (4, 4, 8)]
-
-    def test_no_runs_below_threshold(self):
-        model = make_scalar_poly(3.0)
-        log = run_gd(model, np.array([1.0]), 0.5, 30)
-        assert _supercritical_runs(model, log) == []
 
 
 class TestStrainCsv:
