@@ -350,12 +350,13 @@ def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
     One (m, dim) stack of iterates advances by one stacked
     ``value_and_grad`` per step, each row by its own step size, exactly as
     ``run_gd`` advances one. Only the projections (w_k - w_bar) . u are
-    kept, each by the 1-D dot of a single point: returns the (K + 1, m)
-    projections and, per step size, the number of steps its run keeps and
-    the number of its iterates evaluated. A row past the divergence
-    limits at iterate n keeps iterates 0..n - 1, as ``run_gd`` truncates
-    its log, and leaves the stack after n + 1 evaluations; a start point
-    past them keeps iterate 0.
+    kept, by one ``np.vecdot`` that takes each row's 1-D dot with u alone,
+    so a row's projection does not depend on its stack: returns the
+    (K + 1, m) projections and, per step size, the number of steps its run
+    keeps and the number of its iterates evaluated. A row past the
+    divergence limits at iterate n keeps iterates 0..n - 1, as ``run_gd``
+    truncates its log, and leaves the stack after n + 1 evaluations; a
+    start point past them keeps iterate 0.
     """
     if not model.stacked_value_and_grad:
         raise ValueError(f"the empirical sweep needs a model whose "
@@ -377,9 +378,7 @@ def _lockstep_projections(model: LossModel, w_bar: Array, u: Array,
             break
         if k > 0:
             W = W + neg_etas[rows, None] * G
-        D = W - w_bar
-        for i, r in enumerate(rows.tolist()):
-            proj[k, r] = D[i] @ u
+        proj[k, rows] = np.vecdot(W - w_bar, u)
         losses, G = model.value_and_grad(W)
         out = _diverged(losses, W)
         if out.any():

@@ -396,7 +396,7 @@ def curvature_table(model: LossModel, run: TrajectoryLog | StepStream,
 
     def steps():
         """(k, w_k, d_k) of each non-degenerate step, its columns filled."""
-        held = ((s, float(np.linalg.norm(s.w)), float(np.linalg.norm(s.grad)))
+        held = ((s, float(np.linalg.norm(s.w)), float(run.grad_norms[s.k]))
                 for s in run)
         for (s, w_norm, g_norm), (s_next, w_norm_next, g_norm_next) in \
                 itertools.pairwise(held):

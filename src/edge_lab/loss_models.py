@@ -763,8 +763,10 @@ class MlpModel(LossModel):
         runs the nodes one at a time through the same buffers. So a
         node's value depends neither on the other nodes of its call nor
         on earlier calls. Batching the nodes along the sample axis
-        measured slower. As with ``hvp_at``, the operators of one model
-        must not run in several threads at once.
+        measured slower. An operator writes only the buffers it allocated
+        itself, so operators of one model may run in several threads at
+        once, but one operator must not (unlike ``hvp_at``, whose
+        operators share the model's block buffers).
         """
         params, tang = self.unpack(w), self.unpack(d)
         X, Y = self._inputs_t, self._targets_t

@@ -1,6 +1,7 @@
 """Model derivatives, linear-net geometry, and synthetic datasets."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,6 +165,36 @@ class TestSegmentCurvature:
         assert many.shape == _TAUS.shape
         for i, t in enumerate(_TAUS):
             assert model.segment_profile(w, d)((t,))[0] == many[i]
+
+    @pytest.mark.parametrize("activation", ["tanh", "gelu"])
+    def test_operators_of_one_model_run_in_threads(self, activation):
+        """Two profile operators of one MLP, each called over and over in
+        its own thread at the same time, return the bits of one call
+        after the other: an operator writes only its own buffers."""
+        ds = make_synthetic_dataset(0, 200, 10, 5, teacher_rank=3, noise=0.1)
+        model = make_mlp([10, 16, 16, 5], activation, ds)
+        rng = np.random.default_rng(15)
+        w = model.init_params(seed=0, scale=1.5)
+        ops = [model.segment_profile(w, 0.3 * rng.standard_normal(model.dim))
+               for _ in range(2)]
+        taus = np.concatenate([_TAUS, K9_NODES])
+        alone = [op(taus) for op in ops]
+        start, got = threading.Barrier(2), [[], []]
+
+        def call(i):
+            start.wait(timeout=60)
+            got[i].extend(ops[i](taus) for _ in range(30))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for q, qs in zip(alone, got):
+            assert len(qs) == 30
+            for q_thread in qs:
+                assert q_thread.tobytes() == q.tobytes()
 
 
 def _column_oracle(model, w):

@@ -7,8 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edge_lab import trajectory
 from edge_lab.loss_models import (Dataset, make_mlp, make_quadratic,
                                   make_scalar_poly, make_synthetic_dataset)
 from edge_lab.trajectory import (ITERATE_DIVERGENCE, LOSS_DIVERGENCE,
@@ -26,24 +26,47 @@ def _replay(model, w0, eta, n, noise=None):
     return x
 
 
-def _fast_path_bound(dim):
-    """The |entry| below which ``_diverged`` may skip the row norms:
-    C (1 - (dim + 5) u) / sqrt(dim), C = ITERATE_DIVERGENCE and u = 2^-53,
-    as derived in ``trajectory._norm_free_bound``."""
-    return ITERATE_DIVERGENCE * (1.0 - (dim + 5) * 2.0 ** -53) / math.sqrt(dim)
-
-
 def _bound_cases():
     """(loss, row, diverged) with the row's largest |entry| one ulp below,
-    at and one ulp above the fast-path bound: every entry at that value
-    (the largest norm the bound admits), and one negated entry with the
-    rest 0. No such norm reaches the limit."""
+    at and one ulp above C (1 - (dim + 5) u) / sqrt(dim), C =
+    ITERATE_DIVERGENCE and u = 2^-53, a rounding bound below which no row
+    norm can pass the limit: every entry at that value (the largest norm
+    the bound admits), and one negated entry with the rest 0. No such norm
+    reaches the limit."""
     cases = []
     for dim in (1, 2, 180, 533):
-        b = _fast_path_bound(dim)
+        b = ITERATE_DIVERGENCE * (1.0 - (dim + 5) * 2.0 ** -53) / math.sqrt(dim)
         for m in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
             cases += [(0.5, [m] * dim, False), (0.5, [-m] + [0.0] * (dim - 1), False)]
     return cases
+
+
+@st.composite
+def _stacks(draw):
+    """(W, u): an (m, dim) stack, m in 0..32 and dim in 0..2048, whose rows
+    have magnitudes 1e-150 to 1e150, some rows holding a NaN or an inf, laid
+    out C-ordered, F-ordered, as a strided slice or by fancy indexing; and
+    a (dim,) vector, contiguous or strided."""
+    m, dim = draw(st.integers(0, 32)), draw(st.integers(0, 2048))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scales = 10.0 ** rng.uniform(-150.0, 150.0, size=(m, 1))
+    base = rng.standard_normal((m, dim)) * scales
+    if dim:
+        for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)):
+            base[i, rng.integers(dim)] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "fancy"]))
+    if layout == "F":
+        W = np.asfortranarray(base)
+    elif layout == "sliced":
+        W = np.zeros((2 * m, 3 * dim))
+        W[::2, 1::3] = base
+        W = W[::2, 1::3]
+    elif layout == "fancy":
+        W = base[rng.integers(0, max(m, 1), size=m)]
+    else:
+        W = base
+    u = rng.standard_normal(2 * dim) * 10.0 ** rng.uniform(-150.0, 150.0)
+    return W, (u[::2] if draw(st.booleans()) else u[:dim])
 
 
 def _assert_rows(log, dim):
@@ -178,19 +201,13 @@ class TestTruncation:
         (0.5, [math.nextafter(ITERATE_DIVERGENCE, math.inf), 0.0], True),
         *_bound_cases(),
     ])
-    def test_divergence_verdict(self, loss, w, diverged, monkeypatch):
-        """The verdict is the per-row path's, and the row norms are skipped
-        exactly when every entry is finite and below the fast-path bound."""
+    def test_divergence_verdict(self, loss, w, diverged):
+        """The verdict is the rule's, applied with the point's own norm."""
         losses, W = np.array([loss]), np.array([w])
-        row_norms, calls = trajectory._row_norms, []
-        monkeypatch.setattr(trajectory, "_row_norms",
-                            lambda W: calls.append(1) or row_norms(W))
         with np.errstate(over="ignore"):     # the overflowing norm warns
             per_row = ~((losses > -math.inf) & (losses <= LOSS_DIVERGENCE)
-                        & (row_norms(W) <= ITERATE_DIVERGENCE))
+                        & (np.linalg.norm(W[0]) <= ITERATE_DIVERGENCE))
             assert _diverged(losses, W).tolist() == per_row.tolist() == [diverged]
-        fast = bool(np.all(np.isfinite(W))) and np.abs(W).max() < _fast_path_bound(len(w))
-        assert len(calls) == (0 if fast else 1)
 
     def test_empty_stacks(self):
         assert _diverged(np.empty(0), np.empty((0, 3))).tolist() == []
@@ -208,6 +225,19 @@ class TestTruncation:
             assert verdicts.tolist() == [False, True, True, True, False, True]
             for i in range(len(W)):
                 assert _diverged(losses[i:i + 1], W[i:i + 1])[0] == verdicts[i]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(stack=_stacks())
+    def test_vecdot_is_each_row_dot(self, stack):
+        """``np.vecdot``, which takes the stacked row norms and projections,
+        gives each row the bits of that row's own 1-D dot."""
+        W, u = stack
+        with np.errstate(over="ignore", invalid="ignore"):
+            for got, want in ((np.vecdot(W, W), [w.dot(w) for w in W]),
+                              (np.vecdot(W, u), [w @ u for w in W])):
+                want = np.array(want, dtype=float)
+                assert got.shape == want.shape == (len(W),)
+                assert got.tobytes() == want.tobytes()
 
     def test_log_is_held_once(self):
         """The runner fills one buffer per logged quantity, and only the
